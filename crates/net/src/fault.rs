@@ -3,13 +3,14 @@
 //! A [`FaultPlan`] describes everything that can go wrong with one
 //! endpoint's *outgoing* traffic: uniform and per-tag message drops,
 //! duplicate deliveries, delayed (and therefore reordered) deliveries,
-//! single-bit payload corruption, and endpoint death after a send budget. All randomness is drawn from a
-//! seeded generator in a fixed per-send order, so the same plan replayed
+//! single-bit frame corruption, and endpoint death after a send budget.
+//! All randomness is drawn from a seeded generator in a fixed per-send order, so the same plan replayed
 //! against the same send sequence produces the same fault schedule —
 //! byte for byte. The schedule-stress harness (`easyhps-stress`) derives
 //! whole per-rank plan sets from a single `u64` seed on top of this.
 
-use crate::message::{Envelope, Tag};
+use crate::message::{Rank, Tag};
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,8 +52,8 @@ pub struct FaultPlan {
     pub tag_drops: Vec<(Tag, f64)>,
     /// Probability in `[0, 1]` that an outgoing message is delivered with
     /// exactly one bit flipped (a corrupting link). The flipped bit index
-    /// is drawn uniformly over the payload; empty payloads pass through
-    /// unchanged.
+    /// is drawn uniformly over the sealed frame past its length prefix —
+    /// header or payload, always under the CRC.
     pub bitflip_prob: f64,
     /// RNG seed for all fault decisions.
     pub seed: u64,
@@ -153,10 +154,10 @@ pub(crate) enum SendVerdict {
     Duplicate,
     /// Hold until the send counter reaches the given value.
     Delay(u64),
-    /// Deliver with the given payload bit flipped (a corrupting link).
+    /// Deliver with the given bit flipped (a corrupting link).
     Corrupt {
-        /// Bit index into the payload (`byte = bit / 8`, LSB-first
-        /// within the byte).
+        /// Bit index into the corruptible bytes (`byte = bit / 8`,
+        /// LSB-first within the byte).
         bit: u64,
     },
 }
@@ -167,9 +168,9 @@ pub(crate) struct FaultState {
     plan: Option<FaultPlan>,
     rng: StdRng,
     sends: u64,
-    /// Delayed messages awaiting release: `(release_at_send_count, env)`,
-    /// in hold order.
-    held: Vec<(u64, Envelope)>,
+    /// Delayed frames awaiting release: `(release_at_send_count, dst,
+    /// sealed frame)`, in hold order.
+    held: Vec<(u64, Rank, Bytes)>,
 }
 
 impl FaultState {
@@ -210,7 +211,8 @@ impl FaultState {
         }
     }
 
-    /// Decide the fate of one outgoing message of `payload_len` bytes.
+    /// Decide the fate of one outgoing message with `payload_len`
+    /// corruptible bytes.
     /// Draws happen in a fixed order (per-tag drop, uniform drop,
     /// duplicate, delay, bit-flip) so a plan's schedule is a pure
     /// function of its seed and the send sequence. The bit-flip draws
@@ -248,22 +250,22 @@ impl FaultState {
 
     /// Park a delayed message until the send counter reaches
     /// `release_at`.
-    pub(crate) fn hold(&mut self, release_at: u64, env: Envelope) {
-        self.held.push((release_at, env));
+    pub(crate) fn hold(&mut self, release_at: u64, dst: Rank, frame: Bytes) {
+        self.held.push((release_at, dst, frame));
     }
 
     /// Take every held message whose release point has been reached, in
     /// hold order. A message held past the endpoint's final send is never
     /// released — indistinguishable from a drop, which is the point.
-    pub(crate) fn take_due(&mut self) -> Vec<Envelope> {
+    pub(crate) fn take_due(&mut self) -> Vec<(Rank, Bytes)> {
         if self.held.is_empty() {
             return Vec::new();
         }
         let sends = self.sends;
         let mut due = Vec::new();
-        self.held.retain(|(at, env)| {
+        self.held.retain(|(at, dst, frame)| {
             if *at <= sends {
-                due.push(env.clone());
+                due.push((*dst, frame.clone()));
                 false
             } else {
                 true
@@ -454,7 +456,12 @@ mod tests {
     }
 
     #[test]
-    fn bitflips_are_deterministic_and_counted() {
+    fn bitflips_are_deterministic_counted_and_always_caught() {
+        // Empty payloads too: the header alone is flippable.
+        let payload_of = |i: u8| match i % 5 {
+            0 => Vec::new(),
+            _ => vec![i, 0xAA, 0x55],
+        };
         let run = || {
             let plan = FaultPlan {
                 seed: 21,
@@ -465,57 +472,33 @@ mod tests {
             let mut e1 = eps.pop().unwrap();
             let mut e0 = eps.pop().unwrap();
             for i in 0..50u8 {
-                e0.send(Rank(1), Tag(0), Bytes::from(vec![i, 0xAA, 0x55]))
+                e0.send(Rank(1), Tag(i as u32), Bytes::from(payload_of(i)))
                     .unwrap();
             }
             let mut got = Vec::new();
             while let Some(env) = e1.try_recv().unwrap() {
-                got.push(env.payload.to_vec());
+                got.push((env.tag.0, env.payload.to_vec()));
             }
-            (got, e0.stats().corrupted_msgs)
+            (got, e0.stats().corrupted_msgs, e1.stats().corrupt_frames)
         };
-        let (got1, corrupted1) = run();
-        let (got2, corrupted2) = run();
+        let (got1, injected1, caught1) = run();
+        let (got2, injected2, caught2) = run();
         assert_eq!(got1, got2, "flip schedule must replay byte-for-byte");
-        assert_eq!(corrupted1, corrupted2);
-        assert_eq!(got1.len(), 50, "corruption delivers, never drops");
-        assert!((10..=40).contains(&corrupted1), "flip rate wildly off");
-        let mangled = got1
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| **p != [*i as u8, 0xAA, 0x55])
-            .count() as u64;
-        assert_eq!(mangled, corrupted1, "each flip mangles exactly one message");
-        for (i, p) in got1.iter().enumerate() {
-            let clean = [i as u8, 0xAA, 0x55];
-            let diff: u32 = p
-                .iter()
-                .zip(clean.iter())
-                .map(|(a, b)| (a ^ b).count_ones())
-                .sum();
-            assert!(diff <= 1, "message {i} has {diff} flipped bits");
+        assert_eq!((injected1, caught1), (injected2, caught2));
+        assert!((10..=40).contains(&injected1), "flip rate wildly off");
+        assert_eq!(caught1, injected1, "every flip lands under the CRC");
+        assert_eq!(
+            got1.len() as u64 + caught1,
+            50,
+            "a flip costs that frame only"
+        );
+        for (tag, p) in &got1 {
+            assert_eq!(
+                *p,
+                payload_of(*tag as u8),
+                "nothing mangled is ever delivered"
+            );
         }
-    }
-
-    #[test]
-    fn empty_payloads_pass_through_a_corrupting_link() {
-        let plan = FaultPlan {
-            seed: 3,
-            ..FaultPlan::default()
-        }
-        .with_bitflips(1.0);
-        let mut eps = Network::with_faults(2, &[Some(plan), None]);
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        for _ in 0..5 {
-            e0.send(Rank(1), Tag(0), Bytes::new()).unwrap();
-        }
-        let mut n = 0;
-        while e1.try_recv().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 5, "nothing to flip, nothing lost");
-        assert_eq!(e0.stats().corrupted_msgs, 0);
     }
 
     #[test]

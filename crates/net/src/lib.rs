@@ -6,8 +6,23 @@
 //! over in-process channels by default, or over real TCP / Unix-domain
 //! sockets ([`socket`]) when master and slaves run as separate OS
 //! processes — plus deterministic fault injection (message drops, rank
-//! death) and latency/bandwidth cost models the simulator uses to price
+//! death) and latency/bandwidth cost models ([`DelayModel`]) that price
 //! the same traffic on a real interconnect.
+//!
+//! The layers, bottom up, each in one file:
+//!
+//! - [`stream`]: a TCP-or-Unix byte stream, its listener, and the one
+//!   dial-with-backoff loop;
+//! - [`frame`]: the one wire format — header, CRC seal/check, bounded
+//!   frame read/write, handshake hello — used by rank links and the
+//!   serve daemon's client protocol alike;
+//! - [`socket`]: a rank link over a stream (queue, reader and writer
+//!   threads, reconnection, fleet membership);
+//! - [`Endpoint`]: seals every send into a frame, applies the
+//!   [`FaultPlan`], verifies every receive — identical over channels and
+//!   sockets;
+//! - [`ReliableEndpoint`]: sequence numbers, acks, retransmission and
+//!   dedup on top of an endpoint.
 //!
 //! ```
 //! use easyhps_net::{Network, Rank, Tag, WireWriter, WireReader};
@@ -34,8 +49,8 @@ mod fault;
 pub mod frame;
 mod message;
 mod reliable;
-pub mod rpc;
 pub mod socket;
+pub mod stream;
 mod transport;
 mod wire;
 
@@ -47,8 +62,9 @@ pub use reliable::{
     FailReason, PeerReliStats, ReliStats, ReliableEndpoint, RetryPolicy, SendFailure,
 };
 pub use socket::{
-    FleetAcceptor, LinkSnapshot, LinkStats, MembershipEvent, NetAddr, SocketConfig, SocketInfo,
+    FleetAcceptor, LinkSnapshot, LinkStats, MembershipEvent, SocketConfig, SocketInfo,
     SocketListener,
 };
+pub use stream::NetAddr;
 pub use transport::{Endpoint, KillHandle, NetError, NetStats, Network};
 pub use wire::{WireError, WireReader, WireWriter};

@@ -31,7 +31,8 @@ impl fmt::Display for Tag {
     }
 }
 
-/// One message in flight: source, destination, tag and opaque payload.
+/// One received message: who sent it, to whom, under which tag, and its
+/// payload (a zero-copy slice of the frame it arrived in).
 #[derive(Clone, Debug)]
 pub struct Envelope {
     /// Sending rank.
@@ -45,10 +46,10 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Total on-the-wire size in bytes (payload plus a fixed 16-byte
-    /// header), used by communication cost models.
+    /// Bytes this message occupied on the wire: the payload plus the
+    /// frame header ([`HEADER_LEN`](crate::frame::HEADER_LEN)).
     pub fn wire_size(&self) -> u64 {
-        self.payload.len() as u64 + 16
+        (crate::frame::HEADER_LEN + self.payload.len()) as u64
     }
 }
 
@@ -64,7 +65,9 @@ mod tests {
             tag: Tag(3),
             payload: Bytes::from_static(b"12345"),
         };
-        assert_eq!(e.wire_size(), 21);
+        assert_eq!(e.wire_size(), 26);
+        let sealed = crate::frame::seal(crate::frame::Kind::Raw, e.tag, 0, &e.payload);
+        assert_eq!(e.wire_size(), sealed.len() as u64);
     }
 
     #[test]

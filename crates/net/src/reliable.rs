@@ -18,23 +18,25 @@
 //! - every valid frame from a peer (data, duplicate, ack) refreshes
 //!   [`ReliableEndpoint::last_heard`], giving schedulers a liveness signal
 //!   that distinguishes a *slow* peer from a *dead* one;
-//! - every frame is sealed with a CRC-32C header (see [`crate::frame`])
-//!   and verified before any field is decoded: a corrupted frame is
-//!   counted ([`ReliStats::corrupt_frames`]), dropped whole, and
-//!   recovered by the same retransmission path as a lost one.
+//! - framing and integrity are the endpoint's, not this layer's: every
+//!   send is a sealed frame ([`crate::frame`]) whose header carries the
+//!   kind and sequence number used here, and a frame that fails its
+//!   checksum never reaches this code
+//!   ([`NetStats::corrupt_frames`](crate::NetStats::corrupt_frames)) —
+//!   it is recovered by the same retransmission path as a lost one.
 //!
 //! Unreliable sends (e.g. periodic heartbeats, where the next one
-//! supersedes a lost one) share the same framing so both kinds can be
-//! mixed on one endpoint.
+//! supersedes a lost one) are the endpoint's plain RAW frames, so both
+//! kinds can be mixed on one endpoint.
 //!
 //! Retransmission is driven by the receive calls (`recv_timeout` /
 //! `pump`), not a background thread: every user of this layer already sits
 //! in a receive loop, and keeping the state single-threaded avoids locking
 //! on the hot path.
 
-use crate::frame::{self, Frame, FrameError};
+use crate::frame::{self, Header, Kind};
 use crate::message::{Envelope, Rank, Tag};
-use crate::transport::{Endpoint, NetError, NetStats};
+use crate::transport::{Arrival, Endpoint, NetError, NetStats};
 use bytes::Bytes;
 use easyhps_obs::LaneBuf;
 use std::collections::BTreeSet;
@@ -96,12 +98,6 @@ pub struct ReliStats {
     pub acks_recv: u64,
     /// Duplicate data deliveries suppressed.
     pub duplicates: u64,
-    /// Frames that failed to parse and were dropped.
-    pub malformed: u64,
-    /// Frames whose CRC-32C check failed: dropped before any field was
-    /// decoded, recovered by retransmission (reliable traffic) or
-    /// superseded by the next send (unreliable traffic).
-    pub corrupt_frames: u64,
     /// Total backoff scheduled across retransmissions, in nanoseconds —
     /// how long reliable deliveries sat waiting on retry timers.
     pub backoff_wait_ns: u64,
@@ -301,10 +297,10 @@ impl ReliableEndpoint {
         std::mem::take(&mut self.failures)
     }
 
-    /// Fire-and-forget send (framed, but never retransmitted). For
-    /// messages where the next one supersedes a lost one, e.g. heartbeats.
+    /// Fire-and-forget send (never retransmitted). For messages where the
+    /// next one supersedes a lost one, e.g. heartbeats.
     pub fn send_unreliable(&mut self, dst: Rank, tag: Tag, payload: Bytes) -> Result<(), NetError> {
-        self.ep.send(dst, tag, frame::seal_raw(&payload))
+        self.ep.send(dst, tag, payload)
     }
 
     /// Acknowledged send: the message is retransmitted with backoff until
@@ -317,8 +313,8 @@ impl ReliableEndpoint {
     pub fn send_reliable(&mut self, dst: Rank, tag: Tag, payload: Bytes) -> Result<u64, NetError> {
         let slot = dst.index();
         let seq = self.next_seq[slot] + 1;
-        let framed = frame::seal_data(seq, &payload);
-        self.ep.send(dst, tag, framed.clone())?;
+        let framed = frame::seal(Kind::Data, tag, seq, &payload);
+        self.ep.send_sealed(dst, framed.clone())?;
         self.next_seq[slot] = seq;
         self.stats.data_sent += 1;
         self.pending.push(Pending {
@@ -348,9 +344,9 @@ impl ReliableEndpoint {
                 self.abandon(p, FailReason::NoAck);
                 continue;
             }
-            let (dst, tag) = (self.pending[i].dst, self.pending[i].tag);
+            let dst = self.pending[i].dst;
             let framed = self.pending[i].framed.clone();
-            match self.ep.send(dst, tag, framed) {
+            match self.ep.send_sealed(dst, framed) {
                 Ok(()) => {
                     self.stats.retransmits += 1;
                     if let Some(pp) = self.per_peer.get_mut(dst.index()) {
@@ -390,43 +386,21 @@ impl ReliableEndpoint {
         });
     }
 
-    /// Process one incoming frame. The CRC is verified before anything is
-    /// decoded; corrupt frames are counted and dropped (retransmission
-    /// recovers reliable traffic). ACKs are absorbed, DATA frames are
-    /// acknowledged and deduplicated; returns the unwrapped envelope for
-    /// fresh application messages.
-    fn accept(&mut self, env: Envelope) -> Option<Envelope> {
+    /// Process one verified frame. ACKs are absorbed, DATA frames are
+    /// acknowledged and deduplicated; returns the envelope of a fresh
+    /// application message.
+    fn accept(&mut self, header: Header, env: Envelope) -> Option<Envelope> {
         let src = env.src.index();
-        match frame::check(&env.payload) {
-            Err(FrameError::Corrupt) => {
-                // No field of a corrupt frame is trustworthy — not even
-                // liveness (`last_heard` stays untouched). Drop it whole.
-                self.stats.corrupt_frames += 1;
-                self.lane
-                    .instant("frame-corrupt", "net", Some(("peer", src as u64)));
-                None
-            }
-            Err(_) => {
-                self.stats.malformed += 1;
-                None
-            }
-            Ok(Frame::Raw) => {
-                self.note_heard(src);
-                Some(Envelope {
-                    payload: env.payload.slice(frame::RAW_BODY..),
-                    ..env
-                })
-            }
-            Ok(Frame::Data { seq }) => {
-                self.note_heard(src);
+        self.note_heard(src);
+        match header.kind {
+            Kind::Raw => Some(env),
+            Kind::Data => {
                 // Always (re-)ACK: the previous ACK may have been dropped.
-                let _ = self.ep.send(env.src, env.tag, frame::seal_ack(seq));
+                let ack = frame::seal(Kind::Ack, env.tag, header.seq, &[]);
+                let _ = self.ep.send_sealed(env.src, ack);
                 self.stats.acks_sent += 1;
-                if self.recv_state[src].fresh(seq) {
-                    Some(Envelope {
-                        payload: env.payload.slice(frame::DATA_BODY..),
-                        ..env
-                    })
+                if self.recv_state[src].fresh(header.seq) {
+                    Some(env)
                 } else {
                     self.stats.duplicates += 1;
                     if let Some(pp) = self.per_peer.get_mut(src) {
@@ -435,18 +409,19 @@ impl ReliableEndpoint {
                     None
                 }
             }
-            Ok(Frame::Ack { seq }) => {
-                self.note_heard(src);
+            Kind::Ack => {
                 self.stats.acks_recv += 1;
                 if let Some(i) = self
                     .pending
                     .iter()
-                    .position(|p| p.dst == env.src && p.seq == seq)
+                    .position(|p| p.dst == env.src && p.seq == header.seq)
                 {
                     self.pending.swap_remove(i);
                 }
                 None
             }
+            // A handshake frame has no business on an established link.
+            Kind::Hello => None,
         }
     }
 
@@ -473,14 +448,19 @@ impl ReliableEndpoint {
                     .max(Duration::from_millis(1));
                 wait = wait.min(until_retry);
             }
-            match self.ep.recv_timeout(wait) {
-                Ok(env) => {
-                    if let Some(env) = self.accept(env) {
+            match self.ep.poll(wait)? {
+                Arrival::Frame(header, env) => {
+                    if let Some(env) = self.accept(header, env) {
                         return Ok(env);
                     }
                 }
-                Err(NetError::Timeout) => {}
-                Err(e) => return Err(e),
+                // No field of a rejected frame is trustworthy — not even
+                // liveness (`last_heard` stays untouched).
+                Arrival::Rejected(src) => {
+                    self.lane
+                        .instant("frame-corrupt", "net", Some(("peer", u64::from(src.0))));
+                }
+                Arrival::Nothing => {}
             }
             if Instant::now() >= deadline {
                 return Err(NetError::Timeout);
@@ -641,8 +621,11 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..n).collect::<Vec<_>>(), "all delivered intact");
         assert!(a.net_stats().corrupted_msgs > 0, "flips were injected");
-        assert!(b.stats().corrupt_frames > 0, "flips were detected by CRC");
-        assert_eq!(b.stats().malformed, 0, "nothing reached the decoder");
+        assert!(
+            b.net_stats().corrupt_frames > 0,
+            "flips were detected by CRC"
+        );
+        assert_eq!(b.net_stats().malformed_frames, 0);
         assert!(a.stats().retransmits > 0, "recovery came from retransmits");
         assert!(a.take_failures().is_empty());
     }

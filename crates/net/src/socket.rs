@@ -2,8 +2,8 @@
 //!
 //! Replaces the in-process crossbeam links with real TCP or Unix-domain
 //! connections while keeping the [`Endpoint`](crate::Endpoint) API,
-//! fault injection and statistics identical — `ReliableEndpoint` and the
-//! CRC frame layer run on top unchanged.
+//! fault injection and statistics identical — `ReliableEndpoint` runs on
+//! top unchanged.
 //!
 //! ## Topology
 //!
@@ -14,27 +14,23 @@
 //!
 //! ## Wire format
 //!
-//! Every message is one length-prefixed frame:
-//!
-//! ```text
-//! [len u32 LE] [src u32 LE] [dst u32 LE] [tag u32 LE] [payload …]
-//! ```
-//!
-//! `len` counts everything after itself (12-byte header + payload) and
-//! is bounded by [`SocketConfig::max_frame`]; an out-of-range length
-//! desynchronises the stream and is treated as a fatal connection error.
-//! Payload integrity is *not* this layer's job — the sealed CRC-32C
-//! frames from [`crate::frame`] ride inside the payload exactly as they
-//! do in-process.
+//! This module knows none: a link moves the sealed frames of
+//! [`crate::frame`] verbatim. The writer thread hands each queued frame
+//! to [`frame::write_frame`], the reader thread takes whole frames from
+//! [`frame::read_frame`] and forwards them — unverified, the receiving
+//! endpoint checks the CRC exactly as it does for an in-process frame —
+//! and both handshake messages are HELLO frames read by
+//! [`frame::recv_hello`]. A length prefix outside the frame bound
+//! desynchronises the stream and is a fatal connection error.
 //!
 //! ## Backpressure
 //!
 //! Each connection owns a bounded outbound queue drained by a writer
-//! thread. `send` blocks once [`SocketConfig::outbound_hwm`] bytes are
-//! queued (a single frame larger than the high-water mark is admitted
-//! when the queue is empty, so the mark can be tuned below the largest
-//! strip without deadlocking). A reader thread feeds received envelopes
-//! into the endpoint's ordinary channel.
+//! thread, so a sender never blocks in `write(2)` behind a frozen peer.
+//! `send` blocks once [`OUTBOUND_HWM`] bytes are queued (a single frame
+//! larger than the mark is admitted when the queue is empty, so a giant
+//! strip cannot deadlock). A reader thread feeds received frames into
+//! the endpoint's ordinary channel.
 //!
 //! ## Failure mapping
 //!
@@ -47,30 +43,32 @@
 //! channels.
 
 use crate::fault::FaultPlan;
-use crate::message::{Envelope, Rank, Tag};
-use crate::transport::{Endpoint, NetError, TxLink};
+use crate::frame::{self, Kind, RANK_MAGIC};
+use crate::message::{Rank, Tag};
+use crate::stream::{entropy, retry_with_backoff, Listener, NetAddr, Stream};
+use crate::transport::{Endpoint, Inbound, NetError, TxLink};
+use crate::wire::WireReader;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::VecDeque;
-use std::fmt;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Handshake magic: `"EHPS"` little-endian.
-const MAGIC: u32 = 0x5350_4845;
-/// Wire protocol version; bumped on any incompatible frame change.
-/// Version 2 added the per-incarnation session id to the hello and the
-/// fleet epoch to the welcome.
-const VERSION: u8 = 2;
 /// `want_rank` wildcard: let the master pick.
 pub const ANY_RANK: u32 = u32::MAX;
-/// Bytes of a frame header past the length prefix (src, dst, tag).
-const FRAME_HEADER: usize = 12;
+/// Outbound queue high-water mark in bytes; sends block past it.
+pub const OUTBOUND_HWM: usize = 8 << 20;
+/// How long a slave keeps retrying its initial connect (the master may
+/// not be up yet).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long the master waits for all slaves to join.
+const ACCEPT_TIMEOUT: Duration = Duration::from_secs(60);
+/// Bound on each blocking read of a handshake.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+/// First and largest delay between dial attempts.
+const DIAL_BACKOFF: (Duration, Duration) = (Duration::from_millis(10), Duration::from_millis(500));
 
 /// A fresh per-incarnation session id: unique across processes and across
 /// `connect` calls within one process, never zero. The id is what lets
@@ -78,98 +76,22 @@ const FRAME_HEADER: usize = 12;
 /// from a restarted slave (new session — fence the old incarnation).
 fn fresh_session() -> u64 {
     static CTR: AtomicU64 = AtomicU64::new(0);
-    let t = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap_or_default()
-        .as_nanos() as u64;
-    let mut x = t
-        ^ ((std::process::id() as u64) << 32)
-        ^ CTR
-            .fetch_add(1, Ordering::Relaxed)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    // splitmix64 finalizer: spreads the entropy over all 64 bits.
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (x ^ (x >> 31)) | 1
+    entropy(
+        CTR.fetch_add(1, Ordering::Relaxed)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    ) | 1
 }
 
-/// Knobs for the socket backend.
-#[derive(Clone, Debug)]
+/// The socket backend's one knob.
+#[derive(Clone, Debug, Default)]
 pub struct SocketConfig {
-    /// Maximum accepted frame length (header + payload). Oversized
-    /// frames are a fatal connection error on both send and receive.
-    pub max_frame: usize,
-    /// Outbound queue high-water mark in bytes; sends block past it.
-    pub outbound_hwm: usize,
-    /// How long a slave keeps retrying its initial connect (the master
-    /// may not be up yet).
-    pub connect_timeout: Duration,
-    /// How long the master waits for all slaves to join.
-    pub accept_timeout: Duration,
-    /// Disable Nagle's algorithm on TCP links (small protocol messages
-    /// dominate; latency matters more than packet count).
-    pub nodelay: bool,
     /// When set, a broken link is not terminal: the slave side re-dials
     /// the master with exponential backoff (resuming its rank and session)
     /// for up to this window before giving up, and queued sends wait out
-    /// the outage instead of failing. `None` (the default) keeps the v1
-    /// semantics: the first link error makes every later send return
+    /// the outage instead of failing. `None` (the default): the first
+    /// link error makes every later send return
     /// [`NetError::Disconnected`].
     pub reconnect_window: Option<Duration>,
-}
-
-impl Default for SocketConfig {
-    fn default() -> Self {
-        SocketConfig {
-            max_frame: 64 << 20,
-            outbound_hwm: 8 << 20,
-            connect_timeout: Duration::from_secs(30),
-            accept_timeout: Duration::from_secs(60),
-            nodelay: true,
-            reconnect_window: None,
-        }
-    }
-}
-
-/// A transport address: `tcp:host:port` (or bare `host:port`) or
-/// `uds:/path/to.sock`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetAddr {
-    /// TCP endpoint, `host:port`.
-    Tcp(String),
-    /// Unix-domain socket path.
-    Uds(PathBuf),
-}
-
-impl NetAddr {
-    /// Parse an address spec. Accepted forms: `tcp:HOST:PORT`,
-    /// `HOST:PORT`, `uds:PATH`, `unix:PATH`.
-    pub fn parse(spec: &str) -> Result<NetAddr, String> {
-        if let Some(rest) = spec.strip_prefix("tcp:") {
-            return Ok(NetAddr::Tcp(rest.to_string()));
-        }
-        if let Some(rest) = spec
-            .strip_prefix("uds:")
-            .or_else(|| spec.strip_prefix("unix:"))
-        {
-            return Ok(NetAddr::Uds(PathBuf::from(rest)));
-        }
-        if spec.contains(':') {
-            return Ok(NetAddr::Tcp(spec.to_string()));
-        }
-        Err(format!(
-            "bad address {spec:?}: expected tcp:HOST:PORT, HOST:PORT or uds:PATH"
-        ))
-    }
-}
-
-impl fmt::Display for NetAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetAddr::Tcp(hp) => write!(f, "tcp:{hp}"),
-            NetAddr::Uds(p) => write!(f, "uds:{}", p.display()),
-        }
-    }
 }
 
 /// Per-link socket counters, shared with the reader/writer threads and
@@ -180,14 +102,15 @@ pub struct LinkStats {
     pub bytes_queued: AtomicU64,
     /// Frames handed to the writer thread.
     pub frames_sent: AtomicU64,
-    /// Bytes written to the socket (including length prefixes).
+    /// Bytes written to the socket: whole frames, header included.
     pub bytes_sent: AtomicU64,
     /// Frames received and forwarded to the endpoint.
     pub frames_recv: AtomicU64,
-    /// Bytes read from the socket (including length prefixes).
+    /// Bytes read from the socket: whole frames, header included.
     pub bytes_recv: AtomicU64,
-    /// Frames rejected: oversized/undersized length prefix (fatal) or a
-    /// destination mismatch (dropped).
+    /// Frames rejected for an out-of-range length: an oversized send
+    /// (refused), or a received length prefix outside the frame bound
+    /// (fatal for the stream).
     pub frames_rejected: AtomicU64,
     /// Connect attempts beyond the first (slave-side retry loop).
     pub reconnects: AtomicU64,
@@ -257,71 +180,13 @@ impl SocketInfo {
 }
 
 // ---------------------------------------------------------------------
-// Streams
-// ---------------------------------------------------------------------
-
-/// A connected byte stream of either flavour.
-#[derive(Debug)]
-pub(crate) enum SocketStream {
-    Tcp(TcpStream),
-    Uds(UnixStream),
-}
-
-impl SocketStream {
-    fn try_clone(&self) -> io::Result<SocketStream> {
-        Ok(match self {
-            SocketStream::Tcp(s) => SocketStream::Tcp(s.try_clone()?),
-            SocketStream::Uds(s) => SocketStream::Uds(s.try_clone()?),
-        })
-    }
-
-    fn shutdown(&self) {
-        let _ = match self {
-            SocketStream::Tcp(s) => s.shutdown(Shutdown::Both),
-            SocketStream::Uds(s) => s.shutdown(Shutdown::Both),
-        };
-    }
-
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            SocketStream::Tcp(s) => s.set_read_timeout(t),
-            SocketStream::Uds(s) => s.set_read_timeout(t),
-        }
-    }
-}
-
-impl Read for SocketStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            SocketStream::Tcp(s) => s.read(buf),
-            SocketStream::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for SocketStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            SocketStream::Tcp(s) => s.write(buf),
-            SocketStream::Uds(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            SocketStream::Tcp(s) => s.flush(),
-            SocketStream::Uds(s) => s.flush(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Outbound queue + writer/reader threads
 // ---------------------------------------------------------------------
 
 /// Mutable half of a connection's outbound queue.
 #[derive(Default)]
 struct OutQueue {
-    frames: VecDeque<Vec<u8>>,
+    frames: VecDeque<Bytes>,
     queued_bytes: usize,
     /// Connection observed broken (IO error or peer EOF): sends fail.
     closed: bool,
@@ -332,7 +197,7 @@ struct OutQueue {
 
 /// How a connection reacts to a broken stream.
 enum RelinkMode {
-    /// v1 semantics: the first link error closes the connection for good.
+    /// The first link error closes the connection for good.
     Terminal,
     /// Slave side: re-dial the master with exponential backoff, resuming
     /// the same rank and session, for up to `window`.
@@ -341,7 +206,6 @@ enum RelinkMode {
         rank: u32,
         session: u64,
         window: Duration,
-        cfg: SocketConfig,
     },
     /// Master side: hold the link open and wait for the fleet acceptor to
     /// splice a replacement stream in when the slave reconnects.
@@ -354,7 +218,7 @@ enum RelinkMode {
 #[derive(Default)]
 struct LinkState {
     gen: u64,
-    stream: Option<SocketStream>,
+    stream: Option<Stream>,
     /// Sever-imposed downtime: the dialer must not re-establish before
     /// this instant.
     hold_until: Option<Instant>,
@@ -367,8 +231,6 @@ struct Conn {
     link: Mutex<LinkState>,
     link_cv: Condvar,
     mode: RelinkMode,
-    hwm: usize,
-    max_frame: usize,
     stats: Arc<LinkStats>,
 }
 
@@ -393,10 +255,19 @@ impl Conn {
         self.q.lock().unwrap().closed
     }
 
+    /// Whether the dialer should give up: the connection is closed, or
+    /// its endpoint is gone — the same rule as [`Conn::wait_stream`], so
+    /// a dropped endpoint's link is never healed into a zombie that holds
+    /// (or, redialing late, takes back) the rank of its replacement.
+    fn unwanted(&self) -> bool {
+        let q = self.q.lock().unwrap();
+        q.closed || q.tx_dropped
+    }
+
     /// Install `stream` as the link's current stream, waking the reader
     /// and writer. Counts a reconnect for every splice after the first
     /// installation.
-    fn splice(&self, stream: SocketStream) {
+    fn splice(&self, stream: Stream) {
         let mut l = self.link.lock().unwrap();
         if let Some(old) = l.stream.take() {
             old.shutdown();
@@ -452,14 +323,14 @@ impl Conn {
     /// its generation. `None` means the connection is closed (or the
     /// sender half is gone while the link is down) and the caller should
     /// give up.
-    fn wait_stream(&self) -> Option<(SocketStream, u64)> {
+    fn wait_stream(&self) -> Option<(Stream, u64)> {
         self.wait_stream_after(0)
     }
 
     /// Like [`Conn::wait_stream`], but only returns a stream of a
     /// generation strictly greater than `after` — the reader uses this to
     /// wait for a *new* stream after the one it was reading broke.
-    fn wait_stream_after(&self, after: u64) -> Option<(SocketStream, u64)> {
+    fn wait_stream_after(&self, after: u64) -> Option<(Stream, u64)> {
         let mut l = self.link.lock().unwrap();
         loop {
             if l.gen > after {
@@ -512,11 +383,10 @@ impl Drop for TxGuard {
 }
 
 impl SocketTx {
-    /// Encode and enqueue one envelope, blocking while the outbound
-    /// queue sits above the high-water mark.
-    pub(crate) fn send(&self, env: &Envelope) -> Result<(), NetError> {
-        let frame = encode_frame(env);
-        if frame.len() - 4 > self.conn.max_frame {
+    /// Enqueue one sealed frame, blocking while the outbound queue sits
+    /// above the high-water mark.
+    pub(crate) fn send(&self, frame: Bytes) -> Result<(), NetError> {
+        if frame::oversized(&frame) {
             self.conn
                 .stats
                 .frames_rejected
@@ -530,7 +400,7 @@ impl SocketTx {
             }
             // Admit when under the mark, or unconditionally when the
             // queue is empty (a lone giant frame must not deadlock).
-            if q.queued_bytes + frame.len() <= self.conn.hwm || q.frames.is_empty() {
+            if q.queued_bytes + frame.len() <= OUTBOUND_HWM || q.frames.is_empty() {
                 break;
             }
             q = self
@@ -556,17 +426,6 @@ impl SocketTx {
     pub(crate) fn sever(&self, down_for: Duration) {
         self.conn.sever(down_for);
     }
-}
-
-fn encode_frame(env: &Envelope) -> Vec<u8> {
-    let len = (FRAME_HEADER + env.payload.len()) as u32;
-    let mut v = Vec::with_capacity(4 + len as usize);
-    v.extend_from_slice(&len.to_le_bytes());
-    v.extend_from_slice(&env.src.0.to_le_bytes());
-    v.extend_from_slice(&env.dst.0.to_le_bytes());
-    v.extend_from_slice(&env.tag.0.to_le_bytes());
-    v.extend_from_slice(&env.payload);
-    v
 }
 
 /// Writer thread: drain the outbound queue onto the current stream.
@@ -604,11 +463,7 @@ fn writer_loop(conn: Arc<Conn>) {
             let Some((mut stream, gen)) = conn.wait_stream() else {
                 break 'frames;
             };
-            if stream
-                .write_all(&frame)
-                .and_then(|()| stream.flush())
-                .is_ok()
-            {
+            if frame::write_frame(&mut stream, &frame).is_ok() {
                 conn.stats
                     .bytes_sent
                     .fetch_add(frame.len() as u64, Ordering::Relaxed);
@@ -626,12 +481,12 @@ fn writer_loop(conn: Arc<Conn>) {
     }
 }
 
-/// Reader thread: decode length-prefixed frames from the current stream
-/// and forward them into the endpoint's channel. On EOF or error the
+/// Reader thread: take whole frames off the current stream and forward
+/// them, unverified, into the endpoint's channel. On EOF or error the
 /// behaviour depends on the relink mode: terminal links are marked closed
 /// (subsequent sends fail with `Disconnected`); relinkable links wait for
 /// the next spliced stream and resume.
-fn reader_loop(conn: Arc<Conn>, peer: Rank, me: Rank, out: Sender<Envelope>) {
+fn reader_loop(conn: Arc<Conn>, peer: Rank, out: Sender<Inbound>) {
     let mut seen_gen = 0;
     'link: loop {
         let Some((mut stream, gen)) = conn.wait_stream_after(seen_gen) else {
@@ -639,42 +494,24 @@ fn reader_loop(conn: Arc<Conn>, peer: Rank, me: Rank, out: Sender<Envelope>) {
         };
         seen_gen = gen;
         loop {
-            let mut lenb = [0u8; 4];
-            if stream.read_exact(&mut lenb).is_err() {
-                break;
-            }
-            let len = u32::from_le_bytes(lenb) as usize;
-            if len < FRAME_HEADER || len > conn.max_frame {
-                // The stream is desynchronised; nothing after this length
-                // can be trusted. Fatal for this stream.
-                conn.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            let mut body = vec![0u8; len];
-            if stream.read_exact(&mut body).is_err() {
-                break;
-            }
+            let frame = match frame::read_frame(&mut stream) {
+                Ok(f) => f,
+                Err(e) => {
+                    if e.kind() == io::ErrorKind::InvalidData {
+                        // The stream is desynchronised; nothing after
+                        // this length can be trusted.
+                        conn.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                    }
+                    break;
+                }
+            };
             conn.stats
                 .bytes_recv
-                .fetch_add(4 + len as u64, Ordering::Relaxed);
-            let dst = Rank(u32::from_le_bytes(body[4..8].try_into().unwrap()));
-            let tag = Tag(u32::from_le_bytes(body[8..12].try_into().unwrap()));
-            if dst != me {
-                // Mis-addressed frame; the boundary is intact so just
-                // drop it.
-                conn.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let env = Envelope {
-                // The connection, not the wire, is the source of truth
-                // for the sender's identity.
-                src: peer,
-                dst,
-                tag,
-                payload: Bytes::from(body.split_off(FRAME_HEADER)),
-            };
+                .fetch_add(frame.len() as u64, Ordering::Relaxed);
             conn.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
-            if out.send(env).is_err() {
+            // The connection, not the wire, is the source of truth for
+            // the sender's identity.
+            if out.send(Inbound { src: peer, frame }).is_err() {
                 break 'link; // endpoint dropped
             }
         }
@@ -697,7 +534,6 @@ fn dial_loop(conn: Arc<Conn>) {
         rank,
         session,
         window,
-        cfg,
     } = &conn.mode
     else {
         return;
@@ -712,74 +548,55 @@ fn dial_loop(conn: Arc<Conn>) {
                     .wait_timeout(l, Duration::from_millis(200))
                     .unwrap()
                     .0;
-                if conn.is_closed() {
+                if conn.unwanted() {
                     return;
                 }
             }
             l.hold_until
         };
-        if conn.is_closed() {
-            return;
-        }
         // Respect a sever's enforced downtime.
-        if let Some(h) = hold {
-            while Instant::now() < h {
-                if conn.is_closed() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        while !conn.unwanted() && hold.is_some_and(|h| Instant::now() < h) {
+            std::thread::sleep(Duration::from_millis(5));
         }
         let deadline = Instant::now() + *window;
-        let mut backoff = Duration::from_millis(10);
-        loop {
-            if conn.is_closed() {
+        let redialed = retry_with_backoff(
+            DIAL_BACKOFF.0,
+            DIAL_BACKOFF.1,
+            || {
+                if conn.unwanted() {
+                    return Err(io::ErrorKind::NotConnected.into());
+                }
+                let mut s = Stream::connect(addr)?;
+                let (got, _n_ranks, _epoch) = hello_exchange(&mut s, *rank, *session)?;
+                if got != *rank {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("master re-assigned rank {got}, wanted {rank}"),
+                    ));
+                }
+                Ok(s)
+            },
+            |_, _| !conn.unwanted() && Instant::now() < deadline,
+        );
+        match redialed {
+            // Dropped mid-handshake: do not resurrect the link (the
+            // master sees this stream close and the rank go dark).
+            Ok(s) if !conn.unwanted() => conn.splice(s),
+            _ => {
+                conn.mark_closed();
                 return;
-            }
-            match redial(addr, cfg, *rank, *session) {
-                Ok(s) => {
-                    conn.splice(s);
-                    break;
-                }
-                Err(_) if Instant::now() < deadline => {
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(500));
-                }
-                Err(_) => {
-                    conn.mark_closed();
-                    return;
-                }
             }
         }
     }
-}
-
-/// One reconnect attempt: dial, handshake the same rank and session,
-/// verify the master agreed.
-fn redial(addr: &NetAddr, cfg: &SocketConfig, rank: u32, session: u64) -> io::Result<SocketStream> {
-    let mut s = connect_once(addr, cfg)?;
-    s.set_read_timeout(Some(Duration::from_secs(10)))?;
-    write_hello(&mut s, rank, session)?;
-    let (got, _n_ranks, _epoch) = read_welcome(&mut s)?;
-    if got != rank {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("master re-assigned rank {got}, wanted {rank}"),
-        ));
-    }
-    s.set_read_timeout(None)?;
-    Ok(s)
 }
 
 fn spawn_link(
-    stream: SocketStream,
+    stream: Stream,
     peer: Rank,
-    me: Rank,
-    cfg: &SocketConfig,
-    out: Sender<Envelope>,
+    out: Sender<Inbound>,
     stats: Arc<LinkStats>,
     mode: RelinkMode,
-) -> io::Result<SocketTx> {
+) -> SocketTx {
     let dial = matches!(mode, RelinkMode::Dial { .. });
     let conn = Arc::new(Conn {
         q: Mutex::new(OutQueue::default()),
@@ -787,8 +604,6 @@ fn spawn_link(
         link: Mutex::new(LinkState::default()),
         link_cv: Condvar::new(),
         mode,
-        hwm: cfg.outbound_hwm,
-        max_frame: cfg.max_frame,
         stats,
     });
     conn.splice(stream);
@@ -800,7 +615,7 @@ fn spawn_link(
     let rc = conn.clone();
     std::thread::Builder::new()
         .name(format!("sock-rd-{}", peer.0))
-        .spawn(move || reader_loop(rc, peer, me, out))
+        .spawn(move || reader_loop(rc, peer, out))
         .expect("spawn socket reader");
     if dial {
         let dc = conn.clone();
@@ -810,155 +625,163 @@ fn spawn_link(
             .expect("spawn socket dialer");
     }
     let guard = Arc::new(TxGuard { conn: conn.clone() });
-    Ok(SocketTx {
+    SocketTx {
         conn,
         _guard: guard,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
 // Handshake
 // ---------------------------------------------------------------------
 
-/// Hello (slave → master), 17 bytes: magic, version, `want_rank`, and the
-/// slave's per-incarnation session id.
-fn write_hello(s: &mut SocketStream, want_rank: u32, session: u64) -> io::Result<()> {
-    let mut buf = [0u8; 17];
-    buf[..4].copy_from_slice(&MAGIC.to_le_bytes());
-    buf[4] = VERSION;
-    buf[5..9].copy_from_slice(&want_rank.to_le_bytes());
-    buf[9..17].copy_from_slice(&session.to_le_bytes());
-    s.write_all(&buf).and_then(|()| s.flush())
+/// Dialing side of the handshake: send the hello (`want_rank`, and the
+/// slave's per-incarnation session id), read the welcome (assigned rank,
+/// cluster size, the fleet epoch this admission happened under).
+fn hello_exchange(s: &mut Stream, want_rank: u32, session: u64) -> io::Result<(u32, u32, u64)> {
+    s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    let mut hello = frame::hello(RANK_MAGIC);
+    hello.put_u32(want_rank).put_u64(session);
+    frame::send_hello(s, hello)?;
+    let fields = frame::recv_hello(s, RANK_MAGIC)?;
+    let mut r = WireReader::new(&fields);
+    let welcome = (r.get_u32()?, r.get_u32()?, r.get_u64()?);
+    s.set_read_timeout(None)?;
+    Ok(welcome)
 }
 
-fn read_hello(s: &mut SocketStream) -> io::Result<(u32, u64)> {
-    let mut buf = [0u8; 17];
-    s.read_exact(&mut buf)?;
-    check_magic_version(&buf)?;
-    Ok((
-        u32::from_le_bytes(buf[5..9].try_into().unwrap()),
-        u64::from_le_bytes(buf[9..17].try_into().unwrap()),
-    ))
+/// Accepting side, first half: read a peer's `(want_rank, session)`.
+fn read_hello(s: &mut Stream) -> io::Result<(u32, u64)> {
+    s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    let fields = frame::recv_hello(s, RANK_MAGIC)?;
+    let mut r = WireReader::new(&fields);
+    Ok((r.get_u32()?, r.get_u64()?))
 }
 
-/// Welcome (master → slave), 21 bytes: magic, version, assigned rank,
-/// cluster size, and the fleet epoch this admission happened under.
-fn write_welcome(s: &mut SocketStream, rank: u32, n_ranks: u32, epoch: u64) -> io::Result<()> {
-    let mut buf = [0u8; 21];
-    buf[..4].copy_from_slice(&MAGIC.to_le_bytes());
-    buf[4] = VERSION;
-    buf[5..9].copy_from_slice(&rank.to_le_bytes());
-    buf[9..13].copy_from_slice(&n_ranks.to_le_bytes());
-    buf[13..21].copy_from_slice(&epoch.to_le_bytes());
-    s.write_all(&buf).and_then(|()| s.flush())
-}
-
-fn read_welcome(s: &mut SocketStream) -> io::Result<(u32, u32, u64)> {
-    let mut buf = [0u8; 21];
-    s.read_exact(&mut buf)?;
-    check_magic_version(&buf)?;
-    Ok((
-        u32::from_le_bytes(buf[5..9].try_into().unwrap()),
-        u32::from_le_bytes(buf[9..13].try_into().unwrap()),
-        u64::from_le_bytes(buf[13..21].try_into().unwrap()),
-    ))
-}
-
-fn check_magic_version(buf: &[u8]) -> io::Result<()> {
-    if u32::from_le_bytes(buf[..4].try_into().unwrap()) != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not an easyhps peer (bad magic)",
-        ));
-    }
-    if buf[4] != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "protocol version mismatch: peer {}, ours {}",
-                buf[4], VERSION
-            ),
-        ));
-    }
-    Ok(())
+/// Accepting side, second half: admit the peer.
+fn write_welcome(s: &mut Stream, rank: u32, n_ranks: u32, epoch: u64) -> io::Result<()> {
+    let mut welcome = frame::hello(RANK_MAGIC);
+    welcome.put_u32(rank).put_u32(n_ranks).put_u64(epoch);
+    frame::send_hello(s, welcome)?;
+    s.set_read_timeout(None)
 }
 
 // ---------------------------------------------------------------------
 // Master: listen + accept
 // ---------------------------------------------------------------------
 
-enum ListenerInner {
-    Tcp(TcpListener),
-    Uds(UnixListener, PathBuf),
-}
-
 /// A bound listener; call [`SocketListener::accept_ranks`] to gather the
 /// slave connections and build the master endpoint. Binding is split
 /// from accepting so callers can learn the actual address (ephemeral TCP
 /// port) before starting slaves.
 pub struct SocketListener {
-    inner: ListenerInner,
-    cfg: SocketConfig,
+    inner: Listener,
+}
+
+/// The master side after its initial fleet is in.
+struct Admitted {
+    ep: Endpoint,
+    info: SocketInfo,
+    slots: Vec<Option<RankSlot>>,
+    env_tx: Sender<Inbound>,
 }
 
 impl SocketListener {
     /// Bind to `addr`. For `tcp:host:0` the OS picks a port; read the
-    /// result back with [`SocketListener::local_addr`].
-    pub fn bind(addr: &NetAddr, cfg: SocketConfig) -> io::Result<SocketListener> {
-        let inner = match addr {
-            NetAddr::Tcp(hp) => ListenerInner::Tcp(TcpListener::bind(hp)?),
-            NetAddr::Uds(path) => {
-                // A stale socket file from a crashed run blocks bind.
-                let _ = std::fs::remove_file(path);
-                ListenerInner::Uds(UnixListener::bind(path)?, path.clone())
-            }
-        };
-        Ok(SocketListener { inner, cfg })
+    /// result back with [`SocketListener::local_addr`]. The config is
+    /// taken for symmetry with [`connect`]; the accepting side has no use
+    /// for a reconnect window (it never dials — elastic membership is
+    /// chosen by calling [`SocketListener::accept_fleet`]).
+    pub fn bind(addr: &NetAddr, _cfg: SocketConfig) -> io::Result<SocketListener> {
+        Ok(SocketListener {
+            inner: Listener::bind(addr)?,
+        })
     }
 
     /// The address actually bound (port resolved for TCP).
     pub fn local_addr(&self) -> NetAddr {
-        match &self.inner {
-            ListenerInner::Tcp(l) => NetAddr::Tcp(
-                l.local_addr()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|_| "?".into()),
-            ),
-            ListenerInner::Uds(_, path) => NetAddr::Uds(path.clone()),
-        }
+        self.inner.local_addr()
     }
 
-    fn accept_one(&self, deadline: Instant) -> io::Result<SocketStream> {
-        // Poll non-blocking accepts so a missing slave cannot park the
-        // master past its accept timeout.
-        match &self.inner {
-            ListenerInner::Tcp(l) => l.set_nonblocking(true)?,
-            ListenerInner::Uds(l, _) => l.set_nonblocking(true)?,
-        }
-        loop {
-            let got = match &self.inner {
-                ListenerInner::Tcp(l) => l.accept().map(|(s, _)| SocketStream::Tcp(s)),
-                ListenerInner::Uds(l, _) => l.accept().map(|(s, _)| SocketStream::Uds(s)),
+    /// Accept `n_slaves` connections, assign ranks `1..=n_slaves`
+    /// (honouring a slave's `want_rank` when it is free) and hand every
+    /// admitted slave `epoch` in its welcome. `elastic` links are held
+    /// open across outages ([`RelinkMode::Await`]) instead of closing on
+    /// the first error.
+    fn admit_initial(
+        &self,
+        n_slaves: usize,
+        plan: Option<FaultPlan>,
+        epoch: u64,
+        elastic: bool,
+    ) -> io::Result<Admitted> {
+        assert!(n_slaves > 0, "a socket cluster needs at least one slave");
+        let n_ranks = n_slaves + 1;
+        let deadline = Instant::now() + ACCEPT_TIMEOUT;
+        let (env_tx, env_rx) = unbounded();
+        let mut links: Vec<TxLink> = (0..n_ranks).map(|_| TxLink::Unrouted).collect();
+        links[0] = TxLink::Channel(env_tx.clone()); // loopback
+        let mut slots: Vec<Option<RankSlot>> = (0..n_ranks).map(|_| None).collect();
+        let mut admitted = 0;
+        while admitted < n_slaves {
+            // Poll so a missing slave cannot park the master past its
+            // accept timeout.
+            let Some(mut stream) = self.inner.accept_by(deadline)? else {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "timed out waiting for slaves to connect",
+                ));
             };
-            match got {
-                Ok(s) => {
-                    if let SocketStream::Tcp(t) = &s {
-                        let _ = t.set_nodelay(self.cfg.nodelay);
-                    }
-                    return Ok(s);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "timed out waiting for slaves to connect",
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
+            let Ok((want, session)) = read_hello(&mut stream) else {
+                continue; // garbage peer: drop the connection
+            };
+            let want = want as usize;
+            let rank = if (1..n_ranks).contains(&want) && slots[want].is_none() {
+                want
+            } else {
+                1 + slots[1..]
+                    .iter()
+                    .position(|s| s.is_none())
+                    .expect("fewer admitted than slots")
+            };
+            write_welcome(&mut stream, rank as u32, n_ranks as u32, epoch)?;
+            let stats = Arc::new(LinkStats::default());
+            let mode = if elastic {
+                RelinkMode::Await
+            } else {
+                RelinkMode::Terminal
+            };
+            let tx = spawn_link(
+                stream,
+                Rank(rank as u32),
+                env_tx.clone(),
+                stats.clone(),
+                mode,
+            );
+            slots[rank] = Some(RankSlot {
+                conn: tx.conn.clone(),
+                session,
+                stats,
+            });
+            links[rank] = TxLink::Socket(tx);
+            admitted += 1;
         }
+        let info = SocketInfo {
+            rank: Rank(0),
+            n_ranks,
+            links: slots
+                .iter()
+                .enumerate()
+                .filter_map(|(r, s)| Some((Rank(r as u32), s.as_ref()?.stats.clone())))
+                .collect(),
+            epoch,
+        };
+        Ok(Admitted {
+            ep: Endpoint::from_parts(Rank(0), links, env_rx, plan),
+            info,
+            slots,
+            env_tx,
+        })
     }
 
     /// Accept `n_slaves` connections, assign ranks `1..=n_slaves`
@@ -969,54 +792,8 @@ impl SocketListener {
         n_slaves: usize,
         plan: Option<FaultPlan>,
     ) -> io::Result<(Endpoint, SocketInfo)> {
-        assert!(n_slaves > 0, "a socket cluster needs at least one slave");
-        let n_ranks = n_slaves + 1;
-        let deadline = Instant::now() + self.cfg.accept_timeout;
-        let (env_tx, env_rx) = unbounded();
-        let mut links: Vec<TxLink> = (0..n_ranks).map(|_| TxLink::Unrouted).collect();
-        links[0] = TxLink::Channel(env_tx.clone()); // loopback
-        let mut taken = vec![false; n_ranks];
-        taken[0] = true;
-        let mut info_links = Vec::with_capacity(n_slaves);
-        while info_links.len() < n_slaves {
-            let mut stream = self.accept_one(deadline)?;
-            stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-            let (want, _session) = match read_hello(&mut stream) {
-                Ok(w) => w,
-                Err(_) => continue, // garbage peer: drop the connection
-            };
-            let rank = match (want as usize) < n_ranks && want != 0 && !taken[want as usize] {
-                true => want as usize,
-                false => match taken.iter().position(|t| !t) {
-                    Some(r) => r,
-                    None => break,
-                },
-            };
-            write_welcome(&mut stream, rank as u32, n_ranks as u32, 0)?;
-            stream.set_read_timeout(None)?;
-            taken[rank] = true;
-            let stats = Arc::new(LinkStats::default());
-            let tx = spawn_link(
-                stream,
-                Rank(rank as u32),
-                Rank(0),
-                &self.cfg,
-                env_tx.clone(),
-                stats.clone(),
-                RelinkMode::Terminal,
-            )?;
-            links[rank] = TxLink::Socket(tx);
-            info_links.push((Rank(rank as u32), stats));
-        }
-        info_links.sort_by_key(|(r, _)| r.0);
-        let ep = Endpoint::from_parts(Rank(0), links, env_rx, plan);
-        let info = SocketInfo {
-            rank: Rank(0),
-            n_ranks,
-            links: info_links,
-            epoch: 0,
-        };
-        Ok((ep, info))
+        let a = self.admit_initial(n_slaves, plan, 0, false)?;
+        Ok((a.ep, a.info))
     }
 
     /// Like [`SocketListener::accept_ranks`], but for a long-lived,
@@ -1032,7 +809,7 @@ impl SocketListener {
     /// - **admits** brand-new slaves mid-run ([`MembershipEvent::Joined`]),
     ///   assigning ranks from the released free-list or growing the
     ///   cluster, and shipping them the configured join payload (the
-    ///   sealed job spec).
+    ///   job spec).
     ///
     /// The returned links are held open across slave outages
     /// (`RelinkMode::Await`): a send to a temporarily-dark slave queues
@@ -1043,67 +820,21 @@ impl SocketListener {
         n_slaves: usize,
         plan: Option<FaultPlan>,
     ) -> io::Result<(Endpoint, SocketInfo, FleetAcceptor)> {
-        assert!(n_slaves > 0, "a socket cluster needs at least one slave");
-        let n_ranks = n_slaves + 1;
-        let deadline = Instant::now() + self.cfg.accept_timeout;
-        let (env_tx, env_rx) = unbounded();
-        let mut links: Vec<TxLink> = (0..n_ranks).map(|_| TxLink::Unrouted).collect();
-        links[0] = TxLink::Channel(env_tx.clone()); // loopback
-        let mut slots: Vec<Option<RankSlot>> = (0..n_ranks).map(|_| None).collect();
-        let mut info_links = Vec::with_capacity(n_slaves);
-        while info_links.len() < n_slaves {
-            let mut stream = self.accept_one(deadline)?;
-            stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-            let (want, session) = match read_hello(&mut stream) {
-                Ok(w) => w,
-                Err(_) => continue,
-            };
-            let free = |slots: &[Option<RankSlot>]| slots[1..].iter().position(|s| s.is_none());
-            let rank =
-                match (want as usize) < n_ranks && want != 0 && slots[want as usize].is_none() {
-                    true => want as usize,
-                    false => match free(&slots) {
-                        Some(i) => i + 1,
-                        None => break,
-                    },
-                };
-            write_welcome(&mut stream, rank as u32, n_ranks as u32, INITIAL_EPOCH)?;
-            stream.set_read_timeout(None)?;
-            let stats = Arc::new(LinkStats::default());
-            let tx = spawn_link(
-                stream,
-                Rank(rank as u32),
-                Rank(0),
-                &self.cfg,
-                env_tx.clone(),
-                stats.clone(),
-                RelinkMode::Await,
-            )?;
-            slots[rank] = Some(RankSlot {
-                conn: tx.conn.clone(),
-                session,
-                stats: stats.clone(),
-            });
-            links[rank] = TxLink::Socket(tx);
-            info_links.push((Rank(rank as u32), stats));
-        }
-        info_links.sort_by_key(|(r, _)| r.0);
-        let ep = Endpoint::from_parts(Rank(0), links, env_rx, plan);
-        let info = SocketInfo {
-            rank: Rank(0),
-            n_ranks,
-            links: info_links,
-            epoch: INITIAL_EPOCH,
-        };
+        let Admitted {
+            ep,
+            info,
+            slots,
+            env_tx,
+        } = self.admit_initial(n_slaves, plan, INITIAL_EPOCH, true)?;
         let shared = Arc::new(AcceptorShared {
             events: Mutex::new(VecDeque::new()),
             epoch: AtomicU64::new(INITIAL_EPOCH),
             stop: AtomicBool::new(false),
-            join_payload: Mutex::new(None),
+            join_frame: Mutex::new(None),
             slots: Mutex::new(slots),
+            released: Mutex::new(Vec::new()),
             links: ep.shared_links(),
             env_tx,
-            cfg: self.cfg.clone(),
         });
         let thread_shared = shared.clone();
         let handle = std::thread::Builder::new()
@@ -1162,13 +893,15 @@ struct AcceptorShared {
     events: Mutex<VecDeque<MembershipEvent>>,
     epoch: AtomicU64,
     stop: AtomicBool,
-    /// `(tag, pre-sealed payload)` shipped to every newly admitted or
-    /// re-incarnated slave, so a joiner learns the job it walked into.
-    join_payload: Mutex<Option<(u32, Vec<u8>)>>,
+    /// Sealed frame shipped to every newly admitted or re-incarnated
+    /// slave, so a joiner learns the job it walked into.
+    join_frame: Mutex<Option<Bytes>>,
     slots: Mutex<Vec<Option<RankSlot>>>,
+    /// Sessions of released ranks: their dialers are refused, so a
+    /// released slave cannot re-admit itself as a brand-new joiner.
+    released: Mutex<Vec<u64>>,
     links: Arc<RwLock<Vec<TxLink>>>,
-    env_tx: Sender<Envelope>,
-    cfg: SocketConfig,
+    env_tx: Sender<Inbound>,
 }
 
 /// Handle to the background acceptor keeping an elastic fleet's listener
@@ -1194,15 +927,15 @@ impl FleetAcceptor {
         self.shared.slots.lock().unwrap().len()
     }
 
-    /// Set the payload shipped to every slave admitted from now on (a
-    /// sealed JOB frame, so a mid-run joiner knows what to compute).
-    pub fn set_join_payload(&self, tag: u32, payload: Vec<u8>) {
-        *self.shared.join_payload.lock().unwrap() = Some((tag, payload));
+    /// Set the message shipped to every slave admitted from now on (the
+    /// JOB spec, so a mid-run joiner knows what to compute).
+    pub fn set_join_payload(&self, tag: Tag, payload: &[u8]) {
+        *self.shared.join_frame.lock().unwrap() = Some(frame::seal(Kind::Raw, tag, 0, payload));
     }
 
     /// Stop shipping a join payload (between jobs).
     pub fn clear_join_payload(&self) {
-        *self.shared.join_payload.lock().unwrap() = None;
+        *self.shared.join_frame.lock().unwrap() = None;
     }
 
     /// Per-link counters for `rank` (including links installed for
@@ -1247,6 +980,7 @@ impl FleetAcceptor {
             slots.get_mut(rank as usize).and_then(|s| s.take())
         };
         if let Some(slot) = slot {
+            self.shared.released.lock().unwrap().push(slot.session);
             slot.conn.mark_closed();
         }
     }
@@ -1278,17 +1012,11 @@ impl Drop for FleetAcceptor {
 fn acceptor_loop(listener: SocketListener, shared: Arc<AcceptorShared>) {
     while !shared.stop.load(Ordering::SeqCst) {
         let deadline = Instant::now() + Duration::from_millis(100);
-        let mut stream = match listener.accept_one(deadline) {
-            Ok(s) => s,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => continue,
+        let mut stream = match listener.inner.accept_by(deadline) {
+            Ok(Some(s)) => s,
+            Ok(None) => continue,
             Err(_) => break,
         };
-        if stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .is_err()
-        {
-            continue;
-        }
         let Ok((want, session)) = read_hello(&mut stream) else {
             continue; // garbage peer: drop the connection
         };
@@ -1298,11 +1026,14 @@ fn acceptor_loop(listener: SocketListener, shared: Arc<AcceptorShared>) {
 
 /// Admit one handshaken connection per the fleet membership rules.
 fn admit(
-    mut stream: SocketStream,
+    mut stream: Stream,
     want: u32,
     session: u64,
     shared: &Arc<AcceptorShared>,
 ) -> io::Result<()> {
+    if shared.released.lock().unwrap().contains(&session) {
+        return Ok(()); // hang up: this incarnation was released
+    }
     let mut slots = shared.slots.lock().unwrap();
     let n_ranks = slots.len();
     let existing = (want as usize) < n_ranks && want != 0 && slots[want as usize].is_some();
@@ -1318,7 +1049,6 @@ fn admit(
                 n_ranks as u32,
                 shared.epoch.load(Ordering::SeqCst),
             )?;
-            stream.set_read_timeout(None)?;
             slot.conn.splice(stream);
             shared
                 .events
@@ -1341,7 +1071,6 @@ fn admit(
                 epoch,
             });
         write_welcome(&mut stream, rank as u32, n_ranks as u32, epoch)?;
-        stream.set_read_timeout(None)?;
         slot.session = session;
         slot.conn.splice(stream);
         let tx = {
@@ -1352,7 +1081,7 @@ fn admit(
             }
         };
         drop(slots);
-        ship_join_payload(shared, tx, rank as u32);
+        ship_join_payload(shared, tx);
         return Ok(());
     }
     // Brand-new admission: reuse a released rank or grow the cluster.
@@ -1375,17 +1104,14 @@ fn admit(
             epoch,
         });
     write_welcome(&mut stream, rank as u32, n_ranks as u32, epoch)?;
-    stream.set_read_timeout(None)?;
     let stats = Arc::new(LinkStats::default());
     let tx = spawn_link(
         stream,
         Rank(rank as u32),
-        Rank(0),
-        &shared.cfg,
         shared.env_tx.clone(),
         stats.clone(),
         RelinkMode::Await,
-    )?;
+    );
     slots[rank] = Some(RankSlot {
         conn: tx.conn.clone(),
         session,
@@ -1393,29 +1119,16 @@ fn admit(
     });
     shared.links.write().unwrap()[rank] = TxLink::Socket(tx.clone());
     drop(slots);
-    ship_join_payload(shared, Some(tx), rank as u32);
+    ship_join_payload(shared, Some(tx));
     Ok(())
 }
 
-/// Queue the configured join payload (sealed JOB spec) on a freshly
-/// admitted slave's link.
-fn ship_join_payload(shared: &Arc<AcceptorShared>, tx: Option<SocketTx>, rank: u32) {
-    let payload = shared.join_payload.lock().unwrap().clone();
-    if let (Some(tx), Some((tag, bytes))) = (tx, payload) {
-        let _ = tx.send(&Envelope {
-            src: Rank(0),
-            dst: Rank(rank),
-            tag: Tag(tag),
-            payload: Bytes::from(bytes),
-        });
-    }
-}
-
-impl Drop for SocketListener {
-    fn drop(&mut self) {
-        if let ListenerInner::Uds(_, path) = &self.inner {
-            let _ = std::fs::remove_file(path);
-        }
+/// Queue the configured join frame (the JOB spec) on a freshly admitted
+/// slave's link.
+fn ship_join_payload(shared: &Arc<AcceptorShared>, tx: Option<SocketTx>) {
+    let frame = shared.join_frame.lock().unwrap().clone();
+    if let (Some(tx), Some(frame)) = (tx, frame) {
+        let _ = tx.send(frame);
     }
 }
 
@@ -1423,21 +1136,10 @@ impl Drop for SocketListener {
 // Slave: connect
 // ---------------------------------------------------------------------
 
-fn connect_once(addr: &NetAddr, cfg: &SocketConfig) -> io::Result<SocketStream> {
-    match addr {
-        NetAddr::Tcp(hp) => {
-            let s = TcpStream::connect(hp)?;
-            let _ = s.set_nodelay(cfg.nodelay);
-            Ok(SocketStream::Tcp(s))
-        }
-        NetAddr::Uds(path) => Ok(SocketStream::Uds(UnixStream::connect(path)?)),
-    }
-}
-
 /// Connect to a listening master, handshake a rank, and return the slave
-/// endpoint. Retries the connect with backoff until
-/// [`SocketConfig::connect_timeout`] so slaves may start before the
-/// master; retries are counted in [`LinkStats::reconnects`].
+/// endpoint. Retries the connect with backoff for up to 30 s so slaves
+/// may start before the master; retries are counted in
+/// [`LinkStats::reconnects`].
 pub fn connect(
     addr: &NetAddr,
     want_rank: Option<u32>,
@@ -1445,27 +1147,32 @@ pub fn connect(
     plan: Option<FaultPlan>,
 ) -> io::Result<(Endpoint, SocketInfo)> {
     let stats = Arc::new(LinkStats::default());
-    let deadline = Instant::now() + cfg.connect_timeout;
-    let mut backoff = Duration::from_millis(10);
-    let mut stream = loop {
-        match connect_once(addr, &cfg) {
-            Ok(s) => break s,
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(e);
-                }
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
+    let mut stream = retry_with_backoff(
+        DIAL_BACKOFF.0,
+        DIAL_BACKOFF.1,
+        || Stream::connect(addr),
+        |_, _| {
+            let again = Instant::now() < deadline;
+            if again {
                 stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(500));
             }
-        }
-    };
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+            again
+        },
+    )?;
     let session = fresh_session();
-    write_hello(&mut stream, want_rank.unwrap_or(ANY_RANK), session)?;
-    let (rank, n_ranks, epoch) = read_welcome(&mut stream)?;
-    stream.set_read_timeout(None)?;
-    let (env_tx, env_rx) = unbounded();
+    let (rank, n_ranks, epoch) =
+        hello_exchange(&mut stream, want_rank.unwrap_or(ANY_RANK), session).map_err(|e| {
+            let why = format!("rank handshake with {addr} failed (is it a master's port?): {e}");
+            io::Error::new(e.kind(), why)
+        })?;
+    if rank == 0 || rank >= n_ranks {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("master assigned rank {rank} of {n_ranks}"),
+        ));
+    }
+    let (env_tx, env_rx): (_, Receiver<Inbound>) = unbounded();
     let mut links: Vec<TxLink> = (0..n_ranks as usize).map(|_| TxLink::Unrouted).collect();
     let mode = match cfg.reconnect_window {
         Some(window) => RelinkMode::Dial {
@@ -1473,19 +1180,10 @@ pub fn connect(
             rank,
             session,
             window,
-            cfg: cfg.clone(),
         },
         None => RelinkMode::Terminal,
     };
-    let tx = spawn_link(
-        stream,
-        Rank(0),
-        Rank(rank),
-        &cfg,
-        env_tx.clone(),
-        stats.clone(),
-        mode,
-    )?;
+    let tx = spawn_link(stream, Rank(0), env_tx.clone(), stats.clone(), mode);
     links[0] = TxLink::Socket(tx);
     links[rank as usize] = TxLink::Channel(env_tx); // loopback
     let ep = Endpoint::from_parts(Rank(rank), links, env_rx, plan);
@@ -1501,7 +1199,6 @@ pub fn connect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Tag;
 
     fn b(s: &'static str) -> Bytes {
         Bytes::from_static(s.as_bytes())
@@ -1525,27 +1222,6 @@ mod tests {
         let (master, minfo) = listener.accept_ranks(n_slaves, None).unwrap();
         let slaves = handles.into_iter().map(|h| h.join().unwrap()).collect();
         (master, minfo, slaves)
-    }
-
-    #[test]
-    fn addr_parse_forms() {
-        assert_eq!(
-            NetAddr::parse("tcp:1.2.3.4:99").unwrap(),
-            NetAddr::Tcp("1.2.3.4:99".into())
-        );
-        assert_eq!(
-            NetAddr::parse("1.2.3.4:99").unwrap(),
-            NetAddr::Tcp("1.2.3.4:99".into())
-        );
-        assert_eq!(
-            NetAddr::parse("uds:/tmp/x.sock").unwrap(),
-            NetAddr::Uds("/tmp/x.sock".into())
-        );
-        assert_eq!(
-            NetAddr::parse("unix:/tmp/x.sock").unwrap(),
-            NetAddr::Uds("/tmp/x.sock".into())
-        );
-        assert!(NetAddr::parse("nonsense").is_err());
     }
 
     #[test]
@@ -1632,24 +1308,16 @@ mod tests {
 
     #[test]
     fn oversized_send_is_rejected() {
-        let cfg = SocketConfig {
-            max_frame: 1024,
-            ..SocketConfig::default()
-        };
-        let listener =
-            SocketListener::bind(&NetAddr::parse("127.0.0.1:0").unwrap(), cfg.clone()).unwrap();
-        let addr = listener.local_addr();
-        let ccfg = cfg.clone();
-        let h = std::thread::spawn(move || connect(&addr, None, ccfg, None).unwrap());
-        let (mut master, minfo) = listener.accept_ranks(1, None).unwrap();
-        let (_slave, _sinfo) = h.join().unwrap();
-        let big = Bytes::from(vec![0u8; 4096]);
+        let (mut master, minfo, _slaves) = tcp_pair(1);
+        // With its header the frame is past the bound by HEADER_LEN - 4.
+        let big = Bytes::from(vec![0u8; frame::MAX_FRAME]);
         assert_eq!(
             master.send(Rank(1), Tag(0), big).unwrap_err(),
             NetError::Disconnected
         );
         let snap = minfo.link(Rank(1)).unwrap().snapshot();
         assert_eq!(snap.frames_rejected, 1);
+        assert_eq!(snap.frames_sent, 0);
     }
 
     #[test]
@@ -1709,7 +1377,6 @@ mod tests {
                 std::thread::spawn(move || {
                     let cfg = SocketConfig {
                         reconnect_window: Some(Duration::from_secs(10)),
-                        ..SocketConfig::default()
                     };
                     connect(&addr, Some(i as u32 + 1), cfg, plan).unwrap()
                 })
@@ -1791,7 +1458,7 @@ mod tests {
     #[test]
     fn mid_run_join_grows_cluster_and_ships_payload() {
         let (mut master, _minfo, acceptor, addr, _slaves) = fleet_pair(1, vec![None]);
-        acceptor.set_join_payload(7, b"jobspec".to_vec());
+        acceptor.set_join_payload(Tag(7), b"jobspec");
         let (mut joiner, jinfo) = connect(&addr, None, SocketConfig::default(), None).unwrap();
         assert_eq!(jinfo.rank, Rank(2), "fresh rank past the initial fleet");
         assert_eq!(jinfo.n_ranks, 3);

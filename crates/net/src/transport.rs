@@ -7,16 +7,22 @@
 //! crossbeam channels in one process; the socket backend
 //! ([`crate::socket`]) replaces individual links with TCP or Unix-domain
 //! connections while the endpoint API, fault injection and statistics
-//! stay identical. Fault injection (message drops, rank death) hooks in
-//! at this layer — in [`Endpoint::send`], *before* the link is chosen —
-//! so the runtime's fault tolerance can be exercised deterministically
-//! over either backend.
+//! stay identical.
+//!
+//! Every send is one sealed frame ([`crate::frame`]): [`Endpoint::send`]
+//! seals, fault injection (drops, duplicates, delays, bit flips, rank
+//! death) acts on the sealed bytes *before* the link is chosen, the link
+//! moves them untouched — a channel hands the buffer over, a socket
+//! writes it verbatim — and the receiving endpoint verifies the checksum
+//! before it parses anything. So the runtime's fault tolerance is
+//! exercised deterministically, and identically, over either backend.
 
 use crate::fault::{FaultPlan, FaultState, SendVerdict};
+use crate::frame::{self, FrameError, Header, Kind};
 use crate::message::{Envelope, Rank, Tag};
 use crate::socket::SocketTx;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,20 +62,28 @@ impl std::error::Error for NetError {}
 /// Counters of one endpoint's traffic.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct NetStats {
-    /// Logical messages successfully handed to the transport. A
+    /// Logical frames successfully handed to the transport. A
     /// fault-injected duplicate still counts once here (see
     /// [`NetStats::duplicated_msgs`]).
     pub sent_msgs: u64,
-    /// Bytes (wire size) of logical sends.
+    /// Bytes of logical sends: whole frames, header included — what a
+    /// socket link writes for them.
     pub sent_bytes: u64,
-    /// Messages received.
+    /// Valid frames received.
     pub recv_msgs: u64,
-    /// Bytes received.
+    /// Bytes of valid frames received, header included.
     pub recv_bytes: u64,
     /// Messages silently dropped by fault injection.
     pub dropped_msgs: u64,
     /// Messages delivered with a bit flipped by fault injection.
     pub corrupted_msgs: u64,
+    /// Received frames whose CRC-32C check failed: dropped before any
+    /// field was decoded. Reliable traffic recovers by retransmission,
+    /// unreliable traffic is superseded by the next send.
+    pub corrupt_frames: u64,
+    /// Received frames with a valid checksum but an unknown kind or a
+    /// short header; dropped.
+    pub malformed_frames: u64,
     /// Extra copies injected by [`SendVerdict::Duplicate`]: the receiver
     /// sees `sent_msgs + duplicated_msgs` deliveries.
     pub duplicated_msgs: u64,
@@ -100,6 +114,14 @@ impl KillHandle {
     }
 }
 
+/// One sealed frame as a link delivers it. The sender's rank travels
+/// beside the bytes — it is the identity of the channel or connection
+/// the frame came in on, never a field a peer could forge.
+pub(crate) struct Inbound {
+    pub(crate) src: Rank,
+    pub(crate) frame: Bytes,
+}
+
 /// One outbound route from an endpoint to a peer rank. Cloning shares
 /// the underlying connection: a socket link stays open until *every*
 /// clone has been dropped, which is what lets a persistent fleet keep
@@ -107,7 +129,7 @@ impl KillHandle {
 #[derive(Clone)]
 pub(crate) enum TxLink {
     /// In-process crossbeam channel into the peer's receiver.
-    Channel(Sender<Envelope>),
+    Channel(Sender<Inbound>),
     /// Socket connection (TCP or Unix-domain) to a peer process.
     Socket(SocketTx),
     /// No route — e.g. slave→slave in the star socket topology, where
@@ -116,13 +138,26 @@ pub(crate) enum TxLink {
 }
 
 impl TxLink {
-    fn deliver(&self, env: Envelope) -> Result<(), NetError> {
+    fn deliver(&self, src: Rank, frame: Bytes) -> Result<(), NetError> {
         match self {
-            TxLink::Channel(s) => s.send(env).map_err(|_| NetError::Disconnected),
-            TxLink::Socket(tx) => tx.send(&env),
+            TxLink::Channel(s) => s
+                .send(Inbound { src, frame })
+                .map_err(|_| NetError::Disconnected),
+            TxLink::Socket(tx) => tx.send(frame),
             TxLink::Unrouted => Err(NetError::Disconnected),
         }
     }
+}
+
+/// What one bounded wait on an endpoint's inbound queue produced.
+pub(crate) enum Arrival {
+    /// A frame that passed the checksum, with its parsed header.
+    Frame(Header, Envelope),
+    /// A frame from this peer failed verification and was dropped
+    /// (already counted in [`NetStats`]).
+    Rejected(Rank),
+    /// The wait timed out.
+    Nothing,
 }
 
 /// One rank's connection to the virtual cluster.
@@ -136,9 +171,9 @@ impl TxLink {
 pub struct Endpoint {
     rank: Rank,
     links: Arc<RwLock<Vec<TxLink>>>,
-    receiver: Receiver<Envelope>,
-    /// Messages received but not matched by a selective receive.
-    deferred: VecDeque<Envelope>,
+    receiver: Receiver<Inbound>,
+    /// Frames received and verified but not matched by a selective receive.
+    deferred: VecDeque<(Header, Envelope)>,
     dead: Arc<AtomicBool>,
     fault: FaultState,
     stats: NetStats,
@@ -196,7 +231,7 @@ impl Endpoint {
     pub(crate) fn from_parts(
         rank: Rank,
         links: Vec<TxLink>,
-        receiver: Receiver<Envelope>,
+        receiver: Receiver<Inbound>,
         plan: Option<FaultPlan>,
     ) -> Self {
         Endpoint {
@@ -270,30 +305,35 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Send `payload` to `dst` with `tag`. Fault injection may silently
-    /// drop, duplicate, or delay the message (drops are reported in
-    /// [`NetStats::dropped_msgs`], success returned — the point is that
-    /// the *receiver* never sees it, or sees it twice / out of order).
+    /// Send `payload` to `dst` with `tag` as one sealed frame. Fault
+    /// injection may silently drop, duplicate, delay or corrupt it (drops
+    /// are reported in [`NetStats::dropped_msgs`], success returned — the
+    /// point is that the *receiver* never sees it, or sees it twice / out
+    /// of order / fails its checksum).
     pub fn send(&mut self, dst: Rank, tag: Tag, payload: Bytes) -> Result<(), NetError> {
+        self.send_sealed(dst, frame::seal(Kind::Raw, tag, 0, &payload))
+    }
+
+    /// Send an already-sealed frame (the reliable layer keeps the sealed
+    /// bytes to retransmit them verbatim).
+    pub(crate) fn send_sealed(&mut self, dst: Rank, sealed: Bytes) -> Result<(), NetError> {
         self.check_alive()?;
-        let env = Envelope {
-            src: self.rank,
-            dst,
-            tag,
-            payload,
-        };
         self.fault.note_send();
         // A scripted link sever fires on send count, before the verdict:
         // it models the cable being pulled, not a message being lost —
         // the frame below still goes out through the (now-queueing) link.
         if let Some(down_for) = self.fault.should_sever_now() {
-            if let Some(TxLink::Socket(tx)) = self.links.read().unwrap().get(env.dst.index()) {
+            if let Some(TxLink::Socket(tx)) = self.links.read().unwrap().get(dst.index()) {
                 tx.sever(down_for);
                 self.stats.severed_links += 1;
             }
         }
-        let res = match self.fault.decide(tag, env.payload.len()) {
-            SendVerdict::Deliver => self.deliver(env, true),
+        // The length prefix is the stream's framing, not the message:
+        // flips land past it, where the checksum always sees them.
+        const PREFIX: usize = frame::LEN_LEN;
+        let tag = frame::tag_of(&sealed);
+        let res = match self.fault.decide(tag, sealed.len() - PREFIX) {
+            SendVerdict::Deliver => self.deliver(dst, sealed, true),
             SendVerdict::Drop => {
                 self.stats.dropped_msgs += 1;
                 Ok(())
@@ -301,51 +341,45 @@ impl Endpoint {
             SendVerdict::Duplicate => {
                 // One logical send; the extra copy is transport noise and
                 // is accounted separately so stats conservation holds.
-                let first = self.deliver(env.clone(), true);
-                if first.is_ok() && self.deliver(env, false).is_ok() {
+                let first = self.deliver(dst, sealed.clone(), true);
+                if first.is_ok() && self.deliver(dst, sealed, false).is_ok() {
                     self.stats.duplicated_msgs += 1;
                 }
                 first
             }
             SendVerdict::Delay(release_at) => {
-                self.fault.hold(release_at, env);
+                self.fault.hold(release_at, dst, sealed);
                 Ok(())
             }
             SendVerdict::Corrupt { bit } => {
-                let mut buf = env.payload.to_vec();
-                buf[(bit / 8) as usize] ^= 1 << (bit % 8);
+                let mut buf = sealed.to_vec();
+                buf[PREFIX + (bit / 8) as usize] ^= 1 << (bit % 8);
                 self.stats.corrupted_msgs += 1;
-                self.deliver(
-                    Envelope {
-                        payload: Bytes::from(buf),
-                        ..env
-                    },
-                    true,
-                )
+                self.deliver(dst, Bytes::from(buf), true)
             }
         };
         // Release previously held messages only after the current one so a
         // one-send delay really swaps adjacent messages. A held message
         // whose destination has meanwhile gone away is just lost — same
         // observable behaviour as a drop.
-        for held in self.fault.take_due() {
-            if self.deliver(held, true).is_err() {
+        for (dst, held) in self.fault.take_due() {
+            if self.deliver(dst, held, true).is_err() {
                 self.stats.dropped_msgs += 1;
             }
         }
         res
     }
 
-    fn deliver(&mut self, env: Envelope, count: bool) -> Result<(), NetError> {
-        let size = env.wire_size();
+    fn deliver(&mut self, dst: Rank, sealed: Bytes, count: bool) -> Result<(), NetError> {
+        let size = sealed.len() as u64;
         let link = self
             .links
             .read()
             .unwrap()
-            .get(env.dst.index())
+            .get(dst.index())
             .ok_or(NetError::Disconnected)?
             .clone();
-        link.deliver(env)?;
+        link.deliver(self.rank, sealed)?;
         if count {
             self.stats.sent_msgs += 1;
             self.stats.sent_bytes += size;
@@ -353,32 +387,66 @@ impl Endpoint {
         Ok(())
     }
 
-    fn note_recv(&mut self, env: &Envelope) {
-        self.stats.recv_msgs += 1;
-        self.stats.recv_bytes += env.wire_size();
+    /// The one place a received frame is verified: checksum first, then
+    /// the header. A frame that fails is counted and dropped whole — no
+    /// field of it is trustworthy.
+    fn open(&mut self, inb: Inbound) -> Option<(Header, Envelope)> {
+        match frame::check(&inb.frame) {
+            Ok(header) => {
+                self.stats.recv_msgs += 1;
+                self.stats.recv_bytes += inb.frame.len() as u64;
+                let env = Envelope {
+                    src: inb.src,
+                    dst: self.rank,
+                    tag: header.tag,
+                    payload: inb.frame.slice(frame::HEADER_LEN..),
+                };
+                Some((header, env))
+            }
+            Err(FrameError::Corrupt) => {
+                self.stats.corrupt_frames += 1;
+                None
+            }
+            Err(_) => {
+                self.stats.malformed_frames += 1;
+                None
+            }
+        }
     }
 
-    /// One bounded wait on the channel, re-checking liveness first so a
-    /// `kill()` issued while we were parked is observed within a slice.
-    fn recv_slice(&mut self, timeout: Duration) -> Result<Option<Envelope>, NetError> {
+    /// One wait on the inbound queue of at most `timeout` — and at most
+    /// one liveness slice, so a caller looping on this observes a
+    /// `kill()` issued while it was parked within roughly that bound.
+    pub(crate) fn poll(&mut self, timeout: Duration) -> Result<Arrival, NetError> {
+        if self.deferred.is_empty() {
+            return self.poll_queue(timeout);
+        }
         self.check_alive()?;
-        match self.receiver.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
+        let (header, env) = self.deferred.pop_front().expect("non-empty");
+        Ok(Arrival::Frame(header, env))
+    }
+
+    /// [`Endpoint::poll`] past the deferred frames: only what the links
+    /// deliver.
+    fn poll_queue(&mut self, timeout: Duration) -> Result<Arrival, NetError> {
+        self.check_alive()?;
+        match self.receiver.recv_timeout(timeout.min(ALIVE_SLICE)) {
+            Ok(inb) => {
+                let src = inb.src;
+                Ok(match self.open(inb) {
+                    Some((header, env)) => Arrival::Frame(header, env),
+                    None => Arrival::Rejected(src),
+                })
+            }
+            Err(RecvTimeoutError::Timeout) => Ok(Arrival::Nothing),
             Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
         }
     }
 
     /// Blocking receive of the next message (deferred messages first).
     pub fn recv(&mut self) -> Result<Envelope, NetError> {
-        self.check_alive()?;
-        if let Some(env) = self.deferred.pop_front() {
-            self.note_recv(&env);
-            return Ok(env);
-        }
         loop {
-            if let Some(env) = self.recv_slice(ALIVE_SLICE)? {
-                self.note_recv(&env);
+            if let Arrival::Frame(_, env) = self.poll(ALIVE_SLICE)? {
                 return Ok(env);
             }
         }
@@ -386,11 +454,6 @@ impl Endpoint {
 
     /// Receive with a timeout.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Envelope, NetError> {
-        self.check_alive()?;
-        if let Some(env) = self.deferred.pop_front() {
-            self.note_recv(&env);
-            return Ok(env);
-        }
         let deadline = Instant::now() + timeout;
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -398,8 +461,7 @@ impl Endpoint {
                 self.check_alive()?;
                 return Err(NetError::Timeout);
             }
-            if let Some(env) = self.recv_slice(left.min(ALIVE_SLICE))? {
-                self.note_recv(&env);
+            if let Arrival::Frame(_, env) = self.poll(left)? {
                 return Ok(env);
             }
         }
@@ -408,17 +470,19 @@ impl Endpoint {
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Result<Option<Envelope>, NetError> {
         self.check_alive()?;
-        if let Some(env) = self.deferred.pop_front() {
-            self.note_recv(&env);
+        if let Some((_, env)) = self.deferred.pop_front() {
             return Ok(Some(env));
         }
-        match self.receiver.try_recv() {
-            Ok(env) => {
-                self.note_recv(&env);
-                Ok(Some(env))
+        loop {
+            match self.receiver.try_recv() {
+                Ok(inb) => {
+                    if let Some((_, env)) = self.open(inb) {
+                        return Ok(Some(env));
+                    }
+                }
+                Err(TryRecvError::Empty) => return Ok(None),
+                Err(TryRecvError::Disconnected) => return Err(NetError::Disconnected),
             }
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(NetError::Disconnected),
         }
     }
 
@@ -427,18 +491,15 @@ impl Endpoint {
     /// receives — MPI-style tag matching.
     pub fn recv_tag(&mut self, tag: Tag) -> Result<Envelope, NetError> {
         self.check_alive()?;
-        if let Some(i) = self.deferred.iter().position(|e| e.tag == tag) {
-            let env = self.deferred.remove(i).expect("position was valid");
-            self.note_recv(&env);
-            return Ok(env);
+        if let Some(i) = self.deferred.iter().position(|(_, e)| e.tag == tag) {
+            return Ok(self.deferred.remove(i).expect("position was valid").1);
         }
         loop {
-            if let Some(env) = self.recv_slice(ALIVE_SLICE)? {
+            if let Arrival::Frame(header, env) = self.poll_queue(ALIVE_SLICE)? {
                 if env.tag == tag {
-                    self.note_recv(&env);
                     return Ok(env);
                 }
-                self.deferred.push_back(env);
+                self.deferred.push_back((header, env));
             }
         }
     }
@@ -603,9 +664,9 @@ mod tests {
         e0.send(Rank(1), Tag(0), b("12345")).unwrap();
         e1.recv().unwrap();
         assert_eq!(e0.stats().sent_msgs, 1);
-        assert_eq!(e0.stats().sent_bytes, 21);
+        assert_eq!(e0.stats().sent_bytes, 26, "header + payload");
         assert_eq!(e1.stats().recv_msgs, 1);
-        assert_eq!(e1.stats().recv_bytes, 21);
+        assert_eq!(e1.stats().recv_bytes, 26);
     }
 
     #[test]

@@ -26,6 +26,13 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// A decode failure on bytes that came off a stream is invalid data.
+impl From<WireError> for std::io::Error {
+    fn from(e: WireError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
 /// Encoder appending typed values to a growable buffer.
 #[derive(Default, Debug)]
 pub struct WireWriter {

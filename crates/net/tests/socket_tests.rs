@@ -1,137 +1,160 @@
-//! Socket-transport integration tests: the CRC frame layer over real
-//! sockets (truncation, partial writes, corruption) and backpressure.
+//! Frame-layer and socket-transport integration tests.
 //!
-//! The sealed-frame proptests mirror the in-memory ones in
-//! `proptests.rs`, but every byte here actually crosses a kernel socket
-//! buffer — partial writes, short reads and torn prefixes are produced
-//! by a real `socketpair(2)`, not by slicing a `Vec`.
+//! The sealed-frame properties run against the one stream reader
+//! ([`frame::read_frame`]) followed by the one verifier
+//! ([`frame::check`]), each case both from memory and across a real
+//! `socketpair(2)` — so partial writes, short reads and torn prefixes
+//! are produced by a kernel socket buffer, not only by slicing a `Vec`.
+//! Below them: the frame bound and backpressure against raw peers, rank
+//! assignment, cross-protocol refusal, and byte-counter agreement.
 
 use bytes::Bytes;
-use easyhps_net::socket::{connect, ANY_RANK};
-use easyhps_net::{frame, NetAddr, Rank, SocketConfig, SocketListener, Tag};
+use easyhps_net::frame::{self, Header, Kind};
+use easyhps_net::socket::{connect, ANY_RANK, OUTBOUND_HWM};
+use easyhps_net::{NetAddr, NetError, Network, Rank, SocketConfig, SocketListener, Tag};
 use proptest::prelude::*;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Push `bytes` through a real socketpair in `chunk`-byte writes and
-/// return what the far end read.
-fn through_socketpair(bytes: &[u8], chunk: usize) -> Vec<u8> {
+/// Read one frame out of `bytes` the way every receiver does — bounded
+/// stream read, then CRC check — either straight from memory or after
+/// pushing the bytes through a real socketpair in `chunk`-byte writes
+/// terminated by EOF.
+fn receive(bytes: &[u8], via_socket: Option<usize>) -> io::Result<(Header, Bytes)> {
+    let open = |frame: Bytes| match frame::check(&frame) {
+        Ok(h) => Ok((h, frame.slice(frame::HEADER_LEN..))),
+        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+    };
+    let Some(chunk) = via_socket else {
+        return frame::read_frame(&mut &bytes[..]).and_then(open);
+    };
     let (mut a, mut b) = UnixStream::pair().expect("socketpair");
     let data = bytes.to_vec();
     let writer = std::thread::spawn(move || {
         for piece in data.chunks(chunk.max(1)) {
-            a.write_all(piece).unwrap();
-            a.flush().unwrap();
+            // The reader may have given up on a bad length already.
+            if a.write_all(piece).and_then(|()| a.flush()).is_err() {
+                break;
+            }
         }
-        a.shutdown(Shutdown::Write).unwrap();
+        let _ = a.shutdown(Shutdown::Write);
     });
-    let mut got = Vec::new();
-    b.read_to_end(&mut got).unwrap();
+    let got = frame::read_frame(&mut b).and_then(open);
+    drop(b);
     writer.join().unwrap();
     got
 }
 
-fn seal(kind: usize, seq: u64, payload: &[u8]) -> Bytes {
-    match kind {
-        0 => frame::seal_raw(payload),
-        1 => frame::seal_data(seq, payload),
-        _ => frame::seal_ack(seq),
-    }
+fn arb_kind() -> impl Strategy<Value = Kind> {
+    prop_oneof![
+        Just(Kind::Raw),
+        Just(Kind::Data),
+        Just(Kind::Ack),
+        Just(Kind::Hello)
+    ]
+}
+
+fn arb_transit() -> impl Strategy<Value = Option<usize>> {
+    prop_oneof![Just(None), (1usize..7).prop_map(Some)]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A sealed frame split into arbitrarily small socket writes arrives
-    /// intact and still verifies.
+    /// A sealed frame — any kind, tag, sequence number and payload —
+    /// arrives intact, even split into arbitrarily small socket writes.
     #[test]
-    fn sealed_frame_survives_partial_writes(
-        payload in proptest::collection::vec(any::<u8>(), 0..200),
+    fn sealed_frame_roundtrips(
+        payload in proptest::collection::vec(any::<u8>(), 0..300),
+        kind in arb_kind(),
+        tag in any::<u32>(),
         seq in any::<u64>(),
-        kind in 0usize..3,
-        chunk in 1usize..7,
+        transit in arb_transit(),
     ) {
-        let sealed = seal(kind, seq, &payload);
-        let got = through_socketpair(&sealed, chunk);
-        prop_assert_eq!(&got[..], &sealed[..]);
-        prop_assert!(frame::check(&got).is_ok());
+        let sealed = frame::seal(kind, Tag(tag), seq, &payload);
+        prop_assert_eq!(sealed.len(), frame::HEADER_LEN + payload.len());
+        let (header, body) = receive(&sealed, transit).unwrap();
+        prop_assert_eq!(header, Header { kind, tag: Tag(tag), seq });
+        prop_assert_eq!(&body[..], &payload[..]);
     }
 
-    /// Every strict byte-prefix of a sealed frame, delivered over a real
-    /// socket and terminated by EOF, fails the CRC/size check cleanly.
+    /// Every strict byte-prefix of a sealed frame fails cleanly: it must
+    /// never decode, panic, or allocate from a hostile length — on the
+    /// stream path (EOF inside the frame) and on the in-process path
+    /// (the bare verifier on a short buffer) alike.
     #[test]
-    fn every_truncated_prefix_is_rejected(
+    fn every_frame_prefix_is_rejected(
         payload in proptest::collection::vec(any::<u8>(), 0..120),
+        kind in arb_kind(),
         seq in any::<u64>(),
-        kind in 0usize..3,
+        transit in arb_transit(),
     ) {
-        let sealed = seal(kind, seq, &payload);
+        let sealed = frame::seal(kind, Tag(7), seq, &payload);
         for cut in 0..sealed.len() {
-            let got = through_socketpair(&sealed[..cut], 3);
-            prop_assert_eq!(got.len(), cut, "socket must deliver the prefix verbatim");
             prop_assert!(
-                frame::check(&got).is_err(),
-                "prefix of {}/{} bytes must not verify after socket transit",
+                receive(&sealed[..cut], transit).is_err(),
+                "prefix of {}/{} bytes must not be received",
                 cut,
                 sealed.len()
             );
+            prop_assert!(frame::check(&sealed[..cut]).is_err(), "prefix {} verifies", cut);
         }
     }
 
-    /// A single corrupted byte anywhere in a sealed frame is still caught
-    /// after the frame crosses a real socket.
+    /// Any single corrupted byte of a sealed frame is caught: past the
+    /// length prefix by the CRC, inside it by the bound, by EOF, or by
+    /// the CRC of the mis-sized read.
     #[test]
     fn any_corrupted_byte_is_caught(
-        payload in proptest::collection::vec(any::<u8>(), 0..200),
+        payload in proptest::collection::vec(any::<u8>(), 0..300),
+        kind in arb_kind(),
         seq in any::<u64>(),
-        kind in 0usize..3,
         pos_frac in 0.0f64..1.0,
         xor in 1u8..=255,
+        transit in arb_transit(),
     ) {
-        let sealed = seal(kind, seq, &payload);
-        let mut buf = sealed.to_vec();
+        let mut buf = frame::seal(kind, Tag(7), seq, &payload).to_vec();
         let pos = ((buf.len() - 1) as f64 * pos_frac) as usize;
         buf[pos] ^= xor;
-        let got = through_socketpair(&buf, 5);
-        prop_assert!(frame::check(&got).is_err(), "flip at byte {} must not verify", pos);
+        prop_assert!(receive(&buf, transit).is_err(), "flip at byte {} must not be received", pos);
     }
+}
+
+/// A raw peer that speaks just enough handshake to be admitted as rank 1.
+fn raw_peer(
+    listener: SocketListener,
+) -> (UnixStream, easyhps_net::Endpoint, easyhps_net::SocketInfo) {
+    let NetAddr::Uds(path) = listener.local_addr() else {
+        panic!("uds listener")
+    };
+    let mut peer = UnixStream::connect(path).unwrap();
+    let mut hello = frame::hello(frame::RANK_MAGIC);
+    hello.put_u32(1).put_u64(0xDEAD_BEEF); // want rank 1, session id
+    frame::send_hello(&mut peer, hello).unwrap();
+    let (master, minfo) = listener.accept_ranks(1, None).unwrap();
+    let welcome = frame::recv_hello(&mut peer, frame::RANK_MAGIC).unwrap();
+    assert_eq!(welcome.len(), 16, "rank + n_ranks + epoch");
+    (peer, master, minfo)
+}
+
+fn uds_listener(name: &str) -> SocketListener {
+    let path = std::env::temp_dir().join(format!("easyhps-{name}-{}.sock", std::process::id()));
+    SocketListener::bind(&NetAddr::Uds(path), SocketConfig::default()).unwrap()
 }
 
 /// A slow reader must not let the sender queue unbounded memory: once
 /// the kernel socket buffers fill, the writer thread blocks and the
 /// outbound queue is pinned at the high-water mark, throttling `send`.
-/// The peer here is a *raw* TCP client that handshakes and then refuses
-/// to read, so backpressure genuinely propagates from the wire.
+/// The peer here is a *raw* socket that handshakes and then refuses to
+/// read, so backpressure genuinely propagates from the wire.
 #[test]
 fn slow_reader_backpressure_bounds_memory() {
-    const HWM: usize = 256 << 10;
-    const MSG: usize = 64 << 10;
-    const N_MSGS: usize = 512; // 32 MiB total: far beyond kernel buffering
-    let cfg = SocketConfig {
-        outbound_hwm: HWM,
-        ..SocketConfig::default()
-    };
-    let listener =
-        SocketListener::bind(&NetAddr::parse("127.0.0.1:0").unwrap(), cfg.clone()).unwrap();
-    let NetAddr::Tcp(hostport) = listener.local_addr() else {
-        panic!("tcp listener")
-    };
-
-    // Raw peer: speak just enough handshake to be admitted as rank 1.
-    let mut peer = std::net::TcpStream::connect(&hostport).unwrap();
-    let magic = u32::from_le_bytes(*b"EHPS");
-    let mut hello = Vec::new();
-    hello.extend_from_slice(&magic.to_le_bytes());
-    hello.push(2u8); // protocol version
-    hello.extend_from_slice(&1u32.to_le_bytes()); // want rank 1
-    hello.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes()); // session id
-    peer.write_all(&hello).unwrap();
-    let (mut master, minfo) = listener.accept_ranks(1, None).unwrap();
-    let mut welcome = [0u8; 21]; // magic + version + rank + n_ranks + epoch
-    peer.read_exact(&mut welcome).unwrap();
+    const MSG: usize = 1 << 20;
+    const N_MSGS: usize = 3 * OUTBOUND_HWM / MSG; // far beyond mark + kernel buffering
+    let (mut peer, mut master, minfo) = raw_peer(uds_listener("backpressure"));
 
     let stats = minfo.link(Rank(1)).unwrap().clone();
     let sender = std::thread::spawn(move || {
@@ -144,14 +167,14 @@ fn slow_reader_backpressure_bounds_memory() {
 
     // Sample the queue gauge while the peer refuses to read: the queue
     // must stay bounded by the high-water mark (plus at most the one
-    // frame admitted into an empty queue), not grow towards 32 MiB.
+    // frame admitted into an empty queue), not grow towards the total.
     let mut max_queued = 0u64;
     for _ in 0..60 {
         max_queued = max_queued.max(stats.bytes_queued.load(Ordering::Relaxed));
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(
-        max_queued <= (HWM + MSG + 64) as u64,
+        max_queued <= (OUTBOUND_HWM + MSG + frame::HEADER_LEN) as u64,
         "outbound queue exceeded the high-water mark: {max_queued} bytes"
     );
     assert!(
@@ -159,21 +182,48 @@ fn slow_reader_backpressure_bounds_memory() {
         "sender must be throttled while the peer reads nothing"
     );
 
-    // Now drain the raw frames: every message arrives, in order, intact.
+    // Now drain: every message arrives, in order, intact.
     for i in 0..N_MSGS as u32 {
-        let mut lenb = [0u8; 4];
-        peer.read_exact(&mut lenb).unwrap();
-        let len = u32::from_le_bytes(lenb) as usize;
-        assert_eq!(len, 12 + MSG);
-        let mut body = vec![0u8; len];
-        peer.read_exact(&mut body).unwrap();
-        let tag = u32::from_le_bytes(body[8..12].try_into().unwrap());
-        assert_eq!(tag, i);
-        assert!(body[12..].iter().all(|b| *b == 0xAB));
+        let f = frame::read_frame(&mut peer).unwrap();
+        let header = frame::check(&f).unwrap();
+        assert_eq!((header.kind, header.tag), (Kind::Raw, Tag(i)));
+        assert_eq!(f.len(), frame::HEADER_LEN + MSG);
+        assert!(f[frame::HEADER_LEN..].iter().all(|b| *b == 0xAB));
     }
     let master = sender.join().unwrap();
     assert_eq!(master.stats().sent_msgs, N_MSGS as u64);
     assert_eq!(stats.frames_sent.load(Ordering::Relaxed), N_MSGS as u64);
+}
+
+/// An over-limit *length prefix* on a raw socket is rejected before any
+/// body is read: the peer sends four bytes and nothing else, and the
+/// link must count the rejection and go down — not wait for 64 MiB.
+#[test]
+fn over_limit_length_prefix_kills_the_link_without_reading_a_body() {
+    let (mut peer, mut master, minfo) = raw_peer(uds_listener("overlimit"));
+    peer.write_all(&(frame::MAX_FRAME as u32 + 1).to_le_bytes())
+        .unwrap();
+    let stats = minfo.link(Rank(1)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match master.send(Rank(1), Tag(0), Bytes::new()) {
+            Err(NetError::Disconnected) => break,
+            Ok(()) => {
+                assert!(Instant::now() < deadline, "link must go down");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+    assert_eq!(stats.snapshot().frames_rejected, 1);
+    assert_eq!(stats.snapshot().frames_recv, 0);
+    // The peer sees the master hang up rather than a parked connection.
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert!(
+        peer.read_to_end(&mut Vec::new()).is_ok(),
+        "EOF, not a read timeout"
+    );
 }
 
 /// Rank-assignment sanity over TCP: wildcard requests get the free ranks.
@@ -201,4 +251,50 @@ fn wildcard_rank_requests_fill_free_slots() {
     ranks.sort_unstable();
     assert_eq!(ranks, vec![1, 2, 3]);
     assert_eq!(minfo.links.len(), 3);
+}
+
+/// `Envelope::wire_size()` is the bytes a frame really occupies, so on a
+/// clean TCP run the endpoint's `NetStats` and the socket's `LinkStats`
+/// count the same bytes — and the same as an in-process pair would.
+#[test]
+fn endpoint_and_link_byte_counters_agree() {
+    let listener = SocketListener::bind(
+        &NetAddr::parse("127.0.0.1:0").unwrap(),
+        SocketConfig::default(),
+    )
+    .unwrap();
+    let addr = listener.local_addr();
+    let dial = std::thread::spawn(move || connect(&addr, Some(1), SocketConfig::default(), None));
+    let (mut master, minfo) = listener.accept_ranks(1, None).unwrap();
+    let (mut slave, sinfo) = dial.join().unwrap().unwrap();
+    let mut inproc = Network::new(2);
+
+    let sizes = [0usize, 1, 64, 4096, 70_000];
+    let mut wire = 0u64;
+    for (i, n) in sizes.iter().enumerate() {
+        let payload = Bytes::from(vec![i as u8; *n]);
+        master
+            .send(Rank(1), Tag(i as u32), payload.clone())
+            .unwrap();
+        inproc[0].send(Rank(1), Tag(i as u32), payload).unwrap();
+        let env = slave.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(env.payload.len(), *n);
+        assert_eq!(env.wire_size(), (frame::HEADER_LEN + n) as u64);
+        wire += env.wire_size();
+        assert_eq!(inproc[1].recv().unwrap().wire_size(), env.wire_size());
+    }
+    assert_eq!(master.stats().sent_bytes, wire);
+    assert_eq!(slave.stats().recv_bytes, wire);
+    assert_eq!(inproc[0].stats().sent_bytes, wire);
+    assert_eq!(inproc[1].stats().recv_bytes, wire);
+    assert_eq!(sinfo.link(Rank(0)).unwrap().snapshot().bytes_recv, wire);
+    // The writer thread counts after the write returns; the slave having
+    // received everything means every write has happened, so at most the
+    // last increment is still in flight.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let link = minfo.link(Rank(1)).unwrap();
+    while link.snapshot().bytes_sent != wire {
+        assert!(Instant::now() < deadline, "{:?}", link.snapshot());
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }

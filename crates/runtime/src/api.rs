@@ -10,7 +10,7 @@ use crate::autotune::{Autotuner, ProblemClass};
 use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
-use crate::master::run_master_with;
+use crate::master::{run_master, FleetControl};
 use crate::shared_grid::SharedGrid;
 use crate::slave::run_slave_with_storage;
 use crate::storage::SparseGrid;
@@ -474,13 +474,14 @@ impl<P: DpProblem> EasyHps<P> {
                             drive_slave(memory, ep, problem.as_ref(), &model, &deployment)
                         });
                     }
-                    run_master_with(
+                    run_master(
                         master_ep,
                         problem.as_ref(),
                         &model,
                         &deployment,
                         self.resume.as_ref(),
                         self.tile_budget,
+                        None,
                     )
                 })?
             }
@@ -495,7 +496,6 @@ impl<P: DpProblem> EasyHps<P> {
                 };
                 let scfg = SocketConfig {
                     reconnect_window: self.reconnect,
-                    ..SocketConfig::default()
                 };
                 let listener = SocketListener::bind(&bind_addr, scfg.clone()).map_err(|e| {
                     RuntimeError::InvalidConfig(format!("binding {bind_addr}: {e}"))
@@ -522,44 +522,33 @@ impl<P: DpProblem> EasyHps<P> {
                     }
                     let accept_err =
                         |e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}"));
-                    let out = if self.reconnect.is_some() {
+                    let slaves = self.deployment.slaves;
+                    let (master_ep, sinfo, control) = if self.reconnect.is_some() {
                         // Elastic membership: keep the listener open in a
                         // background acceptor that splices reconnecting
                         // slaves back in and fences stale incarnations.
-                        let (master_ep, sinfo, acceptor) = listener
-                            .accept_fleet(self.deployment.slaves, plans[0].clone())
+                        let (ep, info, acceptor) = listener
+                            .accept_fleet(slaves, plans[0].clone())
                             .map_err(accept_err)?;
-                        let control = crate::master::FleetControl::new(Some(Arc::new(acceptor)));
-                        let out = crate::master::run_master_fleet(
-                            master_ep,
-                            problem.as_ref(),
-                            &model,
-                            &deployment,
-                            self.resume.as_ref(),
-                            self.tile_budget,
-                            Some(&control),
-                        )?;
-                        if let Some(reg) = &registry {
-                            crate::remote::publish_socket_stats(reg, &sinfo);
-                        }
-                        out
+                        (ep, info, Some(FleetControl::new(Some(Arc::new(acceptor)))))
                     } else {
-                        let (master_ep, sinfo) = listener
-                            .accept_ranks(self.deployment.slaves, plans[0].clone())
+                        let (ep, info) = listener
+                            .accept_ranks(slaves, plans[0].clone())
                             .map_err(accept_err)?;
-                        let out = run_master_with(
-                            master_ep,
-                            problem.as_ref(),
-                            &model,
-                            &deployment,
-                            self.resume.as_ref(),
-                            self.tile_budget,
-                        )?;
-                        if let Some(reg) = &registry {
-                            crate::remote::publish_socket_stats(reg, &sinfo);
-                        }
-                        out
+                        (ep, info, None)
                     };
+                    let out = run_master(
+                        master_ep,
+                        problem.as_ref(),
+                        &model,
+                        &deployment,
+                        self.resume.as_ref(),
+                        self.tile_budget,
+                        control.as_ref(),
+                    )?;
+                    if let Some(reg) = &registry {
+                        crate::remote::publish_socket_stats(reg, &sinfo);
+                    }
                     Ok::<_, RuntimeError>(out)
                 })?
             }

@@ -27,16 +27,17 @@
 use crate::checkpoint::Checkpoint;
 use crate::config::{ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
-use crate::master::{run_master_fleet, FleetControl};
+use crate::master::{run_master, FleetControl};
 use crate::protocol::tags;
 use crate::remote::{
     publish_socket_stats, slave_job_loop, with_problem, JobSpec, RemoteOutput, RemoteProblem,
     SlaveServeSummary,
 };
 use crate::RuntimeError;
+use bytes::Bytes;
 use easyhps_dp::{EditDistance, Lcs, NeedlemanWunsch, Nussinov, SmithWatermanGeneralGap};
 use easyhps_net::socket::{SocketInfo, SocketListener};
-use easyhps_net::{frame, Endpoint, FaultPlan, FleetAcceptor, Network, Rank};
+use easyhps_net::{Endpoint, FaultPlan, FleetAcceptor, Network, Rank};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -285,11 +286,10 @@ impl Fleet {
             // in-job heartbeat deadline govern.)
             if last_probe.elapsed() >= PROBE_EVERY && !pending.is_empty() {
                 last_probe = Instant::now();
-                let probe = frame::seal_raw(&[]);
                 let root = &mut self.root;
                 let retired = &mut self.retired;
                 pending.retain(|r| {
-                    if root.send(Rank(*r), tags::HEARTBEAT, probe.clone()).is_err() {
+                    if root.send(Rank(*r), tags::HEARTBEAT, Bytes::new()).is_err() {
                         if let Some(f) = retired.get_mut(*r as usize) {
                             *f = true;
                         }
@@ -317,11 +317,11 @@ impl Fleet {
             return Err(RuntimeError::NoSlaves);
         }
         let mut ep = self.root.fork(self.fault.clone());
-        let payload = frame::seal_raw(&spec.encode());
+        let payload = Bytes::from(spec.encode());
         // Mid-run joiners (and re-incarnated slaves) must learn the job
         // too: the acceptor ships this to everyone it admits from now on.
         if let Some(acc) = &self.control.acceptor {
-            acc.set_join_payload(tags::JOB.0, payload.to_vec());
+            acc.set_join_payload(tags::JOB, &payload);
         }
         for r in &ready {
             // A link that died since the readiness barrier fails here;
@@ -333,7 +333,7 @@ impl Fleet {
         deployment.checkpoint = opts.checkpoint;
         let model = spec.model();
         let out = with_problem!(&spec.problem, p => {
-            run_master_fleet(
+            run_master(
                 ep,
                 &p,
                 &model,
@@ -376,9 +376,8 @@ impl Fleet {
             control,
             ..
         } = self;
-        let bye = frame::seal_raw(&[]);
         for r in 1..=n_slaves as u32 {
-            let _ = root.send(Rank(r), tags::SHUTDOWN, bye.clone());
+            let _ = root.send(Rank(r), tags::SHUTDOWN, Bytes::new());
         }
         // Drop the root *before* joining: a slave that was still mid-
         // teardown when SHUTDOWN flew past it (discarded by its linger)

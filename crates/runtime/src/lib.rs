@@ -3,11 +3,11 @@
 //! The EasyHPS system proper (paper §III and §V): a master rank partitions
 //! a DP problem by the DAG Data Driven Model and dynamically schedules
 //! sub-tasks onto slave nodes; each slave re-partitions its sub-task and
-//! schedules sub-sub-tasks onto computing threads. Worker pools at both
-//! levels use the computable/finished sub-task stacks, the overtime queue
-//! and the register table; fault tolerance is hierarchical (timeout-based
-//! node exclusion at process level, panic-catching thread restart at
-//! thread level).
+//! schedules sub-sub-tasks onto computing threads. Both levels are
+//! driven by the pure scheduler machines of [`easyhps_core::sched`]
+//! (computable/finished sets, overtime queue, register table); fault
+//! tolerance is hierarchical (timeout-based node exclusion at process
+//! level, panic-catching thread restart at thread level).
 //!
 //! The "cluster" is the in-process virtual-MPI network of
 //! [`easyhps-net`](easyhps_net); see DESIGN.md for why that substitution
@@ -47,10 +47,8 @@ mod error;
 pub mod fleet;
 mod master;
 mod obs;
-mod pool;
 mod protocol;
 pub mod remote;
-pub mod sched;
 mod shared_grid;
 mod slave;
 mod storage;
@@ -67,8 +65,7 @@ pub use easyhps_net::RetryPolicy;
 pub use easyhps_obs::{EventRecorder, Registry, Snapshot};
 pub use error::RuntimeError;
 pub use fleet::{Fleet, JobOptions};
-pub use master::{run_master, run_master_fleet, run_master_with, FleetControl, MasterOutput};
-pub use pool::{OvertimeEntry, OvertimeQueue, RegisterTable, TaskStack};
+pub use master::{run_master, FleetControl, MasterOutput};
 pub use protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
 pub use shared_grid::{ExclusiveGrid, SharedGrid, TaskView};
 pub use slave::{run_slave, run_slave_with_storage};

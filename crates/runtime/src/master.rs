@@ -4,12 +4,12 @@
 //! Every scheduling decision — dispatch and DONE accounting, the overdue
 //! drain, slow-vs-dead exclusion and re-admission, static→dynamic orphan
 //! fallback, budget stop, teardown drain — lives in the pure
-//! [`crate::sched::MasterSched`] state machine. This file is the I/O
+//! [`MasterSched`] state machine. This file is the I/O
 //! shell: it translates network frames and real timers into
-//! [`crate::sched::MasterEvent`]s, and the machine's
-//! [`crate::sched::MasterAction`]s into reliable sends, matrix writes,
+//! [`MasterEvent`]s, and the machine's
+//! [`MasterAction`]s into reliable sends, matrix writes,
 //! trace spans and metrics. The old separate fault-tolerance thread is
-//! gone: the FT sweep is the [`crate::sched::MasterEvent::FtTick`] event,
+//! gone: the FT sweep is the [`MasterEvent::FtTick`] event,
 //! fired from the single loop at `ft_poll` cadence, so the FT-vs-scheduler
 //! interleaving class no longer exists in the runtime at all (and the
 //! deterministic explorer can place the sweep anywhere it likes).
@@ -37,12 +37,14 @@ use crate::config::{Deployment, MasterStats};
 use crate::durable::CheckpointStore;
 use crate::obs::{lane_of, publish_endpoint_stats, registry_of, MasterMetrics, TID_FT, TID_NET};
 use crate::protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
-use crate::sched::{fail_kind, MasterAction, MasterEvent, MasterSched};
 use crate::RuntimeError;
 use bytes::Bytes;
+use easyhps_core::sched::{MasterAction, MasterEvent, MasterSched, SendFailKind};
 use easyhps_core::{DagDataDrivenModel, TaskDag, Trace, VertexId};
 use easyhps_dp::{DpMatrix, DpProblem};
-use easyhps_net::{Endpoint, FleetAcceptor, MembershipEvent, NetError, Rank, ReliableEndpoint};
+use easyhps_net::{
+    Endpoint, FailReason, FleetAcceptor, MembershipEvent, NetError, Rank, ReliableEndpoint,
+};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -161,39 +163,29 @@ impl<C: easyhps_dp::Cell> DoneCtx<'_, C> {
     }
 }
 
+/// Map a transport failure reason onto the machine's vocabulary.
+fn fail_kind(reason: FailReason) -> SendFailKind {
+    match reason {
+        FailReason::Unreachable => SendFailKind::Unreachable,
+        FailReason::NoAck => SendFailKind::NoAck,
+    }
+}
+
 /// Run the master loop to completion. `ep` must be rank 0 of a network
 /// whose ranks `1..=config.slaves` run [`crate::run_slave`].
-pub fn run_master<P: DpProblem>(
-    ep: Endpoint,
-    problem: &P,
-    model: &DagDataDrivenModel,
-    config: &Deployment,
-) -> Result<MasterOutput<P::Cell>, RuntimeError> {
-    run_master_with(ep, problem, model, config, None, None)
-}
-
-/// [`run_master`] with checkpoint/restart controls: `resume` preloads the
-/// finished sub-tasks of a prior run; `tile_budget` stops dispatching
-/// after that many completions (counting resumed ones) and returns a
-/// [`Checkpoint`] in the output.
-pub fn run_master_with<P: DpProblem>(
-    ep: Endpoint,
-    problem: &P,
-    model: &DagDataDrivenModel,
-    config: &Deployment,
-    resume: Option<&Checkpoint>,
-    tile_budget: Option<u64>,
-) -> Result<MasterOutput<P::Cell>, RuntimeError> {
-    run_master_fleet(ep, problem, model, config, resume, tile_budget, None)
-}
-
-/// [`run_master_with`] for an *elastic* fleet: when `fleet` is given, the
-/// master polls its acceptor for membership changes every loop iteration
-/// — splices are transparent, new incarnations are re-fenced under a
-/// bumped epoch (their zombie DONEs rejected by the epoch echo), mid-run
-/// joiners grow the schedule — and consumes its drain requests.
+///
+/// Checkpoint/restart controls: `resume` preloads the finished sub-tasks
+/// of a prior run; `tile_budget` stops dispatching after that many
+/// completions (counting resumed ones) and returns a [`Checkpoint`] in
+/// the output.
+///
+/// Elastic membership: when `fleet` is given, the master polls its
+/// acceptor for membership changes every loop iteration — splices are
+/// transparent, new incarnations are re-fenced under a bumped epoch
+/// (their zombie DONEs rejected by the epoch echo), mid-run joiners grow
+/// the schedule — and consumes its drain requests.
 #[allow(clippy::too_many_lines)] // the one I/O shell around the machine
-pub fn run_master_fleet<P: DpProblem>(
+pub fn run_master<P: DpProblem>(
     ep: Endpoint,
     problem: &P,
     model: &DagDataDrivenModel,
@@ -842,4 +834,18 @@ fn flush_durable<C: easyhps_dp::Cell>(
     mm.checkpoints.inc();
     lane.instant("checkpoint-flush", "checkpoint", Some(("tiles", tiles)));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fail_reasons_map_onto_machine_vocabulary() {
+        assert_eq!(
+            fail_kind(FailReason::Unreachable),
+            SendFailKind::Unreachable
+        );
+        assert_eq!(fail_kind(FailReason::NoAck), SendFailKind::NoAck);
+    }
 }

@@ -157,9 +157,9 @@ pub(crate) fn publish_endpoint_stats(reg: &Registry, role: &str, rep: &ReliableE
         .add(reli.backoff_wait_ns);
     reg.counter(&l("net_acks_sent")).add(reli.acks_sent);
     reg.counter(&l("net_acks_recv")).add(reli.acks_recv);
-    reg.counter(&l("net_frames_corrupt"))
-        .add(reli.corrupt_frames);
     let net = rep.net_stats();
+    reg.counter(&l("net_frames_corrupt"))
+        .add(net.corrupt_frames);
     reg.counter(&l("net_msgs_corrupted"))
         .add(net.corrupted_msgs);
     reg.counter(&l("net_links_severed")).add(net.severed_links);

@@ -5,10 +5,10 @@
 //! remote slave has nothing, so the master ships a [`JobSpec`] — the
 //! problem's defining data plus the partition sizes and deployment knobs
 //! both sides must agree on — as the first message after the socket
-//! handshake (tag [`tags::JOB`], sealed with the CRC frame layer). The
-//! slave reconstructs the problem and model locally and then runs the
-//! ordinary [`run_slave_with_storage`] loop; the master runs the
-//! ordinary [`run_master_with`]. Everything above the transport —
+//! handshake (tag [`tags::JOB`]). The slave reconstructs the problem and
+//! model locally and then runs the ordinary [`run_slave_with_storage`]
+//! loop; the master runs the ordinary
+//! [`run_master`](crate::run_master). Everything above the transport —
 //! reliable control messages, heartbeats, fault tolerance, durable
 //! checkpoints — is byte-identical to the in-process path.
 //!
@@ -24,13 +24,14 @@ use crate::shared_grid::SharedGrid;
 use crate::slave::run_slave_with_storage;
 use crate::storage::SparseGrid;
 use crate::{MemoryMode, RuntimeError};
+use bytes::Bytes;
 use easyhps_core::{DagDataDrivenModel, GridDims, ScheduleMode};
 use easyhps_dp::{
     DpMatrix, DpProblem, EditDistance, GapPenalty, Lcs, NeedlemanWunsch, Nussinov,
     SmithWatermanGeneralGap, Substitution,
 };
 use easyhps_net::socket::{connect, SocketConfig, SocketInfo, SocketListener};
-use easyhps_net::{frame, NetAddr, Rank, RetryPolicy, WireError, WireReader, WireWriter};
+use easyhps_net::{NetAddr, Rank, RetryPolicy, WireError, WireReader, WireWriter};
 use easyhps_obs::{labeled, Registry};
 use std::time::Duration;
 
@@ -284,7 +285,12 @@ impl RemoteProblem {
                     gap: match kind {
                         0 => GapSpec::Linear(x),
                         1 => GapSpec::Affine(x, y),
-                        _ => GapSpec::Logarithmic(x, y),
+                        2 => GapSpec::Logarithmic(x, y),
+                        _ => {
+                            return Err(WireError {
+                                context: "gap kind",
+                            })
+                        }
                     },
                 }
             }
@@ -317,11 +323,16 @@ fn put_mode(w: &mut WireWriter, mode: ScheduleMode) {
 
 fn get_mode(r: &mut WireReader<'_>) -> Result<ScheduleMode, WireError> {
     Ok(match r.get_u8()? {
+        0 => ScheduleMode::Dynamic,
         1 => ScheduleMode::BlockCyclic {
             block: r.get_u32()?,
         },
         2 => ScheduleMode::ColumnWavefront,
-        _ => ScheduleMode::Dynamic,
+        _ => {
+            return Err(WireError {
+                context: "schedule mode",
+            })
+        }
     })
 }
 
@@ -405,7 +416,7 @@ impl JobSpec {
         })
     }
 
-    /// Encode to raw payload bytes (not yet CRC-sealed).
+    /// Encode to raw payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         self.problem.encode_into(&mut w);
@@ -428,12 +439,26 @@ impl JobSpec {
         w.finish().to_vec()
     }
 
-    /// Decode from raw payload bytes.
+    /// Decode from raw payload bytes. A spec arrives from outside the
+    /// process (a client's `Submit`, a master's JOB), so everything the
+    /// model builder would otherwise `assert!` on is rejected here: a
+    /// partition with a zero side, a thread partition larger than the
+    /// process partition it subdivides, and unknown enum bytes.
     pub fn decode(bytes: &[u8]) -> Result<JobSpec, WireError> {
         let mut r = WireReader::new(bytes);
         let problem = RemoteProblem::decode_from(&mut r)?;
         let pp = GridDims::new(r.get_u32()?, r.get_u32()?);
         let tp = GridDims::new(r.get_u32()?, r.get_u32()?);
+        if pp.rows == 0 || pp.cols == 0 || tp.rows == 0 || tp.cols == 0 {
+            return Err(WireError {
+                context: "partition size (zero side)",
+            });
+        }
+        if tp.rows > pp.rows || tp.cols > pp.cols {
+            return Err(WireError {
+                context: "thread partition (larger than the process partition)",
+            });
+        }
         let threads_per_slave = r.get_u32()?;
         let process_mode = get_mode(&mut r)?;
         let thread_mode = get_mode(&mut r)?;
@@ -447,8 +472,13 @@ impl JobSpec {
             max_backoff: Duration::from_micros(r.get_u64()?),
         };
         let memory = match r.get_u8()? {
+            0 => MemoryMode::Dense,
             1 => MemoryMode::Sparse,
-            _ => MemoryMode::Dense,
+            _ => {
+                return Err(WireError {
+                    context: "memory mode",
+                })
+            }
         };
         r.expect_end()?;
         Ok(JobSpec {
@@ -471,7 +501,7 @@ impl JobSpec {
 /// Options for the master side of a multi-process run.
 #[derive(Debug, Default)]
 pub struct RemoteMasterOptions {
-    /// Socket knobs (frame bound, backpressure mark, timeouts).
+    /// Socket config (a reconnect window opts into elastic membership).
     pub socket: SocketConfig,
     /// Fault plan for the master's own endpoint (drills).
     pub fault: Option<easyhps_net::FaultPlan>,
@@ -544,7 +574,7 @@ pub struct RemoteSlaveOptions {
     pub threads: Option<usize>,
     /// Override the job's storage strategy locally.
     pub memory: Option<MemoryMode>,
-    /// Socket knobs.
+    /// Socket config (a reconnect window lets a severed link redial).
     pub socket: SocketConfig,
     /// Fault plan for this slave's endpoint (drills).
     pub fault: Option<easyhps_net::FaultPlan>,
@@ -598,10 +628,7 @@ pub(crate) fn slave_job_loop(
     let mut announce = true;
     loop {
         if announce {
-            if root
-                .send(master, tags::READY, frame::seal_raw(&[]))
-                .is_err()
-            {
+            if root.send(master, tags::READY, Bytes::new()).is_err() {
                 return Ok(summary); // master gone between jobs
             }
             announce = false;
@@ -615,7 +642,7 @@ pub(crate) fn slave_job_loop(
                 // boundary, elastic rejoin) picks the slave up at its
                 // next readiness barrier instead of timing out. A master
                 // mid-job discards stray READYs.
-                match root.send(master, tags::READY, frame::seal_raw(&[])) {
+                match root.send(master, tags::READY, Bytes::new()) {
                     Ok(()) => continue,
                     Err(_) => return Ok(summary), // master gone between jobs
                 }
@@ -624,15 +651,7 @@ pub(crate) fn slave_job_loop(
         };
         match env.tag {
             tags::JOB => {
-                match frame::check(&env.payload) {
-                    Ok(frame::Frame::Raw) => {}
-                    _ => {
-                        return Err(RuntimeError::InvalidConfig(
-                            "job spec must arrive as a sealed raw frame".into(),
-                        ))
-                    }
-                }
-                let spec = JobSpec::decode(&env.payload[frame::RAW_BODY..])?;
+                let spec = JobSpec::decode(&env.payload)?;
                 let n_slaves = root.n_ranks() - 1;
                 let deployment = spec.deployment(n_slaves, threads);
                 let model = spec.model();
@@ -674,12 +693,6 @@ pub fn serve_slave_jobs(opts: RemoteSlaveOptions) -> Result<SlaveServeSummary, R
     let (ep, _info) = connect(&opts.addr, opts.want_rank, opts.socket, None)
         .map_err(|e| io_err("connecting to master", e))?;
     slave_job_loop(ep, opts.threads, opts.memory, opts.fault)
-}
-
-/// Back-compat single-result wrapper over [`serve_slave_jobs`]: serve
-/// until shutdown and return the summed stats.
-pub fn serve_slave(opts: RemoteSlaveOptions) -> Result<SlaveStatsMsg, RuntimeError> {
-    Ok(serve_slave_jobs(opts)?.stats)
 }
 
 /// Export per-link socket counters (bytes queued, reconnects, frames
@@ -765,6 +778,86 @@ mod tests {
         }
     }
 
+    /// A spec is outside input: values the model builder would `assert!`
+    /// on, and enum bytes no encoder writes, must fail at decode.
+    #[test]
+    fn out_of_range_spec_never_decodes() {
+        let base = JobSpec::new(
+            RemoteProblem::Swgg {
+                a: b"ACGT".to_vec(),
+                b: b"AGT".to_vec(),
+                sub: SubSpec::dna(),
+                gap: GapSpec::Linear(2),
+            },
+            GridDims::new(4, 4),
+            GridDims::new(2, 2),
+        );
+        assert!(JobSpec::decode(&base.encode()).is_ok());
+        let with = |f: &dyn Fn(&mut JobSpec)| {
+            let mut s = base.clone();
+            f(&mut s);
+            JobSpec::decode(&s.encode())
+        };
+        assert!(
+            with(&|s| s.pp = GridDims::new(0, 4)).is_err(),
+            "zero pp rows"
+        );
+        assert!(
+            with(&|s| s.pp = GridDims::new(4, 0)).is_err(),
+            "zero pp cols"
+        );
+        assert!(
+            with(&|s| s.tp = GridDims::new(0, 2)).is_err(),
+            "zero tp rows"
+        );
+        assert!(
+            with(&|s| s.tp = GridDims::new(2, 0)).is_err(),
+            "zero tp cols"
+        );
+        assert!(
+            with(&|s| s.tp = GridDims::new(5, 2)).is_err(),
+            "tp beyond pp"
+        );
+        // Unknown enum bytes: locate each kind byte as the one byte that
+        // differs between two valid encodings, then write a value no
+        // encoder produces.
+        let bytes = base.encode();
+        let kind_byte = |f: &dyn Fn(&mut JobSpec)| {
+            let mut s = base.clone();
+            f(&mut s);
+            let other = s.encode();
+            assert_eq!(other.len(), bytes.len());
+            let diff: Vec<usize> = (0..bytes.len())
+                .filter(|i| bytes[*i] != other[*i])
+                .collect();
+            assert_eq!(diff.len(), 1, "exactly the kind byte differs");
+            diff[0]
+        };
+        for (what, at) in [
+            (
+                "gap kind",
+                kind_byte(&|s| {
+                    if let RemoteProblem::Swgg { gap, .. } = &mut s.problem {
+                        *gap = GapSpec::Affine(2, 0);
+                    }
+                }),
+            ),
+            (
+                "process mode",
+                kind_byte(&|s| s.process_mode = ScheduleMode::ColumnWavefront),
+            ),
+            (
+                "thread mode",
+                kind_byte(&|s| s.thread_mode = ScheduleMode::ColumnWavefront),
+            ),
+            ("memory mode", kind_byte(&|s| s.memory = MemoryMode::Sparse)),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at] = 9;
+            assert!(JobSpec::decode(&bad).is_err(), "unknown {what} byte");
+        }
+    }
+
     /// Full multi-process semantics in one process: a master thread and
     /// two slave threads joined only by TCP, exchanging the job spec and
     /// computing a matrix identical to the sequential reference.
@@ -785,7 +878,7 @@ mod tests {
             .map(|r| {
                 let mut o = RemoteSlaveOptions::new(addr.clone());
                 o.want_rank = Some(r);
-                std::thread::spawn(move || serve_slave(o))
+                std::thread::spawn(move || serve_slave_jobs(o))
             })
             .collect();
         let out = run_remote_master(listener, &spec, 2, RemoteMasterOptions::default()).unwrap();

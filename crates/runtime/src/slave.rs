@@ -22,11 +22,11 @@
 use crate::config::Deployment;
 use crate::obs::{lane_of, publish_endpoint_stats, registry_of, SlaveMetrics, TID_NET};
 use crate::protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
-use crate::sched::{PoolAction, PoolEvent, PoolLog, PoolSched};
 use crate::shared_grid::SharedGrid;
 use crate::storage::NodeStorage;
 use crate::RuntimeError;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use easyhps_core::sched::{PoolAction, PoolEvent, PoolLog, PoolSched};
 use easyhps_core::{DagDataDrivenModel, GridPos, TileRegion, VertexId};
 use easyhps_dp::DpProblem;
 use easyhps_net::{Endpoint, NetError, Rank, ReliableEndpoint};
@@ -400,7 +400,7 @@ pub(crate) fn execute_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::replay_pool;
+    use easyhps_core::sched::replay_pool;
     use easyhps_core::GridDims;
     use easyhps_dp::sequence::{random_sequence, Alphabet};
     use easyhps_dp::{DpProblem, EditDistance};

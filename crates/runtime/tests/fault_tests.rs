@@ -12,8 +12,8 @@ use easyhps_dp::sequence::{random_sequence, Alphabet};
 use easyhps_dp::{DpMatrix, DpProblem, EditDistance, Nussinov, SmithWatermanGeneralGap};
 use easyhps_net::{FaultPlan, NetError, Network, Rank, ReliableEndpoint, RetryPolicy};
 use easyhps_runtime::{
-    run_master, run_master_with, run_slave, tags, AssignMsg, Deployment, DoneMsg, EasyHps,
-    ScheduleMode, SlaveStatsMsg,
+    run_master, run_slave, tags, AssignMsg, Deployment, DoneMsg, EasyHps, ScheduleMode,
+    SlaveStatsMsg,
 };
 use std::time::{Duration, Instant};
 
@@ -270,7 +270,7 @@ fn failed_assign_send_is_not_counted_as_a_dispatch() {
         s.spawn(move || {
             let _ = run_slave(ep2, p, m, c);
         });
-        run_master(master_ep, &problem, &model, &config).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
     });
 
     assert_eq!(out.matrix, reference);
@@ -387,7 +387,7 @@ fn stats_from_excluded_slave_do_not_satisfy_a_live_slaves_slot() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
     });
 
     assert_eq!(out.stats.dead_slaves, 1, "A was excluded as silent");
@@ -468,7 +468,7 @@ fn budget_stop_drains_in_flight_completions_into_the_checkpoint() {
     let out = std::thread::scope(|s| {
         s.spawn(move || serve(rep_a));
         s.spawn(move || serve(rep_b));
-        run_master_with(master_ep, &problem, &model, &config, None, Some(1)).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, Some(1), None).unwrap()
     });
 
     assert_eq!(
@@ -603,7 +603,7 @@ fn silent_but_alive_slave_is_readmitted_after_heartbeat_resumes() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
     });
 
     assert!(
@@ -739,7 +739,7 @@ fn slow_starting_slave_is_neither_excluded_nor_readmitted() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
     });
 
     assert_eq!(
@@ -827,7 +827,7 @@ fn teardown_waits_out_a_slow_retry_schedule_for_stats() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
     });
 
     assert_eq!(out.stats.dead_slaves, 0);
@@ -920,7 +920,7 @@ fn zombie_epoch_done_is_fenced_and_replays_through_the_machine() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
     });
 
     // 31x31 in 8x8 tiles -> 16 sub-tasks.
@@ -1047,7 +1047,7 @@ fn rogue_out_of_range_rank_done_frames_are_ignored() {
         s.spawn(move || {
             rogue.drain_pending(Duration::from_secs(2));
         });
-        run_master(master_ep, &problem, &model, &config).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
     });
 
     assert_eq!(out.matrix, reference, "real slaves still compute exactly");

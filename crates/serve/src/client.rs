@@ -11,13 +11,14 @@
 //! the peer is broken, not the link.
 
 use crate::protocol::{Request, Response, SubmitReq};
-use crate::stream::ClientStream;
-use easyhps_net::{rpc, NetAddr};
+use easyhps_net::frame::{self, CLIENT_MAGIC};
+use easyhps_net::stream::{retry_with_backoff, Stream};
+use easyhps_net::NetAddr;
 use easyhps_obs::Registry;
 use easyhps_runtime::remote::JobSpec;
 use std::io;
 use std::sync::Arc;
-use std::time::{Duration, SystemTime};
+use std::time::Duration;
 
 /// Redial-and-resend attempts after the initial try.
 const RETRY_ATTEMPTS: u32 = 8;
@@ -31,7 +32,8 @@ const RETRY_CAP: Duration = Duration::from_secs(2);
 /// response ([`Client::read_response`] fetches it).
 pub struct Client {
     addr: NetAddr,
-    stream: ClientStream,
+    /// `None` after a failed exchange, until the next one redials.
+    stream: Option<Stream>,
     retries: u64,
     metrics: Option<Arc<Registry>>,
 }
@@ -43,37 +45,12 @@ fn retryable(e: &io::Error) -> bool {
     e.kind() != io::ErrorKind::InvalidData
 }
 
-/// Deterministic-enough jitter without a PRNG dependency: splitmix64
-/// over the clock, the pid and the attempt number.
-fn jitter(attempt: u32, cap: Duration) -> Duration {
-    let nanos = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map_or(0, |d| d.subsec_nanos() as u64);
-    let mut z = nanos ^ (u64::from(std::process::id()) << 32) ^ u64::from(attempt);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    let half = (cap.as_millis() as u64 / 2).max(1);
-    Duration::from_millis(z % half)
-}
-
-/// Backoff before retry `attempt` (1-based): `base * 2^(attempt-1)`
-/// capped, plus up to 50% jitter so a herd of clients restarting
-/// against one daemon does not redial in lockstep.
-fn backoff(attempt: u32) -> Duration {
-    let exp = RETRY_BASE.saturating_mul(1u32 << (attempt - 1).min(16));
-    let capped = exp.min(RETRY_CAP);
-    capped + jitter(attempt, capped)
-}
-
 impl Client {
     /// Connect to a daemon and perform the protocol hello.
     pub fn connect(addr: &NetAddr) -> io::Result<Client> {
-        let stream = Self::dial(addr)?;
         Ok(Client {
             addr: addr.clone(),
-            stream,
+            stream: Some(Self::dial(addr)?),
             retries: 0,
             metrics: None,
         })
@@ -91,47 +68,57 @@ impl Client {
         self.retries
     }
 
-    fn dial(addr: &NetAddr) -> io::Result<ClientStream> {
-        let mut stream = ClientStream::connect(addr)?;
-        rpc::write_hello(&mut stream)?;
+    fn dial(addr: &NetAddr) -> io::Result<Stream> {
+        let mut stream = Stream::connect(addr)?;
+        frame::send_hello(&mut stream, frame::hello(CLIENT_MAGIC))?;
         Ok(stream)
     }
 
-    fn note_retry(&mut self) {
-        self.retries += 1;
-        if let Some(reg) = &self.metrics {
-            reg.counter("client_retries").inc();
-        }
+    /// Run one exchange on the live connection (redialing first if the
+    /// previous exchange lost it), and again — bounded, with exponential
+    /// backoff + jitter — when the connection fails mid-exchange, e.g.
+    /// across a daemon restart. A refused redial is just another failed
+    /// attempt.
+    fn with_retry(
+        &mut self,
+        mut exchange: impl FnMut(&mut Client) -> io::Result<Response>,
+    ) -> io::Result<Response> {
+        let mut retried = 0;
+        let metrics = self.metrics.clone();
+        let out = retry_with_backoff(
+            RETRY_BASE,
+            RETRY_CAP,
+            || {
+                if self.stream.is_none() {
+                    self.stream = Some(Self::dial(&self.addr)?);
+                }
+                exchange(self).inspect_err(|_| self.stream = None)
+            },
+            |e, failures| {
+                let again = retryable(e) && failures <= RETRY_ATTEMPTS;
+                if again {
+                    retried += 1;
+                    if let Some(reg) = &metrics {
+                        reg.counter("client_retries").inc();
+                    }
+                }
+                again
+            },
+        );
+        self.retries += retried;
+        out
     }
 
     fn try_request(&mut self, req: &Request) -> io::Result<Response> {
-        rpc::write_msg(&mut self.stream, &req.encode())?;
+        let stream = self.stream.as_mut().ok_or(io::ErrorKind::NotConnected)?;
+        frame::send_msg(stream, &req.encode())?;
         self.read_response()
     }
 
     /// Send a request and read its first response, redialing and
-    /// resending (bounded, with exponential backoff + jitter) when the
-    /// connection fails mid-exchange — e.g. across a daemon restart.
+    /// resending when the connection fails mid-exchange.
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
-        let mut attempt = 0u32;
-        loop {
-            match self.try_request(req) {
-                Ok(resp) => return Ok(resp),
-                Err(e) => {
-                    if !retryable(&e) || attempt >= RETRY_ATTEMPTS {
-                        return Err(e);
-                    }
-                    attempt += 1;
-                    self.note_retry();
-                    std::thread::sleep(backoff(attempt));
-                    // A refused dial keeps the dead stream; the next
-                    // loop iteration fails fast and backs off again.
-                    if let Ok(s) = Self::dial(&self.addr) {
-                        self.stream = s;
-                    }
-                }
-            }
-        }
+        self.with_retry(|c| c.try_request(req))
     }
 
     /// Read one more response — the terminal `Done`/`Error` of a `wait`
@@ -139,9 +126,9 @@ impl Client {
     /// retried here: a connection lost mid-wait needs the job resubmitted
     /// (see [`Client::submit_wait`]), not the read repeated.
     pub fn read_response(&mut self) -> io::Result<Response> {
-        let payload = rpc::read_msg(&mut self.stream, rpc::MAX_MSG)?;
-        Response::decode(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        let stream = self.stream.as_mut().ok_or(io::ErrorKind::NotConnected)?;
+        let payload = frame::recv_msg(stream)?;
+        Ok(Response::decode(&payload)?)
     }
 
     /// Submit a job. Returns the admission response; on a cache hit or
@@ -159,35 +146,17 @@ impl Client {
     /// (idempotent — it coalesces onto the in-flight copy or hits the
     /// result cache) under the same bounded backoff as [`Client::request`].
     pub fn submit_wait(&mut self, tenant: &str, spec: JobSpec) -> io::Result<Response> {
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self
-                .try_request(&Request::Submit(SubmitReq {
-                    tenant: tenant.to_string(),
-                    wait: true,
-                    spec: spec.clone(),
-                }))
-                .and_then(|first| match first {
-                    // Admitted: the terminal Done/Error follows on the
-                    // same exchange (a cache hit's Done is immediate).
-                    Response::Accepted { .. } => self.read_response(),
-                    other => Ok(other),
-                });
-            match outcome {
-                Ok(resp) => return Ok(resp),
-                Err(e) => {
-                    if !retryable(&e) || attempt >= RETRY_ATTEMPTS {
-                        return Err(e);
-                    }
-                    attempt += 1;
-                    self.note_retry();
-                    std::thread::sleep(backoff(attempt));
-                    if let Ok(s) = Self::dial(&self.addr) {
-                        self.stream = s;
-                    }
-                }
-            }
-        }
+        let req = Request::Submit(SubmitReq {
+            tenant: tenant.to_string(),
+            wait: true,
+            spec,
+        });
+        self.with_retry(|c| match c.try_request(&req)? {
+            // Admitted: the terminal Done/Error follows on the same
+            // exchange (a cache hit's Done is immediate).
+            Response::Accepted { .. } => c.read_response(),
+            other => Ok(other),
+        })
     }
 
     /// Query a job's lifecycle state.

@@ -34,9 +34,9 @@
 use crate::cache::{job_key, CacheEntry, ResultCache};
 use crate::protocol::{Admission, JobResult, JobState, Request, Response, SubmitReq};
 use crate::state::JobStore;
-use crate::stream::{ClientListener, ClientStream, StreamShutdown};
-use easyhps_net::rpc;
+use easyhps_net::frame::{self, CLIENT_MAGIC};
 use easyhps_net::socket::{SocketConfig, SocketListener};
+use easyhps_net::stream::{Listener, Stream};
 use easyhps_net::NetAddr;
 use easyhps_obs::{labeled, MetricValue, Registry, Snapshot};
 use easyhps_runtime::remote::JobSpec;
@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Where the daemon's compute comes from.
 #[derive(Debug)]
@@ -68,7 +68,7 @@ pub enum FleetSpec {
         listen: NetAddr,
         /// How many slaves to wait for.
         slaves: usize,
-        /// Socket knobs (accept timeout etc.).
+        /// Socket config for the fleet listener.
         socket: SocketConfig,
     },
 }
@@ -182,7 +182,7 @@ struct Inner {
     /// Shutdown handles of live client connections: a graceful stop
     /// closes them so handler threads parked in a read exit instead of
     /// keeping pre-restart connections (and answers) alive.
-    clients: Mutex<Vec<Arc<StreamShutdown>>>,
+    clients: Mutex<Vec<Arc<Stream>>>,
 }
 
 /// One unit of work handed from the queue to an execution round.
@@ -910,12 +910,12 @@ fn run_fleet_job(
 }
 
 /// Per-connection handler: hello, then request/response until EOF.
-fn handle_client(inner: Arc<Inner>, mut s: ClientStream) {
-    if rpc::read_hello(&mut s).is_err() {
-        return;
+fn handle_client(inner: Arc<Inner>, mut s: Stream) {
+    if frame::recv_hello(&mut s, CLIENT_MAGIC).is_err() {
+        return; // not a client (a slave dialing the wrong port, a scanner)
     }
     loop {
-        let msg = match rpc::read_msg(&mut s, rpc::MAX_MSG) {
+        let msg = match frame::recv_msg(&mut s) {
             Ok(m) => m,
             Err(_) => return, // EOF or a corrupt frame: drop the peer
         };
@@ -985,17 +985,13 @@ fn handle_client(inner: Arc<Inner>, mut s: ClientStream) {
     }
 }
 
-fn write_resp(s: &mut ClientStream, resp: &Response) -> io::Result<()> {
-    rpc::write_msg(s, &resp.encode())
+fn write_resp(s: &mut Stream, resp: &Response) -> io::Result<()> {
+    frame::send_msg(s, &resp.encode())
 }
 
 /// Block a `wait` submission until its terminal response, polling for
 /// daemon shutdown so the connection is never parked forever.
-fn wait_for_terminal(
-    inner: &Arc<Inner>,
-    rx: &mpsc::Receiver<Response>,
-    s: &mut ClientStream,
-) -> bool {
+fn wait_for_terminal(inner: &Arc<Inner>, rx: &mpsc::Receiver<Response>, s: &mut Stream) -> bool {
     loop {
         match rx.recv_timeout(Duration::from_millis(500)) {
             Ok(resp) => return write_resp(s, &resp).is_ok(),
@@ -1042,7 +1038,7 @@ impl Daemon {
     /// the scheduler waits for them in the background while clients can
     /// already submit.
     pub fn start(cfg: ServeConfig) -> io::Result<Daemon> {
-        let listener = ClientListener::bind(&cfg.listen)?;
+        let listener = Listener::bind(&cfg.listen)?;
         let addr = listener.local_addr();
         let store = match &cfg.state_dir {
             Some(dir) => Some(JobStore::open(dir)?),
@@ -1103,10 +1099,12 @@ impl Daemon {
                 .name("serve-accept".into())
                 .spawn(move || {
                     while !inner.shutdown.load(Ordering::SeqCst) {
-                        match listener.poll_accept(Duration::from_millis(50)) {
+                        match listener.accept_by(Instant::now() + Duration::from_millis(50)) {
                             Ok(Some(s)) => {
                                 let inner = inner.clone();
-                                let handle = s.shutdown_handle().ok().map(Arc::new);
+                                // A second handle, so a graceful shutdown
+                                // can unblock the handler parked in a read.
+                                let handle = s.try_clone().ok().map(Arc::new);
                                 if let Some(h) = &handle {
                                     inner.clients.lock().unwrap().push(h.clone());
                                 }
@@ -1165,7 +1163,7 @@ impl Daemon {
         // Close live client connections: their handler threads unblock
         // and exit, so no pre-shutdown connection keeps answering.
         for h in self.inner.clients.lock().unwrap().drain(..) {
-            h.close();
+            h.shutdown();
         }
         if let Some(h) = self.accept.take() {
             let _ = h.join();

@@ -20,9 +20,10 @@
 //!   checkpoint to per-job directories: `kill -9` loses no accepted
 //!   job, and a restarted daemon completes them bit-identically.
 //!
-//! The client protocol (submit / status / stats / cancel) is CRC-sealed
-//! per message ([`easyhps_net::rpc`]); see [`protocol`] for the
-//! messages and DESIGN.md §15 for the full architecture.
+//! The client protocol (submit / status / stats / cancel) rides the same
+//! CRC-sealed frames as the rank links ([`easyhps_net::frame`]); see
+//! [`protocol`] for the messages and DESIGN.md §15 for the full
+//! architecture.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -32,7 +33,6 @@ pub mod client;
 pub mod daemon;
 pub mod protocol;
 pub mod state;
-mod stream;
 
 pub use cache::{job_key, key_hex, CacheEntry, ResultCache};
 pub use client::Client;

@@ -1,8 +1,8 @@
 //! Wire messages of the serve client protocol.
 //!
 //! Requests and responses are hand-encoded with the workspace wire
-//! format ([`WireWriter`]/[`WireReader`]) and travel inside the
-//! CRC-sealed, length-prefixed framing of [`easyhps_net::rpc`]. The
+//! format ([`WireWriter`]/[`WireReader`]) and travel as the payload of
+//! CRC-sealed frames ([`easyhps_net::frame::send_msg`]). The
 //! codec therefore only has to be *unambiguous*; integrity (truncation,
 //! bit flips) is the frame layer's job, and the proptests in this crate
 //! hold every message to the same standard as [`JobSpec`]: no byte
@@ -200,7 +200,7 @@ pub enum Request {
 }
 
 impl Request {
-    /// Encode to bytes (to be sealed by [`easyhps_net::rpc::write_msg`]).
+    /// Encode to bytes (to be sealed by [`easyhps_net::frame::send_msg`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         match self {
@@ -320,7 +320,7 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encode to bytes (to be sealed by [`easyhps_net::rpc::write_msg`]).
+    /// Encode to bytes (to be sealed by [`easyhps_net::frame::send_msg`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         match self {

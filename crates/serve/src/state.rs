@@ -14,14 +14,15 @@
 //! `spec.bin` is written — atomically, via tmp + rename, fsynced — *before*
 //! the daemon acknowledges a submission, so "accepted" and "on disk" are
 //! the same event. `result.bin` is written before the job is reported
-//! done. Both files are CRC-sealed with the workspace frame, so a torn
+//! done. Both files are CRC-sealed (`[crc32c u32 LE | 0x00 | payload]`,
+//! the checksum covering the format byte and the payload), so a torn
 //! write (a crash between `write` and `rename` can leave nothing, but a
 //! corrupting disk can leave garbage) reads as *absent*, never as a
 //! wrong job: a job dir with an unreadable spec was never acknowledged
 //! and is dropped; an unreadable result means the job re-runs from its
 //! `ckpt/` segments.
 
-use easyhps_net::{frame, WireError, WireReader, WireWriter};
+use easyhps_net::{crc32c, WireError, WireReader, WireWriter};
 use easyhps_runtime::remote::JobSpec;
 use std::fs;
 use std::io::{self, Write};
@@ -59,14 +60,23 @@ pub struct JobStore {
     root: PathBuf,
 }
 
-/// Write `bytes` to `path` atomically: tmp file in the same directory,
-/// fsync, rename. Readers see the old content or the new, never a torn
-/// prefix.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Offset of the payload in a sealed file: checksum, then the format
+/// byte (always 0).
+const SEALED_BODY: usize = 5;
+
+/// Seal `payload` and write it to `path` atomically: tmp file in the
+/// same directory, fsync, rename. Readers see the old content or the
+/// new, never a torn prefix.
+fn write_sealed(path: &Path, payload: &[u8]) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(SEALED_BODY + payload.len());
+    buf.extend_from_slice(&[0; SEALED_BODY]);
+    buf.extend_from_slice(payload);
+    let crc = crc32c(&buf[4..]);
+    buf[..4].copy_from_slice(&crc.to_le_bytes());
     let tmp = path.with_extension("tmp");
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        f.write_all(&buf)?;
         f.sync_all()?;
     }
     fs::rename(&tmp, path)
@@ -76,10 +86,8 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// missing, truncated or corrupt — torn state must read as absent.
 fn read_sealed(path: &Path) -> Option<Vec<u8>> {
     let buf = fs::read(path).ok()?;
-    match frame::check(&buf) {
-        Ok(frame::Frame::Raw) => Some(buf[frame::RAW_BODY..].to_vec()),
-        _ => None,
-    }
+    let stored = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?);
+    (buf.get(4) == Some(&0) && crc32c(&buf[4..]) == stored).then(|| buf[SEALED_BODY..].to_vec())
 }
 
 fn decode_spec(payload: &[u8]) -> Result<(u64, String, JobSpec), WireError> {
@@ -131,7 +139,7 @@ impl JobStore {
         w.put_u64(id)
             .put_bytes(tenant.as_bytes())
             .put_bytes(&spec.encode());
-        write_atomic(&dir.join("spec.bin"), &frame::seal_raw(&w.finish()))
+        write_sealed(&dir.join("spec.bin"), &w.finish())
     }
 
     /// Persist a finished result. Must complete before the job is
@@ -148,7 +156,7 @@ impl JobStore {
         fs::create_dir_all(&dir)?;
         let mut w = WireWriter::with_capacity(cells.len() + 32);
         w.put_u32(rows).put_u32(cols).put_u32(crc).put_bytes(cells);
-        write_atomic(&dir.join("result.bin"), &frame::seal_raw(&w.finish()))
+        write_sealed(&dir.join("result.bin"), &w.finish())
     }
 
     /// Remove a job's directory (cancelled jobs must not resurrect on
@@ -223,6 +231,17 @@ mod tests {
         store
             .persist_result(3, 4, 10, 0xFEED, b"cellbytes")
             .unwrap();
+
+        // The on-disk layout is a format, not an implementation detail:
+        // checksum, format byte 0, then the wire-coded fields.
+        let on_disk = fs::read(store.job_dir(3).join("result.bin")).unwrap();
+        let mut want = 0x22c4_24b4u32.to_le_bytes().to_vec();
+        want.push(0);
+        for v in [4u32, 10, 0xFEED, 9] {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        want.extend_from_slice(b"cellbytes");
+        assert_eq!(on_disk, want);
 
         let jobs = store.scan().unwrap();
         assert_eq!(jobs.len(), 2);

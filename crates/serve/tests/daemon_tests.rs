@@ -408,3 +408,92 @@ fn restart_completes_accepted_jobs_bit_identically() {
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A client-submitted spec is outside input: a zero partition side used
+/// to reach the model builder's `assert!` on the fleet thread and in
+/// every slave, taking the whole fleet down with one bad `Submit`. It
+/// must be refused at decode, and the daemon must keep serving.
+#[test]
+fn zero_partition_submit_is_refused_and_the_next_job_still_runs() {
+    let daemon = Daemon::start(local_config("127.0.0.1:0")).unwrap();
+    let mut c = Client::connect(daemon.addr()).unwrap();
+
+    for (pp, tp) in [((0, 6), (1, 1)), ((6, 6), (0, 3)), ((4, 4), (5, 5))] {
+        let mut bad = editdist_spec(b"a poisoned job", b"with no tiles", 6);
+        bad.pp = GridDims::new(pp.0, pp.1);
+        bad.tp = GridDims::new(tp.0, tp.1);
+        match c.submit("mallory", true, bad).unwrap() {
+            Response::Error { message } => {
+                assert!(message.contains("partition"), "{message}")
+            }
+            other => panic!("a spec with pp {pp:?} tp {tp:?} must be refused, got {other:?}"),
+        }
+    }
+
+    // Same client (it redials: the daemon hung up on the bad request),
+    // same fleet, and an honest job completes bit-identically.
+    let good = editdist_spec(b"an honest job follows", b"the poisoned ones", 6);
+    let want = reference_crc(&good);
+    let Response::Done { result, .. } = c.submit_wait("alice", good).unwrap() else {
+        panic!("the next job must run");
+    };
+    assert_eq!(result.crc, want);
+    assert_eq!(counter(&daemon, "serve_jobs_failed"), 0);
+    daemon.stop();
+}
+
+/// The two protocols share one frame format but not one port: a rank
+/// hello sent to the client port, and a client hello sent to a rank
+/// port, are each refused by the one magic check — and neither dialer
+/// hangs waiting for an answer that will not come.
+#[test]
+fn cross_protocol_connections_are_refused_promptly() {
+    use easyhps_net::socket::connect;
+    use easyhps_net::{SocketConfig, SocketListener};
+
+    // A slave dialing the daemon's *client* port.
+    let daemon = Daemon::start(local_config("127.0.0.1:0")).unwrap();
+    let t = Instant::now();
+    let err = connect(daemon.addr(), Some(1), SocketConfig::default(), None)
+        .expect_err("the client port must not admit a rank");
+    assert!(
+        t.elapsed() < Duration::from_secs(5),
+        "refusal took {:?}",
+        t.elapsed()
+    );
+    assert!(
+        err.to_string().contains("rank handshake") && err.to_string().contains("closed"),
+        "the daemon hangs up on a non-client, and the dialer says so: {err}"
+    );
+    // The daemon is unharmed.
+    let mut c = Client::connect(daemon.addr()).unwrap();
+    assert!(matches!(c.stats().unwrap(), Response::Stats { .. }));
+    daemon.stop();
+
+    // A client dialing a master's *rank* port: the master drops it as a
+    // garbage peer and keeps waiting for real slaves.
+    let listener = SocketListener::bind(
+        &NetAddr::parse("127.0.0.1:0").unwrap(),
+        SocketConfig::default(),
+    )
+    .unwrap();
+    let addr = listener.local_addr();
+    let master = std::thread::spawn(move || listener.accept_ranks(1, None));
+    let t = Instant::now();
+    let mut stray = Client::connect(&addr).unwrap();
+    // One attempt only: the bounded retry loop would redial a port that
+    // will never speak this protocol.
+    let err = stray
+        .read_response()
+        .expect_err("a rank port never answers a client");
+    assert!(
+        t.elapsed() < Duration::from_secs(5),
+        "refusal took {:?}",
+        t.elapsed()
+    );
+    assert_ne!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
+    // A real slave is still admitted afterwards.
+    let (slave, _info) = connect(&addr, Some(1), SocketConfig::default(), None).unwrap();
+    let (master_ep, _minfo) = master.join().unwrap().unwrap();
+    assert_eq!((master_ep.n_ranks(), slave.rank().0), (2, 1));
+}

@@ -2,8 +2,9 @@
 //! held to the same standard as the runtime's `JobSpec`: every message
 //! roundtrips exactly, every byte-length prefix of an encoding fails to
 //! decode cleanly (no panic, no hostile-length allocation, no silent
-//! part-read), and any single corrupted byte of a sealed frame is
-//! caught by the CRC before the decoder ever sees it.
+//! part-read), out-of-range partition sizes never decode, and any
+//! single corrupted byte of a message in transit is caught by the frame
+//! layer before the decoder ever sees it.
 
 use easyhps_core::GridDims;
 use easyhps_net::frame;
@@ -119,39 +120,47 @@ proptest! {
         }
     }
 
-    /// The daemon's transport seals every message in a CRC-32C frame.
-    /// Any single corrupted byte of the sealed encoding is rejected at
-    /// the frame layer — the protocol decoder never sees the damage.
+    /// A `Submit` carries outside input straight to the fleet: partition
+    /// sizes the model builder would `assert!` on must fail at decode.
     #[test]
-    fn any_corrupted_request_byte_is_caught(
-        req in arb_request(),
-        pos_frac in 0.0f64..1.0,
-        xor in 1u8..=255,
+    fn out_of_range_partitions_never_decode(
+        spec in arb_spec(),
+        pp in (0u32..4, 0u32..4),
+        tp in (0u32..6, 0u32..6),
     ) {
-        let sealed = frame::seal_raw(&req.encode());
-        prop_assert!(frame::check(&sealed).is_ok(), "the intact frame verifies");
-        let mut buf = sealed.to_vec();
-        let pos = ((buf.len() - 1) as f64 * pos_frac) as usize;
-        buf[pos] ^= xor;
-        prop_assert!(
-            frame::check(&buf).is_err(),
-            "flip at byte {pos}/{} must not verify",
-            buf.len()
-        );
+        let mut spec = spec;
+        spec.pp = GridDims::new(pp.0, pp.1);
+        spec.tp = GridDims::new(tp.0, tp.1);
+        let valid = pp.0 > 0 && pp.1 > 0 && tp.0 > 0 && tp.1 > 0 && tp.0 <= pp.0 && tp.1 <= pp.1;
+        let req = Request::Submit(SubmitReq { tenant: "t".into(), wait: false, spec });
+        prop_assert_eq!(Request::decode(&req.encode()).is_ok(), valid, "pp {:?} tp {:?}", pp, tp);
     }
 
+    /// The daemon's transport is the workspace frame layer. Any single
+    /// corrupted byte of a message in transit — length prefix, header or
+    /// body — is rejected there; the protocol decoder never sees the
+    /// damage. (The frame layer's own properties, for arbitrary payloads
+    /// and across real sockets, are in `easyhps-net`'s `socket_tests`.)
     #[test]
-    fn any_corrupted_response_byte_is_caught(
-        resp in arb_response(),
+    fn any_corrupted_byte_in_transit_is_caught(
+        msg in prop_oneof![
+            arb_request().prop_map(|r| r.encode()),
+            arb_response().prop_map(|r| r.encode()),
+        ],
         pos_frac in 0.0f64..1.0,
         xor in 1u8..=255,
     ) {
-        let sealed = frame::seal_raw(&resp.encode());
-        prop_assert!(frame::check(&sealed).is_ok());
-        let mut buf = sealed.to_vec();
-        let pos = ((buf.len() - 1) as f64 * pos_frac) as usize;
-        buf[pos] ^= xor;
-        prop_assert!(frame::check(&buf).is_err(), "flip at byte {pos}");
+        let mut wire = Vec::new();
+        frame::send_msg(&mut wire, &msg).unwrap();
+        prop_assert_eq!(&frame::recv_msg(&mut &wire[..]).unwrap()[..], &msg[..]);
+        let pos = ((wire.len() - 1) as f64 * pos_frac) as usize;
+        wire[pos] ^= xor;
+        prop_assert!(
+            frame::recv_msg(&mut &wire[..]).is_err(),
+            "flip at byte {}/{} must not be received",
+            pos,
+            wire.len()
+        );
     }
 
     /// Arbitrary bytes through both decoders: errors are fine, panics

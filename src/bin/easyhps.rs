@@ -683,7 +683,7 @@ fn cmd_master(args: &Args) -> Result<(), String> {
 /// Slave half of a multi-process run: connect and serve until the master
 /// ends the run.
 fn cmd_slave(args: &Args) -> Result<(), String> {
-    use easyhps::runtime::remote::{serve_slave, RemoteSlaveOptions};
+    use easyhps::runtime::remote::{serve_slave_jobs, RemoteSlaveOptions};
 
     let addr = args
         .get("connect")
@@ -704,7 +704,7 @@ fn cmd_slave(args: &Args) -> Result<(), String> {
             .map_err(|_| format!("--reconnect-ms: cannot parse '{ms}'"))?;
         opts.socket.reconnect_window = Some(std::time::Duration::from_millis(ms));
     }
-    let stats = serve_slave(opts).map_err(|e| e.to_string())?;
+    let stats = serve_slave_jobs(opts).map_err(|e| e.to_string())?.stats;
     println!(
         "slave done: {} sub-task(s), {} sub-sub-task(s), {} thread failure(s) recovered",
         stats.tasks_done, stats.subtasks_done, stats.thread_failures
