@@ -46,6 +46,11 @@ impl Nussinov {
         }
     }
 
+    /// The sequence being folded.
+    pub fn sequence(&self) -> &[u8] {
+        &self.seq
+    }
+
     fn n(&self) -> u32 {
         self.seq.len() as u32
     }

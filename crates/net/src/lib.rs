@@ -6,8 +6,7 @@
 //! over in-process channels by default, or over real TCP / Unix-domain
 //! sockets ([`socket`]) when master and slaves run as separate OS
 //! processes — plus deterministic fault injection (message drops, rank
-//! death) and latency/bandwidth cost models ([`DelayModel`]) that price
-//! the same traffic on a real interconnect.
+//! death).
 //!
 //! The layers, bottom up, each in one file:
 //!
@@ -44,7 +43,6 @@
 #![warn(rust_2018_idioms)]
 
 mod crc;
-mod delay;
 mod fault;
 pub mod frame;
 mod message;
@@ -55,7 +53,6 @@ mod transport;
 mod wire;
 
 pub use crc::crc32c;
-pub use delay::DelayModel;
 pub use fault::{FaultPlan, LinkSever};
 pub use message::{Envelope, Rank, Tag};
 pub use reliable::{

@@ -23,7 +23,6 @@ use crate::message::{Envelope, Rank, Tag};
 use crate::socket::SocketTx;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -172,8 +171,6 @@ pub struct Endpoint {
     rank: Rank,
     links: Arc<RwLock<Vec<TxLink>>>,
     receiver: Receiver<Inbound>,
-    /// Frames received and verified but not matched by a selective receive.
-    deferred: VecDeque<(Header, Envelope)>,
     dead: Arc<AtomicBool>,
     fault: FaultState,
     stats: NetStats,
@@ -238,7 +235,6 @@ impl Endpoint {
             rank,
             links: Arc::new(RwLock::new(links)),
             receiver,
-            deferred: VecDeque::new(),
             dead: Arc::new(AtomicBool::new(false)),
             fault: FaultState::new(plan),
             stats: NetStats::default(),
@@ -275,8 +271,7 @@ impl Endpoint {
 
     /// A fresh endpoint sharing this one's links and inbound channel —
     /// the per-job view of a persistent fleet connection. The fork gets
-    /// its own deferred queue, fault state (from `plan`), liveness flag
-    /// and statistics; the underlying routes (channels or sockets) are
+    /// its own fault state (from `plan`), liveness flag and statistics; the underlying routes (channels or sockets) are
     /// *shared* (same route table, not a copy), so dropping the fork does
     /// not close any connection while the parent lives and membership
     /// changes made through either are seen by both. Only one of
@@ -287,7 +282,6 @@ impl Endpoint {
             rank: self.rank,
             links: self.links.clone(),
             receiver: self.receiver.clone(),
-            deferred: VecDeque::new(),
             dead: Arc::new(AtomicBool::new(false)),
             fault: FaultState::new(plan),
             stats: NetStats::default(),
@@ -418,17 +412,6 @@ impl Endpoint {
     /// one liveness slice, so a caller looping on this observes a
     /// `kill()` issued while it was parked within roughly that bound.
     pub(crate) fn poll(&mut self, timeout: Duration) -> Result<Arrival, NetError> {
-        if self.deferred.is_empty() {
-            return self.poll_queue(timeout);
-        }
-        self.check_alive()?;
-        let (header, env) = self.deferred.pop_front().expect("non-empty");
-        Ok(Arrival::Frame(header, env))
-    }
-
-    /// [`Endpoint::poll`] past the deferred frames: only what the links
-    /// deliver.
-    fn poll_queue(&mut self, timeout: Duration) -> Result<Arrival, NetError> {
         self.check_alive()?;
         match self.receiver.recv_timeout(timeout.min(ALIVE_SLICE)) {
             Ok(inb) => {
@@ -443,7 +426,7 @@ impl Endpoint {
         }
     }
 
-    /// Blocking receive of the next message (deferred messages first).
+    /// Blocking receive of the next message.
     pub fn recv(&mut self) -> Result<Envelope, NetError> {
         loop {
             if let Arrival::Frame(_, env) = self.poll(ALIVE_SLICE)? {
@@ -470,9 +453,6 @@ impl Endpoint {
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Result<Option<Envelope>, NetError> {
         self.check_alive()?;
-        if let Some((_, env)) = self.deferred.pop_front() {
-            return Ok(Some(env));
-        }
         loop {
             match self.receiver.try_recv() {
                 Ok(inb) => {
@@ -482,24 +462,6 @@ impl Endpoint {
                 }
                 Err(TryRecvError::Empty) => return Ok(None),
                 Err(TryRecvError::Disconnected) => return Err(NetError::Disconnected),
-            }
-        }
-    }
-
-    /// Blocking selective receive: the next message with tag `tag`;
-    /// non-matching messages are deferred (in arrival order) for later
-    /// receives — MPI-style tag matching.
-    pub fn recv_tag(&mut self, tag: Tag) -> Result<Envelope, NetError> {
-        self.check_alive()?;
-        if let Some(i) = self.deferred.iter().position(|(_, e)| e.tag == tag) {
-            return Ok(self.deferred.remove(i).expect("position was valid").1);
-        }
-        loop {
-            if let Arrival::Frame(header, env) = self.poll_queue(ALIVE_SLICE)? {
-                if env.tag == tag {
-                    return Ok(env);
-                }
-                self.deferred.push_back((header, env));
             }
         }
     }
@@ -538,21 +500,6 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(e1.recv().unwrap().tag, Tag(i));
         }
-    }
-
-    #[test]
-    fn selective_receive_defers_other_tags() {
-        let mut eps = Network::new(2);
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        e0.send(Rank(1), Tag(1), b("a")).unwrap();
-        e0.send(Rank(1), Tag(2), b("b")).unwrap();
-        e0.send(Rank(1), Tag(1), b("c")).unwrap();
-        let env = e1.recv_tag(Tag(2)).unwrap();
-        assert_eq!(&env.payload[..], b"b");
-        // Deferred tag-1 messages arrive in order afterwards.
-        assert_eq!(&e1.recv().unwrap().payload[..], b"a");
-        assert_eq!(&e1.recv().unwrap().payload[..], b"c");
     }
 
     #[test]
@@ -613,25 +560,6 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "blocked recv must notice the kill promptly"
         );
-        killer.join().unwrap();
-    }
-
-    /// Same for the selective receive, which has its own blocking loop.
-    #[test]
-    fn kill_interrupts_blocked_recv_tag() {
-        let mut eps = Network::new(2);
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        // A non-matching message must not keep the selective receive alive.
-        e0.send(Rank(1), Tag(1), b("other")).unwrap();
-        let k = e1.kill_handle();
-        let killer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            k.kill();
-        });
-        let start = Instant::now();
-        assert_eq!(e1.recv_tag(Tag(2)).unwrap_err(), NetError::Dead);
-        assert!(start.elapsed() < Duration::from_secs(5));
         killer.join().unwrap();
     }
 

@@ -11,6 +11,7 @@ use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
 use crate::master::{run_master, FleetControl};
+use crate::remote::RemoteProblem;
 use crate::shared_grid::SharedGrid;
 use crate::slave::run_slave_with_storage;
 use crate::storage::SparseGrid;
@@ -389,34 +390,15 @@ impl<P: DpProblem> EasyHps<P> {
     }
 
     /// Reject partition settings the runtime cannot execute, before any
-    /// thread is spawned: a zero side (no cells per sub-task) or a thread
-    /// partition larger than the process tile it is meant to subdivide.
-    /// Non-dividing sizes remain legal — edge sub-tasks are simply ragged.
+    /// thread is spawned ([`RemoteProblem::validate_partitions`] is the
+    /// rule; the defaults always pass it).
     fn validate_partitions(&self) -> Result<(), RuntimeError> {
-        if let Some(pp) = self.process_partition {
-            if pp.rows == 0 || pp.cols == 0 {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "process_partition_size {pp} has a zero side; every process-level \
-                     sub-task needs at least one cell per axis"
-                )));
-            }
-        }
-        if let Some(tp) = self.thread_partition {
-            if tp.rows == 0 || tp.cols == 0 {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "thread_partition_size {tp} has a zero side; every thread-level \
-                     sub-sub-task needs at least one cell per axis"
-                )));
-            }
-            let (pp, _) = self.default_partitions();
-            if tp.rows > pp.rows || tp.cols > pp.cols {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "thread_partition_size {tp} does not fit process_partition_size {pp}; \
-                     a thread tile cannot be larger than the process tile it partitions"
-                )));
-            }
-        }
-        Ok(())
+        let (pp, tp) = self.default_partitions();
+        RemoteProblem::validate_partitions(pp, tp).map_err(|why| {
+            RuntimeError::InvalidConfig(format!(
+                "process_partition_size {pp} / thread_partition_size {tp}: invalid {why}"
+            ))
+        })
     }
 
     /// Build the DAG Data Driven Model this run will use (autotuned

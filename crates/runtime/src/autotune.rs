@@ -17,43 +17,21 @@
 
 use crate::durable::write_atomic;
 use crate::error::RuntimeError;
-use easyhps_core::{GridDims, GridPos};
+use easyhps_core::GridDims;
 use easyhps_dp::DpProblem;
 use easyhps_obs::{MetricValue, Snapshot};
-use easyhps_sim::{simulate, CostModel, SimConfig, SimWorkload};
+use easyhps_sim::{simulate, CostModel, SimConfig, SimWorkload, WorkProfile};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// Work-distribution class of a DP problem, probed from
-/// [`DpProblem::cell_work`] at the matrix corners. The class picks which
-/// simulated workload prices a candidate partitioning.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TuneProfile {
-    /// Constant work per cell (edit distance, LCS, NW — the 2D/0D family).
-    Uniform,
-    /// Work grows as `i + j` (SWGG's row + column scans — 2D/1D).
-    RowCol,
-    /// Upper-triangular with `j - i` work (Nussinov-class gap DPs).
-    Triangular,
-}
-
-impl TuneProfile {
-    fn as_str(&self) -> &'static str {
-        match self {
-            TuneProfile::Uniform => "uniform",
-            TuneProfile::RowCol => "rowcol",
-            TuneProfile::Triangular => "triangular",
-        }
-    }
-}
 
 /// Everything the tuner keys on: the shape of the work and the deployment
 /// executing it. Two runs with the same class share one table entry.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ProblemClass {
-    /// Work-distribution class.
-    pub profile: TuneProfile,
+    /// Work-distribution class, which picks the simulated workload that
+    /// prices a candidate partitioning.
+    pub profile: WorkProfile,
     /// Global matrix dimensions.
     pub dims: GridDims,
     /// Slave nodes in the deployment.
@@ -63,34 +41,26 @@ pub struct ProblemClass {
 }
 
 impl ProblemClass {
-    /// Classify `problem` for a `slaves` x `threads` deployment by probing
-    /// its per-cell work at the matrix corners.
+    /// Classify `problem` for a `slaves` x `threads` deployment.
     pub fn of<P: DpProblem>(problem: &P, slaves: usize, threads: usize) -> Self {
-        let dims = problem.dims();
-        let (r, c) = (dims.rows.max(1) - 1, dims.cols.max(1) - 1);
-        let bottom_left = problem.cell_work(GridPos::new(r, 0));
-        let top_left = problem.cell_work(GridPos::new(0, 0));
-        let bottom_right = problem.cell_work(GridPos::new(r, c));
-        let profile = if r > 0 && bottom_left == 0 {
-            TuneProfile::Triangular
-        } else if top_left == bottom_right {
-            TuneProfile::Uniform
-        } else {
-            TuneProfile::RowCol
-        };
         Self {
-            profile,
-            dims,
+            profile: WorkProfile::of(problem),
+            dims: problem.dims(),
             slaves,
             threads,
         }
     }
 
-    /// The table key: class fields joined into one token.
+    /// The table key: class fields joined into one token. The profile
+    /// spellings are the on-disk format of `easyhps-autotune v1`.
     pub fn key(&self) -> String {
         format!(
             "{}:{}x{}:s{}:t{}",
-            self.profile.as_str(),
+            match self.profile {
+                WorkProfile::Uniform => "uniform",
+                WorkProfile::RowColScan => "rowcol",
+                WorkProfile::TriangularScan => "triangular",
+            },
             self.dims.rows,
             self.dims.cols,
             self.slaves,
@@ -109,9 +79,9 @@ impl ProblemClass {
     fn workload(&self, pps: u32, tps: u32) -> SimWorkload {
         let n = self.side();
         match self.profile {
-            TuneProfile::Uniform => SimWorkload::wavefront(n - 1, pps, tps),
-            TuneProfile::RowCol => SimWorkload::swgg(n - 1, pps, tps),
-            TuneProfile::Triangular => SimWorkload::nussinov(n, pps, tps),
+            WorkProfile::Uniform => SimWorkload::wavefront(n - 1, pps, tps),
+            WorkProfile::RowColScan => SimWorkload::swgg(n - 1, pps, tps),
+            WorkProfile::TriangularScan => SimWorkload::nussinov(n, pps, tps),
         }
     }
 
@@ -444,20 +414,19 @@ mod tests {
         d
     }
 
+    /// The keys are the on-disk vocabulary of `easyhps-autotune v1`:
+    /// these three were captured before the classifier moved into
+    /// `easyhps-sim` and must keep finding the entries old tables hold.
     #[test]
-    fn classifies_problems_by_work_profile() {
+    fn class_keys_are_golden() {
         let a = random_sequence(Alphabet::Dna, 40, 1);
         let b = random_sequence(Alphabet::Dna, 44, 2);
         let edit = EditDistance::new(a.clone(), b.clone());
-        assert_eq!(ProblemClass::of(&edit, 2, 2).profile, TuneProfile::Uniform);
+        assert_eq!(ProblemClass::of(&edit, 2, 2).key(), "uniform:41x45:s2:t2");
         let swgg = SmithWatermanGeneralGap::dna(a, b);
-        assert_eq!(ProblemClass::of(&swgg, 2, 2).profile, TuneProfile::RowCol);
-        let rna = random_sequence(Alphabet::Rna, 50, 3);
-        let nus = Nussinov::new(rna);
-        assert_eq!(
-            ProblemClass::of(&nus, 2, 2).profile,
-            TuneProfile::Triangular
-        );
+        assert_eq!(ProblemClass::of(&swgg, 3, 2).key(), "rowcol:41x45:s3:t2");
+        let nus = Nussinov::new(random_sequence(Alphabet::Rna, 50, 3));
+        assert_eq!(ProblemClass::of(&nus, 2, 4).key(), "triangular:50x50:s2:t4");
     }
 
     #[test]
@@ -514,7 +483,7 @@ mod tests {
         for (class, default_pps, default_tps) in [
             (
                 ProblemClass {
-                    profile: TuneProfile::Uniform,
+                    profile: WorkProfile::Uniform,
                     dims: GridDims::square(201),
                     slaves: 2,
                     threads: 2,
@@ -524,7 +493,7 @@ mod tests {
             ),
             (
                 ProblemClass {
-                    profile: TuneProfile::RowCol,
+                    profile: WorkProfile::RowColScan,
                     dims: GridDims::square(301),
                     slaves: 3,
                     threads: 2,

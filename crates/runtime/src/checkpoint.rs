@@ -15,14 +15,16 @@ use easyhps_net::{WireError, WireReader, WireWriter};
 /// decoder.
 const MAGIC: u32 = 0x4850_5343; // "CSPH"
 
+/// Finished master-DAG sub-tasks: `(dense id, region, cells)`.
+pub(crate) type Entries = Vec<(u32, TileRegion, Vec<u8>)>;
+
 /// A resumable snapshot of a partially executed run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Matrix extent (consistency check on resume).
     rows: u32,
     cols: u32,
-    /// Finished master-DAG sub-tasks: `(dense id, region, cells)`.
-    finished: Vec<(u32, TileRegion, Vec<u8>)>,
+    finished: Entries,
 }
 
 /// Validate a decoded entry set against the claimed matrix extent:
@@ -78,6 +80,55 @@ pub(crate) fn validate_entries(
     Ok(())
 }
 
+/// The one entries codec: `rows, cols, count`, then per entry `id,
+/// region, length-prefixed cell bytes`. A durable segment's body is
+/// exactly this; the in-memory blob is [`MAGIC`] followed by it.
+pub(crate) fn encode_entries(
+    rows: u32,
+    cols: u32,
+    entries: &[(u32, TileRegion, Vec<u8>)],
+) -> Vec<u8> {
+    let payload: usize = entries.iter().map(|(_, _, b)| b.len() + 24).sum();
+    let mut w = WireWriter::with_capacity(16 + payload);
+    w.put_u32(rows).put_u32(cols);
+    w.put_u32(entries.len() as u32);
+    for (id, region, bytes) in entries {
+        w.put_u32(*id)
+            .put_u32(region.row_start)
+            .put_u32(region.row_end)
+            .put_u32(region.col_start)
+            .put_u32(region.col_end)
+            .put_bytes(bytes);
+    }
+    w.finish().to_vec()
+}
+
+/// Decode what [`encode_entries`] wrote, to the end of the reader. Only
+/// the shape and a sane entry count are enforced here; structural
+/// validation ([`validate_entries`]) runs on the set the caller ends up
+/// with (for segments, the merged one).
+pub(crate) fn decode_entries(r: &mut WireReader<'_>) -> Result<(u32, u32, Entries), WireError> {
+    let rows = r.get_u32()?;
+    let cols = r.get_u32()?;
+    let n = r.get_u32()?;
+    // Every entry takes at least 24 bytes (id + region + length
+    // prefix); a count the remaining bytes cannot hold is corrupt.
+    // Checked *before* the allocation sized by it.
+    if n as u64 * 24 > r.remaining() as u64 {
+        return Err(WireError {
+            context: "checkpoint entry count exceeds buffer",
+        });
+    }
+    let mut entries = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        let id = r.get_u32()?;
+        let region = TileRegion::new(r.get_u32()?, r.get_u32()?, r.get_u32()?, r.get_u32()?);
+        entries.push((id, region, r.get_bytes()?));
+    }
+    r.expect_end()?;
+    Ok((rows, cols, entries))
+}
+
 impl Checkpoint {
     /// Capture the finished sub-tasks of a run: `finished` lists dense
     /// master-DAG vertex ids whose regions in `matrix` hold final values.
@@ -105,11 +156,7 @@ impl Checkpoint {
     /// Assemble a checkpoint from already-decoded parts, applying the
     /// same structural validation as [`Self::from_bytes`]. Used by the
     /// durable segment loader after merging on-disk segments.
-    pub(crate) fn from_parts(
-        rows: u32,
-        cols: u32,
-        finished: Vec<(u32, TileRegion, Vec<u8>)>,
-    ) -> Result<Self, WireError> {
+    pub(crate) fn from_parts(rows: u32, cols: u32, finished: Entries) -> Result<Self, WireError> {
         validate_entries(rows, cols, &finished)?;
         Ok(Self {
             rows,
@@ -147,21 +194,11 @@ impl Checkpoint {
         }
     }
 
-    /// Serialize to bytes (stable format: magic, dims, count, entries).
+    /// Serialize to bytes (stable format: magic, then the same body a
+    /// durable segment carries — dims, count, entries).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let body: usize = self.finished.iter().map(|(_, _, b)| b.len() + 24).sum();
-        let mut w = WireWriter::with_capacity(16 + body);
-        w.put_u32(MAGIC).put_u32(self.rows).put_u32(self.cols);
-        w.put_u32(self.finished.len() as u32);
-        for (id, region, bytes) in &self.finished {
-            w.put_u32(*id)
-                .put_u32(region.row_start)
-                .put_u32(region.row_end)
-                .put_u32(region.col_start)
-                .put_u32(region.col_end)
-                .put_bytes(bytes);
-        }
-        w.finish().to_vec()
+        let body = encode_entries(self.rows, self.cols, &self.finished);
+        [&MAGIC.to_le_bytes()[..], &body].concat()
     }
 
     /// Decode from bytes produced by [`Self::to_bytes`], rejecting
@@ -176,25 +213,7 @@ impl Checkpoint {
                 context: "checkpoint magic",
             });
         }
-        let rows = r.get_u32()?;
-        let cols = r.get_u32()?;
-        let n = r.get_u32()?;
-        // Every entry takes at least 24 bytes (id + region + length
-        // prefix); a count the remaining bytes cannot hold is corrupt.
-        // Checked *before* the allocation sized by it.
-        if n as u64 * 24 > r.remaining() as u64 {
-            return Err(WireError {
-                context: "checkpoint entry count exceeds buffer",
-            });
-        }
-        let mut finished = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let id = r.get_u32()?;
-            let region = TileRegion::new(r.get_u32()?, r.get_u32()?, r.get_u32()?, r.get_u32()?);
-            let bytes = r.get_bytes()?;
-            finished.push((id, region, bytes));
-        }
-        r.expect_end()?;
+        let (rows, cols, finished) = decode_entries(&mut r)?;
         Self::from_parts(rows, cols, finished)
     }
 }
@@ -246,6 +265,27 @@ mod tests {
         }
     }
 
+    /// The blob format is an on-disk/over-the-wire contract: these bytes
+    /// were captured before the blob and the durable segment body were
+    /// made to share one codec, and must never move.
+    #[test]
+    fn blob_bytes_are_golden() {
+        let cells: Vec<u8> = (1..=16).collect();
+        let cp =
+            Checkpoint::from_parts(4, 4, vec![(7, TileRegion::new(0, 2, 2, 4), cells)]).unwrap();
+        let golden: &[u8] = &[
+            0x43, 0x53, 0x50, 0x48, // "CSPH"
+            4, 0, 0, 0, 4, 0, 0, 0, // rows, cols
+            1, 0, 0, 0, // one entry
+            7, 0, 0, 0, // vertex id
+            0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, // region
+            16, 0, 0, 0, // cell-bytes length
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+        ];
+        assert_eq!(cp.to_bytes(), golden);
+        assert_eq!(Checkpoint::from_bytes(golden).unwrap(), cp);
+    }
+
     #[test]
     fn rejects_garbage_and_wrong_magic() {
         assert!(Checkpoint::from_bytes(&[1, 2, 3]).is_err());
@@ -271,18 +311,11 @@ mod tests {
     /// Encode a raw checkpoint blob without going through `capture`, so
     /// structurally unsound entry sets can be fed to `from_bytes`.
     fn raw_blob(rows: u32, cols: u32, entries: &[(u32, TileRegion, Vec<u8>)]) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.put_u32(MAGIC).put_u32(rows).put_u32(cols);
-        w.put_u32(entries.len() as u32);
-        for (id, region, bytes) in entries {
-            w.put_u32(*id)
-                .put_u32(region.row_start)
-                .put_u32(region.row_end)
-                .put_u32(region.col_start)
-                .put_u32(region.col_end)
-                .put_bytes(bytes);
-        }
-        w.finish().to_vec()
+        [
+            &MAGIC.to_le_bytes()[..],
+            &encode_entries(rows, cols, entries),
+        ]
+        .concat()
     }
 
     fn region_entry(id: u32, r0: u32, r1: u32, c0: u32, c1: u32) -> (u32, TileRegion, Vec<u8>) {

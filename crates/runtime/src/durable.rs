@@ -32,7 +32,7 @@
 //! [`Checkpoint::from_bytes`], and hands the result to the existing
 //! resume path.
 
-use crate::checkpoint::validate_entries;
+use crate::checkpoint::{decode_entries, encode_entries, validate_entries, Entries};
 use crate::error::RuntimeError;
 use crate::Checkpoint;
 use easyhps_core::TileRegion;
@@ -101,9 +101,6 @@ impl CheckpointPolicy {
     }
 }
 
-/// Entries recorded in a segment: `(dense id, region, cells)`.
-type Entries = Vec<(u32, TileRegion, Vec<u8>)>;
-
 /// What a directory scan recovered.
 struct ScannedDir {
     rows: u32,
@@ -162,51 +159,9 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), RuntimeError
     fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, e))
 }
 
-fn encode_entries_body(rows: u32, cols: u32, entries: &[(u32, TileRegion, Vec<u8>)]) -> Vec<u8> {
-    let payload: usize = entries.iter().map(|(_, _, b)| b.len() + 24).sum();
-    let mut w = WireWriter::with_capacity(12 + payload);
-    w.put_u32(rows).put_u32(cols);
-    w.put_u32(entries.len() as u32);
-    for (id, region, bytes) in entries {
-        w.put_u32(*id)
-            .put_u32(region.row_start)
-            .put_u32(region.row_end)
-            .put_u32(region.col_start)
-            .put_u32(region.col_end)
-            .put_bytes(bytes);
-    }
-    w.finish().to_vec()
-}
-
-/// Decode a segment body (dims + entries). Per-entry structural
-/// validation happens later on the *merged* set; here only the shape and
-/// a sane entry count are enforced.
-fn decode_entries_body(body: &[u8]) -> Result<(u32, u32, Entries), ()> {
-    let mut r = WireReader::new(body);
-    let rows = r.get_u32().map_err(|_| ())?;
-    let cols = r.get_u32().map_err(|_| ())?;
-    let n = r.get_u32().map_err(|_| ())?;
-    if n as u64 * 24 > r.remaining() as u64 {
-        return Err(());
-    }
-    let mut entries = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let id = r.get_u32().map_err(|_| ())?;
-        let region = TileRegion::new(
-            r.get_u32().map_err(|_| ())?,
-            r.get_u32().map_err(|_| ())?,
-            r.get_u32().map_err(|_| ())?,
-            r.get_u32().map_err(|_| ())?,
-        );
-        let bytes = r.get_bytes().map_err(|_| ())?;
-        entries.push((id, region, bytes));
-    }
-    r.expect_end().map_err(|_| ())?;
-    Ok((rows, cols, entries))
-}
-
 fn read_segment(path: &Path) -> Result<(u32, u32, Entries), ()> {
-    decode_entries_body(&read_framed(path, MAGIC_SEG)?)
+    let body = read_framed(path, MAGIC_SEG)?;
+    decode_entries(&mut WireReader::new(&body)).map_err(|_| ())
 }
 
 /// Manifest body: dims + the live segment indices in logical order.
@@ -402,7 +357,7 @@ impl CheckpointStore {
         if fresh.is_empty() {
             return Ok(0);
         }
-        let body = encode_entries_body(self.rows, self.cols, &fresh);
+        let body = encode_entries(self.rows, self.cols, &fresh);
         let file = frame_file(MAGIC_SEG, &body);
         let idx = self.next_seg;
         let path = seg_path(&self.dir, idx);
@@ -440,7 +395,7 @@ impl CheckpointStore {
                 }
             }
         }
-        let body = encode_entries_body(self.rows, self.cols, &entries);
+        let body = encode_entries(self.rows, self.cols, &entries);
         let idx = self.next_seg;
         write_atomic(&seg_path(&self.dir, idx), &frame_file(MAGIC_SEG, &body))?;
         self.next_seg += 1;
@@ -516,6 +471,30 @@ mod tests {
         assert_eq!(cp.finished_len(), 3);
         let ids: Vec<u32> = cp.finished_tasks().map(|v| v.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The segment file format must never move: bytes captured before
+    /// the segment body and the in-memory blob shared one codec.
+    #[test]
+    fn segment_file_bytes_are_golden() {
+        let dir = tmp_dir("golden");
+        let mut st = CheckpointStore::open(&CheckpointPolicy::new(&dir), 4, 4, false).unwrap();
+        let cells: Vec<u8> = (1..=16).collect();
+        st.append(&[(7, TileRegion::new(0, 2, 2, 4), cells)])
+            .unwrap();
+        let golden: &[u8] = &[
+            0x47, 0x45, 0x53, 0x48, // "GESH"
+            0x74, 0x58, 0xA0, 0xBB, // crc32c(body)
+            52, 0, 0, 0, // body length
+            4, 0, 0, 0, 4, 0, 0, 0, // rows, cols
+            1, 0, 0, 0, // one entry
+            7, 0, 0, 0, // vertex id
+            0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, // region
+            16, 0, 0, 0, // cell-bytes length
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+        ];
+        assert_eq!(fs::read(seg_path(&dir, 0)).unwrap(), golden);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -666,14 +645,8 @@ mod tests {
         let dir = tmp_dir("overlap");
         fs::create_dir_all(&dir).unwrap();
         // Hand-craft two valid segments whose regions overlap.
-        let s0 = frame_file(
-            MAGIC_SEG,
-            &encode_entries_body(8, 8, &[entry(0, 0, 2, 0, 2)]),
-        );
-        let s1 = frame_file(
-            MAGIC_SEG,
-            &encode_entries_body(8, 8, &[entry(1, 1, 3, 1, 3)]),
-        );
+        let s0 = frame_file(MAGIC_SEG, &encode_entries(8, 8, &[entry(0, 0, 2, 0, 2)]));
+        let s1 = frame_file(MAGIC_SEG, &encode_entries(8, 8, &[entry(1, 1, 3, 1, 3)]));
         fs::write(seg_path(&dir, 0), s0).unwrap();
         fs::write(seg_path(&dir, 1), s1).unwrap();
         let err = Checkpoint::load_dir(&dir).unwrap_err();

@@ -30,12 +30,10 @@ use crate::durable::CheckpointPolicy;
 use crate::master::{run_master, FleetControl};
 use crate::protocol::tags;
 use crate::remote::{
-    publish_socket_stats, slave_job_loop, with_problem, JobSpec, RemoteOutput, RemoteProblem,
-    SlaveServeSummary,
+    publish_socket_stats, slave_job_loop, JobSpec, RemoteOutput, SlaveServeSummary,
 };
-use crate::RuntimeError;
+use crate::{with_problem, RuntimeError};
 use bytes::Bytes;
-use easyhps_dp::{EditDistance, Lcs, NeedlemanWunsch, Nussinov, SmithWatermanGeneralGap};
 use easyhps_net::socket::{SocketInfo, SocketListener};
 use easyhps_net::{Endpoint, FaultPlan, FleetAcceptor, Network, Rank};
 use std::collections::BTreeSet;
@@ -403,6 +401,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remote::RemoteProblem;
     use easyhps_core::GridDims;
 
     fn editdist_spec(a: &[u8], b: &[u8]) -> JobSpec {

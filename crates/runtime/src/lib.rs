@@ -54,8 +54,13 @@ mod slave;
 mod storage;
 pub mod testing;
 
+// What `with_problem!` expands to, so its callers need no `easyhps-dp`
+// dependency of their own.
+#[doc(hidden)]
+pub use easyhps_dp as __dp;
+
 pub use api::{EasyHps, MemoryMode, RunOutput, TransportKind};
-pub use autotune::{Autotuner, ProblemClass, TuneProfile, TuningEntry, TuningTable};
+pub use autotune::{Autotuner, ProblemClass, TuningEntry, TuningTable};
 pub use checkpoint::Checkpoint;
 pub use config::{Deployment, MasterStats, ObsConfig, RunReport};
 pub use durable::CheckpointPolicy;

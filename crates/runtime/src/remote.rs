@@ -12,9 +12,14 @@
 //! reliable control messages, heartbeats, fault tolerance, durable
 //! checkpoints — is byte-identical to the in-process path.
 //!
-//! The remote problem repertoire is the closed set of workloads the CLI
-//! can name ([`RemoteProblem`]); all of them share `Cell = i32`, which
-//! keeps the wire format and the master's output monomorphic.
+//! [`RemoteProblem`] is the one table of shippable recurrences: the only
+//! map between a workload name and a variant ([`RemoteProblem::NAMES`]),
+//! the only constructors from input sequences, the wire codec, and the
+//! dispatch onto the concrete `easyhps-dp` types ([`with_problem!`]
+//! (crate::with_problem)). The CLI, the stress harness and the serve
+//! daemon all go through it, so adding a recurrence is one more row here.
+//! Every row has `Cell = i32`, which keeps the wire format and the
+//! master's output monomorphic.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
@@ -26,10 +31,8 @@ use crate::storage::SparseGrid;
 use crate::{MemoryMode, RuntimeError};
 use bytes::Bytes;
 use easyhps_core::{DagDataDrivenModel, GridDims, ScheduleMode};
-use easyhps_dp::{
-    DpMatrix, DpProblem, EditDistance, GapPenalty, Lcs, NeedlemanWunsch, Nussinov,
-    SmithWatermanGeneralGap, Substitution,
-};
+use easyhps_dp::sequence::{random_sequence, Alphabet};
+use easyhps_dp::{DpMatrix, DpProblem, GapPenalty, Substitution};
 use easyhps_net::socket::{connect, SocketConfig, SocketInfo, SocketListener};
 use easyhps_net::{NetAddr, Rank, RetryPolicy, WireError, WireReader, WireWriter};
 use easyhps_obs::{labeled, Registry};
@@ -59,7 +62,8 @@ impl SubSpec {
         }
     }
 
-    pub(crate) fn to_substitution(self) -> Substitution {
+    /// The scoring scheme the kernels take.
+    pub fn to_substitution(self) -> Substitution {
         Substitution::Simple {
             match_score: self.match_score,
             mismatch: self.mismatch,
@@ -80,18 +84,8 @@ pub enum GapSpec {
 }
 
 impl GapSpec {
-    /// Convert a runtime [`GapPenalty`] into its wire form; `None` for
-    /// `Custom` closures.
-    pub fn from_penalty(gap: &GapPenalty) -> Option<GapSpec> {
-        match gap {
-            GapPenalty::Linear { per_gap } => Some(GapSpec::Linear(*per_gap)),
-            GapPenalty::Affine { open, extend } => Some(GapSpec::Affine(*open, *extend)),
-            GapPenalty::Logarithmic { a, b } => Some(GapSpec::Logarithmic(*a, *b)),
-            GapPenalty::Custom(_) => None,
-        }
-    }
-
-    pub(crate) fn to_penalty(self) -> GapPenalty {
+    /// The gap function the kernels take.
+    pub fn to_penalty(self) -> GapPenalty {
         match self {
             GapSpec::Linear(per_gap) => GapPenalty::Linear { per_gap },
             GapSpec::Affine(open, extend) => GapPenalty::Affine { open, extend },
@@ -148,26 +142,45 @@ pub enum RemoteProblem {
     },
 }
 
-/// Run the same code for whichever concrete problem the spec describes.
-/// (A macro because the arms need different monomorphic types but
-/// identical bodies, and Rust has no generic closures.)
+/// What a recurrence takes besides its sequences; `None` is the
+/// problem's default. Each problem reads the fields it has.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProblemParams {
+    /// Gap penalty: `swgg` takes any form (default `log:4,2`), `nw` a
+    /// linear one only (default `linear:2`).
+    pub gap: Option<GapSpec>,
+    /// Minimum hairpin loop length of `nussinov` (default 1).
+    pub min_loop: Option<u32>,
+}
+
+/// Run the same code for whichever concrete problem a [`RemoteProblem`]
+/// describes: `with_problem!(&problem, p => body)` evaluates `body` with
+/// `p` bound to the `easyhps-dp` value. (A macro because the arms need
+/// different monomorphic types but identical bodies, and Rust has no
+/// generic closures.)
+#[macro_export]
 macro_rules! with_problem {
     ($problem:expr, $p:ident => $body:expr) => {
         match $problem {
-            RemoteProblem::EditDistance { a, b } => {
-                let $p = EditDistance::new(a.clone(), b.clone());
+            $crate::remote::RemoteProblem::EditDistance { a, b } => {
+                let $p = $crate::__dp::EditDistance::new(a.clone(), b.clone());
                 $body
             }
-            RemoteProblem::Lcs { a, b } => {
-                let $p = Lcs::new(a.clone(), b.clone());
+            $crate::remote::RemoteProblem::Lcs { a, b } => {
+                let $p = $crate::__dp::Lcs::new(a.clone(), b.clone());
                 $body
             }
-            RemoteProblem::NeedlemanWunsch { a, b, sub, gap } => {
-                let $p = NeedlemanWunsch::new(a.clone(), b.clone(), sub.to_substitution(), *gap);
+            $crate::remote::RemoteProblem::NeedlemanWunsch { a, b, sub, gap } => {
+                let $p = $crate::__dp::NeedlemanWunsch::new(
+                    a.clone(),
+                    b.clone(),
+                    sub.to_substitution(),
+                    *gap,
+                );
                 $body
             }
-            RemoteProblem::Swgg { a, b, sub, gap } => {
-                let $p = SmithWatermanGeneralGap::new(
+            $crate::remote::RemoteProblem::Swgg { a, b, sub, gap } => {
+                let $p = $crate::__dp::SmithWatermanGeneralGap::new(
                     a.clone(),
                     b.clone(),
                     sub.to_substitution(),
@@ -175,16 +188,146 @@ macro_rules! with_problem {
                 );
                 $body
             }
-            RemoteProblem::Nussinov { seq, min_loop } => {
-                let $p = Nussinov::with_min_loop(seq.clone(), *min_loop);
+            $crate::remote::RemoteProblem::Nussinov { seq, min_loop } => {
+                let $p = $crate::__dp::Nussinov::with_min_loop(seq.clone(), *min_loop);
                 $body
             }
         }
     };
 }
-pub(crate) use with_problem;
 
 impl RemoteProblem {
+    /// Levenshtein distance.
+    pub const EDITDIST: &'static str = "editdist";
+    /// Smith-Waterman local alignment with a general gap function.
+    pub const SWGG: &'static str = "swgg";
+    /// Nussinov RNA folding.
+    pub const NUSSINOV: &'static str = "nussinov";
+    /// Needleman-Wunsch global alignment.
+    pub const NW: &'static str = "nw";
+    /// Longest common subsequence.
+    pub const LCS: &'static str = "lcs";
+
+    /// Every workload name, in the order seeded harnesses draw from: a
+    /// new name goes at the end, so existing seeds keep their problems.
+    pub const NAMES: [&'static str; 5] = [
+        Self::EDITDIST,
+        Self::SWGG,
+        Self::NUSSINOV,
+        Self::NW,
+        Self::LCS,
+    ];
+
+    /// The [`Self::NAMES`] entry of this problem.
+    pub fn name(&self) -> &'static str {
+        match self {
+            RemoteProblem::EditDistance { .. } => Self::EDITDIST,
+            RemoteProblem::Swgg { .. } => Self::SWGG,
+            RemoteProblem::Nussinov { .. } => Self::NUSSINOV,
+            RemoteProblem::NeedlemanWunsch { .. } => Self::NW,
+            RemoteProblem::Lcs { .. } => Self::LCS,
+        }
+    }
+
+    /// The [`Self::NAMES`] entry spelled `name`.
+    pub fn parse_name(name: &str) -> Result<&'static str, String> {
+        Self::NAMES
+            .into_iter()
+            .find(|n| *n == name)
+            .ok_or_else(|| format!("unknown workload '{name}' ({})", Self::NAMES.join("|")))
+    }
+
+    /// Build the problem `name` over `seqs` (two sequences, or one for
+    /// `nussinov`). Errors are worded for the command line, which is
+    /// where names and parameters come from.
+    pub fn from_sequences(
+        name: &str,
+        seqs: Vec<Vec<u8>>,
+        params: &ProblemParams,
+    ) -> Result<RemoteProblem, String> {
+        let name = Self::parse_name(name)?;
+        let wrong =
+            |n: usize, got: &[Vec<u8>]| format!("{name} needs {n} sequence(s), got {}", got.len());
+        if name == Self::NUSSINOV {
+            let [seq] = <[_; 1]>::try_from(seqs).map_err(|s| wrong(1, &s))?;
+            return Ok(RemoteProblem::Nussinov {
+                seq,
+                min_loop: params.min_loop.unwrap_or(1),
+            });
+        }
+        let [a, b] = <[_; 2]>::try_from(seqs).map_err(|s| wrong(2, &s))?;
+        let sub = SubSpec::dna();
+        Ok(match name {
+            Self::EDITDIST => RemoteProblem::EditDistance { a, b },
+            Self::LCS => RemoteProblem::Lcs { a, b },
+            Self::NW => match params.gap.unwrap_or(GapSpec::Linear(2)) {
+                GapSpec::Linear(gap) if gap >= 0 => {
+                    RemoteProblem::NeedlemanWunsch { a, b, sub, gap }
+                }
+                _ => {
+                    return Err(format!(
+                        "{name} (global alignment) takes a non-negative linear gap only: \
+                         use --gap linear:N"
+                    ))
+                }
+            },
+            _ => RemoteProblem::Swgg {
+                a,
+                b,
+                sub,
+                gap: params.gap.unwrap_or(GapSpec::Logarithmic(4, 2)),
+            },
+        })
+    }
+
+    /// The problem `name` over seeded random input: DNA sequences of
+    /// `len` and `len + 3` symbols from `s1` and `s2` (unequal lengths
+    /// exercise ragged edge tiles), or for `nussinov` one RNA sequence of
+    /// `len + 6` bases from `s1`. Pure: the same arguments give the same
+    /// problem, which is what makes a stress seed reproducible.
+    pub fn random(
+        name: &str,
+        len: usize,
+        s1: u64,
+        s2: u64,
+        params: &ProblemParams,
+    ) -> Result<RemoteProblem, String> {
+        let seqs = if name == Self::NUSSINOV {
+            vec![random_sequence(Alphabet::Rna, len + 6, s1)]
+        } else {
+            vec![
+                random_sequence(Alphabet::Dna, len, s1),
+                random_sequence(Alphabet::Dna, len + 3, s2),
+            ]
+        };
+        Self::from_sequences(name, seqs, params)
+    }
+
+    /// Square partition sizes for this problem: the given sides, or by
+    /// default an eighth of the longer matrix side per process tile and
+    /// a quarter of that per thread tile (both rounded up).
+    pub fn partitions(&self, pps: Option<u32>, tps: Option<u32>) -> (GridDims, GridDims) {
+        let d = self.dims();
+        let pps = pps.unwrap_or(d.rows.max(d.cols).div_ceil(8).max(1));
+        let tps = tps.unwrap_or(pps.div_ceil(4).max(1));
+        (GridDims::square(pps), GridDims::square(tps))
+    }
+
+    /// The one rule for partition sizes, wherever they come from (builder
+    /// calls, command-line flags, a decoded [`JobSpec`]): no zero side —
+    /// every sub-task needs at least one cell per axis — and a thread
+    /// partition no larger than the process partition it subdivides.
+    /// Non-dividing sizes are legal; edge sub-tasks are simply ragged.
+    pub fn validate_partitions(pp: GridDims, tp: GridDims) -> Result<(), &'static str> {
+        if pp.rows == 0 || pp.cols == 0 || tp.rows == 0 || tp.cols == 0 {
+            return Err("partition size (zero side)");
+        }
+        if tp.rows > pp.rows || tp.cols > pp.cols {
+            return Err("thread partition (larger than the process partition)");
+        }
+        Ok(())
+    }
+
     /// Global matrix dimensions of this problem — what the master's DAG
     /// covers, and the cost proxy job schedulers use (`rows * cols`).
     pub fn dims(&self) -> GridDims {
@@ -267,7 +410,16 @@ impl RemoteProblem {
                     match_score: r.get_i64()? as i32,
                     mismatch: r.get_i64()? as i32,
                 },
-                gap: r.get_i64()? as i32,
+                // The kernel asserts the gap is a cost; a negative one
+                // must fail here, not panic a fleet.
+                gap: match r.get_i64()? as i32 {
+                    g if g >= 0 => g,
+                    _ => {
+                        return Err(WireError {
+                            context: "linear gap (negative)",
+                        })
+                    }
+                },
             },
             3 => {
                 let a = r.get_bytes()?;
@@ -449,16 +601,7 @@ impl JobSpec {
         let problem = RemoteProblem::decode_from(&mut r)?;
         let pp = GridDims::new(r.get_u32()?, r.get_u32()?);
         let tp = GridDims::new(r.get_u32()?, r.get_u32()?);
-        if pp.rows == 0 || pp.cols == 0 || tp.rows == 0 || tp.cols == 0 {
-            return Err(WireError {
-                context: "partition size (zero side)",
-            });
-        }
-        if tp.rows > pp.rows || tp.cols > pp.cols {
-            return Err(WireError {
-                context: "thread partition (larger than the process partition)",
-            });
-        }
+        RemoteProblem::validate_partitions(pp, tp).map_err(|context| WireError { context })?;
         let threads_per_slave = r.get_u32()?;
         let process_mode = get_mode(&mut r)?;
         let thread_mode = get_mode(&mut r)?;
@@ -719,43 +862,71 @@ pub fn publish_socket_stats(reg: &Registry, info: &SocketInfo) {
 mod tests {
     use super::*;
 
-    fn spec_roundtrip(problem: RemoteProblem) {
-        let mut spec = JobSpec::new(problem, GridDims::new(8, 8), GridDims::new(4, 4));
-        spec.threads_per_slave = 3;
-        spec.process_mode = ScheduleMode::BlockCyclic { block: 2 };
-        spec.thread_mode = ScheduleMode::ColumnWavefront;
-        spec.task_timeout = Duration::from_millis(777);
-        spec.memory = MemoryMode::Sparse;
-        let decoded = JobSpec::decode(&spec.encode()).unwrap();
-        assert_eq!(decoded, spec);
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The JOB payload and the cache's content key are wire and on-disk
+    /// contracts. One spec per problem, bytes captured before the table
+    /// refactor: the problem's own bytes (= `content_key_bytes`) and the
+    /// knobs every spec appends after them.
     #[test]
-    fn job_spec_roundtrips_every_problem() {
-        spec_roundtrip(RemoteProblem::EditDistance {
-            a: b"kitten".to_vec(),
-            b: b"sitting".to_vec(),
-        });
-        spec_roundtrip(RemoteProblem::Lcs {
-            a: b"abcbdab".to_vec(),
-            b: b"bdcaba".to_vec(),
-        });
-        spec_roundtrip(RemoteProblem::NeedlemanWunsch {
-            a: b"ACGT".to_vec(),
-            b: b"AGT".to_vec(),
-            sub: SubSpec::dna(),
-            gap: 2,
-        });
-        spec_roundtrip(RemoteProblem::Swgg {
-            a: b"ACGTACGT".to_vec(),
-            b: b"TTACGA".to_vec(),
-            sub: SubSpec::dna(),
-            gap: GapSpec::Logarithmic(3, 2),
-        });
-        spec_roundtrip(RemoteProblem::Nussinov {
-            seq: b"GGGAAACCC".to_vec(),
-            min_loop: 3,
-        });
+    fn job_payload_and_content_key_bytes_are_golden() {
+        const KNOBS: &str = "0800000006000000040000000300000003000000010200000002090300000000000014000000000000001900000000000000fa000000000000000a0000008813000000000000803801000000000001";
+        for (problem, key) in [
+            (
+                RemoteProblem::EditDistance {
+                    a: b"kitten".to_vec(),
+                    b: b"sitting".to_vec(),
+                },
+                "00060000006b697474656e0700000073697474696e67",
+            ),
+            (
+                RemoteProblem::Lcs {
+                    a: b"abcbdab".to_vec(),
+                    b: b"bdcaba".to_vec(),
+                },
+                "01070000006162636264616206000000626463616261",
+            ),
+            (
+                RemoteProblem::NeedlemanWunsch {
+                    a: b"ACGT".to_vec(),
+                    b: b"AGT".to_vec(),
+                    sub: SubSpec::dna(),
+                    gap: 2,
+                },
+                "020400000041434754030000004147540200000000000000ffffffffffffffff0200000000000000",
+            ),
+            (
+                RemoteProblem::Swgg {
+                    a: b"ACGTACGT".to_vec(),
+                    b: b"TTACGA".to_vec(),
+                    sub: SubSpec {
+                        match_score: 3,
+                        mismatch: -2,
+                    },
+                    gap: GapSpec::Affine(5, 1),
+                },
+                "03080000004143475441434754060000005454414347410300000000000000feffffffffffffff0105000000000000000100000000000000",
+            ),
+            (
+                RemoteProblem::Nussinov {
+                    seq: b"GGGAAACCC".to_vec(),
+                    min_loop: 3,
+                },
+                "040900000047474741414143434303000000",
+            ),
+        ] {
+            assert_eq!(hex(&problem.content_key_bytes()), key, "{}", problem.name());
+            let mut spec = JobSpec::new(problem, GridDims::new(8, 6), GridDims::new(4, 3));
+            spec.threads_per_slave = 3;
+            spec.process_mode = ScheduleMode::BlockCyclic { block: 2 };
+            spec.thread_mode = ScheduleMode::ColumnWavefront;
+            spec.task_timeout = Duration::from_millis(777);
+            spec.memory = MemoryMode::Sparse;
+            assert_eq!(hex(&spec.encode()), format!("{key}{KNOBS}"));
+            assert_eq!(JobSpec::decode(&spec.encode()).unwrap(), spec);
+        }
     }
 
     #[test]
@@ -817,6 +988,20 @@ mod tests {
         assert!(
             with(&|s| s.tp = GridDims::new(5, 2)).is_err(),
             "tp beyond pp"
+        );
+        let negative_gap = JobSpec::new(
+            RemoteProblem::NeedlemanWunsch {
+                a: b"ACGT".to_vec(),
+                b: b"AGT".to_vec(),
+                sub: SubSpec::dna(),
+                gap: -1,
+            },
+            GridDims::new(4, 4),
+            GridDims::new(2, 2),
+        );
+        assert!(
+            JobSpec::decode(&negative_gap.encode()).is_err(),
+            "the nw kernel asserts its gap is a cost"
         );
         // Unknown enum bytes: locate each kind byte as the one byte that
         // differs between two valid encodings, then write a value no
@@ -885,11 +1070,7 @@ mod tests {
         for s in slaves {
             s.join().unwrap().unwrap();
         }
-        let reference = EditDistance::new(
-            b"the quick brown fox jumps over the lazy dog".to_vec(),
-            b"the quick brown cat naps over the lazy dog".to_vec(),
-        )
-        .solve_sequential();
+        let reference = spec.problem.solve_sequential();
         assert_eq!(out.matrix.get(43, 42), reference.get(43, 42));
         assert_eq!(
             out.report.master.completed,

@@ -23,6 +23,7 @@
 mod cluster;
 mod cost;
 mod experiment;
+pub mod figures;
 mod pool_sim;
 mod report;
 mod workload;

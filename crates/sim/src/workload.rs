@@ -7,7 +7,8 @@
 //! so the simulated load imbalance is the real one.
 
 use easyhps_core::patterns::{RowColumn2D1D, TriangularGap, Wavefront2D};
-use easyhps_core::{DagDataDrivenModel, GridDims, TileRegion};
+use easyhps_core::{DagDataDrivenModel, GridDims, GridPos, TileRegion};
+use easyhps_dp::DpProblem;
 use std::sync::Arc;
 
 /// How work is distributed over the matrix.
@@ -22,6 +23,22 @@ pub enum WorkProfile {
 }
 
 impl WorkProfile {
+    /// Classify a recurrence by probing [`DpProblem::cell_work`] at the
+    /// matrix corners: no work below the diagonal is triangular, equal
+    /// work at the two ends of the diagonal is uniform, anything else
+    /// grows with the row and column scans.
+    pub fn of<P: DpProblem>(problem: &P) -> Self {
+        let dims = problem.dims();
+        let (r, c) = (dims.rows.max(1) - 1, dims.cols.max(1) - 1);
+        if r > 0 && problem.cell_work(GridPos::new(r, 0)) == 0 {
+            WorkProfile::TriangularScan
+        } else if problem.cell_work(GridPos::new(0, 0)) == problem.cell_work(GridPos::new(r, c)) {
+            WorkProfile::Uniform
+        } else {
+            WorkProfile::RowColScan
+        }
+    }
+
     /// Total work of `region` (cells outside a triangular pattern count
     /// zero for [`WorkProfile::TriangularScan`]).
     pub fn region_work(&self, region: TileRegion) -> u64 {
@@ -131,6 +148,19 @@ impl SimWorkload {
         }
     }
 
+    /// The workload a CLI `--workload` spelling names
+    /// (`swgg|nussinov|wavefront`), over sequences of length `len`.
+    pub fn parse(name: &str, len: u32, pps: u32, tps: u32) -> Result<Self, String> {
+        match name {
+            "swgg" => Ok(Self::swgg(len, pps, tps)),
+            "nussinov" => Ok(Self::nussinov(len, pps, tps)),
+            "wavefront" => Ok(Self::wavefront(len, pps, tps)),
+            other => Err(format!(
+                "unknown workload '{other}' (swgg|nussinov|wavefront)"
+            )),
+        }
+    }
+
     /// Work of one cell region under this workload.
     pub fn region_work(&self, region: TileRegion) -> u64 {
         self.profile.region_work(region)
@@ -224,6 +254,19 @@ mod tests {
                 .sum();
             assert_eq!(sim.region_work(region), brute);
         }
+    }
+
+    #[test]
+    fn profile_is_probed_from_cell_work() {
+        use easyhps_dp::sequence::{random_sequence, Alphabet};
+        let a = random_sequence(Alphabet::Dna, 40, 1);
+        let b = random_sequence(Alphabet::Dna, 44, 2);
+        let edit = easyhps_dp::EditDistance::new(a.clone(), b.clone());
+        assert_eq!(WorkProfile::of(&edit), WorkProfile::Uniform);
+        let swgg = easyhps_dp::SmithWatermanGeneralGap::dna(a, b);
+        assert_eq!(WorkProfile::of(&swgg), WorkProfile::RowColScan);
+        let rna = easyhps_dp::Nussinov::new(random_sequence(Alphabet::Rna, 50, 3));
+        assert_eq!(WorkProfile::of(&rna), WorkProfile::TriangularScan);
     }
 
     #[test]

@@ -19,3 +19,12 @@ fn nussinov_scaling_series_matches_golden_csv() {
          figures (see EXPERIMENTS.md)"
     );
 }
+
+/// What the figures *say*, not only that they repeat: `easyhps figures
+/// fig14 --csv` (the cheapest figure at paper scale) must print the bytes
+/// the `figures` binary printed before it moved into this crate.
+#[test]
+fn fig14_csv_matches_golden_bytes() {
+    let csv = easyhps_sim::figures::render("fig14", true).expect("fig14 is a figure");
+    assert_eq!(csv, include_str!("golden_fig14.csv"));
+}

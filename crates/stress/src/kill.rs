@@ -19,14 +19,13 @@
 //! 4. with a corrupting link, flipped frames are caught by the CRC
 //!    check, never silently decoded.
 
-use crate::plan::{mix64, StressConfig, Workload};
+use crate::plan::{draw_workload, mix64, seeded_problem, StressConfig};
 use crate::run::Verdict;
-use easyhps_dp::sequence::{random_sequence, Alphabet};
-use easyhps_dp::{
-    DpProblem, EditDistance, Lcs, NeedlemanWunsch, Nussinov, SmithWatermanGeneralGap,
-};
+use easyhps_dp::DpProblem;
 use easyhps_net::FaultPlan;
-use easyhps_runtime::{Checkpoint, CheckpointPolicy, EasyHps, RunOutput, RuntimeError};
+use easyhps_runtime::{
+    with_problem, Checkpoint, CheckpointPolicy, EasyHps, RunOutput, RuntimeError,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -42,8 +41,8 @@ pub struct KillPlan {
     pub seed: u64,
     /// Slave count (the master is rank 0 on top).
     pub slaves: usize,
-    /// Which DP problem to run.
-    pub workload: Workload,
+    /// Which DP problem to run: a `RemoteProblem::NAMES` entry.
+    pub workload: &'static str,
     /// Input sequence length.
     pub len: u32,
     /// The master endpoint dies after this many send attempts.
@@ -68,11 +67,7 @@ impl KillPlan {
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(mix64(seed ^ 0x6b17));
         let slaves = rng.random_range(2..=3usize);
-        let workload = match rng.random_range(0..3u32) {
-            0 => Workload::EditDist,
-            1 => Workload::Swgg,
-            _ => Workload::Nussinov,
-        };
+        let workload = draw_workload(&mut rng);
         let len = 26 + rng.random_range(0..8u32);
         // 25-ish tiles need well over 50 sends (ASSIGNs + acks) to
         // finish; this budget ranges from "dies almost immediately" to
@@ -139,47 +134,9 @@ impl KillOutcome {
 pub fn run_kill_seed(seed: u64, cfg: &StressConfig) -> KillOutcome {
     let t0 = Instant::now();
     let plan = KillPlan::from_seed(seed);
-    let n = plan.len as usize;
-    let s1 = mix64(seed ^ 0xa5a5);
-    let s2 = mix64(seed ^ 0x5a5a);
-    let violations = match plan.workload {
-        Workload::EditDist => drive_kill(
-            &plan,
-            cfg,
-            EditDistance::new(
-                random_sequence(Alphabet::Dna, n, s1),
-                random_sequence(Alphabet::Dna, n + 3, s2),
-            ),
-        ),
-        Workload::Swgg => drive_kill(
-            &plan,
-            cfg,
-            SmithWatermanGeneralGap::dna(
-                random_sequence(Alphabet::Dna, n, s1),
-                random_sequence(Alphabet::Dna, n + 3, s2),
-            ),
-        ),
-        Workload::Nussinov => drive_kill(
-            &plan,
-            cfg,
-            Nussinov::new(random_sequence(Alphabet::Rna, n + 6, s1)),
-        ),
-        Workload::Nw => drive_kill(
-            &plan,
-            cfg,
-            NeedlemanWunsch::dna(
-                random_sequence(Alphabet::Dna, n, s1),
-                random_sequence(Alphabet::Dna, n + 3, s2),
-            ),
-        ),
-        Workload::Lcs => drive_kill(
-            &plan,
-            cfg,
-            Lcs::new(
-                random_sequence(Alphabet::Dna, n, s1),
-                random_sequence(Alphabet::Dna, n + 3, s2),
-            ),
-        ),
+    let violations = match seeded_problem(plan.workload, plan.len, seed) {
+        Ok(problem) => with_problem!(&problem, p => drive_kill(&plan, cfg, p)),
+        Err(e) => vec![format!("run failed: {e}")],
     };
     KillOutcome {
         plan,

@@ -46,6 +46,6 @@ mod run;
 mod shrink;
 
 pub use kill::{run_kill_seed, KillOutcome, KillPlan};
-pub use plan::{FaultClause, StressConfig, StressPlan, Workload};
+pub use plan::{FaultClause, StressConfig, StressPlan};
 pub use run::{run_plan, run_seed, SeedOutcome, Verdict};
 pub use shrink::shrink;

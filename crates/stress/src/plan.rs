@@ -10,61 +10,12 @@
 //! description renders identically everywhere.
 
 use easyhps_core::ScheduleMode;
+use easyhps_runtime::remote::{ProblemParams, RemoteProblem};
 use easyhps_runtime::TransportKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::time::Duration;
-
-/// Which DP kernel a stress run drives.
-///
-/// The first three are drawn from the seed; `Nw` and `Lcs` are pin-only
-/// (`--workload nw|lcs`) so their addition does not perturb the draw
-/// order that existing seeds' schedules depend on. They exist to sweep
-/// the invariants with the anti-diagonal SIMD kernels selected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Workload {
-    /// Edit distance (dense wavefront, bit-parallel Myers kernel).
-    EditDist,
-    /// Smith-Waterman with general gaps (wavefront + column/row lookback).
-    Swgg,
-    /// Nussinov RNA folding (triangular pattern, sparse).
-    Nussinov,
-    /// Needleman-Wunsch global alignment (anti-diagonal SIMD kernel).
-    /// Pin-only: never drawn from a seed.
-    Nw,
-    /// Longest common subsequence (anti-diagonal SIMD kernel). Pin-only:
-    /// never drawn from a seed.
-    Lcs,
-}
-
-impl Workload {
-    /// Parse a CLI spelling.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "editdist" => Ok(Self::EditDist),
-            "swgg" => Ok(Self::Swgg),
-            "nussinov" => Ok(Self::Nussinov),
-            "nw" => Ok(Self::Nw),
-            "lcs" => Ok(Self::Lcs),
-            other => Err(format!(
-                "unknown workload '{other}' (editdist|swgg|nussinov|nw|lcs)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for Workload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Self::EditDist => "editdist",
-            Self::Swgg => "swgg",
-            Self::Nussinov => "nussinov",
-            Self::Nw => "nw",
-            Self::Lcs => "lcs",
-        })
-    }
-}
 
 /// One adversarial ingredient of a stress schedule. Probabilities are in
 /// permille so plans describe (and reproduce) exactly.
@@ -182,8 +133,9 @@ pub struct StressConfig {
     pub mode: ScheduleMode,
     /// Pin the slave count (otherwise 2..=3 from the seed).
     pub slaves: Option<usize>,
-    /// Pin the workload (otherwise drawn from the seed).
-    pub workload: Option<Workload>,
+    /// Pin the workload to a [`RemoteProblem::NAMES`] entry (otherwise
+    /// drawn from the seed).
+    pub workload: Option<&'static str>,
     /// Kill a run (and fail the seed) after this long with no result.
     pub hang_timeout: Duration,
     /// Minimize failing fault schedules before reporting.
@@ -217,8 +169,8 @@ pub struct StressPlan {
     pub mode: ScheduleMode,
     /// Number of slaves.
     pub slaves: usize,
-    /// Kernel under test.
-    pub workload: Workload,
+    /// Kernel under test: a [`RemoteProblem::NAMES`] entry.
+    pub workload: &'static str,
     /// Input sequence length.
     pub len: u32,
     /// The adversarial ingredients, in derivation order. Clause indices
@@ -236,6 +188,27 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The workload every seeded drill draws: one of the first three
+/// [`RemoteProblem::NAMES`]. Later names are pin-only (`--workload
+/// nw|lcs`), so adding one never perturbs the draw order that existing
+/// seeds' schedules depend on.
+pub(crate) fn draw_workload(rng: &mut StdRng) -> &'static str {
+    RemoteProblem::NAMES[rng.random_range(0..3u32) as usize]
+}
+
+/// The problem a drill of `workload` at `len` under `seed` runs: the
+/// input sequences derive from the seed too, so the whole run is one
+/// number.
+pub(crate) fn seeded_problem(workload: &str, len: u32, seed: u64) -> Result<RemoteProblem, String> {
+    RemoteProblem::random(
+        workload,
+        len as usize,
+        mix64(seed ^ 0xa5a5),
+        mix64(seed ^ 0x5a5a),
+        &ProblemParams::default(),
+    )
+}
+
 impl StressPlan {
     /// Derive the plan for `seed` under `cfg`. Pure: same inputs, same
     /// plan, always.
@@ -246,11 +219,7 @@ impl StressPlan {
         // draws so `--slaves 3` does not reshuffle the rest of the plan.
         let drawn_slaves = rng.random_range(2..=3usize);
         let slaves = cfg.slaves.unwrap_or(drawn_slaves);
-        let drawn_workload = match rng.random_range(0..3u32) {
-            0 => Workload::EditDist,
-            1 => Workload::Swgg,
-            _ => Workload::Nussinov,
-        };
+        let drawn_workload = draw_workload(&mut rng);
         let workload = cfg.workload.unwrap_or(drawn_workload);
         let len = 26 + rng.random_range(0..8u32);
 
@@ -322,6 +291,11 @@ impl StressPlan {
             len,
             clauses,
         }
+    }
+
+    /// The problem this plan runs.
+    pub fn problem(&self) -> Result<RemoteProblem, String> {
+        seeded_problem(self.workload, self.len, self.seed)
     }
 
     /// The same plan with only the clauses at `keep` (original indices)

@@ -1,15 +1,12 @@
 //! Executing one stress plan against the real runtime and checking the
 //! run invariants.
 
-use crate::plan::{mix64, FaultClause, StressConfig, StressPlan, Workload};
+use crate::plan::{mix64, FaultClause, StressConfig, StressPlan};
 use crate::shrink::shrink;
-use easyhps_dp::sequence::{random_sequence, Alphabet};
-use easyhps_dp::{
-    DpProblem, EditDistance, Lcs, NeedlemanWunsch, Nussinov, SmithWatermanGeneralGap,
-};
+use easyhps_dp::DpProblem;
 use easyhps_net::FaultPlan;
 use easyhps_runtime::testing::StallProblem;
-use easyhps_runtime::{tags, EasyHps, RunOutput};
+use easyhps_runtime::{tags, with_problem, EasyHps, RunOutput};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -111,49 +108,9 @@ pub fn run_seed(seed: u64, cfg: &StressConfig) -> SeedOutcome {
 /// Run one plan against the real runtime; return the invariant
 /// violations (empty = pass).
 pub fn run_plan(plan: &StressPlan, cfg: &StressConfig) -> Vec<String> {
-    let n = plan.len;
-    // Input sequences derive from the seed too, so the whole run is one
-    // number.
-    let s1 = mix64(plan.seed ^ 0xa5a5);
-    let s2 = mix64(plan.seed ^ 0x5a5a);
-    match plan.workload {
-        Workload::EditDist => drive(
-            plan,
-            cfg,
-            EditDistance::new(
-                random_sequence(Alphabet::Dna, n as usize, s1),
-                random_sequence(Alphabet::Dna, n as usize + 3, s2),
-            ),
-        ),
-        Workload::Swgg => drive(
-            plan,
-            cfg,
-            SmithWatermanGeneralGap::dna(
-                random_sequence(Alphabet::Dna, n as usize, s1),
-                random_sequence(Alphabet::Dna, n as usize + 3, s2),
-            ),
-        ),
-        Workload::Nussinov => drive(
-            plan,
-            cfg,
-            Nussinov::new(random_sequence(Alphabet::Rna, n as usize + 6, s1)),
-        ),
-        Workload::Nw => drive(
-            plan,
-            cfg,
-            NeedlemanWunsch::dna(
-                random_sequence(Alphabet::Dna, n as usize, s1),
-                random_sequence(Alphabet::Dna, n as usize + 3, s2),
-            ),
-        ),
-        Workload::Lcs => drive(
-            plan,
-            cfg,
-            Lcs::new(
-                random_sequence(Alphabet::Dna, n as usize, s1),
-                random_sequence(Alphabet::Dna, n as usize + 3, s2),
-            ),
-        ),
+    match plan.problem() {
+        Ok(problem) => with_problem!(&problem, p => drive(plan, cfg, p)),
+        Err(e) => vec![format!("run failed: {e}")],
     }
 }
 

@@ -8,7 +8,6 @@
 use easyhps_core::ScheduleMode;
 use easyhps_stress::{
     run_kill_seed, run_plan, run_seed, FaultClause, KillPlan, StressConfig, StressPlan, Verdict,
-    Workload,
 };
 use std::time::Duration;
 
@@ -73,7 +72,7 @@ fn crash_with_nothing_overdue_does_not_deadlock_static_modes() {
         seed: 66,
         mode: ScheduleMode::ColumnWavefront,
         slaves: 2,
-        workload: Workload::Swgg,
+        workload: "swgg",
         len: 32,
         clauses: vec![
             FaultClause::Crash {
@@ -110,7 +109,7 @@ fn heartbeat_starvation_of_the_last_slave_is_survivable() {
         seed: 23,
         mode: ScheduleMode::Dynamic,
         slaves: 2,
-        workload: Workload::Nussinov,
+        workload: "nussinov",
         len: 31,
         clauses: vec![
             FaultClause::LinkChaos {
@@ -151,7 +150,7 @@ fn a_severed_tcp_link_heals_by_reconnecting() {
         seed: 777,
         mode: ScheduleMode::Dynamic,
         slaves: 2,
-        workload: Workload::Swgg,
+        workload: "swgg",
         len: 48,
         clauses: vec![FaultClause::LinkSever {
             rank: 1,

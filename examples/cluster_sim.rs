@@ -3,7 +3,7 @@
 //! scheduling buy over the static block-cyclic wavefront?
 //!
 //! This drives the same machinery that regenerates the paper's figures
-//! (see `cargo run --release -p easyhps-bench --bin figures`), at a scale
+//! (see `cargo run --release --bin easyhps -- figures`), at a scale
 //! that finishes in a couple of seconds.
 //!
 //! ```text

@@ -3,8 +3,9 @@
 //! ```text
 //! easyhps align <fasta>   [--global] [--gap log:4,2|affine:4,1|linear:2]
 //!                         [--slaves N] [--threads N] [--pps N] [--tps N]
-//! easyhps fold  <fasta>   [--min-loop N] [--slaves N] [--threads N]
-//! easyhps editdist <a> <b>
+//! easyhps fold  <fasta>   [--min-loop N] [--slaves N] [--threads N] [--pps N] [--tps N]
+//! easyhps editdist <a> <b> [--slaves N] [--threads N] [--pps N] [--tps N]
+//! easyhps figures [fig13|fig14|fig15|fig16|fig17|table1|all]... [--csv]
 //! easyhps sim   [--workload swgg|nussinov|wavefront] [--len N]
 //!               [--nodes X] [--cores Y] [--policy dynamic|bcw|cw] [--gantt]
 //!               [--trace-out PATH]
@@ -38,9 +39,13 @@
 //! easyhps drain  --connect ADDR RANK
 //! ```
 //!
-//! `align` and `fold` run the real multilevel runtime on the input;
-//! `sim` runs the deterministic cluster simulator and can print a Gantt
-//! chart of the schedule; `explore` *enumerates* master-scheduler event
+//! `align`, `fold` and `editdist` run the real multilevel runtime on the
+//! input (`align --global` is Needleman-Wunsch and takes `--gap linear:N`
+//! only); `sim` runs the deterministic cluster simulator and can print a
+//! Gantt chart of the schedule; `figures` regenerates the paper's
+//! evaluation (§VI) from the simulator at the paper's own parameters —
+//! deterministic, byte-identical run to run, minutes for `all`;
+//! `explore` *enumerates* master-scheduler event
 //! orderings on a fault-free virtual cluster (bounded-depth reordering,
 //! CHESS-style) and checks the schedule invariants on every explored
 //! order — complementary to `stress`, which *samples* interleavings with
@@ -106,11 +111,11 @@
 //! Every other command exits `0` on success and `1` on any error.
 
 use easyhps::dp::sequence::parse_fasta;
-use easyhps::dp::{
-    EditDistance, GapPenalty, NeedlemanWunsch, Nussinov, SmithWatermanGeneralGap, Substitution,
-};
+use easyhps::dp::{EditDistance, Lcs, NeedlemanWunsch, Nussinov, SmithWatermanGeneralGap};
+use easyhps::runtime::remote::{GapSpec, JobSpec, ProblemParams, RemoteProblem};
+use easyhps::runtime::with_problem;
 use easyhps::sim::{sequential_ns, simulate_traced, CostModel, Experiment, SimWorkload};
-use easyhps::{EasyHps, ScheduleMode};
+use easyhps::{Checkpoint, CheckpointPolicy, DpMatrix, EasyHps, ScheduleMode};
 use std::process::ExitCode;
 
 /// Minimal flag parser: positionals plus `--key value` / `--flag` pairs.
@@ -163,60 +168,48 @@ impl Args {
             .collect()
     }
 
+    fn get_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name}: cannot parse '{v}'"))
+            })
+            .transpose()
+    }
+
     fn get_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name}: cannot parse '{v}'")),
-        }
+        Ok(self.get_opt(name)?.unwrap_or(default))
     }
 }
 
-/// Apply the observability flags shared by every runtime command:
-/// `--metrics` and `--trace-out PATH`.
-fn with_obs_flags<P: easyhps::dp::DpProblem>(mut hps: EasyHps<P>, args: &Args) -> EasyHps<P> {
-    if args.has("metrics") {
-        hps = hps.metrics(true);
-    }
-    if let Some(path) = args.get("trace-out") {
-        hps = hps.trace_out(path);
-    }
-    hps
-}
-
-/// Apply the durable-recovery flags shared by every runtime command:
-/// `--checkpoint-dir DIR`, `--checkpoint-every N`, `--resume`.
-fn with_recovery_flags<P: easyhps::dp::DpProblem>(
-    mut hps: EasyHps<P>,
-    args: &Args,
-) -> Result<EasyHps<P>, String> {
+/// The durable-recovery flags every runtime command and `master` share:
+/// `--checkpoint-dir DIR`, `--checkpoint-every N`, `--resume`. Returns
+/// the policy to checkpoint under and the progress to resume from.
+fn recovery_flags(args: &Args) -> Result<(Option<CheckpointPolicy>, Option<Checkpoint>), String> {
     let Some(dir) = args.get("checkpoint-dir") else {
         if args.has("resume") {
             return Err("--resume needs --checkpoint-dir".into());
         }
-        return Ok(hps);
+        return Ok((None, None));
     };
-    let mut policy = easyhps::CheckpointPolicy::new(dir);
-    if let Some(n) = args.get("checkpoint-every") {
-        let n: u64 = n
-            .parse()
-            .map_err(|_| format!("--checkpoint-every: cannot parse '{n}'"))?;
+    let mut policy = CheckpointPolicy::new(dir);
+    if let Some(n) = args.get_opt("checkpoint-every")? {
         policy = policy.with_every_tiles(n);
     }
-    hps = hps.checkpoint(policy);
-    if args.has("resume") {
-        // An empty or missing directory resumes from nothing — the run
-        // simply starts fresh and begins checkpointing into it.
-        if let Some(cp) = easyhps::Checkpoint::load_dir(dir).map_err(|e| e.to_string())? {
-            println!(
-                "resuming: {} finished tile(s) restored from {dir}",
-                cp.finished_len()
-            );
-            hps = hps.resume_from(cp);
-        }
+    // An empty or missing directory resumes from nothing — the run
+    // simply starts fresh and begins checkpointing into it.
+    let resume = if args.has("resume") {
+        Checkpoint::load_dir(dir).map_err(|e| e.to_string())?
+    } else {
+        None
+    };
+    if let Some(cp) = &resume {
+        println!(
+            "resuming: {} finished tile(s) restored from {dir}",
+            cp.finished_len()
+        );
     }
-    Ok(hps)
+    Ok((Some(policy), resume))
 }
 
 /// Print the run's metrics exposition when `--metrics` asked for one.
@@ -227,7 +220,7 @@ fn print_metrics<C: easyhps::dp::Cell>(out: &easyhps::RunOutput<C>) {
 }
 
 /// Parse a gap spec like `log:4,2`, `affine:4,1`, `linear:2`.
-fn parse_gap(spec: &str) -> Result<GapPenalty, String> {
+fn parse_gap(spec: &str) -> Result<GapSpec, String> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
     let nums: Vec<i32> = if rest.is_empty() {
         vec![]
@@ -241,12 +234,9 @@ fn parse_gap(spec: &str) -> Result<GapPenalty, String> {
             .collect::<Result<_, _>>()?
     };
     match (kind, nums.as_slice()) {
-        ("linear", [g]) => Ok(GapPenalty::Linear { per_gap: *g }),
-        ("affine", [o, e]) => Ok(GapPenalty::Affine {
-            open: *o,
-            extend: *e,
-        }),
-        ("log", [a, b]) => Ok(GapPenalty::Logarithmic { a: *a, b: *b }),
+        ("linear", [g]) => Ok(GapSpec::Linear(*g)),
+        ("affine", [o, e]) => Ok(GapSpec::Affine(*o, *e)),
+        ("log", [a, b]) => Ok(GapSpec::Logarithmic(*a, *b)),
         _ => Err(format!(
             "gap spec '{spec}' not understood (use linear:N, affine:O,E or log:A,B)"
         )),
@@ -262,118 +252,188 @@ fn parse_policy(spec: &str) -> Result<ScheduleMode, String> {
     }
 }
 
-fn read_fasta_pair(path: &str) -> Result<(Vec<u8>, Vec<u8>), String> {
+/// The records of a FASTA file, at least `n` of them.
+fn read_fasta(path: &str, n: usize) -> Result<Vec<(String, Vec<u8>)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let records = parse_fasta(&text);
-    match records.len() {
-        0 | 1 => Err(format!(
-            "{path}: need two FASTA records, found {}",
+    if records.len() < n {
+        return Err(format!(
+            "{path}: need {n} FASTA record(s), found {}",
             records.len()
-        )),
-        _ => Ok((records[0].1.clone(), records[1].1.clone())),
+        ));
     }
+    Ok(records)
+}
+
+/// The problem a command runs: the [`RemoteProblem::NAMES`] entry `name`
+/// over `seqs`, or with none given over `--len N` (`--seed S`)
+/// deterministic random ones, parameterised by `--gap SPEC` (`--gap-per
+/// N` spells `--gap linear:N`) and `--min-loop N`. Every command that
+/// takes a problem builds it here.
+fn build_problem(args: &Args, name: &str, seqs: Vec<Vec<u8>>) -> Result<RemoteProblem, String> {
+    let name = RemoteProblem::parse_name(name)?;
+    let gap = match args.get("gap") {
+        Some(spec) => Some(parse_gap(spec)?),
+        None => args.get_opt("gap-per")?.map(GapSpec::Linear),
+    };
+    let params = ProblemParams {
+        gap,
+        min_loop: args.get_opt("min-loop")?,
+    };
+    if !seqs.is_empty() {
+        return RemoteProblem::from_sequences(name, seqs, &params);
+    }
+    let len = args.get_num("len", 0usize)?;
+    if len == 0 {
+        return Err(
+            "give sequences as arguments, or --len N (with --seed S) for random input".into(),
+        );
+    }
+    let seed = args.get_num("seed", 1u64)?;
+    let sub_seed = |i: u64| seed.wrapping_add(i).wrapping_mul(0x9e3779b97f4a7c15);
+    RemoteProblem::random(name, len, sub_seed(0), sub_seed(1), &params)
+}
+
+/// What a command prints for a finished matrix — the only per-problem
+/// code in this file. `label` is the input's FASTA record name. The
+/// default is the score in the matrix corner, which is what a distance
+/// or a subsequence length is.
+trait Report {
+    fn report(&self, m: &DpMatrix<i32>, _label: &str) -> String {
+        let d = m.dims();
+        m.get(d.rows - 1, d.cols - 1).to_string()
+    }
+}
+
+impl Report for EditDistance {}
+impl Report for Lcs {}
+
+impl Report for NeedlemanWunsch {
+    fn report(&self, m: &DpMatrix<i32>, _label: &str) -> String {
+        self.traceback(m).to_string()
+    }
+}
+
+impl Report for SmithWatermanGeneralGap {
+    fn report(&self, m: &DpMatrix<i32>, _label: &str) -> String {
+        self.traceback(m).to_string()
+    }
+}
+
+impl Report for Nussinov {
+    fn report(&self, m: &DpMatrix<i32>, label: &str) -> String {
+        let pairs = self.traceback(m);
+        format!(
+            "> {label}: {} base pairs\n{}\n{}",
+            pairs.len(),
+            String::from_utf8_lossy(self.sequence()),
+            self.dot_bracket(&pairs)
+        )
+    }
+}
+
+/// Run `problem` on the in-process virtual cluster and print its report:
+/// the one path behind `align`, `fold` and `editdist`, so all three take
+/// `--slaves/--threads/--pps/--tps` plus the observability and recovery
+/// flags.
+fn run_in_process(args: &Args, problem: &RemoteProblem, label: &str) -> Result<(), String> {
+    let (pp, tp) = problem.partitions(args.get_opt("pps")?, args.get_opt("tps")?);
+    let slaves = args.get_num("slaves", 2usize)?;
+    let threads = args.get_num("threads", 2usize)?;
+    let (checkpoint, resume) = recovery_flags(args)?;
+    with_problem!(problem, p => {
+        let mut hps = EasyHps::new(p.clone())
+            .process_partition(pp)
+            .thread_partition(tp)
+            .slaves(slaves)
+            .threads_per_slave(threads)
+            .metrics(args.has("metrics"));
+        if let Some(path) = args.get("trace-out") {
+            hps = hps.trace_out(path);
+        }
+        if let Some(policy) = checkpoint {
+            hps = hps.checkpoint(policy);
+        }
+        if let Some(cp) = resume {
+            hps = hps.resume_from(cp);
+        }
+        let out = hps.run().map_err(|e| e.to_string())?;
+        println!("{}", p.report(&out.matrix, label));
+        print_metrics(&out);
+    });
+    Ok(())
 }
 
 fn cmd_align(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("align: missing FASTA path")?;
-    let (a, b) = read_fasta_pair(path)?;
-    let slaves = args.get_num("slaves", 2usize)?;
-    let threads = args.get_num("threads", 2usize)?;
-    let n = a.len().max(b.len()) as u32 + 1;
-    let pps = args.get_num("pps", n.div_ceil(8).max(1))?;
-    let tps = args.get_num("tps", pps.div_ceil(4).max(1))?;
-    let gap = parse_gap(args.get("gap").unwrap_or("log:4,2"))?;
-
-    if args.has("global") {
-        let per_gap = match gap {
-            GapPenalty::Linear { per_gap } => per_gap,
-            _ => 2,
-        };
-        let p = NeedlemanWunsch::new(a.clone(), b.clone(), Substitution::dna_default(), per_gap);
-        let hps = EasyHps::new(p)
-            .process_partition((pps, pps))
-            .thread_partition((tps, tps))
-            .slaves(slaves)
-            .threads_per_slave(threads);
-        let hps = with_recovery_flags(with_obs_flags(hps, args), args)?;
-        let out = hps.run().map_err(|e| e.to_string())?;
-        let p = NeedlemanWunsch::new(a, b, Substitution::dna_default(), per_gap);
-        println!("{}", p.traceback(&out.matrix));
-        print_metrics(&out);
+    let seqs = read_fasta(path, 2)?.into_iter().take(2).map(|r| r.1);
+    let name = if args.has("global") {
+        RemoteProblem::NW
     } else {
-        let p = SmithWatermanGeneralGap::new(
-            a.clone(),
-            b.clone(),
-            Substitution::dna_default(),
-            gap.clone(),
-        );
-        let hps = EasyHps::new(p)
-            .process_partition((pps, pps))
-            .thread_partition((tps, tps))
-            .slaves(slaves)
-            .threads_per_slave(threads);
-        let hps = with_recovery_flags(with_obs_flags(hps, args), args)?;
-        let out = hps.run().map_err(|e| e.to_string())?;
-        let p = SmithWatermanGeneralGap::new(a, b, Substitution::dna_default(), gap);
-        println!("{}", p.traceback(&out.matrix));
-        print_metrics(&out);
-    }
-    Ok(())
+        RemoteProblem::SWGG
+    };
+    run_in_process(args, &build_problem(args, name, seqs.collect())?, "")
 }
 
 fn cmd_fold(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("fold: missing FASTA path")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let records = parse_fasta(&text);
-    let (name, rna) = records.first().ok_or(format!("{path}: no FASTA records"))?;
-    let min_loop = args.get_num("min-loop", 1u32)?;
-    let slaves = args.get_num("slaves", 2usize)?;
-    let threads = args.get_num("threads", 2usize)?;
-    let n = rna.len() as u32;
-    let pps = args.get_num("pps", n.div_ceil(8).max(1))?;
-    let tps = args.get_num("tps", pps.div_ceil(4).max(1))?;
-
-    let p = Nussinov::with_min_loop(rna.clone(), min_loop);
-    let hps = EasyHps::new(p)
-        .process_partition((pps, pps))
-        .thread_partition((tps, tps))
-        .slaves(slaves)
-        .threads_per_slave(threads);
-    let hps = with_recovery_flags(with_obs_flags(hps, args), args)?;
-    let out = hps.run().map_err(|e| e.to_string())?;
-    let p = Nussinov::with_min_loop(rna.clone(), min_loop);
-    let pairs = p.traceback(&out.matrix);
-    println!("> {name}: {} base pairs", pairs.len());
-    println!("{}", String::from_utf8_lossy(rna));
-    println!("{}", p.dot_bracket(&pairs));
-    print_metrics(&out);
-    Ok(())
+    let (label, rna) = read_fasta(path, 1)?.swap_remove(0);
+    let problem = build_problem(args, RemoteProblem::NUSSINOV, vec![rna])?;
+    run_in_process(args, &problem, &label)
 }
 
 fn cmd_editdist(args: &Args) -> Result<(), String> {
     let [a, b] = args.positional.as_slice() else {
         return Err("editdist: need two strings".into());
     };
-    let p = EditDistance::new(a.as_bytes().to_vec(), b.as_bytes().to_vec());
-    let hps = EasyHps::new(p).slaves(2).threads_per_slave(2);
-    let hps = with_recovery_flags(with_obs_flags(hps, args), args)?;
-    let out = hps.run().map_err(|e| e.to_string())?;
-    let p = EditDistance::new(a.as_bytes().to_vec(), b.as_bytes().to_vec());
-    println!("{}", p.distance(&out.matrix));
-    print_metrics(&out);
+    let seqs = vec![a.as_bytes().to_vec(), b.as_bytes().to_vec()];
+    run_in_process(
+        args,
+        &build_problem(args, RemoteProblem::EDITDIST, seqs)?,
+        "",
+    )
+}
+
+/// Print the paper's tables and figures from the simulator.
+fn cmd_figures(args: &Args) -> Result<(), String> {
+    use easyhps::sim::figures;
+
+    let all = args.positional.is_empty() || args.positional.iter().any(|w| w == "all");
+    let which: Vec<&str> = if all {
+        figures::NAMES.to_vec()
+    } else {
+        args.positional.iter().map(String::as_str).collect()
+    };
+    let t0 = std::time::Instant::now();
+    for name in which {
+        let text = figures::render(name, args.has("csv"))
+            .ok_or_else(|| format!("unknown figure '{name}' ({}|all)", figures::NAMES.join("|")))?;
+        print!("{text}");
+    }
+    eprintln!(
+        "(regenerated in {:.1?}; all series deterministic)",
+        t0.elapsed()
+    );
     Ok(())
 }
 
+/// The `--workload/--len/--pps/--tps` quadruple `sim`, `analyze` and
+/// `explore` share; the partition defaults are `len / pps_div` and
+/// `pps / tps_div`.
+fn sim_workload(
+    args: &Args,
+    default_len: u32,
+    pps_div: u32,
+    tps_div: u32,
+) -> Result<SimWorkload, String> {
+    let len = args.get_num("len", default_len)?;
+    let pps = args.get_num("pps", (len / pps_div).max(1))?;
+    let tps = args.get_num("tps", (pps / tps_div).max(1))?;
+    SimWorkload::parse(args.get("workload").unwrap_or("swgg"), len, pps, tps)
+}
+
 fn cmd_sim(args: &Args) -> Result<(), String> {
-    let len = args.get_num("len", 2_000u32)?;
-    let pps = args.get_num("pps", (len / 20).max(1))?;
-    let tps = args.get_num("tps", (pps / 10).max(1))?;
-    let workload = match args.get("workload").unwrap_or("swgg") {
-        "swgg" => SimWorkload::swgg(len, pps, tps),
-        "nussinov" => SimWorkload::nussinov(len, pps, tps),
-        "wavefront" => SimWorkload::wavefront(len, pps, tps),
-        other => return Err(format!("unknown workload '{other}'")),
-    };
+    let workload = sim_workload(args, 2_000, 20, 10)?;
     let nodes = args.get_num("nodes", 4u32)?;
     let cores = args.get_num("cores", 24u32)?;
     let e = Experiment::new(nodes, cores);
@@ -424,18 +484,15 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
-    let len = args.get_num("len", 2_000u32)?;
-    let pps = args.get_num("pps", (len / 20).max(1))?;
-    let tps = args.get_num("tps", (pps / 10).max(1))?;
-    let workload = match args.get("workload").unwrap_or("swgg") {
-        "swgg" => SimWorkload::swgg(len, pps, tps),
-        "nussinov" => SimWorkload::nussinov(len, pps, tps),
-        "wavefront" => SimWorkload::wavefront(len, pps, tps),
-        other => return Err(format!("unknown workload '{other}'")),
-    };
+    let workload = sim_workload(args, 2_000, 20, 10)?;
     let dag = workload.model.master_dag();
     let a = dag.analyze().map_err(|e| e.to_string())?;
-    println!("{} master DAG with pps={pps}, tps={tps}:", workload.name);
+    println!(
+        "{} master DAG with pps={}, tps={}:",
+        workload.name,
+        workload.model.process_partition_size().rows,
+        workload.model.thread_partition_size().rows
+    );
     println!("  sub-tasks:        {}", a.vertices);
     println!("  edges:            {}", a.edges);
     println!("  critical path:    {} levels", a.critical_path);
@@ -468,119 +525,21 @@ fn matrix_crc(matrix: &easyhps::DpMatrix<i32>) -> u32 {
     easyhps::net::crc32c(&matrix.encode_region(easyhps::TileRegion::new(0, d.rows, 0, d.cols)))
 }
 
-/// The input sequences of a `master` job: positionals win, otherwise
-/// `--len N` (with `--seed S`) generates deterministic random ones.
-fn master_inputs(
-    args: &Args,
-    n_seqs: usize,
-    alphabet: easyhps::dp::sequence::Alphabet,
-) -> Result<Vec<Vec<u8>>, String> {
-    let given = &args.positional[1..];
-    if !given.is_empty() {
-        if given.len() != n_seqs {
-            return Err(format!(
-                "workload needs {n_seqs} sequence(s), got {}",
-                given.len()
-            ));
-        }
-        return Ok(given.iter().map(|s| s.as_bytes().to_vec()).collect());
-    }
-    let len = args.get_num("len", 0usize)?;
-    if len == 0 {
-        return Err(
-            "give sequences as arguments, or --len N (with --seed S) for random input".into(),
-        );
-    }
-    let seed = args.get_num("seed", 1u64)?;
-    Ok((0..n_seqs)
-        .map(|i| {
-            easyhps::dp::sequence::random_sequence(
-                alphabet,
-                len + 3 * i, // unequal lengths exercise ragged edge tiles
-                seed.wrapping_add(i as u64).wrapping_mul(0x9e3779b97f4a7c15),
-            )
-        })
-        .collect())
-}
-
-/// Build a [`JobSpec`](easyhps::runtime::remote::JobSpec) from the
-/// shared workload grammar: `<editdist|lcs|nw|swgg|nussinov> [SEQ...]`
-/// plus the partitioning/schedule flags. `master` and `submit` accept
-/// exactly the same job description; `who` names the command in errors.
-fn build_job_spec(args: &Args, who: &str) -> Result<easyhps::runtime::remote::JobSpec, String> {
-    use easyhps::dp::sequence::Alphabet;
-    use easyhps::runtime::remote::{GapSpec, JobSpec, RemoteProblem, SubSpec};
-
-    let workload = args.positional.first().ok_or(format!(
-        "{who}: missing workload (editdist|lcs|nw|swgg|nussinov)"
-    ))?;
-    let problem = match workload.as_str() {
-        "editdist" => {
-            let mut s = master_inputs(args, 2, Alphabet::Dna)?;
-            let b = s.pop().unwrap();
-            RemoteProblem::EditDistance {
-                a: s.pop().unwrap(),
-                b,
-            }
-        }
-        "lcs" => {
-            let mut s = master_inputs(args, 2, Alphabet::Dna)?;
-            let b = s.pop().unwrap();
-            RemoteProblem::Lcs {
-                a: s.pop().unwrap(),
-                b,
-            }
-        }
-        "nw" => {
-            let mut s = master_inputs(args, 2, Alphabet::Dna)?;
-            let b = s.pop().unwrap();
-            RemoteProblem::NeedlemanWunsch {
-                a: s.pop().unwrap(),
-                b,
-                sub: SubSpec::dna(),
-                gap: args.get_num("gap-per", 2i32)?,
-            }
-        }
-        "swgg" => {
-            let mut s = master_inputs(args, 2, Alphabet::Dna)?;
-            let b = s.pop().unwrap();
-            let gap = parse_gap(args.get("gap").unwrap_or("log:4,2"))?;
-            RemoteProblem::Swgg {
-                a: s.pop().unwrap(),
-                b,
-                sub: SubSpec::dna(),
-                gap: GapSpec::from_penalty(&gap)
-                    .ok_or(format!("{who}: custom gap closures cannot cross processes"))?,
-            }
-        }
-        "nussinov" => {
-            let mut s = master_inputs(args, 1, Alphabet::Rna)?;
-            RemoteProblem::Nussinov {
-                seq: s.pop().unwrap(),
-                min_loop: args.get_num("min-loop", 1u32)?,
-            }
-        }
-        other => {
-            return Err(format!(
-                "{who}: unknown workload '{other}' (editdist|lcs|nw|swgg|nussinov)"
-            ))
-        }
+/// Build a [`JobSpec`] from the shared workload grammar: `<NAME>
+/// [SEQ...]` plus the partitioning/schedule flags. `master` and `submit`
+/// accept exactly the same job description; `who` names the command in
+/// errors.
+fn build_job_spec(args: &Args, who: &str) -> Result<JobSpec, String> {
+    let Some((name, seqs)) = args.positional.split_first() else {
+        return Err(format!(
+            "{who}: missing workload ({})",
+            RemoteProblem::NAMES.join("|")
+        ));
     };
-
-    let n = match &problem {
-        RemoteProblem::EditDistance { a, b }
-        | RemoteProblem::Lcs { a, b }
-        | RemoteProblem::NeedlemanWunsch { a, b, .. }
-        | RemoteProblem::Swgg { a, b, .. } => a.len().max(b.len()) as u32 + 1,
-        RemoteProblem::Nussinov { seq, .. } => seq.len() as u32,
-    };
-    let pps = args.get_num("pps", n.div_ceil(8).max(1))?;
-    let tps = args.get_num("tps", pps.div_ceil(4).max(1))?;
-    let mut spec = JobSpec::new(
-        problem,
-        easyhps::GridDims::new(pps, pps),
-        easyhps::GridDims::new(tps, tps),
-    );
+    let seqs = seqs.iter().map(|s| s.as_bytes().to_vec()).collect();
+    let problem = build_problem(args, name, seqs)?;
+    let (pp, tp) = problem.partitions(args.get_opt("pps")?, args.get_opt("tps")?);
+    let mut spec = JobSpec::new(problem, pp, tp);
     spec.threads_per_slave = args.get_num("threads", 2u32)?;
     spec.process_mode = parse_policy(args.get("mode").unwrap_or("dynamic"))?;
     spec.task_timeout =
@@ -607,12 +566,9 @@ fn cmd_master(args: &Args) -> Result<(), String> {
     let spec = build_job_spec(args, "master")?;
 
     let mut opts = RemoteMasterOptions::default();
-    if let Some(ms) = args.get("reconnect-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("--reconnect-ms: cannot parse '{ms}'"))?;
-        opts.socket.reconnect_window = Some(std::time::Duration::from_millis(ms));
-    }
+    opts.socket.reconnect_window = args
+        .get_opt("reconnect-ms")?
+        .map(std::time::Duration::from_millis);
     let registry = args
         .has("metrics")
         .then(|| std::sync::Arc::new(easyhps::runtime::Registry::new()));
@@ -620,27 +576,7 @@ fn cmd_master(args: &Args) -> Result<(), String> {
         metrics: registry.clone(),
         recorder: None,
     };
-    if let Some(dir) = args.get("checkpoint-dir") {
-        let mut policy = easyhps::CheckpointPolicy::new(dir);
-        if let Some(next) = args.get("checkpoint-every") {
-            let next: u64 = next
-                .parse()
-                .map_err(|_| format!("--checkpoint-every: cannot parse '{next}'"))?;
-            policy = policy.with_every_tiles(next);
-        }
-        opts.checkpoint = Some(policy);
-        if args.has("resume") {
-            if let Some(cp) = easyhps::Checkpoint::load_dir(dir).map_err(|e| e.to_string())? {
-                println!(
-                    "resuming: {} finished tile(s) restored from {dir}",
-                    cp.finished_len()
-                );
-                opts.resume = Some(cp);
-            }
-        }
-    } else if args.has("resume") {
-        return Err("--resume needs --checkpoint-dir".into());
-    }
+    (opts.checkpoint, opts.resume) = recovery_flags(args)?;
 
     let addr = easyhps::net::NetAddr::parse(listen)?;
     let listener = easyhps::net::SocketListener::bind(&addr, opts.socket.clone())
@@ -689,21 +625,14 @@ fn cmd_slave(args: &Args) -> Result<(), String> {
         .get("connect")
         .ok_or("slave: --connect ADDR required")?;
     let mut opts = RemoteSlaveOptions::new(easyhps::net::NetAddr::parse(addr)?);
-    if let Some(rank) = args.get("rank") {
-        opts.want_rank = Some(rank.parse().map_err(|_| "--rank: not a number")?);
-    }
-    if let Some(threads) = args.get("threads") {
-        opts.threads = Some(threads.parse().map_err(|_| "--threads: not a number")?);
-    }
+    opts.want_rank = args.get_opt("rank")?;
+    opts.threads = args.get_opt("threads")?;
     if args.has("sparse") {
         opts.memory = Some(easyhps::MemoryMode::Sparse);
     }
-    if let Some(ms) = args.get("reconnect-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("--reconnect-ms: cannot parse '{ms}'"))?;
-        opts.socket.reconnect_window = Some(std::time::Duration::from_millis(ms));
-    }
+    opts.socket.reconnect_window = args
+        .get_opt("reconnect-ms")?
+        .map(std::time::Duration::from_millis);
     let stats = serve_slave_jobs(opts).map_err(|e| e.to_string())?.stats;
     println!(
         "slave done: {} sub-task(s), {} sub-sub-task(s), {} thread failure(s) recovered",
@@ -920,15 +849,7 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
     // Defaults give a 4x4 master DAG — small enough that bounded-depth
     // exploration covers hundreds of distinct orders in well under a
     // second, the regime the technique is designed for.
-    let len = args.get_num("len", 400u32)?;
-    let pps = args.get_num("pps", (len / 4).max(1))?;
-    let tps = args.get_num("tps", (pps / 2).max(1))?;
-    let workload = match args.get("workload").unwrap_or("swgg") {
-        "swgg" => SimWorkload::swgg(len, pps, tps),
-        "nussinov" => SimWorkload::nussinov(len, pps, tps),
-        "wavefront" => SimWorkload::wavefront(len, pps, tps),
-        other => return Err(format!("unknown workload '{other}'")),
-    };
+    let workload = sim_workload(args, 400, 4, 2)?;
     let dag = workload.model.master_dag();
 
     let slaves = args.get_num("slaves", 2usize)?;
@@ -1049,7 +970,7 @@ fn cmd_stress_kill(args: &Args, cfg: &easyhps::stress::StressConfig) -> Result<E
 }
 
 fn cmd_stress(args: &Args) -> Result<ExitCode, String> {
-    use easyhps::stress::{run_plan, run_seed, StressConfig, StressPlan, Workload};
+    use easyhps::stress::{run_plan, run_seed, StressConfig, StressPlan};
 
     let mode = match args.get("mode").unwrap_or("dynamic") {
         "dynamic" => ScheduleMode::Dynamic,
@@ -1066,7 +987,10 @@ fn cmd_stress(args: &Args) -> Result<ExitCode, String> {
             .map(|s| s.parse())
             .transpose()
             .map_err(|_: std::num::ParseIntError| "--slaves: not a number".to_string())?,
-        workload: args.get("workload").map(Workload::parse).transpose()?,
+        workload: args
+            .get("workload")
+            .map(RemoteProblem::parse_name)
+            .transpose()?,
         hang_timeout: std::time::Duration::from_secs(args.get_num("hang-timeout", 60u64)?),
         shrink: !args.has("no-shrink"),
         transport: easyhps::TransportKind::parse(args.get("transport").unwrap_or("inproc"))?,
@@ -1138,8 +1062,8 @@ fn cmd_stress(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-const USAGE: &str = "usage: easyhps <align|fold|editdist|sim|analyze|explore|stress|master|slave\
-|serve|submit|status|stats|cancel|drain> [args]  (see --help in source docs)";
+const USAGE: &str = "usage: easyhps <align|fold|editdist|sim|figures|analyze|explore|stress|master\
+|slave|serve|submit|status|stats|cancel|drain> [args]  (see --help in source docs)";
 
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
@@ -1151,6 +1075,7 @@ fn main() -> ExitCode {
     let booleans = [
         "global",
         "gantt",
+        "csv",
         "metrics",
         "list",
         "no-shrink",
@@ -1165,6 +1090,7 @@ fn main() -> ExitCode {
         "fold" => cmd_fold(&args).map(|()| ExitCode::SUCCESS),
         "editdist" => cmd_editdist(&args).map(|()| ExitCode::SUCCESS),
         "sim" => cmd_sim(&args).map(|()| ExitCode::SUCCESS),
+        "figures" => cmd_figures(&args).map(|()| ExitCode::SUCCESS),
         "analyze" => cmd_analyze(&args).map(|()| ExitCode::SUCCESS),
         "explore" => cmd_explore(&args),
         "stress" => cmd_stress(&args),
@@ -1229,18 +1155,9 @@ mod tests {
 
     #[test]
     fn gap_specs() {
-        assert!(matches!(
-            parse_gap("linear:3").unwrap(),
-            GapPenalty::Linear { per_gap: 3 }
-        ));
-        assert!(matches!(
-            parse_gap("affine:4,1").unwrap(),
-            GapPenalty::Affine { open: 4, extend: 1 }
-        ));
-        assert!(matches!(
-            parse_gap("log:4,2").unwrap(),
-            GapPenalty::Logarithmic { a: 4, b: 2 }
-        ));
+        assert_eq!(parse_gap("linear:3").unwrap(), GapSpec::Linear(3));
+        assert_eq!(parse_gap("affine:4,1").unwrap(), GapSpec::Affine(4, 1));
+        assert_eq!(parse_gap("log:4,2").unwrap(), GapSpec::Logarithmic(4, 2));
         assert!(parse_gap("bogus").is_err());
         assert!(parse_gap("affine:4").is_err());
     }

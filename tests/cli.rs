@@ -1,6 +1,9 @@
 //! End-to-end tests of the `easyhps` CLI binary.
 
-use std::process::Command;
+use easyhps::runtime::remote::{JobSpec, ProblemParams, RemoteProblem};
+use easyhps::runtime::{Fleet, JobOptions};
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
 
 fn easyhps(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_easyhps"))
@@ -19,6 +22,28 @@ fn editdist_prints_the_distance() {
     let (ok, stdout, _) = easyhps(&["editdist", "kitten", "sitting"]);
     assert!(ok);
     assert_eq!(stdout.trim(), "3");
+
+    // Regression: `editdist` used to hard-code 2 slaves x 2 threads and
+    // the library's default partitions; it takes the deployment flags
+    // `align` and `fold` take. An 8x7 matrix in 4x4 tiles is 4 tiles.
+    let (ok, stdout, stderr) = easyhps(&[
+        "editdist",
+        "kitten",
+        "sitting",
+        "--slaves",
+        "3",
+        "--threads",
+        "1",
+        "--pps",
+        "4",
+        "--tps",
+        "2",
+        "--metrics",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(stdout.lines().next(), Some("3"));
+    assert!(stdout.contains("master_tiles_completed 4"), "{stdout}");
+    assert!(stdout.contains("slave=\"2\""), "three slaves ran: {stdout}");
 }
 
 #[test]
@@ -42,6 +67,18 @@ fn align_on_fasta_file() {
     ]);
     assert!(ok);
     assert!(stdout.contains("score"));
+
+    // Regression: a non-linear gap with --global used to align silently
+    // with linear gap 2.
+    let (ok, _, stderr) = easyhps(&[
+        "align",
+        path.to_str().unwrap(),
+        "--global",
+        "--gap",
+        "affine:5,1",
+    ]);
+    assert!(!ok, "Needleman-Wunsch has no affine gap");
+    assert!(stderr.contains("--gap linear:N"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -137,6 +174,18 @@ fn bad_inputs_fail_cleanly() {
 
     let (ok, _, _) = easyhps(&["editdist", "onlyone"]);
     assert!(!ok);
+
+    for cmd in ["sim", "analyze", "explore"] {
+        let (ok, _, stderr) = easyhps(&[cmd, "--workload", "frobnicate"]);
+        assert!(!ok);
+        assert!(
+            stderr.contains("swgg|nussinov|wavefront"),
+            "{cmd}: {stderr}"
+        );
+    }
+    let (ok, _, stderr) = easyhps(&["stress", "--seed", "1", "--list", "--workload", "wavefront"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown workload"), "{stderr}");
 }
 
 #[test]
@@ -159,4 +208,129 @@ fn analyze_reports_dag_structure() {
         "10x10 triangle: {stdout}"
     );
     assert!(stdout.contains("max width:        10"), "{stdout}");
+}
+
+/// A child process whose first stdout line `PREFIX ADDR` has been read;
+/// killed on drop so a failing assertion leaks nothing.
+struct Listening {
+    child: Child,
+    addr: String,
+    stdout: BufReader<std::process::ChildStdout>,
+}
+
+impl Drop for Listening {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+fn spawn_listening(args: &[&str], prefix: &str) -> Listening {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_easyhps"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read the address line");
+    let addr = line
+        .strip_prefix(prefix)
+        .unwrap_or_else(|| panic!("`easyhps {}` printed {line:?} first", args.join(" ")))
+        .trim()
+        .to_string();
+    Listening {
+        child,
+        addr,
+        stdout,
+    }
+}
+
+fn crc_line(stdout: &str) -> &str {
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("matrix-crc: "))
+        .unwrap_or_else(|| panic!("no matrix-crc line in {stdout:?}"))
+}
+
+/// One row of `RemoteProblem::NAMES` is all a recurrence needs to run
+/// everywhere: for every name, parse -> seeded random problem -> JOB
+/// bytes round-trip -> a 2-slave fleet run equal to the sequential
+/// kernel, and the same name is accepted by `stress --workload`, by
+/// `master` (two slave processes over TCP) and by `submit` (a daemon),
+/// each printing the CRC of the library's sequential matrix.
+#[test]
+fn every_name_in_the_problem_table_runs_everywhere() {
+    let (len, seed) = (24usize, 5u64);
+    // The sub-seeds `master|submit --len N --seed S` derive.
+    let sub_seed = |i: u64| seed.wrapping_add(i).wrapping_mul(0x9e3779b97f4a7c15);
+    let mut fleet = Fleet::local(2, None).unwrap();
+    let daemon = spawn_listening(&["serve", "--listen", "127.0.0.1:0"], "serving: ");
+
+    for name in RemoteProblem::NAMES {
+        assert_eq!(RemoteProblem::parse_name(name), Ok(name));
+        let problem = RemoteProblem::random(
+            name,
+            len,
+            sub_seed(0),
+            sub_seed(1),
+            &ProblemParams::default(),
+        )
+        .unwrap();
+        assert_eq!(problem.name(), name);
+
+        let (pp, tp) = problem.partitions(None, None);
+        let spec = JobSpec::new(problem.clone(), pp, tp);
+        assert_eq!(JobSpec::decode(&spec.encode()).unwrap(), spec, "{name}");
+        let reference = problem.solve_sequential();
+        let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
+        assert_eq!(out.matrix, reference, "{name}: 2-slave run");
+        let d = reference.dims();
+        let crc = format!(
+            "{:#010x}",
+            easyhps::net::crc32c(
+                &reference.encode_region(easyhps::TileRegion::new(0, d.rows, 0, d.cols))
+            )
+        );
+
+        let (ok, stdout, stderr) =
+            easyhps(&["stress", "--seed", "3", "--list", "--workload", name]);
+        assert!(ok, "{name}: {stderr}");
+        assert!(stdout.contains(&format!("workload={name} ")), "{stdout}");
+
+        let (len, seed) = (len.to_string(), seed.to_string());
+        let job = [name, "--len", &len, "--seed", &seed];
+        let mut master = spawn_listening(
+            &[
+                &["master", "--listen", "127.0.0.1:0", "--slaves", "2"],
+                &job[..],
+            ]
+            .concat(),
+            "listening: ",
+        );
+        let slaves: Vec<Child> = (0..2)
+            .map(|_| {
+                Command::new(env!("CARGO_BIN_EXE_easyhps"))
+                    .args(["slave", "--connect", &master.addr])
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::null())
+                    .spawn()
+                    .expect("binary runs")
+            })
+            .collect();
+        let mut rest = String::new();
+        std::io::Read::read_to_string(&mut master.stdout, &mut rest).unwrap();
+        assert!(master.child.wait().unwrap().success(), "{name}: {rest}");
+        assert_eq!(crc_line(&rest), crc, "{name}: master");
+        for mut s in slaves {
+            assert!(s.wait().unwrap().success(), "{name}: slave");
+        }
+
+        let (ok, stdout, stderr) =
+            easyhps(&[&["submit", "--connect", &daemon.addr, "--wait"], &job[..]].concat());
+        assert!(ok, "{name}: {stderr}");
+        assert_eq!(crc_line(&stdout), crc, "{name}: submit");
+    }
+    fleet.shutdown();
 }
