@@ -761,6 +761,54 @@ mod tests {
             .collect()
     }
 
+    /// The machine's side of the driver contract: which action kinds each
+    /// event kind may answer with. The runtime's shell applies every action
+    /// in one `match` and no longer asserts this per call site, so it is
+    /// pinned here, on every event these tests feed.
+    fn on_event_checked(m: &mut MasterSched, dag: &TaskDag, ev: MasterEvent) -> Vec<MasterAction> {
+        use MasterAction as A;
+        use MasterEvent as E;
+        let allowed: fn(&A) -> bool = match ev {
+            E::Tick { .. } => |a| {
+                matches!(
+                    a,
+                    A::Readmit { .. }
+                        | A::Assign { .. }
+                        | A::Finished
+                        | A::BudgetStop
+                        | A::AllSlavesDead
+                )
+            },
+            E::FtTick { .. } => |a| {
+                matches!(
+                    a,
+                    A::Redispatch { .. } | A::Exclude { .. } | A::Release { .. }
+                )
+            },
+            E::Done { .. } => {
+                |a| matches!(a, A::Accept { .. } | A::Stale { .. } | A::Release { .. })
+            }
+            E::SendFailed { .. } => |a| {
+                matches!(
+                    a,
+                    A::CancelAssign { .. } | A::Exclude { .. } | A::Release { .. }
+                )
+            },
+            E::AssignRejected { .. } => |a| matches!(a, A::Exclude { .. }),
+            E::Rejoined { .. } => |a| {
+                matches!(
+                    a,
+                    A::Redispatch { .. } | A::Readmit { .. } | A::Refence { .. }
+                )
+            },
+            E::DrainSlave { .. } => |a| matches!(a, A::Release { .. }),
+            E::Heard { .. } | E::Idle { .. } | E::Drain | E::StaleEpoch { .. } => |_| false,
+        };
+        let acts = m.on_event(dag, ev.clone()).expect("legal event sequence");
+        assert!(acts.iter().all(allowed), "{ev:?} emitted {acts:?}");
+        acts
+    }
+
     /// Run a whole event sequence, collecting every action batch.
     fn feed(
         m: &mut MasterSched,
@@ -768,7 +816,7 @@ mod tests {
         evs: impl IntoIterator<Item = MasterEvent>,
     ) -> Vec<MasterAction> {
         evs.into_iter()
-            .flat_map(|e| m.on_event(dag, e).expect("legal event sequence"))
+            .flat_map(|e| on_event_checked(m, dag, e))
             .collect()
     }
 
@@ -804,15 +852,29 @@ mod tests {
             name: &'static str,
             mode: ScheduleMode,
             events: Vec<MasterEvent>,
+            /// The exact batch the last event must emit (`None`: not pinned).
+            emits: Option<Vec<MasterAction>>,
             last_actions: Vec<MasterAction>,
         }
         let idle = |slave| MasterEvent::Idle { slave };
         let heard = |slave, at_ns| MasterEvent::Heard { slave, at_ns };
+        let tick = |now_ns| MasterEvent::Tick { now_ns };
+        let done = |slave, task| MasterEvent::Done { slave, task };
+        // Slave 0 holds task 0 in flight and is asked to drain.
+        let draining_holder = || {
+            vec![
+                idle(0),
+                idle(1),
+                tick(0),
+                MasterEvent::DrainSlave { slave: 0 },
+            ]
+        };
         let cases = [
             Case {
                 name: "dispatch goes to the idle slave only",
                 mode: ScheduleMode::Dynamic,
                 events: vec![idle(1)],
+                emits: None,
                 // Idle itself emits nothing; the probe tick dispatches to
                 // the one idle slave.
                 last_actions: vec![MasterAction::Assign { slave: 1, task: 0 }],
@@ -821,6 +883,7 @@ mod tests {
                 name: "tick assigns the one computable source",
                 mode: ScheduleMode::Dynamic,
                 events: vec![idle(0), idle(1)],
+                emits: None,
                 last_actions: vec![MasterAction::Assign { slave: 0, task: 0 }],
             },
             Case {
@@ -831,6 +894,7 @@ mod tests {
                     MasterEvent::FtTick { now_ns: 400 * MS }, // slave 1 silent since 0
                     heard(1, 401 * MS),
                 ],
+                emits: None,
                 last_actions: vec![MasterAction::Readmit { slave: 1 }],
             },
             Case {
@@ -845,6 +909,73 @@ mod tests {
                     },
                     heard(1, 2 * MS),
                 ],
+                emits: None,
+                last_actions: vec![],
+            },
+            // FtTick -> Release: the overdue sweep takes back a draining
+            // slave's last sub-task, so the same sweep releases it.
+            Case {
+                name: "overdue sweep releases the draining slave it drains",
+                mode: ScheduleMode::Dynamic,
+                events: [
+                    draining_holder(),
+                    vec![
+                        heard(0, 31_000 * MS),
+                        heard(1, 31_000 * MS),
+                        MasterEvent::FtTick {
+                            now_ns: 31_000 * MS,
+                        },
+                    ],
+                ]
+                .concat(),
+                emits: Some(vec![
+                    MasterAction::Redispatch { task: 0 },
+                    MasterAction::Release { slave: 0 },
+                ]),
+                last_actions: vec![MasterAction::Assign { slave: 1, task: 0 }],
+            },
+            // SendFailed -> CancelAssign + Release: the draining slave's
+            // ASSIGN never arrived, so it holds nothing and may go.
+            Case {
+                name: "lost assign to a draining slave releases it",
+                mode: ScheduleMode::Dynamic,
+                events: [
+                    draining_holder(),
+                    vec![
+                        heard(0, MS),
+                        MasterEvent::SendFailed {
+                            slave: 0,
+                            assign_task: Some(0),
+                            reason: SendFailKind::NoAck,
+                            now_ns: 2 * MS,
+                        },
+                    ],
+                ]
+                .concat(),
+                emits: Some(vec![
+                    MasterAction::CancelAssign { task: 0 },
+                    MasterAction::Release { slave: 0 },
+                ]),
+                last_actions: vec![MasterAction::Assign { slave: 1, task: 0 }],
+            },
+            // Tick -> Finished, and nothing after it: one slave walks the
+            // whole 2x2 wavefront.
+            Case {
+                name: "tick reports finished once every task completed",
+                mode: ScheduleMode::Dynamic,
+                events: vec![
+                    idle(0),
+                    tick(MS),
+                    done(0, 0),
+                    tick(2 * MS),
+                    done(0, 2),
+                    tick(3 * MS),
+                    done(0, 1),
+                    tick(4 * MS),
+                    done(0, 3),
+                    tick(5 * MS),
+                ],
+                emits: Some(vec![MasterAction::Finished]),
                 last_actions: vec![],
             },
         ];
@@ -853,12 +984,13 @@ mod tests {
             let mut m = machine(&dag, 2, c.mode);
             let mut last = Vec::new();
             for e in c.events {
-                last = m.on_event(&dag, e).unwrap();
+                last = on_event_checked(&mut m, &dag, e);
+            }
+            if let Some(emits) = c.emits {
+                assert_eq!(last, emits, "{}", c.name);
             }
             // The final probe tick surfaces re-admissions / dispatches.
-            let probe = m
-                .on_event(&dag, MasterEvent::Tick { now_ns: 402 * MS })
-                .unwrap();
+            let probe = on_event_checked(&mut m, &dag, tick(402 * MS));
             let got: Vec<_> = last
                 .iter()
                 .chain(probe.iter())

@@ -12,7 +12,6 @@
 //! lookups stay on the scalar slice sweep. Results are bit-identical to
 //! the sweep: the recurrences use only `max`/`add` over `i32`, whose
 //! value is independent of evaluation order.
-#![cfg(feature = "simd")]
 
 use crate::matrix::DpGrid;
 use easyhps_core::TileRegion;

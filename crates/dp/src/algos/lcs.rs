@@ -69,18 +69,13 @@ impl DpProblem for Lcs {
     }
 
     fn compute_region<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
-        #[cfg(feature = "simd")]
-        {
-            crate::algos::adiag::sweep(m, region, &self.a, &self.b, &crate::algos::adiag::LcsRule);
-        }
-        #[cfg(not(feature = "simd"))]
-        self.compute_region_scalar(m, region);
+        crate::algos::adiag::sweep(m, region, &self.a, &self.b, &crate::algos::adiag::LcsRule);
     }
 }
 
 impl Lcs {
-    /// The scalar slice-sweep kernel — the `--no-default-features`
-    /// fallback and the bit-identical reference for the SIMD path.
+    /// The scalar slice-sweep kernel — the bit-identical reference for
+    /// the anti-diagonal path.
     #[doc(hidden)]
     pub fn compute_region_scalar<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
         crate::algos::row_sweep::sweep_rows_2d(

@@ -113,9 +113,8 @@ impl DpProblem for NeedlemanWunsch {
 
     fn compute_region<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
         // Simple substitution vectorizes as compare + select, so those
-        // tiles take the anti-diagonal SIMD kernel; `Table` lookups (and
-        // builds without the `simd` feature) use the scalar row sweep.
-        #[cfg(feature = "simd")]
+        // tiles take the anti-diagonal SIMD kernel; `Table` lookups use
+        // the scalar row sweep.
         if let Substitution::Simple {
             match_score,
             mismatch,
@@ -135,8 +134,7 @@ impl DpProblem for NeedlemanWunsch {
 
 impl NeedlemanWunsch {
     /// The scalar slice-sweep kernel — the fallback for `Table`
-    /// substitutions and `--no-default-features` builds, and the
-    /// bit-identical reference for the SIMD path.
+    /// substitutions and the bit-identical reference for the SIMD path.
     #[doc(hidden)]
     pub fn compute_region_scalar<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
         crate::algos::row_sweep::sweep_rows_2d(

@@ -213,8 +213,7 @@ impl DpProblem for SmithWatermanGeneralGap {
                     };
                     let mut best = 0.max(diag + s);
                     // max_{1<=k<=j} H[i, j-k] - w(k): the row walked
-                    // backwards against the gap table (eight lanes at a
-                    // time under the `simd` feature).
+                    // backwards against the gap table (autovectorized).
                     best = best.max(crate::simd::rev_scan_max(
                         &rowbuf[..j as usize],
                         &wtab[1..=j as usize],

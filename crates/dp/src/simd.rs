@@ -8,11 +8,12 @@
 //! benches it *lost* to these plain loops (the array-shuffling loads
 //! never folded into single vector moves and the per-call reduction
 //! overhead dominated short scans), so the explicit-lane path was
-//! dropped in favour of the autovectorized form. The `simd` cargo
-//! feature instead gates the *algorithmic* layer above: the
-//! anti-diagonal kernels in [`crate::algos::adiag`], which restructure
-//! the wavefront recurrences so their inner loops become element-wise
-//! maps like the ones below. Results are bit-identical to any scalar
+//! dropped in favour of the autovectorized form. The *algorithmic*
+//! layer above does the rest: the anti-diagonal kernels in
+//! [`crate::algos::adiag`] restructure the wavefront recurrences so
+//! their inner loops become element-wise maps like the ones below (both
+//! are plain Rust and always compiled — there is no feature to select
+//! them). Results are bit-identical to any scalar
 //! evaluation order: only `max`, `add` and `sub` over `i32` are
 //! involved, which are exact and associative-safe here.
 

@@ -10,11 +10,10 @@ use crate::autotune::{Autotuner, ProblemClass};
 use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
-use crate::master::{run_master, FleetControl};
+use crate::fleet::accept_slaves;
+use crate::master::run_master;
 use crate::remote::RemoteProblem;
-use crate::shared_grid::SharedGrid;
-use crate::slave::run_slave_with_storage;
-use crate::storage::SparseGrid;
+use crate::slave::run_slave_in;
 use crate::RuntimeError;
 use easyhps_core::ScheduleMode;
 use easyhps_core::{DagDataDrivenModel, GridDims};
@@ -452,8 +451,10 @@ impl<P: DpProblem> EasyHps<P> {
                         let problem = problem.clone();
                         let model = model.clone();
                         let deployment = deployment.clone();
+                        // A slave that dies under fault injection returns
+                        // Err; the master's fault tolerance handles it.
                         s.spawn(move || {
-                            drive_slave(memory, ep, problem.as_ref(), &model, &deployment)
+                            let _ = run_slave_in(memory, ep, problem.as_ref(), &model, &deployment);
                         });
                     }
                     run_master(
@@ -499,26 +500,19 @@ impl<P: DpProblem> EasyHps<P> {
                             else {
                                 return;
                             };
-                            drive_slave(memory, ep, problem.as_ref(), &model, &deployment)
+                            let _ = run_slave_in(memory, ep, problem.as_ref(), &model, &deployment);
                         });
                     }
-                    let accept_err =
-                        |e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}"));
-                    let slaves = self.deployment.slaves;
-                    let (master_ep, sinfo, control) = if self.reconnect.is_some() {
-                        // Elastic membership: keep the listener open in a
-                        // background acceptor that splices reconnecting
-                        // slaves back in and fences stale incarnations.
-                        let (ep, info, acceptor) = listener
-                            .accept_fleet(slaves, plans[0].clone())
-                            .map_err(accept_err)?;
-                        (ep, info, Some(FleetControl::new(Some(Arc::new(acceptor)))))
-                    } else {
-                        let (ep, info) = listener
-                            .accept_ranks(slaves, plans[0].clone())
-                            .map_err(accept_err)?;
-                        (ep, info, None)
-                    };
+                    // Elastic membership when a reconnect window is set:
+                    // the listener stays open in a background acceptor
+                    // that splices reconnecting slaves back in and fences
+                    // stale incarnations.
+                    let (master_ep, sinfo, control) = accept_slaves(
+                        listener,
+                        self.deployment.slaves,
+                        plans[0].clone(),
+                        self.reconnect.is_some(),
+                    )?;
                     let out = run_master(
                         master_ep,
                         problem.as_ref(),
@@ -526,7 +520,7 @@ impl<P: DpProblem> EasyHps<P> {
                         &deployment,
                         self.resume.as_ref(),
                         self.tile_budget,
-                        control.as_ref(),
+                        Some(&control),
                     )?;
                     if let Some(reg) = &registry {
                         crate::remote::publish_socket_stats(reg, &sinfo);
@@ -568,26 +562,6 @@ impl<P: DpProblem> EasyHps<P> {
             metrics: registry,
         })
     }
-}
-
-/// Run one slave rank to completion on `ep`, dispatching on the storage
-/// strategy. A slave that dies under fault injection returns Err; the
-/// master's fault tolerance handles it, so the error is dropped here.
-fn drive_slave<P: DpProblem>(
-    memory: MemoryMode,
-    ep: easyhps_net::Endpoint,
-    problem: &P,
-    model: &DagDataDrivenModel,
-    deployment: &Deployment,
-) {
-    let _ = match memory {
-        MemoryMode::Dense => {
-            run_slave_with_storage::<P, SharedGrid<P::Cell>>(ep, problem, model, deployment)
-        }
-        MemoryMode::Sparse => {
-            run_slave_with_storage::<P, SparseGrid<P::Cell>>(ep, problem, model, deployment)
-        }
-    };
 }
 
 /// A unique Unix-domain socket path for one in-process virtual cluster.

@@ -43,7 +43,7 @@ pub struct Deployment {
     /// How long a dispatched sub-task may run before the master's fault
     /// tolerance presumes its slave failed and redistributes it.
     pub task_timeout: Duration,
-    /// Poll interval of the fault-tolerance thread.
+    /// Cadence of the fault-tolerance sweep inside the master loop.
     pub ft_poll: Duration,
     /// Retransmission policy for reliable control messages
     /// (ASSIGN/DONE/END/...): attempts and backoff before a send is

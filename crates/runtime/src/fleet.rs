@@ -83,6 +83,27 @@ pub struct Fleet {
     retired: Vec<bool>,
 }
 
+/// Accept `slaves` ranks on `listener` and build the control surface
+/// their masters share: with `elastic`, the listener stays open on a
+/// background acceptor (reconnects, rejoins, mid-run joiners) that rides
+/// in the control block; otherwise membership is fixed and only drain
+/// requests apply. `plan` injects faults into the master's endpoint.
+pub(crate) fn accept_slaves(
+    listener: SocketListener,
+    slaves: usize,
+    plan: Option<FaultPlan>,
+    elastic: bool,
+) -> Result<(Endpoint, SocketInfo, FleetControl), RuntimeError> {
+    let accept_err = |e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}"));
+    if elastic {
+        let (ep, info, acceptor) = listener.accept_fleet(slaves, plan).map_err(accept_err)?;
+        Ok((ep, info, FleetControl::new(Some(Arc::new(acceptor)))))
+    } else {
+        let (ep, info) = listener.accept_ranks(slaves, plan).map_err(accept_err)?;
+        Ok((ep, info, FleetControl::new(None)))
+    }
+}
+
 impl Fleet {
     /// Accept `n_slaves` socket connections on an already-bound listener
     /// and perform the rank handshake. `fault` configures the master's
@@ -93,20 +114,7 @@ impl Fleet {
         n_slaves: usize,
         fault: Option<FaultPlan>,
     ) -> Result<Fleet, RuntimeError> {
-        if n_slaves == 0 {
-            return Err(RuntimeError::NoSlaves);
-        }
-        let (root, info) = listener
-            .accept_ranks(n_slaves, None)
-            .map_err(|e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}")))?;
-        Ok(Fleet {
-            root,
-            n_slaves,
-            fault,
-            slaves: FleetSlaves::Remote(info),
-            control: FleetControl::new(None),
-            retired: vec![false; n_slaves + 1],
-        })
+        Self::remote(listener, n_slaves, fault, false)
     }
 
     /// [`Fleet::accept`] with *elastic* membership: the listener stays
@@ -120,18 +128,25 @@ impl Fleet {
         listener: SocketListener,
         n_slaves: usize,
     ) -> Result<Fleet, RuntimeError> {
+        Self::remote(listener, n_slaves, None, true)
+    }
+
+    fn remote(
+        listener: SocketListener,
+        n_slaves: usize,
+        fault: Option<FaultPlan>,
+        elastic: bool,
+    ) -> Result<Fleet, RuntimeError> {
         if n_slaves == 0 {
             return Err(RuntimeError::NoSlaves);
         }
-        let (root, info, acceptor) = listener
-            .accept_fleet(n_slaves, None)
-            .map_err(|e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}")))?;
+        let (root, info, control) = accept_slaves(listener, n_slaves, None, elastic)?;
         Ok(Fleet {
             root,
             n_slaves,
-            fault: None,
+            fault,
             slaves: FleetSlaves::Remote(info),
-            control: FleetControl::new(Some(Arc::new(acceptor))),
+            control,
             retired: vec![false; n_slaves + 1],
         })
     }

@@ -9,9 +9,12 @@
 //! tolerance is hierarchical (timeout-based node exclusion at process
 //! level, panic-catching thread restart at thread level).
 //!
-//! The "cluster" is the in-process virtual-MPI network of
-//! [`easyhps-net`](easyhps_net); see DESIGN.md for why that substitution
-//! preserves the paper's scheduling behaviour.
+//! The "cluster" is whatever [`easyhps-net`](easyhps_net) links the ranks
+//! with: in-process channels between threads (the default), or TCP /
+//! Unix-domain sockets between threads or separate OS processes
+//! ([`remote`], [`fleet`]) — one protocol stack above all three. See
+//! DESIGN.md for why the substitution for MPI preserves the paper's
+//! scheduling behaviour.
 //!
 //! Quick start:
 //!

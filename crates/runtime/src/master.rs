@@ -4,15 +4,16 @@
 //! Every scheduling decision — dispatch and DONE accounting, the overdue
 //! drain, slow-vs-dead exclusion and re-admission, static→dynamic orphan
 //! fallback, budget stop, teardown drain — lives in the pure
-//! [`MasterSched`] state machine. This file is the I/O
-//! shell: it translates network frames and real timers into
-//! [`MasterEvent`]s, and the machine's
-//! [`MasterAction`]s into reliable sends, matrix writes,
-//! trace spans and metrics. The old separate fault-tolerance thread is
-//! gone: the FT sweep is the [`MasterEvent::FtTick`] event,
-//! fired from the single loop at `ft_poll` cadence, so the FT-vs-scheduler
-//! interleaving class no longer exists in the runtime at all (and the
-//! deterministic explorer can place the sweep anywhere it likes).
+//! [`MasterSched`] state machine. This file is the I/O shell around it,
+//! one [`Shell`] with three entry points: [`Shell::on_frame`] is the only
+//! place a received frame becomes [`MasterEvent`]s (main loop and teardown
+//! drain alike), [`Shell::apply`] is the only `match` on [`MasterAction`]
+//! (each variant's send, matrix write, trace instant in one arm), and the
+//! machine's own counters are *published* — into `MasterStats` and the
+//! `master_*` metric series — never re-counted. The fault-tolerance sweep
+//! is the [`MasterEvent::FtTick`] event, fired from the single loop at
+//! `ft_poll` cadence, so the deterministic explorer can place it anywhere
+//! it likes and what it checks is what runs.
 //!
 //! Control messages travel over a [`ReliableEndpoint`]: every
 //! ASSIGN/DONE/END is sequence-numbered, acknowledged and retransmitted
@@ -33,19 +34,21 @@
 //! identical; only the thread count differs.
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{Deployment, MasterStats};
+use crate::config::{Deployment, MasterStats, ObsConfig};
 use crate::durable::CheckpointStore;
 use crate::obs::{lane_of, publish_endpoint_stats, registry_of, MasterMetrics, TID_FT, TID_NET};
 use crate::protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
 use crate::RuntimeError;
 use bytes::Bytes;
-use easyhps_core::sched::{MasterAction, MasterEvent, MasterSched, SendFailKind};
-use easyhps_core::{DagDataDrivenModel, TaskDag, Trace, VertexId};
-use easyhps_dp::{DpMatrix, DpProblem};
+use easyhps_core::sched::{MasterAction, MasterEvent, MasterSched, SchedParams, SendFailKind};
+use easyhps_core::{DagDataDrivenModel, TaskDag, TileRegion, Trace, VertexId};
+use easyhps_dp::{Cell, DpMatrix, DpProblem};
 use easyhps_net::{
-    Endpoint, FailReason, FleetAcceptor, MembershipEvent, NetError, Rank, ReliableEndpoint,
+    Endpoint, Envelope, FailReason, FleetAcceptor, MembershipEvent, NetError, Rank,
+    ReliableEndpoint,
 };
-use std::collections::HashMap;
+use easyhps_obs::LaneBuf;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -79,8 +82,7 @@ impl FleetControl {
     pub fn new(acceptor: Option<Arc<FleetAcceptor>>) -> Self {
         Self {
             acceptor,
-            drain: Arc::new(Mutex::new(Vec::new())),
-            released: Arc::new(Mutex::new(Vec::new())),
+            ..Self::default()
         }
     }
 
@@ -104,7 +106,7 @@ fn fleet_release(fleet: Option<&FleetControl>, slave: usize) {
 }
 
 /// Outcome of a master run.
-pub struct MasterOutput<C: easyhps_dp::Cell> {
+pub struct MasterOutput<C: Cell> {
     /// The fully computed global matrix.
     pub matrix: DpMatrix<C>,
     /// Master counters.
@@ -121,46 +123,6 @@ pub struct MasterOutput<C: easyhps_dp::Cell> {
     /// a tile budget before completing; resume with
     /// [`crate::EasyHps::resume_from`].
     pub checkpoint: Option<Checkpoint>,
-}
-
-/// Driver-side bookkeeping for accepted completions, shared between the
-/// main loop and the teardown drain.
-struct DoneCtx<'a, C: easyhps_dp::Cell> {
-    t0: Instant,
-    started: &'a mut Vec<Option<(Instant, u64)>>,
-    trace: &'a mut Trace,
-    slot_lanes: &'a mut Vec<easyhps_obs::LaneBuf>,
-    matrix: &'a mut DpMatrix<C>,
-    mm: &'a MasterMetrics,
-    completed_tasks: &'a mut Vec<VertexId>,
-}
-
-impl<C: easyhps_dp::Cell> DoneCtx<'_, C> {
-    /// The machine accepted `msg` from slave `w`: close the trace span,
-    /// decode the result region into the global matrix, count it.
-    fn accept(&mut self, w: usize, msg: &DoneMsg) {
-        if let Some((start, start_ns)) = self.started[msg.task as usize].take() {
-            let end = Instant::now();
-            self.trace.record(
-                format!("slave{w}"),
-                "#",
-                start.duration_since(self.t0).as_nanos() as u64,
-                end.duration_since(self.t0).as_nanos() as u64,
-            );
-            self.mm
-                .tile_latency
-                .observe(end.duration_since(start).as_nanos() as u64);
-            self.slot_lanes[w].span_since(
-                "tile",
-                "master",
-                start_ns,
-                Some(("task", u64::from(msg.task))),
-            );
-        }
-        self.matrix.decode_region(msg.region, &msg.output);
-        self.mm.completed.inc();
-        self.completed_tasks.push(VertexId(msg.task));
-    }
 }
 
 /// Map a transport failure reason onto the machine's vocabulary.
@@ -184,7 +146,6 @@ fn fail_kind(reason: FailReason) -> SendFailKind {
 /// transparent, new incarnations are re-fenced under a bumped epoch
 /// (their zombie DONEs rejected by the epoch echo), mid-run joiners grow
 /// the schedule — and consumes its drain requests.
-#[allow(clippy::too_many_lines)] // the one I/O shell around the machine
 pub fn run_master<P: DpProblem>(
     ep: Endpoint,
     problem: &P,
@@ -194,25 +155,18 @@ pub fn run_master<P: DpProblem>(
     tile_budget: Option<u64>,
     fleet: Option<&FleetControl>,
 ) -> Result<MasterOutput<P::Cell>, RuntimeError> {
+    let _ = problem; // kernels run slave-side; the master only routes data
     if config.slaves == 0 {
         return Err(RuntimeError::NoSlaves);
     }
     let t0 = Instant::now();
     let params = config.sched_params();
+    let obs = &config.obs;
     let mut rep = ReliableEndpoint::new(ep, config.retry.clone());
-
-    let obs = config.obs.clone();
-    let registry = registry_of(&obs);
-    let mm = MasterMetrics::register(&registry);
-    let mut lane = lane_of(&obs, 0, 0);
-    let mut ft_lane = lane_of(&obs, 0, TID_FT);
-    rep.set_event_lane(lane_of(&obs, 0, TID_NET));
+    rep.set_event_lane(lane_of(obs, 0, TID_NET));
     if let Some(rec) = &obs.recorder {
         rec.name_process(0, "master");
         rec.name_thread(0, 0, "scheduler");
-        for w in 0..config.slaves {
-            rec.name_thread(0, 1 + w as u32, format!("slot{w}"));
-        }
         rec.name_thread(0, TID_FT, "fault-tolerance");
         rec.name_thread(0, TID_NET, "net");
     }
@@ -221,619 +175,535 @@ pub fn run_master<P: DpProblem>(
     // the race-freedom argument of the shared grid depends on it).
     let dag: TaskDag = model.master_dag();
     dag.validate()?;
-    let mut n_slaves = config.slaves;
     let acceptor = fleet.and_then(|f| f.acceptor.as_deref());
-    // Epoch each slot's ASSIGNs are stamped with. The slave echoes the
-    // stamp blindly, so any init consistent with the fencing check is
-    // correct — the acceptor's global epoch at start covers the initial
-    // members; what matters is the bump on Rejoined. Fixed fleets stay
-    // at epoch 0 forever and the fence never fires.
-    let epoch0 = acceptor.map_or(0, FleetAcceptor::epoch);
-    let mut cur_epoch: Vec<u64> = vec![epoch0; n_slaves];
 
     // Durable checkpoint store: opened before anything touches the
     // network, so a refused directory (dims mismatch, prior run present
     // without --resume) fails the run early.
     let dims = model.dag_size();
-    let mut store = match &config.checkpoint {
-        Some(pol) => Some(CheckpointStore::open(
-            pol,
-            dims.rows,
-            dims.cols,
-            resume.is_some(),
-        )?),
-        None => None,
+    let store = config
+        .checkpoint
+        .as_ref()
+        .map(|pol| CheckpointStore::open(pol, dims.rows, dims.cols, resume.is_some()))
+        .transpose()?;
+
+    let n = config.slaves;
+    let mut shell = Shell::<P::Cell> {
+        sched: MasterSched::new(&dag, n, config.process_mode, &params, tile_budget),
+        matrix: DpMatrix::new(dims),
+        trace: Trace::new(),
+        mm: MasterMetrics::register(&registry_of(obs)),
+        lanes: [lane_of(obs, 0, 0), lane_of(obs, 0, TID_FT)],
+        slot_lanes: (0..n).map(|w| slot_lane(obs, w)).collect(),
+        cur_epoch: vec![acceptor.map_or(0, FleetAcceptor::epoch); n],
+        started: vec![None; dag.len()],
+        inflight: HashMap::new(),
+        completed: Vec::new(),
+        flush_idx: 0,
+        last_flush: t0,
+        last_ft: Instant::now(),
+        teardown: None,
+        model,
+        config,
+        fleet,
+        params,
+        t0,
+        dag,
+        rep,
+        store,
     };
-    // Prefix of `completed_tasks` already flushed to the store.
-    let mut flush_idx: usize = 0;
-    let mut last_flush = t0;
-
-    // Steps b-i all live in the state machine; this function only drives
-    // it. Nanosecond virtual time = wall time since `t0`.
-    let mut sched = MasterSched::new(&dag, n_slaves, config.process_mode, &params, tile_budget);
-    let ns = |t: Instant| t.saturating_duration_since(t0).as_nanos() as u64;
-
-    let mut matrix = DpMatrix::<P::Cell>::new(model.dag_size());
-    let mut trace = Trace::new();
-    // Start instants per in-flight task for trace spans: the wall-clock
-    // instant for `Trace` / tile-latency, and the recorder timestamp for
-    // the slot-lane event span.
-    let mut started: Vec<Option<(Instant, u64)>> = vec![None; dag.len()];
-    // One event lane per slave slot: tile spans from assign-sent to
-    // completion-accepted, as the master observed them.
-    let mut slot_lanes: Vec<easyhps_obs::LaneBuf> = (0..n_slaves)
-        .map(|w| lane_of(&obs, 0, 1 + w as u32))
-        .collect();
-    let mut completed_tasks: Vec<VertexId> = Vec::new();
-    // Reliable-send bookkeeping: (slave, sequence number) of every ASSIGN
-    // whose delivery is not yet known, so an abandoned send can roll the
-    // dispatch back.
-    let mut inflight: HashMap<(usize, u64), u32> = HashMap::new();
 
     // Resume: restore finished regions and fast-forward the machine. The
     // finished set of a valid checkpoint is ancestor-closed, so walking a
     // topological order completes each task the moment it is computable;
     // a corrupt set surfaces as a SchedulerInvariant error, not a panic.
     if let Some(cp) = resume {
-        cp.restore_into(&mut matrix);
-        let preload: std::collections::HashSet<u32> = cp.finished_tasks().map(|v| v.0).collect();
-        for v in dag.topological_order()? {
+        cp.restore_into(&mut shell.matrix);
+        let preload: HashSet<u32> = cp.finished_tasks().map(|v| v.0).collect();
+        for v in shell.dag.topological_order()? {
             if preload.contains(&v.0) {
-                sched.preload_finished(&dag, v)?;
-                completed_tasks.push(v);
-                mm.resumed.inc();
-                if store.as_ref().is_some_and(|st| st.is_durable(v.0)) {
-                    mm.restored.inc();
+                shell.sched.preload_finished(&shell.dag, v)?;
+                shell.completed.push(v);
+                if shell.store.as_ref().is_some_and(|st| st.is_durable(v.0)) {
+                    shell.mm.restored.inc();
                 }
             }
         }
-        lane.instant("resume", "checkpoint", Some(("tiles", mm.resumed.get())));
+        let resumed = shell.sched.counters().resumed;
+        shell.instant(false, "resume", "checkpoint", ("tiles", resumed));
     }
-    let _ = problem; // kernels run slave-side; the master only routes data
+    shell.run()?;
+    shell.finish()
+}
 
-    let mut last_ft = Instant::now();
+/// The teardown drain (step i): which final STATS it still waits for.
+struct Teardown {
+    stats: Vec<Option<SlaveStatsMsg>>,
+    /// Slaves alive at END time whose STATS has not arrived. Only these
+    /// keep the drain waiting: a STATS from a dead-marked (actually alive)
+    /// slave is stored but must not stand in for a counted one.
+    awaited: Vec<bool>,
+    /// The drain must outlive the slowest legitimate reply: a slave's
+    /// STATS (or final DONE) can spend a full retransmit cycle in flight,
+    /// so the deadline scales with the configured `RetryPolicy`.
+    deadline: Instant,
+}
 
-    let result: Result<(), RuntimeError> = (|| {
-        'run: loop {
-            let now = Instant::now();
+/// Everything the master owns besides the machine's decisions: the
+/// transport, the matrix, the trace and the per-slot driver state.
+struct Shell<'a, C: Cell> {
+    model: &'a DagDataDrivenModel,
+    config: &'a Deployment,
+    fleet: Option<&'a FleetControl>,
+    params: SchedParams,
+    /// Nanosecond virtual time = wall time since `t0`.
+    t0: Instant,
+    dag: TaskDag,
+    /// Steps b-i all live in the state machine; the shell only drives it.
+    sched: MasterSched,
+    rep: ReliableEndpoint,
+    matrix: DpMatrix<C>,
+    trace: Trace,
+    mm: MasterMetrics,
+    /// Scheduler instants, and the FT sweep's on their own lane (`TID_FT`).
+    lanes: [LaneBuf; 2],
+    /// One event lane per slave slot: tile spans from assign-sent to
+    /// completion-accepted, as the master observed them.
+    slot_lanes: Vec<LaneBuf>,
+    /// Epoch each slot's ASSIGNs are stamped with; its length is the fleet
+    /// size. The slave echoes the stamp blindly, so any init consistent
+    /// with the fencing check is correct — the acceptor's global epoch at
+    /// start covers the initial members; what matters is the bump on a
+    /// rejoin. Fixed fleets stay at epoch 0 and the fence never fires.
+    cur_epoch: Vec<u64>,
+    /// Start per in-flight task: the wall-clock instant for `Trace` and
+    /// tile latency, the recorder timestamp for the slot-lane span.
+    started: Vec<Option<(Instant, u64)>>,
+    /// (slave, sequence number) of every ASSIGN whose delivery is not yet
+    /// known, so an abandoned send can roll the dispatch back.
+    inflight: HashMap<(usize, u64), u32>,
+    completed: Vec<VertexId>,
+    store: Option<CheckpointStore>,
+    /// Prefix of `completed` already flushed to the store.
+    flush_idx: usize,
+    last_flush: Instant,
+    last_ft: Instant,
+    /// `Some` once the machine said Finished/BudgetStop.
+    teardown: Option<Teardown>,
+}
 
-            // Membership first: a rejoin must re-fence the transport
-            // before this iteration stamps any new ASSIGN, and a joiner
-            // must exist before its first frame is dispatched on.
-            if let Some(acc) = acceptor {
-                for ev in acc.poll_events() {
-                    let (rank, epoch) = match ev {
-                        // Same incarnation, spliced stream: the reliable
-                        // layer's retransmits already cover the gap.
-                        MembershipEvent::Relinked { rank } => {
-                            lane.instant("relink", "fleet", Some(("rank", u64::from(rank))));
-                            continue;
-                        }
-                        MembershipEvent::Rejoined { rank, epoch }
-                        | MembershipEvent::Joined { rank, epoch } => (rank, epoch),
-                    };
-                    let w = (rank as usize).wrapping_sub(1);
-                    if rank == 0 {
-                        continue;
-                    }
-                    // A joiner past the current fleet grows every
-                    // driver-side per-slot structure before the machine.
-                    if w >= n_slaves {
-                        for i in n_slaves..=w {
-                            slot_lanes.push(lane_of(&obs, 0, 1 + i as u32));
-                            cur_epoch.push(epoch0);
-                            if let Some(rec) = &obs.recorder {
-                                rec.name_thread(0, 1 + i as u32, format!("slot{i}"));
-                            }
-                        }
-                        n_slaves = w + 1;
-                    }
-                    rep.ensure_ranks(w + 2);
-                    for a in sched.on_event(
-                        &dag,
-                        MasterEvent::Rejoined {
-                            slave: w,
-                            now_ns: ns(Instant::now()),
-                        },
-                    )? {
-                        match a {
-                            MasterAction::Redispatch { task } => {
-                                mm.redispatched.inc();
-                                lane.instant(
-                                    "rejoin-redispatch",
-                                    "fleet",
-                                    Some(("task", u64::from(task))),
-                                );
-                            }
-                            MasterAction::Readmit { slave } => {
-                                mm.dead_slaves.add(-1);
-                                mm.readmissions.inc();
-                                lane.instant("readmit", "ft", Some(("slave", slave as u64)));
-                            }
-                            MasterAction::Refence { slave } => {
-                                // New incarnation: its sequence numbers
-                                // restarted, its predecessor's stamps are
-                                // now stale, and its (slave, seq) ASSIGN
-                                // bookkeeping is void.
-                                rep.reset_peer(Rank(slave as u32 + 1));
-                                inflight.retain(|(sw, _), _| *sw != slave);
-                                cur_epoch[slave] = epoch;
-                                mm.rejoins.inc();
-                                lane.instant("rejoin", "fleet", Some(("slave", slave as u64)));
-                            }
-                            other => debug_assert!(false, "rejoin emitted {other:?}"),
-                        }
-                    }
-                }
-            }
+/// The event lane of slave slot `w` (Chrome tid `1 + w`), named.
+fn slot_lane(obs: &ObsConfig, w: usize) -> LaneBuf {
+    if let Some(rec) = &obs.recorder {
+        rec.name_thread(0, 1 + w as u32, format!("slot{w}"));
+    }
+    lane_of(obs, 0, 1 + w as u32)
+}
 
-            // Operator drain requests, from the CLI/daemon surface.
-            if let Some(fc) = fleet {
-                let drains: Vec<u32> = std::mem::take(&mut *fc.drain.lock().unwrap());
-                for rank in drains {
-                    let w = (rank as usize).wrapping_sub(1);
-                    if rank == 0 || w >= n_slaves {
-                        continue;
-                    }
-                    for a in sched.on_event(&dag, MasterEvent::DrainSlave { slave: w })? {
-                        match a {
-                            MasterAction::Release { slave } => {
-                                fleet_release(fleet, slave);
-                                lane.instant("release", "fleet", Some(("slave", slave as u64)));
-                            }
-                            other => debug_assert!(false, "drain emitted {other:?}"),
-                        }
-                    }
-                }
-            }
+impl<C: Cell> Shell<'_, C> {
+    fn n_slaves(&self) -> usize {
+        self.cur_epoch.len()
+    }
 
-            // Sync heartbeat observations into the machine's liveness
-            // record.
-            for w in 0..n_slaves {
-                if let Some(t) = rep.last_heard(Rank(w as u32 + 1)) {
-                    sched.on_event(
-                        &dag,
-                        MasterEvent::Heard {
-                            slave: w,
-                            at_ns: ns(t),
-                        },
-                    )?;
-                }
-            }
+    fn ns(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.t0).as_nanos() as u64
+    }
 
-            // The fault-tolerance sweep, at its own cadence inside the
-            // one loop (no FT thread to race the scheduler).
-            if last_ft.elapsed() >= params.ft_poll {
-                last_ft = Instant::now();
-                for a in sched.on_event(
-                    &dag,
-                    MasterEvent::FtTick {
-                        now_ns: ns(last_ft),
-                    },
-                )? {
-                    match a {
-                        MasterAction::Redispatch { task } => {
-                            mm.redispatched.inc();
-                            ft_lane.instant("redispatch", "ft", Some(("task", u64::from(task))));
-                        }
-                        MasterAction::Exclude { slave } => {
-                            mm.exclusions.inc();
-                            mm.dead_slaves.add(1);
-                            ft_lane.instant("exclude", "ft", Some(("slave", slave as u64)));
-                        }
-                        // The overdue drain can take back a draining
-                        // slave's last in-flight sub-task.
-                        MasterAction::Release { slave } => {
-                            fleet_release(fleet, slave);
-                            ft_lane.instant("release", "fleet", Some(("slave", slave as u64)));
-                        }
-                        other => debug_assert!(false, "FT sweep emitted {other:?}"),
+    /// The cell region of master-DAG vertex `task`.
+    fn region_of(&self, task: u32) -> TileRegion {
+        self.model.tile_region(self.dag.vertex(VertexId(task)).pos)
+    }
+
+    /// A trace instant on the scheduler lane, or the FT sweep's when `ft`.
+    fn instant(
+        &mut self,
+        ft: bool,
+        name: &'static str,
+        cat: &'static str,
+        arg: (&'static str, u64),
+    ) {
+        self.lanes[usize::from(ft)].instant(name, cat, Some(arg));
+    }
+
+    /// The one loop. A pass handles membership → drain requests → `Heard`
+    /// → `FtTick` → `Tick` → receive → send failures → durable flush; once
+    /// the machine has said Finished/BudgetStop the same loop is the
+    /// teardown drain — frames only, until the awaited STATS are in.
+    fn run(&mut self) -> Result<(), RuntimeError> {
+        loop {
+            if self.teardown.is_none() {
+                // Membership first: a rejoin must re-fence the transport
+                // before this iteration stamps any new ASSIGN, and a joiner
+                // must exist before its first frame is dispatched on.
+                self.poll_fleet()?;
+                // Sync heartbeat observations into the machine's liveness
+                // record.
+                for w in 0..self.n_slaves() {
+                    if let Some(t) = self.rep.last_heard(Rank(w as u32 + 1)) {
+                        let at_ns = self.ns(t);
+                        self.feed(MasterEvent::Heard { slave: w, at_ns }, &[])?;
                     }
                 }
-            }
-
-            // One scheduling pass: re-admission, termination checks and
-            // dispatch all come back as actions.
-            for a in sched.on_event(&dag, MasterEvent::Tick { now_ns: ns(now) })? {
-                match a {
-                    MasterAction::Finished | MasterAction::BudgetStop => break 'run,
-                    MasterAction::AllSlavesDead => return Err(RuntimeError::AllSlavesDead),
-                    MasterAction::Readmit { slave } => {
-                        mm.dead_slaves.add(-1);
-                        mm.readmissions.inc();
-                        lane.instant("readmit", "ft", Some(("slave", slave as u64)));
-                    }
-                    MasterAction::Assign { slave: w, task } => {
-                        // Steps c-d: encode the tile's input strips and
-                        // send the ASSIGN.
-                        let v = VertexId(task);
-                        let vertex = dag.vertex(v);
-                        let inputs: Vec<_> = vertex
-                            .data_deps
-                            .iter()
-                            .map(|d| {
-                                let region = model.tile_region(dag.vertex(*d).pos);
-                                (region, matrix.encode_region(region))
-                            })
-                            .collect();
-                        let msg = AssignMsg {
-                            task,
-                            epoch: cur_epoch[w],
-                            tile: vertex.pos,
-                            region: model.tile_region(vertex.pos),
-                            inputs,
-                        };
-                        match rep.send_reliable(Rank(w as u32 + 1), tags::ASSIGN, msg.encode()) {
-                            Ok(seq) => {
-                                mm.dispatched.inc();
-                                started[v.index()] = Some((Instant::now(), slot_lanes[w].now_ns()));
-                                inflight.insert((w, seq), task);
-                            }
-                            Err(_) => {
-                                // Slave endpoint gone: the machine rolls
-                                // the dispatch back (the task was never
-                                // sent) and puts the slave permanently out.
-                                mm.send_failures.inc();
-                                for ra in sched.on_event(
-                                    &dag,
-                                    MasterEvent::AssignRejected { slave: w, task },
-                                )? {
-                                    if let MasterAction::Exclude { slave } = ra {
-                                        mm.exclusions.inc();
-                                        mm.dead_slaves.add(1);
-                                        lane.instant(
-                                            "exclude",
-                                            "ft",
-                                            Some(("slave", slave as u64)),
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    other => debug_assert!(false, "scheduling tick emitted {other:?}"),
+                // The fault-tolerance sweep, at its own cadence.
+                if self.last_ft.elapsed() >= self.params.ft_poll {
+                    self.last_ft = Instant::now();
+                    let now_ns = self.ns(self.last_ft);
+                    self.feed(MasterEvent::FtTick { now_ns }, &[])?;
                 }
+                // One scheduling pass: re-admission, termination checks
+                // and dispatch all come back as actions.
+                let now_ns = self.ns(Instant::now());
+                self.feed(MasterEvent::Tick { now_ns }, &[])?;
             }
-
+            let poll = match &self.teardown {
+                None => self.params.recv_poll,
+                Some(t) => {
+                    let waiting = t.awaited.contains(&true) || self.rep.has_pending();
+                    if !waiting || Instant::now() >= t.deadline {
+                        return Ok(());
+                    }
+                    self.params.teardown_recv
+                }
+            };
             // Steps e-f, h: collect completions and idle signals. The
             // reliable endpoint retransmits pending sends while waiting.
-            match rep.recv_timeout(params.recv_poll) {
-                Ok(env) => {
-                    let w = (env.src.0 as usize).wrapping_sub(1);
-                    match env.tag {
-                        tags::IDLE if w < n_slaves => {
-                            sched.on_event(&dag, MasterEvent::Idle { slave: w })?;
-                        }
-                        tags::IDLE => { /* out-of-range source rank: ignore */ }
-                        tags::HEARTBEAT => { /* liveness noted by the endpoint */ }
-                        // Bound-check the source rank before touching any
-                        // per-slave state — a frame from outside the slave
-                        // range must not reach the machine.
-                        tags::DONE if w < n_slaves => {
-                            let msg = DoneMsg::decode(&env.payload)?;
-                            // The epoch fence: a completion stamped by a
-                            // since-replaced incarnation is counted and
-                            // dropped before the register table is even
-                            // consulted — it can never be accepted.
-                            if msg.epoch != cur_epoch[w] {
-                                mm.stale_epoch_rejected.inc();
-                                let acts = sched.on_event(
-                                    &dag,
-                                    MasterEvent::StaleEpoch {
-                                        slave: w,
-                                        task: msg.task,
-                                    },
-                                )?;
-                                debug_assert!(acts.is_empty(), "StaleEpoch emitted {acts:?}");
-                                continue 'run;
-                            }
-                            let mut ctx = DoneCtx {
-                                t0,
-                                started: &mut started,
-                                trace: &mut trace,
-                                slot_lanes: &mut slot_lanes,
-                                matrix: &mut matrix,
-                                mm: &mm,
-                                completed_tasks: &mut completed_tasks,
-                            };
-                            for a in sched.on_event(
-                                &dag,
-                                MasterEvent::Done {
-                                    slave: w,
-                                    task: msg.task,
-                                },
-                            )? {
-                                match a {
-                                    MasterAction::Accept { .. } => ctx.accept(w, &msg),
-                                    MasterAction::Stale { .. } => mm.stale.inc(),
-                                    MasterAction::Release { slave } => {
-                                        fleet_release(fleet, slave);
-                                        lane.instant(
-                                            "release",
-                                            "fleet",
-                                            Some(("slave", slave as u64)),
-                                        );
-                                    }
-                                    other => {
-                                        debug_assert!(false, "DONE emitted {other:?}")
-                                    }
-                                }
-                            }
-                        }
-                        tags::DONE => { /* out-of-range source rank: ignore */ }
-                        tags::STATS => { /* late stats, ignore */ }
-                        // A fleet slave idling outside this job (mid-run
-                        // joiner already shipped the JOB by the acceptor,
-                        // or a relinked slave sitting the job out)
-                        // re-announces READY periodically; the barrier
-                        // that wants it runs at the next job boundary.
-                        tags::READY => {}
-                        other => debug_assert!(false, "master received unexpected {other}"),
-                    }
-                }
+            match self.rep.recv_timeout(poll) {
+                Ok(env) => self.on_frame(env)?,
                 Err(NetError::Timeout) => {}
+                Err(_) if self.teardown.is_some() => return Ok(()),
                 Err(e) => return Err(e.into()),
             }
+            self.on_send_failures()?;
+            self.flush_durable(false)?;
+            self.mm.publish(self.sched.counters());
+        }
+    }
 
-            // Abandoned reliable sends: the machine rolls the dispatch
-            // back so the task is redistributable, and judges the slave by
-            // its heartbeat — an unreachable peer is dead, a silent one
-            // presumed dead (re-admitted later if it turns out merely
-            // slow).
-            for f in rep.take_failures() {
-                mm.send_failures.inc();
-                let w = (f.dst.0 as usize).wrapping_sub(1);
-                if w >= n_slaves {
-                    continue;
-                }
-                let assign_task = if f.tag == tags::ASSIGN {
-                    inflight.remove(&(w, f.seq))
-                } else {
-                    None
-                };
-                let ev = MasterEvent::SendFailed {
-                    slave: w,
-                    assign_task,
-                    reason: fail_kind(f.reason),
-                    now_ns: ns(Instant::now()),
-                };
-                for a in sched.on_event(&dag, ev)? {
-                    match a {
-                        MasterAction::CancelAssign { task } => {
-                            mm.redispatched.inc();
-                            started[task as usize] = None;
+    /// Feed one event to the machine and perform what it answers.
+    /// `output` is the payload when the event is a DONE, else empty.
+    fn feed(&mut self, ev: MasterEvent, output: &[u8]) -> Result<(), RuntimeError> {
+        let ft = matches!(ev, MasterEvent::FtTick { .. });
+        let actions = self.sched.on_event(&self.dag, ev)?;
+        self.apply(actions, ft, output)
+    }
+
+    /// Perform the machine's actions, in order — the only place a
+    /// [`MasterAction`] is interpreted. `ft` routes trace instants to the
+    /// FT lane; `output` is the payload of the DONE being answered.
+    fn apply(
+        &mut self,
+        actions: Vec<MasterAction>,
+        ft: bool,
+        output: &[u8],
+    ) -> Result<(), RuntimeError> {
+        for a in actions {
+            match a {
+                // Steps c-d: encode the tile's input strips and send.
+                MasterAction::Assign { slave: w, task } => {
+                    let vertex = self.dag.vertex(VertexId(task));
+                    let strip = |d: &VertexId| {
+                        let region = self.region_of(d.0);
+                        (region, self.matrix.encode_region(region))
+                    };
+                    let msg = AssignMsg {
+                        task,
+                        epoch: self.cur_epoch[w],
+                        tile: vertex.pos,
+                        region: self.region_of(task),
+                        inputs: vertex.data_deps.iter().map(strip).collect(),
+                    };
+                    let dst = Rank(w as u32 + 1);
+                    match self.rep.send_reliable(dst, tags::ASSIGN, msg.encode()) {
+                        Ok(seq) => {
+                            let start = (Instant::now(), self.slot_lanes[w].now_ns());
+                            self.started[task as usize] = Some(start);
+                            self.inflight.insert((w, seq), task);
                         }
-                        MasterAction::Exclude { slave } => {
-                            mm.exclusions.inc();
-                            mm.dead_slaves.add(1);
-                            lane.instant("exclude", "ft", Some(("slave", slave as u64)));
-                        }
-                        MasterAction::Release { slave } => {
-                            fleet_release(fleet, slave);
-                            lane.instant("release", "fleet", Some(("slave", slave as u64)));
-                        }
-                        other => debug_assert!(false, "send failure emitted {other:?}"),
+                        // Slave endpoint gone: the machine rolls the
+                        // dispatch back (the task was never sent) and puts
+                        // the slave permanently out.
+                        Err(_) => self.feed(MasterEvent::AssignRejected { slave: w, task }, &[])?,
                     }
                 }
-            }
-
-            // Durable capture: flush tiles accepted since the last flush
-            // once the policy's cadence is due — never on the DONE hot
-            // path itself.
-            if let (Some(st), Some(pol)) = (store.as_mut(), config.checkpoint.as_ref()) {
-                let pending = (completed_tasks.len() - flush_idx) as u64;
-                let due = (pol.every_tiles > 0 && pending >= pol.every_tiles)
-                    || (pending > 0 && pol.every.is_some_and(|d| last_flush.elapsed() >= d));
-                if due {
-                    flush_durable(
-                        st,
-                        &mut flush_idx,
-                        &completed_tasks,
-                        model,
-                        &dag,
-                        &matrix,
-                        &mm,
-                        &mut lane,
-                    )?;
-                    last_flush = Instant::now();
+                MasterAction::Accept { slave: w, task } => {
+                    if let Some((start, start_ns)) = self.started[task as usize].take() {
+                        let (from, to) = (self.ns(start), self.ns(Instant::now()));
+                        self.trace.record(format!("slave{w}"), "#", from, to);
+                        self.mm.tile_latency.observe(to - from);
+                        let arg = Some(("task", u64::from(task)));
+                        self.slot_lanes[w].span_since("tile", "master", start_ns, arg);
+                    }
+                    self.matrix.decode_region(self.region_of(task), output);
+                    self.completed.push(VertexId(task));
                 }
+                MasterAction::Stale { .. } => {}
+                // Taken back by the overdue sweep, or from a replaced
+                // incarnation at its rejoin.
+                MasterAction::Redispatch { task } => {
+                    let (name, cat) =
+                        [("rejoin-redispatch", "fleet"), ("redispatch", "ft")][usize::from(ft)];
+                    self.instant(ft, name, cat, ("task", u64::from(task)));
+                }
+                MasterAction::CancelAssign { task } => self.started[task as usize] = None,
+                MasterAction::Exclude { slave } => {
+                    self.instant(ft, "exclude", "ft", ("slave", slave as u64));
+                }
+                MasterAction::Readmit { slave } => {
+                    self.instant(ft, "readmit", "ft", ("slave", slave as u64));
+                }
+                // New incarnation: its sequence numbers restarted and its
+                // (slave, seq) ASSIGN bookkeeping is void. Its stamp was
+                // bumped when the membership event arrived.
+                MasterAction::Refence { slave } => {
+                    self.rep.reset_peer(Rank(slave as u32 + 1));
+                    self.inflight.retain(|(sw, _), _| *sw != slave);
+                    self.instant(ft, "rejoin", "fleet", ("slave", slave as u64));
+                }
+                MasterAction::Release { slave } => {
+                    fleet_release(self.fleet, slave);
+                    self.instant(ft, "release", "fleet", ("slave", slave as u64));
+                }
+                MasterAction::Finished | MasterAction::BudgetStop => self.begin_teardown()?,
+                MasterAction::AllSlavesDead => return Err(RuntimeError::AllSlavesDead),
             }
         }
         Ok(())
-    })();
-    result?;
-
-    // Step i: tear down. The machine stops dispatching; completions still
-    // in flight are accepted into the matrix — on a budget stop they
-    // would otherwise be recomputed after `resume_from`.
-    sched.on_event(&dag, MasterEvent::Drain)?;
-    let alive: Vec<bool> = sched.alive().to_vec();
-
-    // Send END to every slave (dead ones may never read it; unreachable
-    // ones fail immediately and are ignored) and collect final stats from
-    // the live ones.
-    let mut slave_stats: Vec<Option<SlaveStatsMsg>> = vec![None; n_slaves];
-    for w in 0..n_slaves {
-        let _ = rep.send_reliable(Rank(w as u32 + 1), tags::END, Bytes::new());
     }
-    // Only slaves counted into `expected` may decrement it: a STATS from a
-    // dead-marked (actually alive) slave is stored but must not make the
-    // master stop waiting for a counted one.
-    let mut counted = alive;
-    let mut expected: usize = counted.iter().filter(|a| **a).count();
-    // The drain must outlive the slowest legitimate reply: a slave's
-    // STATS (or final DONE) can spend a full retransmit cycle in flight,
-    // so the deadline scales with the configured `RetryPolicy` — the
-    // floor and margin are the shared `SchedParams` constants.
-    let deadline = Instant::now() + params.drain_deadline(config.retry.drain_budget());
-    while (expected > 0 || rep.has_pending()) && Instant::now() < deadline {
-        match rep.recv_timeout(params.teardown_recv) {
-            Ok(env) => {
-                let w = (env.src.0 as usize).wrapping_sub(1);
-                match env.tag {
-                    tags::STATS if w < n_slaves && slave_stats[w].is_none() => {
-                        slave_stats[w] = Some(SlaveStatsMsg::decode(&env.payload)?);
-                        if counted[w] {
-                            counted[w] = false;
-                            expected -= 1;
-                        }
-                    }
-                    // Same rank guard as the main loop: a frame from an
-                    // out-of-range rank is ignored outright, not counted
-                    // stale (stale means "duplicate from a known slave").
-                    tags::DONE if w < n_slaves => {
-                        let msg = DoneMsg::decode(&env.payload)?;
-                        // Same epoch fence as the main loop: teardown
-                        // accepts late completions, never zombie ones.
-                        if msg.epoch != cur_epoch[w] {
-                            mm.stale_epoch_rejected.inc();
-                            let acts = sched.on_event(
-                                &dag,
-                                MasterEvent::StaleEpoch {
-                                    slave: w,
-                                    task: msg.task,
-                                },
-                            )?;
-                            debug_assert!(acts.is_empty(), "StaleEpoch emitted {acts:?}");
-                            continue;
-                        }
-                        let mut ctx = DoneCtx {
-                            t0,
-                            started: &mut started,
-                            trace: &mut trace,
-                            slot_lanes: &mut slot_lanes,
-                            matrix: &mut matrix,
-                            mm: &mm,
-                            completed_tasks: &mut completed_tasks,
-                        };
-                        for a in sched.on_event(
-                            &dag,
-                            MasterEvent::Done {
-                                slave: w,
-                                task: msg.task,
-                            },
-                        )? {
-                            match a {
-                                MasterAction::Accept { .. } => ctx.accept(w, &msg),
-                                MasterAction::Stale { .. } => mm.stale.inc(),
-                                MasterAction::Release { slave } => {
-                                    fleet_release(fleet, slave);
-                                }
-                                other => debug_assert!(false, "DONE emitted {other:?}"),
-                            }
-                        }
-                    }
-                    _ => {} // stray IDLE/HEARTBEAT from shutting-down slaves
+
+    /// Turn one received frame into machine events — the only place that
+    /// happens, for the main loop and the teardown drain alike.
+    fn on_frame(&mut self, env: Envelope) -> Result<(), RuntimeError> {
+        // Bound-check the source rank before touching any per-slave state
+        // — a frame from outside the slave range must not reach the
+        // machine (ignored outright, not counted stale: stale means
+        // "duplicate from a known slave").
+        let w = (env.src.0 as usize).wrapping_sub(1);
+        if w >= self.n_slaves() {
+            return Ok(());
+        }
+        match env.tag {
+            tags::IDLE => self.feed(MasterEvent::Idle { slave: w }, &[])?,
+            tags::DONE => {
+                let msg = DoneMsg::decode(&env.payload)?;
+                let task = msg.task;
+                // The epoch fence: a completion stamped by a since-replaced
+                // incarnation is counted and dropped before the register
+                // table is even consulted — it can never be accepted, in
+                // the main loop or in teardown.
+                if msg.epoch != self.cur_epoch[w] {
+                    return self.feed(MasterEvent::StaleEpoch { slave: w, task }, &[]);
+                }
+                // The shape fence: the master knows the cells it assigned,
+                // so a DONE for an unknown task, another region or a
+                // payload that does not fill it is dropped before the
+                // machine sees it. The task stays in flight: an honest DONE
+                // still lands, else the overdue sweep redistributes it.
+                let fits = |r: TileRegion| {
+                    msg.region == r && msg.output.len() == r.area() as usize * C::WIRE_SIZE
+                };
+                if task as usize >= self.dag.len() || !fits(self.region_of(task)) {
+                    self.mm.malformed.inc();
+                    return Ok(());
+                }
+                self.feed(MasterEvent::Done { slave: w, task }, &msg.output)?;
+            }
+            // Final stats answer END; one arriving earlier is a late
+            // reply to a previous job's END on a reused link.
+            tags::STATS => {
+                if let Some(t) = self.teardown.as_mut().filter(|t| t.stats[w].is_none()) {
+                    t.stats[w] = Some(SlaveStatsMsg::decode(&env.payload)?);
+                    t.awaited[w] = false;
                 }
             }
-            Err(NetError::Timeout) => {}
-            Err(_) => break,
+            // Liveness is noted by the endpoint. A fleet slave idling
+            // outside this job (mid-run joiner already shipped the JOB by
+            // the acceptor, or a relinked slave sitting the job out)
+            // re-announces READY periodically; the barrier that wants it
+            // runs at the next job boundary.
+            tags::HEARTBEAT | tags::READY => {}
+            other => debug_assert!(false, "master received unexpected {other}"),
         }
-        // ENDs to dead slaves give up quietly; nobody is waiting on them.
-        let _ = rep.take_failures();
+        Ok(())
     }
 
-    // Final durable capture: everything the drain above accepted is on
-    // disk before the run reports success. A crashed run (`result?`
-    // above) never reaches this — exactly the gap the incremental
-    // in-loop flushes cover.
-    if let Some(st) = store.as_mut() {
-        flush_durable(
-            st,
-            &mut flush_idx,
-            &completed_tasks,
-            model,
-            &dag,
-            &matrix,
-            &mm,
-            &mut lane,
-        )?;
+    /// Membership changes from the elastic acceptor, then operator drain
+    /// requests from the CLI/daemon surface.
+    fn poll_fleet(&mut self) -> Result<(), RuntimeError> {
+        let Some(fc) = self.fleet else {
+            return Ok(());
+        };
+        let events = fc.acceptor.as_ref().map(|acc| acc.poll_events());
+        for ev in events.into_iter().flatten() {
+            let (rank, epoch) = match ev {
+                // Same incarnation, spliced stream: the reliable layer's
+                // retransmits already cover the gap.
+                MembershipEvent::Relinked { rank } => {
+                    self.instant(false, "relink", "fleet", ("rank", u64::from(rank)));
+                    continue;
+                }
+                MembershipEvent::Rejoined { rank, epoch }
+                | MembershipEvent::Joined { rank, epoch } => (rank, epoch),
+            };
+            let Some(w) = (rank as usize).checked_sub(1) else {
+                continue;
+            };
+            // A joiner past the current fleet grows every shell-side
+            // per-slot structure before the machine.
+            for i in self.n_slaves()..=w {
+                self.slot_lanes.push(slot_lane(&self.config.obs, i));
+                self.cur_epoch.push(epoch);
+            }
+            self.rep.ensure_ranks(w + 2);
+            // The machine answers with a Refence for this slot; from here
+            // on its predecessor's stamps are stale.
+            self.cur_epoch[w] = epoch;
+            let now_ns = self.ns(Instant::now());
+            self.feed(MasterEvent::Rejoined { slave: w, now_ns }, &[])?;
+        }
+        let drains: Vec<u32> = std::mem::take(&mut *fc.drain.lock().unwrap());
+        for rank in drains {
+            let w = (rank as usize).wrapping_sub(1);
+            if w < self.n_slaves() {
+                self.feed(MasterEvent::DrainSlave { slave: w }, &[])?;
+            }
+        }
+        Ok(())
     }
 
-    publish_endpoint_stats(&registry, "master", &rep);
-    let reli = rep.stats();
-    let net = rep.net_stats();
-    // `MasterStats` is a view over the registry: every counter below was
-    // maintained there during the run (`completed` folds resumed tiles
-    // back in so budget/DAG accounting stays whole-run).
-    let stats = MasterStats {
-        dispatched: mm.dispatched.get(),
-        redispatched: mm.redispatched.get(),
-        completed: mm.completed.get() + mm.resumed.get(),
-        resumed: mm.resumed.get(),
-        stale_completions: mm.stale.get(),
-        dead_slaves: mm.dead_slaves.get().max(0) as u64,
-        readmitted: mm.readmissions.get(),
-        rejoins: mm.rejoins.get(),
-        stale_epoch_rejected: mm.stale_epoch_rejected.get(),
-        retransmits: reli.retransmits,
-        duplicates: reli.duplicates,
-        send_failures: mm.send_failures.get(),
-        msgs_sent: net.sent_msgs,
-        bytes_sent: net.sent_bytes,
-        msgs_recv: net.recv_msgs,
-        bytes_recv: net.recv_bytes,
-    };
+    /// Abandoned reliable sends: the machine rolls the dispatch back so
+    /// the task is redistributable, and judges the slave by its heartbeat
+    /// — an unreachable peer is dead, a silent one presumed dead
+    /// (re-admitted later if it turns out merely slow).
+    fn on_send_failures(&mut self) -> Result<(), RuntimeError> {
+        for f in self.rep.take_failures() {
+            let w = (f.dst.0 as usize).wrapping_sub(1);
+            // In teardown ENDs to dead slaves give up quietly; nobody
+            // waits on them.
+            if self.teardown.is_some() || w >= self.n_slaves() {
+                continue;
+            }
+            let assign = (f.tag == tags::ASSIGN).then_some((w, f.seq));
+            let ev = MasterEvent::SendFailed {
+                slave: w,
+                assign_task: assign.and_then(|sent| self.inflight.remove(&sent)),
+                reason: fail_kind(f.reason),
+                now_ns: self.ns(Instant::now()),
+            };
+            self.feed(ev, &[])?;
+        }
+        Ok(())
+    }
 
-    let checkpoint = (!sched.is_done()).then(|| {
-        let cp = Checkpoint::capture(model, &dag, &matrix, completed_tasks.iter().copied());
-        mm.checkpoints.inc();
-        lane.instant(
-            "checkpoint",
-            "checkpoint",
-            Some(("finished", cp.finished_len() as u64)),
-        );
-        cp
-    });
+    /// Step i: the machine stops dispatching; completions still in flight
+    /// keep being accepted into the matrix — on a budget stop they would
+    /// otherwise be recomputed after `resume_from`. END goes to every
+    /// slave (dead ones may never read it; unreachable ones fail
+    /// immediately and are ignored); the live ones' STATS are awaited.
+    fn begin_teardown(&mut self) -> Result<(), RuntimeError> {
+        self.feed(MasterEvent::Drain, &[])?;
+        let awaited = self.sched.alive().to_vec();
+        for rank in 1..=self.n_slaves() as u32 {
+            let _ = self.rep.send_reliable(Rank(rank), tags::END, Bytes::new());
+        }
+        let grace = self.params.drain_deadline(self.config.retry.drain_budget());
+        self.teardown = Some(Teardown {
+            stats: vec![None; self.n_slaves()],
+            awaited,
+            deadline: Instant::now() + grace,
+        });
+        Ok(())
+    }
 
-    Ok(MasterOutput {
-        matrix,
-        stats,
-        slave_stats,
-        elapsed: t0.elapsed(),
-        trace,
-        checkpoint,
-    })
-}
+    /// Durable capture: append the not-yet-durable tail of `completed` to
+    /// the checkpoint store once the policy's cadence is due (or `force`d
+    /// at the end of the run) — never on the DONE hot path itself.
+    /// `flush_idx` advances even when nothing was fresh (already-durable
+    /// resumed tiles are skipped without re-writing).
+    fn flush_durable(&mut self, force: bool) -> Result<(), RuntimeError> {
+        let (Some(store), Some(pol)) = (&self.store, &self.config.checkpoint) else {
+            return Ok(());
+        };
+        let pending = (self.completed.len() - self.flush_idx) as u64;
+        let due = (pol.every_tiles > 0 && pending >= pol.every_tiles)
+            || (pending > 0 && pol.every.is_some_and(|d| self.last_flush.elapsed() >= d));
+        // The teardown drain has no cadence: the forced final flush follows it.
+        if !(force || due && self.teardown.is_none()) {
+            return Ok(());
+        }
+        let fresh: Vec<_> = self.completed[self.flush_idx..]
+            .iter()
+            .filter(|v| !store.is_durable(v.0))
+            .map(|v| {
+                let region = self.region_of(v.0);
+                (v.0, region, self.matrix.encode_region(region))
+            })
+            .collect();
+        self.flush_idx = self.completed.len();
+        self.last_flush = Instant::now();
+        if fresh.is_empty() {
+            return Ok(());
+        }
+        let bytes = self.store.as_mut().expect("checked above").append(&fresh)?;
+        self.mm.checkpoint_bytes.add(bytes);
+        let write_us = self.last_flush.elapsed().as_micros() as u64;
+        self.mm.checkpoint_write_us.observe(write_us);
+        self.mm.checkpoints.inc();
+        let tiles = ("tiles", fresh.len() as u64);
+        self.instant(false, "checkpoint-flush", "checkpoint", tiles);
+        Ok(())
+    }
 
-/// Append the not-yet-durable tail of `completed` to the checkpoint
-/// store: encode each tile's region from the live matrix, write one
-/// segment, account the cost. `flush_idx` advances to the end of
-/// `completed` even when nothing was fresh (already-durable resumed tiles
-/// are skipped without re-writing).
-#[allow(clippy::too_many_arguments)] // plumbing between two loop sites
-fn flush_durable<C: easyhps_dp::Cell>(
-    store: &mut CheckpointStore,
-    flush_idx: &mut usize,
-    completed: &[VertexId],
-    model: &DagDataDrivenModel,
-    dag: &TaskDag,
-    matrix: &DpMatrix<C>,
-    mm: &MasterMetrics,
-    lane: &mut easyhps_obs::LaneBuf,
-) -> Result<(), RuntimeError> {
-    let fresh: Vec<_> = completed[*flush_idx..]
-        .iter()
-        .copied()
-        .filter(|v| !store.is_durable(v.0))
-        .map(|v| {
-            let region = model.tile_region(dag.vertex(v).pos);
-            (v.0, region, matrix.encode_region(region))
+    /// Final durable capture, counter publication and the output.
+    fn finish(mut self) -> Result<MasterOutput<C>, RuntimeError> {
+        // Everything the drain accepted is on disk before the run reports
+        // success. A crashed run never reaches this — exactly the gap the
+        // incremental in-loop flushes cover.
+        self.flush_durable(true)?;
+
+        // `MasterStats` and the `master_*` series are the machine's
+        // counters (`completed` folds resumed tiles back in so budget/DAG
+        // accounting stays whole-run).
+        let c = self.sched.counters();
+        self.mm.publish(c);
+        publish_endpoint_stats(&registry_of(&self.config.obs), "master", &self.rep);
+        let (reli, net) = (self.rep.stats(), self.rep.net_stats());
+        let stats = MasterStats {
+            dispatched: c.dispatched,
+            redispatched: c.redispatched,
+            completed: c.completed + c.resumed,
+            resumed: c.resumed,
+            stale_completions: c.stale,
+            dead_slaves: c.exclusions.saturating_sub(c.readmissions),
+            readmitted: c.readmissions,
+            rejoins: c.rejoins,
+            stale_epoch_rejected: c.stale_epoch,
+            retransmits: reli.retransmits,
+            duplicates: reli.duplicates,
+            send_failures: c.send_failures,
+            msgs_sent: net.sent_msgs,
+            bytes_sent: net.sent_bytes,
+            msgs_recv: net.recv_msgs,
+            bytes_recv: net.recv_bytes,
+        };
+
+        let checkpoint = (!self.sched.is_done()).then(|| {
+            let done = self.completed.iter().copied();
+            let cp = Checkpoint::capture(self.model, &self.dag, &self.matrix, done);
+            self.mm.checkpoints.inc();
+            let finished = cp.finished_len() as u64;
+            self.lanes[0].instant("checkpoint", "checkpoint", Some(("finished", finished)));
+            cp
+        });
+
+        Ok(MasterOutput {
+            matrix: self.matrix,
+            stats,
+            slave_stats: self.teardown.map_or_else(Vec::new, |t| t.stats),
+            elapsed: self.t0.elapsed(),
+            trace: self.trace,
+            checkpoint,
         })
-        .collect();
-    *flush_idx = completed.len();
-    if fresh.is_empty() {
-        return Ok(());
     }
-    let tiles = fresh.len() as u64;
-    let t = Instant::now();
-    let bytes = store.append(&fresh)?;
-    mm.checkpoint_bytes.add(bytes);
-    mm.checkpoint_write_us
-        .observe(t.elapsed().as_micros() as u64);
-    mm.checkpoints.inc();
-    lane.instant("checkpoint-flush", "checkpoint", Some(("tiles", tiles)));
-    Ok(())
 }
 
 #[cfg(test)]

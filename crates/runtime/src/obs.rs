@@ -15,18 +15,20 @@
 //! |---------|----------------|-----------------|-------------------------|
 //! | 0       | master         | 0               | scheduler (instants)    |
 //! | 0       | master         | 1 + w           | slot for slave `w` (tile spans) |
-//! | 0       | master         | [`TID_FT`]      | fault-tolerance thread  |
+//! | 0       | master         | [`TID_FT`]      | fault-tolerance sweep   |
 //! | 0       | master         | [`TID_NET`]     | reliable endpoint       |
 //! | 1 + w   | slave `w`      | 0               | slave scheduler         |
 //! | 1 + w   | slave `w`      | 1..=ct          | computing threads       |
 //! | 1 + w   | slave `w`      | [`TID_NET`]     | reliable endpoint       |
 
 use crate::config::ObsConfig;
+use easyhps_core::sched::SchedCounters;
 use easyhps_net::ReliableEndpoint;
 use easyhps_obs::{labeled, Counter, Gauge, Histogram, LaneBuf, Registry};
 use std::sync::Arc;
 
-/// Chrome tid of a rank's fault-tolerance thread (master only).
+/// Chrome tid of the master's fault-tolerance sweep events (a lane of the
+/// scheduler loop since PR 9, not a thread).
 pub(crate) const TID_FT: u32 = 98;
 /// Chrome tid of a rank's reliable-endpoint events.
 pub(crate) const TID_NET: u32 = 99;
@@ -46,39 +48,46 @@ pub(crate) fn lane_of(obs: &ObsConfig, pid: u32, tid: u32) -> LaneBuf {
         .map_or_else(LaneBuf::disabled, |r| r.lane(pid, tid))
 }
 
-/// Master-side metric handles (hot-path `Arc`s, cloned freely).
-#[derive(Clone, Debug)]
+/// The series that are the scheduler machine's own [`SchedCounters`], with
+/// their current values. Dispatches exclude resumed tiles, completions are
+/// those accepted over the wire, exclusions are monotone
+/// (`master_dead_slaves` is the current count).
+fn machine_series(c: &SchedCounters) -> [(&'static str, u64); 10] {
+    [
+        ("master_tiles_dispatched", c.dispatched),
+        ("master_tiles_redispatched", c.redispatched),
+        ("master_tiles_completed", c.completed),
+        ("master_tiles_resumed", c.resumed),
+        ("master_stale_completions", c.stale),
+        ("master_slave_exclusions", c.exclusions),
+        ("master_slave_readmissions", c.readmissions),
+        ("master_slave_rejoins", c.rejoins),
+        ("master_stale_epoch_rejected", c.stale_epoch),
+        ("master_send_failures", c.send_failures),
+    ]
+}
+
+/// Master-side metric handles. The shell publishes the machine's counters
+/// ([`MasterMetrics::publish`]), it does not count; only what the machine
+/// cannot know is counted beside them.
+#[derive(Debug)]
 pub(crate) struct MasterMetrics {
-    /// Sub-tasks dispatched (ASSIGNs actually sent; excludes resumed).
-    pub dispatched: Arc<Counter>,
-    /// Sub-tasks re-dispatched after a timeout or an abandoned send.
-    pub redispatched: Arc<Counter>,
-    /// Completions accepted over the wire.
-    pub completed: Arc<Counter>,
-    /// Sub-tasks preloaded from a checkpoint instead of dispatched.
-    pub resumed: Arc<Counter>,
-    /// Stale duplicate completions ignored.
-    pub stale: Arc<Counter>,
-    /// Slaves excluded by fault tolerance (monotone; see `dead_slaves`).
-    pub exclusions: Arc<Counter>,
-    /// Excluded slaves re-admitted after proving alive.
-    pub readmissions: Arc<Counter>,
-    /// Slave incarnations re-admitted under a new fleet epoch.
-    pub rejoins: Arc<Counter>,
-    /// DONEs rejected because their echoed epoch predates the slave's
-    /// current incarnation (zombie completions fenced out).
-    pub stale_epoch_rejected: Arc<Counter>,
-    /// Reliable sends the master abandoned.
-    pub send_failures: Arc<Counter>,
+    /// One counter per [`machine_series`] row.
+    machine: [Arc<Counter>; 10],
+    /// Currently-excluded slaves (exclusions minus re-admissions).
+    dead_slaves: Arc<Gauge>,
+    /// The machine counters as of the last [`Self::publish`].
+    published: SchedCounters,
+    /// DONEs dropped before the machine saw them: unknown task id, a
+    /// region other than the one assigned, or a payload of the wrong size.
+    pub malformed: Arc<Counter>,
     /// Checkpoints captured (tile-budget captures and durable flushes).
     pub checkpoints: Arc<Counter>,
     /// Sub-tasks restored from the *durable* store on resume (subset of
-    /// `resumed`, which also counts in-memory resume tiles).
+    /// `master_tiles_resumed`, which also counts in-memory resume tiles).
     pub restored: Arc<Counter>,
     /// Bytes appended to the durable checkpoint store.
     pub checkpoint_bytes: Arc<Counter>,
-    /// Currently-excluded slaves (exclusions minus re-admissions).
-    pub dead_slaves: Arc<Gauge>,
     /// Dispatch-to-completion latency per tile, nanoseconds.
     pub tile_latency: Arc<Histogram>,
     /// Wall-clock cost of each durable checkpoint flush, microseconds.
@@ -88,23 +97,34 @@ pub(crate) struct MasterMetrics {
 impl MasterMetrics {
     pub(crate) fn register(reg: &Registry) -> Self {
         Self {
-            dispatched: reg.counter("master_tiles_dispatched"),
-            redispatched: reg.counter("master_tiles_redispatched"),
-            completed: reg.counter("master_tiles_completed"),
-            resumed: reg.counter("master_tiles_resumed"),
-            stale: reg.counter("master_stale_completions"),
-            exclusions: reg.counter("master_slave_exclusions"),
-            readmissions: reg.counter("master_slave_readmissions"),
-            rejoins: reg.counter("master_slave_rejoins"),
-            stale_epoch_rejected: reg.counter("master_stale_epoch_rejected"),
-            send_failures: reg.counter("master_send_failures"),
+            machine: machine_series(&SchedCounters::default()).map(|(name, _)| reg.counter(name)),
+            dead_slaves: reg.gauge("master_dead_slaves"),
+            published: SchedCounters::default(),
+            malformed: reg.counter("master_malformed_completions"),
             checkpoints: reg.counter("master_checkpoints"),
             restored: reg.counter("master_tiles_restored"),
             checkpoint_bytes: reg.counter("checkpoint_bytes"),
-            dead_slaves: reg.gauge("master_dead_slaves"),
             tile_latency: reg.histogram("master_tile_latency_ns"),
             checkpoint_write_us: reg.histogram("checkpoint_write_us"),
         }
+    }
+
+    /// Publish the machine's counters: add what moved since the last call
+    /// (deltas, because a registry may be shared across runs). Called once
+    /// per master loop pass, so a live `stats` view still moves; between
+    /// passes every counter is monotone — a rejected ASSIGN un-counts its
+    /// dispatch inside the pass that counted it.
+    pub(crate) fn publish(&mut self, now: SchedCounters) {
+        let was = std::mem::replace(&mut self.published, now);
+        if now == was {
+            return;
+        }
+        let moved = machine_series(&now).into_iter().zip(machine_series(&was));
+        for (series, ((_, now), (_, was))) in self.machine.iter().zip(moved) {
+            series.add(now - was);
+        }
+        let dead = |c: SchedCounters| c.exclusions as i64 - c.readmissions as i64;
+        self.dead_slaves.add(dead(now) - dead(was));
     }
 }
 

@@ -6,7 +6,8 @@
 //! problem's defining data plus the partition sizes and deployment knobs
 //! both sides must agree on — as the first message after the socket
 //! handshake (tag [`tags::JOB`]). The slave reconstructs the problem and
-//! model locally and then runs the ordinary [`run_slave_with_storage`]
+//! model locally and then runs the ordinary
+//! [`run_slave_with_storage`](crate::run_slave_with_storage)
 //! loop; the master runs the ordinary
 //! [`run_master`](crate::run_master). Everything above the transport —
 //! reliable control messages, heartbeats, fault tolerance, durable
@@ -25,9 +26,7 @@ use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
 use crate::protocol::{tags, SlaveStatsMsg};
-use crate::shared_grid::SharedGrid;
-use crate::slave::run_slave_with_storage;
-use crate::storage::SparseGrid;
+use crate::slave::run_slave_in;
 use crate::{MemoryMode, RuntimeError};
 use bytes::Bytes;
 use easyhps_core::{DagDataDrivenModel, GridDims, ScheduleMode};
@@ -801,14 +800,7 @@ pub(crate) fn slave_job_loop(
                 let mem = memory.unwrap_or(spec.memory);
                 let ep = root.fork(fault.clone());
                 let stats = with_problem!(&spec.problem, p => {
-                    match mem {
-                        MemoryMode::Dense => {
-                            run_slave_with_storage::<_, SharedGrid<i32>>(ep, &p, &model, &deployment)
-                        }
-                        MemoryMode::Sparse => {
-                            run_slave_with_storage::<_, SparseGrid<i32>>(ep, &p, &model, &deployment)
-                        }
-                    }
+                    run_slave_in(mem, ep, &p, &model, &deployment)
                 })?;
                 announce = true;
                 summary.jobs += 1;

@@ -23,8 +23,8 @@ use crate::config::Deployment;
 use crate::obs::{lane_of, publish_endpoint_stats, registry_of, SlaveMetrics, TID_NET};
 use crate::protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
 use crate::shared_grid::SharedGrid;
-use crate::storage::NodeStorage;
-use crate::RuntimeError;
+use crate::storage::{NodeStorage, SparseGrid};
+use crate::{MemoryMode, RuntimeError};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use easyhps_core::sched::{PoolAction, PoolEvent, PoolLog, PoolSched};
 use easyhps_core::{DagDataDrivenModel, GridPos, TileRegion, VertexId};
@@ -34,7 +34,7 @@ use easyhps_obs::{EventRecorder, LaneBuf};
 use parking_lot::RwLock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One job handed to a computing thread.
 #[derive(Clone, Copy, Debug)]
@@ -167,6 +167,23 @@ pub fn run_slave<P: DpProblem>(
     run_slave_with_storage::<P, SharedGrid<P::Cell>>(ep, problem, model, config)
 }
 
+/// [`run_slave`] with the storage strategy chosen at run time — the one
+/// place a [`MemoryMode`] becomes a [`NodeStorage`] type.
+pub(crate) fn run_slave_in<P: DpProblem>(
+    memory: MemoryMode,
+    ep: Endpoint,
+    problem: &P,
+    model: &DagDataDrivenModel,
+    config: &Deployment,
+) -> Result<SlaveStatsMsg, RuntimeError> {
+    match memory {
+        MemoryMode::Dense => run_slave(ep, problem, model, config),
+        MemoryMode::Sparse => {
+            run_slave_with_storage::<P, SparseGrid<P::Cell>>(ep, problem, model, config)
+        }
+    }
+}
+
 /// [`run_slave`] generic over the node-matrix storage strategy (dense
 /// [`SharedGrid`] or sparse
 /// [`SparseGrid`](crate::storage::SparseGrid)).
@@ -238,7 +255,7 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                     let _ = rep.send_reliable(master, tags::STATS, stats.encode());
                     // Linger until the STATS (and any late DONE) is acked,
                     // so the master's teardown collection cannot miss it.
-                    rep.drain_pending(Duration::from_secs(1));
+                    rep.drain_pending(config.sched_params().slave_linger);
                     publish_endpoint_stats(&registry, &format!("slave{w}"), &rep);
                     return Ok(stats);
                 }

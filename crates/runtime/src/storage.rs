@@ -89,7 +89,6 @@ const CHUNK: u32 = 64;
 /// triangle).
 pub struct SparseGrid<C: Cell> {
     dims: GridDims,
-    chunk_grid: GridDims,
     chunks: HashMap<u64, Box<[UnsafeCell<C>]>>,
 }
 
@@ -253,7 +252,6 @@ impl<C: Cell> NodeStorage<C> for SparseGrid<C> {
     fn new(dims: GridDims) -> Self {
         Self {
             dims,
-            chunk_grid: dims.tiled_by(GridDims::square(CHUNK)),
             chunks: HashMap::new(),
         }
     }
@@ -269,7 +267,6 @@ impl<C: Cell> NodeStorage<C> for SparseGrid<C> {
                 }
             }
         }
-        let _ = self.chunk_grid;
     }
 
     fn decode_region(&mut self, region: TileRegion, bytes: &[u8]) {

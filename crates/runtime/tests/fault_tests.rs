@@ -7,14 +7,18 @@
 //! [`ReliableEndpoint`] directly, playing a slave that is slow, silent or
 //! gone at exactly the wrong moment.
 
+mod common;
+
 use bytes::Bytes;
+use common::assert_series_equal_stats;
 use easyhps_dp::sequence::{random_sequence, Alphabet};
 use easyhps_dp::{DpMatrix, DpProblem, EditDistance, Nussinov, SmithWatermanGeneralGap};
 use easyhps_net::{FaultPlan, NetError, Network, Rank, ReliableEndpoint, RetryPolicy};
 use easyhps_runtime::{
-    run_master, run_slave, tags, AssignMsg, Deployment, DoneMsg, EasyHps, ScheduleMode,
+    run_master, run_slave, tags, AssignMsg, Deployment, DoneMsg, EasyHps, Registry, ScheduleMode,
     SlaveStatsMsg,
 };
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -864,7 +868,9 @@ fn zombie_epoch_done_is_fenced_and_replays_through_the_machine() {
         .thread_partition_size(easyhps_core::GridDims::square(4))
         .build();
     let dims = model.dag_size();
-    let config = Deployment::local(1, 1);
+    let mut config = Deployment::local(1, 1);
+    let registry = Arc::new(Registry::new());
+    config.obs.metrics = Some(registry.clone());
 
     let mut eps = Network::new(2);
     let ep_a = eps.pop().unwrap();
@@ -936,6 +942,7 @@ fn zombie_epoch_done_is_fenced_and_replays_through_the_machine() {
     );
     assert_eq!(out.stats.redispatched, 0, "the fresh DONE landed in time");
     assert_eq!(out.stats.dead_slaves, 0);
+    assert_series_equal_stats(&registry.snapshot(), &out.stats);
 
     // The differential half: the same order of observations — idle
     // slave, dispatch, a stale-epoch frame for the first assignment,
@@ -1057,4 +1064,119 @@ fn rogue_out_of_range_rank_done_frames_are_ignored() {
         "rogue frames are ignored outright, not counted as stale"
     );
     assert_eq!(out.stats.dead_slaves, 0);
+}
+
+// ---------------------------------------------------------------------
+// A slave *process* is outside input: a DONE whose region or payload does
+// not match what the master assigned, or that names an unknown task, is
+// counted and dropped before the machine sees it — never a panic (the
+// pre-fix master wrote the slave-supplied region unchecked).
+// ---------------------------------------------------------------------
+
+#[test]
+fn malformed_and_zombie_completions_are_dropped_never_fatal() {
+    let problem = EditDistance::new(
+        random_sequence(Alphabet::Dna, 30, 210),
+        random_sequence(Alphabet::Dna, 30, 211),
+    );
+    let reference = problem.solve_sequential();
+    let model = easyhps_core::DagDataDrivenModel::builder(problem.pattern())
+        .process_partition_size(easyhps_core::GridDims::square(8))
+        .thread_partition_size(easyhps_core::GridDims::square(4))
+        .build();
+    let dims = model.dag_size();
+    let mut config = Deployment::local(1, 1);
+    let registry = Arc::new(Registry::new());
+    config.obs.metrics = Some(registry.clone());
+
+    // One rank more than the deployment knows about, to speak from
+    // outside the slave range.
+    let mut eps = Network::new(3);
+    let mut rogue = ReliableEndpoint::new(eps.pop().unwrap(), RetryPolicy::default());
+    let mut rep_a = ReliableEndpoint::new(eps.pop().unwrap(), RetryPolicy::default());
+    let master_ep = eps.pop().unwrap();
+    rep_a
+        .send_reliable(Rank(0), tags::IDLE, Bytes::new())
+        .unwrap();
+
+    let out = std::thread::scope(|s| {
+        let answers = &reference;
+        s.spawn(move || {
+            let mut lied = false;
+            loop {
+                match rep_a.recv_timeout(Duration::from_millis(15)) {
+                    Ok(env) if env.tag == tags::ASSIGN => {
+                        let msg = AssignMsg::decode(&env.payload).unwrap();
+                        let honest = DoneMsg {
+                            task: msg.task,
+                            epoch: msg.epoch,
+                            region: msg.region,
+                            output: answers.encode_region(msg.region),
+                        };
+                        // For the first assignment, in turn: a region
+                        // shifted clean off the matrix, a payload one cell
+                        // short, an unknown task id, a frame from outside
+                        // the slave range, a stale epoch — then the truth.
+                        let mut frames = Vec::new();
+                        if !std::mem::replace(&mut lied, true) {
+                            let r = msg.region;
+                            let shifted = easyhps_core::TileRegion::new(
+                                r.row_start + dims.rows,
+                                r.row_end + dims.rows,
+                                r.col_start,
+                                r.col_end,
+                            );
+                            frames.push(DoneMsg {
+                                region: shifted,
+                                ..honest.clone()
+                            });
+                            frames.push(DoneMsg {
+                                output: honest.output[4..].to_vec(),
+                                ..honest.clone()
+                            });
+                            frames.push(DoneMsg {
+                                task: u32::MAX,
+                                ..honest.clone()
+                            });
+                            rogue
+                                .send_reliable(Rank(0), tags::DONE, honest.encode())
+                                .unwrap();
+                            frames.push(DoneMsg {
+                                epoch: msg.epoch.wrapping_add(1),
+                                ..honest.clone()
+                            });
+                        }
+                        frames.push(honest);
+                        for done in frames {
+                            rep_a
+                                .send_reliable(Rank(0), tags::DONE, done.encode())
+                                .unwrap();
+                        }
+                    }
+                    Ok(env) if env.tag == tags::END => {
+                        rep_a
+                            .send_reliable(Rank(0), tags::STATS, SlaveStatsMsg::default().encode())
+                            .unwrap();
+                        rep_a.drain_pending(Duration::from_secs(1));
+                        rogue.drain_pending(Duration::from_secs(1));
+                        return;
+                    }
+                    Ok(_) | Err(NetError::Timeout) => {}
+                    Err(_) => return,
+                }
+            }
+        });
+        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+    });
+
+    assert_eq!(out.matrix, reference, "only the honest DONEs were written");
+    // 31x31 in 8x8 tiles -> 16 sub-tasks, each accepted exactly once.
+    assert_eq!(out.stats.completed, 16);
+    assert_eq!(out.stats.dispatched, 16);
+    assert_eq!(out.stats.redispatched, 0, "the task stayed in flight");
+    assert_eq!(out.stats.stale_completions, 0, "dropped before the machine");
+    assert_eq!(out.stats.stale_epoch_rejected, 1);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("master_malformed_completions"), Some(3));
+    assert_series_equal_stats(&snap, &out.stats);
 }

@@ -4,6 +4,9 @@
 //! (retransmit counters/events) and across checkpoint/resume (only the
 //! re-dispatched tiles counted on the resumed run).
 
+mod common;
+
+use common::assert_series_equal_stats;
 use easyhps_dp::sequence::{random_sequence, Alphabet};
 use easyhps_dp::{DpProblem, EditDistance, SmithWatermanGeneralGap};
 use easyhps_obs::{labeled, validate_chrome_trace};
@@ -50,8 +53,7 @@ fn swgg_e2e_exports_trace_and_metrics() {
         .as_ref()
         .expect("metrics(true) returns a registry")
         .snapshot();
-    assert_eq!(snap.counter("master_tiles_completed"), Some(m.completed));
-    assert_eq!(snap.counter("master_tiles_dispatched"), Some(m.dispatched));
+    assert_series_equal_stats(&snap, m);
     assert_eq!(snap.counter("master_tiles_resumed"), Some(0));
 
     let hist = snap
