@@ -5,7 +5,7 @@
 //! *computable* sub-tasks (no unfinished predecessors), and, when a sub-task
 //! completes, "removes the vertex and its connecting edges", which may make
 //! successors computable. It also supports *failing* a running sub-task back
-//! to computable, which is what the fault-tolerance threads do on timeout.
+//! to computable, which is what the FT sweep does on timeout.
 
 use crate::dag::{TaskDag, VertexId};
 use crate::error::ParseError;

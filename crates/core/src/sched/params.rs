@@ -22,19 +22,15 @@ pub struct SchedParams {
     /// How long the master tolerates silence from a slave before treating
     /// it as dead rather than slow.
     pub heartbeat_timeout: Duration,
-    /// Main-loop receive poll: how long the master blocks on its endpoint
-    /// per scheduling iteration.
-    pub recv_poll: Duration,
-    /// Teardown-loop receive poll while draining final STATS/DONE frames.
-    pub teardown_recv: Duration,
     /// Floor of the teardown drain deadline — the historical grace a fast
     /// retry policy still gets.
     pub drain_floor: Duration,
     /// Margin added to the drain deadline for slave-side compute of the
     /// stats reply itself.
     pub drain_margin: Duration,
-    /// How long a slave lingers after replying STATS so the reply (and
-    /// any late DONE) gets acked before the endpoint drops.
+    /// Bound on a slave's linger after replying STATS: the linger ends on
+    /// the ACK of the reply (and of any late DONE), or after this long
+    /// when the master is gone.
     pub slave_linger: Duration,
 }
 
@@ -45,8 +41,6 @@ impl Default for SchedParams {
             ft_poll: Duration::from_millis(20),
             heartbeat_interval: Duration::from_millis(25),
             heartbeat_timeout: Duration::from_millis(250),
-            recv_poll: Duration::from_millis(2),
-            teardown_recv: Duration::from_millis(50),
             drain_floor: Duration::from_secs(2),
             drain_margin: Duration::from_millis(500),
             slave_linger: Duration::from_secs(1),

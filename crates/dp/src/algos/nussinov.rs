@@ -250,7 +250,7 @@ impl Nussinov {
                     }
                     // Bifurcation: k in (i, j) pairs F[i, k] (row) with
                     // F[k+1, j] (column).
-                    best = best.max(crate::simd::add_scan_max(
+                    best = best.max(crate::scan::add_scan_max(
                         &rowbuf[(i + 1) as usize..j as usize],
                         &col_j[(i + 2 - r0) as usize..(j + 1 - r0) as usize],
                     ));

@@ -214,13 +214,13 @@ impl DpProblem for SmithWatermanGeneralGap {
                     let mut best = 0.max(diag + s);
                     // max_{1<=k<=j} H[i, j-k] - w(k): the row walked
                     // backwards against the gap table (autovectorized).
-                    best = best.max(crate::simd::rev_scan_max(
+                    best = best.max(crate::scan::rev_scan_max(
                         &rowbuf[..j as usize],
                         &wtab[1..=j as usize],
                     ));
                     // max_{1<=k<=i} H[i-k, j] - w(k): same over the column.
                     let col = &cols[idx * rows..idx * rows + i as usize];
-                    best = best.max(crate::simd::rev_scan_max(col, &wtab[1..=i as usize]));
+                    best = best.max(crate::scan::rev_scan_max(col, &wtab[1..=i as usize]));
                     best
                 };
                 rowbuf[j as usize] = v;

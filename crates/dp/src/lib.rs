@@ -27,9 +27,9 @@ mod cell;
 mod custom_problem;
 mod matrix;
 mod problem;
+mod scan;
 pub mod scoring;
 pub mod sequence;
-mod simd;
 
 pub use algos::{
     BandedEditDistance, CykParser, EditDistance, EditOp, Grammar, Hirschberg, Hmm, Knapsack, Lcs,

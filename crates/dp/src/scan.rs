@@ -1,4 +1,5 @@
-//! Vector-friendly scan reductions shared by the 2D/1D kernels.
+//! Scan reductions shared by the 2D/1D kernels: the SWGG gap scan and
+//! the Nussinov bifurcation scan.
 //!
 //! These helpers are written as straight element-wise reduction loops
 //! over contiguous slices — the exact shape LLVM's loop vectorizer
@@ -11,11 +12,10 @@
 //! dropped in favour of the autovectorized form. The *algorithmic*
 //! layer above does the rest: the anti-diagonal kernels in
 //! [`crate::algos::adiag`] restructure the wavefront recurrences so
-//! their inner loops become element-wise maps like the ones below (both
-//! are plain Rust and always compiled — there is no feature to select
-//! them). Results are bit-identical to any scalar
-//! evaluation order: only `max`, `add` and `sub` over `i32` are
-//! involved, which are exact and associative-safe here.
+//! their inner loops become element-wise maps like the ones below.
+//! Results are bit-identical to any scalar evaluation order: only
+//! `max`, `add` and `sub` over `i32` are involved, which are exact and
+//! associative-safe here.
 
 /// `max_t (cells[n-1-t] - wt[t])` over `t in 0..n`, where
 /// `n = cells.len() == wt.len()` — the SWGG row/column gap scan with the

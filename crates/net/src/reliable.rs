@@ -29,10 +29,11 @@
 //! supersedes a lost one) are the endpoint's plain RAW frames, so both
 //! kinds can be mixed on one endpoint.
 //!
-//! Retransmission is driven by the receive calls (`recv_timeout` /
+//! Retransmission is driven by the receive calls (`recv_until` /
 //! `pump`), not a background thread: every user of this layer already sits
 //! in a receive loop, and keeping the state single-threaded avoids locking
-//! on the hot path.
+//! on the hot path. [`ReliableEndpoint::recv_until`] is the layer's one
+//! wait; `recv_timeout` and `drain_pending` are its two common forms.
 
 use crate::frame::{self, Header, Kind};
 use crate::message::{Envelope, Rank, Tag};
@@ -431,14 +432,21 @@ impl ReliableEndpoint {
         }
     }
 
-    /// Receive the next application message, driving retransmissions
-    /// while waiting. ACKs and duplicates are handled internally and do
-    /// not count against the caller's patience: the timeout bounds the
-    /// total wall-clock wait for an *application* message.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Envelope, NetError> {
-        let deadline = Instant::now() + timeout;
+    /// The one wait of this layer: pump, sleep until the earlier of
+    /// `deadline` and the next retransmit, absorb ACKs and duplicates,
+    /// and return the first fresh application message. `Ok(None)` once
+    /// `deadline` passes — or, with `until_acked`, the moment no reliable
+    /// send is pending any more. Nothing received is discarded.
+    pub fn recv_until(
+        &mut self,
+        deadline: Instant,
+        until_acked: bool,
+    ) -> Result<Option<Envelope>, NetError> {
         loop {
             self.pump();
+            if until_acked && self.pending.is_empty() {
+                return Ok(None);
+            }
             let now = Instant::now();
             let mut wait = deadline.saturating_duration_since(now);
             if let Some(next) = self.pending.iter().map(|p| p.next_retry).min() {
@@ -451,7 +459,7 @@ impl ReliableEndpoint {
             match self.ep.poll(wait)? {
                 Arrival::Frame(header, env) => {
                     if let Some(env) = self.accept(header, env) {
-                        return Ok(env);
+                        return Ok(Some(env));
                     }
                 }
                 // No field of a rejected frame is trustworthy — not even
@@ -463,25 +471,28 @@ impl ReliableEndpoint {
                 Arrival::Nothing => {}
             }
             if Instant::now() >= deadline {
-                return Err(NetError::Timeout);
+                return Ok(None);
             }
         }
     }
 
+    /// Receive the next application message, driving retransmissions
+    /// while waiting. ACKs and duplicates are handled internally and do
+    /// not count against the caller's patience: the timeout bounds the
+    /// total wall-clock wait for an *application* message.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Envelope, NetError> {
+        self.recv_until(Instant::now() + timeout, false)?
+            .ok_or(NetError::Timeout)
+    }
+
     /// Drive retransmissions until every reliable send is ACKed, abandoned
-    /// or `max_wait` elapses; true when nothing is left pending. Incoming
-    /// application messages received meanwhile are ACKed (so the peer
-    /// stops retransmitting) but discarded — this is a shutdown linger,
-    /// not a receive path.
+    /// or `max_wait` elapses, returning the moment nothing is pending;
+    /// true when nothing is left pending. Incoming application messages
+    /// received meanwhile are ACKed (so the peer stops retransmitting)
+    /// but discarded — this is a shutdown linger, not a receive path.
     pub fn drain_pending(&mut self, max_wait: Duration) -> bool {
         let deadline = Instant::now() + max_wait;
-        while self.has_pending() && Instant::now() < deadline {
-            match self.recv_timeout(Duration::from_millis(5)) {
-                Ok(_) | Err(NetError::Timeout) => {}
-                Err(_) => break,
-            }
-        }
-        self.pump();
+        while let Ok(Some(_)) = self.recv_until(deadline, true) {}
         !self.has_pending()
     }
 }
@@ -748,6 +759,32 @@ mod tests {
         });
         assert!(a.drain_pending(Duration::from_secs(5)), "all acked");
         assert_eq!(h.join().unwrap(), 5);
+    }
+
+    #[test]
+    fn drain_pending_ends_on_the_last_ack() {
+        // The peer ACKs at once, so a drain must end on that ACK, not at
+        // the end of some fixed receive slice.
+        let (mut a, mut b) = pair(&[]);
+        const DRAINS: usize = 20;
+        let h = std::thread::spawn(move || {
+            for _ in 0..DRAINS {
+                b.recv_timeout(Duration::from_secs(5)).unwrap();
+            }
+        });
+        let mut took: Vec<Duration> = (0..DRAINS)
+            .map(|i| {
+                a.send_reliable(Rank(1), Tag(0), Bytes::from(vec![i as u8]))
+                    .unwrap();
+                let t = Instant::now();
+                assert!(a.drain_pending(Duration::from_secs(5)), "acked");
+                t.elapsed()
+            })
+            .collect();
+        h.join().unwrap();
+        took.sort_unstable();
+        let median = took[DRAINS / 2];
+        assert!(median < Duration::from_millis(2), "median drain {median:?}");
     }
 
     #[test]

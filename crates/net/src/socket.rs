@@ -1,7 +1,7 @@
 //! Socket transport: master and slaves as separate OS processes.
 //!
 //! Replaces the in-process crossbeam links with real TCP or Unix-domain
-//! connections while keeping the [`Endpoint`](crate::Endpoint) API,
+//! connections while keeping the [`Endpoint`] API,
 //! fault injection and statistics identical — `ReliableEndpoint` runs on
 //! top unchanged.
 //!
@@ -10,7 +10,7 @@
 //! The runtime is a star: every message flows master (rank 0) ↔ slave.
 //! The master listens, accepts one connection per slave and assigns
 //! ranks; each slave holds exactly one connection (to the master) and
-//! [`TxLink::Unrouted`](crate::transport::TxLink) stubs for its siblings.
+//! unrouted stubs for its siblings.
 //!
 //! ## Wire format
 //!
@@ -54,6 +54,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// `want_rank` wildcard: let the master pick.
@@ -67,6 +68,9 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(60);
 /// Bound on each blocking read of a handshake.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long dropping a link's last sender waits for its writer to put
+/// the queued frames on the wire and for both link threads to finish.
+const FLUSH_TIMEOUT: Duration = Duration::from_secs(1);
 /// First and largest delay between dial attempts.
 const DIAL_BACKOFF: (Duration, Duration) = (Duration::from_millis(10), Duration::from_millis(500));
 
@@ -193,6 +197,9 @@ struct OutQueue {
     /// Every `SocketTx` clone for this connection has been dropped:
     /// writer flushes and exits.
     tx_dropped: bool,
+    /// Reader and writer threads that have finished; at 2 the queue is on
+    /// the wire (or the link is gone) and both are ready to join.
+    io_exited: u8,
 }
 
 /// How a connection reacts to a broken stream.
@@ -232,9 +239,17 @@ struct Conn {
     link_cv: Condvar,
     mode: RelinkMode,
     stats: Arc<LinkStats>,
+    /// The writer and reader threads, joined when the last sender drops.
+    io_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Conn {
+    /// The last act of the reader and of the writer thread.
+    fn io_thread_exited(&self) {
+        self.q.lock().unwrap().io_exited += 1;
+        self.cv.notify_all();
+    }
+
     fn mark_closed(&self) {
         let mut q = self.q.lock().unwrap();
         if !q.closed {
@@ -349,11 +364,7 @@ impl Conn {
                     return None;
                 }
             }
-            l = self
-                .link_cv
-                .wait_timeout(l, Duration::from_millis(100))
-                .unwrap()
-                .0;
+            l = self.link_cv.wait(l).unwrap();
         }
     }
 }
@@ -376,9 +387,29 @@ struct TxGuard {
 
 impl Drop for TxGuard {
     fn drop(&mut self) {
-        let mut q = self.conn.q.lock().unwrap();
-        q.tx_dropped = true;
-        self.conn.cv.notify_all();
+        let conn = &self.conn;
+        conn.q.lock().unwrap().tx_dropped = true;
+        conn.cv.notify_all();
+        // The dialer and a stream waiter test `tx_dropped` on `link_cv`:
+        // lock-then-notify, as in `mark_closed`.
+        drop(conn.link.lock().unwrap());
+        conn.link_cv.notify_all();
+        // The writer puts the last frames (END, SHUTDOWN) on the wire and
+        // shuts the stream, which ends the reader. Joining both means a
+        // process cannot exit under them and the next job's threads do not
+        // start beside them; the bound backstops a peer that stopped
+        // reading, whose threads are left detached.
+        let q = conn.q.lock().unwrap();
+        let (q, _) = conn
+            .cv
+            .wait_timeout_while(q, FLUSH_TIMEOUT, |q| q.io_exited < 2)
+            .unwrap();
+        if q.io_exited == 2 {
+            drop(q);
+            for h in conn.io_threads.lock().unwrap().drain(..) {
+                let _ = h.join();
+            }
+        }
     }
 }
 
@@ -403,12 +434,7 @@ impl SocketTx {
             if q.queued_bytes + frame.len() <= OUTBOUND_HWM || q.frames.is_empty() {
                 break;
             }
-            q = self
-                .conn
-                .cv
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap()
-                .0;
+            q = self.conn.cv.wait(q).unwrap();
         }
         q.queued_bytes += frame.len();
         self.conn
@@ -451,11 +477,7 @@ fn writer_loop(conn: Arc<Conn>) {
                 if q.closed || q.tx_dropped {
                     break None;
                 }
-                q = conn
-                    .cv
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap()
-                    .0;
+                q = conn.cv.wait(q).unwrap();
             }
         };
         let Some(frame) = frame else { break };
@@ -475,10 +497,10 @@ fn writer_loop(conn: Arc<Conn>) {
             }
         }
     }
-    let l = conn.link.lock().unwrap();
-    if let Some(s) = &l.stream {
+    if let Some(s) = &conn.link.lock().unwrap().stream {
         s.shutdown();
     }
+    conn.io_thread_exited();
 }
 
 /// Reader thread: take whole frames off the current stream and forward
@@ -521,6 +543,7 @@ fn reader_loop(conn: Arc<Conn>, peer: Rank, out: Sender<Inbound>) {
         }
     }
     conn.mark_closed();
+    conn.io_thread_exited();
 }
 
 /// Supervisor thread for slave-side relinkable connections: whenever the
@@ -539,24 +562,22 @@ fn dial_loop(conn: Arc<Conn>) {
         return;
     };
     loop {
-        // Park until the link is down.
-        let hold = {
+        {
+            // Park until the link is down.
             let mut l = conn.link.lock().unwrap();
             while l.stream.is_some() {
-                l = conn
-                    .link_cv
-                    .wait_timeout(l, Duration::from_millis(200))
-                    .unwrap()
-                    .0;
                 if conn.unwanted() {
                     return;
                 }
+                l = conn.link_cv.wait(l).unwrap();
             }
-            l.hold_until
-        };
-        // Respect a sever's enforced downtime.
-        while !conn.unwanted() && hold.is_some_and(|h| Instant::now() < h) {
-            std::thread::sleep(Duration::from_millis(5));
+            // Respect a sever's enforced downtime.
+            if let Some(hold) = l.hold_until {
+                let left = hold.saturating_duration_since(Instant::now());
+                let _ = conn
+                    .link_cv
+                    .wait_timeout_while(l, left, |_| !conn.unwanted() && Instant::now() < hold);
+            }
         }
         let deadline = Instant::now() + *window;
         let redialed = retry_with_backoff(
@@ -605,18 +626,20 @@ fn spawn_link(
         link_cv: Condvar::new(),
         mode,
         stats,
+        io_threads: Mutex::new(Vec::new()),
     });
     conn.splice(stream);
     let wc = conn.clone();
-    std::thread::Builder::new()
+    let writer = std::thread::Builder::new()
         .name(format!("sock-wr-{}", peer.0))
         .spawn(move || writer_loop(wc))
         .expect("spawn socket writer");
     let rc = conn.clone();
-    std::thread::Builder::new()
+    let reader = std::thread::Builder::new()
         .name(format!("sock-rd-{}", peer.0))
         .spawn(move || reader_loop(rc, peer, out))
         .expect("spawn socket reader");
+    *conn.io_threads.lock().unwrap() = vec![writer, reader];
     if dial {
         let dc = conn.clone();
         std::thread::Builder::new()
@@ -1011,6 +1034,7 @@ impl Drop for FleetAcceptor {
 /// mid-run joiners until stopped.
 fn acceptor_loop(listener: SocketListener, shared: Arc<AcceptorShared>) {
     while !shared.stop.load(Ordering::SeqCst) {
+        // Bounds how late `FleetAcceptor::stop` is seen; a dialer ends it early.
         let deadline = Instant::now() + Duration::from_millis(100);
         let mut stream = match listener.inner.accept_by(deadline) {
             Ok(Some(s)) => s,

@@ -126,6 +126,9 @@ impl Write for Stream {
     }
 }
 
+/// First and largest delay between the polls of [`Listener::accept_by`].
+const ACCEPT_BACKOFF: (Duration, Duration) = (Duration::from_micros(100), Duration::from_millis(5));
+
 /// A bound listener, accepted from by polling so the caller can give up
 /// at a deadline (a missing slave, a daemon shutting down).
 #[derive(Debug)]
@@ -168,31 +171,30 @@ impl Listener {
         }
     }
 
-    /// Accept one (blocking-mode) connection, polling until `deadline`;
-    /// `Ok(None)` when it passes with nobody at the door.
+    /// Accept one (blocking-mode) connection, polling with backoff until
+    /// `deadline`; `Ok(None)` when it passes with nobody at the door. The
+    /// polls start sub-millisecond, so a peer dialing just after the call
+    /// is taken at once, and back off to a 5 ms cap.
     pub fn accept_by(&self, deadline: Instant) -> io::Result<Option<Stream>> {
-        loop {
-            let got = match self {
-                Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
-                    s.set_nonblocking(false)?;
-                    let _ = s.set_nodelay(true);
-                    Ok(Stream::Tcp(s))
-                }),
-                Listener::Uds(l, _) => l.accept().and_then(|(s, _)| {
-                    s.set_nonblocking(false)?;
-                    Ok(Stream::Uds(s))
-                }),
-            };
-            match got {
-                Ok(s) => return Ok(Some(s)),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
+        let accept = || match self {
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
+                s.set_nonblocking(false)?;
+                let _ = s.set_nodelay(true);
+                Ok(Stream::Tcp(s))
+            }),
+            Listener::Uds(l, _) => l.accept().and_then(|(s, _)| {
+                s.set_nonblocking(false)?;
+                Ok(Stream::Uds(s))
+            }),
+        };
+        let idle = |e: &io::Error| e.kind() == io::ErrorKind::WouldBlock;
+        let (first, cap) = ACCEPT_BACKOFF;
+        match retry_with_backoff(first, cap, accept, |e, _| {
+            idle(e) && Instant::now() < deadline
+        }) {
+            Ok(s) => Ok(Some(s)),
+            Err(e) if idle(&e) => Ok(None),
+            Err(e) => Err(e),
         }
     }
 }
@@ -295,5 +297,32 @@ mod tests {
             |_, _| panic!("no failure to ask about"),
         );
         assert_eq!(ok.unwrap(), 7);
+    }
+
+    #[test]
+    fn accept_by_wakes_on_a_connect() {
+        // A peer dialing ~1 ms into a long accept is taken within a
+        // sub-millisecond poll, not at the end of a fixed nap.
+        let l = Listener::bind(&NetAddr::parse("127.0.0.1:0").unwrap()).unwrap();
+        let NetAddr::Tcp(addr) = l.local_addr() else {
+            unreachable!("bound TCP")
+        };
+        let mut lag: Vec<Duration> = (0..10)
+            .map(|_| {
+                let addr = addr.clone();
+                let dialer = std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(1));
+                    let s = TcpStream::connect(addr).unwrap();
+                    (Instant::now(), s)
+                });
+                let got = l.accept_by(Instant::now() + Duration::from_secs(1));
+                let accepted = Instant::now();
+                assert!(got.unwrap().is_some(), "the dialer was accepted");
+                let (connected, _s) = dialer.join().unwrap();
+                accepted.saturating_duration_since(connected)
+            })
+            .collect();
+        lag.sort_unstable();
+        assert!(lag[5] < Duration::from_millis(2), "median lag {:?}", lag[5]);
     }
 }

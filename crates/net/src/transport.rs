@@ -83,7 +83,7 @@ pub struct NetStats {
     /// Received frames with a valid checksum but an unknown kind or a
     /// short header; dropped.
     pub malformed_frames: u64,
-    /// Extra copies injected by [`SendVerdict::Duplicate`]: the receiver
+    /// Extra copies injected by a duplicating [`FaultPlan`]: the receiver
     /// sees `sent_msgs + duplicated_msgs` deliveries.
     pub duplicated_msgs: u64,
     /// Scripted link severs that actually fired (the send counter reached

@@ -10,10 +10,11 @@
 //! gone). The one-shot `easyhps master` path and the serve daemon share
 //! this type; the daemon simply calls [`Fleet::run_job`] many times.
 //!
-//! Slaves run the matching loop ([`serve_slave_jobs`]
-//! (crate::remote::serve_slave_jobs)): wait for a [`tags::JOB`] frame,
-//! run the ordinary slave loop on a fork of their connection, repeat
-//! until [`tags::SHUTDOWN`] arrives or the master disappears.
+//! Slaves run the matching loop
+//! ([`serve_slave_jobs`](crate::remote::serve_slave_jobs)): wait for a
+//! [`tags::JOB`] frame, run the ordinary slave loop on a fork of their
+//! connection, repeat until [`tags::SHUTDOWN`] arrives or the master
+//! disappears.
 //!
 //! An in-process variant ([`Fleet::local`]) spawns the same multi-job
 //! slave loop on threads over channel links — the serve daemon's default
@@ -121,9 +122,9 @@ impl Fleet {
     /// open in a background acceptor that splices reconnecting slaves,
     /// fences new incarnations under a bumped fleet epoch, and admits
     /// brand-new slaves mid-run (shipping them the current job). Set
-    /// [`SocketConfig::reconnect_window`]
-    /// (easyhps_net::SocketConfig::reconnect_window) on the listener (and
-    /// the slaves) to let severed links heal by redial.
+    /// [`SocketConfig::reconnect_window`](easyhps_net::socket::SocketConfig::reconnect_window)
+    /// on the listener (and the slaves) to let severed links heal by
+    /// redial.
     pub fn accept_elastic(
         listener: SocketListener,
         n_slaves: usize,
@@ -266,11 +267,15 @@ impl Fleet {
     /// would be silently lost. Stray heartbeats and late ACKs queued
     /// between jobs are discarded along the way.
     fn await_ready(&mut self) -> Result<Vec<u32>, RuntimeError> {
+        // Backstop for a READY that never comes from a live link.
         const READY_TIMEOUT: Duration = Duration::from_secs(60);
+        // Cadence of the dead-link probe below; a READY ends the wait early.
         const PROBE_EVERY: Duration = Duration::from_millis(200);
         let deadline = Instant::now() + READY_TIMEOUT;
         let mut pending: BTreeSet<u32> = self.expected_ranks().into_iter().collect();
-        let mut ready: Vec<u32> = Vec::new();
+        // READYs the last job's teardown received on our behalf.
+        let mut ready: Vec<u32> = std::mem::take(&mut *self.control.ready.lock().unwrap());
+        ready.retain(|r| pending.remove(r));
         let mut last_probe = Instant::now();
         while !pending.is_empty() {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -280,7 +285,8 @@ impl Fleet {
                     pending.len()
                 )));
             }
-            match self.root.recv_timeout(left.min(Duration::from_millis(50))) {
+            let until_probe = (last_probe + PROBE_EVERY).saturating_duration_since(Instant::now());
+            match self.root.recv_timeout(left.min(until_probe)) {
                 Ok(env) if env.tag == tags::READY => {
                     let r = env.src.0;
                     if pending.remove(&r) {

@@ -44,8 +44,7 @@ use easyhps_core::sched::{MasterAction, MasterEvent, MasterSched, SchedParams, S
 use easyhps_core::{DagDataDrivenModel, TaskDag, TileRegion, Trace, VertexId};
 use easyhps_dp::{Cell, DpMatrix, DpProblem};
 use easyhps_net::{
-    Endpoint, Envelope, FailReason, FleetAcceptor, MembershipEvent, NetError, Rank,
-    ReliableEndpoint,
+    Endpoint, Envelope, FailReason, FleetAcceptor, MembershipEvent, Rank, ReliableEndpoint,
 };
 use easyhps_obs::LaneBuf;
 use std::collections::{HashMap, HashSet};
@@ -75,6 +74,9 @@ pub struct FleetControl {
     /// bookkeeping; elastic fleets learn the same thing from the
     /// acceptor's free-list.
     pub released: Arc<Mutex<Vec<u32>>>,
+    /// Ranks whose READY the master's teardown received after their
+    /// STATS, for the fleet's next readiness barrier to count.
+    pub(crate) ready: Arc<Mutex<Vec<u32>>>,
 }
 
 impl FleetControl {
@@ -236,7 +238,8 @@ pub fn run_master<P: DpProblem>(
     shell.finish()
 }
 
-/// The teardown drain (step i): which final STATS it still waits for.
+/// The teardown drain (step i): which final STATS it still waits for. It
+/// ends on the later of the last awaited STATS and the last END ACK.
 struct Teardown {
     stats: Vec<Option<SlaveStatsMsg>>,
     /// Slaves alive at END time whose STATS has not arrived. Only these
@@ -328,7 +331,9 @@ impl<C: Cell> Shell<'_, C> {
     /// The one loop. A pass handles membership → drain requests → `Heard`
     /// → `FtTick` → `Tick` → receive → send failures → durable flush; once
     /// the machine has said Finished/BudgetStop the same loop is the
-    /// teardown drain — frames only, until the awaited STATS are in.
+    /// teardown drain — frames only, until the awaited STATS and the END
+    /// ACKs are in. The receive is the pass's one wait: it returns on a
+    /// frame or at a deadline the shell holds, never on a poll slice.
     fn run(&mut self) -> Result<(), RuntimeError> {
         loop {
             if self.teardown.is_none() {
@@ -355,21 +360,21 @@ impl<C: Cell> Shell<'_, C> {
                 let now_ns = self.ns(Instant::now());
                 self.feed(MasterEvent::Tick { now_ns }, &[])?;
             }
-            let poll = match &self.teardown {
-                None => self.params.recv_poll,
+            let (deadline, until_acked) = match &self.teardown {
+                None => (self.next_deadline(), false),
                 Some(t) => {
-                    let waiting = t.awaited.contains(&true) || self.rep.has_pending();
-                    if !waiting || Instant::now() >= t.deadline {
+                    let stats_in = !t.awaited.contains(&true);
+                    if stats_in && !self.rep.has_pending() || Instant::now() >= t.deadline {
                         return Ok(());
                     }
-                    self.params.teardown_recv
+                    (t.deadline, stats_in)
                 }
             };
             // Steps e-f, h: collect completions and idle signals. The
             // reliable endpoint retransmits pending sends while waiting.
-            match self.rep.recv_timeout(poll) {
-                Ok(env) => self.on_frame(env)?,
-                Err(NetError::Timeout) => {}
+            match self.rep.recv_until(deadline, until_acked) {
+                Ok(Some(env)) => self.on_frame(env)?,
+                Ok(None) => {}
                 Err(_) if self.teardown.is_some() => return Ok(()),
                 Err(e) => return Err(e.into()),
             }
@@ -377,6 +382,19 @@ impl<C: Cell> Shell<'_, C> {
             self.flush_durable(false)?;
             self.mm.publish(self.sched.counters());
         }
+    }
+
+    /// When the main loop must next act without a frame: the next FT
+    /// sweep, or sooner the next interval checkpoint flush while
+    /// completions wait for one. Membership and drain requests ride on
+    /// these wakeups, so they are seen within `ft_poll`.
+    fn next_deadline(&self) -> Instant {
+        let ft = self.last_ft + self.params.ft_poll;
+        let flush = (self.completed.len() > self.flush_idx)
+            .then(|| self.config.checkpoint.as_ref()?.every)
+            .flatten()
+            .map(|every| self.last_flush + every);
+        flush.map_or(ft, |f| f.min(ft))
     }
 
     /// Feed one event to the machine and perform what it answers.
@@ -515,12 +533,20 @@ impl<C: Cell> Shell<'_, C> {
                     t.awaited[w] = false;
                 }
             }
-            // Liveness is noted by the endpoint. A fleet slave idling
-            // outside this job (mid-run joiner already shipped the JOB by
-            // the acceptor, or a relinked slave sitting the job out)
-            // re-announces READY periodically; the barrier that wants it
-            // runs at the next job boundary.
-            tags::HEARTBEAT | tags::READY => {}
+            // Liveness is noted by the endpoint.
+            tags::HEARTBEAT => {}
+            // A READY after the slave's STATS belongs to the fleet's next
+            // barrier. Any other comes from a fleet slave idling outside
+            // this job (a mid-run joiner already shipped the JOB by the
+            // acceptor, or a relinked slave sitting the job out), which
+            // re-announces it periodically.
+            tags::READY => {
+                if let (Some(fc), Some(t)) = (self.fleet, &self.teardown) {
+                    if t.stats[w].is_some() {
+                        fc.ready.lock().unwrap().push(w as u32 + 1);
+                    }
+                }
+            }
             other => debug_assert!(false, "master received unexpected {other}"),
         }
         Ok(())

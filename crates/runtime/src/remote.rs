@@ -1,11 +1,12 @@
 //! Multi-process deployment: master and slaves as separate OS processes
 //! over the socket transport.
 //!
-//! In-process runs hand every rank an [`Arc`] of the same problem; a
-//! remote slave has nothing, so the master ships a [`JobSpec`] — the
-//! problem's defining data plus the partition sizes and deployment knobs
-//! both sides must agree on — as the first message after the socket
-//! handshake (tag [`tags::JOB`]). The slave reconstructs the problem and
+//! In-process runs hand every rank an [`Arc`](std::sync::Arc) of the
+//! same problem; a remote slave has nothing, so the master ships a
+//! [`JobSpec`] — the problem's defining data plus the partition sizes
+//! and deployment knobs both sides must agree on — as the first message
+//! after the socket handshake (tag [`tags::JOB`]). The slave
+//! reconstructs the problem and
 //! model locally and then runs the ordinary
 //! [`run_slave_with_storage`](crate::run_slave_with_storage)
 //! loop; the master runs the ordinary
@@ -16,11 +17,11 @@
 //! [`RemoteProblem`] is the one table of shippable recurrences: the only
 //! map between a workload name and a variant ([`RemoteProblem::NAMES`]),
 //! the only constructors from input sequences, the wire codec, and the
-//! dispatch onto the concrete `easyhps-dp` types ([`with_problem!`]
-//! (crate::with_problem)). The CLI, the stress harness and the serve
-//! daemon all go through it, so adding a recurrence is one more row here.
-//! Every row has `Cell = i32`, which keeps the wire format and the
-//! master's output monomorphic.
+//! dispatch onto the concrete `easyhps-dp` types
+//! ([`with_problem!`](crate::with_problem)). The CLI, the stress harness
+//! and the serve daemon all go through it, so adding a recurrence is one
+//! more row here. Every row has `Cell = i32`, which keeps the wire
+//! format and the master's output monomorphic.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
@@ -35,7 +36,7 @@ use easyhps_dp::{DpMatrix, DpProblem, GapPenalty, Substitution};
 use easyhps_net::socket::{connect, SocketConfig, SocketInfo, SocketListener};
 use easyhps_net::{NetAddr, Rank, RetryPolicy, WireError, WireReader, WireWriter};
 use easyhps_obs::{labeled, Registry};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn io_err(what: &str, e: std::io::Error) -> RuntimeError {
     RuntimeError::InvalidConfig(format!("{what}: {e}"))
@@ -745,9 +746,9 @@ pub struct SlaveServeSummary {
     pub stats: SlaveStatsMsg,
 }
 
-/// How often an idle fleet slave probes the master link between jobs.
-/// The probe doubles as the master-death detector: once the connection
-/// is closed, the heartbeat send fails and the loop exits cleanly.
+/// How often an idle fleet slave re-announces READY between jobs. The
+/// announcement doubles as the master-death detector: once the
+/// connection is closed, the send fails and the loop exits cleanly.
 const IDLE_PROBE: Duration = Duration::from_millis(500);
 
 /// Serve jobs on an already-connected endpoint until the master sends
@@ -763,32 +764,25 @@ pub(crate) fn slave_job_loop(
 ) -> Result<SlaveServeSummary, RuntimeError> {
     let master = Rank(0);
     let mut summary = SlaveServeSummary::default();
-    // Announce readiness on entry and again after every finished job.
-    // The master's job-boundary barrier waits for it: shipping a JOB to
-    // a slave still lingering in its previous job's reliable teardown
-    // would lose the frame (the linger ACKs-and-discards).
-    let mut announce = true;
+    // Announce readiness on entry, after every finished job and every
+    // IDLE_PROBE while idle; stray frames (the barrier's own probes) must
+    // not postpone it. The master's job-boundary barrier waits for it:
+    // shipping a JOB to a slave still lingering in its previous job's
+    // reliable teardown would lose the frame (the linger ACKs-and-
+    // discards). A master that missed one (slave dark across a job
+    // boundary, elastic rejoin) picks the slave up at its next barrier;
+    // a master mid-job discards stray READYs.
+    let mut announce_at = Instant::now();
     loop {
-        if announce {
+        if Instant::now() >= announce_at {
             if root.send(master, tags::READY, Bytes::new()).is_err() {
                 return Ok(summary); // master gone between jobs
             }
-            announce = false;
+            announce_at = Instant::now() + IDLE_PROBE;
         }
-        let env = match root.recv_timeout(IDLE_PROBE) {
+        let env = match root.recv_timeout(announce_at.saturating_duration_since(Instant::now())) {
             Ok(env) => env,
-            Err(easyhps_net::NetError::Timeout) => {
-                // Re-announce READY instead of a bare heartbeat: the
-                // frame doubles as the liveness probe, and a master that
-                // missed the first announcement (slave dark across a job
-                // boundary, elastic rejoin) picks the slave up at its
-                // next readiness barrier instead of timing out. A master
-                // mid-job discards stray READYs.
-                match root.send(master, tags::READY, Bytes::new()) {
-                    Ok(()) => continue,
-                    Err(_) => return Ok(summary), // master gone between jobs
-                }
-            }
+            Err(easyhps_net::NetError::Timeout) => continue,
             Err(_) => return Ok(summary),
         };
         match env.tag {
@@ -802,7 +796,7 @@ pub(crate) fn slave_job_loop(
                 let stats = with_problem!(&spec.problem, p => {
                     run_slave_in(mem, ep, &p, &model, &deployment)
                 })?;
-                announce = true;
+                announce_at = Instant::now();
                 summary.jobs += 1;
                 summary.stats.tasks_done += stats.tasks_done;
                 summary.stats.subtasks_done += stats.subtasks_done;

@@ -235,6 +235,7 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                 lane.instant("heartbeat", "sched", None);
                 last_hb = Instant::now();
             }
+            // A frame ends the wait; the heartbeat cadence bounds it.
             let env = match rep.recv_timeout(config.heartbeat_interval) {
                 Ok(env) => env,
                 Err(NetError::Timeout) => continue,
@@ -254,7 +255,8 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                     };
                     let _ = rep.send_reliable(master, tags::STATS, stats.encode());
                     // Linger until the STATS (and any late DONE) is acked,
-                    // so the master's teardown collection cannot miss it.
+                    // so the master's teardown collection cannot miss it;
+                    // the linger ends on that ACK.
                     rep.drain_pending(config.sched_params().slave_linger);
                     publish_endpoint_stats(&registry, &format!("slave{w}"), &rep);
                     return Ok(stats);

@@ -843,6 +843,85 @@ fn teardown_waits_out_a_slow_retry_schedule_for_stats() {
 }
 
 // ---------------------------------------------------------------------
+// The teardown drain ends on the later of its last awaited STATS and its
+// last END acknowledgement — not on the STATS alone, and not at the end
+// of a poll slice or the drain deadline.
+// ---------------------------------------------------------------------
+
+#[test]
+fn teardown_ends_on_the_end_ack_after_the_stats() {
+    let problem = EditDistance::new(
+        random_sequence(Alphabet::Dna, 30, 220),
+        random_sequence(Alphabet::Dna, 30, 221),
+    );
+    let reference = problem.solve_sequential();
+    let model = easyhps_core::DagDataDrivenModel::builder(problem.pattern())
+        .process_partition_size(easyhps_core::GridDims::square(8))
+        .thread_partition_size(easyhps_core::GridDims::square(4))
+        .build();
+    let tiles = model.master_dag().len();
+    let config = Deployment::local(1, 1);
+
+    let mut eps = Network::new(2);
+    let mut rep_a = ReliableEndpoint::new(eps.pop().unwrap(), RetryPolicy::default());
+    let master_ep = eps.pop().unwrap();
+    rep_a
+        .send_reliable(Rank(0), tags::IDLE, Bytes::new())
+        .unwrap();
+
+    let t0 = Instant::now();
+    let (out, returned, acking) = std::thread::scope(|s| {
+        let answers = &reference;
+        let slave = s.spawn(move || {
+            let mut done = 0;
+            loop {
+                let env = rep_a.recv_timeout(Duration::from_secs(5)).unwrap();
+                if env.tag != tags::ASSIGN {
+                    continue;
+                }
+                let msg = AssignMsg::decode(&env.payload).unwrap();
+                let honest = DoneMsg {
+                    task: msg.task,
+                    epoch: msg.epoch,
+                    region: msg.region,
+                    output: answers.encode_region(msg.region),
+                };
+                rep_a
+                    .send_reliable(Rank(0), tags::DONE, honest.encode())
+                    .unwrap();
+                done += 1;
+                if done == tiles {
+                    break;
+                }
+            }
+            // STATS first, queued right behind the last DONE; END is read
+            // (and so ACKed) only ~30 ms later.
+            rep_a
+                .send_reliable(Rank(0), tags::STATS, SlaveStatsMsg::default().encode())
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(30));
+            let acking = Instant::now();
+            let env = rep_a.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(env.tag, tags::END);
+            rep_a.drain_pending(Duration::from_secs(1));
+            acking
+        });
+        let out = run_master(master_ep, &problem, &model, &config, None, None, None).unwrap();
+        let returned = Instant::now();
+        (out, returned, slave.join().unwrap())
+    });
+
+    assert_eq!(out.matrix, reference);
+    assert!(out.slave_stats[0].is_some(), "the STATS was collected");
+    assert!(returned >= acking, "the master returned before the END ACK");
+    assert!(
+        returned - t0 < Duration::from_secs(1),
+        "teardown waited {:?}, past the ACK toward the 2.5 s drain deadline",
+        returned - t0
+    );
+}
+
+// ---------------------------------------------------------------------
 // Epoch fencing: a two-incarnation slave's delayed first-incarnation
 // DONE is rejected as stale-epoch — counted, never double-accepted —
 // and the wire-level run differentially replays through the MasterSched

@@ -458,11 +458,8 @@ impl Inner {
             if let Some(pos) = self.pick_pos(&core, false) {
                 break pos;
             }
-            core = self
-                .work
-                .wait_timeout(core, Duration::from_millis(200))
-                .unwrap()
-                .0;
+            // Every queue push and the shutdown flag notify `work`.
+            core = self.work.wait(core).unwrap();
         };
         let first = self.dispatch_at(&mut core, head);
         let mut round = vec![first];
@@ -635,6 +632,7 @@ impl Inner {
                             core.queue[p] = heir;
                         } else {
                             core.queue.push_back(heir);
+                            self.work.notify_all();
                         }
                         core.inflight.insert(key, heir);
                         if let Some(h) = core.jobs.get_mut(&heir) {
@@ -993,6 +991,8 @@ fn write_resp(s: &mut Stream, resp: &Response) -> io::Result<()> {
 /// daemon shutdown so the connection is never parked forever.
 fn wait_for_terminal(inner: &Arc<Inner>, rx: &mpsc::Receiver<Response>, s: &mut Stream) -> bool {
     loop {
+        // The terminal response ends the wait; the slice bounds how late
+        // a daemon shutdown is seen.
         match rx.recv_timeout(Duration::from_millis(500)) {
             Ok(resp) => return write_resp(s, &resp).is_ok(),
             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -1099,6 +1099,8 @@ impl Daemon {
                 .name("serve-accept".into())
                 .spawn(move || {
                     while !inner.shutdown.load(Ordering::SeqCst) {
+                        // A client ends the wait; 50 ms bounds how late
+                        // shutdown is seen.
                         match listener.accept_by(Instant::now() + Duration::from_millis(50)) {
                             Ok(Some(s)) => {
                                 let inner = inner.clone();
@@ -1122,6 +1124,7 @@ impl Daemon {
                                     });
                             }
                             Ok(None) => {}
+                            // A failing accept (fd limit) must not spin.
                             Err(_) => std::thread::sleep(Duration::from_millis(50)),
                         }
                     }
@@ -1159,6 +1162,9 @@ impl Daemon {
 
     fn shutdown_join(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Lock-then-notify: the scheduler tests the flag under `core`, so
+        // it is either before that check or already parked on `work`.
+        drop(self.inner.core.lock().unwrap());
         self.inner.work.notify_all();
         // Close live client connections: their handler threads unblock
         // and exit, so no pre-shutdown connection keeps answering.

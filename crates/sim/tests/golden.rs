@@ -22,8 +22,11 @@ fn nussinov_scaling_series_matches_golden_csv() {
 
 /// What the figures *say*, not only that they repeat: `easyhps figures
 /// fig14 --csv` (the cheapest figure at paper scale) must print the bytes
-/// the `figures` binary printed before it moved into this crate.
+/// the `figures` binary printed before it moved into this crate. Too slow
+/// for a debug build; CI runs it with `--release`, and the scaled series
+/// above keeps byte-stability covered in every `cargo test`.
 #[test]
+#[cfg_attr(debug_assertions, ignore = "paper-scale figure: release only")]
 fn fig14_csv_matches_golden_bytes() {
     let csv = easyhps_sim::figures::render("fig14", true).expect("fig14 is a figure");
     assert_eq!(csv, include_str!("golden_fig14.csv"));
