@@ -323,6 +323,12 @@ impl MasterSched {
         &self.alive
     }
 
+    /// Per-slave reachability view (true = its channel is gone, or it was
+    /// released: never dispatched to again).
+    pub fn unreachable(&self) -> &[bool] {
+        &self.unreachable
+    }
+
     /// Fast-forward one checkpointed task. The driver walks a topological
     /// order restricted to the checkpoint's finished set; a set that is
     /// not ancestor-closed surfaces here as a violation.

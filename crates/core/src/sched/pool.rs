@@ -84,6 +84,19 @@ impl PoolSched {
         ev: PoolEvent,
     ) -> Result<Vec<PoolAction>, SchedViolation> {
         let mut out = Vec::new();
+        self.on_event_into(dag, ev, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::on_event`] appending to a caller's buffer, so a driver that
+    /// feeds the machine from its computing threads need not allocate
+    /// there.
+    pub fn on_event_into(
+        &mut self,
+        dag: &TaskDag,
+        ev: PoolEvent,
+        out: &mut Vec<PoolAction>,
+    ) -> Result<(), SchedViolation> {
         match ev {
             PoolEvent::Start => {}
             PoolEvent::WorkerDone { worker, sub, ok } => {
@@ -106,11 +119,11 @@ impl PoolSched {
                 }
             }
         }
-        self.dispatch(dag, &mut out);
+        self.dispatch(dag, out);
         if self.parser.is_done() {
             out.push(PoolAction::Done);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Fill every idle worker the scheduling mode allows.

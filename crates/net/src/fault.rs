@@ -184,6 +184,13 @@ impl FaultState {
         }
     }
 
+    /// Whether the endpoint carries a plan at all: any plan may drop,
+    /// duplicate, delay, corrupt or sever, so its sender must track every
+    /// frame it cares about.
+    pub(crate) fn has_plan(&self) -> bool {
+        self.plan.is_some()
+    }
+
     pub(crate) fn note_send(&mut self) {
         self.sends += 1;
     }

@@ -3,9 +3,20 @@
 //! [`Endpoint::send`] is fire-and-forget: under fault injection a message
 //! can vanish without the sender learning about it. [`ReliableEndpoint`]
 //! wraps an endpoint with an acknowledged-delivery protocol so the
-//! runtime's control messages survive loss:
+//! runtime's control messages survive loss — on the links where loss can
+//! happen at all. Each [`ReliableEndpoint::send_reliable`] asks the
+//! endpoint whether this frame can be lost: it can when the endpoint
+//! carries a [`FaultPlan`](crate::FaultPlan), or when its link to the
+//! destination is a socket that re-splices across outages (a reconnect
+//! window on the dialing side, an elastic fleet on the accepting side).
+//! A channel or a terminal socket under no plan delivers every frame in
+//! order or fails every later send, so there the frame goes out as a
+//! plain RAW frame: no sequence number, no retransmit buffer, no ACK.
+//! The decision uses only facts the sender holds, and the receiver
+//! already handles both kinds, so the peers need no agreement. Frames
+//! that can be lost get the protocol:
 //!
-//! - every reliable send is framed with a per-destination sequence number
+//! - every such send is framed with a per-destination sequence number
 //!   and kept in a retransmit buffer until the peer's ACK arrives;
 //! - unacked messages are retransmitted with exponential backoff, up to
 //!   [`RetryPolicy::max_attempts`]; exhausting the budget (or the peer's
@@ -15,7 +26,7 @@
 //!   the first ACK may itself have been dropped) and suppresses duplicate
 //!   deliveries with a per-peer sequence window, so the application sees
 //!   at-least-once sends as exactly-once deliveries;
-//! - every valid frame from a peer (data, duplicate, ack) refreshes
+//! - every valid frame from a peer (raw, data, duplicate, ack) refreshes
 //!   [`ReliableEndpoint::last_heard`], giving schedulers a liveness signal
 //!   that distinguishes a *slow* peer from a *dead* one;
 //! - framing and integrity are the endpoint's, not this layer's: every
@@ -26,7 +37,7 @@
 //!   it is recovered by the same retransmission path as a lost one.
 //!
 //! Unreliable sends (e.g. periodic heartbeats, where the next one
-//! supersedes a lost one) are the endpoint's plain RAW frames, so both
+//! supersedes a lost one) are plain RAW frames on every link, so both
 //! kinds can be mixed on one endpoint.
 //!
 //! Retransmission is driven by the receive calls (`recv_until` /
@@ -304,14 +315,27 @@ impl ReliableEndpoint {
         self.ep.send(dst, tag, payload)
     }
 
-    /// Acknowledged send: the message is retransmitted with backoff until
-    /// the peer ACKs it or the retry budget runs out (then reported via
-    /// [`Self::take_failures`]). Returns the assigned sequence number.
+    /// Send that reaches `dst` exactly once or is reported. A frame that
+    /// can be lost (see the module docs) is acknowledged: retransmitted
+    /// with backoff until the peer ACKs it or the retry budget runs out
+    /// (then reported via [`Self::take_failures`]); returns its sequence
+    /// number. A frame that cannot be lost goes out as a RAW frame and
+    /// returns `None`: nothing is tracked, and no [`SendFailure`] will
+    /// ever name it.
     ///
     /// An immediate `Err` means the message was never queued (the peer's
     /// channel is closed or this endpoint is dead) — there will be no
     /// retries and no [`SendFailure`] for it.
-    pub fn send_reliable(&mut self, dst: Rank, tag: Tag, payload: Bytes) -> Result<u64, NetError> {
+    pub fn send_reliable(
+        &mut self,
+        dst: Rank,
+        tag: Tag,
+        payload: Bytes,
+    ) -> Result<Option<u64>, NetError> {
+        if !self.ep.can_lose(dst) {
+            self.ep.send(dst, tag, payload)?;
+            return Ok(None);
+        }
         let slot = dst.index();
         let seq = self.next_seq[slot] + 1;
         let framed = frame::seal(Kind::Data, tag, seq, &payload);
@@ -326,7 +350,7 @@ impl ReliableEndpoint {
             attempts: 1,
             next_retry: Instant::now() + self.policy.backoff(1),
         });
-        Ok(seq)
+        Ok(Some(seq))
     }
 
     /// Retransmit every overdue unacked message; abandon those whose
@@ -523,13 +547,20 @@ mod tests {
         )
     }
 
+    /// A plan that injects nothing still marks its endpoint's frames as
+    /// losable, so its sends take the acknowledged path — how these tests
+    /// reach that path over clean channels.
+    fn planned() -> Option<FaultPlan> {
+        Some(FaultPlan::default())
+    }
+
     #[test]
-    fn reliable_roundtrip_no_faults() {
-        let (mut a, mut b) = pair(&[]);
+    fn reliable_roundtrip_acks_only_the_planned_side() {
+        let (mut a, mut b) = pair(&[planned(), None]);
         let seq = a
             .send_reliable(Rank(1), Tag(7), Bytes::from(vec![1, 2, 3]))
             .unwrap();
-        assert_eq!(seq, 1);
+        assert_eq!(seq, Some(1));
         let env = b.recv_timeout(Duration::from_millis(100)).unwrap();
         assert_eq!(env.tag, Tag(7));
         assert_eq!(&env.payload[..], &[1, 2, 3]);
@@ -538,6 +569,40 @@ mod tests {
         assert!(!a.has_pending());
         assert_eq!(a.stats().retransmits, 0);
         assert!(a.last_heard(Rank(1)).is_some(), "ack refreshes liveness");
+        // The reply crosses the same channel from the side with no plan:
+        // raw, untracked, never acked.
+        assert_eq!(
+            b.send_reliable(Rank(0), Tag(8), Bytes::new()).unwrap(),
+            None
+        );
+        assert!(!b.has_pending());
+        assert_eq!(
+            a.recv_timeout(Duration::from_millis(100)).unwrap().tag,
+            Tag(8)
+        );
+        assert_eq!((a.stats().acks_recv, a.stats().acks_sent), (1, 0));
+        assert_eq!((b.stats().acks_sent, b.stats().acks_recv), (1, 0));
+        assert_eq!(b.stats().data_sent, 0);
+    }
+
+    #[test]
+    fn clean_channel_sends_go_raw_and_unacked() {
+        let (mut a, mut b) = pair(&[]);
+        for i in 0..5u8 {
+            let sent = a.send_reliable(Rank(1), Tag(1), Bytes::from(vec![i]));
+            assert_eq!(sent.unwrap(), None, "nothing to track");
+        }
+        assert!(!a.has_pending());
+        for i in 0..5u8 {
+            let env = b.recv_timeout(Duration::from_millis(100)).unwrap();
+            assert_eq!(&env.payload[..], &[i], "in order, exactly once");
+        }
+        assert!(
+            b.last_heard(Rank(0)).is_some(),
+            "raw frames refresh liveness"
+        );
+        assert_eq!(a.stats(), ReliStats::default());
+        assert_eq!(b.stats(), ReliStats::default(), "no ACK, no dedup");
     }
 
     #[test]
@@ -579,7 +644,7 @@ mod tests {
     fn lossy_receiver_acks_survive_via_reack() {
         // Drops on the *receiver's* outgoing side lose ACKs; the sender
         // retransmits, the receiver suppresses the duplicate and re-ACKs.
-        let plans = vec![None, Some(FaultPlan::lossy(0.5, 11))];
+        let plans = vec![planned(), Some(FaultPlan::lossy(0.5, 11))];
         let (mut a, mut b) = pair(&plans);
         for i in 0..10u8 {
             a.send_reliable(Rank(1), Tag(0), Bytes::from(vec![i]))
@@ -670,7 +735,7 @@ mod tests {
         }
         let failures = a.take_failures();
         assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].seq, seq);
+        assert_eq!(Some(failures[0].seq), seq);
         assert_eq!(failures[0].tag, Tag(3));
         assert_eq!(failures[0].reason, FailReason::NoAck);
         assert_eq!(a.stats().give_ups, 1);
@@ -719,7 +784,7 @@ mod tests {
 
     #[test]
     fn dedup_window_is_per_peer() {
-        let mut eps = Network::new(3);
+        let mut eps = Network::with_faults(3, &[None, planned(), planned()]);
         let e2 = eps.pop().unwrap();
         let e1 = eps.pop().unwrap();
         let mut c = ReliableEndpoint::new(eps.pop().unwrap(), RetryPolicy::default());
@@ -765,7 +830,7 @@ mod tests {
     fn drain_pending_ends_on_the_last_ack() {
         // The peer ACKs at once, so a drain must end on that ACK, not at
         // the end of some fixed receive slice.
-        let (mut a, mut b) = pair(&[]);
+        let (mut a, mut b) = pair(&[planned(), None]);
         const DRAINS: usize = 20;
         let h = std::thread::spawn(move || {
             for _ in 0..DRAINS {

@@ -452,6 +452,15 @@ impl SocketTx {
     pub(crate) fn sever(&self, down_for: Duration) {
         self.conn.sever(down_for);
     }
+
+    /// Whether a broken stream is re-spliced instead of closing the
+    /// connection. Only then can a frame this link accepted vanish while
+    /// later ones still arrive: a frame written into a stream that broke
+    /// is gone, and the link carries on over the next one. A terminal
+    /// link that loses a frame fails every later send instead.
+    pub(crate) fn relinks(&self) -> bool {
+        !matches!(self.conn.mode, RelinkMode::Terminal)
+    }
 }
 
 /// Writer thread: drain the outbound queue onto the current stream.
@@ -1409,6 +1418,36 @@ mod tests {
         let (master, minfo, acceptor) = listener.accept_fleet(n_slaves, None).unwrap();
         let slaves = handles.into_iter().map(|h| h.join().unwrap()).collect();
         (master, minfo, acceptor, addr, slaves)
+    }
+
+    /// Who acknowledges is the sender's call, from its own link: a
+    /// terminal socket sends RAW, a socket that re-splices (the slave's
+    /// dialer, the elastic master's awaiting side) sequences and awaits
+    /// ACKs. Loopback is a channel on either.
+    #[test]
+    fn only_relinkable_socket_links_are_acked() {
+        use crate::{ReliableEndpoint, RetryPolicy};
+        // (master's seq, slave's seq) for one send each way.
+        let seqs = |master: Endpoint, slave: Endpoint| {
+            let [mut m, mut s] =
+                [master, slave].map(|ep| ReliableEndpoint::new(ep, RetryPolicy::default()));
+            for rep in [&mut m, &mut s] {
+                let me = rep.rank();
+                let to_self = rep.send_reliable(me, Tag(1), b("x")).unwrap();
+                assert_eq!(to_self, None, "loopback cannot lose a frame");
+            }
+            (
+                m.send_reliable(Rank(1), Tag(1), b("x")).unwrap(),
+                s.send_reliable(Rank(0), Tag(1), b("x")).unwrap(),
+            )
+        };
+        let (master, _minfo, mut slaves) = tcp_pair(1);
+        let (slave, _sinfo) = slaves.pop().unwrap();
+        assert_eq!(seqs(master, slave), (None, None), "terminal links");
+
+        let (master, _minfo, _acceptor, _addr, mut slaves) = fleet_pair(1, vec![None]);
+        let (slave, _sinfo) = slaves.pop().unwrap();
+        assert_eq!(seqs(master, slave), (Some(1), Some(1)), "relinkable links");
     }
 
     #[test]

@@ -288,6 +288,20 @@ impl Endpoint {
         }
     }
 
+    /// Whether a frame this endpoint sends to `dst` can be lost,
+    /// duplicated or reordered without any later send failing: the
+    /// endpoint carries a [`FaultPlan`], or its link to `dst` is a socket
+    /// that re-splices across outages. A channel or a terminal socket
+    /// under no plan delivers every frame whose send returned `Ok`, in
+    /// order, or the peer is gone for good.
+    pub(crate) fn can_lose(&self, dst: Rank) -> bool {
+        self.fault.has_plan()
+            || matches!(
+                self.links.read().unwrap().get(dst.index()),
+                Some(TxLink::Socket(tx)) if tx.relinks()
+            )
+    }
+
     fn check_alive(&mut self) -> Result<(), NetError> {
         if self.dead.load(Ordering::Acquire) {
             return Err(NetError::Dead);

@@ -342,10 +342,16 @@ impl Fleet {
         if let Some(acc) = &self.control.acceptor {
             acc.set_join_payload(tags::JOB, &payload);
         }
-        for r in &ready {
-            // A link that died since the readiness barrier fails here;
-            // the master's send-failure path excludes the slot.
-            let _ = ep.send(Rank(*r), tags::JOB, payload.clone());
+        for &r in &ready {
+            // A link that died since the readiness barrier (its READY may
+            // have been queued before the slave went) fails here: the
+            // same evidence the barrier's probe retires a rank on. The
+            // master's send-failure path excludes the slot for this job.
+            if ep.send(Rank(r), tags::JOB, payload.clone()).is_err() {
+                if let Some(f) = self.retired.get_mut(r as usize) {
+                    *f = true;
+                }
+            }
         }
         let mut deployment = spec.deployment(self.n_slaves, None);
         deployment.obs = opts.obs.clone();
@@ -513,6 +519,43 @@ mod tests {
             t.elapsed()
         );
         assert!(fleet.retired[2], "dead rank must be retired");
+        fleet.shutdown();
+    }
+
+    /// The race behind the test above, forced: rank 2's READY is already
+    /// queued when it dies, so the barrier counts it and never probes the
+    /// rank. The failed JOB send is then the evidence that retires it.
+    #[test]
+    fn job_send_failure_retires_a_rank_whose_ready_was_queued() {
+        let mut eps = Network::new(3);
+        let root = eps.remove(0);
+        let mut ghost = eps.pop().unwrap();
+        let live = eps.pop().unwrap();
+        ghost.send(Rank(0), tags::READY, Bytes::new()).unwrap();
+        drop(ghost);
+        let handle = std::thread::spawn(move || slave_job_loop(live, None, None, None));
+        let mut fleet = Fleet {
+            root,
+            n_slaves: 2,
+            fault: None,
+            slaves: FleetSlaves::Local(vec![handle]),
+            control: FleetControl::new(None),
+            retired: vec![false; 3],
+        };
+        let spec = editdist_spec(b"one slave is already gone", b"but it said ready");
+        let t = Instant::now();
+        let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
+        let reference = spec.problem.solve_sequential();
+        assert_eq!(out.matrix, reference);
+        assert!(
+            fleet.retired[2],
+            "the rank whose JOB send failed is retired"
+        );
+        assert!(
+            t.elapsed() < Duration::from_secs(2),
+            "teardown awaited the STATS of a slave its END could not reach: {:?}",
+            t.elapsed()
+        );
         fleet.shutdown();
     }
 

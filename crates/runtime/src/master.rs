@@ -15,13 +15,16 @@
 //! `ft_poll` cadence, so the deterministic explorer can place it anywhere
 //! it likes and what it checks is what runs.
 //!
-//! Control messages travel over a [`ReliableEndpoint`]: every
-//! ASSIGN/DONE/END is sequence-numbered, acknowledged and retransmitted
-//! with backoff, so a lossy link delays the protocol instead of breaking
-//! it. Liveness is decided by heartbeats, not by individual message
-//! outcomes: a slave is excluded only when it is *unreachable* (its
-//! endpoint is gone — permanent) or has been *silent* past
-//! `heartbeat_timeout` (no frame of any kind, including acks). A slave
+//! Control messages travel over a [`ReliableEndpoint`]: an
+//! ASSIGN/DONE/END that its sender could lose — the sender carries a
+//! fault plan, or its socket to the peer re-splices across outages — is
+//! sequence-numbered, acknowledged and retransmitted with backoff, so a
+//! lossy link delays the protocol instead of breaking it; on a link that
+//! delivers every frame or fails for good it is one RAW frame, and a
+//! tile costs one frame each way. Liveness is decided by heartbeats, not
+//! by individual message outcomes: a slave is excluded only when it is
+//! *unreachable* (its endpoint is gone — permanent) or has been *silent*
+//! past `heartbeat_timeout` (no frame of any kind, including acks). A slave
 //! that is merely slow keeps heartbeating and stays in the schedule even
 //! if its current sub-task is timed out and redistributed; a slave that
 //! was excluded during a transient outage is re-admitted the moment it is
@@ -158,6 +161,21 @@ pub fn run_master<P: DpProblem>(
     fleet: Option<&FleetControl>,
 ) -> Result<MasterOutput<P::Cell>, RuntimeError> {
     let _ = problem; // kernels run slave-side; the master only routes data
+    let mut shell = start_shell::<P::Cell>(ep, model, config, resume, tile_budget, fleet)?;
+    shell.run()?;
+    shell.finish()
+}
+
+/// Everything before the loop: the endpoint, the validated master
+/// DAG, the durable store, the machine, and a restored checkpoint.
+fn start_shell<'a, C: Cell>(
+    ep: Endpoint,
+    model: &'a DagDataDrivenModel,
+    config: &'a Deployment,
+    resume: Option<&Checkpoint>,
+    tile_budget: Option<u64>,
+    fleet: Option<&'a FleetControl>,
+) -> Result<Shell<'a, C>, RuntimeError> {
     if config.slaves == 0 {
         return Err(RuntimeError::NoSlaves);
     }
@@ -190,7 +208,7 @@ pub fn run_master<P: DpProblem>(
         .transpose()?;
 
     let n = config.slaves;
-    let mut shell = Shell::<P::Cell> {
+    let mut shell = Shell {
         sched: MasterSched::new(&dag, n, config.process_mode, &params, tile_budget),
         matrix: DpMatrix::new(dims),
         trace: Trace::new(),
@@ -234,12 +252,12 @@ pub fn run_master<P: DpProblem>(
         let resumed = shell.sched.counters().resumed;
         shell.instant(false, "resume", "checkpoint", ("tiles", resumed));
     }
-    shell.run()?;
-    shell.finish()
+    Ok(shell)
 }
 
 /// The teardown drain (step i): which final STATS it still waits for. It
-/// ends on the later of the last awaited STATS and the last END ACK.
+/// ends on the later of the last awaited STATS and the last END ACK (an
+/// END sent RAW has none to wait for).
 struct Teardown {
     stats: Vec<Option<SlaveStatsMsg>>,
     /// Slaves alive at END time whose STATS has not arrived. Only these
@@ -282,8 +300,10 @@ struct Shell<'a, C: Cell> {
     /// Start per in-flight task: the wall-clock instant for `Trace` and
     /// tile latency, the recorder timestamp for the slot-lane span.
     started: Vec<Option<(Instant, u64)>>,
-    /// (slave, sequence number) of every ASSIGN whose delivery is not yet
-    /// known, so an abandoned send can roll the dispatch back.
+    /// (slave, sequence number) of every acknowledged ASSIGN whose
+    /// delivery is not yet known, so an abandoned send can roll the
+    /// dispatch back. An ASSIGN sent RAW is never reported as failed and
+    /// has no entry.
     inflight: HashMap<(usize, u64), u32>,
     completed: Vec<VertexId>,
     store: Option<CheckpointStore>,
@@ -354,6 +374,7 @@ impl<C: Cell> Shell<'_, C> {
                     self.last_ft = Instant::now();
                     let now_ns = self.ns(self.last_ft);
                     self.feed(MasterEvent::FtTick { now_ns }, &[])?;
+                    self.probe_excluded()?;
                 }
                 // One scheduling pass: re-admission, termination checks
                 // and dispatch all come back as actions.
@@ -432,10 +453,12 @@ impl<C: Cell> Shell<'_, C> {
                     };
                     let dst = Rank(w as u32 + 1);
                     match self.rep.send_reliable(dst, tags::ASSIGN, msg.encode()) {
-                        Ok(seq) => {
+                        Ok(tracked) => {
                             let start = (Instant::now(), self.slot_lanes[w].now_ns());
                             self.started[task as usize] = Some(start);
-                            self.inflight.insert((w, seq), task);
+                            if let Some(seq) = tracked {
+                                self.inflight.insert((w, seq), task);
+                            }
                         }
                         // Slave endpoint gone: the machine rolls the
                         // dispatch back (the task was never sent) and puts
@@ -620,16 +643,48 @@ impl<C: Cell> Shell<'_, C> {
         Ok(())
     }
 
+    /// Probe every slave excluded as silent but not known unreachable with
+    /// a HEARTBEAT, which slaves ignore. An excluded slave is sent nothing
+    /// else: with its ASSIGNs unacknowledged no retransmission would ever
+    /// find its endpoint gone. A probe that fails at once marks it
+    /// unreachable — what lets a run whose every slave died end.
+    fn probe_excluded(&mut self) -> Result<(), RuntimeError> {
+        for w in 0..self.n_slaves() {
+            if self.sched.alive()[w] || self.sched.unreachable()[w] {
+                continue;
+            }
+            let dst = Rank(w as u32 + 1);
+            if self
+                .rep
+                .send_unreliable(dst, tags::HEARTBEAT, Bytes::new())
+                .is_err()
+            {
+                let ev = MasterEvent::SendFailed {
+                    slave: w,
+                    assign_task: None,
+                    reason: SendFailKind::Unreachable,
+                    now_ns: self.ns(Instant::now()),
+                };
+                self.feed(ev, &[])?;
+            }
+        }
+        Ok(())
+    }
+
     /// Step i: the machine stops dispatching; completions still in flight
     /// keep being accepted into the matrix — on a budget stop they would
     /// otherwise be recomputed after `resume_from`. END goes to every
-    /// slave (dead ones may never read it; unreachable ones fail
-    /// immediately and are ignored); the live ones' STATS are awaited.
+    /// slave (dead ones may never read it); the STATS of the live ones
+    /// whose END went out are awaited — an END that fails at once names a
+    /// slave that can never answer.
     fn begin_teardown(&mut self) -> Result<(), RuntimeError> {
         self.feed(MasterEvent::Drain, &[])?;
-        let awaited = self.sched.alive().to_vec();
-        for rank in 1..=self.n_slaves() as u32 {
-            let _ = self.rep.send_reliable(Rank(rank), tags::END, Bytes::new());
+        let mut awaited = self.sched.alive().to_vec();
+        for (w, awaits) in awaited.iter_mut().enumerate() {
+            let end = self
+                .rep
+                .send_reliable(Rank(w as u32 + 1), tags::END, Bytes::new());
+            *awaits &= end.is_ok();
         }
         let grace = self.params.drain_deadline(self.config.retry.drain_budget());
         self.teardown = Some(Teardown {
@@ -743,5 +798,41 @@ mod tests {
             SendFailKind::Unreachable
         );
         assert_eq!(fail_kind(FailReason::NoAck), SendFailKind::NoAck);
+    }
+
+    /// An ASSIGN is held for a failure report only when the reliable
+    /// layer tracks it: never on clean channels, always once the master
+    /// carries a fault plan (here one that injects nothing).
+    #[test]
+    fn only_acked_assigns_are_held_for_a_failure_report() {
+        use easyhps_dp::sequence::{random_sequence, Alphabet};
+        use easyhps_dp::EditDistance;
+        use easyhps_net::{FaultPlan, Network};
+        let problem = EditDistance::new(
+            random_sequence(Alphabet::Dna, 30, 1),
+            random_sequence(Alphabet::Dna, 30, 2),
+        );
+        let reference = problem.solve_sequential();
+        let model = DagDataDrivenModel::builder(problem.pattern())
+            .process_partition_size(easyhps_core::GridDims::square(8))
+            .thread_partition_size(easyhps_core::GridDims::square(4))
+            .build();
+        let config = Deployment::local(2, 1);
+        for (plan, acked) in [(None, false), (Some(FaultPlan::default()), true)] {
+            let mut eps = Network::with_faults(3, &[plan]);
+            let master_ep = eps.remove(0);
+            let (held, out) = std::thread::scope(|s| {
+                for ep in eps {
+                    let (p, m, c) = (&problem, &model, &config);
+                    s.spawn(move || crate::run_slave(ep, p, m, c));
+                }
+                let mut shell =
+                    start_shell::<i32>(master_ep, &model, &config, None, None, None).unwrap();
+                shell.run().unwrap();
+                (shell.inflight.len(), shell.finish().unwrap())
+            });
+            assert_eq!(out.matrix, reference);
+            assert_eq!(held > 0, acked, "{held} ASSIGNs held, acked = {acked}");
+        }
     }
 }

@@ -8,9 +8,11 @@
 //! dead one.
 //!
 //! Control messages (IDLE/ASSIGN/DONE/END/STATS) travel over
-//! [`easyhps_net::ReliableEndpoint`] — acknowledged, retransmitted,
-//! deduplicated — so a lossy network delays but does not lose them.
-//! HEARTBEAT is fire-and-forget.
+//! [`easyhps_net::ReliableEndpoint`]: where the sender could lose the
+//! frame — it carries a fault plan, or its socket re-splices across
+//! outages — they are acknowledged, retransmitted and deduplicated, so a
+//! lossy network delays but does not lose them; elsewhere each is one
+//! RAW frame. HEARTBEAT is fire-and-forget everywhere.
 
 use bytes::Bytes;
 use easyhps_core::{GridPos, TileRegion};
@@ -33,7 +35,9 @@ pub mod tags {
     pub const STATS: Tag = Tag(5);
     /// Slave -> master: "I am alive" (sent unreliably at
     /// `heartbeat_interval`, including from inside a long tile
-    /// computation; a lost one is superseded by the next).
+    /// computation; a lost one is superseded by the next). Master ->
+    /// slave: a probe of an excluded slave's link — the send failing is
+    /// the point; the slave ignores it.
     pub const HEARTBEAT: Tag = Tag(6);
     /// Master -> slave: serialized job description (problem, partitions,
     /// deployment knobs) sent once right after the socket handshake so a

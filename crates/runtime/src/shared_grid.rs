@@ -13,8 +13,11 @@
 //! * A task only reads cells in regions that the DAG orders strictly before
 //!   it ([`easyhps_core::TaskDag::validate`] checks that every
 //!   data-communication dependency is a topological ancestor).
-//! * Completion and dispatch travel through channels, whose send/recv pairs
-//!   establish happens-before between the finisher's writes and the
+//! * Completion and dispatch go through the tile machine's mutex: a
+//!   worker reports a finished task under it after its writes, and a task
+//!   those writes enable is handed out under it afterwards (run by the
+//!   reporter, or sent to a sibling while the lock is held), which
+//!   establishes happens-before between the finisher's writes and the
 //!   reader's reads.
 //!
 //! Together these give data-race freedom: no cell is ever written
@@ -73,7 +76,7 @@ impl<C: Cell> SharedGrid<C> {
         // SAFETY: `UnsafeCell<C>` has the same layout as `C`, the range is
         // in bounds, and the caller guarantees no concurrent writes — the
         // DAG schedule orders every producing task (with happens-before via
-        // channel send/recv) strictly before this read.
+        // the tile machine's mutex) strictly before this read.
         unsafe { std::slice::from_raw_parts(self.cells[start].get() as *const C, len) }
     }
 

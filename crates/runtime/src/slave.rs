@@ -6,14 +6,19 @@
 //! executes them on a pool of computing threads over the shared node
 //! matrix, and returns the computed region. The pool is spawned **once per
 //! slave lifetime** and reused across every ASSIGN — thread creation is
-//! not on the per-tile path. Computing-thread failures (panics) are caught
-//! and the sub-sub-task is re-queued — the paper's "restart the
-//! corresponding computing thread".
+//! not on the per-tile path. Inside a tile the workers pull, as the
+//! paper's idle workers pull from the computable stack: the worker that
+//! finishes a sub-sub-task feeds the tile's [`PoolSched`] and runs the
+//! next one it is given itself, so the scheduling thread only starts a
+//! tile and wakes once when it is done. Computing-thread failures
+//! (panics) are caught and the sub-sub-task is re-queued — the paper's
+//! "restart the corresponding computing thread".
 //!
 //! The loop talks to the master over a [`ReliableEndpoint`]: IDLE, DONE
-//! and STATS are acknowledged and retransmitted, so a lossy link cannot
-//! silently lose a result. In between — and *during* long tile
-//! computations — the slave emits unreliable HEARTBEATs at
+//! and STATS are acknowledged and retransmitted wherever the link could
+//! lose them, so a lossy link cannot silently lose a result. In between —
+//! and *during* long tile computations, since the scheduling thread never
+//! runs a kernel — the slave emits unreliable HEARTBEATs at
 //! `heartbeat_interval`, which is how the master tells slow from dead. A
 //! heartbeat send failing with a channel error doubles as the slave's
 //! master-death detector (its own receiver never disconnects, because
@@ -25,34 +30,16 @@ use crate::protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
 use crate::shared_grid::SharedGrid;
 use crate::storage::{NodeStorage, SparseGrid};
 use crate::{MemoryMode, RuntimeError};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use easyhps_core::sched::{PoolAction, PoolEvent, PoolLog, PoolSched};
-use easyhps_core::{DagDataDrivenModel, GridPos, TileRegion, VertexId};
+use crossbeam::channel::{unbounded, Sender};
+use easyhps_core::sched::{PoolAction, PoolEvent, PoolLog, PoolSched, SchedViolation};
+use easyhps_core::{DagDataDrivenModel, GridPos, TaskDag, TileRegion, VertexId};
 use easyhps_dp::DpProblem;
 use easyhps_net::{Endpoint, NetError, Rank, ReliableEndpoint};
 use easyhps_obs::{EventRecorder, LaneBuf};
 use parking_lot::RwLock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
-
-/// One job handed to a computing thread.
-#[derive(Clone, Copy, Debug)]
-struct Job {
-    /// Dense id in the slave DAG.
-    sub: u32,
-    /// Global cell region of the sub-sub-task.
-    region: TileRegion,
-}
-
-/// Result reported back by a computing thread.
-#[derive(Clone, Copy, Debug)]
-struct WorkerResult {
-    worker: usize,
-    sub: u32,
-    elapsed_ns: u64,
-    ok: bool,
-}
 
 /// Outcome of executing one master-level sub-task on the thread pool.
 #[derive(Clone, Copy, Debug, Default)]
@@ -62,16 +49,137 @@ pub(crate) struct TileExecution {
     pub failures: u64,
 }
 
+/// One sub-sub-task handed to a computing thread.
+#[derive(Clone, Copy, Debug)]
+struct Job {
+    /// Dense id in the tile's slave DAG.
+    sub: u32,
+    /// Global cell region of the sub-sub-task.
+    region: TileRegion,
+}
+
+/// What the scheduling thread and the computing threads share.
+struct PoolShared {
+    state: Mutex<PoolState>,
+    /// Signalled when the tile in flight gets its outcome.
+    finished: Condvar,
+}
+
+/// Behind one mutex: the machine of the tile in flight and the routes to
+/// the workers it dispatches to. The mutex also orders each kernel's
+/// writes before the reads of the sub-sub-tasks they enable (DESIGN.md
+/// §7).
+struct PoolState {
+    /// Per-worker job channels; cleared when the pool is dropped, which
+    /// ends the workers.
+    workers: Vec<Sender<Job>>,
+    /// Installed and taken back by the scheduling thread, so everything a
+    /// tile allocates is allocated and freed there.
+    tile: Option<TileRun>,
+}
+
+/// One master tile in flight: its slave DAG and machine, and what the
+/// workers report to it.
+struct TileRun {
+    sdag: TaskDag,
+    /// Global cell region of each sub-sub-task, by dense id.
+    regions: Vec<TileRegion>,
+    sched: PoolSched,
+    /// The machine's actions for the event being fed, kept so that a
+    /// worker feeding the machine allocates nothing.
+    actions: Vec<PoolAction>,
+    exec: TileExecution,
+    /// Kernel time of each finished sub-sub-task, recorded into the
+    /// metrics by the scheduling thread.
+    latencies: Vec<u64>,
+    log: Option<PoolLog>,
+    /// `Ok` once the machine said Done, `Err` if it refused an event.
+    outcome: Option<Result<(), SchedViolation>>,
+}
+
+/// No code that runs under the pool's lock panics short of a bug.
+const POISONED: &str = "pool lock poisoned by a panic while feeding the machine";
+
+impl PoolShared {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// Feed `ev` to the tile's machine and perform its actions — the one
+    /// place a [`PoolAction`] is interpreted. A `Run` for worker `me` is
+    /// returned for the caller to run itself; any other `Run` goes over
+    /// its worker's channel. Once the outcome is set, events are dropped.
+    fn feed(&self, st: &mut PoolState, ev: PoolEvent, me: Option<usize>) -> Option<Job> {
+        let t = st.tile.as_mut().filter(|t| t.outcome.is_none())?;
+        t.actions.clear();
+        if let Err(e) = t.sched.on_event_into(&t.sdag, ev, &mut t.actions) {
+            t.outcome = Some(Err(e));
+            self.finished.notify_one();
+            return None;
+        }
+        if let Some(log) = &mut t.log {
+            log.push((ev, t.actions.clone()));
+        }
+        let mut mine = None;
+        for a in t.actions.drain(..) {
+            match a {
+                PoolAction::Run { worker, sub } => {
+                    let job = Job {
+                        sub,
+                        region: t.regions[sub as usize],
+                    };
+                    if Some(worker) == me {
+                        mine = Some(job);
+                    } else {
+                        st.workers[worker]
+                            .send(job)
+                            .expect("workers outlive the pool's tiles");
+                    }
+                }
+                PoolAction::Done => {
+                    t.outcome = Some(Ok(()));
+                    self.finished.notify_one();
+                }
+            }
+        }
+        mine
+    }
+
+    /// Worker `worker` finished `sub`: account for it, feed the machine,
+    /// and return the worker's own next sub-sub-task.
+    fn worker_done(&self, worker: usize, sub: u32, ok: bool, elapsed_ns: u64) -> Option<Job> {
+        let mut st = self.lock();
+        let t = st.tile.as_mut()?;
+        t.exec.busy_ns += elapsed_ns;
+        t.latencies.push(elapsed_ns);
+        if ok {
+            t.exec.subtasks += 1;
+        } else {
+            // Thread-level fault tolerance: the panic was caught (the
+            // worker effectively restarted); the machine re-queues the
+            // sub-sub-task for any worker.
+            t.exec.failures += 1;
+        }
+        self.feed(
+            &mut st,
+            PoolEvent::WorkerDone { worker, sub, ok },
+            Some(worker),
+        )
+    }
+}
+
 /// A persistent pool of computing threads over one node matrix.
 ///
 /// Threads are spawned once (inside a [`std::thread::scope`]) and then
-/// serve any number of tiles; [`execute_tile`] feeds them jobs through
-/// per-worker channels. Workers take the grid's read lock per job, so the
-/// scheduler can take the write lock between tiles (strip decode, result
-/// encode) without any thread teardown.
+/// serve any number of tiles. [`execute_tile`] hands a tile its first
+/// sub-sub-tasks over per-worker channels; from then on each worker
+/// reports to the tile's machine itself and runs what it is given next,
+/// passing work for an idle sibling over that sibling's channel. Workers
+/// take the grid's read lock per sub-sub-task, so the scheduling thread
+/// can take the write lock between tiles (strip decode, result encode)
+/// without any thread teardown.
 pub(crate) struct ComputePool {
-    job_txs: Vec<Sender<Job>>,
-    result_rx: Receiver<WorkerResult>,
+    shared: Arc<PoolShared>,
     /// Computing threads spawned over this pool's lifetime (= worker
     /// count: spawning happens exactly once, at construction).
     threads_spawned: u64,
@@ -95,62 +203,67 @@ impl ComputePool {
         P: DpProblem,
         S: NodeStorage<P::Cell>,
     {
-        let (result_tx, result_rx) = unbounded::<WorkerResult>();
-        let mut job_txs = Vec::with_capacity(ct);
+        let shared = Arc::new(PoolShared {
+            state: Mutex::new(PoolState {
+                workers: Vec::with_capacity(ct),
+                tile: None,
+            }),
+            finished: Condvar::new(),
+        });
         for w in 0..ct {
             let (tx, rx) = unbounded::<Job>();
-            job_txs.push(tx);
-            let result_tx = result_tx.clone();
+            shared.lock().workers.push(tx);
             let recorder = recorder.clone();
+            let shared = shared.clone();
             scope.spawn(move || {
                 let mut wl = recorder.map_or_else(LaneBuf::disabled, |r| r.lane(pid, 1 + w as u32));
-                for job in rx.iter() {
-                    let start_ns = wl.now_ns();
-                    let t0 = Instant::now();
-                    let g = grid.read();
-                    // SAFETY: the slave scheduler dispatches each region to
-                    // exactly one worker, and the DAG (validated) orders
-                    // every read-region strictly before this task; channel
-                    // send/recv provides the happens-before edges.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let mut view = unsafe { g.task_view(job.region) };
-                        problem.compute_region(&mut view, job.region);
-                    }));
-                    drop(g);
-                    let elapsed_ns = t0.elapsed().as_nanos() as u64;
-                    wl.span_since(
-                        "sub",
-                        "compute",
-                        start_ns,
-                        Some(("sub", u64::from(job.sub))),
-                    );
-                    let res = WorkerResult {
-                        worker: w,
-                        sub: job.sub,
-                        elapsed_ns,
-                        ok: outcome.is_ok(),
-                    };
-                    if result_tx.send(res).is_err() {
-                        break;
+                for mut job in rx.iter() {
+                    // Run the handed sub-sub-task, then every one the
+                    // machine gives this worker back as it reports.
+                    loop {
+                        let start_ns = wl.now_ns();
+                        let t0 = Instant::now();
+                        let g = grid.read();
+                        // SAFETY: the tile's machine dispatches each region
+                        // to exactly one worker, and the DAG (validated)
+                        // orders every read-region strictly before this
+                        // task. The machine's mutex provides the
+                        // happens-before edges: a predecessor's worker
+                        // reported after its writes, and this task was
+                        // handed out under the lock after that report.
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            let mut view = unsafe { g.task_view(job.region) };
+                            problem.compute_region(&mut view, job.region);
+                        }));
+                        drop(g);
+                        let elapsed_ns = t0.elapsed().as_nanos() as u64;
+                        let arg = Some(("sub", u64::from(job.sub)));
+                        wl.span_since("sub", "compute", start_ns, arg);
+                        match shared.worker_done(w, job.sub, outcome.is_ok(), elapsed_ns) {
+                            Some(next) => job = next,
+                            None => break,
+                        }
                     }
                 }
             });
         }
         Self {
-            job_txs,
-            result_rx,
+            shared,
             threads_spawned: ct as u64,
         }
-    }
-
-    /// Worker count.
-    fn threads(&self) -> usize {
-        self.job_txs.len()
     }
 
     /// Computing threads spawned over this pool's lifetime.
     pub(crate) fn threads_spawned(&self) -> u64 {
         self.threads_spawned
+    }
+}
+
+impl Drop for ComputePool {
+    /// Close every worker's channel: each finishes what it holds and exits.
+    fn drop(&mut self) {
+        let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.workers.clear();
     }
 }
 
@@ -217,8 +330,8 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
         rec.name_thread(pid, TID_NET, "net");
     }
 
-    // Step a: announce idleness (acknowledged: a dropped IDLE would
-    // otherwise starve this slave forever).
+    // Step a: announce idleness (acknowledged wherever it could be
+    // dropped: a dropped IDLE would otherwise starve this slave forever).
     rep.send_reliable(master, tags::IDLE, bytes::Bytes::new())?;
 
     std::thread::scope(|scope| {
@@ -256,7 +369,8 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                     let _ = rep.send_reliable(master, tags::STATS, stats.encode());
                     // Linger until the STATS (and any late DONE) is acked,
                     // so the master's teardown collection cannot miss it;
-                    // the linger ends on that ACK.
+                    // the linger ends on that ACK, at once where nothing
+                    // was sent acked.
                     rep.drain_pending(config.sched_params().slave_linger);
                     publish_endpoint_stats(&registry, &format!("slave{w}"), &rep);
                     return Ok(stats);
@@ -326,6 +440,8 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                     );
                     lane.instant("done", "sched", Some(("task", u64::from(msg.task))));
                 }
+                // The master probing the link of a slave it excluded.
+                tags::HEARTBEAT => {}
                 other => {
                     debug_assert!(false, "slave received unexpected {other}");
                 }
@@ -335,17 +451,18 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
 }
 
 /// Execute one master tile on the persistent worker pool: partition it by
-/// `thread_partition_size` and drive the shared [`PoolSched`] state
-/// machine until every sub-sub-task completes. This function is the
-/// machine's threaded driver — every scheduling decision (which worker
-/// gets which sub-sub-task, what a failed kernel means) is the machine's;
-/// this loop only moves jobs and results across channels. Every job
-/// dispatched here is collected before returning, so the pool is
-/// quiescent between calls. `on_wait` is invoked whenever waiting for a
-/// worker result exceeds the heartbeat interval — the slave loop
-/// heartbeats there so a long tile never reads as silence. With `log`,
-/// every `(event, actions)` exchange is recorded for differential replay
-/// against the virtual-time driver.
+/// `thread_partition_size`, feed the tile's [`PoolSched`] its `Start` and
+/// hand the first sub-sub-tasks out; the workers drive the machine from
+/// there (see [`ComputePool`]). Every scheduling decision — which worker
+/// gets which sub-sub-task, what a failed kernel means — is the
+/// machine's. This thread wakes once, when the machine says Done, and
+/// otherwise every `heartbeat_interval` to call `on_wait` — the slave loop
+/// heartbeats there so a long sub-sub-task never reads as silence. Done
+/// means every sub-sub-task has been reported, so the pool is quiescent
+/// between calls; a machine error ends the slave, and with it the pool.
+/// With `log`, every `(event, actions)` exchange is recorded, in the
+/// order the machine saw it, for differential replay against the
+/// virtual-time driver.
 pub(crate) fn execute_tile(
     model: &DagDataDrivenModel,
     pool: &ComputePool,
@@ -353,67 +470,50 @@ pub(crate) fn execute_tile(
     config: &Deployment,
     metrics: &SlaveMetrics,
     on_wait: &mut dyn FnMut(),
-    mut log: Option<&mut PoolLog>,
+    log: Option<&mut PoolLog>,
 ) -> Result<TileExecution, RuntimeError> {
+    let shared = &pool.shared;
     let sdag = model.slave_dag(tile);
-    let mut sched = PoolSched::new(&sdag, pool.threads(), config.thread_mode);
-    let mut exec = TileExecution::default();
-
-    let mut queue = sched.on_event(&sdag, PoolEvent::Start)?;
-    if let Some(l) = log.as_deref_mut() {
-        l.push((PoolEvent::Start, queue.clone()));
-    }
-    loop {
-        let mut finished = false;
-        for a in queue.drain(..) {
-            match a {
-                PoolAction::Run { worker, sub } => {
-                    let region = model.sub_region(tile, sdag.vertex(VertexId(sub)).pos);
-                    pool.job_txs[worker]
-                        .send(Job { sub, region })
-                        .expect("worker channel open");
-                }
-                PoolAction::Done => finished = true,
-            }
-        }
-        if finished {
-            break;
-        }
-
-        // Collect one result (we are not done, so either a worker is busy
-        // or a dispatch just happened above); heartbeat while waiting.
-        let res = loop {
-            match pool.result_rx.recv_timeout(config.heartbeat_interval) {
-                Ok(res) => break res,
-                Err(RecvTimeoutError::Timeout) => on_wait(),
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("workers alive while tasks remain")
-                }
-            }
-        };
-        exec.busy_ns += res.elapsed_ns;
-        metrics.subtask_latency.observe(res.elapsed_ns);
-        if res.ok {
-            exec.subtasks += 1;
-        } else {
-            // Thread-level fault tolerance: the panic was caught (the
-            // worker thread effectively restarted); the machine re-queues
-            // the sub-sub-task for any worker.
-            exec.failures += 1;
-        }
-        let ev = PoolEvent::WorkerDone {
-            worker: res.worker,
-            sub: res.sub,
-            ok: res.ok,
-        };
-        queue = sched.on_event(&sdag, ev)?;
-        if let Some(l) = log.as_deref_mut() {
-            l.push((ev, queue.clone()));
+    let regions = (0..sdag.len() as u32)
+        .map(|s| model.sub_region(tile, sdag.vertex(VertexId(s)).pos))
+        .collect();
+    let mut st = shared.lock();
+    let workers = st.workers.len();
+    st.tile = Some(TileRun {
+        sched: PoolSched::new(&sdag, workers, config.thread_mode),
+        actions: Vec::with_capacity(workers + 1),
+        exec: TileExecution::default(),
+        latencies: Vec::with_capacity(sdag.len()),
+        log: log.as_ref().map(|_| PoolLog::new()),
+        outcome: None,
+        sdag,
+        regions,
+    });
+    shared.feed(&mut st, PoolEvent::Start, None);
+    let pending = |st: &PoolState| st.tile.as_ref().is_some_and(|t| t.outcome.is_none());
+    while pending(&st) {
+        let (guard, wait) = shared
+            .finished
+            .wait_timeout(st, config.heartbeat_interval)
+            .expect(POISONED);
+        st = guard;
+        if wait.timed_out() && pending(&st) {
+            drop(st);
+            on_wait();
+            st = shared.lock();
         }
     }
-
-    debug_assert!(sched.is_done());
-    Ok(exec)
+    let run = st.tile.take().expect("installed above");
+    drop(st);
+    for &ns in &run.latencies {
+        metrics.subtask_latency.observe(ns);
+    }
+    if let (Some(log), Some(recorded)) = (log, run.log) {
+        *log = recorded;
+    }
+    run.outcome.expect("the wait ends on an outcome")?;
+    debug_assert!(run.sched.is_done());
+    Ok(run.exec)
 }
 
 #[cfg(test)]

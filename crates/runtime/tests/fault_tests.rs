@@ -14,9 +14,11 @@ use common::assert_series_equal_stats;
 use easyhps_dp::sequence::{random_sequence, Alphabet};
 use easyhps_dp::{DpMatrix, DpProblem, EditDistance, Nussinov, SmithWatermanGeneralGap};
 use easyhps_net::{FaultPlan, NetError, Network, Rank, ReliableEndpoint, RetryPolicy};
+use easyhps_obs::{labeled, Snapshot};
+use easyhps_runtime::testing::StallProblem;
 use easyhps_runtime::{
     run_master, run_slave, tags, AssignMsg, Deployment, DoneMsg, EasyHps, Registry, ScheduleMode,
-    SlaveStatsMsg,
+    SlaveStatsMsg, TransportKind,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -862,7 +864,9 @@ fn teardown_ends_on_the_end_ack_after_the_stats() {
     let tiles = model.master_dag().len();
     let config = Deployment::local(1, 1);
 
-    let mut eps = Network::new(2);
+    // A plan that injects nothing: the master's sends (END included) are
+    // acked as on any link where a frame could be lost.
+    let mut eps = Network::with_faults(2, &[Some(FaultPlan::default())]);
     let mut rep_a = ReliableEndpoint::new(eps.pop().unwrap(), RetryPolicy::default());
     let master_ep = eps.pop().unwrap();
     rep_a
@@ -1258,4 +1262,112 @@ fn malformed_and_zombie_completions_are_dropped_never_fatal() {
     let snap = registry.snapshot();
     assert_eq!(snap.counter("master_malformed_completions"), Some(3));
     assert_series_equal_stats(&snap, &out.stats);
+}
+
+// ---------------------------------------------------------------------
+// Heartbeats come from the scheduling thread, which never runs a kernel:
+// a sub-task stalled past three heartbeat timeouts must not read as a
+// dead slave, however many computing threads the slave has.
+// ---------------------------------------------------------------------
+
+#[test]
+fn heartbeats_continue_while_a_sub_task_runs_long() {
+    let stall = 3 * Deployment::local(1, 1).heartbeat_timeout;
+    for threads in [1, 3] {
+        let inner = EditDistance::new(
+            random_sequence(Alphabet::Dna, 30, 230),
+            random_sequence(Alphabet::Dna, 30, 231),
+        );
+        let reference = inner.solve_sequential();
+        let problem = Arc::new(StallProblem::new(inner, 5, 30, stall));
+        let out = EasyHps::new_shared(problem.clone())
+            .process_partition((8, 8))
+            .thread_partition((4, 4))
+            .slaves(2)
+            .threads_per_slave(threads)
+            .run()
+            .unwrap_or_else(|e| panic!("stalled run with {threads} threads: {e}"));
+        assert!(problem.stalls_fired() >= 1, "the drill stalled nothing");
+        assert_eq!(out.matrix, reference, "{threads} threads");
+        let m = &out.report.master;
+        assert_eq!(
+            (m.dead_slaves, m.readmitted, m.redispatched),
+            (0, 0, 0),
+            "a stalled kernel read as silence with {threads} threads: {m:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Who acknowledges: a sender ACK-tracks a frame only where it could lose
+// it — here, where it carries a fault plan. Everywhere else a control
+// message is one RAW frame, and a clean run sends no ACK at all.
+// ---------------------------------------------------------------------
+
+/// `(ACKs sent, ACKs received, retransmits)` the endpoint of `role`
+/// published.
+fn ack_counts(snap: &Snapshot, role: &str) -> (u64, u64, u64) {
+    let c = |name: &str| {
+        snap.counter(&labeled(name, &[("role", role)]))
+            .unwrap_or_else(|| panic!("{role} published no {name}"))
+    };
+    (c("net_acks_sent"), c("net_acks_recv"), c("net_retransmits"))
+}
+
+#[test]
+fn only_a_sender_that_could_lose_a_frame_is_acked() {
+    const ROLES: [&str; 3] = ["master", "slave0", "slave1"];
+    // (transport, ranks carrying a lossy plan: 0 is the master)
+    let cases: [(TransportKind, &[usize]); 4] = [
+        (TransportKind::InProcess, &[]),
+        (TransportKind::Tcp, &[]),
+        (TransportKind::InProcess, &[0]),
+        (TransportKind::InProcess, &[2]),
+    ];
+    for (kind, planned) in cases {
+        let problem = EditDistance::new(
+            random_sequence(Alphabet::Dna, 30, 240),
+            random_sequence(Alphabet::Dna, 30, 241),
+        );
+        let reference = problem.solve_sequential();
+        let mut hps = EasyHps::new(problem)
+            .process_partition((8, 8))
+            .thread_partition((4, 4))
+            .slaves(2)
+            .threads_per_slave(2)
+            .transport(kind)
+            .metrics(true);
+        for &rank in planned {
+            let plan = FaultPlan::lossy(0.05, 40 + rank as u64);
+            hps = match rank {
+                0 => hps.inject_master_fault(plan),
+                r => hps.inject_fault(r - 1, plan),
+            };
+        }
+        let out = hps.run().unwrap();
+        let case = format!("{kind:?} with plans on ranks {planned:?}");
+        assert_eq!(out.matrix, reference, "{case}");
+        let snap = out.metrics.unwrap().snapshot();
+        let acked = |rank: usize| planned.contains(&rank);
+        for (rank, role) in ROLES.iter().enumerate() {
+            let (sent, recv, retransmits) = ack_counts(&snap, role);
+            let peers_acked = match rank {
+                0 => acked(1) || acked(2),
+                _ => acked(0),
+            };
+            assert_eq!(recv > 0, acked(rank), "{role} received ACKs: {case}");
+            assert_eq!(sent > 0, peers_acked, "{role} sent ACKs: {case}");
+            if !acked(rank) {
+                assert_eq!(retransmits, 0, "{role} retransmitted: {case}");
+            }
+        }
+        if planned.is_empty() {
+            let m = &out.report.master;
+            assert_eq!(
+                m.msgs_sent,
+                m.dispatched + 2,
+                "one frame per ASSIGN and per END: {case}"
+            );
+        }
+    }
 }
