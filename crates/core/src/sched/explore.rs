@@ -59,7 +59,7 @@ impl ExploreConfig {
 /// nondeterminism stays where it belongs, in frame delivery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MembershipOp {
-    /// A new incarnation of `slave` is admitted (a reconnect, or a
+    /// A new incarnation of `slave` is admitted (a rejoin, or a
     /// mid-run join when `slave` equals the current fleet size). Any of
     /// the old incarnation's still-undelivered DONE frames turn into
     /// stale-epoch frames at the moment the rejoin is delivered — the

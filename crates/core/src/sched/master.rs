@@ -14,6 +14,7 @@
 
 use super::{pick_task, RegisterTable, SchedParams, SchedViolation};
 use crate::{DagParser, ScheduleMode, TaskDag, VertexId};
+use std::time::Duration;
 
 /// How a reliable send was lost (mirror of the transport's failure
 /// reasons, kept transport-free so the machine does not depend on the
@@ -172,7 +173,8 @@ pub enum MasterAction {
     Finished,
     /// The tile budget is reached; stop dispatching and drain.
     BudgetStop,
-    /// Every slave is permanently unreachable; the run cannot finish.
+    /// Every slave is unreachable and none may still rejoin; the run
+    /// cannot finish.
     AllSlavesDead,
     /// A new incarnation of `slave` was admitted: reset the transport's
     /// per-peer reliability state (its sequence numbers restarted) and
@@ -210,8 +212,8 @@ pub struct SchedCounters {
     pub exclusions: u64,
     /// Dead-marked slaves re-admitted.
     pub readmissions: u64,
-    /// New incarnations admitted (reconnect with a fresh session, or a
-    /// mid-run joiner growing the fleet).
+    /// New incarnations admitted (a redialling or replacement slave, or
+    /// a mid-run joiner growing the fleet).
     pub rejoins: u64,
     /// Completions fenced because they were stamped with a stale epoch.
     pub stale_epoch: u64,
@@ -240,10 +242,13 @@ pub struct MasterSched {
     task_timeout_ns: u64,
     heartbeat_timeout_ns: u64,
     budget: Option<u64>,
+    /// How long after it was last heard an unreachable slave may still
+    /// rejoin as a new incarnation (`None`: never).
+    rejoin_window_ns: Option<u64>,
     /// Presumed-alive flag per slave (re-admittable).
     alive: Vec<bool>,
-    /// Permanently gone: the slave's endpoint was dropped. Never
-    /// re-admitted.
+    /// The slave's link is gone: never re-admitted by hearing from it,
+    /// only by a rejoin.
     unreachable: Vec<bool>,
     /// Idle flag per slave (set by IDLE/DONE, cleared by dispatch).
     idle: Vec<bool>,
@@ -279,6 +284,7 @@ impl MasterSched {
             task_timeout_ns: params.task_timeout_ns(),
             heartbeat_timeout_ns: params.heartbeat_timeout_ns(),
             budget,
+            rejoin_window_ns: None,
             alive: vec![true; n_slaves],
             unreachable: vec![false; n_slaves],
             idle: vec![false; n_slaves],
@@ -287,6 +293,15 @@ impl MasterSched {
             draining: false,
             counters: SchedCounters::default(),
         }
+    }
+
+    /// Let an unreachable slave rejoin for up to `window` after it was
+    /// last heard: until then it does not count toward
+    /// [`MasterAction::AllSlavesDead`]. `None` (the default): an
+    /// unreachable slave is gone for good.
+    pub fn with_rejoin_window(mut self, window: Option<Duration>) -> Self {
+        self.rejoin_window_ns = window.map(|w| u64::try_from(w.as_nanos()).unwrap_or(u64::MAX));
+        self
     }
 
     /// Grow the machine to `n` slaves — called when a mid-run joiner
@@ -348,6 +363,17 @@ impl MasterSched {
     /// (measured from run start when it was never heard from).
     fn silent(&self, slave: usize, now_ns: u64) -> bool {
         self.last_seen[slave].is_none_or(|t| now_ns.saturating_sub(t) > self.heartbeat_timeout_ns)
+    }
+
+    /// Whether unreachable `slave` may still come back: it was heard
+    /// from within the rejoin window and is not leaving (a drained or
+    /// released rank is refused).
+    fn may_rejoin(&self, slave: usize, now_ns: u64) -> bool {
+        let heard = self.last_seen[slave].unwrap_or(0);
+        !self.slave_draining[slave]
+            && self
+                .rejoin_window_ns
+                .is_some_and(|w| now_ns < heard.saturating_add(w))
     }
 
     /// Exclude `slave` from scheduling; true if this call excluded it.
@@ -600,10 +626,11 @@ impl MasterSched {
         }
 
         // Give up only when every slave is *unreachable* — its channel is
-        // gone for good. Merely-silent slaves can be heard again and
-        // re-admitted (and the speculative dispatch above actively probes
-        // them), so presumed-dead is not a terminal state on its own.
-        if self.unreachable.iter().all(|u| *u) {
+        // gone — and none may still rejoin. Merely-silent slaves can be
+        // heard again and re-admitted (and the speculative dispatch above
+        // actively probes them), so presumed-dead is not a terminal state
+        // on its own, and neither is a link that broke within the window.
+        if (0..self.n_slaves).all(|w| self.unreachable[w] && !self.may_rejoin(w, now_ns)) {
             out.push(MasterAction::AllSlavesDead);
         }
     }
@@ -857,6 +884,7 @@ mod tests {
         struct Case {
             name: &'static str,
             mode: ScheduleMode,
+            rejoin_window: Option<Duration>,
             events: Vec<MasterEvent>,
             /// The exact batch the last event must emit (`None`: not pinned).
             emits: Option<Vec<MasterAction>>,
@@ -866,6 +894,13 @@ mod tests {
         let heard = |slave, at_ns| MasterEvent::Heard { slave, at_ns };
         let tick = |now_ns| MasterEvent::Tick { now_ns };
         let done = |slave, task| MasterEvent::Done { slave, task };
+        let unreachable = |slave, now_ns| MasterEvent::SendFailed {
+            slave,
+            assign_task: None,
+            reason: SendFailKind::Unreachable,
+            now_ns,
+        };
+        let window = Some(Duration::from_millis(1000));
         // Slave 0 holds task 0 in flight and is asked to drain.
         let draining_holder = || {
             vec![
@@ -879,6 +914,7 @@ mod tests {
             Case {
                 name: "dispatch goes to the idle slave only",
                 mode: ScheduleMode::Dynamic,
+                rejoin_window: None,
                 events: vec![idle(1)],
                 emits: None,
                 // Idle itself emits nothing; the probe tick dispatches to
@@ -888,6 +924,7 @@ mod tests {
             Case {
                 name: "tick assigns the one computable source",
                 mode: ScheduleMode::Dynamic,
+                rejoin_window: None,
                 events: vec![idle(0), idle(1)],
                 emits: None,
                 last_actions: vec![MasterAction::Assign { slave: 0, task: 0 }],
@@ -895,6 +932,7 @@ mod tests {
             Case {
                 name: "silent slave is excluded, heartbeat re-admits it",
                 mode: ScheduleMode::Dynamic,
+                rejoin_window: None,
                 events: vec![
                     heard(0, 400 * MS),
                     MasterEvent::FtTick { now_ns: 400 * MS }, // slave 1 silent since 0
@@ -906,6 +944,7 @@ mod tests {
             Case {
                 name: "unreachable slave is never re-admitted",
                 mode: ScheduleMode::Dynamic,
+                rejoin_window: None,
                 events: vec![
                     MasterEvent::SendFailed {
                         slave: 1,
@@ -923,6 +962,7 @@ mod tests {
             Case {
                 name: "overdue sweep releases the draining slave it drains",
                 mode: ScheduleMode::Dynamic,
+                rejoin_window: None,
                 events: [
                     draining_holder(),
                     vec![
@@ -945,6 +985,7 @@ mod tests {
             Case {
                 name: "lost assign to a draining slave releases it",
                 mode: ScheduleMode::Dynamic,
+                rejoin_window: None,
                 events: [
                     draining_holder(),
                     vec![
@@ -969,6 +1010,7 @@ mod tests {
             Case {
                 name: "tick reports finished once every task completed",
                 mode: ScheduleMode::Dynamic,
+                rejoin_window: None,
                 events: vec![
                     idle(0),
                     tick(MS),
@@ -984,10 +1026,51 @@ mod tests {
                 emits: Some(vec![MasterAction::Finished]),
                 last_actions: vec![],
             },
+            // Every link gone, but a slave may still redial: no give-up.
+            Case {
+                name: "all slaves unreachable inside the rejoin window is not fatal",
+                mode: ScheduleMode::Dynamic,
+                rejoin_window: window,
+                events: vec![unreachable(0, MS), unreachable(1, MS), tick(2 * MS)],
+                emits: Some(vec![]),
+                last_actions: vec![],
+            },
+            // ... and the rank that comes back is scheduled again.
+            Case {
+                name: "a rejoin inside the window re-admits the rank",
+                mode: ScheduleMode::Dynamic,
+                rejoin_window: window,
+                events: vec![
+                    unreachable(0, MS),
+                    unreachable(1, MS),
+                    tick(2 * MS),
+                    MasterEvent::Rejoined {
+                        slave: 1,
+                        now_ns: 3 * MS,
+                    },
+                ],
+                emits: Some(vec![
+                    MasterAction::Readmit { slave: 1 },
+                    MasterAction::Refence { slave: 1 },
+                ]),
+                last_actions: vec![
+                    MasterAction::Readmit { slave: 1 },
+                    MasterAction::Assign { slave: 1, task: 0 },
+                ],
+            },
+            // Once the window has closed on every slave, the run is lost.
+            Case {
+                name: "all slaves unreachable after the rejoin window is fatal",
+                mode: ScheduleMode::Dynamic,
+                rejoin_window: window,
+                events: vec![unreachable(0, MS), unreachable(1, MS), tick(1001 * MS)],
+                emits: Some(vec![MasterAction::AllSlavesDead]),
+                last_actions: vec![],
+            },
         ];
         for c in cases {
             let dag = dag4();
-            let mut m = machine(&dag, 2, c.mode);
+            let mut m = machine(&dag, 2, c.mode).with_rejoin_window(c.rejoin_window);
             let mut last = Vec::new();
             for e in c.events {
                 last = on_event_checked(&mut m, &dag, e);

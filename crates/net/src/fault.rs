@@ -16,15 +16,15 @@ use rand::{Rng, SeedableRng};
 
 /// A scheduled hard link cut: at send number `at` the endpoint's socket
 /// link to the destination of that send is shut down at the kernel level
-/// and held down for `down_for`, after which the reconnect path (when the
-/// transport has one configured) is free to heal it. Purely send-count
-/// driven — no RNG draws — so adding a sever to a plan never perturbs the
-/// schedule of the probabilistic clauses.
+/// and closed for good. A slave with a rejoin window stays dark for
+/// `down_for`, then redials and rejoins. Purely send-count driven — no
+/// RNG draws — so adding a sever to a plan never perturbs the schedule of
+/// the probabilistic clauses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkSever {
     /// Fire when the endpoint's send counter reaches this value.
     pub at: u64,
-    /// How long the link is held down before redial attempts may succeed.
+    /// How long the severed slave stays dark before it redials.
     pub down_for: std::time::Duration,
 }
 
@@ -61,8 +61,8 @@ pub struct FaultPlan {
     /// crash): every later operation returns
     /// [`crate::NetError::Dead`].
     pub die_after_sends: Option<u64>,
-    /// Hard-close the socket link under one send, then let the reconnect
-    /// path heal it. A no-op on channel links (in-process transport).
+    /// Hard-close the socket link under one send; the slave may rejoin
+    /// after `down_for`. A no-op on channel links (in-process transport).
     pub link_sever: Option<LinkSever>,
 }
 
@@ -117,8 +117,8 @@ impl FaultPlan {
         self
     }
 
-    /// Sever the socket link under the `at`-th send and hold it down for
-    /// `down_for` before reconnection may heal it.
+    /// Sever the socket link under the `at`-th send; the slave stays dark
+    /// for `down_for` before it may rejoin.
     pub fn with_link_sever(mut self, at: u64, down_for: std::time::Duration) -> Self {
         self.link_sever = Some(LinkSever { at, down_for });
         self
@@ -198,14 +198,8 @@ impl FaultState {
     /// Whether this send is the one the plan severs the link under.
     /// Fires exactly once (at equality, not `>=`), and draws nothing from
     /// the RNG, so old seeds replay byte-for-byte.
-    pub(crate) fn should_sever_now(&self) -> Option<std::time::Duration> {
-        match &self.plan {
-            Some(FaultPlan {
-                link_sever: Some(s),
-                ..
-            }) if self.sends == s.at => Some(s.down_for),
-            _ => None,
-        }
+    pub(crate) fn should_sever_now(&self) -> bool {
+        matches!(&self.plan, Some(FaultPlan { link_sever: Some(s), .. }) if self.sends == s.at)
     }
 
     pub(crate) fn should_die_now(&self) -> bool {

@@ -16,7 +16,7 @@
 //!   frame read/write, handshake hello — used by rank links and the
 //!   serve daemon's client protocol alike;
 //! - [`socket`]: a rank link over a stream (queue, reader and writer
-//!   threads, reconnection, fleet membership);
+//!   threads, fleet membership and rejoins);
 //! - [`Endpoint`]: seals every send into a frame, applies the
 //!   [`FaultPlan`], verifies every receive — identical over channels and
 //!   sockets;

@@ -5,13 +5,12 @@
 //! wraps an endpoint with an acknowledged-delivery protocol so the
 //! runtime's control messages survive loss — on the links where loss can
 //! happen at all. Each [`ReliableEndpoint::send_reliable`] asks the
-//! endpoint whether this frame can be lost: it can when the endpoint
-//! carries a [`FaultPlan`](crate::FaultPlan), or when its link to the
-//! destination is a socket that re-splices across outages (a reconnect
-//! window on the dialing side, an elastic fleet on the accepting side).
-//! A channel or a terminal socket under no plan delivers every frame in
-//! order or fails every later send, so there the frame goes out as a
-//! plain RAW frame: no sequence number, no retransmit buffer, no ACK.
+//! endpoint whether this frame can be lost: it can only when the
+//! endpoint carries a [`FaultPlan`](crate::FaultPlan) — this layer is the
+//! test-time partner of fault injection. A channel or a socket link under
+//! no plan delivers every frame in order or fails every later send (a
+//! broken socket link is closed for good), so there the frame goes out as
+//! a plain RAW frame: no sequence number, no retransmit buffer, no ACK.
 //! The decision uses only facts the sender holds, and the receiver
 //! already handles both kinds, so the peers need no agreement. Frames
 //! that can be lost get the protocol:
@@ -332,7 +331,7 @@ impl ReliableEndpoint {
         tag: Tag,
         payload: Bytes,
     ) -> Result<Option<u64>, NetError> {
-        if !self.ep.can_lose(dst) {
+        if !self.ep.can_lose() {
             self.ep.send(dst, tag, payload)?;
             return Ok(None);
         }

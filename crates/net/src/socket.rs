@@ -34,13 +34,15 @@
 //!
 //! ## Failure mapping
 //!
-//! Socket errors collapse onto the existing [`NetError`] semantics: a
-//! closed or errored connection makes every subsequent send to that peer
-//! return [`NetError::Disconnected`] (which the runtime's fault
-//! tolerance already treats as "peer unreachable"), receives simply stop
+//! A link is one stream, owned by its writer and reader from spawn to
+//! close, and every link is terminal: a broken stream, a fault plan's
+//! sever or a release closes it, and every later send to that peer
+//! returns [`NetError::Disconnected`] (which the runtime's fault
+//! tolerance treats as "peer unreachable"). Receives simply stop
 //! yielding messages from that peer (heartbeat silence), and
 //! [`KillHandle`](crate::KillHandle) / timeouts behave exactly as over
-//! channels.
+//! channels. Nothing here redials: a slave that comes back dials again
+//! ([`redial`]) and the fleet acceptor admits it as a rejoin.
 
 use crate::fault::FaultPlan;
 use crate::frame::{self, Kind, RANK_MAGIC};
@@ -72,12 +74,13 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// the queued frames on the wire and for both link threads to finish.
 const FLUSH_TIMEOUT: Duration = Duration::from_secs(1);
 /// First and largest delay between dial attempts.
-const DIAL_BACKOFF: (Duration, Duration) = (Duration::from_millis(10), Duration::from_millis(500));
+pub const DIAL_BACKOFF: (Duration, Duration) =
+    (Duration::from_millis(10), Duration::from_millis(500));
 
-/// A fresh per-incarnation session id: unique across processes and across
-/// `connect` calls within one process, never zero. The id is what lets
-/// the master tell a resumed link (same session — splice, no fencing)
-/// from a restarted slave (new session — fence the old incarnation).
+/// A fresh session id for one slave process: unique across processes
+/// and across `connect` calls within one process, never zero. It names
+/// the process, not a connection — [`redial`] presents it again — so the
+/// master can refuse a process it released or replaced.
 fn fresh_session() -> u64 {
     static CTR: AtomicU64 = AtomicU64::new(0);
     entropy(
@@ -89,12 +92,12 @@ fn fresh_session() -> u64 {
 /// The socket backend's one knob.
 #[derive(Clone, Debug, Default)]
 pub struct SocketConfig {
-    /// When set, a broken link is not terminal: the slave side re-dials
-    /// the master with exponential backoff (resuming its rank and session)
-    /// for up to this window before giving up, and queued sends wait out
-    /// the outage instead of failing. `None` (the default): the first
-    /// link error makes every later send return
-    /// [`NetError::Disconnected`].
+    /// The window in which a redialling slave may rejoin: the runtime's
+    /// slave side redials for this long after its link breaks, and an
+    /// elastic master waits this long for an unreachable rank before
+    /// counting it dead. `None` (the default): a broken link ends the
+    /// slave. [`SocketListener::bind`] and [`connect`] take the config
+    /// but do not read it.
     pub reconnect_window: Option<Duration>,
 }
 
@@ -116,9 +119,10 @@ pub struct LinkStats {
     /// (refused), or a received length prefix outside the frame bound
     /// (fatal for the stream).
     pub frames_rejected: AtomicU64,
-    /// Connect attempts beyond the first (slave-side retry loop).
+    /// Retries of a slave's initial connect (the master was not up yet).
+    /// A redial after a broken link is a rejoin and is not counted here.
     pub reconnects: AtomicU64,
-    /// Times the connection was observed closed or errored.
+    /// Times the connection was closed (broken, severed or released).
     pub disconnects: AtomicU64,
 }
 
@@ -174,6 +178,9 @@ pub struct SocketInfo {
     /// [`SocketListener::accept_ranks`] / [`connect`] clusters report 0,
     /// matching the in-process transport's epochless runs.
     pub epoch: u64,
+    /// The slave process's session id, which [`redial`] presents again;
+    /// 0 on the master.
+    pub session: u64,
 }
 
 impl SocketInfo {
@@ -192,7 +199,7 @@ impl SocketInfo {
 struct OutQueue {
     frames: VecDeque<Bytes>,
     queued_bytes: usize,
-    /// Connection observed broken (IO error or peer EOF): sends fail.
+    /// The link is closed for good: sends fail, the writer stops.
     closed: bool,
     /// Every `SocketTx` clone for this connection has been dropped:
     /// writer flushes and exits.
@@ -202,42 +209,13 @@ struct OutQueue {
     io_exited: u8,
 }
 
-/// How a connection reacts to a broken stream.
-enum RelinkMode {
-    /// The first link error closes the connection for good.
-    Terminal,
-    /// Slave side: re-dial the master with exponential backoff, resuming
-    /// the same rank and session, for up to `window`.
-    Dial {
-        addr: NetAddr,
-        rank: u32,
-        session: u64,
-        window: Duration,
-    },
-    /// Master side: hold the link open and wait for the fleet acceptor to
-    /// splice a replacement stream in when the slave reconnects.
-    Await,
-}
-
-/// The mutable link half of a connection: the current stream (if any)
-/// and a generation counter bumped on every splice, so reader and writer
-/// threads can tell a healed link from the one they saw break.
-#[derive(Default)]
-struct LinkState {
-    gen: u64,
-    stream: Option<Stream>,
-    /// Sever-imposed downtime: the dialer must not re-establish before
-    /// this instant.
-    hold_until: Option<Instant>,
-}
-
 /// State shared between one connection's `SocketTx`, writer and reader.
 struct Conn {
     q: Mutex<OutQueue>,
     cv: Condvar,
-    link: Mutex<LinkState>,
-    link_cv: Condvar,
-    mode: RelinkMode,
+    /// A handle on the link's one stream, kept to shut it down from any
+    /// thread; the writer and the reader each own a handle of their own.
+    stream: Stream,
     stats: Arc<LinkStats>,
     /// The writer and reader threads, joined when the last sender drops.
     io_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -250,7 +228,11 @@ impl Conn {
         self.cv.notify_all();
     }
 
-    fn mark_closed(&self) {
+    /// Close the link for good — its stream broke, a fault plan severed
+    /// it, or its rank was released or taken over: later sends fail with
+    /// `Disconnected`, the writer drops what is queued, and shutting the
+    /// stream ends the reader. Idempotent.
+    fn close(&self) {
         let mut q = self.q.lock().unwrap();
         if !q.closed {
             q.closed = true;
@@ -258,114 +240,11 @@ impl Conn {
         }
         self.cv.notify_all();
         drop(q);
-        // Wake anyone parked on the link state too (dialer, writer).
-        let mut l = self.link.lock().unwrap();
-        if let Some(s) = l.stream.take() {
-            s.shutdown();
-        }
-        self.link_cv.notify_all();
+        self.stream.shutdown();
     }
 
     fn is_closed(&self) -> bool {
         self.q.lock().unwrap().closed
-    }
-
-    /// Whether the dialer should give up: the connection is closed, or
-    /// its endpoint is gone — the same rule as [`Conn::wait_stream`], so
-    /// a dropped endpoint's link is never healed into a zombie that holds
-    /// (or, redialing late, takes back) the rank of its replacement.
-    fn unwanted(&self) -> bool {
-        let q = self.q.lock().unwrap();
-        q.closed || q.tx_dropped
-    }
-
-    /// Install `stream` as the link's current stream, waking the reader
-    /// and writer. Counts a reconnect for every splice after the first
-    /// installation.
-    fn splice(&self, stream: Stream) {
-        let mut l = self.link.lock().unwrap();
-        if let Some(old) = l.stream.take() {
-            old.shutdown();
-        }
-        if l.gen > 0 {
-            self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-        }
-        l.gen += 1;
-        l.stream = Some(stream);
-        l.hold_until = None;
-        self.link_cv.notify_all();
-        self.cv.notify_all();
-    }
-
-    /// A reader or writer hit an IO error on generation `gen`: tear the
-    /// stream down (once) and, in terminal mode, close the connection.
-    fn link_broken(&self, gen: u64) {
-        let terminal = {
-            let mut l = self.link.lock().unwrap();
-            if l.gen == gen && l.stream.is_some() {
-                l.stream.take().unwrap().shutdown();
-                self.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                self.link_cv.notify_all();
-                matches!(self.mode, RelinkMode::Terminal)
-            } else {
-                false
-            }
-        };
-        if terminal {
-            self.mark_closed();
-        }
-    }
-
-    /// Hard-close the current stream (fault injection) and keep the link
-    /// down for `down_for` before redial attempts may succeed. In
-    /// terminal mode a severed link is gone for good.
-    fn sever(&self, down_for: Duration) {
-        {
-            let mut l = self.link.lock().unwrap();
-            if let Some(s) = l.stream.take() {
-                s.shutdown();
-                self.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-            }
-            l.hold_until = Some(Instant::now() + down_for);
-            self.link_cv.notify_all();
-        }
-        if matches!(self.mode, RelinkMode::Terminal) {
-            self.mark_closed();
-        }
-    }
-
-    /// Block until a stream is available, returning a clone of it plus
-    /// its generation. `None` means the connection is closed (or the
-    /// sender half is gone while the link is down) and the caller should
-    /// give up.
-    fn wait_stream(&self) -> Option<(Stream, u64)> {
-        self.wait_stream_after(0)
-    }
-
-    /// Like [`Conn::wait_stream`], but only returns a stream of a
-    /// generation strictly greater than `after` — the reader uses this to
-    /// wait for a *new* stream after the one it was reading broke.
-    fn wait_stream_after(&self, after: u64) -> Option<(Stream, u64)> {
-        let mut l = self.link.lock().unwrap();
-        loop {
-            if l.gen > after {
-                if let Some(s) = &l.stream {
-                    if let Ok(c) = s.try_clone() {
-                        return Some((c, l.gen));
-                    }
-                    // Un-clonable stream: treat as broken.
-                    l.stream.take().unwrap().shutdown();
-                    self.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            {
-                let q = self.q.lock().unwrap();
-                if q.closed || (q.tx_dropped && l.stream.is_none()) {
-                    return None;
-                }
-            }
-            l = self.link_cv.wait(l).unwrap();
-        }
     }
 }
 
@@ -390,12 +269,8 @@ impl Drop for TxGuard {
         let conn = &self.conn;
         conn.q.lock().unwrap().tx_dropped = true;
         conn.cv.notify_all();
-        // The dialer and a stream waiter test `tx_dropped` on `link_cv`:
-        // lock-then-notify, as in `mark_closed`.
-        drop(conn.link.lock().unwrap());
-        conn.link_cv.notify_all();
         // The writer puts the last frames (END, SHUTDOWN) on the wire and
-        // shuts the stream, which ends the reader. Joining both means a
+        // closes the link, which ends the reader. Joining both means a
         // process cannot exit under them and the next job's threads do not
         // start beside them; the bound backstops a peer that stopped
         // reading, whose threads are left detached.
@@ -447,34 +322,25 @@ impl SocketTx {
         Ok(())
     }
 
-    /// Hard-close the connection's stream (fault injection), keeping it
-    /// down for `down_for` before the reconnect path may heal it.
-    pub(crate) fn sever(&self, down_for: Duration) {
-        self.conn.sever(down_for);
-    }
-
-    /// Whether a broken stream is re-spliced instead of closing the
-    /// connection. Only then can a frame this link accepted vanish while
-    /// later ones still arrive: a frame written into a stream that broke
-    /// is gone, and the link carries on over the next one. A terminal
-    /// link that loses a frame fails every later send instead.
-    pub(crate) fn relinks(&self) -> bool {
-        !matches!(self.conn.mode, RelinkMode::Terminal)
+    /// Hard-close the connection (fault injection): the cable is pulled,
+    /// and this link is gone for good.
+    pub(crate) fn sever(&self) {
+        self.conn.close();
     }
 }
 
-/// Writer thread: drain the outbound queue onto the current stream.
-/// Exits when the connection breaks terminally or when the endpoint is
-/// gone and the queue is flushed (so teardown messages like END still
-/// reach the peer). Under a relinkable mode a write error re-targets the
-/// same frame at the next spliced stream instead of giving up; the
-/// reliable layer's dedup absorbs the rare frame written twice across a
-/// break.
-fn writer_loop(conn: Arc<Conn>) {
-    'frames: loop {
+/// Writer thread: drain the outbound queue onto the link's stream.
+/// Exits when the link closes or its stream fails, or when the endpoint
+/// is gone and the queue is flushed (so teardown messages like END still
+/// reach the peer); either way it closes the link on the way out.
+fn writer_loop(conn: Arc<Conn>, mut stream: Stream) {
+    loop {
         let frame = {
             let mut q = conn.q.lock().unwrap();
             loop {
+                if q.closed {
+                    break None;
+                }
                 if let Some(f) = q.frames.pop_front() {
                     q.queued_bytes -= f.len();
                     conn.stats
@@ -483,184 +349,86 @@ fn writer_loop(conn: Arc<Conn>) {
                     conn.cv.notify_all();
                     break Some(f);
                 }
-                if q.closed || q.tx_dropped {
+                if q.tx_dropped {
                     break None;
                 }
                 q = conn.cv.wait(q).unwrap();
             }
         };
         let Some(frame) = frame else { break };
-        loop {
-            let Some((mut stream, gen)) = conn.wait_stream() else {
-                break 'frames;
-            };
-            if frame::write_frame(&mut stream, &frame).is_ok() {
-                conn.stats
-                    .bytes_sent
-                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                continue 'frames;
-            }
-            conn.link_broken(gen);
-            if conn.is_closed() {
-                break 'frames;
-            }
+        if frame::write_frame(&mut stream, &frame).is_err() {
+            break;
         }
+        conn.stats
+            .bytes_sent
+            .fetch_add(frame.len() as u64, Ordering::Relaxed);
     }
-    if let Some(s) = &conn.link.lock().unwrap().stream {
-        s.shutdown();
-    }
+    conn.close();
     conn.io_thread_exited();
 }
 
-/// Reader thread: take whole frames off the current stream and forward
-/// them, unverified, into the endpoint's channel. On EOF or error the
-/// behaviour depends on the relink mode: terminal links are marked closed
-/// (subsequent sends fail with `Disconnected`); relinkable links wait for
-/// the next spliced stream and resume.
-fn reader_loop(conn: Arc<Conn>, peer: Rank, out: Sender<Inbound>) {
-    let mut seen_gen = 0;
-    'link: loop {
-        let Some((mut stream, gen)) = conn.wait_stream_after(seen_gen) else {
-            break;
-        };
-        seen_gen = gen;
-        loop {
-            let frame = match frame::read_frame(&mut stream) {
-                Ok(f) => f,
-                Err(e) => {
-                    if e.kind() == io::ErrorKind::InvalidData {
-                        // The stream is desynchronised; nothing after
-                        // this length can be trusted.
-                        conn.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                    break;
-                }
-            };
-            conn.stats
-                .bytes_recv
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-            conn.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
-            // The connection, not the wire, is the source of truth for
-            // the sender's identity.
-            if out.send(Inbound { src: peer, frame }).is_err() {
-                break 'link; // endpoint dropped
-            }
-        }
-        conn.link_broken(gen);
-        if conn.is_closed() {
-            break;
-        }
-    }
-    conn.mark_closed();
-    conn.io_thread_exited();
-}
-
-/// Supervisor thread for slave-side relinkable connections: whenever the
-/// link drops (and the connection is still wanted), re-dial the master
-/// with exponential backoff, resuming the same rank under the same
-/// session, then splice the fresh stream in. Gives up — closing the
-/// connection — when a whole reconnect window passes without success.
-fn dial_loop(conn: Arc<Conn>) {
-    let RelinkMode::Dial {
-        addr,
-        rank,
-        session,
-        window,
-    } = &conn.mode
-    else {
-        return;
-    };
+/// Reader thread: take whole frames off the link's stream and forward
+/// them, unverified, into the endpoint's channel. EOF or an error closes
+/// the link (later sends fail with `Disconnected`).
+fn reader_loop(conn: Arc<Conn>, mut stream: Stream, peer: Rank, out: Sender<Inbound>) {
     loop {
-        {
-            // Park until the link is down.
-            let mut l = conn.link.lock().unwrap();
-            while l.stream.is_some() {
-                if conn.unwanted() {
-                    return;
+        let frame = match frame::read_frame(&mut stream) {
+            Ok(f) => f,
+            Err(e) => {
+                if e.kind() == io::ErrorKind::InvalidData {
+                    // The stream is desynchronised; nothing after
+                    // this length can be trusted.
+                    conn.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
                 }
-                l = conn.link_cv.wait(l).unwrap();
+                break;
             }
-            // Respect a sever's enforced downtime.
-            if let Some(hold) = l.hold_until {
-                let left = hold.saturating_duration_since(Instant::now());
-                let _ = conn
-                    .link_cv
-                    .wait_timeout_while(l, left, |_| !conn.unwanted() && Instant::now() < hold);
-            }
-        }
-        let deadline = Instant::now() + *window;
-        let redialed = retry_with_backoff(
-            DIAL_BACKOFF.0,
-            DIAL_BACKOFF.1,
-            || {
-                if conn.unwanted() {
-                    return Err(io::ErrorKind::NotConnected.into());
-                }
-                let mut s = Stream::connect(addr)?;
-                let (got, _n_ranks, _epoch) = hello_exchange(&mut s, *rank, *session)?;
-                if got != *rank {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("master re-assigned rank {got}, wanted {rank}"),
-                    ));
-                }
-                Ok(s)
-            },
-            |_, _| !conn.unwanted() && Instant::now() < deadline,
-        );
-        match redialed {
-            // Dropped mid-handshake: do not resurrect the link (the
-            // master sees this stream close and the rank go dark).
-            Ok(s) if !conn.unwanted() => conn.splice(s),
-            _ => {
-                conn.mark_closed();
-                return;
-            }
+        };
+        conn.stats
+            .bytes_recv
+            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        conn.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
+        // The connection, not the wire, is the source of truth for the
+        // sender's identity.
+        if out.send(Inbound { src: peer, frame }).is_err() {
+            break; // endpoint dropped
         }
     }
+    conn.close();
+    conn.io_thread_exited();
 }
 
+/// Start a link over `stream`: the writer and the reader each take a
+/// handle of it for the link's whole life.
 fn spawn_link(
     stream: Stream,
     peer: Rank,
     out: Sender<Inbound>,
     stats: Arc<LinkStats>,
-    mode: RelinkMode,
-) -> SocketTx {
-    let dial = matches!(mode, RelinkMode::Dial { .. });
+) -> io::Result<SocketTx> {
+    let (wr, rd) = (stream.try_clone()?, stream.try_clone()?);
     let conn = Arc::new(Conn {
         q: Mutex::new(OutQueue::default()),
         cv: Condvar::new(),
-        link: Mutex::new(LinkState::default()),
-        link_cv: Condvar::new(),
-        mode,
+        stream,
         stats,
         io_threads: Mutex::new(Vec::new()),
     });
-    conn.splice(stream);
     let wc = conn.clone();
     let writer = std::thread::Builder::new()
         .name(format!("sock-wr-{}", peer.0))
-        .spawn(move || writer_loop(wc))
+        .spawn(move || writer_loop(wc, wr))
         .expect("spawn socket writer");
     let rc = conn.clone();
     let reader = std::thread::Builder::new()
         .name(format!("sock-rd-{}", peer.0))
-        .spawn(move || reader_loop(rc, peer, out))
+        .spawn(move || reader_loop(rc, rd, peer, out))
         .expect("spawn socket reader");
     *conn.io_threads.lock().unwrap() = vec![writer, reader];
-    if dial {
-        let dc = conn.clone();
-        std::thread::Builder::new()
-            .name(format!("sock-dial-{}", peer.0))
-            .spawn(move || dial_loop(dc))
-            .expect("spawn socket dialer");
-    }
     let guard = Arc::new(TxGuard { conn: conn.clone() });
-    SocketTx {
+    Ok(SocketTx {
         conn,
         _guard: guard,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -668,7 +436,7 @@ fn spawn_link(
 // ---------------------------------------------------------------------
 
 /// Dialing side of the handshake: send the hello (`want_rank`, and the
-/// slave's per-incarnation session id), read the welcome (assigned rank,
+/// slave process's session id), read the welcome (assigned rank,
 /// cluster size, the fleet epoch this admission happened under).
 fn hello_exchange(s: &mut Stream, want_rank: u32, session: u64) -> io::Result<(u32, u32, u64)> {
     s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
@@ -721,9 +489,8 @@ struct Admitted {
 impl SocketListener {
     /// Bind to `addr`. For `tcp:host:0` the OS picks a port; read the
     /// result back with [`SocketListener::local_addr`]. The config is
-    /// taken for symmetry with [`connect`]; the accepting side has no use
-    /// for a reconnect window (it never dials — elastic membership is
-    /// chosen by calling [`SocketListener::accept_fleet`]).
+    /// taken for symmetry with [`connect`] and not read (elastic
+    /// membership is chosen by calling [`SocketListener::accept_fleet`]).
     pub fn bind(addr: &NetAddr, _cfg: SocketConfig) -> io::Result<SocketListener> {
         Ok(SocketListener {
             inner: Listener::bind(addr)?,
@@ -737,15 +504,12 @@ impl SocketListener {
 
     /// Accept `n_slaves` connections, assign ranks `1..=n_slaves`
     /// (honouring a slave's `want_rank` when it is free) and hand every
-    /// admitted slave `epoch` in its welcome. `elastic` links are held
-    /// open across outages ([`RelinkMode::Await`]) instead of closing on
-    /// the first error.
+    /// admitted slave `epoch` in its welcome.
     fn admit_initial(
         &self,
         n_slaves: usize,
         plan: Option<FaultPlan>,
         epoch: u64,
-        elastic: bool,
     ) -> io::Result<Admitted> {
         assert!(n_slaves > 0, "a socket cluster needs at least one slave");
         let n_ranks = n_slaves + 1;
@@ -778,18 +542,7 @@ impl SocketListener {
             };
             write_welcome(&mut stream, rank as u32, n_ranks as u32, epoch)?;
             let stats = Arc::new(LinkStats::default());
-            let mode = if elastic {
-                RelinkMode::Await
-            } else {
-                RelinkMode::Terminal
-            };
-            let tx = spawn_link(
-                stream,
-                Rank(rank as u32),
-                env_tx.clone(),
-                stats.clone(),
-                mode,
-            );
+            let tx = spawn_link(stream, Rank(rank as u32), env_tx.clone(), stats.clone())?;
             slots[rank] = Some(RankSlot {
                 conn: tx.conn.clone(),
                 session,
@@ -807,6 +560,7 @@ impl SocketListener {
                 .filter_map(|(r, s)| Some((Rank(r as u32), s.as_ref()?.stats.clone())))
                 .collect(),
             epoch,
+            session: 0,
         };
         Ok(Admitted {
             ep: Endpoint::from_parts(Rank(0), links, env_rx, plan),
@@ -824,7 +578,7 @@ impl SocketListener {
         n_slaves: usize,
         plan: Option<FaultPlan>,
     ) -> io::Result<(Endpoint, SocketInfo)> {
-        let a = self.admit_initial(n_slaves, plan, 0, false)?;
+        let a = self.admit_initial(n_slaves, plan, 0)?;
         Ok((a.ep, a.info))
     }
 
@@ -832,21 +586,18 @@ impl SocketListener {
     /// *elastic* fleet: after the initial `n_slaves` are admitted the
     /// listener stays alive on a background acceptor thread that
     ///
-    /// - **splices** a reconnecting slave (same rank, same session id)
-    ///   back onto its existing link without any membership change,
-    /// - **fences** a restarted slave (same rank, new session id) by
-    ///   bumping the fleet epoch and reporting
+    /// - **rejoins** a known rank — the same slave process redialling
+    ///   after its link broke, or a replacement process — by bumping the
+    ///   fleet epoch, giving the rank a fresh link and reporting
     ///   [`MembershipEvent::Rejoined`] so the scheduler can roll back the
     ///   old incarnation's in-flight work,
     /// - **admits** brand-new slaves mid-run ([`MembershipEvent::Joined`]),
     ///   assigning ranks from the released free-list or growing the
-    ///   cluster, and shipping them the configured join payload (the
-    ///   job spec).
+    ///   cluster,
     ///
-    /// The returned links are held open across slave outages
-    /// (`RelinkMode::Await`): a send to a temporarily-dark slave queues
-    /// instead of failing, and heartbeat silence — not link state — is
-    /// what excludes it from scheduling.
+    /// and ships both the configured join payload (the job spec). The links
+    /// are terminal like every socket link: a send to a dark slave fails,
+    /// and the rank is unreachable until it rejoins.
     pub fn accept_fleet(
         self,
         n_slaves: usize,
@@ -857,7 +608,7 @@ impl SocketListener {
             info,
             slots,
             env_tx,
-        } = self.admit_initial(n_slaves, plan, INITIAL_EPOCH, true)?;
+        } = self.admit_initial(n_slaves, plan, INITIAL_EPOCH)?;
         let shared = Arc::new(AcceptorShared {
             events: Mutex::new(VecDeque::new()),
             epoch: AtomicU64::new(INITIAL_EPOCH),
@@ -888,15 +639,10 @@ const INITIAL_EPOCH: u64 = 1;
 /// with [`FleetAcceptor::poll_events`] and fed to the master scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MembershipEvent {
-    /// A slave's link dropped and the *same incarnation* reconnected: the
-    /// stream was spliced, nothing was lost, no fencing is needed.
-    Relinked {
-        /// The resuming slave's rank.
-        rank: u32,
-    },
-    /// A *new incarnation* of an existing rank connected: the fleet epoch
-    /// was bumped and anything the old incarnation still held must be
-    /// rolled back and its late DONEs fenced.
+    /// A known rank dialed in again — its own process after a broken
+    /// link, or a replacement: the fleet epoch was bumped and anything
+    /// the old incarnation still held must be rolled back and its late
+    /// DONEs fenced.
     Rejoined {
         /// The rank being taken over.
         rank: u32,
@@ -913,8 +659,7 @@ pub enum MembershipEvent {
     },
 }
 
-/// Per-rank admission record the acceptor keeps for splice/fence
-/// decisions.
+/// Per-rank admission record of the acceptor.
 struct RankSlot {
     conn: Arc<Conn>,
     session: u64,
@@ -929,15 +674,17 @@ struct AcceptorShared {
     /// slave, so a joiner learns the job it walked into.
     join_frame: Mutex<Option<Bytes>>,
     slots: Mutex<Vec<Option<RankSlot>>>,
-    /// Sessions of released ranks: their dialers are refused, so a
-    /// released slave cannot re-admit itself as a brand-new joiner.
+    /// Sessions of released or replaced slave processes: their hellos
+    /// are refused, so such a process can take back neither its old rank
+    /// nor a free one.
     released: Mutex<Vec<u64>>,
     links: Arc<RwLock<Vec<TxLink>>>,
     env_tx: Sender<Inbound>,
 }
 
 /// Handle to the background acceptor keeping an elastic fleet's listener
-/// alive. Dropping it stops the thread and closes every fleet link.
+/// alive. Dropping it stops the thread; the fleet links close with the
+/// last endpoint that routes over them.
 pub struct FleetAcceptor {
     shared: Arc<AcceptorShared>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -980,25 +727,16 @@ impl FleetAcceptor {
             .map(|s| s.stats.clone())
     }
 
-    /// Ranks that are admitted *and* currently linked (stream up). A rank
-    /// missing from this list is either released or dark — dark ranks may
-    /// still come back within the run.
+    /// Ranks that are admitted *and* currently linked. A rank missing
+    /// from this list is either released or dark — dark ranks may still
+    /// rejoin within the run.
     pub fn live_ranks(&self) -> Vec<u32> {
         let slots = self.shared.slots.lock().unwrap();
         slots
             .iter()
             .enumerate()
             .skip(1)
-            .filter_map(|(r, s)| {
-                let s = s.as_ref()?;
-                s.conn
-                    .link
-                    .lock()
-                    .unwrap()
-                    .stream
-                    .is_some()
-                    .then_some(r as u32)
-            })
+            .filter_map(|(r, s)| (!s.as_ref()?.conn.is_closed()).then_some(r as u32))
             .collect()
     }
 
@@ -1013,7 +751,7 @@ impl FleetAcceptor {
         };
         if let Some(slot) = slot {
             self.shared.released.lock().unwrap().push(slot.session);
-            slot.conn.mark_closed();
+            slot.conn.close();
         }
     }
 
@@ -1030,17 +768,11 @@ impl Drop for FleetAcceptor {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        // Close every fleet link: Await-mode conns would otherwise wait
-        // forever for a splice that can no longer happen.
-        let mut slots = self.shared.slots.lock().unwrap();
-        for slot in slots.iter_mut().filter_map(|s| s.take()) {
-            slot.conn.mark_closed();
-        }
     }
 }
 
-/// The background acceptor: admit reconnections, re-incarnations and
-/// mid-run joiners until stopped.
+/// The background acceptor: admit rejoiners and mid-run joiners until
+/// stopped.
 fn acceptor_loop(listener: SocketListener, shared: Arc<AcceptorShared>) {
     while !shared.stop.load(Ordering::SeqCst) {
         // Bounds how late `FleetAcceptor::stop` is seen; a dialer ends it early.
@@ -1057,7 +789,9 @@ fn acceptor_loop(listener: SocketListener, shared: Arc<AcceptorShared>) {
     }
 }
 
-/// Admit one handshaken connection per the fleet membership rules.
+/// Admit one handshaken connection: a hello for a known, unreleased rank
+/// is a rejoin — same session or new — and anything else a join. Both
+/// bump the epoch, give the rank a fresh link and ship the join payload.
 fn admit(
     mut stream: Stream,
     want: u32,
@@ -1065,102 +799,67 @@ fn admit(
     shared: &Arc<AcceptorShared>,
 ) -> io::Result<()> {
     if shared.released.lock().unwrap().contains(&session) {
-        return Ok(()); // hang up: this incarnation was released
+        return Ok(()); // hang up: this process was released or replaced
     }
     let mut slots = shared.slots.lock().unwrap();
-    let n_ranks = slots.len();
-    let existing = (want as usize) < n_ranks && want != 0 && slots[want as usize].is_some();
-    if existing {
-        let rank = want as usize;
-        let slot = slots[rank].as_mut().unwrap();
-        if slot.session == session {
-            // Same incarnation resuming after a link blip: splice, no
-            // membership change, no fencing.
-            write_welcome(
-                &mut stream,
-                rank as u32,
-                n_ranks as u32,
-                shared.epoch.load(Ordering::SeqCst),
-            )?;
-            slot.conn.splice(stream);
-            shared
-                .events
-                .lock()
-                .unwrap()
-                .push_back(MembershipEvent::Relinked { rank: rank as u32 });
-            return Ok(());
-        }
-        // New incarnation of an existing rank: fence the old one. The
-        // event is queued *before* the welcome goes out, so the master
-        // shell processes the Rejoined before any frame of the new
-        // incarnation can arrive.
-        let epoch = shared.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        shared
-            .events
-            .lock()
-            .unwrap()
-            .push_back(MembershipEvent::Rejoined {
-                rank: rank as u32,
-                epoch,
-            });
-        write_welcome(&mut stream, rank as u32, n_ranks as u32, epoch)?;
-        slot.session = session;
-        slot.conn.splice(stream);
-        let tx = {
-            let links = shared.links.read().unwrap();
-            match links.get(rank) {
-                Some(TxLink::Socket(tx)) => Some(tx.clone()),
-                _ => None,
+    // Held until the new link is installed: a master that applies the
+    // event below and dispatches at once waits here for the new link
+    // instead of failing on the old one.
+    let mut links = shared.links.write().unwrap();
+    let known = (1..slots.len()).contains(&(want as usize)) && slots[want as usize].is_some();
+    let rank = if known {
+        want as usize
+    } else {
+        // Brand-new admission: reuse a released rank or grow the cluster.
+        match slots[1..].iter().position(|s| s.is_none()) {
+            Some(i) => i + 1,
+            None => {
+                slots.push(None);
+                links.push(TxLink::Unrouted);
+                slots.len() - 1
             }
-        };
-        drop(slots);
-        ship_join_payload(shared, tx);
-        return Ok(());
-    }
-    // Brand-new admission: reuse a released rank or grow the cluster.
-    let rank = match slots[1..].iter().position(|s| s.is_none()) {
-        Some(i) => i + 1,
-        None => {
-            slots.push(None);
-            shared.links.write().unwrap().push(TxLink::Unrouted);
-            slots.len() - 1
         }
     };
-    let n_ranks = slots.len();
     let epoch = shared.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-    shared
-        .events
-        .lock()
-        .unwrap()
-        .push_back(MembershipEvent::Joined {
-            rank: rank as u32,
-            epoch,
-        });
-    write_welcome(&mut stream, rank as u32, n_ranks as u32, epoch)?;
-    let stats = Arc::new(LinkStats::default());
-    let tx = spawn_link(
-        stream,
-        Rank(rank as u32),
-        shared.env_tx.clone(),
-        stats.clone(),
-        RelinkMode::Await,
-    );
-    slots[rank] = Some(RankSlot {
+    let (r, n_ranks) = (rank as u32, slots.len() as u32);
+    // Queued before the welcome goes out, so the master shell applies it
+    // before it can hear the new incarnation.
+    shared.events.lock().unwrap().push_back(if known {
+        MembershipEvent::Rejoined { rank: r, epoch }
+    } else {
+        MembershipEvent::Joined { rank: r, epoch }
+    });
+    write_welcome(&mut stream, r, n_ranks, epoch)?;
+    // A rejoiner keeps its rank's counters.
+    let stats = slots[rank]
+        .as_ref()
+        .map_or_else(Default::default, |s| s.stats.clone());
+    let tx = spawn_link(stream, Rank(r), shared.env_tx.clone(), stats.clone())?;
+    let old = slots[rank].replace(RankSlot {
         conn: tx.conn.clone(),
         session,
         stats,
     });
-    shared.links.write().unwrap()[rank] = TxLink::Socket(tx.clone());
-    drop(slots);
-    ship_join_payload(shared, Some(tx));
+    let replaced = std::mem::replace(&mut links[rank], TxLink::Socket(tx.clone()));
+    drop((links, slots));
+    if let Some(old) = old {
+        if old.session != session {
+            // A replaced process is a zombie: refuse its redials.
+            shared.released.lock().unwrap().push(old.session);
+        }
+        old.conn.close();
+    }
+    // Dropping the old route joins its (closed) link's threads.
+    drop(replaced);
+    ship_join_payload(shared, tx);
     Ok(())
 }
 
 /// Queue the configured join frame (the JOB spec) on a freshly admitted
 /// slave's link.
-fn ship_join_payload(shared: &Arc<AcceptorShared>, tx: Option<SocketTx>) {
+fn ship_join_payload(shared: &Arc<AcceptorShared>, tx: SocketTx) {
     let frame = shared.join_frame.lock().unwrap().clone();
-    if let (Some(tx), Some(frame)) = (tx, frame) {
+    if let Some(frame) = frame {
         let _ = tx.send(frame);
     }
 }
@@ -1172,11 +871,13 @@ fn ship_join_payload(shared: &Arc<AcceptorShared>, tx: Option<SocketTx>) {
 /// Connect to a listening master, handshake a rank, and return the slave
 /// endpoint. Retries the connect with backoff for up to 30 s so slaves
 /// may start before the master; retries are counted in
-/// [`LinkStats::reconnects`].
+/// [`LinkStats::reconnects`]. The config is taken for symmetry with
+/// [`SocketListener::bind`] and not read: redialling after a broken link
+/// is the caller's call ([`redial`]).
 pub fn connect(
     addr: &NetAddr,
     want_rank: Option<u32>,
-    cfg: SocketConfig,
+    _cfg: SocketConfig,
     plan: Option<FaultPlan>,
 ) -> io::Result<(Endpoint, SocketInfo)> {
     let stats = Arc::new(LinkStats::default());
@@ -1194,11 +895,40 @@ pub fn connect(
         },
     )?;
     let session = fresh_session();
-    let (rank, n_ranks, epoch) =
+    let welcome =
         hello_exchange(&mut stream, want_rank.unwrap_or(ANY_RANK), session).map_err(|e| {
             let why = format!("rank handshake with {addr} failed (is it a master's port?): {e}");
             io::Error::new(e.kind(), why)
         })?;
+    link_to_master(stream, welcome, session, stats, plan)
+}
+
+/// Dial the master once more as the slave process `info` describes — its
+/// rank and its session. An elastic master admits this as a rejoin: a
+/// fresh link under a bumped epoch ([`MembershipEvent::Rejoined`]). The
+/// new link keeps `info`'s counters. One attempt: the caller owns the
+/// retry policy ([`retry_with_backoff`] with [`DIAL_BACKOFF`]).
+pub fn redial(addr: &NetAddr, info: &SocketInfo) -> io::Result<(Endpoint, SocketInfo)> {
+    let mut stream = Stream::connect(addr)?;
+    let welcome = hello_exchange(&mut stream, info.rank.0, info.session)?;
+    if welcome.0 != info.rank.0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("master assigned rank {}, wanted {}", welcome.0, info.rank),
+        ));
+    }
+    let stats = info.link(Rank(0)).cloned().unwrap_or_default();
+    link_to_master(stream, welcome, info.session, stats, None)
+}
+
+/// The slave endpoint over a handshaken stream to the master.
+fn link_to_master(
+    stream: Stream,
+    (rank, n_ranks, epoch): (u32, u32, u64),
+    session: u64,
+    stats: Arc<LinkStats>,
+    plan: Option<FaultPlan>,
+) -> io::Result<(Endpoint, SocketInfo)> {
     if rank == 0 || rank >= n_ranks {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -1207,16 +937,7 @@ pub fn connect(
     }
     let (env_tx, env_rx): (_, Receiver<Inbound>) = unbounded();
     let mut links: Vec<TxLink> = (0..n_ranks as usize).map(|_| TxLink::Unrouted).collect();
-    let mode = match cfg.reconnect_window {
-        Some(window) => RelinkMode::Dial {
-            addr: addr.clone(),
-            rank,
-            session,
-            window,
-        },
-        None => RelinkMode::Terminal,
-    };
-    let tx = spawn_link(stream, Rank(0), env_tx.clone(), stats.clone(), mode);
+    let tx = spawn_link(stream, Rank(0), env_tx.clone(), stats.clone())?;
     links[0] = TxLink::Socket(tx);
     links[rank as usize] = TxLink::Channel(env_tx); // loopback
     let ep = Endpoint::from_parts(Rank(rank), links, env_rx, plan);
@@ -1225,6 +946,7 @@ pub fn connect(
         n_ranks: n_ranks as usize,
         links: vec![(Rank(0), stats)],
         epoch,
+        session,
     };
     Ok((ep, info))
 }
@@ -1384,8 +1106,7 @@ mod tests {
         );
     }
 
-    /// Fleet helper: elastic master with `n` initial slaves, each slave
-    /// connecting with a reconnect window (so severed links re-dial).
+    /// Fleet helper: elastic master with `n` initial slaves.
     fn fleet_pair(
         n_slaves: usize,
         slave_plans: Vec<Option<FaultPlan>>,
@@ -1408,10 +1129,7 @@ mod tests {
             .map(|(i, plan)| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
-                    let cfg = SocketConfig {
-                        reconnect_window: Some(Duration::from_secs(10)),
-                    };
-                    connect(&addr, Some(i as u32 + 1), cfg, plan).unwrap()
+                    connect(&addr, Some(i as u32 + 1), SocketConfig::default(), plan).unwrap()
                 })
             })
             .collect();
@@ -1420,12 +1138,11 @@ mod tests {
         (master, minfo, acceptor, addr, slaves)
     }
 
-    /// Who acknowledges is the sender's call, from its own link: a
-    /// terminal socket sends RAW, a socket that re-splices (the slave's
-    /// dialer, the elastic master's awaiting side) sequences and awaits
-    /// ACKs. Loopback is a channel on either.
+    /// Who acknowledges is the sender's call, and only a fault plan can
+    /// lose a frame: no clean socket link sequences or awaits ACKs, fixed
+    /// or elastic. Loopback is a channel on either.
     #[test]
-    fn only_relinkable_socket_links_are_acked() {
+    fn no_clean_socket_link_is_acked() {
         use crate::{ReliableEndpoint, RetryPolicy};
         // (master's seq, slave's seq) for one send each way.
         let seqs = |master: Endpoint, slave: Endpoint| {
@@ -1443,50 +1160,58 @@ mod tests {
         };
         let (master, _minfo, mut slaves) = tcp_pair(1);
         let (slave, _sinfo) = slaves.pop().unwrap();
-        assert_eq!(seqs(master, slave), (None, None), "terminal links");
+        assert_eq!(seqs(master, slave), (None, None), "fixed links");
 
         let (master, _minfo, _acceptor, _addr, mut slaves) = fleet_pair(1, vec![None]);
         let (slave, _sinfo) = slaves.pop().unwrap();
-        assert_eq!(seqs(master, slave), (Some(1), Some(1)), "relinkable links");
+        assert_eq!(seqs(master, slave), (None, None), "elastic links");
     }
 
-    #[test]
-    fn severed_link_heals_by_redial() {
-        // The slave's 2nd send pulls the cable for 30ms; the dialer must
-        // re-establish the same session and every queued frame must still
-        // arrive, in order.
-        let plan = FaultPlan::default().with_link_sever(2, Duration::from_millis(30));
-        let (mut master, _minfo, acceptor, _addr, mut slaves) = fleet_pair(1, vec![Some(plan)]);
-        let (ref mut slave, ref sinfo) = slaves[0];
-        slave.send(Rank(0), Tag(1), b("warm")).unwrap();
-        assert_eq!(&master.recv().unwrap().payload[..], b"warm");
-        for i in 0..10u32 {
-            slave.send(Rank(0), Tag(10 + i), b("x")).unwrap();
-        }
-        for i in 0..10u32 {
-            let env = master
-                .recv_timeout(Duration::from_secs(10))
-                .expect("frame survives the sever");
-            assert_eq!(env.tag, Tag(10 + i), "order preserved across splice");
-        }
-        let snap = sinfo.link(Rank(0)).unwrap().snapshot();
-        assert!(snap.reconnects >= 1, "redial counted: {snap:?}");
+    /// Wait for `want` among the acceptor's membership events.
+    fn await_event(acceptor: &FleetAcceptor, want: MembershipEvent) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let evs = acceptor.poll_events();
-            if evs.contains(&MembershipEvent::Relinked { rank: 1 }) {
-                break;
-            }
-            assert!(
-                evs.iter()
-                    .all(|e| matches!(e, MembershipEvent::Relinked { .. })),
-                "same session must splice, not fence: {evs:?}"
-            );
-            assert!(Instant::now() < deadline, "Relinked event never surfaced");
+        while !acceptor.poll_events().contains(&want) {
+            assert!(Instant::now() < deadline, "{want:?} never surfaced");
             std::thread::sleep(Duration::from_millis(5));
         }
-        // Same incarnation: the epoch must not have moved.
-        assert_eq!(acceptor.epoch(), 1);
+    }
+
+    /// A sever closes the link for good; the same process redialling
+    /// under its session is a rejoin with a fresh, working link; and a
+    /// released session is refused.
+    #[test]
+    fn a_severed_link_fails_then_its_session_rejoins() {
+        let plan = FaultPlan::default().with_link_sever(2, Duration::from_millis(30));
+        let (mut master, _minfo, acceptor, addr, mut slaves) = fleet_pair(1, vec![Some(plan)]);
+        let (mut slave, sinfo) = slaves.pop().unwrap();
+        slave.send(Rank(0), Tag(1), b("warm")).unwrap();
+        assert_eq!(&master.recv().unwrap().payload[..], b"warm");
+        // The 2nd send pulls the cable: it and every later one fail.
+        for i in 0..3u32 {
+            assert_eq!(
+                slave.send(Rank(0), Tag(10 + i), b("x")).unwrap_err(),
+                NetError::Disconnected
+            );
+        }
+        assert_eq!(slave.stats().severed_links, 1);
+        drop(slave);
+
+        let (mut slave2, sinfo2) = redial(&addr, &sinfo).unwrap();
+        assert_eq!((sinfo2.rank, sinfo2.session), (Rank(1), sinfo.session));
+        assert_eq!(sinfo2.epoch, 2, "a rejoin bumps the fleet epoch");
+        await_event(&acceptor, MembershipEvent::Rejoined { rank: 1, epoch: 2 });
+        slave2.send(Rank(0), Tag(2), b("back")).unwrap();
+        assert_eq!(&master.recv().unwrap().payload[..], b"back");
+        master.send(Rank(1), Tag(3), b("hi")).unwrap();
+        assert_eq!(&slave2.recv().unwrap().payload[..], b"hi");
+
+        acceptor.release_rank(1);
+        assert!(
+            redial(&addr, &sinfo).is_err(),
+            "a released session is refused"
+        );
+        assert!(acceptor.poll_events().is_empty(), "nothing admitted");
+        assert_eq!(acceptor.epoch(), 2);
     }
 
     #[test]
@@ -1497,7 +1222,7 @@ mod tests {
         assert_eq!(sinfo.epoch, 1);
         slave.send(Rank(0), Tag(1), b("inc1")).unwrap();
         assert_eq!(&master.recv().unwrap().payload[..], b"inc1");
-        drop(slave); // incarnation 1 dies; master's link goes dark, not dead
+        drop(slave); // incarnation 1 dies; the master's link to it closes
         let (mut slave2, sinfo2) = connect(&addr, Some(1), SocketConfig::default(), None).unwrap();
         assert_eq!(sinfo2.rank, Rank(1));
         assert_eq!(sinfo2.epoch, 2, "restart bumps the fleet epoch");

@@ -288,18 +288,13 @@ impl Endpoint {
         }
     }
 
-    /// Whether a frame this endpoint sends to `dst` can be lost,
-    /// duplicated or reordered without any later send failing: the
-    /// endpoint carries a [`FaultPlan`], or its link to `dst` is a socket
-    /// that re-splices across outages. A channel or a terminal socket
-    /// under no plan delivers every frame whose send returned `Ok`, in
-    /// order, or the peer is gone for good.
-    pub(crate) fn can_lose(&self, dst: Rank) -> bool {
+    /// Whether a frame this endpoint sends can be lost, duplicated or
+    /// reordered without any later send failing: only when the endpoint
+    /// carries a [`FaultPlan`]. A channel or a socket link under no plan
+    /// delivers every frame whose send returned `Ok`, in order, or the
+    /// peer is gone for good.
+    pub(crate) fn can_lose(&self) -> bool {
         self.fault.has_plan()
-            || matches!(
-                self.links.read().unwrap().get(dst.index()),
-                Some(TxLink::Socket(tx)) if tx.relinks()
-            )
     }
 
     fn check_alive(&mut self) -> Result<(), NetError> {
@@ -329,10 +324,10 @@ impl Endpoint {
         self.fault.note_send();
         // A scripted link sever fires on send count, before the verdict:
         // it models the cable being pulled, not a message being lost —
-        // the frame below still goes out through the (now-queueing) link.
-        if let Some(down_for) = self.fault.should_sever_now() {
+        // the frame below, like every later one, then fails to go out.
+        if self.fault.should_sever_now() {
             if let Some(TxLink::Socket(tx)) = self.links.read().unwrap().get(dst.index()) {
-                tx.sever(down_for);
+                tx.sever();
                 self.stats.severed_links += 1;
             }
         }

@@ -12,17 +12,18 @@ use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
 use crate::fleet::accept_slaves;
 use crate::master::run_master;
-use crate::remote::RemoteProblem;
+use crate::obs::registry_of;
+use crate::remote::{serve_rejoining, RemoteProblem};
 use crate::slave::run_slave_in;
 use crate::RuntimeError;
 use easyhps_core::ScheduleMode;
 use easyhps_core::{DagDataDrivenModel, GridDims};
 use easyhps_dp::{DpMatrix, DpProblem};
-use easyhps_net::socket::{connect, SocketConfig, SocketListener};
-use easyhps_net::{FaultPlan, NetAddr, Network, RetryPolicy};
-use easyhps_obs::{EventRecorder, Registry};
+use easyhps_net::socket::{SocketConfig, SocketListener};
+use easyhps_net::{FaultPlan, NetAddr, NetError, Network, RetryPolicy};
+use easyhps_obs::{labeled, EventRecorder, Registry};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -328,11 +329,13 @@ impl<P: DpProblem> EasyHps<P> {
         self
     }
 
-    /// Elastic membership for the socket transports: severed links heal
-    /// by redial for up to `window` (slaves keep their rank and state and
-    /// resume under a bumped fleet epoch; the master fences frames from
-    /// stale incarnations). No effect on the in-process transport, whose
-    /// channel links cannot drop. See DESIGN.md §17.
+    /// Elastic membership for the socket transports: a slave whose link
+    /// breaks redials for up to `window` and rejoins on its rank under a
+    /// bumped fleet epoch (the master rolls back and redistributes its
+    /// in-flight tiles and fences frames from the old incarnation), and
+    /// the master counts no unreachable slave dead within the window. No
+    /// effect on the in-process transport, whose channel links cannot
+    /// drop. See DESIGN.md §17.
     pub fn reconnect(mut self, window: Duration) -> Self {
         self.reconnect = Some(window);
         self
@@ -484,6 +487,9 @@ impl<P: DpProblem> EasyHps<P> {
                     RuntimeError::InvalidConfig(format!("binding {bind_addr}: {e}"))
                 })?;
                 let addr = listener.local_addr();
+                // Set once the master is done dispatching: a slave whose
+                // link broke then has no job left to rejoin.
+                let job_over: Arc<AtomicBool> = Arc::default();
                 std::thread::scope(|s| {
                     for i in 0..self.deployment.slaves {
                         let plan = plans[i + 1].clone();
@@ -492,27 +498,52 @@ impl<P: DpProblem> EasyHps<P> {
                         let problem = problem.clone();
                         let model = model.clone();
                         let deployment = deployment.clone();
+                        let job_over = &job_over;
+                        // A slave that dies under fault injection, or finds
+                        // the master torn down early (e.g. under a
+                        // kill-master drill), returns Err; the master's
+                        // fault tolerance handles it.
                         s.spawn(move || {
-                            // The master tearing down early (e.g. under a
-                            // kill-master drill) makes connect fail; that
-                            // slave simply has nothing to do.
-                            let Ok((ep, _info)) = connect(&addr, Some(i as u32 + 1), scfg, plan)
-                            else {
-                                return;
+                            let rank = Some(i as u32 + 1);
+                            let wanted = || !job_over.load(Ordering::SeqCst);
+                            let lost = |r: &Result<_, _>| {
+                                matches!(r, Err(RuntimeError::Net(NetError::Disconnected)))
                             };
-                            let _ = run_slave_in(memory, ep, problem.as_ref(), &model, &deployment);
+                            // Whether a broken link cut one of this slave's runs.
+                            let mut cut = false;
+                            let res =
+                                serve_rejoining(&addr, rank, scfg, plan, wanted, |ep, plan| {
+                                    let ep = ep.fork(plan);
+                                    let run = run_slave_in(
+                                        memory,
+                                        ep,
+                                        problem.as_ref(),
+                                        &model,
+                                        &deployment,
+                                    );
+                                    cut |= lost(&run);
+                                    run
+                                });
+                            // A run cut while the job still needed this slave
+                            // owes the master a rejoin; one that came back to
+                            // a finished job owes none.
+                            if cut && (wanted() || !lost(&res)) {
+                                let l = labeled("slave_rejoins_owed", &[("slave", &i.to_string())]);
+                                registry_of(&deployment.obs).counter(&l).inc();
+                            }
                         });
                     }
                     // Elastic membership when a reconnect window is set:
                     // the listener stays open in a background acceptor
-                    // that splices reconnecting slaves back in and fences
-                    // stale incarnations.
-                    let (master_ep, sinfo, control) = accept_slaves(
+                    // that admits a redialling slave as a rejoin.
+                    let (master_ep, sinfo, mut control) = accept_slaves(
                         listener,
                         self.deployment.slaves,
                         plans[0].clone(),
                         self.reconnect.is_some(),
                     )?;
+                    control.rejoin_window = self.reconnect;
+                    control.tearing_down = job_over.clone();
                     let out = run_master(
                         master_ep,
                         problem.as_ref(),
@@ -521,7 +552,10 @@ impl<P: DpProblem> EasyHps<P> {
                         self.resume.as_ref(),
                         self.tile_budget,
                         Some(&control),
-                    )?;
+                    );
+                    // Also when the master failed before its teardown.
+                    job_over.store(true, Ordering::SeqCst);
+                    let out = out?;
                     if let Some(reg) = &registry {
                         crate::remote::publish_socket_stats(reg, &sinfo);
                     }

@@ -134,8 +134,9 @@ pub struct MasterStats {
     /// Dead-marked slaves re-admitted after a fresh heartbeat proved them
     /// alive (wrong exclusions undone).
     pub readmitted: u64,
-    /// Slave incarnations re-admitted under a new fleet epoch (reconnect
-    /// with a fresh session, or a mid-run joiner growing the fleet).
+    /// Slave incarnations re-admitted under a new fleet epoch (a slave
+    /// that redialled after its link broke, a replacement process, or a
+    /// mid-run joiner growing the fleet).
     pub rejoins: u64,
     /// Completions rejected because their echoed epoch predated the
     /// slave's current incarnation (zombie DONEs fenced out).

@@ -66,8 +66,8 @@ enum FleetSlaves {
 
 /// A set of connected, rank-assigned slaves that stays usable across
 /// jobs. Create with [`Fleet::accept`] (sockets, fixed membership),
-/// [`Fleet::accept_elastic`] (sockets, reconnection + mid-run join +
-/// drain) or [`Fleet::local`] (threads), run any number of jobs, then
+/// [`Fleet::accept_elastic`] (sockets, rejoin + mid-run join + drain) or
+/// [`Fleet::local`] (threads), run any number of jobs, then
 /// [`Fleet::shutdown`].
 pub struct Fleet {
     root: Endpoint,
@@ -86,8 +86,8 @@ pub struct Fleet {
 
 /// Accept `slaves` ranks on `listener` and build the control surface
 /// their masters share: with `elastic`, the listener stays open on a
-/// background acceptor (reconnects, rejoins, mid-run joiners) that rides
-/// in the control block; otherwise membership is fixed and only drain
+/// background acceptor (rejoins, mid-run joiners) that rides in the
+/// control block; otherwise membership is fixed and only drain
 /// requests apply. `plan` injects faults into the master's endpoint.
 pub(crate) fn accept_slaves(
     listener: SocketListener,
@@ -119,17 +119,23 @@ impl Fleet {
     }
 
     /// [`Fleet::accept`] with *elastic* membership: the listener stays
-    /// open in a background acceptor that splices reconnecting slaves,
-    /// fences new incarnations under a bumped fleet epoch, and admits
-    /// brand-new slaves mid-run (shipping them the current job). Set
-    /// [`SocketConfig::reconnect_window`](easyhps_net::socket::SocketConfig::reconnect_window)
-    /// on the listener (and the slaves) to let severed links heal by
-    /// redial.
+    /// open in a background acceptor that admits a redialling or
+    /// replacement slave as a rejoin — a fresh link, fenced under a bumped
+    /// fleet epoch — and brand-new slaves mid-run, shipping both the
+    /// current job. Slaves redial a broken link when they run with
+    /// [`SocketConfig::reconnect_window`](easyhps_net::socket::SocketConfig::reconnect_window).
     pub fn accept_elastic(
         listener: SocketListener,
         n_slaves: usize,
     ) -> Result<Fleet, RuntimeError> {
         Self::remote(listener, n_slaves, None, true)
+    }
+
+    /// Let an unreachable slave rejoin for up to `window` before the
+    /// masters count it dead (see [`FleetControl::rejoin_window`]).
+    pub(crate) fn with_rejoin_window(mut self, window: Option<Duration>) -> Fleet {
+        self.control.rejoin_window = window;
+        self
     }
 
     fn remote(
@@ -240,8 +246,8 @@ impl Fleet {
     }
 
     /// The ranks the next job should treat as members: currently-linked
-    /// ranks for an elastic fleet (a dark rank may relink mid-job and is
-    /// left to the heartbeat deadline), non-retired ranks otherwise.
+    /// ranks for an elastic fleet (a dark rank may rejoin mid-job and is
+    /// shipped the job then), non-retired ranks otherwise.
     fn expected_ranks(&self) -> Vec<u32> {
         match &self.control.acceptor {
             Some(acc) => acc.live_ranks(),
@@ -300,9 +306,8 @@ impl Fleet {
             // A slave that died between jobs is a *membership change*,
             // not a reason to burn the whole readiness deadline: probe
             // the silent ranks and retire any whose link is already
-            // gone. (An elastic fleet's links queue across outages
-            // instead of failing; there the reconnect window and the
-            // in-job heartbeat deadline govern.)
+            // gone. (An elastic fleet's slave may come back: it rejoins
+            // and is shipped the job by the acceptor.)
             if last_probe.elapsed() >= PROBE_EVERY && !pending.is_empty() {
                 last_probe = Instant::now();
                 let root = &mut self.root;
@@ -412,8 +417,8 @@ impl Fleet {
         // SHUTDOWN) before closing.
         drop(root);
         // The elastic acceptor holds a clone of the link table: it must
-        // go too (stopping the accept thread and closing Await-mode
-        // conns) or the socket writers would never exit.
+        // go too (stopping the accept thread) or the socket writers would
+        // never exit.
         drop(control);
         match slaves {
             FleetSlaves::Remote(_) => Vec::new(),

@@ -17,18 +17,17 @@
 //!
 //! Control messages travel over a [`ReliableEndpoint`]: an
 //! ASSIGN/DONE/END that its sender could lose — the sender carries a
-//! fault plan, or its socket to the peer re-splices across outages — is
-//! sequence-numbered, acknowledged and retransmitted with backoff, so a
-//! lossy link delays the protocol instead of breaking it; on a link that
-//! delivers every frame or fails for good it is one RAW frame, and a
-//! tile costs one frame each way. Liveness is decided by heartbeats, not
-//! by individual message outcomes: a slave is excluded only when it is
-//! *unreachable* (its endpoint is gone — permanent) or has been *silent*
-//! past `heartbeat_timeout` (no frame of any kind, including acks). A slave
-//! that is merely slow keeps heartbeating and stays in the schedule even
-//! if its current sub-task is timed out and redistributed; a slave that
-//! was excluded during a transient outage is re-admitted the moment it is
-//! heard from again.
+//! fault plan — is sequence-numbered, acknowledged and retransmitted with
+//! backoff, so a lossy link delays the protocol instead of breaking it; on
+//! a link that delivers every frame or fails for good it is one RAW frame,
+//! and a tile costs one frame each way. Liveness is decided by heartbeats,
+//! not by individual message outcomes: a slave is excluded only when it
+//! is *unreachable* (its link is gone; only a rejoin brings it back) or
+//! has been *silent* past `heartbeat_timeout` (no frame of any kind,
+//! including acks). A slave that is merely slow keeps heartbeating and
+//! stays in the schedule even if its current sub-task is timed out and
+//! redistributed; a slave that was excluded during a transient outage is
+//! re-admitted the moment it is heard from again.
 //!
 //! One deviation from the paper's thread layout: instead of one blocking
 //! worker thread per slave node sharing the MPI context, the master
@@ -51,12 +50,13 @@ use easyhps_net::{
 };
 use easyhps_obs::LaneBuf;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Control surface between an elastic fleet and its running master.
 ///
-/// The acceptor (when the fleet is socket-backed) admits reconnecting and
+/// The acceptor (when the fleet is socket-backed) admits rejoining and
 /// brand-new slaves in the background; the master drains its membership
 /// events every loop iteration and re-fences the transport. The drain
 /// list carries operator requests ("release rank N once its in-flight
@@ -64,10 +64,14 @@ use std::time::{Duration, Instant};
 /// fleet has no acceptor but can still drain.
 #[derive(Clone, Default)]
 pub struct FleetControl {
-    /// Elastic acceptor admitting reconnections and mid-run joiners.
-    /// `None` for fixed-membership (local or `accept_ranks`) fleets,
-    /// where only drain requests apply.
+    /// Elastic acceptor admitting rejoins and mid-run joiners. `None`
+    /// for fixed-membership (local or `accept_ranks`) fleets, where only
+    /// drain requests apply.
     pub acceptor: Option<Arc<FleetAcceptor>>,
+    /// How long after it was last heard an unreachable slave may still
+    /// redial and rejoin: until then it does not count as dead. `None`:
+    /// an unreachable slave is gone for good.
+    pub(crate) rejoin_window: Option<Duration>,
     /// Ranks the operator asked to drain. The running master consumes
     /// them, stops assigning to each, and releases the rank back to the
     /// fleet free-list once its last in-flight sub-task lands.
@@ -80,6 +84,11 @@ pub struct FleetControl {
     /// Ranks whose READY the master's teardown received after their
     /// STATS, for the fleet's next readiness barrier to count.
     pub(crate) ready: Arc<Mutex<Vec<u32>>>,
+    /// Set when a master running on this block begins its teardown: it
+    /// dispatches nothing more, so a slave whose link broke has nothing
+    /// left to rejoin for. Read by the in-process socket driver, which
+    /// runs one job per block.
+    pub(crate) tearing_down: Arc<AtomicBool>,
 }
 
 impl FleetControl {
@@ -147,10 +156,10 @@ fn fail_kind(reason: FailReason) -> SendFailKind {
 /// the output.
 ///
 /// Elastic membership: when `fleet` is given, the master polls its
-/// acceptor for membership changes every loop iteration — splices are
-/// transparent, new incarnations are re-fenced under a bumped epoch
-/// (their zombie DONEs rejected by the epoch echo), mid-run joiners grow
-/// the schedule — and consumes its drain requests.
+/// acceptor for membership changes every loop iteration — a rejoining
+/// incarnation is re-fenced under a bumped epoch (its predecessor's
+/// zombie DONEs rejected by the epoch echo), a mid-run joiner grows the
+/// schedule — and consumes its drain requests.
 pub fn run_master<P: DpProblem>(
     ep: Endpoint,
     problem: &P,
@@ -209,7 +218,8 @@ fn start_shell<'a, C: Cell>(
 
     let n = config.slaves;
     let mut shell = Shell {
-        sched: MasterSched::new(&dag, n, config.process_mode, &params, tile_budget),
+        sched: MasterSched::new(&dag, n, config.process_mode, &params, tile_budget)
+            .with_rejoin_window(fleet.and_then(|f| f.rejoin_window)),
         matrix: DpMatrix::new(dims),
         trace: Trace::new(),
         mm: MasterMetrics::register(&registry_of(obs)),
@@ -560,9 +570,9 @@ impl<C: Cell> Shell<'_, C> {
             tags::HEARTBEAT => {}
             // A READY after the slave's STATS belongs to the fleet's next
             // barrier. Any other comes from a fleet slave idling outside
-            // this job (a mid-run joiner already shipped the JOB by the
-            // acceptor, or a relinked slave sitting the job out), which
-            // re-announces it periodically.
+            // this job (a mid-run joiner or rejoiner announcing itself
+            // before the JOB the acceptor shipped it), which re-announces
+            // it periodically.
             tags::READY => {
                 if let (Some(fc), Some(t)) = (self.fleet, &self.teardown) {
                     if t.stats[w].is_some() {
@@ -583,16 +593,8 @@ impl<C: Cell> Shell<'_, C> {
         };
         let events = fc.acceptor.as_ref().map(|acc| acc.poll_events());
         for ev in events.into_iter().flatten() {
-            let (rank, epoch) = match ev {
-                // Same incarnation, spliced stream: the reliable layer's
-                // retransmits already cover the gap.
-                MembershipEvent::Relinked { rank } => {
-                    self.instant(false, "relink", "fleet", ("rank", u64::from(rank)));
-                    continue;
-                }
-                MembershipEvent::Rejoined { rank, epoch }
-                | MembershipEvent::Joined { rank, epoch } => (rank, epoch),
-            };
+            let (MembershipEvent::Rejoined { rank, epoch }
+            | MembershipEvent::Joined { rank, epoch }) = ev;
             let Some(w) = (rank as usize).checked_sub(1) else {
                 continue;
             };
@@ -679,6 +681,9 @@ impl<C: Cell> Shell<'_, C> {
     /// slave that can never answer.
     fn begin_teardown(&mut self) -> Result<(), RuntimeError> {
         self.feed(MasterEvent::Drain, &[])?;
+        if let Some(fc) = self.fleet {
+            fc.tearing_down.store(true, Ordering::SeqCst);
+        }
         let mut awaited = self.sched.alive().to_vec();
         for (w, awaits) in awaited.iter_mut().enumerate() {
             let end = self

@@ -9,10 +9,9 @@
 //!
 //! Control messages (IDLE/ASSIGN/DONE/END/STATS) travel over
 //! [`easyhps_net::ReliableEndpoint`]: where the sender could lose the
-//! frame — it carries a fault plan, or its socket re-splices across
-//! outages — they are acknowledged, retransmitted and deduplicated, so a
-//! lossy network delays but does not lose them; elsewhere each is one
-//! RAW frame. HEARTBEAT is fire-and-forget everywhere.
+//! frame — it carries a fault plan — they are acknowledged,
+//! retransmitted and deduplicated, so a lossy network delays but does not
+//! lose them; elsewhere each is one RAW frame. HEARTBEAT is fire-and-forget everywhere.
 
 use bytes::Bytes;
 use easyhps_core::{GridPos, TileRegion};

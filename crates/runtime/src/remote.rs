@@ -33,8 +33,13 @@ use bytes::Bytes;
 use easyhps_core::{DagDataDrivenModel, GridDims, ScheduleMode};
 use easyhps_dp::sequence::{random_sequence, Alphabet};
 use easyhps_dp::{DpMatrix, DpProblem, GapPenalty, Substitution};
-use easyhps_net::socket::{connect, SocketConfig, SocketInfo, SocketListener};
-use easyhps_net::{NetAddr, Rank, RetryPolicy, WireError, WireReader, WireWriter};
+use easyhps_net::socket::{
+    connect, redial, SocketConfig, SocketInfo, SocketListener, DIAL_BACKOFF,
+};
+use easyhps_net::stream::retry_with_backoff;
+use easyhps_net::{
+    Endpoint, FaultPlan, NetAddr, NetError, Rank, RetryPolicy, WireError, WireReader, WireWriter,
+};
 use easyhps_obs::{labeled, Registry};
 use std::time::{Duration, Instant};
 
@@ -644,7 +649,8 @@ impl JobSpec {
 /// Options for the master side of a multi-process run.
 #[derive(Debug, Default)]
 pub struct RemoteMasterOptions {
-    /// Socket config (a reconnect window opts into elastic membership).
+    /// Socket config (a reconnect window opts into elastic membership:
+    /// slaves may rejoin for that long).
     pub socket: SocketConfig,
     /// Fault plan for the master's own endpoint (drills).
     pub fault: Option<easyhps_net::FaultPlan>,
@@ -685,11 +691,11 @@ pub fn run_remote_master(
     opts: RemoteMasterOptions,
 ) -> Result<RemoteOutput, RuntimeError> {
     // A reconnect window on the socket config opts into elastic
-    // membership (session resumption, mid-run join, drain). Fault
-    // injection stays on the fixed-membership path: a fault plan replays
-    // per incarnation and would desynchronize across a splice.
+    // membership (rejoin, mid-run join, drain). Fault injection on the
+    // master stays on the fixed-membership path: its plan is one job's.
     let mut fleet = if opts.socket.reconnect_window.is_some() && opts.fault.is_none() {
         crate::fleet::Fleet::accept_elastic(listener, slaves)?
+            .with_rejoin_window(opts.socket.reconnect_window)
     } else {
         crate::fleet::Fleet::accept(listener, slaves, opts.fault)?
     };
@@ -717,7 +723,8 @@ pub struct RemoteSlaveOptions {
     pub threads: Option<usize>,
     /// Override the job's storage strategy locally.
     pub memory: Option<MemoryMode>,
-    /// Socket config (a reconnect window lets a severed link redial).
+    /// Socket config (a reconnect window makes a broken link a rejoin:
+    /// the slave redials for that long).
     pub socket: SocketConfig,
     /// Fault plan for this slave's endpoint (drills).
     pub fault: Option<easyhps_net::FaultPlan>,
@@ -819,13 +826,72 @@ pub(crate) fn slave_job_loop(
 /// one-shot `easyhps master` sends exactly one job followed by SHUTDOWN;
 /// a serve daemon keeps the connection and streams jobs through it.
 pub fn serve_slave_jobs(opts: RemoteSlaveOptions) -> Result<SlaveServeSummary, RuntimeError> {
-    let (ep, _info) = connect(&opts.addr, opts.want_rank, opts.socket, None)
-        .map_err(|e| io_err("connecting to master", e))?;
-    slave_job_loop(ep, opts.threads, opts.memory, opts.fault)
+    let (threads, memory) = (opts.threads, opts.memory);
+    serve_rejoining(
+        &opts.addr,
+        opts.want_rank,
+        opts.socket,
+        opts.fault,
+        || true,
+        |ep, fault| slave_job_loop(ep, threads, memory, fault),
+    )
 }
 
-/// Export per-link socket counters (bytes queued, reconnects, frames
-/// rejected, traffic) into a metrics registry, one series set per link.
+/// Connect to the master and `serve` on the link, handing it the slave's
+/// fault plan — and rejoin when the link breaks. A run that ends with
+/// [`NetError::Disconnected`] (never `Dead`, which is a crash) redials the
+/// same rank under the same session for up to the config's reconnect
+/// window, while `wanted` says the master may still need it, and serves
+/// again; the master admits that as a rejoin. A plan's sever fires once
+/// per slave: the slave stays dark for its `down_for` and rejoins with
+/// the sever cleared. A slave that does not come back returns its run's
+/// error — or, when the master refused a redial while `wanted` still
+/// held, that redial's.
+pub(crate) fn serve_rejoining<T>(
+    addr: &NetAddr,
+    want_rank: Option<u32>,
+    cfg: SocketConfig,
+    mut plan: Option<FaultPlan>,
+    wanted: impl Fn() -> bool,
+    mut serve: impl FnMut(Endpoint, Option<FaultPlan>) -> Result<T, RuntimeError>,
+) -> Result<T, RuntimeError> {
+    let window = cfg.reconnect_window;
+    let (mut ep, mut info) =
+        connect(addr, want_rank, cfg, None).map_err(|e| io_err("connecting to master", e))?;
+    loop {
+        let res = serve(ep, plan.clone());
+        let Some(window) = window else { return res };
+        if !matches!(res, Err(RuntimeError::Net(NetError::Disconnected))) {
+            return res;
+        }
+        if let Some(sever) = plan.as_mut().and_then(|p| p.link_sever.take()) {
+            std::thread::sleep(sever.down_for);
+        }
+        if !wanted() {
+            return res;
+        }
+        let deadline = Instant::now() + window;
+        let mut refused = false;
+        let redialled = retry_with_backoff(
+            DIAL_BACKOFF.0,
+            DIAL_BACKOFF.1,
+            || redial(addr, &info),
+            |_, _| {
+                refused |= wanted();
+                wanted() && Instant::now() < deadline
+            },
+        );
+        (ep, info) = match redialled {
+            Ok(link) => link,
+            Err(_) if !refused => return res,
+            Err(e) => return Err(io_err("rejoining the master", e)),
+        };
+    }
+}
+
+/// Export per-link socket counters (bytes queued, initial-connect
+/// retries, frames rejected, traffic) into a metrics registry, one series
+/// set per link.
 pub fn publish_socket_stats(reg: &Registry, info: &SocketInfo) {
     for (rank, stats) in &info.links {
         let s = stats.snapshot();

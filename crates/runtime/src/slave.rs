@@ -334,7 +334,7 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
     // dropped: a dropped IDLE would otherwise starve this slave forever).
     rep.send_reliable(master, tags::IDLE, bytes::Bytes::new())?;
 
-    std::thread::scope(|scope| {
+    let res = std::thread::scope(|scope| {
         // The compute pool lives for the whole slave, not per tile.
         let pool = ComputePool::spawn(scope, ct, problem, &grid, obs.recorder.clone(), pid);
         let mut last_hb = Instant::now();
@@ -447,7 +447,14 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                 }
             }
         }
-    })
+    });
+    // A broken link ends this incarnation, not the slave: publish what it
+    // did, so a rejoined successor's counters add to it (a crash, `Dead`,
+    // publishes nothing).
+    if matches!(res, Err(RuntimeError::Net(NetError::Disconnected))) {
+        publish_endpoint_stats(&registry, &format!("slave{w}"), &rep);
+    }
+    res
 }
 
 /// Execute one master tile on the persistent worker pool: partition it by

@@ -1300,8 +1300,9 @@ fn heartbeats_continue_while_a_sub_task_runs_long() {
 
 // ---------------------------------------------------------------------
 // Who acknowledges: a sender ACK-tracks a frame only where it could lose
-// it — here, where it carries a fault plan. Everywhere else a control
-// message is one RAW frame, and a clean run sends no ACK at all.
+// it — where it carries a fault plan. Everywhere else a control message
+// is one RAW frame, and a clean run sends no ACK at all, over elastic
+// socket links (a rejoin window set) as over fixed ones.
 // ---------------------------------------------------------------------
 
 /// `(ACKs sent, ACKs received, retransmits)` the endpoint of `role`
@@ -1317,14 +1318,15 @@ fn ack_counts(snap: &Snapshot, role: &str) -> (u64, u64, u64) {
 #[test]
 fn only_a_sender_that_could_lose_a_frame_is_acked() {
     const ROLES: [&str; 3] = ["master", "slave0", "slave1"];
-    // (transport, ranks carrying a lossy plan: 0 is the master)
-    let cases: [(TransportKind, &[usize]); 4] = [
-        (TransportKind::InProcess, &[]),
-        (TransportKind::Tcp, &[]),
-        (TransportKind::InProcess, &[0]),
-        (TransportKind::InProcess, &[2]),
+    // (transport, ranks carrying a lossy plan: 0 is the master, elastic)
+    let cases: [(TransportKind, &[usize], bool); 5] = [
+        (TransportKind::InProcess, &[], false),
+        (TransportKind::Tcp, &[], false),
+        (TransportKind::Tcp, &[], true),
+        (TransportKind::InProcess, &[0], false),
+        (TransportKind::InProcess, &[2], false),
     ];
-    for (kind, planned) in cases {
+    for (kind, planned, elastic) in cases {
         let problem = EditDistance::new(
             random_sequence(Alphabet::Dna, 30, 240),
             random_sequence(Alphabet::Dna, 30, 241),
@@ -1337,6 +1339,9 @@ fn only_a_sender_that_could_lose_a_frame_is_acked() {
             .threads_per_slave(2)
             .transport(kind)
             .metrics(true);
+        if elastic {
+            hps = hps.reconnect(Duration::from_secs(10));
+        }
         for &rank in planned {
             let plan = FaultPlan::lossy(0.05, 40 + rank as u64);
             hps = match rank {
@@ -1345,7 +1350,7 @@ fn only_a_sender_that_could_lose_a_frame_is_acked() {
             };
         }
         let out = hps.run().unwrap();
-        let case = format!("{kind:?} with plans on ranks {planned:?}");
+        let case = format!("{kind:?} (elastic: {elastic}) with plans on ranks {planned:?}");
         assert_eq!(out.matrix, reference, "{case}");
         let snap = out.metrics.unwrap().snapshot();
         let acked = |rank: usize| planned.contains(&rank);

@@ -796,8 +796,9 @@ fn scheduler(inner: Arc<Inner>, src: FleetSrc) {
                 .ok()
         }
         // Remote fleets are *elastic*: the slave listener stays open, so
-        // new slaves can join between (or during) jobs, severed links
-        // heal under a bumped epoch, and drained ranks free their slot.
+        // new slaves can join between (or during) jobs, a slave whose
+        // link broke rejoins under a bumped epoch, and drained ranks free
+        // their slot.
         FleetSrc::Remote { listener, slaves } => Fleet::accept_elastic(listener, slaves)
             .map_err(|e| eprintln!("serve: accepting slave fleet: {e}"))
             .ok(),

@@ -71,8 +71,8 @@ pub enum FaultClause {
     },
     /// Hard-close this slave rank's socket after `after_sends` send
     /// attempts, keeping it dark for `down_ms` — a severed link. Under a
-    /// socket transport with a reconnect window the slave must redial,
-    /// resume its rank under a bumped fleet epoch, and the run must
+    /// socket transport with a reconnect window the slave must redial and
+    /// rejoin its rank under a bumped fleet epoch, and the run must
     /// still produce the exact matrix (meaningless on the in-process
     /// transport, whose channel links cannot drop).
     LinkSever {

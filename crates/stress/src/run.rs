@@ -216,9 +216,9 @@ where
         .metrics(true)
         .trace_out(&trace_path);
     if has_sever && socket_transport {
-        // A severed socket must heal by redial: the slave keeps its rank
-        // and resumes under a bumped fleet epoch. (In-process channel
-        // links cannot drop; the clause is inert there.)
+        // A severed socket is a rejoin: the slave redials on its rank and
+        // the master admits it under a bumped fleet epoch. (In-process
+        // channel links cannot drop; the clause is inert there.)
         hps = hps.reconnect(Duration::from_secs(10));
     }
     for (rank, fp) in rank_fault_plans(plan).into_iter().enumerate() {
@@ -370,25 +370,26 @@ where
         }
 
         // Invariant 8: a link sever that actually *fired* over a socket
-        // transport must heal by redial — `net_links_severed` proves the
-        // cable was pulled (a clause whose send threshold was never
-        // reached is vacuous, like invariant 7's un-fired bit flips),
-        // and the reconnect counter proves the link came back; the
-        // bit-identical matrix above already vouches for the resumed
-        // slave's work. No tile computed under a stale epoch is ever
-        // accepted: the master's epoch fence rejects late DONEs from a
-        // pre-sever incarnation, and any fence leak would surface as
+        // transport is a rejoin — `net_links_severed` proves the cable
+        // was pulled (a clause whose send threshold was never reached is
+        // vacuous, like invariant 7's un-fired bit flips), and the
+        // master's rejoin counter proves the slave redialled and was
+        // admitted as a new incarnation; the bit-identical matrix above
+        // already vouches for its work. A rejoin is owed by every slave
+        // whose run the sever cut while the job still needed it
+        // (`slave_rejoins_owed`): a sever under a short job's last sends
+        // (the slave's teardown, or the master finishing while the slave
+        // is dark) owes none. No tile computed under a stale epoch is
+        // ever accepted: the master's epoch fence rejects late DONEs from
+        // the pre-sever incarnation, and any fence leak would surface as
         // invariant 2/3 double-accounting.
         let severed = snap.counter_total("net_links_severed");
-        if has_sever
-            && socket_transport
-            && severed >= 1
-            && snap.counter_total("socket_reconnects") == 0
-        {
+        let owed = snap.counter_total("slave_rejoins_owed");
+        if has_sever && socket_transport && severed >= 1 && m.rejoins < owed {
             v.push(format!(
-                "reconnect: {severed} link sever(s) fired over a socket \
-                 transport but socket_reconnects stayed 0 (the severed \
-                 link never healed by redial)"
+                "rejoin: {severed} link sever(s) fired over a socket \
+                 transport but the master counted no rejoin (the severed \
+                 slave never came back)"
             ));
         }
     }

@@ -65,11 +65,13 @@
 //! separate runs can be compared bit for bit. Slaves connect, receive
 //! the job, and serve until the run ends. Input sequences are given as
 //! positional arguments or generated with `--len N --seed S`.
-//! `--reconnect-ms N` on both halves turns on the **elastic membership
-//! protocol** (DESIGN.md §17): a slave whose link drops keeps its state
-//! and redials within the window, resuming its rank under a bumped fleet
-//! epoch; the master fences any completion stamped by a replaced
-//! incarnation and reports the counts on a `fleet:` line. With a
+//! `--reconnect-ms N` sets the **rejoin window** of the elastic
+//! membership protocol (DESIGN.md §17): on `master` it keeps the listener
+//! open and waits that long for an unreachable slave before counting it
+//! dead; on `slave` it redials a broken link for that long and rejoins on
+//! its rank under a bumped fleet epoch. The master rolls back and
+//! redistributes the old incarnation's in-flight tiles, fences any
+//! completion it stamped, and reports the counts on a `fleet:` line. With a
 //! `serve --fleet-listen` fleet, `drain RANK` asks the daemon to stop
 //! assigning work to that slave, wait out its in-flight sub-tasks, and
 //! release the rank back to the fleet's free-list (new slaves may join
@@ -597,16 +599,11 @@ fn cmd_master(args: &Args) -> Result<(), String> {
         m.resumed
     );
     // The membership drill's observables: rejoins and fenced zombie
-    // DONEs from the scheduler, healed links from the socket layer.
-    if let Some(sinfo) = &out.socket {
-        let reconnects: u64 = sinfo
-            .links
-            .iter()
-            .map(|(_, s)| s.snapshot().reconnects)
-            .sum();
+    // DONEs from the scheduler.
+    if out.socket.is_some() {
         println!(
-            "fleet: {} rejoin(s), {} stale-epoch done(s) fenced, {} socket reconnect(s)",
-            m.rejoins, m.stale_epoch_rejected, reconnects
+            "fleet: {} rejoin(s), {} stale-epoch done(s) fenced",
+            m.rejoins, m.stale_epoch_rejected
         );
     }
     println!("matrix-crc: {:#010x}", matrix_crc(&out.matrix));
