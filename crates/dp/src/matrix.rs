@@ -122,12 +122,18 @@ impl<C: Cell> DpMatrix<C> {
     /// Serialize the cells of `region` (row-major) into bytes.
     pub fn encode_region(&self, region: TileRegion) -> Vec<u8> {
         let mut out = Vec::with_capacity(region.area() as usize * C::WIRE_SIZE);
+        self.encode_region_into(region, &mut out);
+        out
+    }
+
+    /// [`Self::encode_region`], appending to `out` — e.g. straight into a
+    /// message frame.
+    pub fn encode_region_into(&self, region: TileRegion, out: &mut Vec<u8>) {
         for r in region.row_start..region.row_end {
             let base = r as usize * self.dims.cols as usize;
             let row = &self.data[base + region.col_start as usize..base + region.col_end as usize];
-            C::encode_slice(row, &mut out);
+            C::encode_slice(row, out);
         }
-        out
     }
 
     /// Overwrite the cells of `region` from bytes produced by

@@ -24,6 +24,8 @@
 //! allocates. The same sealed buffer travels in-process (over a channel)
 //! and across processes (over a socket), so fault injection, statistics
 //! and the reliable layer see identical bytes on every transport.
+//! A [`WireWriter`] payload is sealed in its own buffer, and a reader
+//! reads each frame into one buffer: one buffer per crossing.
 
 use crate::crc::crc32c;
 use crate::message::Tag;
@@ -105,18 +107,34 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 }
 
 /// Build one sealed frame around `payload`: reserve the header, copy the
-/// payload once, then fill length and checksum in place. The result is
-/// what [`write_frame`] puts on a stream, byte for byte.
+/// payload once, then fill the header in place. The result is what
+/// [`write_frame`] puts on a stream, byte for byte.
 pub fn seal(kind: Kind, tag: Tag, seq: u64, payload: &[u8]) -> Bytes {
-    let len = u32::try_from(HEADER_LEN - LEN_LEN + payload.len())
-        .expect("a single message stays under 4 GiB");
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&[0; CRC_END - LEN_LEN]);
-    buf.push(kind as u8);
-    buf.extend_from_slice(&tag.0.to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.resize(HEADER_LEN, 0);
     buf.extend_from_slice(payload);
+    fill_header(buf, kind, tag, seq)
+}
+
+/// [`seal`] without the copy when `payload` alone owns the buffer a
+/// [`WireWriter`] encoded it in, header room included.
+pub(crate) fn seal_payload(kind: Kind, tag: Tag, seq: u64, payload: Bytes) -> Bytes {
+    match payload.try_into_vec() {
+        Ok((buf, range)) if range.start == HEADER_LEN && range.end == buf.len() => {
+            fill_header(buf, kind, tag, seq)
+        }
+        Ok((buf, range)) => seal(kind, tag, seq, &buf[range]),
+        Err(payload) => seal(kind, tag, seq, &payload),
+    }
+}
+
+/// Fill the header room in front of `buf`'s payload; the checksum last.
+fn fill_header(mut buf: Vec<u8>, kind: Kind, tag: Tag, seq: u64) -> Bytes {
+    let len = u32::try_from(buf.len() - LEN_LEN).expect("a single message stays under 4 GiB");
+    buf[..LEN_LEN].copy_from_slice(&len.to_le_bytes());
+    buf[CRC_END] = kind as u8;
+    buf[TAG_AT..SEQ_AT].copy_from_slice(&tag.0.to_le_bytes());
+    buf[SEQ_AT..HEADER_LEN].copy_from_slice(&seq.to_le_bytes());
     let crc = crc32c(&buf[CRC_END..]);
     buf[LEN_LEN..CRC_END].copy_from_slice(&crc.to_le_bytes());
     Bytes::from(buf)
@@ -184,20 +202,38 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 /// out-of-range length is `InvalidData` and means the frame boundary is
 /// lost — the stream must be abandoned. The checksum is not verified
 /// here: pass the result to [`check`].
-pub fn read_frame(r: &mut impl Read) -> io::Result<Bytes> {
-    let mut lenb = [0u8; LEN_LEN];
-    r.read_exact(&mut lenb).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => io::Error::new(e.kind(), "peer closed the connection"),
-        _ => e,
-    })?;
-    let len = u32::from_le_bytes(lenb) as usize;
+pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> io::Result<Bytes> {
+    read_frame_into(r, &mut Vec::new())
+}
+
+/// [`read_frame`], resumable after a read timeout: `partial` keeps what
+/// was read of the frame. Bytes land in its spare capacity, not zeroed
+/// first where `r` allows it ([`crate::stream::Stream::reader`]).
+pub(crate) fn read_frame_into<R: Read + ?Sized>(
+    r: &mut R,
+    partial: &mut Vec<u8>,
+) -> io::Result<Bytes> {
+    fill(r, partial, LEN_LEN)?;
+    let len = u32::from_le_bytes(partial[..LEN_LEN].try_into().expect("4 bytes")) as usize;
     if !(HEADER_LEN - LEN_LEN..=MAX_FRAME).contains(&len) {
         return Err(invalid(format!("frame length {len} out of range")));
     }
-    let mut buf = vec![0u8; LEN_LEN + len];
-    buf[..LEN_LEN].copy_from_slice(&lenb);
-    r.read_exact(&mut buf[LEN_LEN..])?;
-    Ok(Bytes::from(buf))
+    partial.reserve_exact(LEN_LEN + len - partial.len());
+    fill(r, partial, LEN_LEN + len)?;
+    Ok(Bytes::from(std::mem::take(partial)))
+}
+
+/// Read until `buf` holds `want` bytes; EOF first is an error.
+fn fill<R: Read + ?Sized>(r: &mut R, buf: &mut Vec<u8>, want: usize) -> io::Result<()> {
+    while buf.len() < want {
+        // `read_to_end` keeps what it read before an error.
+        let more = (want - buf.len()) as u64;
+        if Read::take(&mut *r, more).read_to_end(buf)? == 0 {
+            let eof = io::ErrorKind::UnexpectedEof;
+            return Err(io::Error::new(eof, "peer closed the connection"));
+        }
+    }
+    Ok(())
 }
 
 /// Read one frame, verify it, and require `kind`; returns the payload.
@@ -245,7 +281,7 @@ pub fn hello(magic: u32) -> WireWriter {
 /// Open a connection (or answer one): send a payload begun with
 /// [`hello`] as one HELLO frame.
 pub fn send_hello(w: &mut impl Write, hello: WireWriter) -> io::Result<()> {
-    write_frame(w, &seal(Kind::Hello, Tag(0), 0, &hello.finish()))
+    write_frame(w, &seal_payload(Kind::Hello, Tag(0), 0, hello.finish()))
 }
 
 /// Receive a HELLO and make the one magic/version check; returns the
@@ -314,6 +350,67 @@ mod tests {
             assert_eq!(&sealed[HEADER_LEN..], b"payload");
         }
         assert_eq!(check(&seal_data(9, b"")).unwrap().kind, Kind::Data);
+    }
+
+    /// A writer's payload is sealed in the buffer it was encoded in — the
+    /// same bytes `seal` builds by copying, with no copy.
+    #[test]
+    fn a_writer_payload_is_sealed_in_its_own_buffer() {
+        let mut w = WireWriter::new();
+        w.put_u32(7).put_bytes(b"cells");
+        let payload = w.finish();
+        let at = payload.as_ptr();
+        let copied = seal_payload(Kind::Raw, Tag(3), 0, payload.clone());
+        assert_ne!(
+            copied[HEADER_LEN..].as_ptr(),
+            at,
+            "a shared payload is copied"
+        );
+        let sealed = seal_payload(Kind::Data, Tag(3), 9, payload);
+        assert_eq!(sealed[HEADER_LEN..].as_ptr(), at, "sealed in place");
+        assert_eq!(sealed, seal(Kind::Data, Tag(3), 9, &copied[HEADER_LEN..]));
+        assert_eq!(check(&copied).unwrap().kind, Kind::Raw);
+    }
+
+    /// Hands out its bytes three at a time, timing out before each read.
+    struct Stutter<'a>(&'a [u8], bool);
+
+    impl Read for Stutter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.1 = !self.1;
+            if self.1 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(3).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// A read that times out mid-frame keeps what it read; the next call
+    /// resumes there, and frames come out whole and in order.
+    #[test]
+    fn a_timed_out_read_resumes_mid_frame() {
+        let mut wire = seal(Kind::Raw, Tag(1), 0, b"first").to_vec();
+        wire.extend_from_slice(&seal(Kind::Raw, Tag(2), 0, b"second"));
+        let mut r = Stutter(&wire, false);
+        let (mut partial, mut got, mut timeouts) = (Vec::new(), Vec::new(), 0);
+        while got.len() < 2 {
+            match read_frame_into(&mut r, &mut partial) {
+                Ok(f) => got.push(f),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+                    timeouts += 1;
+                }
+            }
+        }
+        assert!(timeouts > 10, "{timeouts} timeouts, most mid-frame");
+        assert!(partial.is_empty());
+        assert_eq!(check(&got[0]).unwrap().tag, Tag(1));
+        assert_eq!(&got[0][HEADER_LEN..], b"first");
+        assert_eq!(check(&got[1]).unwrap().tag, Tag(2));
+        assert_eq!(&got[1][HEADER_LEN..], b"second");
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! - [`frame`]: the one wire format — header, CRC seal/check, bounded
 //!   frame read/write, handshake hello — used by rank links and the
 //!   serve daemon's client protocol alike;
-//! - [`socket`]: a rank link over a stream (queue, reader and writer
-//!   threads, fleet membership and rejoins);
+//! - [`socket`]: a rank link over a stream (a slave reads and writes it
+//!   on its own thread; a master writes on the sender's thread, with a
+//!   reader thread and a writer thread for what a bounded write leaves
+//!   queued), fleet membership and rejoins;
 //! - [`Endpoint`]: seals every send into a frame, applies the
 //!   [`FaultPlan`], verifies every receive — identical over channels and
 //!   sockets;

@@ -337,7 +337,7 @@ impl ReliableEndpoint {
         }
         let slot = dst.index();
         let seq = self.next_seq[slot] + 1;
-        let framed = frame::seal(Kind::Data, tag, seq, &payload);
+        let framed = frame::seal_payload(Kind::Data, tag, seq, payload);
         self.ep.send_sealed(dst, framed.clone())?;
         self.next_seq[slot] = seq;
         self.stats.data_sent += 1;

@@ -15,31 +15,31 @@
 //! ## Wire format
 //!
 //! This module knows none: a link moves the sealed frames of
-//! [`crate::frame`] verbatim. The writer thread hands each queued frame
-//! to [`frame::write_frame`], the reader thread takes whole frames from
-//! [`frame::read_frame`] and forwards them — unverified, the receiving
-//! endpoint checks the CRC exactly as it does for an in-process frame —
-//! and both handshake messages are HELLO frames read by
-//! [`frame::recv_hello`]. A length prefix outside the frame bound
-//! desynchronises the stream and is a fatal connection error.
+//! [`crate::frame`] verbatim and forwards them unverified — the receiving
+//! endpoint checks the CRC as it does for an in-process frame. Both
+//! handshake messages are HELLO frames ([`frame::recv_hello`]). A length
+//! prefix outside the frame bound is a fatal connection error.
 //!
-//! ## Backpressure
+//! ## Who reads and writes
 //!
-//! Each connection owns a bounded outbound queue drained by a writer
-//! thread, so a sender never blocks in `write(2)` behind a frozen peer.
-//! `send` blocks once [`OUTBOUND_HWM`] bytes are queued (a single frame
-//! larger than the mark is admitted when the queue is empty, so a giant
-//! strip cannot deadlock). A reader thread feeds received frames into
-//! the endpoint's ordinary channel.
+//! A slave link has no thread: the slave's endpoint reads its one stream
+//! on the receiving thread (a timeout mid-frame keeps the partial frame
+//! for the next receive, forks included) and writes each frame blocking.
+//! A master link writes on the sender's thread, bounded by
+//! [`WRITE_BOUND`]; what the bound leaves is queued at its exact byte
+//! offset for the link's writer thread, the only writer until the queue
+//! drains. `send` blocks past [`OUTBOUND_HWM`] queued bytes (a lone larger
+//! frame is admitted). One reader thread per master link feeds the
+//! endpoint's channel: std has no `poll(2)`.
 //!
 //! ## Failure mapping
 //!
-//! A link is one stream, owned by its writer and reader from spawn to
-//! close, and every link is terminal: a broken stream, a fault plan's
-//! sever or a release closes it, and every later send to that peer
-//! returns [`NetError::Disconnected`] (which the runtime's fault
-//! tolerance treats as "peer unreachable"). Receives simply stop
-//! yielding messages from that peer (heartbeat silence), and
+//! A link is one stream from handshake to close, and every link is
+//! terminal: a broken stream, a fault plan's sever or a release closes
+//! it, and every later send to that peer returns
+//! [`NetError::Disconnected`] (which the runtime's fault tolerance treats
+//! as "peer unreachable"). Receives stop yielding messages from that peer
+//! (heartbeat silence; a slave's receive returns `Disconnected`), and
 //! [`KillHandle`](crate::KillHandle) / timeouts behave exactly as over
 //! channels. Nothing here redials: a slave that comes back dials again
 //! ([`redial`]) and the fleet acceptor admits it as a rejoin.
@@ -51,9 +51,9 @@ use crate::stream::{entropy, retry_with_backoff, Listener, NetAddr, Stream};
 use crate::transport::{Endpoint, Inbound, NetError, TxLink};
 use crate::wire::WireReader;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -63,6 +63,10 @@ use std::time::{Duration, Instant};
 pub const ANY_RANK: u32 = u32::MAX;
 /// Outbound queue high-water mark in bytes; sends block past it.
 pub const OUTBOUND_HWM: usize = 8 << 20;
+/// How long a master's write may block (rounded up to a kernel tick)
+/// before the rest of the frame is left to the link's writer thread: a
+/// frozen slave holds the master back once, by a tenth of an FT sweep.
+pub const WRITE_BOUND: Duration = Duration::from_millis(2);
 /// How long a slave keeps retrying its initial connect (the master may
 /// not be up yet).
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -107,11 +111,11 @@ pub struct SocketConfig {
 pub struct LinkStats {
     /// Bytes currently sitting in the outbound queue (gauge).
     pub bytes_queued: AtomicU64,
-    /// Frames handed to the writer thread.
+    /// Frames accepted by `send` (written at once or queued).
     pub frames_sent: AtomicU64,
     /// Bytes written to the socket: whole frames, header included.
     pub bytes_sent: AtomicU64,
-    /// Frames received and forwarded to the endpoint.
+    /// Whole frames read off the socket.
     pub frames_recv: AtomicU64,
     /// Bytes read from the socket: whole frames, header included.
     pub bytes_recv: AtomicU64,
@@ -191,38 +195,64 @@ impl SocketInfo {
 }
 
 // ---------------------------------------------------------------------
-// Outbound queue + writer/reader threads
+// Outbound queue, link threads, and reading a stream
 // ---------------------------------------------------------------------
 
 /// Mutable half of a connection's outbound queue.
-#[derive(Default)]
 struct OutQueue {
+    /// Written through by a sender holding the lock, while nothing is queued.
+    wr: Stream,
     frames: VecDeque<Bytes>,
+    /// Bytes of the front frame a timed-out send already wrote.
+    head_written: usize,
     queued_bytes: usize,
     /// The link is closed for good: sends fail, the writer stops.
     closed: bool,
     /// Every `SocketTx` clone for this connection has been dropped:
     /// writer flushes and exits.
     tx_dropped: bool,
-    /// Reader and writer threads that have finished; at 2 the queue is on
-    /// the wire (or the link is gone) and both are ready to join.
-    io_exited: u8,
+    /// Link threads that have finished; at all of them the queue is on
+    /// the wire (or the link is gone) and they are ready to join.
+    io_exited: usize,
 }
 
-/// State shared between one connection's `SocketTx`, writer and reader.
+/// State shared between one connection's `SocketTx`, reader and writer.
 struct Conn {
     q: Mutex<OutQueue>,
     cv: Condvar,
-    /// A handle on the link's one stream, kept to shut it down from any
-    /// thread; the writer and the reader each own a handle of their own.
+    /// A handle on the link's one stream, to shut it down from any thread.
     stream: Stream,
     stats: Arc<LinkStats>,
-    /// The writer and reader threads, joined when the last sender drops.
+    /// A master link's writer and reader, joined when the last sender
+    /// drops; none on a slave link.
     io_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Conn {
-    /// The last act of the reader and of the writer thread.
+    /// The link over `stream` and its reading half.
+    fn open(stream: Stream, stats: Arc<LinkStats>) -> io::Result<(Arc<Conn>, StreamRx)> {
+        let (wr, rd) = (stream.try_clone()?, stream.try_clone()?);
+        let q = Mutex::new(OutQueue {
+            wr,
+            frames: VecDeque::new(),
+            head_written: 0,
+            queued_bytes: 0,
+            closed: false,
+            tx_dropped: false,
+            io_exited: 0,
+        });
+        let conn = Arc::new(Conn {
+            q,
+            cv: Condvar::new(),
+            stream,
+            stats,
+            io_threads: Mutex::new(Vec::new()),
+        });
+        let rd = Mutex::new((rd, Vec::new(), None));
+        Ok((conn.clone(), StreamRx { conn, rd }))
+    }
+
+    /// The last act of a link thread.
     fn io_thread_exited(&self) {
         self.q.lock().unwrap().io_exited += 1;
         self.cv.notify_all();
@@ -231,16 +261,16 @@ impl Conn {
     /// Close the link for good — its stream broke, a fault plan severed
     /// it, or its rank was released or taken over: later sends fail with
     /// `Disconnected`, the writer drops what is queued, and shutting the
-    /// stream ends the reader. Idempotent.
+    /// stream (first: a send may block in `write(2)` under the lock) ends
+    /// every read and write on it. Idempotent.
     fn close(&self) {
+        self.stream.shutdown();
         let mut q = self.q.lock().unwrap();
         if !q.closed {
             q.closed = true;
             self.stats.disconnects.fetch_add(1, Ordering::Relaxed);
         }
         self.cv.notify_all();
-        drop(q);
-        self.stream.shutdown();
     }
 
     fn is_closed(&self) -> bool {
@@ -249,10 +279,10 @@ impl Conn {
 }
 
 /// Sending half of a socket link, held inside an endpoint's `TxLink`.
-/// Clones share the connection; the writer thread is told to flush and
-/// exit only when the *last* clone drops (see [`TxGuard`]), so a
-/// persistent fleet endpoint keeps the link open while per-job endpoint
-/// forks are created and dropped freely.
+/// Clones share the connection; the link is told to flush and close only
+/// when the *last* clone drops (see [`TxGuard`]), so a persistent fleet
+/// endpoint keeps the link open while per-job endpoint forks are created
+/// and dropped freely.
 #[derive(Clone)]
 pub(crate) struct SocketTx {
     conn: Arc<Conn>,
@@ -267,6 +297,11 @@ struct TxGuard {
 impl Drop for TxGuard {
     fn drop(&mut self) {
         let conn = &self.conn;
+        let threads = std::mem::take(&mut *conn.io_threads.lock().unwrap());
+        if threads.is_empty() {
+            // A slave link: every send already wrote its frame.
+            return conn.close();
+        }
         conn.q.lock().unwrap().tx_dropped = true;
         conn.cv.notify_all();
         // The writer puts the last frames (END, SHUTDOWN) on the wire and
@@ -277,29 +312,53 @@ impl Drop for TxGuard {
         let q = conn.q.lock().unwrap();
         let (q, _) = conn
             .cv
-            .wait_timeout_while(q, FLUSH_TIMEOUT, |q| q.io_exited < 2)
+            .wait_timeout_while(q, FLUSH_TIMEOUT, |q| q.io_exited < threads.len())
             .unwrap();
-        if q.io_exited == 2 {
+        if q.io_exited == threads.len() {
             drop(q);
-            for h in conn.io_threads.lock().unwrap().drain(..) {
+            for h in threads {
                 let _ = h.join();
             }
         }
     }
 }
 
+/// A socket timeout (`SO_RCVTIMEO` / `SO_SNDTIMEO`) ran out.
+fn timed_out(e: &io::Error) -> bool {
+    [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut].contains(&e.kind())
+}
+
+/// Write `buf` until it is all out or a write times out; how much went.
+fn write_some(w: &mut Stream, buf: &[u8]) -> io::Result<usize> {
+    let mut done = 0;
+    while done < buf.len() {
+        match w.write(&buf[done..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if timed_out(&e) => break,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(done)
+}
+
 impl SocketTx {
-    /// Enqueue one sealed frame, blocking while the outbound queue sits
-    /// above the high-water mark.
+    fn new(conn: Arc<Conn>) -> SocketTx {
+        let _guard = Arc::new(TxGuard { conn: conn.clone() });
+        SocketTx { conn, _guard }
+    }
+
+    /// Send one sealed frame: written by this thread while nothing is
+    /// queued (bounded on a master link, see the module docs), else
+    /// queued, blocking while the queue sits above the high-water mark.
     pub(crate) fn send(&self, frame: Bytes) -> Result<(), NetError> {
+        let conn = &self.conn;
         if frame::oversized(&frame) {
-            self.conn
-                .stats
-                .frames_rejected
-                .fetch_add(1, Ordering::Relaxed);
+            conn.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
             return Err(NetError::Disconnected);
         }
-        let mut q = self.conn.q.lock().unwrap();
+        let mut q = conn.q.lock().unwrap();
         loop {
             if q.closed {
                 return Err(NetError::Disconnected);
@@ -309,16 +368,30 @@ impl SocketTx {
             if q.queued_bytes + frame.len() <= OUTBOUND_HWM || q.frames.is_empty() {
                 break;
             }
-            q = self.conn.cv.wait(q).unwrap();
+            q = conn.cv.wait(q).unwrap();
+        }
+        conn.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+        if q.frames.is_empty() {
+            match write_some(&mut q.wr, &frame) {
+                Ok(n) if n == frame.len() => {
+                    conn.stats.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
+                    return Ok(());
+                }
+                // The writer thread resumes at the exact byte.
+                Ok(n) => q.head_written = n,
+                Err(_) => {
+                    drop(q);
+                    conn.close();
+                    return Err(NetError::Disconnected);
+                }
+            }
         }
         q.queued_bytes += frame.len();
-        self.conn
-            .stats
+        conn.stats
             .bytes_queued
             .store(q.queued_bytes as u64, Ordering::Relaxed);
-        self.conn.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
         q.frames.push_back(frame);
-        self.conn.cv.notify_all();
+        conn.cv.notify_all();
         Ok(())
     }
 
@@ -329,106 +402,127 @@ impl SocketTx {
     }
 }
 
-/// Writer thread: drain the outbound queue onto the link's stream.
-/// Exits when the link closes or its stream fails, or when the endpoint
-/// is gone and the queue is flushed (so teardown messages like END still
-/// reach the peer); either way it closes the link on the way out.
+/// A master link's writer thread: writes the front frame (from where a
+/// timed-out send left it) before taking it off the queue, so no sender
+/// writes while frames are queued. Exits when the link closes or its
+/// stream fails, or when the endpoint is gone and the queue is flushed
+/// (so END still reaches the peer); either way it closes the link.
 fn writer_loop(conn: Arc<Conn>, mut stream: Stream) {
     loop {
-        let frame = {
-            let mut q = conn.q.lock().unwrap();
-            loop {
-                if q.closed {
-                    break None;
-                }
-                if let Some(f) = q.frames.pop_front() {
-                    q.queued_bytes -= f.len();
-                    conn.stats
-                        .bytes_queued
-                        .store(q.queued_bytes as u64, Ordering::Relaxed);
-                    conn.cv.notify_all();
-                    break Some(f);
-                }
-                if q.tx_dropped {
-                    break None;
-                }
-                q = conn.cv.wait(q).unwrap();
-            }
+        let mut q = conn.q.lock().unwrap();
+        while !q.closed && q.frames.is_empty() && !q.tx_dropped {
+            q = conn.cv.wait(q).unwrap();
+        }
+        let Some(frame) = q.frames.front().cloned().filter(|_| !q.closed) else {
+            break;
         };
-        let Some(frame) = frame else { break };
-        if frame::write_frame(&mut stream, &frame).is_err() {
+        let mut done = std::mem::take(&mut q.head_written);
+        drop(q);
+        // A write that meets the bound is retried: a close fails it.
+        while done < frame.len() && !conn.is_closed() {
+            match write_some(&mut stream, &frame[done..]) {
+                Ok(n) => done += n,
+                Err(_) => break,
+            }
+        }
+        if done < frame.len() {
             break;
         }
         conn.stats
             .bytes_sent
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+            .fetch_add(done as u64, Ordering::Relaxed);
+        let mut q = conn.q.lock().unwrap();
+        q.frames.pop_front();
+        q.queued_bytes -= frame.len();
+        conn.stats
+            .bytes_queued
+            .store(q.queued_bytes as u64, Ordering::Relaxed);
+        conn.cv.notify_all();
     }
     conn.close();
     conn.io_thread_exited();
 }
 
-/// Reader thread: take whole frames off the link's stream and forward
-/// them, unverified, into the endpoint's channel. EOF or an error closes
-/// the link (later sends fail with `Disconnected`).
-fn reader_loop(conn: Arc<Conn>, mut stream: Stream, peer: Rank, out: Sender<Inbound>) {
-    loop {
-        let frame = match frame::read_frame(&mut stream) {
-            Ok(f) => f,
-            Err(e) => {
-                if e.kind() == io::ErrorKind::InvalidData {
-                    // The stream is desynchronised; nothing after
-                    // this length can be trusted.
-                    conn.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                break;
-            }
-        };
-        conn.stats
-            .bytes_recv
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        conn.stats.frames_recv.fetch_add(1, Ordering::Relaxed);
-        // The connection, not the wire, is the source of truth for the
-        // sender's identity.
+/// A master link's reader thread: forward whole frames, unverified, into
+/// the endpoint's channel — the connection, not the wire, names the
+/// sender — until the link closes.
+fn reader_loop(rx: StreamRx, peer: Rank, out: Sender<Inbound>) {
+    while let Ok(Some(frame)) = rx.recv(None) {
         if out.send(Inbound { src: peer, frame }).is_err() {
             break; // endpoint dropped
         }
     }
-    conn.close();
-    conn.io_thread_exited();
+    rx.conn.close();
+    rx.conn.io_thread_exited();
 }
 
-/// Start a link over `stream`: the writer and the reader each take a
-/// handle of it for the link's whole life.
+/// Start a master's link to slave `peer`: writes bounded by
+/// [`WRITE_BOUND`], a writer thread for what they leave, a reader
+/// thread feeding `out`.
 fn spawn_link(
     stream: Stream,
     peer: Rank,
     out: Sender<Inbound>,
     stats: Arc<LinkStats>,
 ) -> io::Result<SocketTx> {
-    let (wr, rd) = (stream.try_clone()?, stream.try_clone()?);
-    let conn = Arc::new(Conn {
-        q: Mutex::new(OutQueue::default()),
-        cv: Condvar::new(),
-        stream,
-        stats,
-        io_threads: Mutex::new(Vec::new()),
-    });
+    stream.set_write_timeout(Some(WRITE_BOUND))?;
+    let wr = stream.try_clone()?;
+    let (conn, rx) = Conn::open(stream, stats)?;
     let wc = conn.clone();
     let writer = std::thread::Builder::new()
         .name(format!("sock-wr-{}", peer.0))
         .spawn(move || writer_loop(wc, wr))
         .expect("spawn socket writer");
-    let rc = conn.clone();
     let reader = std::thread::Builder::new()
         .name(format!("sock-rd-{}", peer.0))
-        .spawn(move || reader_loop(rc, rd, peer, out))
+        .spawn(move || reader_loop(rx, peer, out))
         .expect("spawn socket reader");
     *conn.io_threads.lock().unwrap() = vec![writer, reader];
-    let guard = Arc::new(TxGuard { conn: conn.clone() });
-    Ok(SocketTx {
-        conn,
-        _guard: guard,
-    })
+    Ok(SocketTx::new(conn))
+}
+
+/// The reading half of a link: read by a master link's reader thread, or
+/// by whichever thread receives on a slave's endpoint (and its forks).
+pub(crate) struct StreamRx {
+    conn: Arc<Conn>,
+    /// The stream, the frame a read timeout cut short, the read timeout.
+    rd: Mutex<(Stream, Vec<u8>, Option<Duration>)>,
+}
+
+impl StreamRx {
+    /// The peer of a slave's link: the master.
+    pub(crate) const PEER: Rank = Rank(0);
+
+    /// One whole frame within `wait` (`None`: for ever), else `Ok(None)`.
+    /// EOF, a broken stream or an out-of-range length closes the link.
+    pub(crate) fn recv(&self, wait: Option<Duration>) -> Result<Option<Bytes>, NetError> {
+        let mut rd = self.rd.lock().unwrap();
+        let (stream, partial, set) = &mut *rd;
+        // A zero read timeout would mean "never time out".
+        let wait = wait.map(|w| w.max(Duration::from_micros(1)));
+        if *set != wait && stream.set_read_timeout(wait).is_ok() {
+            *set = wait;
+        }
+        let stats = &self.conn.stats;
+        match frame::read_frame_into(stream.reader(), partial) {
+            Ok(frame) => {
+                stats
+                    .bytes_recv
+                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
+                stats.frames_recv.fetch_add(1, Ordering::Relaxed);
+                Ok(Some(frame))
+            }
+            Err(e) if timed_out(&e) => Ok(None),
+            Err(e) => {
+                // A length prefix out of range: the stream is desynchronised.
+                if e.kind() == io::ErrorKind::InvalidData {
+                    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                }
+                self.conn.close();
+                Err(NetError::Disconnected)
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -563,7 +657,7 @@ impl SocketListener {
             session: 0,
         };
         Ok(Admitted {
-            ep: Endpoint::from_parts(Rank(0), links, env_rx, plan),
+            ep: Endpoint::from_parts(Rank(0), links, env_rx, plan, None),
             info,
             slots,
             env_tx,
@@ -935,12 +1029,13 @@ fn link_to_master(
             format!("master assigned rank {rank} of {n_ranks}"),
         ));
     }
-    let (env_tx, env_rx): (_, Receiver<Inbound>) = unbounded();
+    let (env_tx, env_rx) = unbounded();
     let mut links: Vec<TxLink> = (0..n_ranks as usize).map(|_| TxLink::Unrouted).collect();
-    let tx = spawn_link(stream, Rank(0), env_tx.clone(), stats.clone())?;
-    links[0] = TxLink::Socket(tx);
+    // No link thread: the endpoint reads and writes the stream itself.
+    let (conn, rx) = Conn::open(stream, stats.clone())?;
+    links[0] = TxLink::Socket(SocketTx::new(conn));
     links[rank as usize] = TxLink::Channel(env_tx); // loopback
-    let ep = Endpoint::from_parts(Rank(rank), links, env_rx, plan);
+    let ep = Endpoint::from_parts(Rank(rank), links, env_rx, plan, Some(rx));
     let info = SocketInfo {
         rank: Rank(rank),
         n_ranks: n_ranks as usize,

@@ -100,14 +100,29 @@ impl Stream {
             Stream::Uds(s) => s.set_read_timeout(t),
         }
     }
+
+    /// Bound blocking writes — unlike `O_NONBLOCK`, which all handles of
+    /// the connection share, this leaves reads blocking.
+    pub fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_write_timeout(t),
+            Stream::Uds(s) => s.set_write_timeout(t),
+        }
+    }
+
+    /// std's socket as a reader, which fills a buffer's spare capacity
+    /// without zeroing it first (this enum's `Read` impl would).
+    pub fn reader(&mut self) -> &mut dyn Read {
+        match self {
+            Stream::Tcp(s) => s,
+            Stream::Uds(s) => s,
+        }
+    }
 }
 
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Uds(s) => s.read(buf),
-        }
+        self.reader().read(buf)
     }
 }
 

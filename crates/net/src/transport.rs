@@ -10,19 +10,21 @@
 //! stay identical.
 //!
 //! Every send is one sealed frame ([`crate::frame`]): [`Endpoint::send`]
-//! seals, fault injection (drops, duplicates, delays, bit flips, rank
-//! death) acts on the sealed bytes *before* the link is chosen, the link
-//! moves them untouched — a channel hands the buffer over, a socket
-//! writes it verbatim — and the receiving endpoint verifies the checksum
-//! before it parses anything. So the runtime's fault tolerance is
-//! exercised deterministically, and identically, over either backend.
+//! seals (in the payload's own buffer, see [`crate::frame`]), fault
+//! injection (drops, duplicates, delays, bit flips, rank death) acts on
+//! the sealed bytes *before* the link is chosen, the link moves them
+//! untouched — a channel hands the buffer over, a socket writes it
+//! verbatim — and the receiving endpoint (a socket slave reads its link
+//! itself) verifies the checksum before it parses anything. So the
+//! runtime's fault tolerance is exercised deterministically, and
+//! identically, over either backend.
 
 use crate::fault::{FaultPlan, FaultState, SendVerdict};
 use crate::frame::{self, FrameError, Header, Kind};
 use crate::message::{Envelope, Rank, Tag};
-use crate::socket::SocketTx;
+use crate::socket::{SocketTx, StreamRx};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -171,6 +173,9 @@ pub struct Endpoint {
     rank: Rank,
     links: Arc<RwLock<Vec<TxLink>>>,
     receiver: Receiver<Inbound>,
+    /// A socket slave's link, read on the receiving thread (the channel
+    /// then carries loopback frames only).
+    stream_rx: Option<Arc<StreamRx>>,
     dead: Arc<AtomicBool>,
     fault: FaultState,
     stats: NetStats,
@@ -216,6 +221,7 @@ impl Network {
                     senders.iter().cloned().map(TxLink::Channel).collect(),
                     receiver,
                     plans.get(i).cloned().flatten(),
+                    None,
                 )
             })
             .collect()
@@ -230,11 +236,13 @@ impl Endpoint {
         links: Vec<TxLink>,
         receiver: Receiver<Inbound>,
         plan: Option<FaultPlan>,
+        stream_rx: Option<StreamRx>,
     ) -> Self {
         Endpoint {
             rank,
             links: Arc::new(RwLock::new(links)),
             receiver,
+            stream_rx: stream_rx.map(Arc::new),
             dead: Arc::new(AtomicBool::new(false)),
             fault: FaultState::new(plan),
             stats: NetStats::default(),
@@ -276,12 +284,14 @@ impl Endpoint {
     /// not close any connection while the parent lives and membership
     /// changes made through either are seen by both. Only one of
     /// parent/fork may receive at a time: they drain the same inbound
-    /// queue.
+    /// queue — on a socket slave, the same stream, where a frame one of
+    /// them began reading is finished by whichever receives next.
     pub fn fork(&self, plan: Option<FaultPlan>) -> Endpoint {
         Endpoint {
             rank: self.rank,
             links: self.links.clone(),
             receiver: self.receiver.clone(),
+            stream_rx: self.stream_rx.clone(),
             dead: Arc::new(AtomicBool::new(false)),
             fault: FaultState::new(plan),
             stats: NetStats::default(),
@@ -314,7 +324,7 @@ impl Endpoint {
     /// point is that the *receiver* never sees it, or sees it twice / out
     /// of order / fails its checksum).
     pub fn send(&mut self, dst: Rank, tag: Tag, payload: Bytes) -> Result<(), NetError> {
-        self.send_sealed(dst, frame::seal(Kind::Raw, tag, 0, &payload))
+        self.send_sealed(dst, frame::seal_payload(Kind::Raw, tag, 0, payload))
     }
 
     /// Send an already-sealed frame (the reliable layer keeps the sealed
@@ -422,17 +432,29 @@ impl Endpoint {
     /// `kill()` issued while it was parked within roughly that bound.
     pub(crate) fn poll(&mut self, timeout: Duration) -> Result<Arrival, NetError> {
         self.check_alive()?;
-        match self.receiver.recv_timeout(timeout.min(ALIVE_SLICE)) {
-            Ok(inb) => {
-                let src = inb.src;
-                Ok(match self.open(inb) {
-                    Some((header, env)) => Arrival::Frame(header, env),
-                    None => Arrival::Rejected(src),
-                })
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(Arrival::Nothing),
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
-        }
+        let wait = timeout.min(ALIVE_SLICE);
+        let received = match &self.stream_rx {
+            Some(rx) => match self.receiver.try_recv() {
+                Ok(inb) => Some(inb),
+                Err(_) => rx.recv(Some(wait))?.map(|frame| Inbound {
+                    src: StreamRx::PEER,
+                    frame,
+                }),
+            },
+            None => match self.receiver.recv_timeout(wait) {
+                Ok(inb) => Some(inb),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Disconnected),
+            },
+        };
+        let Some(inb) = received else {
+            return Ok(Arrival::Nothing);
+        };
+        let src = inb.src;
+        Ok(match self.open(inb) {
+            Some((header, env)) => Arrival::Frame(header, env),
+            None => Arrival::Rejected(src),
+        })
     }
 
     /// Blocking receive of the next message.
@@ -459,18 +481,13 @@ impl Endpoint {
         }
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive (on a socket slave: a read of at most a tick).
     pub fn try_recv(&mut self) -> Result<Option<Envelope>, NetError> {
-        self.check_alive()?;
         loop {
-            match self.receiver.try_recv() {
-                Ok(inb) => {
-                    if let Some((_, env)) = self.open(inb) {
-                        return Ok(Some(env));
-                    }
-                }
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => return Err(NetError::Disconnected),
+            match self.poll(Duration::ZERO)? {
+                Arrival::Frame(_, env) => return Ok(Some(env)),
+                Arrival::Rejected(_) => {}
+                Arrival::Nothing => return Ok(None),
             }
         }
     }

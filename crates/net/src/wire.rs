@@ -3,8 +3,11 @@
 //! No serde format crate is available offline, so messages are encoded by
 //! hand: little-endian fixed-width integers, length-prefixed byte strings.
 //! The format is self-contained and versioned per message by its tag.
+//! A [`WireWriter`] reserves the frame header in front of what it encodes,
+//! so its buffer is the frame; [`WireReader::get_bytes`] borrows.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::frame::HEADER_LEN;
+use bytes::{Buf, Bytes};
 use std::fmt;
 
 /// Error produced when decoding malformed bytes.
@@ -34,9 +37,16 @@ impl From<WireError> for std::io::Error {
 }
 
 /// Encoder appending typed values to a growable buffer.
-#[derive(Default, Debug)]
+#[derive(Debug)]
 pub struct WireWriter {
-    buf: BytesMut,
+    /// `HEADER_LEN` reserved bytes, then the encoded payload.
+    buf: Vec<u8>,
+}
+
+impl Default for WireWriter {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
 }
 
 impl WireWriter {
@@ -45,57 +55,66 @@ impl WireWriter {
         Self::default()
     }
 
-    /// Writer with pre-reserved capacity.
+    /// Writer with room for `cap` payload bytes.
     pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            buf: BytesMut::with_capacity(cap),
-        }
+        let mut buf = Vec::with_capacity(HEADER_LEN + cap);
+        buf.resize(HEADER_LEN, 0);
+        Self { buf }
     }
 
     /// Append a `u8`.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
-        self.buf.put_u8(v);
+        self.buf.push(v);
         self
     }
 
     /// Append a `u32` (little-endian).
     pub fn put_u32(&mut self, v: u32) -> &mut Self {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Append a `u64` (little-endian).
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Append an `i64` (little-endian).
     pub fn put_i64(&mut self, v: i64) -> &mut Self {
-        self.buf.put_i64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Append a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.buf.put_u32_le(v.len() as u32);
-        self.buf.put_slice(v);
+        self.put_bytes_with(|out| out.extend_from_slice(v))
+    }
+
+    /// Append a length-prefixed byte string that `fill` appends to the
+    /// buffer itself — an encoder writing straight into the frame.
+    pub fn put_bytes_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> &mut Self {
+        let at = self.buf.len();
+        self.put_u32(0);
+        fill(&mut self.buf);
+        let len = u32::try_from(self.buf.len() - at - 4).expect("a byte string under 4 GiB");
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
         self
     }
 
-    /// Finish, yielding the immutable encoded buffer.
+    /// Finish, yielding the immutable encoded buffer (no copy).
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf).slice(HEADER_LEN..)
     }
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - HEADER_LEN
     }
 
     /// True when nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 }
 
@@ -143,12 +162,12 @@ impl<'a> WireReader<'a> {
         Ok(self.buf.get_i64_le())
     }
 
-    /// Read a length-prefixed byte string.
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    /// Read a length-prefixed byte string (a slice, not a copy).
+    pub fn get_bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.get_u32()? as usize;
         self.need(len, "bytes body")?;
-        let out = self.buf[..len].to_vec();
-        self.buf.advance(len);
+        let (out, rest) = self.buf.split_at(len);
+        self.buf = rest;
         Ok(out)
     }
 
@@ -222,7 +241,27 @@ mod tests {
         w.put_bytes(b"");
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.get_bytes().unwrap(), Vec::<u8>::new());
+        assert_eq!(r.get_bytes().unwrap(), b"");
         r.expect_end().unwrap();
+    }
+
+    /// The writer's buffer is the frame: finishing copies nothing, an
+    /// in-place byte string lands length-prefixed, and reading it back
+    /// borrows from the encoded buffer.
+    #[test]
+    fn bytes_are_written_and_read_in_place() {
+        let mut w = WireWriter::with_capacity(16);
+        w.put_u8(1)
+            .put_bytes_with(|out| out.extend_from_slice(b"cells"));
+        assert_eq!(w.len(), 10);
+        let bytes = w.finish();
+        assert_eq!(&bytes[..], b"\x01\x05\x00\x00\x00cells");
+        let mut r = WireReader::new(&bytes);
+        r.get_u8().unwrap();
+        let cells = r.get_bytes().unwrap();
+        assert_eq!(cells, b"cells");
+        assert_eq!(cells.as_ptr(), bytes[5..].as_ptr(), "a view, not a copy");
+        let (vec, range) = bytes.try_into_vec().unwrap();
+        assert_eq!(range, HEADER_LEN..vec.len(), "header room in front");
     }
 }

@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use easyhps_net::frame::{self, Header, Kind};
-use easyhps_net::socket::{connect, ANY_RANK, OUTBOUND_HWM};
+use easyhps_net::socket::{connect, ANY_RANK, OUTBOUND_HWM, WRITE_BOUND};
 use easyhps_net::{NetAddr, NetError, Network, Rank, SocketConfig, SocketListener, Tag};
 use proptest::prelude::*;
 use std::io::{self, Read, Write};
@@ -146,8 +146,9 @@ fn uds_listener(name: &str) -> SocketListener {
 }
 
 /// A slow reader must not let the sender queue unbounded memory: once
-/// the kernel socket buffers fill, the writer thread blocks and the
-/// outbound queue is pinned at the high-water mark, throttling `send`.
+/// the kernel socket buffers fill, the bounded writes leave frames to the
+/// writer thread and the outbound queue is pinned at the high-water mark,
+/// throttling `send`.
 /// The peer here is a *raw* socket that handshakes and then refuses to
 /// read, so backpressure genuinely propagates from the wire.
 #[test]
@@ -157,12 +158,18 @@ fn slow_reader_backpressure_bounds_memory() {
     let (mut peer, mut master, minfo) = raw_peer(uds_listener("backpressure"));
 
     let stats = minfo.link(Rank(1)).unwrap().clone();
+    let gauge = stats.clone();
     let sender = std::thread::spawn(move || {
         let payload = Bytes::from(vec![0xABu8; MSG]);
+        // (queued before the send, how long the send took)
+        let mut took = Vec::new();
         for i in 0..N_MSGS as u32 {
+            let queued = gauge.bytes_queued.load(Ordering::Relaxed) as usize;
+            let t0 = Instant::now();
             master.send(Rank(1), Tag(i), payload.clone()).unwrap();
+            took.push((queued, t0.elapsed()));
         }
-        master
+        (master, took)
     });
 
     // Sample the queue gauge while the peer refuses to read: the queue
@@ -190,9 +197,101 @@ fn slow_reader_backpressure_bounds_memory() {
         assert_eq!(f.len(), frame::HEADER_LEN + MSG);
         assert!(f[frame::HEADER_LEN..].iter().all(|b| *b == 0xAB));
     }
-    let master = sender.join().unwrap();
+    let (master, took) = sender.join().unwrap();
     assert_eq!(master.stats().sent_msgs, N_MSGS as u64);
     assert_eq!(stats.frames_sent.load(Ordering::Relaxed), N_MSGS as u64);
+    // The sender writes on its own thread, but a peer that reads nothing
+    // holds a send below the mark for one write bound at most (plus the
+    // kernel's tick rounding and scheduling slack), never until it reads.
+    let below_mark: Vec<Duration> = took
+        .iter()
+        .filter(|(queued, _)| queued + MSG + frame::HEADER_LEN <= OUTBOUND_HWM)
+        .map(|&(_, t)| t)
+        .collect();
+    assert!(below_mark.len() >= OUTBOUND_HWM / MSG - 1, "{took:?}");
+    let slowest = below_mark.iter().max().unwrap();
+    assert!(
+        *slowest < WRITE_BOUND + Duration::from_millis(100),
+        "{took:?}"
+    );
+}
+
+/// A master that speaks the handshake by hand, and the slave endpoint
+/// that dialed it as rank 1.
+fn raw_master(name: &str) -> (UnixStream, easyhps_net::Endpoint, easyhps_net::SocketInfo) {
+    let path = std::env::temp_dir().join(format!("easyhps-{name}-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+    let addr = NetAddr::Uds(path.clone());
+    let dial = std::thread::spawn(move || connect(&addr, Some(1), SocketConfig::default(), None));
+    let (mut master, _) = listener.accept().unwrap();
+    frame::recv_hello(&mut master, frame::RANK_MAGIC).unwrap();
+    let mut welcome = frame::hello(frame::RANK_MAGIC);
+    welcome.put_u32(1).put_u32(2).put_u64(0); // rank 1 of 2, epoch 0
+    frame::send_hello(&mut master, welcome).unwrap();
+    let (slave, sinfo) = dial.join().unwrap().unwrap();
+    let _ = std::fs::remove_file(&path);
+    (master, slave, sinfo)
+}
+
+/// A slave reads its link on its own thread, with the caller's wait as
+/// the read timeout. A timeout that fires mid-frame keeps the bytes read
+/// so far: the frame and the one behind it arrive intact and in order,
+/// and nothing is counted as rejected.
+#[test]
+fn a_read_timeout_mid_frame_resumes_where_it_stopped() {
+    let (mut master, mut slave, sinfo) = raw_master("midframe");
+    let first = frame::seal(Kind::Raw, Tag(1), 0, &[0x11; 100]);
+    let second = frame::seal(Kind::Raw, Tag(2), 0, b"second");
+    master.write_all(&first[..10]).unwrap();
+    let waited = Instant::now();
+    let err = slave.recv_timeout(Duration::from_millis(50)).unwrap_err();
+    assert_eq!(err, NetError::Timeout);
+    assert!(waited.elapsed() >= Duration::from_millis(50));
+    master.write_all(&first[10..]).unwrap();
+    master.write_all(&second).unwrap();
+    let env = slave.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!(
+        (env.src, env.tag, &env.payload[..]),
+        (Rank(0), Tag(1), &[0x11; 100][..])
+    );
+    let env = slave.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!((env.tag, &env.payload[..]), (Tag(2), &b"second"[..]));
+    let link = sinfo.link(Rank(0)).unwrap().snapshot();
+    assert_eq!((link.frames_recv, link.frames_rejected), (2, 0));
+    // The slave writes on its own thread too: a blocking write, read here.
+    slave
+        .send(Rank(0), Tag(3), Bytes::from_static(b"up"))
+        .unwrap();
+    let f = frame::read_frame(&mut master).unwrap();
+    assert_eq!(frame::check(&f).unwrap().tag, Tag(3));
+}
+
+/// Fleet slaves fork their endpoint per job; a fork shares the stream
+/// and the partial frame its parent started reading.
+#[test]
+fn a_fork_finishes_the_frame_its_parent_started() {
+    let (mut master, mut parent, _sinfo) = raw_master("forkframe");
+    let sealed = frame::seal(Kind::Raw, Tag(7), 0, b"a job spec");
+    master.write_all(&sealed[..10]).unwrap();
+    assert_eq!(
+        parent.recv_timeout(Duration::from_millis(30)).unwrap_err(),
+        NetError::Timeout
+    );
+    let mut fork = parent.fork(None);
+    master.write_all(&sealed[10..]).unwrap();
+    let env = fork.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!((env.tag, &env.payload[..]), (Tag(7), &b"a job spec"[..]));
+    // The master hanging up ends the link for both.
+    drop(master);
+    assert_eq!(
+        fork.recv_timeout(Duration::from_secs(10)).unwrap_err(),
+        NetError::Disconnected
+    );
+    assert_eq!(
+        parent.recv_timeout(Duration::from_secs(10)).unwrap_err(),
+        NetError::Disconnected
+    );
 }
 
 /// An over-limit *length prefix* on a raw socket is rejected before any

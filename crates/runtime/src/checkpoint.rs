@@ -123,7 +123,7 @@ pub(crate) fn decode_entries(r: &mut WireReader<'_>) -> Result<(u32, u32, Entrie
     for _ in 0..n {
         let id = r.get_u32()?;
         let region = TileRegion::new(r.get_u32()?, r.get_u32()?, r.get_u32()?, r.get_u32()?);
-        entries.push((id, region, r.get_bytes()?));
+        entries.push((id, region, r.get_bytes()?.to_vec()));
     }
     r.expect_end()?;
     Ok((rows, cols, entries))

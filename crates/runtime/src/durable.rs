@@ -142,10 +142,10 @@ fn read_framed(path: &Path, magic: u32) -> Result<Vec<u8>, ()> {
     let crc = r.get_u32().map_err(|_| ())?;
     let body = r.get_bytes().map_err(|_| ())?;
     r.expect_end().map_err(|_| ())?;
-    if crc32c(&body) != crc {
+    if crc32c(body) != crc {
         return Err(());
     }
-    Ok(body)
+    Ok(body.to_vec())
 }
 
 /// Write `bytes` to `path` via a temp file + atomic rename, fsyncing the

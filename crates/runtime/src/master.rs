@@ -450,19 +450,27 @@ impl<C: Cell> Shell<'_, C> {
                 // Steps c-d: encode the tile's input strips and send.
                 MasterAction::Assign { slave: w, task } => {
                     let vertex = self.dag.vertex(VertexId(task));
-                    let strip = |d: &VertexId| {
-                        let region = self.region_of(d.0);
-                        (region, self.matrix.encode_region(region))
-                    };
+                    let strips: Vec<_> = vertex
+                        .data_deps
+                        .iter()
+                        .map(|d| {
+                            let region = self.region_of(d.0);
+                            (region, region.area() as usize * C::WIRE_SIZE)
+                        })
+                        .collect();
                     let msg = AssignMsg {
                         task,
                         epoch: self.cur_epoch[w],
                         tile: vertex.pos,
                         region: self.region_of(task),
-                        inputs: vertex.data_deps.iter().map(strip).collect(),
+                        inputs: Vec::new(),
                     };
+                    // The strips go from the matrix straight into the frame.
+                    let payload = msg.encode_with(&strips, |i, out| {
+                        self.matrix.encode_region_into(strips[i].0, out)
+                    });
                     let dst = Rank(w as u32 + 1);
-                    match self.rep.send_reliable(dst, tags::ASSIGN, msg.encode()) {
+                    match self.rep.send_reliable(dst, tags::ASSIGN, payload) {
                         Ok(tracked) => {
                             let start = (Instant::now(), self.slot_lanes[w].now_ns());
                             self.started[task as usize] = Some(start);
@@ -556,7 +564,7 @@ impl<C: Cell> Shell<'_, C> {
                     self.mm.malformed.inc();
                     return Ok(());
                 }
-                self.feed(MasterEvent::Done { slave: w, task }, &msg.output)?;
+                self.feed(MasterEvent::Done { slave: w, task }, msg.output)?;
             }
             // Final stats answer END; one arriving earlier is a late
             // reply to a previous job's END on a reused link.

@@ -12,6 +12,12 @@
 //! frame — it carries a fault plan — they are acknowledged,
 //! retransmitted and deduplicated, so a lossy network delays but does not
 //! lose them; elsewhere each is one RAW frame. HEARTBEAT is fire-and-forget everywhere.
+//!
+//! Cells cross in one buffer each way. The sender encodes them straight
+//! into the frame ([`AssignMsg::encode_with`], [`DoneMsg::encode_with`]:
+//! the matrix is read once, into the buffer the endpoint seals), and a
+//! decoded ASSIGN or DONE borrows its cells from the received payload,
+//! which the receiver's matrix decodes in place.
 
 use bytes::Bytes;
 use easyhps_core::{GridPos, TileRegion};
@@ -72,9 +78,10 @@ fn get_region(r: &mut WireReader<'_>) -> Result<TileRegion, WireError> {
     ))
 }
 
-/// Master -> slave sub-task assignment.
+/// Master -> slave sub-task assignment; its input cells borrow from the
+/// payload it was decoded from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AssignMsg {
+pub struct AssignMsg<'a> {
     /// Dense id of the master-DAG vertex.
     pub task: u32,
     /// Fleet epoch the assignment was issued under. The slave echoes it
@@ -87,29 +94,41 @@ pub struct AssignMsg {
     /// Cell region the slave must compute.
     pub region: TileRegion,
     /// Input strips: `(region, encoded cells)` for every data dependency.
-    pub inputs: Vec<(TileRegion, Vec<u8>)>,
+    pub inputs: Vec<(TileRegion, &'a [u8])>,
 }
 
-impl AssignMsg {
+impl<'a> AssignMsg<'a> {
     /// Encode to payload bytes.
     pub fn encode(&self) -> Bytes {
-        let body: usize = self.inputs.iter().map(|(_, b)| b.len() + 20).sum();
+        let strips: Vec<_> = self.inputs.iter().map(|&(r, b)| (r, b.len())).collect();
+        self.encode_with(&strips, |i, out| out.extend_from_slice(self.inputs[i].1))
+    }
+
+    /// Encode with the input strips `(region, cell bytes)` that `cells`
+    /// appends, by index, straight into the frame — the master's path,
+    /// which reads each cell once. `self.inputs` is not read.
+    pub fn encode_with(
+        &self,
+        strips: &[(TileRegion, usize)],
+        mut cells: impl FnMut(usize, &mut Vec<u8>),
+    ) -> Bytes {
+        let body: usize = strips.iter().map(|(_, n)| n + 20).sum();
         let mut w = WireWriter::with_capacity(40 + body);
         w.put_u32(self.task)
             .put_u64(self.epoch)
             .put_u32(self.tile.row)
             .put_u32(self.tile.col);
         put_region(&mut w, self.region);
-        w.put_u32(self.inputs.len() as u32);
-        for (region, bytes) in &self.inputs {
-            put_region(&mut w, *region);
-            w.put_bytes(bytes);
+        w.put_u32(strips.len() as u32);
+        for (i, &(region, _)) in strips.iter().enumerate() {
+            put_region(&mut w, region);
+            w.put_bytes_with(|out| cells(i, out));
         }
         w.finish()
     }
 
-    /// Decode from payload bytes.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+    /// Decode from payload bytes, borrowing the input cells from them.
+    pub fn decode(buf: &'a [u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
         let task = r.get_u32()?;
         let epoch = r.get_u64()?;
@@ -141,9 +160,10 @@ impl AssignMsg {
     }
 }
 
-/// Slave -> master completed sub-task.
+/// Slave -> master completed sub-task; its cells borrow from the payload
+/// it was decoded from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DoneMsg {
+pub struct DoneMsg<'a> {
     /// Dense id of the completed master-DAG vertex.
     pub task: u32,
     /// The epoch of the ASSIGN this completion answers, echoed blindly —
@@ -153,21 +173,28 @@ pub struct DoneMsg {
     /// The computed region.
     pub region: TileRegion,
     /// Encoded cells of the region.
-    pub output: Vec<u8>,
+    pub output: &'a [u8],
 }
 
-impl DoneMsg {
+impl<'a> DoneMsg<'a> {
     /// Encode to payload bytes.
     pub fn encode(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(32 + self.output.len());
+        self.encode_with(self.output.len(), |out| out.extend_from_slice(self.output))
+    }
+
+    /// Encode with the `len` cell bytes that `cells` appends straight into
+    /// the frame — the slave's path, which reads each cell once.
+    /// `self.output` is not read.
+    pub fn encode_with(&self, len: usize, cells: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+        let mut w = WireWriter::with_capacity(32 + len);
         w.put_u32(self.task).put_u64(self.epoch);
         put_region(&mut w, self.region);
-        w.put_bytes(&self.output);
+        w.put_bytes_with(cells);
         w.finish()
     }
 
-    /// Decode from payload bytes.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+    /// Decode from payload bytes, borrowing the cells from them.
+    pub fn decode(buf: &'a [u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
         let task = r.get_u32()?;
         let epoch = r.get_u64()?;
@@ -243,8 +270,8 @@ mod tests {
             tile: GridPos::new(1, 2),
             region: TileRegion::new(10, 20, 30, 40),
             inputs: vec![
-                (TileRegion::new(0, 10, 30, 40), vec![1, 2, 3, 4]),
-                (TileRegion::new(10, 20, 0, 30), vec![]),
+                (TileRegion::new(0, 10, 30, 40), &[1, 2, 3, 4][..]),
+                (TileRegion::new(10, 20, 0, 30), &[]),
             ],
         };
         assert_eq!(AssignMsg::decode(&msg.encode()).unwrap(), msg);
@@ -252,13 +279,42 @@ mod tests {
 
     #[test]
     fn done_roundtrip() {
+        let cells: Vec<u8> = (0..80).collect();
         let msg = DoneMsg {
             task: 3,
             epoch: u64::MAX / 7,
             region: TileRegion::new(0, 5, 5, 9),
-            output: (0..80).collect(),
+            output: &cells,
         };
         assert_eq!(DoneMsg::decode(&msg.encode()).unwrap(), msg);
+    }
+
+    /// The encoder writes into the frame the endpoint seals and the
+    /// decoder reads in place: over an in-process endpoint an ASSIGN's
+    /// cells arrive where the sender wrote them, and the bytes are those
+    /// of the copying encoder.
+    #[test]
+    fn assign_cells_cross_in_the_buffer_they_were_encoded_into() {
+        use easyhps_net::{Network, Rank};
+        let cells = [7u8; 64];
+        let msg = AssignMsg {
+            task: 1,
+            epoch: 0,
+            tile: GridPos::new(0, 1),
+            region: TileRegion::new(0, 4, 4, 8),
+            inputs: vec![(TileRegion::new(0, 4, 0, 4), &cells[..])],
+        };
+        let strips = [(msg.inputs[0].0, cells.len())];
+        let payload = msg.encode_with(&strips, |_, out| out.extend_from_slice(&cells));
+        assert_eq!(payload, msg.encode());
+        let cells_at = payload[payload.len() - cells.len()..].as_ptr();
+        let mut eps = Network::new(2);
+        let mut slave = eps.pop().unwrap();
+        eps[0].send(Rank(1), tags::ASSIGN, payload).unwrap();
+        let env = slave.recv().unwrap();
+        let got = AssignMsg::decode(&env.payload).unwrap();
+        assert_eq!(got, msg);
+        assert_eq!(got.inputs[0].1.as_ptr(), cells_at, "no copy on the way");
     }
 
     #[test]
@@ -282,7 +338,7 @@ mod tests {
             task: 0,
             epoch: 0,
             region: TileRegion::new(0, 1, 0, 1),
-            output: vec![9],
+            output: &[9],
         };
         let mut bytes = msg.encode().to_vec();
         bytes.push(0xFF); // trailing garbage

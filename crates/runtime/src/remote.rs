@@ -401,16 +401,16 @@ impl RemoteProblem {
     fn decode_from(r: &mut WireReader<'_>) -> Result<RemoteProblem, WireError> {
         Ok(match r.get_u8()? {
             0 => RemoteProblem::EditDistance {
-                a: r.get_bytes()?,
-                b: r.get_bytes()?,
+                a: r.get_bytes()?.to_vec(),
+                b: r.get_bytes()?.to_vec(),
             },
             1 => RemoteProblem::Lcs {
-                a: r.get_bytes()?,
-                b: r.get_bytes()?,
+                a: r.get_bytes()?.to_vec(),
+                b: r.get_bytes()?.to_vec(),
             },
             2 => RemoteProblem::NeedlemanWunsch {
-                a: r.get_bytes()?,
-                b: r.get_bytes()?,
+                a: r.get_bytes()?.to_vec(),
+                b: r.get_bytes()?.to_vec(),
                 sub: SubSpec {
                     match_score: r.get_i64()? as i32,
                     mismatch: r.get_i64()? as i32,
@@ -427,8 +427,8 @@ impl RemoteProblem {
                 },
             },
             3 => {
-                let a = r.get_bytes()?;
-                let b = r.get_bytes()?;
+                let a = r.get_bytes()?.to_vec();
+                let b = r.get_bytes()?.to_vec();
                 let sub = SubSpec {
                     match_score: r.get_i64()? as i32,
                     mismatch: r.get_i64()? as i32,
@@ -452,7 +452,7 @@ impl RemoteProblem {
                 }
             }
             4 => RemoteProblem::Nussinov {
-                seq: r.get_bytes()?,
+                seq: r.get_bytes()?.to_vec(),
                 min_loop: r.get_u32()?,
             },
             _ => {

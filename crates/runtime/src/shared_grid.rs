@@ -221,15 +221,13 @@ impl<C: Cell> ExclusiveGrid<'_, C> {
         }
     }
 
-    /// Serialize `region` to wire bytes.
-    pub fn encode_region(&self, region: TileRegion) -> Vec<u8> {
-        let mut out = Vec::with_capacity(region.area() as usize * C::WIRE_SIZE);
+    /// Serialize `region` to wire bytes appended to `out`.
+    pub fn encode_region_into(&self, region: TileRegion, out: &mut Vec<u8>) {
         for r in region.row_start..region.row_end {
             // SAFETY: &mut SharedGrid inside excludes concurrent access.
             let row = unsafe { self.grid.row_span(r, region.col_start, region.col_end) };
-            C::encode_slice(row, &mut out);
+            C::encode_slice(row, out);
         }
-        out
     }
 }
 
@@ -333,7 +331,8 @@ mod tests {
             ex.set(p.row, p.col, (p.row * 3 + p.col) as i32);
         }
         let region = TileRegion::new(0, 2, 1, 3);
-        let bytes = ex.encode_region(region);
+        let mut bytes = Vec::new();
+        ex.encode_region_into(region, &mut bytes);
         let mut g2 = SharedGrid::<i32>::new(GridDims::square(3));
         g2.as_exclusive().decode_region(region, &bytes);
         let m2 = g2.to_matrix();

@@ -33,7 +33,7 @@ use crate::{MemoryMode, RuntimeError};
 use crossbeam::channel::{unbounded, Sender};
 use easyhps_core::sched::{PoolAction, PoolEvent, PoolLog, PoolSched, SchedViolation};
 use easyhps_core::{DagDataDrivenModel, GridPos, TaskDag, TileRegion, VertexId};
-use easyhps_dp::DpProblem;
+use easyhps_dp::{Cell, DpProblem};
 use easyhps_net::{Endpoint, NetError, Rank, ReliableEndpoint};
 use easyhps_obs::{EventRecorder, LaneBuf};
 use parking_lot::RwLock;
@@ -384,8 +384,8 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                         // sub-sub-task region with memory. Write lock: the
                         // pool is idle between tiles, so this never blocks.
                         let mut g = grid.write();
-                        for (region, bytes) in &msg.inputs {
-                            g.decode_region(*region, bytes);
+                        for &(region, bytes) in &msg.inputs {
+                            g.decode_region(region, bytes);
                         }
                         g.prepare(&[msg.region]);
                     }
@@ -417,11 +417,10 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                     sm.subtasks.add(exec.subtasks);
                     sm.busy_ns.add(exec.busy_ns);
                     sm.thread_failures.add(exec.failures);
-                    // Step h (slave side): return the computed region.
+                    // Step h (slave side): return the computed region,
+                    // encoded from the node matrix straight into the frame.
                     let mut g = grid.write();
                     sm.peak_node_bytes.set_max(g.allocated_bytes() as i64);
-                    let output = g.encode_region(msg.region);
-                    drop(g);
                     let done = DoneMsg {
                         task: msg.task,
                         // Echoed blindly: the slave has no epoch knowledge;
@@ -429,9 +428,13 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                         // incarnations by this echo alone.
                         epoch: msg.epoch,
                         region: msg.region,
-                        output,
+                        output: &[],
                     };
-                    rep.send_reliable(master, tags::DONE, done.encode())?;
+                    let len = msg.region.area() as usize * P::Cell::WIRE_SIZE;
+                    let payload =
+                        done.encode_with(len, |out| g.encode_region_into(msg.region, out));
+                    drop(g);
+                    rep.send_reliable(master, tags::DONE, payload)?;
                     lane.span_since(
                         "compute",
                         "sched",

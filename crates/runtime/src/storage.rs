@@ -36,8 +36,9 @@ pub trait NodeStorage<C: Cell>: Send + Sync + 'static {
     /// Overwrite `region` from wire bytes (exclusive access).
     fn decode_region(&mut self, region: TileRegion, bytes: &[u8]);
 
-    /// Serialize `region` to wire bytes (exclusive access).
-    fn encode_region(&mut self, region: TileRegion) -> Vec<u8>;
+    /// Serialize `region` to wire bytes appended to `out` (exclusive
+    /// access).
+    fn encode_region_into(&mut self, region: TileRegion, out: &mut Vec<u8>);
 
     /// Create a view that may write `region` and read finished cells.
     ///
@@ -63,8 +64,8 @@ impl<C: Cell> NodeStorage<C> for SharedGrid<C> {
         self.as_exclusive().decode_region(region, bytes);
     }
 
-    fn encode_region(&mut self, region: TileRegion) -> Vec<u8> {
-        self.as_exclusive().encode_region(region)
+    fn encode_region_into(&mut self, region: TileRegion, out: &mut Vec<u8>) {
+        self.as_exclusive().encode_region_into(region, out)
     }
 
     unsafe fn task_view(&self, region: TileRegion) -> TaskView<'_, C> {
@@ -288,14 +289,12 @@ impl<C: Cell> NodeStorage<C> for SparseGrid<C> {
         }
     }
 
-    fn encode_region(&mut self, region: TileRegion) -> Vec<u8> {
-        let mut out = Vec::with_capacity(region.area() as usize * C::WIRE_SIZE);
+    fn encode_region_into(&mut self, region: TileRegion, out: &mut Vec<u8>) {
         let mut scratch = vec![C::default(); region.cols() as usize];
         for r in region.row_start..region.row_end {
             self.read_row_cells(r, region.col_start, &mut scratch);
-            C::encode_slice(&scratch, &mut out);
+            C::encode_slice(&scratch, out);
         }
-        out
     }
 
     unsafe fn task_view(&self, region: TileRegion) -> SparseView<'_, C> {
@@ -383,7 +382,9 @@ mod tests {
             .map(|i| (i % 251) as u8)
             .collect();
         g.decode_region(region, &bytes);
-        assert_eq!(g.encode_region(region), bytes);
+        let mut out = Vec::new();
+        g.encode_region_into(region, &mut out);
+        assert_eq!(out, bytes);
         // Only the touched chunks exist: rows 100..164 span chunks 1..=2,
         // cols 200..280 span chunks 3..=4 -> at most 6 chunks.
         assert!(g.chunk_count() <= 6, "{} chunks", g.chunk_count());
@@ -471,7 +472,9 @@ mod tests {
         let region = TileRegion::new(2, 6, 2, 6);
         let bytes: Vec<u8> = (0..region.area() as usize * 4).map(|i| i as u8).collect();
         NodeStorage::decode_region(&mut g, region, &bytes);
-        assert_eq!(NodeStorage::encode_region(&mut g, region), bytes);
+        let mut out = Vec::new();
+        NodeStorage::encode_region_into(&mut g, region, &mut out);
+        assert_eq!(out, bytes);
         assert_eq!(NodeStorage::allocated_bytes(&g), 8 * 8 * 4);
     }
 

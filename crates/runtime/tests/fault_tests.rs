@@ -374,7 +374,7 @@ fn stats_from_excluded_slave_do_not_satisfy_a_live_slaves_slot() {
                             task: msg.task,
                             epoch: msg.epoch,
                             region: msg.region,
-                            output: zeros.encode_region(msg.region),
+                            output: &zeros.encode_region(msg.region),
                         };
                         rep_b
                             .send_reliable(Rank(0), tags::DONE, done.encode())
@@ -454,7 +454,7 @@ fn budget_stop_drains_in_flight_completions_into_the_checkpoint() {
                         task: msg.task,
                         epoch: msg.epoch,
                         region: msg.region,
-                        output: zeros.encode_region(msg.region),
+                        output: &zeros.encode_region(msg.region),
                     };
                     rep.send_reliable(Rank(0), tags::DONE, done.encode())
                         .unwrap();
@@ -554,7 +554,7 @@ fn silent_but_alive_slave_is_readmitted_after_heartbeat_resumes() {
                                 task: msg.task,
                                 epoch: msg.epoch,
                                 region: msg.region,
-                                output: zeros.encode_region(msg.region),
+                                output: &zeros.encode_region(msg.region),
                             };
                             rep_a
                                 .send_reliable(Rank(0), tags::DONE, done.encode())
@@ -591,7 +591,7 @@ fn silent_but_alive_slave_is_readmitted_after_heartbeat_resumes() {
                             task: msg.task,
                             epoch: msg.epoch,
                             region: msg.region,
-                            output: zeros.encode_region(msg.region),
+                            output: &zeros.encode_region(msg.region),
                         };
                         rep_b
                             .send_reliable(Rank(0), tags::DONE, done.encode())
@@ -691,7 +691,7 @@ fn slow_starting_slave_is_neither_excluded_nor_readmitted() {
                             task: msg.task,
                             epoch: msg.epoch,
                             region: msg.region,
-                            output: zeros.encode_region(msg.region),
+                            output: &zeros.encode_region(msg.region),
                         };
                         rep_a
                             .send_reliable(Rank(0), tags::DONE, done.encode())
@@ -727,7 +727,7 @@ fn slow_starting_slave_is_neither_excluded_nor_readmitted() {
                             task: msg.task,
                             epoch: msg.epoch,
                             region: msg.region,
-                            output: zeros.encode_region(msg.region),
+                            output: &zeros.encode_region(msg.region),
                         };
                         rep_b
                             .send_reliable(Rank(0), tags::DONE, done.encode())
@@ -812,7 +812,7 @@ fn teardown_waits_out_a_slow_retry_schedule_for_stats() {
                             task: msg.task,
                             epoch: msg.epoch,
                             region: msg.region,
-                            output: zeros.encode_region(msg.region),
+                            output: &zeros.encode_region(msg.region),
                         };
                         rep_a
                             .send_reliable(Rank(0), tags::DONE, done.encode())
@@ -888,7 +888,7 @@ fn teardown_ends_on_the_end_ack_after_the_stats() {
                     task: msg.task,
                     epoch: msg.epoch,
                     region: msg.region,
-                    output: answers.encode_region(msg.region),
+                    output: &answers.encode_region(msg.region),
                 };
                 rep_a
                     .send_reliable(Rank(0), tags::DONE, honest.encode())
@@ -981,7 +981,7 @@ fn zombie_epoch_done_is_fenced_and_replays_through_the_machine() {
                                 task: msg.task,
                                 epoch: msg.epoch.wrapping_add(1),
                                 region: msg.region,
-                                output: output.clone(),
+                                output: &output,
                             };
                             rep_a
                                 .send_reliable(Rank(0), tags::DONE, zombie.encode())
@@ -991,7 +991,7 @@ fn zombie_epoch_done_is_fenced_and_replays_through_the_machine() {
                             task: msg.task,
                             epoch: msg.epoch,
                             region: msg.region,
-                            output,
+                            output: &output,
                         };
                         rep_a
                             .send_reliable(Rank(0), tags::DONE, done.encode())
@@ -1117,7 +1117,7 @@ fn rogue_out_of_range_rank_done_frames_are_ignored() {
         task: u32::MAX,
         epoch: 0,
         region,
-        output: DpMatrix::<i32>::new(dims).encode_region(region),
+        output: &DpMatrix::<i32>::new(dims).encode_region(region),
     };
     for _ in 0..3 {
         rogue
@@ -1194,7 +1194,7 @@ fn malformed_and_zombie_completions_are_dropped_never_fatal() {
                             task: msg.task,
                             epoch: msg.epoch,
                             region: msg.region,
-                            output: answers.encode_region(msg.region),
+                            output: &answers.encode_region(msg.region),
                         };
                         // For the first assignment, in turn: a region
                         // shifted clean off the matrix, a payload one cell
@@ -1214,7 +1214,7 @@ fn malformed_and_zombie_completions_are_dropped_never_fatal() {
                                 ..honest.clone()
                             });
                             frames.push(DoneMsg {
-                                output: honest.output[4..].to_vec(),
+                                output: &honest.output[4..],
                                 ..honest.clone()
                             });
                             frames.push(DoneMsg {

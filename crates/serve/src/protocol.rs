@@ -35,7 +35,7 @@ const RESP_ERROR: u8 = 7;
 const RESP_DRAINED: u8 = 8;
 
 fn get_string(r: &mut WireReader<'_>, context: &'static str) -> Result<String, WireError> {
-    String::from_utf8(r.get_bytes()?).map_err(|_| WireError { context })
+    String::from_utf8(r.get_bytes()?.to_vec()).map_err(|_| WireError { context })
 }
 
 /// How an accepted submission will be satisfied.
@@ -242,7 +242,7 @@ impl Request {
                         })
                     }
                 };
-                let spec = JobSpec::decode(&r.get_bytes()?)?;
+                let spec = JobSpec::decode(r.get_bytes()?)?;
                 Request::Submit(SubmitReq { tenant, wait, spec })
             }
             REQ_STATUS => Request::Status { job: r.get_u64()? },

@@ -93,10 +93,10 @@ fn read_sealed(path: &Path) -> Option<Vec<u8>> {
 fn decode_spec(payload: &[u8]) -> Result<(u64, String, JobSpec), WireError> {
     let mut r = WireReader::new(payload);
     let id = r.get_u64()?;
-    let tenant = String::from_utf8(r.get_bytes()?).map_err(|_| WireError {
+    let tenant = String::from_utf8(r.get_bytes()?.to_vec()).map_err(|_| WireError {
         context: "persisted tenant",
     })?;
-    let spec = JobSpec::decode(&r.get_bytes()?)?;
+    let spec = JobSpec::decode(r.get_bytes()?)?;
     r.expect_end()?;
     Ok((id, tenant, spec))
 }
@@ -107,7 +107,7 @@ fn decode_result(payload: &[u8]) -> Result<PersistedResult, WireError> {
         rows: r.get_u32()?,
         cols: r.get_u32()?,
         crc: r.get_u32()?,
-        cells: r.get_bytes()?,
+        cells: r.get_bytes()?.to_vec(),
     };
     r.expect_end()?;
     Ok(out)

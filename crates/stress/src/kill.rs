@@ -20,17 +20,14 @@
 //!    check, never silently decoded.
 
 use crate::plan::{draw_workload, mix64, seeded_problem, StressConfig};
-use crate::run::Verdict;
+use crate::run::{matrix_mismatches, run_watched, Verdict};
 use easyhps_dp::DpProblem;
 use easyhps_net::FaultPlan;
-use easyhps_runtime::{
-    with_problem, Checkpoint, CheckpointPolicy, EasyHps, RunOutput, RuntimeError,
-};
+use easyhps_runtime::{with_problem, Checkpoint, CheckpointPolicy, EasyHps};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// A seeded crash-recovery schedule. Like `StressPlan`, deriving one
@@ -154,22 +151,6 @@ fn flip_plan(seed: u64, rank: u32, pm: u32) -> FaultPlan {
         ..FaultPlan::default()
     }
     .with_bitflips(pm as f64 / 1000.0)
-}
-
-/// Run `hps` on its own thread with a hang watchdog. `None` = no result
-/// within the timeout (the stuck thread is leaked, as in `drive`).
-fn run_watched<P>(
-    hps: EasyHps<P>,
-    timeout: Duration,
-) -> Option<Result<RunOutput<P::Cell>, RuntimeError>>
-where
-    P: DpProblem + Clone + Send + 'static,
-{
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(hps.run());
-    });
-    rx.recv_timeout(timeout).ok()
 }
 
 /// Truncate `bytes` off the end of the newest (highest-index) segment
@@ -301,23 +282,12 @@ where
     };
 
     // Invariant 1: bit-identical recovery.
-    let mut mismatches = 0u64;
-    for pos in reference.dims().iter() {
-        if pattern.contains(pos) && out.matrix.at(pos) != reference.at(pos) {
-            mismatches += 1;
-            if mismatches <= 3 {
-                v.push(format!(
-                    "matrix mismatch at {pos} after resume: got {:?}, \
-                     sequential says {:?}",
-                    out.matrix.at(pos),
-                    reference.at(pos)
-                ));
-            }
-        }
-    }
-    if mismatches > 3 {
-        v.push(format!("... {mismatches} mismatched cells total"));
-    }
+    v.extend(matrix_mismatches(
+        &out.matrix,
+        &reference,
+        pattern.as_ref(),
+        " after resume",
+    ));
 
     // Invariant 2: the resumed run skipped exactly the durable tiles.
     let m = &out.report.master;

@@ -3,10 +3,11 @@
 
 use crate::plan::{mix64, FaultClause, StressConfig, StressPlan};
 use crate::shrink::shrink;
-use easyhps_dp::DpProblem;
+use easyhps_core::DagPattern;
+use easyhps_dp::{Cell, DpMatrix, DpProblem};
 use easyhps_net::FaultPlan;
 use easyhps_runtime::testing::StallProblem;
-use easyhps_runtime::{tags, with_problem, EasyHps, RunOutput};
+use easyhps_runtime::{tags, with_problem, EasyHps, RunOutput, RuntimeError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -167,6 +168,52 @@ fn rank_fault_plans(plan: &StressPlan) -> Vec<Option<FaultPlan>> {
     plans
 }
 
+/// Run `hps` on its own thread under the hang watchdog: `None` when no
+/// result appears within `timeout` (the stuck thread is leaked — the
+/// harness process is about to report and exit anyway).
+pub(crate) fn run_watched<P>(
+    hps: EasyHps<P>,
+    timeout: Duration,
+) -> Option<Result<RunOutput<P::Cell>, RuntimeError>>
+where
+    P: DpProblem + Send + 'static,
+{
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(hps.run());
+    });
+    rx.recv_timeout(timeout).ok()
+}
+
+/// The bit-identical invariant: every cell of `pattern` in `got` equals
+/// the sequential kernel's. Names the first three mismatches (`when`
+/// says which run), then the total.
+pub(crate) fn matrix_mismatches<C: Cell>(
+    got: &DpMatrix<C>,
+    sequential: &DpMatrix<C>,
+    pattern: &dyn DagPattern,
+    when: &str,
+) -> Vec<String> {
+    let mut v = Vec::new();
+    let mut mismatches = 0u64;
+    for pos in sequential.dims().iter() {
+        if pattern.contains(pos) && got.at(pos) != sequential.at(pos) {
+            mismatches += 1;
+            if mismatches <= 3 {
+                v.push(format!(
+                    "matrix mismatch at {pos}{when}: got {:?}, sequential says {:?}",
+                    got.at(pos),
+                    sequential.at(pos)
+                ));
+            }
+        }
+    }
+    if mismatches > 3 {
+        v.push(format!("... {mismatches} mismatched cells total"));
+    }
+    v
+}
+
 static TRACE_NONCE: AtomicU64 = AtomicU64::new(0);
 
 fn drive<P>(plan: &StressPlan, cfg: &StressConfig, problem: P) -> Vec<String>
@@ -241,24 +288,12 @@ where
         )
     });
 
-    // Watchdog: the run happens on its own thread; if no result appears
-    // within the hang timeout, the seed fails (the stuck thread is
-    // leaked — the harness process is about to report and exit anyway).
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(hps.run());
-    });
-    let result = match rx.recv_timeout(cfg.hang_timeout) {
-        Ok(r) => r,
-        Err(_) => {
-            return vec![format!(
-                "hang: no result within {:?} (deadlock or livelock)",
-                cfg.hang_timeout
-            )];
-        }
+    let Some(result) = run_watched(hps, cfg.hang_timeout) else {
+        return vec![format!(
+            "hang: no result within {:?} (deadlock or livelock)",
+            cfg.hang_timeout
+        )];
     };
-
-    let mut v: Vec<String> = Vec::new();
     let out: RunOutput<P::Cell> = match result {
         Ok(out) => out,
         Err(e) => {
@@ -268,22 +303,7 @@ where
     };
 
     // Invariant 1: the matrix is bit-identical to the sequential kernel.
-    let mut mismatches = 0u64;
-    for pos in reference.dims().iter() {
-        if pattern.contains(pos) && out.matrix.at(pos) != reference.at(pos) {
-            mismatches += 1;
-            if mismatches <= 3 {
-                v.push(format!(
-                    "matrix mismatch at {pos}: got {:?}, sequential says {:?}",
-                    out.matrix.at(pos),
-                    reference.at(pos)
-                ));
-            }
-        }
-    }
-    if mismatches > 3 {
-        v.push(format!("... {mismatches} mismatched cells total"));
-    }
+    let mut v = matrix_mismatches(&out.matrix, &reference, pattern.as_ref(), "");
 
     // Invariant 2: every tile accepted exactly once, none lost.
     let m = &out.report.master;

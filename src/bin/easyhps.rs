@@ -245,10 +245,11 @@ fn parse_gap(spec: &str) -> Result<GapSpec, String> {
     }
 }
 
-fn parse_policy(spec: &str) -> Result<ScheduleMode, String> {
+/// The one table of scheduling-policy names; `bcw` bands `block` tiles.
+fn parse_policy(spec: &str, block: u32) -> Result<ScheduleMode, String> {
     match spec {
         "dynamic" => Ok(ScheduleMode::Dynamic),
-        "bcw" => Ok(ScheduleMode::BlockCyclic { block: 2 }),
+        "bcw" => Ok(ScheduleMode::BlockCyclic { block }),
         "cw" => Ok(ScheduleMode::ColumnWavefront),
         other => Err(format!("unknown policy '{other}' (dynamic|bcw|cw)")),
     }
@@ -449,7 +450,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         ));
     }
     let mut cfg = e.config(CostModel::tianhe1a());
-    let policy = parse_policy(args.get("policy").unwrap_or("dynamic"))?;
+    let policy = parse_policy(args.get("policy").unwrap_or("dynamic"), 2)?;
     cfg.process_mode = policy;
     cfg.thread_mode = match policy {
         ScheduleMode::BlockCyclic { .. } => ScheduleMode::BlockCyclic { block: 1 },
@@ -543,7 +544,7 @@ fn build_job_spec(args: &Args, who: &str) -> Result<JobSpec, String> {
     let (pp, tp) = problem.partitions(args.get_opt("pps")?, args.get_opt("tps")?);
     let mut spec = JobSpec::new(problem, pp, tp);
     spec.threads_per_slave = args.get_num("threads", 2u32)?;
-    spec.process_mode = parse_policy(args.get("mode").unwrap_or("dynamic"))?;
+    spec.process_mode = parse_policy(args.get("mode").unwrap_or("dynamic"), 2)?;
     spec.task_timeout =
         std::time::Duration::from_millis(args.get_num("task-timeout-ms", 30_000u64)?);
     spec.heartbeat_interval =
@@ -850,7 +851,7 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
     let dag = workload.model.master_dag();
 
     let slaves = args.get_num("slaves", 2usize)?;
-    let mode = parse_policy(args.get("mode").unwrap_or("dynamic"))?;
+    let mode = parse_policy(args.get("mode").unwrap_or("dynamic"), 2)?;
     let mut cfg = ExploreConfig::new(slaves, mode);
     cfg.depth = args.get_num("depth", cfg.depth)?;
     cfg.max_schedules = args.get_num("max-schedules", cfg.max_schedules)?;
@@ -969,14 +970,9 @@ fn cmd_stress_kill(args: &Args, cfg: &easyhps::stress::StressConfig) -> Result<E
 fn cmd_stress(args: &Args) -> Result<ExitCode, String> {
     use easyhps::stress::{run_plan, run_seed, StressConfig, StressPlan};
 
-    let mode = match args.get("mode").unwrap_or("dynamic") {
-        "dynamic" => ScheduleMode::Dynamic,
-        // block=1 keeps block-cyclic distinct from plain wavefront at the
-        // small tile counts stress plans use.
-        "bcw" => ScheduleMode::BlockCyclic { block: 1 },
-        "cw" => ScheduleMode::ColumnWavefront,
-        other => return Err(format!("unknown mode '{other}' (dynamic|bcw|cw)")),
-    };
+    // block=1 keeps block-cyclic distinct from plain wavefront at the
+    // small tile counts stress plans use.
+    let mode = parse_policy(args.get("mode").unwrap_or("dynamic"), 1)?;
     let cfg = StressConfig {
         mode,
         slaves: args
@@ -1174,12 +1170,13 @@ mod tests {
 
     #[test]
     fn policy_specs() {
-        assert_eq!(parse_policy("dynamic").unwrap(), ScheduleMode::Dynamic);
-        assert!(matches!(
-            parse_policy("bcw").unwrap(),
-            ScheduleMode::BlockCyclic { .. }
-        ));
-        assert_eq!(parse_policy("cw").unwrap(), ScheduleMode::ColumnWavefront);
-        assert!(parse_policy("x").is_err());
+        // Block 2: sim, fold/align/editdist, master; block 1: stress.
+        for block in [2, 1] {
+            let parse = |spec| parse_policy(spec, block);
+            assert_eq!(parse("dynamic").unwrap(), ScheduleMode::Dynamic);
+            assert_eq!(parse("bcw").unwrap(), ScheduleMode::BlockCyclic { block });
+            assert_eq!(parse("cw").unwrap(), ScheduleMode::ColumnWavefront);
+            assert!(parse("x").unwrap_err().contains("dynamic|bcw|cw"));
+        }
     }
 }
