@@ -215,30 +215,19 @@ mod tests {
 
     #[test]
     fn ragged_tiles_match_reference() {
+        use crate::algos::testing::{tile_rows, wavefront, SHAPES};
         let a = random_sequence(Alphabet::Dna, 90, 7);
         let b = random_sequence(Alphabet::Dna, 75, 8);
         let reference = reference(&a, &b);
         let dims = reference.dims();
         // Tile the matrix with deliberately awkward tile shapes — single
-        // rows, single columns, sub-word strips — in wavefront order.
-        for (th, tw) in [(1u32, 1u32), (3, 70), (70, 3), (17, 13), (64, 64), (100, 1)] {
+        // rows, single columns, sub-word strips, tiles of one and two
+        // 64-row stripes — in wavefront order.
+        let more = [(3, 70), (70, 3), (17, 13), (64, 64), (100, 1)];
+        for (th, tw) in SHAPES.into_iter().chain(more) {
             let mut m = DpMatrix::new(dims);
-            let tiles_r = dims.rows.div_ceil(th);
-            let tiles_c = dims.cols.div_ceil(tw);
-            for d in 0..(tiles_r + tiles_c - 1) {
-                for tr in 0..tiles_r {
-                    if d < tr || d - tr >= tiles_c {
-                        continue;
-                    }
-                    let tc = d - tr;
-                    let region = TileRegion::new(
-                        tr * th,
-                        (tr * th + th).min(dims.rows),
-                        tc * tw,
-                        (tc * tw + tw).min(dims.cols),
-                    );
-                    compute_region(&a, &b, &mut m, region);
-                }
+            for region in wavefront(&tile_rows(dims, th, tw)) {
+                compute_region(&a, &b, &mut m, region);
             }
             assert_eq!(m, reference, "tile {th}x{tw}");
         }

@@ -193,11 +193,20 @@ impl Nussinov {
         self.compute_region_recursive(m, TileRegion::new(r0, rm, cm, c1), base);
     }
 
-    /// The iterative slice kernel (the recursion's base case): bottom-up
-    /// rows, left-to-right columns — inside the region, (i+1, *) is done
-    /// before row i, and (i, j-1) before (i, j).
-    #[doc(hidden)]
-    pub fn compute_region_iterative<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
+    super::avx2_leaf!(
+        /// The iterative slice kernel (the recursion's base case):
+        /// bottom-up rows, left-to-right columns — inside the region,
+        /// (i+1, *) is done before row i, and (i, j-1) before (i, j).
+        /// Runs the AVX2 twin of the kernel when this CPU has AVX2, chosen
+        /// here, at the leaf: the recursion above is not inlined, so a
+        /// choice made there would not reach the scans.
+        #[doc(hidden)]
+        pub fn compute_region_iterative for Nussinov => iterative_body
+    );
+
+    /// The iterative kernel, compiled into each caller's instruction set.
+    #[inline(always)]
+    fn iterative_body<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
         let (r0, r1, c0, c1) = (
             region.row_start,
             region.row_end,
@@ -304,6 +313,51 @@ mod tests {
             for j in i..n {
                 assert_eq!(m.get(i, j), r.get(i, j), "cell ({i},{j})");
             }
+        }
+    }
+
+    type Kernel = fn(&Nussinov, &mut DpMatrix<i32>, TileRegion);
+
+    /// Every path this CPU can run, named for failure messages: the
+    /// portable body called directly, and the dispatched leaf (the AVX2
+    /// twin on a CPU that has AVX2).
+    fn paths() -> [(&'static str, Kernel); 2] {
+        [
+            ("portable", |p, m, r| p.iterative_body(m, r)),
+            ("dispatched", |p, m, r| p.compute_region_iterative(m, r)),
+        ]
+    }
+
+    #[test]
+    fn every_path_agrees_on_ragged_regions() {
+        use crate::algos::testing::{tile_rows, wavefront, SHAPES};
+        let seq = random_sequence(Alphabet::Rna, 75, 31);
+        for min_loop in 0..=3 {
+            let p = Nussinov::with_min_loop(seq.clone(), min_loop);
+            let d = p.dims();
+            let mut want = DpMatrix::new(d);
+            for i in (0..p.n()).rev() {
+                for j in i..p.n() {
+                    want.set(i, j, reference_cell(&p, &want, i, j));
+                }
+            }
+            for (name, kernel) in paths() {
+                for (th, tw) in SHAPES {
+                    // The wavefront from the bottom-left corner: the
+                    // triangle's dependency order.
+                    let mut rows = tile_rows(d, th, tw);
+                    rows.reverse();
+                    let mut m = DpMatrix::new(d);
+                    for region in wavefront(&rows) {
+                        kernel(&p, &mut m, region);
+                    }
+                    assert_eq!(m, want, "{name} min_loop {min_loop} tiles {th}x{tw}");
+                }
+            }
+            // The recursion reaches its leaves through the dispatch.
+            let mut m = DpMatrix::new(d);
+            p.compute_region_recursive(&mut m, TileRegion::new(0, p.n(), 0, p.n()), 8);
+            assert_eq!(m, want, "recursion min_loop {min_loop}");
         }
     }
 

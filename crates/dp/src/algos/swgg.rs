@@ -4,6 +4,7 @@
 use crate::alignment::LocalAlignment;
 use crate::matrix::{DpGrid, DpMatrix};
 use crate::problem::DpProblem;
+use crate::scan;
 use crate::scoring::{GapPenalty, Substitution};
 use easyhps_core::patterns::RowColumn2D1D;
 use easyhps_core::{DagPattern, GridDims, GridPos, TileRegion};
@@ -158,7 +159,27 @@ impl DpProblem for SmithWatermanGeneralGap {
         Arc::new(RowColumn2D1D::new(self.dims()))
     }
 
-    fn compute_region<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
+    super::avx2_leaf!(fn compute_region for SmithWatermanGeneralGap => region_body);
+
+    fn cell_work(&self, p: GridPos) -> u64 {
+        // Row scan of length j, column scan of length i, plus O(1) terms.
+        p.row as u64 + p.col as u64 + 1
+    }
+
+    fn region_work(&self, region: TileRegion) -> u64 {
+        // Closed form of sum_{i,j in region} (i + j + 1).
+        let rows = region.rows() as u64;
+        let cols = region.cols() as u64;
+        let sum_i = rows * (region.row_start as u64 + region.row_end as u64 - 1) / 2;
+        let sum_j = cols * (region.col_start as u64 + region.col_end as u64 - 1) / 2;
+        sum_i * cols + sum_j * rows + rows * cols
+    }
+}
+
+impl SmithWatermanGeneralGap {
+    /// The region kernel, compiled into each caller's instruction set.
+    #[inline(always)]
+    fn region_body<G: DpGrid<i32>>(&self, m: &mut G, region: TileRegion) {
         let (r0, r1, c0, c1) = (
             region.row_start,
             region.row_end,
@@ -171,11 +192,14 @@ impl DpProblem for SmithWatermanGeneralGap {
         let rows = r1 as usize;
         let w = (c1 - c0) as usize;
         // The gap cost is pure in k: tabulate it once per region instead of
-        // re-evaluating inside every row/column scan.
+        // re-evaluating inside every row/column scan. The table is stored
+        // reversed (`wrev[max_k - k] = w(k)`), so a scan over the `len`
+        // cells before the current one pairs them with the forward slice
+        // `wrev[max_k - len..max_k]` and both operands walk forwards.
         let max_k = (r1.max(c1) - 1) as usize;
-        let mut wtab = vec![0i32; max_k + 1];
-        for (k, wk) in wtab.iter_mut().enumerate().skip(1) {
-            *wk = self.gap.cost(k as u32);
+        let mut wrev = vec![0i32; max_k];
+        for (k, wk) in wrev.iter_mut().rev().enumerate() {
+            *wk = self.gap.cost(k as u32 + 1);
         }
         // rowbuf holds the current row over columns [0, c1): the prefix
         // [0, c0) comes from earlier tiles (one bulk read per row), the
@@ -212,15 +236,13 @@ impl DpProblem for SmithWatermanGeneralGap {
                         cols[(idx - 1) * rows + i as usize - 1]
                     };
                     let mut best = 0.max(diag + s);
-                    // max_{1<=k<=j} H[i, j-k] - w(k): the row walked
-                    // backwards against the gap table (autovectorized).
-                    best = best.max(crate::scan::rev_scan_max(
-                        &rowbuf[..j as usize],
-                        &wtab[1..=j as usize],
-                    ));
+                    // max_{1<=k<=j} H[i, j-k] - w(k): the row prefix
+                    // against the gap table (autovectorized).
+                    let (j, i) = (j as usize, i as usize);
+                    best = best.max(scan::sub_scan_max(&rowbuf[..j], &wrev[max_k - j..]));
                     // max_{1<=k<=i} H[i-k, j] - w(k): same over the column.
-                    let col = &cols[idx * rows..idx * rows + i as usize];
-                    best = best.max(crate::scan::rev_scan_max(col, &wtab[1..=i as usize]));
+                    let col = &cols[idx * rows..idx * rows + i];
+                    best = best.max(scan::sub_scan_max(col, &wrev[max_k - i..]));
                     best
                 };
                 rowbuf[j as usize] = v;
@@ -228,20 +250,6 @@ impl DpProblem for SmithWatermanGeneralGap {
             }
             m.write_row(i, c0, &rowbuf[c0 as usize..]);
         }
-    }
-
-    fn cell_work(&self, p: GridPos) -> u64 {
-        // Row scan of length j, column scan of length i, plus O(1) terms.
-        p.row as u64 + p.col as u64 + 1
-    }
-
-    fn region_work(&self, region: TileRegion) -> u64 {
-        // Closed form of sum_{i,j in region} (i + j + 1).
-        let rows = region.rows() as u64;
-        let cols = region.cols() as u64;
-        let sum_i = rows * (region.row_start as u64 + region.row_end as u64 - 1) / 2;
-        let sum_j = cols * (region.col_start as u64 + region.col_end as u64 - 1) / 2;
-        sum_i * cols + sum_j * rows + rows * cols
     }
 }
 
@@ -282,6 +290,57 @@ mod tests {
             }
         }
         assert_eq!(m, r);
+    }
+
+    type Kernel = fn(&SmithWatermanGeneralGap, &mut DpMatrix<i32>, TileRegion);
+
+    /// Every path this CPU can run, named for failure messages: the
+    /// portable body called directly, and the dispatched entry (the AVX2
+    /// twin on a CPU that has AVX2).
+    fn paths() -> [(&'static str, Kernel); 2] {
+        [
+            ("portable", |p, m, r| p.region_body(m, r)),
+            ("dispatched", |p, m, r| p.compute_region(m, r)),
+        ]
+    }
+
+    #[test]
+    fn every_path_agrees_on_ragged_regions() {
+        use crate::algos::testing::{tile_rows, wavefront, SHAPES};
+        let a = random_sequence(Alphabet::Dna, 70, 11);
+        let b = random_sequence(Alphabet::Dna, 61, 12);
+        let gaps = [
+            GapPenalty::Linear { per_gap: 3 },
+            GapPenalty::Affine { open: 5, extend: 1 },
+            GapPenalty::Logarithmic { a: 4, b: 2 },
+            // Not monotone in k, so a gap table read at the wrong offset
+            // shows.
+            GapPenalty::Custom(Arc::new(|k| 2 + (k % 5) as i32 * 3)),
+        ];
+        for gap in gaps {
+            let p = SmithWatermanGeneralGap::new(
+                a.clone(),
+                b.clone(),
+                Substitution::dna_default(),
+                gap.clone(),
+            );
+            let d = p.dims();
+            let mut want = DpMatrix::new(d);
+            for i in 0..d.rows {
+                for j in 0..d.cols {
+                    want.set(i, j, reference_cell(&p, &want, i, j));
+                }
+            }
+            for (name, kernel) in paths() {
+                for (th, tw) in SHAPES {
+                    let mut m = DpMatrix::new(d);
+                    for region in wavefront(&tile_rows(d, th, tw)) {
+                        kernel(&p, &mut m, region);
+                    }
+                    assert_eq!(m, want, "{name} {gap:?} tiles {th}x{tw}");
+                }
+            }
+        }
     }
 
     #[test]
