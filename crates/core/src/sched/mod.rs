@@ -23,8 +23,8 @@
 //!   depth and checks the schedule invariants on every explored order.
 //!
 //! The machines live in `easyhps-core` (not `easyhps-runtime`) because
-//! the runtime depends on the simulator for its autotuner — the core is
-//! the one crate below both executors.
+//! both executors, the runtime and the simulator, drive them — the core
+//! is the one crate below both.
 //!
 //! An impossible transition (e.g. a completion for a task the parser does
 //! not consider running) is **not a panic**: it surfaces as a structured

@@ -6,7 +6,6 @@
 //! partition sizes, and a deployment shape; the runtime does partitioning,
 //! scheduling, communication and fault tolerance.
 
-use crate::autotune::{Autotuner, ProblemClass};
 use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
@@ -73,7 +72,6 @@ pub struct EasyHps<P: DpProblem> {
     metrics: Option<Arc<Registry>>,
     collect_metrics: bool,
     trace_out: Option<PathBuf>,
-    autotune: Option<PathBuf>,
     reconnect: Option<Duration>,
 }
 
@@ -143,23 +141,8 @@ impl<P: DpProblem> EasyHps<P> {
             metrics: None,
             collect_metrics: false,
             trace_out: None,
-            autotune: None,
             reconnect: None,
         }
-    }
-
-    /// Autotune the partition sizes from the tuning table at `path`: when
-    /// neither [`Self::process_partition`] nor [`Self::thread_partition`]
-    /// is set explicitly, the run looks its problem class up in the table
-    /// (searching candidates through the `easyhps-sim` cost model on a
-    /// miss) instead of using the `dims / (4 * slaves)` rule, and persists
-    /// any new recommendation back atomically. Combined with
-    /// [`Self::metrics`], the run's latency histograms recalibrate the
-    /// table's cost model afterwards, so recommendations track the actual
-    /// hardware. See [`crate::Autotuner`].
-    pub fn autotune(mut self, path: impl Into<PathBuf>) -> Self {
-        self.autotune = Some(path.into());
-        self
     }
 
     /// Collect run metrics (counters, gauges, latency histograms) into a
@@ -237,15 +220,17 @@ impl<P: DpProblem> EasyHps<P> {
     }
 
     /// Process-level partition size (the paper's
-    /// `process_partition_size`). Defaults to roughly `dag_size / (4 *
-    /// slaves)` per side.
+    /// `process_partition_size`). Defaults to `dag_size / (4 * slaves)`
+    /// per side, rounded up ([`RemoteProblem::resolve_partitions`]).
     pub fn process_partition(mut self, size: impl Into<GridDims>) -> Self {
         self.process_partition = Some(size.into());
         self
     }
 
     /// Thread-level partition size (`thread_partition_size`). Defaults to
-    /// roughly a quarter of the process partition per side.
+    /// the process partition when each slave computes on one thread, and
+    /// to a quarter of it per side otherwise
+    /// ([`RemoteProblem::resolve_partitions`]).
     pub fn thread_partition(mut self, size: impl Into<GridDims>) -> Self {
         self.thread_partition = Some(size.into());
         self
@@ -355,47 +340,24 @@ impl<P: DpProblem> EasyHps<P> {
         &self.deployment
     }
 
-    fn default_partitions(&self) -> (GridDims, GridDims) {
-        let dims = self.problem.dims();
-        let per_side = |n: u32, parts: u32| n.div_ceil(parts).max(1);
-        let pp = self.process_partition.unwrap_or_else(|| {
-            let parts = (self.deployment.slaves as u32 * 4).max(1);
-            GridDims::new(per_side(dims.rows, parts), per_side(dims.cols, parts))
-        });
-        let tp = self
-            .thread_partition
-            .unwrap_or_else(|| GridDims::new(per_side(pp.rows, 4), per_side(pp.cols, 4)));
-        (pp, tp)
-    }
-
-    fn problem_class(&self) -> ProblemClass {
-        ProblemClass::of(
-            self.problem.as_ref(),
+    /// Effective partition sizes: explicit settings win, the rest come
+    /// from [`RemoteProblem::resolve_partitions`], the rule every
+    /// command-line job shares.
+    fn partitions(&self) -> (GridDims, GridDims) {
+        RemoteProblem::resolve_partitions(
+            self.problem.dims(),
             self.deployment.slaves,
             self.deployment.threads_per_slave,
+            self.process_partition,
+            self.thread_partition,
         )
-    }
-
-    /// Effective partition sizes: explicit settings win; otherwise a
-    /// configured autotuner supplies (and persists) a recommendation;
-    /// otherwise the `dims / (4 * slaves)` rule.
-    fn partitions(&self) -> (GridDims, GridDims) {
-        if self.process_partition.is_none() && self.thread_partition.is_none() {
-            if let Some(path) = &self.autotune {
-                let mut tuner = Autotuner::load(path);
-                let (pp, tp) = tuner.recommend(&self.problem_class());
-                let _ = tuner.save();
-                return (pp, tp);
-            }
-        }
-        self.default_partitions()
     }
 
     /// Reject partition settings the runtime cannot execute, before any
     /// thread is spawned ([`RemoteProblem::validate_partitions`] is the
     /// rule; the defaults always pass it).
     fn validate_partitions(&self) -> Result<(), RuntimeError> {
-        let (pp, tp) = self.default_partitions();
+        let (pp, tp) = self.partitions();
         RemoteProblem::validate_partitions(pp, tp).map_err(|why| {
             RuntimeError::InvalidConfig(format!(
                 "process_partition_size {pp} / thread_partition_size {tp}: invalid {why}"
@@ -403,8 +365,7 @@ impl<P: DpProblem> EasyHps<P> {
         })
     }
 
-    /// Build the DAG Data Driven Model this run will use (autotuned
-    /// partitions included when [`Self::autotune`] is configured).
+    /// Build the DAG Data Driven Model this run will use.
     pub fn model(&self) -> DagDataDrivenModel {
         let (pp, tp) = self.partitions();
         DagDataDrivenModel::builder(self.problem.pattern())
@@ -569,19 +530,6 @@ impl<P: DpProblem> EasyHps<P> {
         if let (Some(rec), Some(path)) = (&recorder, &self.trace_out) {
             std::fs::write(path, rec.chrome_trace_json())
                 .map_err(|e| RuntimeError::TraceIo(format!("{}: {e}", path.display())))?;
-        }
-
-        // Close the autotune loop: recalibrate the tuning table's cost
-        // model from this run's latency histograms (best-effort — a
-        // read-only table directory must not fail the run itself).
-        if let (Some(path), Some(reg)) = (&self.autotune, &registry) {
-            let mut tuner = Autotuner::load(path);
-            tuner.calibrate(
-                &self.problem_class(),
-                model.process_partition_size(),
-                &reg.snapshot(),
-            );
-            let _ = tuner.save();
         }
 
         Ok(RunOutput {

@@ -24,8 +24,6 @@ pub enum RuntimeError {
     /// The durable checkpoint store refused to open, read or write (path,
     /// cause).
     Checkpoint(String),
-    /// The autotuner failed to read or write its tuning table.
-    Autotune(String),
     /// The configured deployment or partitioning is invalid (e.g. a zero
     /// or oversized `thread_partition_size`).
     InvalidConfig(String),
@@ -48,7 +46,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::NoSlaves => write!(f, "deployment has no slave nodes"),
             RuntimeError::TraceIo(e) => write!(f, "failed to write trace file: {e}"),
             RuntimeError::Checkpoint(e) => write!(f, "checkpoint store error: {e}"),
-            RuntimeError::Autotune(e) => write!(f, "autotune error: {e}"),
             RuntimeError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
             RuntimeError::SchedulerInvariant(e) => write!(f, "{e}"),
         }

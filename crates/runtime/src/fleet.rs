@@ -475,6 +475,25 @@ mod tests {
         );
     }
 
+    /// A job's thread count comes from outside the host (a serve client's
+    /// spec): a fleet slave spawns no more computing threads than one
+    /// tile has sub-tasks, however many the spec asks for.
+    #[test]
+    fn fleet_slave_threads_are_bounded_by_the_tile() {
+        let mut fleet = Fleet::local(2, None).unwrap();
+        // 8x8 tiles in 4x4 sub-tiles: 4 sub-tasks per tile.
+        let mut spec = editdist_spec(b"a job asking for a thousand", b"threads per slave");
+        spec.threads_per_slave = 1000;
+        let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
+        assert_eq!(out.matrix, spec.problem.solve_sequential());
+        let slaves: Vec<_> = out.report.slaves.iter().flatten().collect();
+        assert_eq!(slaves.len(), 2);
+        for s in slaves {
+            assert_eq!(s.threads_spawned, 4, "{s:?}");
+        }
+        fleet.shutdown();
+    }
+
     /// Regression: a slave that dies *between* jobs is a membership
     /// change, not a 60-second readiness stall. The barrier probes the
     /// silent rank, finds the link gone, retires it, and the next job

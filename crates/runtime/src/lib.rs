@@ -41,7 +41,6 @@
 #![warn(rust_2018_idioms)]
 
 mod api;
-mod autotune;
 mod checkpoint;
 mod config;
 mod durable;
@@ -63,7 +62,6 @@ pub mod testing;
 pub use easyhps_dp as __dp;
 
 pub use api::{EasyHps, MemoryMode, RunOutput, TransportKind};
-pub use autotune::{Autotuner, ProblemClass, TuningEntry, TuningTable};
 pub use checkpoint::Checkpoint;
 pub use config::{Deployment, MasterStats, ObsConfig, RunReport};
 pub use durable::CheckpointPolicy;

@@ -308,14 +308,28 @@ impl RemoteProblem {
         Self::from_sequences(name, seqs, params)
     }
 
-    /// Square partition sizes for this problem: the given sides, or by
-    /// default an eighth of the longer matrix side per process tile and
-    /// a quarter of that per thread tile (both rounded up).
-    pub fn partitions(&self, pps: Option<u32>, tps: Option<u32>) -> (GridDims, GridDims) {
-        let d = self.dims();
-        let pps = pps.unwrap_or(d.rows.max(d.cols).div_ceil(8).max(1));
-        let tps = tps.unwrap_or(pps.div_ceil(4).max(1));
-        (GridDims::square(pps), GridDims::square(tps))
+    /// The one rule for default partition sizes, used by the builder and
+    /// by every command that writes a [`JobSpec`]. A given size wins. An
+    /// unset process partition is `dims / (4 * slaves)` per axis, about
+    /// four tiles per slave per side. An unset thread partition is the
+    /// process partition itself when a slave computes on at most one
+    /// thread (a slave runs 0 as 1): a finer grain there adds per-sub-task
+    /// overhead and no parallelism. Otherwise it is a quarter of the
+    /// process partition per axis. Sizes round up and never reach zero.
+    pub fn resolve_partitions(
+        dims: GridDims,
+        slaves: usize,
+        threads: usize,
+        pp: Option<GridDims>,
+        tp: Option<GridDims>,
+    ) -> (GridDims, GridDims) {
+        let split = |d: GridDims, parts: u32| {
+            GridDims::new(d.rows.div_ceil(parts).max(1), d.cols.div_ceil(parts).max(1))
+        };
+        let parts = u32::try_from(slaves).unwrap_or(u32::MAX).saturating_mul(4);
+        let pp = pp.unwrap_or_else(|| split(dims, parts.max(1)));
+        let tp = tp.unwrap_or(if threads <= 1 { pp } else { split(pp, 4) });
+        (pp, tp)
     }
 
     /// The one rule for partition sizes, wherever they come from (builder
@@ -1093,6 +1107,50 @@ mod tests {
             bad[at] = 9;
             assert!(JobSpec::decode(&bad).is_err(), "unknown {what} byte");
         }
+    }
+
+    /// The default rule over degenerate, ragged and square matrices: every
+    /// output is executable, and a slave on at most one thread gets its
+    /// tile whole. (A 1x1 tile has nothing to split, so it is also whole
+    /// on more threads.)
+    #[test]
+    fn default_partitions_are_valid_and_whole_tiles_at_one_thread() {
+        let n = 37;
+        for (rows, cols) in [(1, 1), (1, n), (n, 1), (1001, 1004), (900, 900)] {
+            let d = GridDims::new(rows, cols);
+            for slaves in [1, 2, 3] {
+                let parts = 4 * slaves as u32;
+                for threads in [0, 1, 2] {
+                    let (pp, tp) =
+                        RemoteProblem::resolve_partitions(d, slaves, threads, None, None);
+                    let case = format!("{d} on {slaves} x {threads}: {pp} / {tp}");
+                    assert_eq!(RemoteProblem::validate_partitions(pp, tp), Ok(()), "{case}");
+                    let splittable = pp != GridDims::square(1);
+                    assert_eq!(tp == pp, threads <= 1 || !splittable, "{case}");
+                    assert_eq!(
+                        pp,
+                        GridDims::new(rows.div_ceil(parts), cols.div_ceil(parts)),
+                        "{case}"
+                    );
+                }
+            }
+        }
+        // A given size wins on either level.
+        let (d, pp, tp) = (
+            GridDims::new(50, 60),
+            GridDims::new(9, 8),
+            GridDims::new(3, 2),
+        );
+        assert_eq!(
+            RemoteProblem::resolve_partitions(d, 2, 1, Some(pp), Some(tp)),
+            (pp, tp)
+        );
+        assert_eq!(
+            RemoteProblem::resolve_partitions(d, 2, 1, Some(pp), None),
+            (pp, pp)
+        );
+        let (_, quarter) = RemoteProblem::resolve_partitions(d, 2, 2, Some(pp), None);
+        assert_eq!(quarter, GridDims::new(3, 2));
     }
 
     /// Full multi-process semantics in one process: a master thread and

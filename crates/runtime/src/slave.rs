@@ -32,7 +32,7 @@ use crate::storage::{NodeStorage, SparseGrid};
 use crate::{MemoryMode, RuntimeError};
 use crossbeam::channel::{unbounded, Sender};
 use easyhps_core::sched::{PoolAction, PoolEvent, PoolLog, PoolSched, SchedViolation};
-use easyhps_core::{DagDataDrivenModel, GridPos, TaskDag, TileRegion, VertexId};
+use easyhps_core::{DagDataDrivenModel, GridDims, GridPos, TaskDag, TileRegion, VertexId};
 use easyhps_dp::{Cell, DpProblem};
 use easyhps_net::{Endpoint, NetError, Rank, ReliableEndpoint};
 use easyhps_obs::{EventRecorder, LaneBuf};
@@ -308,7 +308,15 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
 ) -> Result<SlaveStatsMsg, RuntimeError> {
     let master = Rank(0);
     let grid = RwLock::new(S::new(model.dag_size()));
-    let ct = config.threads_per_slave.max(1);
+    // A slave computes one tile at a time, so a thread beyond the
+    // sub-tasks of the largest tile never gets work. The bound also keeps
+    // a job from outside (a serve client's spec) from asking this host
+    // for more threads than it can spawn.
+    let pp = model.process_partition_size();
+    let dag = model.dag_size();
+    let largest_tile = GridDims::new(pp.rows.min(dag.rows), pp.cols.min(dag.cols));
+    let per_tile = largest_tile.tiled_by(model.thread_partition_size()).area();
+    let ct = (config.threads_per_slave as u64).clamp(1, per_tile.max(1)) as usize;
     let mut rep = ReliableEndpoint::new(ep, config.retry.clone());
 
     // Observability: this rank is Chrome pid `rank`, slave index `rank-1`.

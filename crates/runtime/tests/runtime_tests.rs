@@ -609,40 +609,20 @@ fn zero_or_oversized_thread_partition_is_rejected() {
     });
 }
 
+/// With no partition sizes set and one computing thread per slave, each
+/// tile runs whole as one sub-task: the default rule splits a tile only
+/// among threads that can compute its parts in parallel.
 #[test]
-fn autotuned_run_matches_reference_and_persists_table() {
-    let dir = std::env::temp_dir().join(format!("easyhps-autotune-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let table = dir.join("tuning.tbl");
+fn one_thread_default_runs_each_tile_as_one_subtask() {
     let problem = EditDistance::new(
         random_sequence(Alphabet::Dna, 120, 99),
-        random_sequence(Alphabet::Dna, 120, 100),
+        random_sequence(Alphabet::Dna, 97, 100),
     );
     let reference = problem.solve_sequential();
-
-    // First run: tunes via the simulator, persists the table, computes
-    // the right answer with the recommended partitions.
-    let out = EasyHps::new(problem.clone())
-        .autotune(&table)
-        .metrics(true)
-        .slaves(2)
-        .threads_per_slave(2)
-        .run()
-        .unwrap();
+    let hps = EasyHps::new(problem).slaves(2).threads_per_slave(1);
+    let tiles = hps.model().master_dag().len() as u64;
+    let out = hps.run().unwrap();
     assert_eq!(out.matrix, reference);
-    let text = std::fs::read_to_string(&table).expect("table persisted");
-    assert!(text.starts_with("easyhps-autotune v1"), "{text}");
-    assert!(text.contains("uniform:121x121:s2:t2"), "{text}");
-
-    // Second run loads the same recommendation (table entry count stable).
-    let out = EasyHps::new(problem)
-        .autotune(&table)
-        .slaves(2)
-        .threads_per_slave(2)
-        .run()
-        .unwrap();
-    assert_eq!(out.matrix, reference);
-    let lines = std::fs::read_to_string(&table).unwrap().lines().count();
-    assert_eq!(lines, 3, "header + cost + one entry");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.report.master.completed, tiles);
+    assert_eq!(out.report.total_subtasks(), tiles);
 }

@@ -7,8 +7,7 @@
 //! so the simulated load imbalance is the real one.
 
 use easyhps_core::patterns::{RowColumn2D1D, TriangularGap, Wavefront2D};
-use easyhps_core::{DagDataDrivenModel, GridDims, GridPos, TileRegion};
-use easyhps_dp::DpProblem;
+use easyhps_core::{DagDataDrivenModel, GridDims, TileRegion};
 use std::sync::Arc;
 
 /// How work is distributed over the matrix.
@@ -23,22 +22,6 @@ pub enum WorkProfile {
 }
 
 impl WorkProfile {
-    /// Classify a recurrence by probing [`DpProblem::cell_work`] at the
-    /// matrix corners: no work below the diagonal is triangular, equal
-    /// work at the two ends of the diagonal is uniform, anything else
-    /// grows with the row and column scans.
-    pub fn of<P: DpProblem>(problem: &P) -> Self {
-        let dims = problem.dims();
-        let (r, c) = (dims.rows.max(1) - 1, dims.cols.max(1) - 1);
-        if r > 0 && problem.cell_work(GridPos::new(r, 0)) == 0 {
-            WorkProfile::TriangularScan
-        } else if problem.cell_work(GridPos::new(0, 0)) == problem.cell_work(GridPos::new(r, c)) {
-            WorkProfile::Uniform
-        } else {
-            WorkProfile::RowColScan
-        }
-    }
-
     /// Total work of `region` (cells outside a triangular pattern count
     /// zero for [`WorkProfile::TriangularScan`]).
     pub fn region_work(&self, region: TileRegion) -> u64 {
@@ -254,19 +237,6 @@ mod tests {
                 .sum();
             assert_eq!(sim.region_work(region), brute);
         }
-    }
-
-    #[test]
-    fn profile_is_probed_from_cell_work() {
-        use easyhps_dp::sequence::{random_sequence, Alphabet};
-        let a = random_sequence(Alphabet::Dna, 40, 1);
-        let b = random_sequence(Alphabet::Dna, 44, 2);
-        let edit = easyhps_dp::EditDistance::new(a.clone(), b.clone());
-        assert_eq!(WorkProfile::of(&edit), WorkProfile::Uniform);
-        let swgg = easyhps_dp::SmithWatermanGeneralGap::dna(a, b);
-        assert_eq!(WorkProfile::of(&swgg), WorkProfile::RowColScan);
-        let rna = easyhps_dp::Nussinov::new(random_sequence(Alphabet::Rna, 50, 3));
-        assert_eq!(WorkProfile::of(&rna), WorkProfile::TriangularScan);
     }
 
     #[test]

@@ -117,7 +117,7 @@ use easyhps::dp::{EditDistance, Lcs, NeedlemanWunsch, Nussinov, SmithWatermanGen
 use easyhps::runtime::remote::{GapSpec, JobSpec, ProblemParams, RemoteProblem};
 use easyhps::runtime::with_problem;
 use easyhps::sim::{sequential_ns, simulate_traced, CostModel, Experiment, SimWorkload};
-use easyhps::{Checkpoint, CheckpointPolicy, DpMatrix, EasyHps, ScheduleMode};
+use easyhps::{Checkpoint, CheckpointPolicy, DpMatrix, EasyHps, GridDims, ScheduleMode};
 use std::process::ExitCode;
 
 /// Minimal flag parser: positionals plus `--key value` / `--flag` pairs.
@@ -340,9 +340,9 @@ impl Report for Nussinov {
 /// `--slaves/--threads/--pps/--tps` plus the observability and recovery
 /// flags.
 fn run_in_process(args: &Args, problem: &RemoteProblem, label: &str) -> Result<(), String> {
-    let (pp, tp) = problem.partitions(args.get_opt("pps")?, args.get_opt("tps")?);
     let slaves = args.get_num("slaves", 2usize)?;
     let threads = args.get_num("threads", 2usize)?;
+    let (pp, tp) = partitions(args, problem, slaves, threads)?;
     let (checkpoint, resume) = recovery_flags(args)?;
     with_problem!(problem, p => {
         let mut hps = EasyHps::new(p.clone())
@@ -365,6 +365,24 @@ fn run_in_process(args: &Args, problem: &RemoteProblem, label: &str) -> Result<(
         print_metrics(&out);
     });
     Ok(())
+}
+
+/// The partition sizes of `problem` on `slaves` x `threads`: `--pps` and
+/// `--tps` where given, [`RemoteProblem::resolve_partitions`] for the rest.
+fn partitions(
+    args: &Args,
+    problem: &RemoteProblem,
+    slaves: usize,
+    threads: usize,
+) -> Result<(GridDims, GridDims), String> {
+    let side = |name| Ok::<_, String>(args.get_opt(name)?.map(GridDims::square));
+    Ok(RemoteProblem::resolve_partitions(
+        problem.dims(),
+        slaves,
+        threads,
+        side("pps")?,
+        side("tps")?,
+    ))
 }
 
 fn cmd_align(args: &Args) -> Result<(), String> {
@@ -531,8 +549,9 @@ fn matrix_crc(matrix: &easyhps::DpMatrix<i32>) -> u32 {
 /// Build a [`JobSpec`] from the shared workload grammar: `<NAME>
 /// [SEQ...]` plus the partitioning/schedule flags. `master` and `submit`
 /// accept exactly the same job description; `who` names the command in
-/// errors.
-fn build_job_spec(args: &Args, who: &str) -> Result<JobSpec, String> {
+/// errors, and `slaves` is the fleet size the default partitions divide
+/// the matrix among.
+fn build_job_spec(args: &Args, who: &str, slaves: usize) -> Result<JobSpec, String> {
     let Some((name, seqs)) = args.positional.split_first() else {
         return Err(format!(
             "{who}: missing workload ({})",
@@ -541,9 +560,10 @@ fn build_job_spec(args: &Args, who: &str) -> Result<JobSpec, String> {
     };
     let seqs = seqs.iter().map(|s| s.as_bytes().to_vec()).collect();
     let problem = build_problem(args, name, seqs)?;
-    let (pp, tp) = problem.partitions(args.get_opt("pps")?, args.get_opt("tps")?);
+    let threads = args.get_num("threads", 2u32)?;
+    let (pp, tp) = partitions(args, &problem, slaves, threads as usize)?;
     let mut spec = JobSpec::new(problem, pp, tp);
-    spec.threads_per_slave = args.get_num("threads", 2u32)?;
+    spec.threads_per_slave = threads;
     spec.process_mode = parse_policy(args.get("mode").unwrap_or("dynamic"), 2)?;
     spec.task_timeout =
         std::time::Duration::from_millis(args.get_num("task-timeout-ms", 30_000u64)?);
@@ -566,7 +586,7 @@ fn cmd_master(args: &Args) -> Result<(), String> {
 
     let listen = args.get("listen").ok_or("master: --listen ADDR required")?;
     let slaves = args.get_num("slaves", 2usize)?;
-    let spec = build_job_spec(args, "master")?;
+    let spec = build_job_spec(args, "master", slaves)?;
 
     let mut opts = RemoteMasterOptions::default();
     opts.socket.reconnect_window = args
@@ -639,6 +659,9 @@ fn cmd_slave(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Fleet size of `serve` without `--slaves`.
+const SERVE_SLAVES: usize = 2;
+
 /// The serve daemon: bind, announce the client (and fleet) addresses,
 /// then serve jobs until killed.
 fn cmd_serve(args: &Args) -> Result<(), String> {
@@ -647,7 +670,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
     let listen = args.get("listen").ok_or("serve: --listen ADDR required")?;
     let mut cfg = ServeConfig::new(easyhps::net::NetAddr::parse(listen)?);
-    let slaves = args.get_num("slaves", 2usize)?;
+    let slaves = args.get_num("slaves", SERVE_SLAVES)?;
     let threads = args
         .get("threads")
         .map(|t| t.parse())
@@ -773,7 +796,9 @@ fn print_response(resp: easyhps::serve::Response) -> Result<(), String> {
 fn cmd_submit(args: &Args) -> Result<(), String> {
     use easyhps::serve::{Admission, Response};
 
-    let spec = build_job_spec(args, "submit")?;
+    // A client cannot see the daemon's fleet: size the default
+    // partitions for the fleet `serve` starts when not told otherwise.
+    let spec = build_job_spec(args, "submit", SERVE_SLAVES)?;
     let tenant = args.get("tenant").unwrap_or("default");
     let wait = args.has("wait");
     let mut client = serve_client(args, "submit")?;

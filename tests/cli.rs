@@ -280,7 +280,7 @@ fn every_name_in_the_problem_table_runs_everywhere() {
         .unwrap();
         assert_eq!(problem.name(), name);
 
-        let (pp, tp) = problem.partitions(None, None);
+        let (pp, tp) = RemoteProblem::resolve_partitions(problem.dims(), 2, 2, None, None);
         let spec = JobSpec::new(problem.clone(), pp, tp);
         assert_eq!(JobSpec::decode(&spec.encode()).unwrap(), spec, "{name}");
         let reference = problem.solve_sequential();
