@@ -13,11 +13,11 @@
 //! Three drivers feed these machines:
 //!
 //! - the **threaded runtime** (`easyhps-runtime`'s `master.rs` and
-//!   `slave.rs`, which re-export this module as `runtime::sched`):
-//!   translates network frames and real timers into events, and actions
-//!   into sends, matrix writes, and metrics;
-//! - the **virtual-time simulator** (`easyhps-sim`'s `pool_sim`): feeds
-//!   the same machine from a discrete-event heap;
+//!   `slave.rs`): translates network frames and real timers into events,
+//!   and actions into sends, matrix writes, and metrics;
+//! - the **virtual-time simulators** (`easyhps-sim`'s `cluster`, which
+//!   drives [`MasterSched`], and `pool_sim`, which drives [`PoolSched`]):
+//!   feed the same machines from a discrete-event heap;
 //! - the **deterministic explorer** ([`explore`]): enumerates event
 //!   delivery orderings at decision points with a bounded reordering
 //!   depth and checks the schedule invariants on every explored order.
@@ -81,8 +81,8 @@ impl fmt::Display for SchedViolation {
 impl std::error::Error for SchedViolation {}
 
 /// Pick the next computable task for `executor` under `mode` — the one
-/// placement decision shared by every scheduler in the tree (master
-/// dispatch, slave pool, simulators).
+/// placement decision shared by both machines (master dispatch and slave
+/// pool), and through them by every driver.
 ///
 /// Dynamic mode pops the top of the computable stack. Static modes pop
 /// the first computable task owned by `executor`; when `orphaned` is
@@ -92,7 +92,7 @@ impl std::error::Error for SchedViolation {}
 /// dispatchable (the livelock `easyhps stress` found in PR 4, and the
 /// runtime↔sim divergence this module's extraction flushed out of the
 /// cluster DES).
-pub fn pick_task(
+pub(crate) fn pick_task(
     parser: &mut DagParser,
     dag: &TaskDag,
     mode: ScheduleMode,

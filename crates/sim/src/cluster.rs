@@ -1,20 +1,23 @@
 //! Process-level discrete-event simulation of the multilevel runtime.
 //!
-//! Mirrors the master/slave protocol of `easyhps-runtime` in virtual time:
-//! the master serializes assignment and completion processing (it is one
-//! scheduling thread), input strips and results pay latency + bandwidth,
-//! and each node's tile execution time is the makespan of a nested
-//! thread-pool simulation over the slave DAG — the same two-level
-//! structure as the real system, priced by [`CostModel`].
+//! A virtual-time driver of the runtime's own [`MasterSched`], fed from an
+//! event heap the way `pool_sim` feeds the pool machine: every dispatch,
+//! redistribution, exclusion, orphan fallback and give-up is one of its
+//! [`MasterAction`]s. The simulator only prices them: the master serializes
+//! assignment and completion processing (one scheduling thread), strips and
+//! results pay latency + bandwidth, and a node's tile time is the makespan
+//! of a nested thread-pool simulation over the slave DAG — the same
+//! two-level structure as the real system, priced by [`CostModel`].
 
 use crate::cost::CostModel;
 use crate::pool_sim::{simulate_pool, PoolOutcome};
 use crate::workload::SimWorkload;
-use easyhps_core::sched::pick_task;
+use easyhps_core::sched::{MasterAction, MasterEvent, MasterSched, SchedParams, SendFailKind};
 use easyhps_core::Trace;
-use easyhps_core::{DagParser, ScheduleMode, TaskDag, VertexId};
+use easyhps_core::{ScheduleMode, TaskDag, VertexId};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+use std::time::Duration;
 
 /// Cluster shape and policies for one simulated run.
 #[derive(Clone, Debug)]
@@ -32,13 +35,14 @@ pub struct SimConfig {
     /// Models heterogeneous clusters and stragglers: a node at 50 takes
     /// twice the reference time for the same tile.
     pub node_speed_pct: Vec<u32>,
-    /// Virtual time at which each node crashes (`None` = healthy). A tile
-    /// in flight on a crashed node never completes; the master's fault
-    /// tolerance times it out, redistributes it, and excludes the node —
-    /// the same policy as the real runtime.
+    /// Virtual time at which each node crashes (`None` = healthy). It falls
+    /// silent and its endpoint closes; the runtime's policy does the rest:
+    /// its tile in flight is taken back when overdue, its silence excludes
+    /// it after the heartbeat timeout, and an ASSIGN sent to it is rejected.
     pub node_fail_at: Vec<Option<u64>>,
     /// Fault-tolerance timeout: how long after dispatch the master presumes
-    /// a silent sub-task lost.
+    /// a silent sub-task lost. As in the runtime, it must exceed every
+    /// tile's turnaround; a tile taken back on every try panics the run.
     pub task_timeout_ns: u64,
 }
 
@@ -53,7 +57,7 @@ impl SimConfig {
             cost: CostModel::tianhe1a(),
             node_speed_pct: vec![100; nodes],
             node_fail_at: vec![None; nodes],
-            task_timeout_ns: 5_000_000_000,
+            task_timeout_ns: SchedParams::default().task_timeout_ns(),
         }
     }
 
@@ -102,7 +106,7 @@ pub struct SimResult {
     pub bytes_moved: u64,
     /// Messages exchanged.
     pub msgs: u64,
-    /// Master-level tiles executed.
+    /// Master-level tiles accepted.
     pub tiles: u64,
     /// Tiles re-dispatched after a fault-tolerance timeout.
     pub redispatched: u64,
@@ -123,20 +127,21 @@ enum Ev {
     Assign { node: usize, task: u32 },
     /// Result arrives back at the master.
     Done { node: usize, task: u32 },
-    /// The master's fault-tolerance timeout fires for a lost sub-task.
-    Timeout { node: usize, task: u32 },
 }
+
+/// The driver's `(event, actions)` exchange with the master machine.
+type MasterLog = Vec<(MasterEvent, Vec<MasterAction>)>;
 
 /// Simulate one full run of `workload` on `config`.
 pub fn simulate(workload: &SimWorkload, config: &SimConfig) -> SimResult {
-    simulate_impl(workload, config, None)
+    simulate_impl(workload, config, None, None)
 }
 
 /// Like [`simulate`], additionally recording a [`Trace`] of master
 /// occupancy and per-node tile executions for Gantt rendering.
 pub fn simulate_traced(workload: &SimWorkload, config: &SimConfig) -> (SimResult, Trace) {
     let mut trace = Trace::new();
-    let res = simulate_impl(workload, config, Some(&mut trace));
+    let res = simulate_impl(workload, config, Some(&mut trace), None);
     (res, trace)
 }
 
@@ -144,27 +149,32 @@ fn simulate_impl(
     workload: &SimWorkload,
     config: &SimConfig,
     mut trace: Option<&mut Trace>,
+    mut log: Option<&mut MasterLog>,
 ) -> SimResult {
     let nodes = config.threads.len();
     assert!(nodes > 0, "need at least one computing node");
     let model = &workload.model;
     let dag = model.master_dag();
-    let tile_cols = dag.dims().cols;
-    let mut parser = DagParser::new(&dag);
+    let params = SchedParams {
+        task_timeout: Duration::from_nanos(config.task_timeout_ns),
+        ..SchedParams::default()
+    };
+    let ft_poll = params.ft_poll.as_nanos() as u64;
+    let mut sched = MasterSched::new(&dag, nodes, config.process_mode, &params, None);
+    // Whether `node` has not yet crashed at virtual time `t`.
+    let up = |node: usize, t: u64| config.node_fail_at[node].is_none_or(|f| t < f);
 
     let mut events: BinaryHeap<Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut idle = vec![true; nodes];
-    let mut dead = vec![false; nodes];
     let mut master_free_at = 0u64;
     let mut res = SimResult {
         node_busy_ns: vec![0; nodes],
         ..SimResult::default()
     };
 
-    // Cache of per-tile slave-pool outcomes (each tile runs once).
-    let slave_outcome = |task: VertexId, node: usize| -> PoolOutcome {
-        let tile = dag.vertex(task).pos;
+    // One execution of `task` on `node`: the nested slave-pool simulation.
+    let slave_outcome = |task: u32, node: usize| -> PoolOutcome {
+        let tile = dag.vertex(VertexId(task)).pos;
         let sdag: TaskDag = model.slave_dag(tile);
         let speed = *config.node_speed_pct.get(node).unwrap_or(&100) as u64;
         simulate_pool(
@@ -182,8 +192,8 @@ fn simulate_impl(
         )
     };
 
-    let input_bytes = |task: VertexId| -> u64 {
-        dag.vertex(task)
+    let input_bytes = |task: u32| -> u64 {
+        dag.vertex(VertexId(task))
             .data_deps
             .iter()
             .map(|d| model.tile_region(dag.vertex(*d).pos).area() * workload.cell_bytes + 20)
@@ -191,147 +201,147 @@ fn simulate_impl(
             + 64
     };
 
-    macro_rules! dispatch {
-        () => {
-            loop {
-                let mut assigned = false;
-                for node in 0..nodes {
-                    if !idle[node] || dead[node] {
+    // Events the machine is fed next, in order: every node idle, then
+    // the first scheduling pass.
+    let mut inbox: VecDeque<_> = (0..nodes)
+        .map(|slave| MasterEvent::Idle { slave })
+        .collect();
+    inbox.push_back(MasterEvent::Tick { now_ns: 0 });
+    let mut next_ft = ft_poll;
+    'run: loop {
+        while let Some(mut ev) = inbox.pop_front() {
+            // A pass runs once the master is free; the sweep costs it nothing.
+            if let MasterEvent::Tick { now_ns } | MasterEvent::FtTick { now_ns } = &mut ev {
+                master_free_at = master_free_at.max(*now_ns);
+                *now_ns = master_free_at;
+            }
+            let sweep = matches!(ev, MasterEvent::FtTick { .. });
+            let logged = log.is_some().then(|| ev.clone());
+            let acts = sched.on_event(&dag, ev).expect("legal event sequence");
+            if let (Some(log), Some(ev)) = (log.as_deref_mut(), logged) {
+                log.push((ev, acts.clone()));
+            }
+            for a in acts {
+                match a {
+                    MasterAction::Assign { slave: node, task } => {
+                        // Master occupancy is the scheduling decision only;
+                        // the strip transfer itself is RDMA-offloaded
+                        // (Infiniband) and overlaps with scheduling, paying
+                        // latency + bandwidth on the wire instead.
+                        let start = master_free_at;
+                        master_free_at += config.cost.assign_overhead_ns;
+                        res.master_busy_ns += config.cost.assign_overhead_ns;
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.record("master", "a", start, master_free_at);
+                        }
+                        // A crashed node's endpoint is closed: the send fails.
+                        if !up(node, master_free_at) {
+                            inbox.push_back(MasterEvent::AssignRejected { slave: node, task });
+                            // The threaded master picks again in the same pass.
+                            inbox.push_back(MasterEvent::Tick {
+                                now_ns: master_free_at,
+                            });
+                            continue;
+                        }
+                        let bytes = input_bytes(task);
+                        res.bytes_moved += bytes;
+                        res.msgs += 1;
+                        let arrive = master_free_at + config.cost.transfer_ns(bytes);
+                        events.push(Reverse((arrive, seq, Ev::Assign { node, task })));
+                        seq += 1;
+                    }
+                    // Step g of the paper's master workflow: an overdue
+                    // tile is cancelled and requeued.
+                    MasterAction::Redispatch { .. } => {
+                        // Past one per tile per node, some tile never returns in time.
+                        assert!(
+                            sched.counters().redispatched <= (dag.len() * nodes) as u64,
+                            "the task timeout is shorter than a tile's turnaround"
+                        );
+                        let start = master_free_at;
+                        master_free_at += config.cost.complete_overhead_ns;
+                        res.master_busy_ns += config.cost.complete_overhead_ns;
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.record("master", "t", start, master_free_at);
+                        }
+                    }
+                    MasterAction::Finished => break 'run,
+                    MasterAction::AllSlavesDead => {
+                        panic!("every node crashed before the computation finished")
+                    }
+                    _ => {}
+                }
+            }
+            // Between a sweep and its pass the runtime probes every slave
+            // excluded as silent; a crashed node's closed endpoint fails it.
+            if sweep {
+                let now_ns = master_free_at;
+                let (alive, gone) = (sched.alive(), sched.unreachable());
+                let failed = (0..nodes).filter(|&n| !up(n, now_ns) && !alive[n] && !gone[n]);
+                inbox.extend(failed.map(|slave| MasterEvent::SendFailed {
+                    slave,
+                    assign_task: None,
+                    reason: SendFailKind::Unreachable,
+                    now_ns,
+                }));
+                inbox.push_back(MasterEvent::Tick { now_ns });
+            }
+        }
+
+        // Next: the earlier of the next arrival and the next FT sweep.
+        if events.peek().is_some_and(|Reverse((t, ..))| *t < next_ft) {
+            let Reverse((t, _, ev)) = events.pop().expect("peeked");
+            match ev {
+                Ev::Assign { node, task } => {
+                    let outcome = slave_outcome(task, node);
+                    // A node that crashes before the result leaves it
+                    // never answers; the overdue sweep takes the tile back.
+                    if !up(node, t + outcome.makespan_ns) {
                         continue;
                     }
-                    // The same placement decision as the real master —
-                    // including the orphan fallback for tiles statically
-                    // owned by an excluded node. The DES used to carry its
-                    // own copy of this policy without the fallback, so a
-                    // static-mode run with a crashed node deadlocked here
-                    // while the runtime survived; see
-                    // `static_mode_crash_redistributes_orphans`.
-                    let picked = pick_task(
-                        &mut parser,
-                        &dag,
-                        config.process_mode,
-                        tile_cols,
-                        nodes as u32,
-                        node as u32,
-                        Some(&|owner: u32| dead[owner as usize]),
-                    );
-                    let Some(v) = picked else { continue };
-                    let bytes = input_bytes(v);
-                    // Master occupancy is the scheduling decision only; the
-                    // strip transfer itself is RDMA-offloaded (Infiniband)
-                    // and overlaps with scheduling, paying latency +
-                    // bandwidth on the wire instead.
                     if let Some(tr) = trace.as_deref_mut() {
+                        let pos = dag.vertex(VertexId(task)).pos;
                         tr.record(
-                            "master",
-                            "a",
-                            master_free_at,
-                            master_free_at + config.cost.assign_overhead_ns,
+                            format!("node{node}"),
+                            format!("{}", (b'A' + (pos.diagonal() % 26) as u8) as char),
+                            t,
+                            t + outcome.makespan_ns,
                         );
                     }
-                    master_free_at += config.cost.assign_overhead_ns;
-                    res.master_busy_ns += config.cost.assign_overhead_ns;
-                    res.bytes_moved += bytes;
+                    res.compute_ns += outcome.busy_ns;
+                    res.node_busy_ns[node] += outcome.makespan_ns;
+                    let region = model.tile_region(dag.vertex(VertexId(task)).pos);
+                    let result_bytes = region.area() * workload.cell_bytes + 24;
+                    res.bytes_moved += result_bytes;
                     res.msgs += 1;
-                    let arrive = master_free_at + config.cost.transfer_ns(bytes);
-                    // Fault injection is deterministic, so the fate of this
-                    // dispatch is known now: if the node crashes before the
-                    // result would leave it, the master hears nothing and
-                    // its overtime queue fires instead.
-                    let outcome = slave_outcome(VertexId(v.0), node);
-                    let completes_at = arrive + outcome.makespan_ns;
-                    let lost =
-                        config.node_fail_at[node].is_some_and(|f| arrive >= f || completes_at > f);
-                    if lost {
-                        events.push(Reverse((
-                            master_free_at + config.task_timeout_ns,
-                            seq,
-                            Ev::Timeout { node, task: v.0 },
-                        )));
-                    } else {
-                        events.push(Reverse((arrive, seq, Ev::Assign { node, task: v.0 })));
-                    }
+                    let done_at = t + outcome.makespan_ns + config.cost.transfer_ns(result_bytes);
+                    events.push(Reverse((done_at, seq, Ev::Done { node, task })));
                     seq += 1;
-                    idle[node] = false;
-                    assigned = true;
                 }
-                if !assigned {
-                    break;
+                Ev::Done { node, task } => {
+                    // Master serializes completion processing.
+                    let start = master_free_at.max(t);
+                    master_free_at = start + config.cost.complete_overhead_ns;
+                    res.master_busy_ns += config.cost.complete_overhead_ns;
+                    if let Some(tr) = trace.as_deref_mut() {
+                        tr.record("master", "d", start, master_free_at);
+                    }
+                    inbox.push_back(MasterEvent::Done { slave: node, task });
+                    inbox.push_back(MasterEvent::Tick { now_ns: t });
                 }
             }
-        };
-    }
-
-    dispatch!();
-
-    while let Some(Reverse((t, _, ev))) = events.pop() {
-        match ev {
-            Ev::Assign { node, task } => {
-                let outcome = slave_outcome(VertexId(task), node);
-                if let Some(tr) = trace.as_deref_mut() {
-                    let pos = dag.vertex(VertexId(task)).pos;
-                    tr.record(
-                        format!("node{node}"),
-                        format!("{}", (b'A' + (pos.diagonal() % 26) as u8) as char),
-                        t,
-                        t + outcome.makespan_ns,
-                    );
-                }
-                res.compute_ns += outcome.busy_ns;
-                res.node_busy_ns[node] += outcome.makespan_ns;
-                res.tiles += 1;
-                let region = model.tile_region(dag.vertex(VertexId(task)).pos);
-                let result_bytes = region.area() * workload.cell_bytes + 24;
-                res.bytes_moved += result_bytes;
-                res.msgs += 1;
-                let done_at = t + outcome.makespan_ns + config.cost.transfer_ns(result_bytes);
-                events.push(Reverse((done_at, seq, Ev::Done { node, task })));
-                seq += 1;
-            }
-            Ev::Timeout { node, task } => {
-                // Step g of the paper's master workflow: cancel, requeue,
-                // exclude the node.
-                let start = master_free_at.max(t);
-                master_free_at = start + config.cost.complete_overhead_ns;
-                res.master_busy_ns += config.cost.complete_overhead_ns;
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.record("master", "t", start, master_free_at);
-                }
-                parser
-                    .fail(&dag, VertexId(task))
-                    .expect("timed-out tile was running");
-                res.redispatched += 1;
-                if !dead[node] {
-                    dead[node] = true;
-                    res.dead_nodes += 1;
-                }
-                assert!(
-                    dead.iter().any(|d| !d),
-                    "every node crashed before the computation finished"
-                );
-                dispatch!();
-            }
-            Ev::Done { node, task } => {
-                // Master serializes completion processing.
-                let start = master_free_at.max(t);
-                master_free_at = start + config.cost.complete_overhead_ns;
-                res.master_busy_ns += config.cost.complete_overhead_ns;
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.record("master", "d", start, master_free_at);
-                }
-                parser
-                    .complete(&dag, VertexId(task), None)
-                    .expect("simulated completion of a running tile");
-                idle[node] = true;
-                dispatch!();
-            }
+        } else {
+            let at_ns = next_ft;
+            next_ft += ft_poll;
+            let heard = (0..nodes).filter(|&n| up(n, at_ns));
+            inbox.extend(heard.map(|slave| MasterEvent::Heard { slave, at_ns }));
+            inbox.push_back(MasterEvent::FtTick { now_ns: at_ns });
         }
     }
 
-    assert!(
-        parser.is_done(),
-        "simulation drained its event queue with tasks remaining"
-    );
+    // The shell publishes the machine's counters; it does not count.
+    let c = sched.counters();
+    (res.tiles, res.redispatched, res.dead_nodes) = (c.completed, c.redispatched, c.exclusions);
     res.makespan_ns = master_free_at;
     res
 }
@@ -453,19 +463,43 @@ mod failure_tests {
         let mut cfg = SimConfig::uniform(3, 4);
         cfg.task_timeout_ns = 20_000_000; // 20 ms
                                           // Crash node 1 a third of the way through the healthy makespan.
-        cfg = cfg.fail_node(1, healthy.makespan_ns / 3);
+        let crash = healthy.makespan_ns / 3;
+        cfg = cfg.fail_node(1, crash);
         let r = simulate(&w, &cfg);
         assert_eq!(
             r.tiles,
             w.model.master_dag().len() as u64,
-            "every tile still computed"
+            "every tile still accepted"
         );
-        assert_eq!(r.dead_nodes, 1);
-        assert!(r.redispatched >= 1);
+        assert!(r.redispatched >= 1, "the lost tile is taken back");
         assert!(
-            r.makespan_ns > healthy.makespan_ns,
-            "losing a node costs time"
+            r.makespan_ns >= crash + cfg.task_timeout_ns,
+            "the lost tile is recomputed only after the task timeout"
         );
+        // Overdue work is redistributed at the task timeout, but a node is
+        // excluded only after a heartbeat timeout of silence, which this
+        // run does not last.
+        let silence = SchedParams::default().heartbeat_timeout_ns();
+        assert!(r.makespan_ns < crash + silence, "{r:?}");
+        assert_eq!(r.dead_nodes, 0);
+    }
+
+    #[test]
+    fn silent_node_is_excluded_after_the_heartbeat_timeout() {
+        // A crash in a run that outlasts crash + heartbeat timeout + one
+        // FT sweep: here the silence excludes the node.
+        let w = SimWorkload::swgg(2_000, 100, 10);
+        let p = SchedParams::default();
+        let crash = 5_000_000;
+        let mut cfg = SimConfig::uniform(3, 4).fail_node(1, crash);
+        cfg.task_timeout_ns = 20_000_000;
+        let r = simulate(&w, &cfg);
+        let bound = crash + p.heartbeat_timeout_ns() + p.ft_poll.as_nanos() as u64;
+        assert!(r.makespan_ns > bound, "{r:?}");
+        assert_eq!(r.tiles, w.model.master_dag().len() as u64);
+        assert!(r.redispatched >= 1);
+        assert_eq!(r.dead_nodes, 1);
+        assert!(r.node_busy_ns[1] < crash, "nothing runs on a crashed node");
     }
 
     #[test]
@@ -487,8 +521,8 @@ mod failure_tests {
         // copy of the pick policy without the orphan fallback, so a
         // static-mode run with a crashed node drained its event queue
         // with the dead node's columns still pending and panicked, while
-        // the real master finished the run on the survivor. Both now ask
-        // `easyhps_core::sched::pick_task` and agree.
+        // the real master finished the run on the survivor. Both now
+        // drive the same `MasterSched` and agree.
         let w = workload();
         let mut cfg = SimConfig::uniform(2, 4).fail_node(0, 0);
         cfg.task_timeout_ns = 10_000_000;
@@ -509,6 +543,19 @@ mod failure_tests {
     fn all_nodes_crashing_panics() {
         let w = workload();
         let mut cfg = SimConfig::uniform(2, 2).fail_node(0, 0).fail_node(1, 0);
+        cfg.task_timeout_ns = 1_000_000;
+        simulate(&w, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than a tile's turnaround")]
+    fn timeout_shorter_than_a_tile_panics_instead_of_spinning() {
+        // One tile, one node, one thread: the tile runs far longer than
+        // the timeout rounded up to the FT sweep, so every copy is taken
+        // back before its DONE arrives and can never be accepted.
+        let w = SimWorkload::swgg(1_000, 1_001, 1_001);
+        assert_eq!(w.model.master_dag().len(), 1);
+        let mut cfg = SimConfig::uniform(1, 1);
         cfg.task_timeout_ns = 1_000_000;
         simulate(&w, &cfg);
     }
@@ -572,6 +619,81 @@ mod trace_tests {
             !trace.has_lane_overlaps(),
             "node executing two tiles at once:\n{g}"
         );
+    }
+}
+
+#[cfg(test)]
+mod replay_tests {
+    use super::*;
+
+    /// Differential test (virtual-time driver): the DES's recorded
+    /// exchange with the master machine, replayed into a fresh
+    /// `MasterSched`, yields the same action batches — the simulator runs
+    /// the runtime's master, not a copy of it.
+    #[test]
+    fn cluster_driver_matches_machine_replay() {
+        let w = SimWorkload::swgg(400, 50, 10);
+        let dag = w.model.master_dag();
+        for mode in [ScheduleMode::Dynamic, ScheduleMode::ColumnWavefront] {
+            for crash in [None, Some(5_000_000)] {
+                let mut cfg = SimConfig::uniform(3, 4);
+                cfg.process_mode = mode;
+                cfg.task_timeout_ns = 20_000_000;
+                if let Some(at) = crash {
+                    cfg = cfg.fail_node(1, at);
+                }
+                let mut log = MasterLog::new();
+                let r = simulate_impl(&w, &cfg, None, Some(&mut log));
+                assert_eq!(r, simulate(&w, &cfg), "logging must not perturb the run");
+                assert_eq!(r.tiles, dag.len() as u64);
+                assert_eq!(
+                    crash.is_some(),
+                    r.redispatched > 0,
+                    "{mode:?}: only the crash exercises the fault path"
+                );
+                let params = SchedParams {
+                    task_timeout: Duration::from_nanos(cfg.task_timeout_ns),
+                    ..SchedParams::default()
+                };
+                let mut m = MasterSched::new(&dag, 3, mode, &params, None);
+                for (ev, acts) in log {
+                    let replayed = m.on_event(&dag, ev.clone()).expect("log replays cleanly");
+                    assert_eq!(
+                        replayed, acts,
+                        "{mode:?}, crash {crash:?}: diverged at {ev:?}"
+                    );
+                }
+                assert_eq!(m.counters().completed, r.tiles);
+            }
+        }
+    }
+
+    /// The all-crash give-up is the machine's: the run ends on
+    /// `AllSlavesDead`, after every crashed node was excluded for its
+    /// silence and its probe failed — also when both die holding tiles,
+    /// so no ASSIGN is ever rejected.
+    #[test]
+    fn all_crash_give_up_is_all_slaves_dead() {
+        let w = SimWorkload::swgg(400, 50, 10);
+        for at in [0, 2_000_000] {
+            let mut cfg = SimConfig::uniform(2, 2).fail_node(0, at).fail_node(1, at);
+            cfg.task_timeout_ns = 1_000_000;
+            let mut log = MasterLog::new();
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                simulate_impl(&w, &cfg, None, Some(&mut log))
+            }));
+            let msg = run.expect_err("the run cannot finish");
+            assert_eq!(
+                msg.downcast_ref::<&str>(),
+                Some(&"every node crashed before the computation finished")
+            );
+            let (_, acts) = log.last().expect("the machine was fed");
+            assert_eq!(
+                acts.last(),
+                Some(&MasterAction::AllSlavesDead),
+                "crash at {at}"
+            );
+        }
     }
 }
 
