@@ -53,11 +53,6 @@ impl Gauge {
         self.0.fetch_add(d, Ordering::Relaxed);
     }
 
-    /// Raise the value to `v` if it is larger (high-water marks).
-    pub fn set_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -481,10 +476,7 @@ mod tests {
         let g = r.gauge("easyhps_test_gauge");
         g.set(7);
         g.add(-3);
-        g.set_max(2);
         assert_eq!(g.get(), 4);
-        g.set_max(10);
-        assert_eq!(g.get(), 10);
     }
 
     #[test]

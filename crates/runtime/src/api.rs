@@ -13,7 +13,7 @@ use crate::fleet::accept_slaves;
 use crate::master::run_master;
 use crate::obs::registry_of;
 use crate::remote::{serve_rejoining, RemoteProblem};
-use crate::slave::run_slave_in;
+use crate::slave::run_slave;
 use crate::RuntimeError;
 use easyhps_core::ScheduleMode;
 use easyhps_core::{DagDataDrivenModel, GridDims};
@@ -66,7 +66,6 @@ pub struct EasyHps<P: DpProblem> {
     deployment: Deployment,
     fault_plans: Vec<Option<FaultPlan>>,
     transport: TransportKind,
-    memory: MemoryMode,
     resume: Option<Checkpoint>,
     tile_budget: Option<u64>,
     metrics: Option<Arc<Registry>>,
@@ -105,19 +104,6 @@ impl TransportKind {
     }
 }
 
-/// Node-matrix storage strategy (paper §VII lists memory as the system's
-/// main limitation; `Sparse` implements the fix).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum MemoryMode {
-    /// One dense `dag_size` matrix per slave (the paper's layout;
-    /// fastest).
-    #[default]
-    Dense,
-    /// Chunked allocation on demand: memory proportional to the strips a
-    /// node actually receives and the tiles it computes.
-    Sparse,
-}
-
 impl<P: DpProblem> EasyHps<P> {
     /// Start configuring a run of `problem`.
     pub fn new(problem: P) -> Self {
@@ -135,7 +121,6 @@ impl<P: DpProblem> EasyHps<P> {
             deployment: Deployment::local(2, 2),
             fault_plans: Vec::new(),
             transport: TransportKind::InProcess,
-            memory: MemoryMode::Dense,
             resume: None,
             tile_budget: None,
             metrics: None,
@@ -200,12 +185,6 @@ impl<P: DpProblem> EasyHps<P> {
     /// checkpoint in the output — for incremental or preemptible runs.
     pub fn tile_budget(mut self, tiles: u64) -> Self {
         self.tile_budget = Some(tiles);
-        self
-    }
-
-    /// Choose the node-matrix storage strategy.
-    pub fn memory_mode(mut self, mode: MemoryMode) -> Self {
-        self.memory = mode;
         self
     }
 
@@ -405,7 +384,6 @@ impl<P: DpProblem> EasyHps<P> {
             recorder: recorder.clone(),
         };
 
-        let memory = self.memory;
         let out = match self.transport {
             TransportKind::InProcess => {
                 let mut endpoints = Network::with_faults(n_ranks, &plans);
@@ -418,7 +396,7 @@ impl<P: DpProblem> EasyHps<P> {
                         // A slave that dies under fault injection returns
                         // Err; the master's fault tolerance handles it.
                         s.spawn(move || {
-                            let _ = run_slave_in(memory, ep, problem.as_ref(), &model, &deployment);
+                            let _ = run_slave(ep, problem.as_ref(), &model, &deployment);
                         });
                     }
                     run_master(
@@ -475,13 +453,7 @@ impl<P: DpProblem> EasyHps<P> {
                             let res =
                                 serve_rejoining(&addr, rank, scfg, plan, wanted, |ep, plan| {
                                     let ep = ep.fork(plan);
-                                    let run = run_slave_in(
-                                        memory,
-                                        ep,
-                                        problem.as_ref(),
-                                        &model,
-                                        &deployment,
-                                    );
+                                    let run = run_slave(ep, problem.as_ref(), &model, &deployment);
                                     cut |= lost(&run);
                                     run
                                 });

@@ -173,7 +173,7 @@ impl Fleet {
             .map(|(i, ep)| {
                 std::thread::Builder::new()
                     .name(format!("fleet-slave-{}", i + 1))
-                    .spawn(move || slave_job_loop(ep, threads, None, None))
+                    .spawn(move || slave_job_loop(ep, threads, None))
                     .expect("spawn fleet slave")
             })
             .collect();
@@ -507,7 +507,7 @@ mod tests {
             .into_iter()
             .map(|ep| {
                 kills.push(ep.kill_handle());
-                std::thread::spawn(move || slave_job_loop(ep, None, None, None))
+                std::thread::spawn(move || slave_job_loop(ep, None, None))
             })
             .collect();
         let mut fleet = Fleet {
@@ -557,7 +557,7 @@ mod tests {
         let live = eps.pop().unwrap();
         ghost.send(Rank(0), tags::READY, Bytes::new()).unwrap();
         drop(ghost);
-        let handle = std::thread::spawn(move || slave_job_loop(live, None, None, None));
+        let handle = std::thread::spawn(move || slave_job_loop(live, None, None));
         let mut fleet = Fleet {
             root,
             n_slaves: 2,

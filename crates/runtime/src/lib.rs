@@ -53,7 +53,6 @@ mod protocol;
 pub mod remote;
 mod shared_grid;
 mod slave;
-mod storage;
 pub mod testing;
 
 // What `with_problem!` expands to, so its callers need no `easyhps-dp`
@@ -61,7 +60,7 @@ pub mod testing;
 #[doc(hidden)]
 pub use easyhps_dp as __dp;
 
-pub use api::{EasyHps, MemoryMode, RunOutput, TransportKind};
+pub use api::{EasyHps, RunOutput, TransportKind};
 pub use checkpoint::Checkpoint;
 pub use config::{Deployment, MasterStats, ObsConfig, RunReport};
 pub use durable::CheckpointPolicy;
@@ -74,5 +73,4 @@ pub use fleet::{Fleet, JobOptions};
 pub use master::{run_master, FleetControl, MasterOutput};
 pub use protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
 pub use shared_grid::{ExclusiveGrid, SharedGrid, TaskView};
-pub use slave::{run_slave, run_slave_with_storage};
-pub use storage::{NodeStorage, SparseGrid, SparseView};
+pub use slave::run_slave;

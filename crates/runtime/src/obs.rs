@@ -141,8 +141,6 @@ pub(crate) struct SlaveMetrics {
     pub busy_ns: Arc<Counter>,
     /// Heartbeats emitted.
     pub heartbeats: Arc<Counter>,
-    /// Peak node-matrix bytes allocated.
-    pub peak_node_bytes: Arc<Gauge>,
     /// Per-sub-sub-task kernel latency, nanoseconds.
     pub subtask_latency: Arc<Histogram>,
 }
@@ -157,7 +155,6 @@ impl SlaveMetrics {
             thread_failures: reg.counter(&l("slave_thread_failures")),
             busy_ns: reg.counter(&l("slave_busy_ns")),
             heartbeats: reg.counter(&l("slave_heartbeats")),
-            peak_node_bytes: reg.gauge(&l("slave_peak_node_bytes")),
             subtask_latency: reg.histogram(&l("slave_subtask_latency_ns")),
         }
     }

@@ -221,8 +221,6 @@ pub struct SlaveStatsMsg {
     pub busy_ns: u64,
     /// Thread-level failures recovered (panics caught and re-run).
     pub thread_failures: u64,
-    /// Peak bytes of node-matrix memory allocated on this slave.
-    pub peak_node_bytes: u64,
     /// Computing threads spawned over the slave's lifetime. With the
     /// persistent pool this equals the configured thread count, however
     /// many tiles the slave executed.
@@ -232,12 +230,11 @@ pub struct SlaveStatsMsg {
 impl SlaveStatsMsg {
     /// Encode to payload bytes.
     pub fn encode(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(48);
+        let mut w = WireWriter::with_capacity(40);
         w.put_u64(self.tasks_done)
             .put_u64(self.subtasks_done)
             .put_u64(self.busy_ns)
             .put_u64(self.thread_failures)
-            .put_u64(self.peak_node_bytes)
             .put_u64(self.threads_spawned);
         w.finish()
     }
@@ -250,7 +247,6 @@ impl SlaveStatsMsg {
             subtasks_done: r.get_u64()?,
             busy_ns: r.get_u64()?,
             thread_failures: r.get_u64()?,
-            peak_node_bytes: r.get_u64()?,
             threads_spawned: r.get_u64()?,
         };
         r.expect_end()?;
@@ -324,7 +320,6 @@ mod tests {
             subtasks_done: 400,
             busy_ns: u64::MAX / 3,
             thread_failures: 2,
-            peak_node_bytes: 1 << 40,
             threads_spawned: 4,
         };
         assert_eq!(SlaveStatsMsg::decode(&msg.encode()).unwrap(), msg);

@@ -6,10 +6,8 @@
 //! [`JobSpec`] — the problem's defining data plus the partition sizes
 //! and deployment knobs both sides must agree on — as the first message
 //! after the socket handshake (tag [`tags::JOB`]). The slave
-//! reconstructs the problem and
-//! model locally and then runs the ordinary
-//! [`run_slave_with_storage`](crate::run_slave_with_storage)
-//! loop; the master runs the ordinary
+//! reconstructs the problem and model locally and then runs the ordinary
+//! [`run_slave`] loop; the master runs the ordinary
 //! [`run_master`](crate::run_master). Everything above the transport —
 //! reliable control messages, heartbeats, fault tolerance, durable
 //! checkpoints — is byte-identical to the in-process path.
@@ -27,8 +25,8 @@ use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
 use crate::protocol::{tags, SlaveStatsMsg};
-use crate::slave::run_slave_in;
-use crate::{MemoryMode, RuntimeError};
+use crate::slave::run_slave;
+use crate::RuntimeError;
 use bytes::Bytes;
 use easyhps_core::{DagDataDrivenModel, GridDims, ScheduleMode};
 use easyhps_dp::sequence::{random_sequence, Alphabet};
@@ -533,8 +531,6 @@ pub struct JobSpec {
     pub heartbeat_timeout: Duration,
     /// Reliable-send retry policy.
     pub retry: RetryPolicy,
-    /// Node-matrix storage strategy for slaves.
-    pub memory: MemoryMode,
 }
 
 impl JobSpec {
@@ -554,7 +550,6 @@ impl JobSpec {
             heartbeat_interval: d.heartbeat_interval,
             heartbeat_timeout: d.heartbeat_timeout,
             retry: d.retry,
-            memory: MemoryMode::Dense,
         }
     }
 
@@ -603,18 +598,34 @@ impl JobSpec {
         w.put_u32(self.retry.max_attempts)
             .put_u64(self.retry.initial_backoff.as_micros() as u64)
             .put_u64(self.retry.max_backoff.as_micros() as u64);
-        w.put_u8(match self.memory {
-            MemoryMode::Dense => 0,
-            MemoryMode::Sparse => 1,
-        });
         w.finish().to_vec()
+    }
+
+    /// Reject a duration that is zero on the wire (whole milliseconds). A
+    /// zero heartbeat interval spins the slave loop, flooding the
+    /// master's link with heartbeats; a zero task timeout makes every
+    /// tile in flight overdue at the next sweep, so none ever finishes;
+    /// a zero poll or heartbeat timeout is as degenerate.
+    fn validate_durations(&self) -> Result<(), &'static str> {
+        for (d, what) in [
+            (self.task_timeout, "task timeout (zero)"),
+            (self.ft_poll, "fault-tolerance poll (zero)"),
+            (self.heartbeat_interval, "heartbeat interval (zero)"),
+            (self.heartbeat_timeout, "heartbeat timeout (zero)"),
+        ] {
+            if d.as_millis() == 0 {
+                return Err(what);
+            }
+        }
+        Ok(())
     }
 
     /// Decode from raw payload bytes. A spec arrives from outside the
     /// process (a client's `Submit`, a master's JOB), so everything the
     /// model builder would otherwise `assert!` on is rejected here: a
     /// partition with a zero side, a thread partition larger than the
-    /// process partition it subdivides, and unknown enum bytes.
+    /// process partition it subdivides, unknown enum bytes, and a
+    /// duration of zero milliseconds.
     pub fn decode(bytes: &[u8]) -> Result<JobSpec, WireError> {
         let mut r = WireReader::new(bytes);
         let problem = RemoteProblem::decode_from(&mut r)?;
@@ -633,17 +644,8 @@ impl JobSpec {
             initial_backoff: Duration::from_micros(r.get_u64()?),
             max_backoff: Duration::from_micros(r.get_u64()?),
         };
-        let memory = match r.get_u8()? {
-            0 => MemoryMode::Dense,
-            1 => MemoryMode::Sparse,
-            _ => {
-                return Err(WireError {
-                    context: "memory mode",
-                })
-            }
-        };
         r.expect_end()?;
-        Ok(JobSpec {
+        let spec = JobSpec {
             problem,
             pp,
             tp,
@@ -655,8 +657,10 @@ impl JobSpec {
             heartbeat_interval,
             heartbeat_timeout,
             retry,
-            memory,
-        })
+        };
+        spec.validate_durations()
+            .map_err(|context| WireError { context })?;
+        Ok(spec)
     }
 }
 
@@ -735,8 +739,6 @@ pub struct RemoteSlaveOptions {
     pub want_rank: Option<u32>,
     /// Override the job's `threads_per_slave` locally.
     pub threads: Option<usize>,
-    /// Override the job's storage strategy locally.
-    pub memory: Option<MemoryMode>,
     /// Socket config (a reconnect window makes a broken link a rejoin:
     /// the slave redials for that long).
     pub socket: SocketConfig,
@@ -751,7 +753,6 @@ impl RemoteSlaveOptions {
             addr,
             want_rank: None,
             threads: None,
-            memory: None,
             socket: SocketConfig::default(),
             fault: None,
         }
@@ -780,7 +781,6 @@ const IDLE_PROBE: Duration = Duration::from_millis(500);
 pub(crate) fn slave_job_loop(
     mut root: easyhps_net::Endpoint,
     threads: Option<usize>,
-    memory: Option<MemoryMode>,
     fault: Option<easyhps_net::FaultPlan>,
 ) -> Result<SlaveServeSummary, RuntimeError> {
     let master = Rank(0);
@@ -812,10 +812,9 @@ pub(crate) fn slave_job_loop(
                 let n_slaves = root.n_ranks() - 1;
                 let deployment = spec.deployment(n_slaves, threads);
                 let model = spec.model();
-                let mem = memory.unwrap_or(spec.memory);
                 let ep = root.fork(fault.clone());
                 let stats = with_problem!(&spec.problem, p => {
-                    run_slave_in(mem, ep, &p, &model, &deployment)
+                    run_slave(ep, &p, &model, &deployment)
                 })?;
                 announce_at = Instant::now();
                 summary.jobs += 1;
@@ -823,8 +822,6 @@ pub(crate) fn slave_job_loop(
                 summary.stats.subtasks_done += stats.subtasks_done;
                 summary.stats.busy_ns += stats.busy_ns;
                 summary.stats.thread_failures += stats.thread_failures;
-                summary.stats.peak_node_bytes =
-                    summary.stats.peak_node_bytes.max(stats.peak_node_bytes);
                 summary.stats.threads_spawned += stats.threads_spawned;
             }
             tags::SHUTDOWN => return Ok(summary),
@@ -840,14 +837,14 @@ pub(crate) fn slave_job_loop(
 /// one-shot `easyhps master` sends exactly one job followed by SHUTDOWN;
 /// a serve daemon keeps the connection and streams jobs through it.
 pub fn serve_slave_jobs(opts: RemoteSlaveOptions) -> Result<SlaveServeSummary, RuntimeError> {
-    let (threads, memory) = (opts.threads, opts.memory);
+    let threads = opts.threads;
     serve_rejoining(
         &opts.addr,
         opts.want_rank,
         opts.socket,
         opts.fault,
         || true,
-        |ep, fault| slave_job_loop(ep, threads, memory, fault),
+        |ep, fault| slave_job_loop(ep, threads, fault),
     )
 }
 
@@ -938,7 +935,7 @@ mod tests {
     /// knobs every spec appends after them.
     #[test]
     fn job_payload_and_content_key_bytes_are_golden() {
-        const KNOBS: &str = "0800000006000000040000000300000003000000010200000002090300000000000014000000000000001900000000000000fa000000000000000a0000008813000000000000803801000000000001";
+        const KNOBS: &str = "0800000006000000040000000300000003000000010200000002090300000000000014000000000000001900000000000000fa000000000000000a00000088130000000000008038010000000000";
         for (problem, key) in [
             (
                 RemoteProblem::EditDistance {
@@ -989,7 +986,6 @@ mod tests {
             spec.process_mode = ScheduleMode::BlockCyclic { block: 2 };
             spec.thread_mode = ScheduleMode::ColumnWavefront;
             spec.task_timeout = Duration::from_millis(777);
-            spec.memory = MemoryMode::Sparse;
             assert_eq!(hex(&spec.encode()), format!("{key}{KNOBS}"));
             assert_eq!(JobSpec::decode(&spec.encode()).unwrap(), spec);
         }
@@ -1055,6 +1051,22 @@ mod tests {
             with(&|s| s.tp = GridDims::new(5, 2)).is_err(),
             "tp beyond pp"
         );
+        assert!(
+            with(&|s| s.task_timeout = Duration::ZERO).is_err(),
+            "zero task timeout"
+        );
+        assert!(
+            with(&|s| s.ft_poll = Duration::ZERO).is_err(),
+            "zero ft poll"
+        );
+        assert!(
+            with(&|s| s.heartbeat_interval = Duration::ZERO).is_err(),
+            "zero heartbeat interval"
+        );
+        assert!(
+            with(&|s| s.heartbeat_timeout = Duration::ZERO).is_err(),
+            "zero heartbeat timeout"
+        );
         let negative_gap = JobSpec::new(
             RemoteProblem::NeedlemanWunsch {
                 a: b"ACGT".to_vec(),
@@ -1101,7 +1113,6 @@ mod tests {
                 "thread mode",
                 kind_byte(&|s| s.thread_mode = ScheduleMode::ColumnWavefront),
             ),
-            ("memory mode", kind_byte(&|s| s.memory = MemoryMode::Sparse)),
         ] {
             let mut bad = bytes.clone();
             bad[at] = 9;

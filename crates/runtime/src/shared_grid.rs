@@ -1,5 +1,9 @@
 //! The shared node matrix: race-free concurrent tile computation.
 //!
+//! Every slave, and EasyPDP, keeps its node matrix in one [`SharedGrid`]:
+//! a single dense `dag_size` allocation, the paper's layout (its §VII
+//! names that memory cost the system's main limitation).
+//!
 //! Inside one slave node, computing threads work on disjoint tile regions
 //! of a single matrix while reading regions finished earlier — the classic
 //! wavefront shared-memory discipline. Rust cannot prove this discipline

@@ -3,8 +3,9 @@
 //!
 //! Each slave rank runs [`run_slave`]: a scheduling loop that announces
 //! idleness, receives sub-task assignments with their input strips,
-//! executes them on a pool of computing threads over the shared node
-//! matrix, and returns the computed region. The pool is spawned **once per
+//! executes them on a pool of computing threads over the node matrix —
+//! one dense [`SharedGrid`] of the job's `dag_size`, the paper's layout —
+//! and returns the computed region. The pool is spawned **once per
 //! slave lifetime** and reused across every ASSIGN — thread creation is
 //! not on the per-tile path. Inside a tile the workers pull, as the
 //! paper's idle workers pull from the computable stack: the worker that
@@ -28,8 +29,7 @@ use crate::config::Deployment;
 use crate::obs::{lane_of, publish_endpoint_stats, registry_of, SlaveMetrics, TID_NET};
 use crate::protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
 use crate::shared_grid::SharedGrid;
-use crate::storage::{NodeStorage, SparseGrid};
-use crate::{MemoryMode, RuntimeError};
+use crate::RuntimeError;
 use crossbeam::channel::{unbounded, Sender};
 use easyhps_core::sched::{PoolAction, PoolEvent, PoolLog, PoolSched, SchedViolation};
 use easyhps_core::{DagDataDrivenModel, GridDims, GridPos, TaskDag, TileRegion, VertexId};
@@ -191,18 +191,14 @@ impl ComputePool {
     /// the worker reports failure and stays alive for re-queued work. With
     /// a `recorder`, each worker records one `sub` compute span per job on
     /// its own `(pid, 1 + worker)` event lane.
-    pub(crate) fn spawn<'scope, 'env, P, S>(
+    pub(crate) fn spawn<'scope, 'env, P: DpProblem>(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         ct: usize,
         problem: &'env P,
-        grid: &'env RwLock<S>,
+        grid: &'env RwLock<SharedGrid<P::Cell>>,
         recorder: Option<Arc<EventRecorder>>,
         pid: u32,
-    ) -> Self
-    where
-        P: DpProblem,
-        S: NodeStorage<P::Cell>,
-    {
+    ) -> Self {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 workers: Vec::with_capacity(ct),
@@ -267,47 +263,19 @@ impl Drop for ComputePool {
     }
 }
 
-/// Run the slave loop on `ep` until the master sends END, with dense node
-/// storage (the paper's layout). Returns the stats that were reported
-/// back, or the transport error that killed the slave (a `Dead` error
-/// simulates a node crash and is expected under fault injection).
+/// Run the slave loop on `ep` until the master sends END, keeping the
+/// node matrix in one [`SharedGrid`] (the paper's layout). Returns the
+/// stats that were reported back, or the transport error that killed the
+/// slave (a `Dead` error simulates a node crash and is expected under
+/// fault injection).
 pub fn run_slave<P: DpProblem>(
     ep: Endpoint,
     problem: &P,
     model: &DagDataDrivenModel,
     config: &Deployment,
 ) -> Result<SlaveStatsMsg, RuntimeError> {
-    run_slave_with_storage::<P, SharedGrid<P::Cell>>(ep, problem, model, config)
-}
-
-/// [`run_slave`] with the storage strategy chosen at run time — the one
-/// place a [`MemoryMode`] becomes a [`NodeStorage`] type.
-pub(crate) fn run_slave_in<P: DpProblem>(
-    memory: MemoryMode,
-    ep: Endpoint,
-    problem: &P,
-    model: &DagDataDrivenModel,
-    config: &Deployment,
-) -> Result<SlaveStatsMsg, RuntimeError> {
-    match memory {
-        MemoryMode::Dense => run_slave(ep, problem, model, config),
-        MemoryMode::Sparse => {
-            run_slave_with_storage::<P, SparseGrid<P::Cell>>(ep, problem, model, config)
-        }
-    }
-}
-
-/// [`run_slave`] generic over the node-matrix storage strategy (dense
-/// [`SharedGrid`] or sparse
-/// [`SparseGrid`](crate::storage::SparseGrid)).
-pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
-    ep: Endpoint,
-    problem: &P,
-    model: &DagDataDrivenModel,
-    config: &Deployment,
-) -> Result<SlaveStatsMsg, RuntimeError> {
     let master = Rank(0);
-    let grid = RwLock::new(S::new(model.dag_size()));
+    let grid = RwLock::new(SharedGrid::new(model.dag_size()));
     // A slave computes one tile at a time, so a thread beyond the
     // sub-tasks of the largest tile never gets work. The bound also keeps
     // a job from outside (a serve client's spec) from asking this host
@@ -371,7 +339,6 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                         subtasks_done: sm.subtasks.get(),
                         busy_ns: sm.busy_ns.get(),
                         thread_failures: sm.thread_failures.get(),
-                        peak_node_bytes: sm.peak_node_bytes.get().max(0) as u64,
                         threads_spawned: pool.threads_spawned(),
                     };
                     let _ = rep.send_reliable(master, tags::STATS, stats.encode());
@@ -387,15 +354,10 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                     let msg = AssignMsg::decode(&env.payload)?;
                     lane.instant("dispatch", "sched", Some(("task", u64::from(msg.task))));
                     let tile_start = lane.now_ns();
-                    {
-                        // Steps b-c: install input strips, back every
-                        // sub-sub-task region with memory. Write lock: the
-                        // pool is idle between tiles, so this never blocks.
-                        let mut g = grid.write();
-                        for &(region, bytes) in &msg.inputs {
-                            g.decode_region(region, bytes);
-                        }
-                        g.prepare(&[msg.region]);
+                    // Steps b-c: install input strips. Write lock: the pool
+                    // is idle between tiles, so this never blocks.
+                    for &(region, bytes) in &msg.inputs {
+                        grid.write().as_exclusive().decode_region(region, bytes);
                     }
                     // Steps d-i: drive the slave DAG through the pool,
                     // heartbeating (and retransmitting pending sends)
@@ -427,8 +389,6 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                     sm.thread_failures.add(exec.failures);
                     // Step h (slave side): return the computed region,
                     // encoded from the node matrix straight into the frame.
-                    let mut g = grid.write();
-                    sm.peak_node_bytes.set_max(g.allocated_bytes() as i64);
                     let done = DoneMsg {
                         task: msg.task,
                         // Echoed blindly: the slave has no epoch knowledge;
@@ -439,9 +399,11 @@ pub fn run_slave_with_storage<P: DpProblem, S: NodeStorage<P::Cell>>(
                         output: &[],
                     };
                     let len = msg.region.area() as usize * P::Cell::WIRE_SIZE;
-                    let payload =
-                        done.encode_with(len, |out| g.encode_region_into(msg.region, out));
-                    drop(g);
+                    let payload = done.encode_with(len, |out| {
+                        grid.write()
+                            .as_exclusive()
+                            .encode_region_into(msg.region, out)
+                    });
                     rep.send_reliable(master, tags::DONE, payload)?;
                     lane.span_since(
                         "compute",

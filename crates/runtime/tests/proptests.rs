@@ -177,14 +177,13 @@ proptest! {
     }
 
     #[test]
-    fn every_stats_prefix_fails_cleanly(vals in proptest::collection::vec(any::<u64>(), 6)) {
+    fn every_stats_prefix_fails_cleanly(vals in proptest::collection::vec(any::<u64>(), 5)) {
         let msg = SlaveStatsMsg {
             tasks_done: vals[0],
             subtasks_done: vals[1],
             busy_ns: vals[2],
             thread_failures: vals[3],
-            peak_node_bytes: vals[4],
-            threads_spawned: vals[5],
+            threads_spawned: vals[4],
         };
         let buf = msg.encode();
         prop_assert_eq!(SlaveStatsMsg::decode(&buf).unwrap(), msg);

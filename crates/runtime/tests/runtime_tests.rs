@@ -395,53 +395,6 @@ fn single_level_and_multilevel_agree() {
 }
 
 #[test]
-fn sparse_memory_mode_is_correct_and_smaller() {
-    use easyhps_runtime::MemoryMode;
-    let rna = random_sequence(Alphabet::Rna, 400, 50);
-    let reference = Nussinov::new(rna.clone()).solve_sequential();
-    let pattern = Nussinov::new(rna.clone()).pattern();
-
-    let run = |mode: MemoryMode| {
-        EasyHps::new(Nussinov::new(rna.clone()))
-            .process_partition((80, 80))
-            .thread_partition((20, 20))
-            .slaves(3)
-            .threads_per_slave(2)
-            .memory_mode(mode)
-            .run()
-            .unwrap()
-    };
-    let dense = run(MemoryMode::Dense);
-    let sparse = run(MemoryMode::Sparse);
-
-    for pos in reference.dims().iter() {
-        if pattern.contains(pos) {
-            assert_eq!(
-                sparse.matrix.at(pos),
-                reference.at(pos),
-                "sparse cell {pos}"
-            );
-            assert_eq!(dense.matrix.at(pos), reference.at(pos), "dense cell {pos}");
-        }
-    }
-    let peak = |out: &easyhps_runtime::RunOutput<i32>| {
-        out.report
-            .slaves
-            .iter()
-            .flatten()
-            .map(|s| s.peak_node_bytes)
-            .max()
-            .unwrap()
-    };
-    let (pd, ps) = (peak(&dense), peak(&sparse));
-    assert_eq!(pd, 400 * 400 * 4, "dense allocates the full matrix");
-    assert!(
-        ps * 10 < pd * 9,
-        "sparse ({ps} B) must undercut dense ({pd} B) on a triangular workload"
-    );
-}
-
-#[test]
 fn runtime_trace_records_every_tile() {
     let a = random_sequence(Alphabet::Dna, 40, 60);
     let b = random_sequence(Alphabet::Dna, 40, 61);

@@ -680,8 +680,23 @@ impl Inner {
         let Some(store) = &self.store else {
             return Ok(());
         };
-        let persisted = store.scan()?;
+        let (persisted, unreadable) = store.scan()?;
         let mut core = self.core.lock().unwrap();
+        // Acknowledged, but not runnable by this build: say so, keep the
+        // directory for the operator, and never hand out its id again.
+        for dir in unreadable {
+            eprintln!(
+                "serve: recovery skips {}: its spec does not decode with this build",
+                dir.display()
+            );
+            self.registry.counter("serve_jobs_unreadable").inc();
+            let id = dir
+                .file_name()
+                .and_then(|n| n.to_str()?.parse::<u64>().ok());
+            if let Some(id) = id {
+                core.next_id = core.next_id.max(id + 1);
+            }
+        }
         for p in persisted {
             core.next_id = core.next_id.max(p.id + 1);
             let key = job_key(&p.spec.problem);

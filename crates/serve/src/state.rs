@@ -20,7 +20,9 @@
 //! corrupting disk can leave garbage) reads as *absent*, never as a
 //! wrong job: a job dir with an unreadable spec was never acknowledged
 //! and is dropped; an unreadable result means the job re-runs from its
-//! `ckpt/` segments.
+//! `ckpt/` segments. A spec whose seal verifies but whose payload no
+//! longer decodes (written by a build with another JOB codec) *was*
+//! acknowledged: [`JobStore::scan`] reports it instead of dropping it.
 
 use easyhps_net::{crc32c, WireError, WireReader, WireWriter};
 use easyhps_runtime::remote::JobSpec;
@@ -171,9 +173,12 @@ impl JobStore {
 
     /// Recover every acknowledged job, sorted by id. Dirs with a torn or
     /// missing spec are skipped (never acknowledged); torn results are
-    /// reported as unfinished.
-    pub fn scan(&self) -> io::Result<Vec<PersistedJob>> {
+    /// reported as unfinished. Dirs whose spec verifies but does not
+    /// decode held acknowledged jobs this build cannot run: they are
+    /// returned second, for the caller to report.
+    pub fn scan(&self) -> io::Result<(Vec<PersistedJob>, Vec<PathBuf>)> {
         let mut out = Vec::new();
+        let mut unreadable = Vec::new();
         for entry in fs::read_dir(self.root.join("jobs"))? {
             let dir = entry?.path();
             if !dir.is_dir() {
@@ -183,6 +188,7 @@ impl JobStore {
                 continue;
             };
             let Ok((id, tenant, spec)) = decode_spec(&payload) else {
+                unreadable.push(dir);
                 continue;
             };
             let result = read_sealed(&dir.join("result.bin")).and_then(|p| decode_result(&p).ok());
@@ -194,7 +200,8 @@ impl JobStore {
             });
         }
         out.sort_by_key(|j| j.id);
-        Ok(out)
+        unreadable.sort();
+        Ok((out, unreadable))
     }
 }
 
@@ -243,7 +250,8 @@ mod tests {
         want.extend_from_slice(b"cellbytes");
         assert_eq!(on_disk, want);
 
-        let jobs = store.scan().unwrap();
+        let (jobs, unreadable) = store.scan().unwrap();
+        assert!(unreadable.is_empty());
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].id, 3, "sorted by id");
         assert_eq!(jobs[0].tenant, "alice");
@@ -254,7 +262,7 @@ mod tests {
         assert!(jobs[1].result.is_none());
 
         store.remove(3).unwrap();
-        assert_eq!(store.scan().unwrap().len(), 1, "removed job is gone");
+        assert_eq!(store.scan().unwrap().0.len(), 1, "removed job is gone");
         fs::remove_dir_all(&root).ok();
     }
 
@@ -282,7 +290,8 @@ mod tests {
         let bytes = fs::read(&res1).unwrap();
         fs::write(&res1, &bytes[..bytes.len() - 1]).unwrap();
 
-        let jobs = store.scan().unwrap();
+        let (jobs, unreadable) = store.scan().unwrap();
+        assert!(unreadable.is_empty(), "torn is absent, not unreadable");
         assert_eq!(jobs.len(), 1, "torn spec means never acknowledged");
         assert_eq!(jobs[0].id, 1);
         assert!(jobs[0].result.is_none(), "torn result means unfinished");

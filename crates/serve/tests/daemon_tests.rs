@@ -409,6 +409,56 @@ fn restart_completes_accepted_jobs_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A spec whose seal verifies but whose payload this build cannot decode
+/// (here: one trailing byte, as a JOB codec with one more field wrote
+/// it) was acknowledged by the daemon that wrote it. Recovery must count
+/// it, not drop it silently, and still complete every other job.
+#[test]
+fn undecodable_persisted_spec_is_counted_and_the_rest_recover() {
+    let dir = tmp_dir("unreadable");
+    let good = editdist_spec(b"readable job", b"still runs", 4);
+    {
+        let store = JobStore::open(&dir).unwrap();
+        store.persist_spec(1, "alice", &good).unwrap();
+    }
+    // The documented sealed layout: [crc32c LE | 0x00 | payload], the
+    // checksum covering the format byte and the payload.
+    let mut spec = editdist_spec(b"older codec", b"job", 4).encode();
+    spec.push(0);
+    let mut w = easyhps_net::WireWriter::new();
+    w.put_u64(2).put_bytes(b"bob").put_bytes(&spec);
+    let mut body = vec![0u8];
+    body.extend_from_slice(&w.finish());
+    let mut sealed = crc32c(&body).to_le_bytes().to_vec();
+    sealed.extend_from_slice(&body);
+    let stale = dir.join("jobs").join(format!("{:016}", 2));
+    std::fs::create_dir_all(&stale).unwrap();
+    std::fs::write(stale.join("spec.bin"), sealed).unwrap();
+
+    let mut cfg = local_config("127.0.0.1:0");
+    cfg.state_dir = Some(dir.clone());
+    let daemon = Daemon::start(cfg).unwrap();
+    assert_eq!(counter(&daemon, "serve_jobs_unreadable"), 1);
+    assert_eq!(counter(&daemon, "serve_jobs_recovered"), 1);
+
+    let mut c = Client::connect(daemon.addr()).unwrap();
+    let r = wait_done(&mut c, 1, Duration::from_secs(60));
+    assert_eq!(r.crc, reference_crc(&good));
+    // The unreadable job's id is not handed out again.
+    let Response::Accepted { job, .. } = c
+        .submit("carol", true, editdist_spec(b"after", b"recovery", 3))
+        .unwrap()
+    else {
+        panic!()
+    };
+    assert!(job > 2, "id {job} reuses a recovered directory");
+    let Response::Done { .. } = c.read_response().unwrap() else {
+        panic!()
+    };
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A client-submitted spec is outside input: a zero partition side used
 /// to reach the model builder's `assert!` on the fleet thread and in
 /// every slave, taking the whole fleet down with one bad `Submit`. It

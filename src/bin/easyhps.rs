@@ -21,10 +21,10 @@
 //!               [--hang-timeout SECS] [--no-shrink] [--list]
 //! easyhps master --listen ADDR --slaves N <editdist|lcs|nw|swgg|nussinov>
 //!               [SEQ...] [--len N --seed S] [--pps N] [--tps N] [--threads N]
-//!               [--mode dynamic|bcw|cw] [--gap SPEC] [--min-loop N] [--sparse]
+//!               [--mode dynamic|bcw|cw] [--gap SPEC] [--min-loop N]
 //!               [--task-timeout-ms N] [--heartbeat-ms N] [--heartbeat-timeout-ms N]
 //!               [--reconnect-ms N]
-//! easyhps slave --connect ADDR [--rank R] [--threads N] [--sparse]
+//! easyhps slave --connect ADDR [--rank R] [--threads N]
 //!               [--reconnect-ms N]
 //! easyhps serve --listen ADDR [--slaves N] [--threads N] [--fleet-listen ADDR]
 //!               [--state-dir DIR] [--queue N] [--cache-mb N] [--batch-cells N]
@@ -32,7 +32,7 @@
 //!               [--weight TENANT=N]...
 //! easyhps submit --connect ADDR [--tenant T] [--wait]
 //!               <editdist|lcs|nw|swgg|nussinov> [SEQ...] [--len N --seed S]
-//!               [--pps N] [--tps N] [--mode dynamic|bcw|cw] [--gap SPEC] [--sparse]
+//!               [--pps N] [--tps N] [--mode dynamic|bcw|cw] [--gap SPEC]
 //! easyhps status --connect ADDR JOB
 //! easyhps stats  --connect ADDR
 //! easyhps cancel --connect ADDR JOB
@@ -571,9 +571,10 @@ fn build_job_spec(args: &Args, who: &str, slaves: usize) -> Result<JobSpec, Stri
         std::time::Duration::from_millis(args.get_num("heartbeat-ms", 25u64)?);
     spec.heartbeat_timeout =
         std::time::Duration::from_millis(args.get_num("heartbeat-timeout-ms", 250u64)?);
-    if args.has("sparse") {
-        spec.memory = easyhps::MemoryMode::Sparse;
-    }
+    // The checks a slave or daemon applies to the shipped spec (zero
+    // durations among them), run here so a bad flag fails before any
+    // socket is bound or dialled.
+    JobSpec::decode(&spec.encode()).map_err(|e| format!("{who}: invalid job: {}", e.context))?;
     Ok(spec)
 }
 
@@ -645,9 +646,6 @@ fn cmd_slave(args: &Args) -> Result<(), String> {
     let mut opts = RemoteSlaveOptions::new(easyhps::net::NetAddr::parse(addr)?);
     opts.want_rank = args.get_opt("rank")?;
     opts.threads = args.get_opt("threads")?;
-    if args.has("sparse") {
-        opts.memory = Some(easyhps::MemoryMode::Sparse);
-    }
     opts.socket.reconnect_window = args
         .get_opt("reconnect-ms")?
         .map(std::time::Duration::from_millis);
@@ -1099,7 +1097,6 @@ fn main() -> ExitCode {
         "no-shrink",
         "resume",
         "kill-master",
-        "sparse",
         "wait",
         "job-metrics",
     ];

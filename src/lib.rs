@@ -65,6 +65,5 @@ pub use easyhps_core::{
 };
 pub use easyhps_dp::{DpMatrix, DpProblem};
 pub use easyhps_runtime::{
-    Checkpoint, CheckpointPolicy, Deployment, EasyHps, MemoryMode, RunOutput, RuntimeError,
-    TransportKind,
+    Checkpoint, CheckpointPolicy, Deployment, EasyHps, RunOutput, RuntimeError, TransportKind,
 };

@@ -186,6 +186,30 @@ fn bad_inputs_fail_cleanly() {
     let (ok, _, stderr) = easyhps(&["stress", "--seed", "1", "--list", "--workload", "wavefront"]);
     assert!(!ok);
     assert!(stderr.contains("unknown workload"), "{stderr}");
+
+    // A zero duration is refused before the master binds (the address is
+    // unbindable, so a master that got as far as binding says so instead).
+    for flag in [
+        "--heartbeat-ms",
+        "--heartbeat-timeout-ms",
+        "--task-timeout-ms",
+    ] {
+        let (ok, stdout, stderr) = easyhps(&[
+            "master",
+            "--listen",
+            "uds:/nonexistent/easyhps.sock",
+            "--slaves",
+            "1",
+            "editdist",
+            "abc",
+            "abd",
+            flag,
+            "0",
+        ]);
+        assert!(!ok, "{flag} 0");
+        assert!(stderr.contains("(zero)"), "{flag} 0: {stderr}");
+        assert!(!stdout.contains("listening"), "{flag} 0: {stdout}");
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use easyhps::dp::sequence::{random_sequence, Alphabet};
 use easyhps::dp::{DpProblem, Lcs, Nussinov};
-use easyhps::runtime::{Checkpoint, EasyPdp, MemoryMode};
+use easyhps::runtime::{Checkpoint, EasyPdp};
 use easyhps::EasyHps;
 
 #[test]
@@ -62,8 +62,9 @@ fn trace_gantt_is_renderable_from_report() {
 }
 
 #[test]
-fn checkpoint_workflow_with_sparse_memory() {
-    // Sparse node storage and checkpoint/restart compose.
+fn checkpoint_workflow_on_a_triangular_dag() {
+    // Budget stop, checkpoint bytes round trip and resume on Nussinov's
+    // triangular DAG, whose lower triangle no tile ever writes.
     let rna = random_sequence(Alphabet::Rna, 80, 85);
     let reference = Nussinov::new(rna.clone()).solve_sequential();
     let pattern = Nussinov::new(rna.clone()).pattern();
@@ -73,7 +74,6 @@ fn checkpoint_workflow_with_sparse_memory() {
         .thread_partition((5, 5))
         .slaves(2)
         .threads_per_slave(2)
-        .memory_mode(MemoryMode::Sparse)
         .tile_budget(4)
         .run()
         .unwrap();
@@ -85,7 +85,6 @@ fn checkpoint_workflow_with_sparse_memory() {
         .thread_partition((5, 5))
         .slaves(2)
         .threads_per_slave(2)
-        .memory_mode(MemoryMode::Sparse)
         .resume_from(cp)
         .run()
         .unwrap();
