@@ -1,22 +1,18 @@
-//! Content-addressed result cache with in-flight bookkeeping support.
+//! The content key: what names a job's computation in the daemon.
 //!
 //! Jobs are keyed by *what they compute*, not how: the key hashes
 //! [`RemoteProblem::content_key_bytes`], the canonical encoding of the
 //! problem alone (sequences, scoring parameters), deliberately excluding
 //! partition shapes, thread counts and every other deployment knob — two
 //! submissions that differ only in `--pp` produce bit-identical matrices
-//! and must share one cache line. The daemon uses the same key for
-//! request coalescing: a submission whose key matches a queued or
-//! running job attaches to it instead of computing again.
-//!
-//! The cache itself is a plain LRU bounded by resident cell bytes,
-//! behind the daemon's one lock — hit latency is irrelevant next to the
-//! seconds a DP job takes.
+//! and must share one computation. The daemon's job table indexes its
+//! computations by this key: a submission whose key names a finished
+//! one is a cache hit answered with the stored digest, and one whose key
+//! names a queued or running one attaches to it instead of computing
+//! again. Nothing bounds the index by bytes: an entry is a key, a few
+//! job ids or a digest, never cells.
 
-use easyhps_net::crc32c;
 use easyhps_runtime::remote::RemoteProblem;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// 128-bit FNV-1a over the problem's canonical content bytes. Not
 /// cryptographic — tenants within one daemon are assumed cooperative —
@@ -32,111 +28,9 @@ pub fn job_key(problem: &RemoteProblem) -> u128 {
     h
 }
 
-/// Hex form of a job key, used in logs and metric labels.
-pub fn key_hex(key: u128) -> String {
-    format!("{key:032x}")
-}
-
-/// A finished matrix: shape, digest, and the encoded cells themselves
-/// (row-major little-endian, the [`easyhps_dp::DpMatrix::encode_region`]
-/// layout). Cells are shared via `Arc` so a cache hit is O(1).
-#[derive(Clone, Debug)]
-pub struct CacheEntry {
-    /// Matrix rows.
-    pub rows: u32,
-    /// Matrix columns.
-    pub cols: u32,
-    /// CRC-32C over `cells`.
-    pub crc: u32,
-    /// Encoded cell bytes.
-    pub cells: Arc<[u8]>,
-}
-
-impl CacheEntry {
-    /// Build an entry from raw encoded cells, computing the digest.
-    pub fn from_cells(rows: u32, cols: u32, cells: Vec<u8>) -> CacheEntry {
-        let crc = crc32c(&cells);
-        CacheEntry {
-            rows,
-            cols,
-            crc,
-            cells: cells.into(),
-        }
-    }
-}
-
-/// LRU result cache bounded by total cell bytes.
-#[derive(Debug)]
-pub struct ResultCache {
-    map: HashMap<u128, CacheEntry>,
-    /// Least-recently-used first. Small (one u128 per entry); linear
-    /// scans on touch are fine at the job counts a daemon sees.
-    order: Vec<u128>,
-    bytes: usize,
-    cap_bytes: usize,
-}
-
-impl ResultCache {
-    /// Cache holding at most `cap_bytes` of cell data. A single entry
-    /// larger than the cap is admitted alone (the cache never refuses
-    /// the result of a job it just ran) and evicted by the next insert.
-    pub fn new(cap_bytes: usize) -> ResultCache {
-        ResultCache {
-            map: HashMap::new(),
-            order: Vec::new(),
-            bytes: 0,
-            cap_bytes,
-        }
-    }
-
-    /// Look up a key, refreshing its recency on a hit.
-    pub fn get(&mut self, key: u128) -> Option<CacheEntry> {
-        let entry = self.map.get(&key)?.clone();
-        if let Some(pos) = self.order.iter().position(|&k| k == key) {
-            self.order.remove(pos);
-            self.order.push(key);
-        }
-        Some(entry)
-    }
-
-    /// Insert (or refresh) an entry, evicting least-recently-used
-    /// entries until the byte budget holds.
-    pub fn insert(&mut self, key: u128, entry: CacheEntry) {
-        if let Some(old) = self.map.remove(&key) {
-            self.bytes -= old.cells.len();
-            if let Some(pos) = self.order.iter().position(|&k| k == key) {
-                self.order.remove(pos);
-            }
-        }
-        self.bytes += entry.cells.len();
-        self.map.insert(key, entry);
-        self.order.push(key);
-        while self.bytes > self.cap_bytes && self.order.len() > 1 {
-            let victim = self.order.remove(0);
-            if let Some(old) = self.map.remove(&victim) {
-                self.bytes -= old.cells.len();
-            }
-        }
-    }
-
-    /// Number of cached results.
-    pub fn entries(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Resident cell bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn entry(n: usize) -> CacheEntry {
-        CacheEntry::from_cells(1, n as u32, vec![0xAB; n])
-    }
 
     #[test]
     fn key_ignores_partitioning_but_not_content() {
@@ -158,30 +52,5 @@ mod tests {
             b: b"GCATGCT".to_vec(),
         };
         assert_ne!(job_key(&a), job_key(&c), "problem kind is part of the key");
-    }
-
-    #[test]
-    fn lru_eviction_respects_byte_budget() {
-        let mut c = ResultCache::new(100);
-        c.insert(1, entry(40));
-        c.insert(2, entry(40));
-        assert_eq!(c.entries(), 2);
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(c.get(1).is_some());
-        c.insert(3, entry(40));
-        assert!(c.get(2).is_none(), "LRU entry evicted");
-        assert!(c.get(1).is_some());
-        assert!(c.get(3).is_some());
-        assert!(c.bytes() <= 100);
-    }
-
-    #[test]
-    fn oversized_entry_is_admitted_alone() {
-        let mut c = ResultCache::new(10);
-        c.insert(1, entry(50));
-        assert_eq!(c.entries(), 1, "fresh result never refused");
-        c.insert(2, entry(5));
-        assert!(c.get(1).is_none(), "oversized entry evicted next");
-        assert!(c.get(2).is_some());
     }
 }

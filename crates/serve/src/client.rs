@@ -14,10 +14,8 @@ use crate::protocol::{Request, Response, SubmitReq};
 use easyhps_net::frame::{self, CLIENT_MAGIC};
 use easyhps_net::stream::{retry_with_backoff, Stream};
 use easyhps_net::NetAddr;
-use easyhps_obs::Registry;
 use easyhps_runtime::remote::JobSpec;
 use std::io;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Redial-and-resend attempts after the initial try.
@@ -35,7 +33,6 @@ pub struct Client {
     /// `None` after a failed exchange, until the next one redials.
     stream: Option<Stream>,
     retries: u64,
-    metrics: Option<Arc<Registry>>,
 }
 
 /// Whether a failed exchange is worth redialing: connection-level
@@ -52,15 +49,7 @@ impl Client {
             addr: addr.clone(),
             stream: Some(Self::dial(addr)?),
             retries: 0,
-            metrics: None,
         })
-    }
-
-    /// Count retries into `registry` (as `client_retries`) in addition
-    /// to the [`Client::retries`] total.
-    pub fn with_metrics(mut self, registry: Arc<Registry>) -> Self {
-        self.metrics = Some(registry);
-        self
     }
 
     /// How many times this client redialed and resent a request.
@@ -84,7 +73,6 @@ impl Client {
         mut exchange: impl FnMut(&mut Client) -> io::Result<Response>,
     ) -> io::Result<Response> {
         let mut retried = 0;
-        let metrics = self.metrics.clone();
         let out = retry_with_backoff(
             RETRY_BASE,
             RETRY_CAP,
@@ -96,12 +84,7 @@ impl Client {
             },
             |e, failures| {
                 let again = retryable(e) && failures <= RETRY_ATTEMPTS;
-                if again {
-                    retried += 1;
-                    if let Some(reg) = &metrics {
-                        reg.counter("client_retries").inc();
-                    }
-                }
+                retried += again as u64;
                 again
             },
         );

@@ -1,21 +1,28 @@
 //! The serve daemon: a long-lived process owning a persistent slave
 //! fleet, accepting DP jobs from many clients and tenants.
 //!
-//! Request path (all under one mutex — decisions are cheap next to the
-//! jobs themselves):
+//! The job table is also the cache. One index maps a problem's content
+//! key ([`crate::cache::job_key`]) to its computation: queued or running,
+//! with the submissions attached to it, or finished, as its digest
+//! (rows, cols, CRC — no cells). Every submission, and every job crash
+//! recovery replays, passes the same admission rule (all under one
+//! mutex — decisions are cheap next to the jobs themselves):
 //!
-//! 1. **Cache** — the job's content key ([`crate::cache::job_key`]) hits
-//!    the result cache: answer immediately, no queue slot.
-//! 2. **Coalesce** — an identical job is already queued *or running*:
-//!    attach this submission as a follower of that leader. Followers
-//!    consume no queue slot and are completed by the leader's single
-//!    computation.
-//! 3. **Admission** — the bounded queue is full: reject, naming the
-//!    limit and the way out. Otherwise persist the spec (acceptance *is*
-//!    the durable write), enqueue, and wake the scheduler.
+//! 1. **Hit** — the problem is computed: answer with its digest, no
+//!    queue slot.
+//! 2. **Coalesce** — the problem is queued *or running*: attach the job
+//!    to that computation. It consumes no queue slot and is answered by
+//!    the one computation.
+//! 3. **Enqueue** — a new computation. A client's submission meets the
+//!    bounded queue first: past it, reject, naming the limit and the way
+//!    out. Otherwise persist the spec (acceptance *is* the durable
+//!    write), enqueue, and wake the scheduler.
 //!
-//! The scheduler picks queued leaders by **weighted fair queuing** over
-//! tenant keys: each tenant has a virtual time advanced by
+//! A queued computation is charged to, and runs as, its earliest live
+//! submission, so cancelling one submission only detaches it.
+//!
+//! The scheduler picks queued computations by **weighted fair queuing**
+//! over tenant keys: each tenant has a virtual time advanced by
 //! `cells / weight` per dispatched job; the queued job whose tenant has
 //! the smallest virtual time runs next, so a tenant spraying jobs cannot
 //! starve one submitting occasionally. Jobs at or below
@@ -24,14 +31,16 @@
 //! cheaper to solve than to partition); larger jobs run on the fleet
 //! with a per-job metrics registry and a per-job durable checkpoint
 //! directory, so a `kill -9` mid-job resumes from the last flushed tile
-//! segment rather than from scratch.
+//! segment rather than from scratch. A job's spec is held only until it
+//! is dispatched.
 //!
 //! Crash recovery replays the state directory on startup: jobs with a
-//! persisted result re-enter the cache; accepted-but-unfinished jobs are
-//! re-admitted in id order (re-coalescing duplicates onto the earliest
-//! copy) bypassing the queue bound — accepted jobs must complete.
+//! persisted digest re-enter the index as finished; accepted-but-
+//! unfinished jobs are re-admitted in id order through the same
+//! admission rule, bypassing the queue bound — accepted jobs must
+//! complete.
 
-use crate::cache::{job_key, CacheEntry, ResultCache};
+use crate::cache::job_key;
 use crate::protocol::{Admission, JobResult, JobState, Request, Response, SubmitReq};
 use crate::state::JobStore;
 use easyhps_net::frame::{self, CLIENT_MAGIC};
@@ -86,8 +95,6 @@ pub struct ServeConfig {
     pub state_dir: Option<PathBuf>,
     /// Bounded queue depth; submissions past it are rejected.
     pub queue_cap: usize,
-    /// Result-cache budget in cell bytes.
-    pub cache_bytes: usize,
     /// Jobs at or below this many matrix cells are batched into
     /// sequential-solve rounds instead of fleet dispatches. 0 disables
     /// batching (everything goes to the fleet).
@@ -106,8 +113,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: 2 local slaves, queue of 64, 64 MiB cache, batch
-    /// threshold 16384 cells, 8 jobs per batch round.
+    /// Defaults: 2 local slaves, queue of 64, batch threshold 16384
+    /// cells, 8 jobs per batch round.
     pub fn new(listen: NetAddr) -> ServeConfig {
         ServeConfig {
             listen,
@@ -117,7 +124,6 @@ impl ServeConfig {
             },
             state_dir: None,
             queue_cap: 64,
-            cache_bytes: 64 << 20,
             batch_max_cells: 16_384,
             batch_max_jobs: 8,
             checkpoint_every: 0,
@@ -127,39 +133,49 @@ impl ServeConfig {
     }
 }
 
-/// Internal job lifecycle.
+/// A submission's lifecycle. A pending job is queued or running as its
+/// computation is ([`Entry::Pending`]).
 #[derive(Debug)]
 enum St {
-    Queued,
-    Running,
+    Pending,
     Done(JobResult),
     Failed(String),
     Cancelled,
 }
 
+/// One submission, kept for `status`.
 struct Job {
     tenant: String,
     key: u128,
-    spec: JobSpec,
     cells: u64,
+    /// Held while the job's computation is queued, for when this job is
+    /// its earliest live submission at dispatch; then moved into the
+    /// [`Dispatch`] or dropped.
+    spec: Option<JobSpec>,
     st: St,
-    /// Set on coalesced followers: the job doing the computing.
-    leader: Option<u64>,
-    /// Set on leaders: submissions waiting on this computation.
-    followers: Vec<u64>,
     /// `wait = true` connections blocked on this job's terminal state.
     waiters: Vec<mpsc::Sender<Response>>,
 }
 
+/// What the job table knows of one problem.
+enum Entry {
+    /// Queued or running: the live submissions attached, earliest first.
+    /// The first is charged for the computation and is the job it runs
+    /// as.
+    Pending(Vec<u64>),
+    /// Computed: the digest that answers every later submission.
+    Done(JobResult),
+}
+
 struct Core {
     jobs: BTreeMap<u64, Job>,
-    /// Leaders awaiting dispatch, arrival order. Fair pick scans it.
-    queue: VecDeque<u64>,
-    /// Content key -> leader id, for every queued or running leader.
-    inflight: HashMap<u128, u64>,
+    /// Content key -> that problem's computation.
+    index: HashMap<u128, Entry>,
+    /// Content keys of the queued computations, arrival order. A pending
+    /// computation not in it is running. Fair pick scans it.
+    queue: VecDeque<u128>,
     /// Weighted-fair virtual time per tenant.
     vtime: HashMap<String, u64>,
-    cache: ResultCache,
     next_id: u64,
 }
 
@@ -185,9 +201,11 @@ struct Inner {
     clients: Mutex<Vec<Arc<Stream>>>,
 }
 
-/// One unit of work handed from the queue to an execution round.
+/// One computation handed from the queue to an execution round, running
+/// as job `id`.
 struct Dispatch {
     id: u64,
+    key: u128,
     tenant: String,
     spec: JobSpec,
     cells: u64,
@@ -198,16 +216,10 @@ impl Inner {
         self.weights.get(tenant).copied().unwrap_or(1).max(1)
     }
 
-    fn gauges(&self, core: &Core) {
+    fn queue_gauge(&self, core: &Core) {
         self.registry
             .gauge("serve_queue_depth")
             .set(core.queue.len() as i64);
-        self.registry
-            .gauge("serve_cache_entries")
-            .set(core.cache.entries() as i64);
-        self.registry
-            .gauge("serve_cache_bytes")
-            .set(core.cache.bytes() as i64);
     }
 
     /// Join a tenant's virtual time to the current floor so a returning
@@ -220,177 +232,126 @@ impl Inner {
             .or_insert(floor);
     }
 
-    // -- submission -------------------------------------------------
+    // -- admission ----------------------------------------------------
 
-    /// Admit one submission. Returns the immediate responses plus, for
-    /// `wait` submissions still in flight, the receiver for the
+    /// Admit one client submission. Returns the immediate responses plus,
+    /// for `wait` submissions still in flight, the receiver for the
     /// terminal response.
     fn submit(&self, req: SubmitReq) -> (Vec<Response>, Option<mpsc::Receiver<Response>>) {
         let SubmitReq { tenant, wait, spec } = req;
         self.registry.counter("serve_jobs_submitted").inc();
-        if self.shutdown.load(Ordering::SeqCst) {
+        let reject = |reason| {
             self.registry.counter("serve_jobs_rejected").inc();
-            return (
-                vec![Response::Rejected {
-                    reason: "daemon is shutting down".into(),
-                }],
-                None,
-            );
+            (vec![Response::Rejected { reason }], None)
+        };
+        if self.shutdown.load(Ordering::SeqCst) {
+            return reject("daemon is shutting down".into());
         }
-        let key = job_key(&spec.problem);
-        let cells = spec.problem.cells();
+        let (tx, rx) = mpsc::channel();
         let mut core = self.core.lock().unwrap();
-
-        // 1. Content-addressed cache.
-        if let Some(hit) = core.cache.get(key) {
-            self.registry.counter("serve_cache_hits").inc();
-            self.registry.counter("serve_jobs_accepted").inc();
-            let result = JobResult {
-                rows: hit.rows,
-                cols: hit.cols,
-                crc: hit.crc,
-            };
-            let id = core.next_id;
-            core.next_id += 1;
-            core.jobs.insert(
-                id,
-                Job {
-                    tenant: tenant.clone(),
-                    key,
-                    spec,
-                    cells,
-                    st: St::Done(result),
-                    leader: None,
-                    followers: Vec::new(),
-                    waiters: Vec::new(),
-                },
-            );
-            self.tenant_counters(&tenant);
-            return (
+        let (job, admission) = match self.admit(&mut core, None, tenant, spec, wait.then_some(tx)) {
+            Ok(admitted) => admitted,
+            Err(reason) => return reject(reason),
+        };
+        let accepted = Response::Accepted { job, admission };
+        match core.jobs[&job].st {
+            St::Done(result) => (
                 vec![
-                    Response::Accepted {
-                        job: id,
-                        admission: Admission::CacheHit,
-                    },
+                    accepted,
                     Response::Done {
-                        job: id,
+                        job,
                         result,
                         cached: true,
                     },
                 ],
                 None,
-            );
+            ),
+            _ => (vec![accepted], wait.then_some(rx)),
         }
+    }
 
-        // 2. In-flight coalescing (queued or running leader).
-        if let Some(&leader) = core.inflight.get(&key) {
-            let id = core.next_id;
-            core.next_id += 1;
-            if let Some(store) = &self.store {
-                if let Err(e) = store.persist_spec(id, &tenant, &spec) {
-                    self.registry.counter("serve_jobs_rejected").inc();
-                    return (
-                        vec![Response::Rejected {
-                            reason: format!("cannot persist job to state dir: {e}"),
-                        }],
-                        None,
-                    );
-                }
-            }
-            let running = matches!(core.jobs.get(&leader).map(|j| &j.st), Some(St::Running));
-            let mut job = Job {
-                tenant: tenant.clone(),
-                key,
-                spec,
-                cells,
-                st: if running { St::Running } else { St::Queued },
-                leader: Some(leader),
-                followers: Vec::new(),
-                waiters: Vec::new(),
-            };
-            let rx = wait.then(|| {
-                let (tx, rx) = mpsc::channel();
-                job.waiters.push(tx);
-                rx
-            });
-            core.jobs.insert(id, job);
-            core.jobs
-                .get_mut(&leader)
-                .expect("inflight leader exists")
-                .followers
-                .push(id);
-            self.registry.counter("serve_jobs_accepted").inc();
-            self.registry.counter("serve_jobs_coalesced").inc();
-            self.tenant_counters(&tenant);
-            return (
-                vec![Response::Accepted {
-                    job: id,
-                    admission: Admission::Coalesced,
-                }],
-                rx,
-            );
-        }
-
-        // 3. Admission control on the bounded queue.
-        if core.queue.len() >= self.queue_cap {
-            self.registry.counter("serve_jobs_rejected").inc();
-            return (
-                vec![Response::Rejected {
-                    reason: format!(
+    /// Enter one job into the table under the one admission rule: a
+    /// computed problem is a hit, a queued or running one gains the job
+    /// as an attached submission, and any other becomes a new computation
+    /// at the back of the queue. A client's submission (`recovered` is
+    /// `None`) also meets the queue bound, takes the next id, and has its
+    /// spec persisted before it is entered; a job replayed from the state
+    /// directory was accepted before the crash and skips all three.
+    fn admit(
+        &self,
+        core: &mut Core,
+        recovered: Option<u64>,
+        tenant: String,
+        spec: JobSpec,
+        waiter: Option<mpsc::Sender<Response>>,
+    ) -> Result<(u64, Admission), String> {
+        let key = job_key(&spec.problem);
+        let admission = match core.index.get(&key) {
+            Some(Entry::Done(_)) => Admission::CacheHit,
+            Some(Entry::Pending(_)) => Admission::Coalesced,
+            None => Admission::New,
+        };
+        let id = match recovered {
+            Some(id) => id,
+            None => {
+                if admission == Admission::New && core.queue.len() >= self.queue_cap {
+                    return Err(format!(
                         "queue full: {} jobs waiting (capacity {}); retry later or \
                          restart the daemon with a larger --queue",
                         core.queue.len(),
                         self.queue_cap
-                    ),
-                }],
-                None,
-            );
-        }
-
-        // Accept: the durable write precedes the acknowledgement.
-        let id = core.next_id;
-        core.next_id += 1;
-        if let Some(store) = &self.store {
-            if let Err(e) = store.persist_spec(id, &tenant, &spec) {
-                self.registry.counter("serve_jobs_rejected").inc();
-                return (
-                    vec![Response::Rejected {
-                        reason: format!("cannot persist job to state dir: {e}"),
-                    }],
-                    None,
-                );
+                    ));
+                }
+                let id = core.next_id;
+                core.next_id += 1;
+                // The durable write precedes the acknowledgement; a hit
+                // is answered at once and leaves nothing to recover.
+                if let Some(store) = self
+                    .store
+                    .as_ref()
+                    .filter(|_| admission != Admission::CacheHit)
+                {
+                    store
+                        .persist_spec(id, &tenant, &spec)
+                        .map_err(|e| format!("cannot persist job to state dir: {e}"))?;
+                }
+                self.registry.counter("serve_jobs_accepted").inc();
+                self.tenant_counters(&tenant);
+                id
             }
-        }
+        };
         let mut job = Job {
-            tenant: tenant.clone(),
+            tenant,
             key,
-            spec,
-            cells,
-            st: St::Queued,
-            leader: None,
-            followers: Vec::new(),
+            cells: spec.problem.cells(),
+            spec: None,
+            st: St::Pending,
             waiters: Vec::new(),
         };
-        let rx = wait.then(|| {
-            let (tx, rx) = mpsc::channel();
-            job.waiters.push(tx);
-            rx
-        });
+        match core.index.get_mut(&key) {
+            Some(Entry::Done(result)) => {
+                self.registry.counter("serve_cache_hits").inc();
+                job.st = St::Done(*result);
+            }
+            Some(Entry::Pending(jobs)) => {
+                self.registry.counter("serve_jobs_coalesced").inc();
+                jobs.push(id);
+            }
+            None => {
+                self.join_vtime(core, &job.tenant);
+                core.index.insert(key, Entry::Pending(vec![id]));
+                core.queue.push_back(key);
+                self.queue_gauge(core);
+                self.work.notify_all();
+            }
+        }
+        if matches!(job.st, St::Pending) {
+            // A running computation needs no spec.
+            job.spec = core.queue.contains(&key).then_some(spec);
+            job.waiters.extend(waiter);
+        }
         core.jobs.insert(id, job);
-        core.queue.push_back(id);
-        core.inflight.insert(key, id);
-        self.join_vtime(&mut core, &tenant);
-        self.registry.counter("serve_jobs_accepted").inc();
-        self.tenant_counters(&tenant);
-        self.gauges(&core);
-        self.work.notify_all();
-        (
-            vec![Response::Accepted {
-                job: id,
-                admission: Admission::New,
-            }],
-            rx,
-        )
+        Ok((id, admission))
     }
 
     fn tenant_counters(&self, tenant: &str) {
@@ -401,16 +362,19 @@ impl Inner {
 
     // -- scheduling --------------------------------------------------
 
-    /// Index into the queue of the fair-share pick: the job whose tenant
-    /// has the smallest virtual time (FIFO within a tenant).
+    /// Index into the queue of the fair-share pick: the computation whose
+    /// tenant has the smallest virtual time (FIFO within a tenant).
     fn pick_pos(&self, core: &Core, only_small: bool) -> Option<usize> {
         let mut best: Option<(u64, usize)> = None;
-        for (pos, id) in core.queue.iter().enumerate() {
-            let job = &core.jobs[id];
-            if only_small && job.cells > self.batch_max_cells {
+        for (pos, key) in core.queue.iter().enumerate() {
+            let Some(Entry::Pending(jobs)) = core.index.get(key) else {
+                unreachable!("a queued computation is pending");
+            };
+            let first = &core.jobs[&jobs[0]];
+            if only_small && first.cells > self.batch_max_cells {
                 continue;
             }
-            let v = core.vtime.get(&job.tenant).copied().unwrap_or(0);
+            let v = core.vtime.get(&first.tenant).copied().unwrap_or(0);
             if best.is_none_or(|(bv, _)| v < bv) {
                 best = Some((v, pos));
             }
@@ -418,29 +382,26 @@ impl Inner {
         best.map(|(_, pos)| pos)
     }
 
-    /// Remove the queue entry at `pos`, charge its tenant's virtual
-    /// time, mark it (and its followers) running.
+    /// Remove the queue entry at `pos` and charge the tenant of its
+    /// earliest live submission, whose spec it runs; the other attached
+    /// jobs drop theirs.
     fn dispatch_at(&self, core: &mut Core, pos: usize) -> Dispatch {
-        let id = core.queue.remove(pos).expect("pos in range");
-        let (tenant, cells, spec, followers) = {
-            let job = core.jobs.get_mut(&id).expect("queued job exists");
-            job.st = St::Running;
-            (
-                job.tenant.clone(),
-                job.cells,
-                job.spec.clone(),
-                job.followers.clone(),
-            )
+        let key = core.queue.remove(pos).expect("pos in range");
+        let Some(Entry::Pending(jobs)) = core.index.get(&key) else {
+            unreachable!("a queued computation is pending");
         };
-        for f in followers {
-            if let Some(j) = core.jobs.get_mut(&f) {
-                j.st = St::Running;
-            }
+        let id = jobs[0];
+        for j in &jobs[1..] {
+            core.jobs.get_mut(j).expect("attached job exists").spec = None;
         }
+        let first = core.jobs.get_mut(&id).expect("attached job exists");
+        let (tenant, cells) = (first.tenant.clone(), first.cells);
+        let spec = first.spec.take().expect("a queued job holds its spec");
         let charge = (cells / self.weight(&tenant)).max(1);
         *core.vtime.entry(tenant.clone()).or_insert(0) += charge;
         Dispatch {
             id,
+            key,
             tenant,
             spec,
             cells,
@@ -471,52 +432,43 @@ impl Inner {
                 }
             }
         }
-        self.gauges(&core);
+        self.queue_gauge(&core);
         Some(round)
     }
 
     // -- completion --------------------------------------------------
 
-    /// Terminal transition shared by success and failure. Resolves the
-    /// leader and every follower, releases the in-flight slot, feeds the
-    /// cache, and answers blocked `wait` connections.
-    fn finish(&self, id: u64, outcome: Result<CacheEntry, String>) {
-        if let (Ok(entry), Some(store)) = (&outcome, &self.store) {
+    /// Terminal transition shared by success and failure: answers every
+    /// job attached to the computation and blocked `wait` connections. A
+    /// success leaves the digest in the index; a failure takes the
+    /// problem out of it.
+    fn finish(&self, d: &Dispatch, outcome: Result<JobResult, String>) {
+        if let (Ok(result), Some(store)) = (&outcome, &self.store) {
             // Durable before visible: a result we answered with must
             // survive a crash, or a restart would recompute and could
             // in principle disagree with what a client already saw.
-            if let Err(e) =
-                store.persist_result(id, entry.rows, entry.cols, entry.crc, &entry.cells)
-            {
-                eprintln!("serve: persisting result of job {id}: {e}");
+            if let Err(e) = store.persist_result(d.id, result) {
+                eprintln!("serve: persisting result of job {}: {e}", d.id);
             }
         }
         let mut core = self.core.lock().unwrap();
-        let (key, followers) = match core.jobs.get(&id) {
-            Some(j) => (j.key, j.followers.clone()),
-            None => return,
+        let Some(Entry::Pending(jobs)) = core.index.remove(&d.key) else {
+            unreachable!("a running computation is pending");
         };
-        if core.inflight.get(&key) == Some(&id) {
-            core.inflight.remove(&key);
+        if let Ok(result) = &outcome {
+            core.index.insert(d.key, Entry::Done(*result));
+            self.registry.counter("serve_cells_computed").add(d.cells);
         }
-        let resolve = |core: &mut Core, jid: u64| {
-            let job = match core.jobs.get_mut(&jid) {
-                Some(j) => j,
-                None => return,
-            };
+        for jid in jobs {
+            let job = core.jobs.get_mut(&jid).expect("attached job exists");
             let resp = match &outcome {
-                Ok(entry) => {
-                    let result = JobResult {
-                        rows: entry.rows,
-                        cols: entry.cols,
-                        crc: entry.crc,
-                    };
-                    job.st = St::Done(result);
+                Ok(result) => {
+                    job.st = St::Done(*result);
                     self.registry.counter("serve_jobs_completed").inc();
                     Response::Done {
                         job: jid,
-                        result,
-                        cached: jid != id,
+                        result: *result,
+                        cached: jid != d.id,
                     }
                 }
                 Err(msg) => {
@@ -530,19 +482,7 @@ impl Inner {
             for w in job.waiters.drain(..) {
                 let _ = w.send(resp.clone());
             }
-        };
-        resolve(&mut core, id);
-        for f in followers {
-            resolve(&mut core, f);
         }
-        if let Ok(entry) = outcome {
-            self.registry
-                .counter("serve_cells_computed")
-                .add(core.jobs.get(&id).map_or(0, |j| j.cells));
-            let key = core.jobs[&id].key;
-            core.cache.insert(key, entry);
-        }
-        self.gauges(&core);
     }
 
     /// Fold a finished fleet job's registry into the daemon's. Entries
@@ -586,78 +526,42 @@ impl Inner {
             return JobState::Unknown;
         };
         match &job.st {
-            St::Queued => {
-                let anchor = job.leader.unwrap_or(id);
-                let position = core.queue.iter().position(|&q| q == anchor).unwrap_or(0) as u32;
-                JobState::Queued { position }
-            }
-            St::Running => JobState::Running,
+            St::Pending => match core.queue.iter().position(|&k| k == job.key) {
+                Some(position) => JobState::Queued {
+                    position: position as u32,
+                },
+                None => JobState::Running,
+            },
             St::Done(r) => JobState::Done(*r),
             St::Failed(e) => JobState::Failed { error: e.clone() },
             St::Cancelled => JobState::Cancelled,
         }
     }
 
+    /// Detach a queued job from its computation; the computation leaves
+    /// the queue only with its last submission. Running work is not
+    /// preempted, and terminal states are final.
     fn cancel(&self, id: u64) -> bool {
         let mut core = self.core.lock().unwrap();
         let Some(job) = core.jobs.get(&id) else {
             return false;
         };
-        if !matches!(job.st, St::Queued) {
-            // Running work is not preempted; terminal states are final.
-            return false;
-        }
         let key = job.key;
-        let leader = job.leader;
-        match leader {
-            // A follower: detach from its leader and resolve.
-            Some(l) => {
-                if let Some(lj) = core.jobs.get_mut(&l) {
-                    lj.followers.retain(|&f| f != id);
-                }
-            }
-            // A queued leader: remove from the queue and promote the
-            // first follower to leader so coalesced submissions still
-            // complete.
-            None => {
-                let pos = core.queue.iter().position(|&q| q == id);
-                let followers = core
-                    .jobs
-                    .get_mut(&id)
-                    .map(|j| std::mem::take(&mut j.followers))
-                    .unwrap_or_default();
-                match followers.split_first() {
-                    Some((&heir, rest)) => {
-                        if let Some(p) = pos {
-                            core.queue[p] = heir;
-                        } else {
-                            core.queue.push_back(heir);
-                            self.work.notify_all();
-                        }
-                        core.inflight.insert(key, heir);
-                        if let Some(h) = core.jobs.get_mut(&heir) {
-                            h.leader = None;
-                            h.followers = rest.to_vec();
-                        }
-                        for &r in rest {
-                            if let Some(j) = core.jobs.get_mut(&r) {
-                                j.leader = Some(heir);
-                            }
-                        }
-                    }
-                    None => {
-                        if let Some(p) = pos {
-                            core.queue.remove(p);
-                        }
-                        if core.inflight.get(&key) == Some(&id) {
-                            core.inflight.remove(&key);
-                        }
-                    }
-                }
-            }
+        let queued = core.queue.iter().position(|&k| k == key);
+        let (St::Pending, Some(pos)) = (&job.st, queued) else {
+            return false;
+        };
+        let Some(Entry::Pending(jobs)) = core.index.get_mut(&key) else {
+            unreachable!("a queued computation is pending");
+        };
+        jobs.retain(|&j| j != id);
+        if jobs.is_empty() {
+            core.index.remove(&key);
+            core.queue.remove(pos);
         }
         let job = core.jobs.get_mut(&id).expect("checked above");
         job.st = St::Cancelled;
+        job.spec = None;
         let notice = Response::Error {
             message: format!("job {id} cancelled"),
         };
@@ -668,7 +572,7 @@ impl Inner {
         if let Some(store) = &self.store {
             let _ = store.remove(id);
         }
-        self.gauges(&core);
+        self.queue_gauge(&core);
         true
     }
 
@@ -699,70 +603,34 @@ impl Inner {
         }
         for p in persisted {
             core.next_id = core.next_id.max(p.id + 1);
-            let key = job_key(&p.spec.problem);
-            let cells = p.spec.problem.cells();
-            let mut job = Job {
-                tenant: p.tenant.clone(),
-                key,
-                spec: p.spec,
-                cells,
-                st: St::Queued,
-                leader: None,
-                followers: Vec::new(),
-                waiters: Vec::new(),
-            };
             match p.result {
-                // Finished before the crash: warm the cache, keep the
-                // terminal state queryable.
-                Some(r) => {
-                    let entry = CacheEntry {
-                        rows: r.rows,
-                        cols: r.cols,
-                        crc: r.crc,
-                        cells: r.cells.into(),
+                // Finished before the crash: the digest stays queryable
+                // and, unless the problem is pending again, answers
+                // later submissions.
+                Some(result) => {
+                    let key = job_key(&p.spec.problem);
+                    core.index.entry(key).or_insert(Entry::Done(result));
+                    let job = Job {
+                        tenant: p.tenant,
+                        key,
+                        cells: p.spec.problem.cells(),
+                        spec: None,
+                        st: St::Done(result),
+                        waiters: Vec::new(),
                     };
-                    job.st = St::Done(JobResult {
-                        rows: entry.rows,
-                        cols: entry.cols,
-                        crc: entry.crc,
-                    });
-                    core.cache.insert(key, entry);
                     core.jobs.insert(p.id, job);
                 }
-                // Accepted but unfinished: re-admit, bypassing the
-                // queue bound (it was already accepted), re-coalescing
-                // onto the earliest identical job. A leader that died
-                // after its twin persisted a result completes straight
-                // from the recovered cache.
+                // Accepted but unfinished: re-admitted in id order, so a
+                // duplicate attaches to the earliest copy, and one whose
+                // twin persisted a result is a hit.
                 None => {
                     self.registry.counter("serve_jobs_recovered").inc();
-                    if let Some(hit) = core.cache.get(key) {
-                        job.st = St::Done(JobResult {
-                            rows: hit.rows,
-                            cols: hit.cols,
-                            crc: hit.crc,
-                        });
-                        self.registry.counter("serve_cache_hits").inc();
-                        core.jobs.insert(p.id, job);
-                    } else if let Some(&leader) = core.inflight.get(&key) {
-                        job.leader = Some(leader);
-                        core.jobs.insert(p.id, job);
-                        core.jobs
-                            .get_mut(&leader)
-                            .expect("inflight leader exists")
-                            .followers
-                            .push(p.id);
-                        self.registry.counter("serve_jobs_coalesced").inc();
-                    } else {
-                        self.join_vtime(&mut core, &job.tenant);
-                        core.jobs.insert(p.id, job);
-                        core.queue.push_back(p.id);
-                        core.inflight.insert(key, p.id);
-                    }
+                    self.admit(&mut core, Some(p.id), p.tenant, p.spec, None)
+                        .expect("recovery bypasses every refusal");
                 }
             }
         }
-        self.gauges(&core);
+        self.queue_gauge(&core);
         Ok(())
     }
 }
@@ -773,17 +641,6 @@ fn with_labels(name: &str, job: &str, tenant: &str) -> String {
         Some(open) => format!("{open},job=\"{job}\",tenant=\"{tenant}\"}}"),
         None => labeled(name, &[("job", job), ("tenant", tenant)]),
     }
-}
-
-/// Row-major little-endian cell bytes — the `DpMatrix::encode_region`
-/// layout over the full matrix, which is also what `easyhps master`
-/// digests as `matrix-crc:`.
-fn encode_cells(m: &easyhps_dp::DpMatrix<i32>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(m.as_slice().len() * 4);
-    for c in m.as_slice() {
-        out.extend_from_slice(&c.to_le_bytes());
-    }
-    out
 }
 
 enum FleetSrc {
@@ -829,9 +686,9 @@ fn scheduler(inner: Arc<Inner>, src: FleetSrc) {
         }
         let d = round.into_iter().next().expect("round is non-empty");
         match run_fleet_job(&inner, fleet.as_mut(), &d) {
-            Ok(entry) => inner.finish(d.id, Ok(entry)),
+            Ok(result) => inner.finish(&d, Ok(result)),
             Err(e) => {
-                inner.finish(d.id, Err(e.to_string()));
+                inner.finish(&d, Err(e.to_string()));
                 if let Some((slaves, threads)) = rebuild {
                     if let Some(f) = fleet.take() {
                         f.shutdown();
@@ -862,18 +719,12 @@ fn run_batch_round(inner: &Arc<Inner>, round: Vec<Dispatch>) {
     std::thread::scope(|s| {
         let handles: Vec<_> = round
             .iter()
-            .map(|d| {
-                s.spawn(move || {
-                    let m = d.spec.problem.solve_sequential();
-                    let dims = m.dims();
-                    CacheEntry::from_cells(dims.rows, dims.cols, encode_cells(&m))
-                })
-            })
+            .map(|d| s.spawn(move || JobResult::of(&d.spec.problem.solve_sequential())))
             .collect();
         for (d, h) in round.iter().zip(handles) {
             match h.join() {
-                Ok(entry) => inner.finish(d.id, Ok(entry)),
-                Err(_) => inner.finish(d.id, Err("batch solve panicked".into())),
+                Ok(result) => inner.finish(d, Ok(result)),
+                Err(_) => inner.finish(d, Err("batch solve panicked".into())),
             }
         }
     });
@@ -885,7 +736,7 @@ fn run_fleet_job(
     inner: &Arc<Inner>,
     fleet: Option<&mut Fleet>,
     d: &Dispatch,
-) -> Result<CacheEntry, RuntimeError> {
+) -> Result<JobResult, RuntimeError> {
     let fleet =
         fleet.ok_or_else(|| RuntimeError::InvalidConfig("no slave fleet available".into()))?;
     inner.registry.counter("serve_fleet_rounds").inc();
@@ -915,12 +766,7 @@ fn run_fleet_job(
         },
     )?;
     inner.republish(d.id, &d.tenant, &job_reg.snapshot());
-    let dims = out.matrix.dims();
-    Ok(CacheEntry::from_cells(
-        dims.rows,
-        dims.cols,
-        encode_cells(&out.matrix),
-    ))
+    Ok(JobResult::of(&out.matrix))
 }
 
 /// Per-connection handler: hello, then request/response until EOF.
@@ -1072,9 +918,8 @@ impl Daemon {
             core: Mutex::new(Core {
                 jobs: BTreeMap::new(),
                 queue: VecDeque::new(),
-                inflight: HashMap::new(),
+                index: HashMap::new(),
                 vtime: HashMap::new(),
-                cache: ResultCache::new(cfg.cache_bytes.max(1)),
                 next_id: 1,
             }),
             work: Condvar::new(),

@@ -9,16 +9,18 @@
 //! * **Weighted-fair scheduling** — queued jobs are dispatched by
 //!   per-tenant virtual time, so a flood from one tenant cannot starve
 //!   another.
-//! * **Content-addressed caching & coalescing** — jobs are keyed by
-//!   what they compute; a repeat submission is answered from cache, and
+//! * **Content-addressed caching & coalescing** — one job table, keyed
+//!   by what a job computes: a repeat of a finished job is answered with
+//!   its stored digest (rows, cols, CRC — the daemon keeps no cells), and
 //!   a duplicate of a queued or *running* job attaches to it instead of
 //!   computing twice.
 //! * **Batching** — jobs below a cell threshold are gathered into one
 //!   round of sequential solves instead of fleet dispatches.
 //! * **Durability** — accepted jobs are persisted before they are
-//!   acknowledged, results before they are reported, and fleet jobs
-//!   checkpoint to per-job directories: `kill -9` loses no accepted
-//!   job, and a restarted daemon completes them bit-identically.
+//!   acknowledged, digests before they are reported, and fleet jobs
+//!   checkpoint to per-job directories until their digest is durable:
+//!   `kill -9` loses no accepted job, and a restarted daemon completes
+//!   them bit-identically.
 //!
 //! The client protocol (submit / status / stats / cancel) rides the same
 //! CRC-sealed frames as the rank links ([`easyhps_net::frame`]); see
@@ -34,8 +36,8 @@ pub mod daemon;
 pub mod protocol;
 pub mod state;
 
-pub use cache::{job_key, key_hex, CacheEntry, ResultCache};
+pub use cache::job_key;
 pub use client::Client;
 pub use daemon::{Daemon, FleetSpec, ServeConfig};
 pub use protocol::{Admission, JobResult, JobState, Request, Response, SubmitReq};
-pub use state::{JobStore, PersistedJob, PersistedResult};
+pub use state::{JobStore, PersistedJob};

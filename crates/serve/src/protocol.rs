@@ -16,7 +16,9 @@
 //! [`Response::Done`] on a cache hit) followed — possibly much later —
 //! by a terminal [`Response::Done`] or [`Response::Error`].
 
-use easyhps_net::{WireError, WireReader, WireWriter};
+use easyhps_core::TileRegion;
+use easyhps_dp::DpMatrix;
+use easyhps_net::{crc32c, WireError, WireReader, WireWriter};
 use easyhps_runtime::remote::JobSpec;
 
 const REQ_SUBMIT: u8 = 1;
@@ -83,6 +85,21 @@ pub struct JobResult {
     pub cols: u32,
     /// CRC-32C over the encoded cells.
     pub crc: u32,
+}
+
+impl JobResult {
+    /// The digest of a finished matrix: its shape and the CRC-32C of its
+    /// canonical cell encoding (row-major, little-endian — the
+    /// [`DpMatrix::encode_region`] layout over the whole matrix). It is
+    /// what `easyhps master` prints as `matrix-crc:`.
+    pub fn of(matrix: &DpMatrix<i32>) -> JobResult {
+        let d = matrix.dims();
+        JobResult {
+            rows: d.rows,
+            cols: d.cols,
+            crc: crc32c(&matrix.encode_region(TileRegion::new(0, d.rows, 0, d.cols))),
+        }
+    }
 }
 
 /// Where a job is in its lifecycle, as reported by `status`.

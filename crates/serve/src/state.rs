@@ -7,14 +7,17 @@
 //!   jobs/
 //!     0000000000000007/
 //!       spec.bin      sealed {id, tenant, encoded JobSpec}
-//!       result.bin    sealed {rows, cols, crc, encoded cells}
-//!       ckpt/         per-job durable CheckpointStore segments
+//!       result.bin    sealed {rows, cols, crc}: the job's digest
+//!       ckpt/         per-job durable CheckpointStore segments, while
+//!                     the job runs
 //! ```
 //!
 //! `spec.bin` is written — atomically, via tmp + rename, fsynced — *before*
 //! the daemon acknowledges a submission, so "accepted" and "on disk" are
 //! the same event. `result.bin` is written before the job is reported
-//! done. Both files are CRC-sealed (`[crc32c u32 LE | 0x00 | payload]`,
+//! done, and the job's `ckpt/` is removed once it is: the daemon never
+//! serves cells, so a finished job keeps only its digest. Both files are
+//! CRC-sealed (`[crc32c u32 LE | 0x00 | payload]`,
 //! the checksum covering the format byte and the payload), so a torn
 //! write (a crash between `write` and `rename` can leave nothing, but a
 //! corrupting disk can leave garbage) reads as *absent*, never as a
@@ -23,7 +26,11 @@
 //! `ckpt/` segments. A spec whose seal verifies but whose payload no
 //! longer decodes (written by a build with another JOB codec) *was*
 //! acknowledged: [`JobStore::scan`] reports it instead of dropping it.
+//! A `result.bin` that also holds the cells, as earlier builds wrote it,
+//! does not decode either: its job reads as unfinished and is computed
+//! once more, resuming from its `ckpt/` if one is left.
 
+use crate::protocol::JobResult;
 use easyhps_net::{crc32c, WireError, WireReader, WireWriter};
 use easyhps_runtime::remote::JobSpec;
 use std::fs;
@@ -39,21 +46,9 @@ pub struct PersistedJob {
     pub tenant: String,
     /// The full job specification.
     pub spec: JobSpec,
-    /// The finished result, when `result.bin` exists and verifies.
-    pub result: Option<PersistedResult>,
-}
-
-/// A finished result as recovered from disk.
-#[derive(Clone, Debug)]
-pub struct PersistedResult {
-    /// Matrix rows.
-    pub rows: u32,
-    /// Matrix columns.
-    pub cols: u32,
-    /// CRC-32C over `cells`.
-    pub crc: u32,
-    /// Encoded cell bytes (row-major little-endian).
-    pub cells: Vec<u8>,
+    /// The finished result's digest, when `result.bin` exists and
+    /// verifies.
+    pub result: Option<JobResult>,
 }
 
 /// Handle on the daemon's state directory.
@@ -92,6 +87,14 @@ fn read_sealed(path: &Path) -> Option<Vec<u8>> {
     (buf.get(4) == Some(&0) && crc32c(&buf[4..]) == stored).then(|| buf[SEALED_BODY..].to_vec())
 }
 
+/// `fs::remove_dir_all`, where a directory already gone is no error.
+fn remove_tree(dir: &Path) -> io::Result<()> {
+    match fs::remove_dir_all(dir) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        done => done,
+    }
+}
+
 fn decode_spec(payload: &[u8]) -> Result<(u64, String, JobSpec), WireError> {
     let mut r = WireReader::new(payload);
     let id = r.get_u64()?;
@@ -103,13 +106,12 @@ fn decode_spec(payload: &[u8]) -> Result<(u64, String, JobSpec), WireError> {
     Ok((id, tenant, spec))
 }
 
-fn decode_result(payload: &[u8]) -> Result<PersistedResult, WireError> {
+fn decode_result(payload: &[u8]) -> Result<JobResult, WireError> {
     let mut r = WireReader::new(payload);
-    let out = PersistedResult {
+    let out = JobResult {
         rows: r.get_u32()?,
         cols: r.get_u32()?,
         crc: r.get_u32()?,
-        cells: r.get_bytes()?.to_vec(),
     };
     r.expect_end()?;
     Ok(out)
@@ -144,36 +146,31 @@ impl JobStore {
         write_sealed(&dir.join("spec.bin"), &w.finish())
     }
 
-    /// Persist a finished result. Must complete before the job is
-    /// reported `Done`.
-    pub fn persist_result(
-        &self,
-        id: u64,
-        rows: u32,
-        cols: u32,
-        crc: u32,
-        cells: &[u8],
-    ) -> io::Result<()> {
+    /// Persist a finished job's digest, then remove its checkpoint: a
+    /// second copy of a matrix nothing serves. Must complete before the
+    /// job is reported `Done`.
+    pub fn persist_result(&self, id: u64, result: &JobResult) -> io::Result<()> {
         let dir = self.job_dir(id);
         fs::create_dir_all(&dir)?;
-        let mut w = WireWriter::with_capacity(cells.len() + 32);
-        w.put_u32(rows).put_u32(cols).put_u32(crc).put_bytes(cells);
-        write_sealed(&dir.join("result.bin"), &w.finish())
+        let mut w = WireWriter::new();
+        w.put_u32(result.rows)
+            .put_u32(result.cols)
+            .put_u32(result.crc);
+        write_sealed(&dir.join("result.bin"), &w.finish())?;
+        remove_tree(&self.ckpt_dir(id))
     }
 
     /// Remove a job's directory (cancelled jobs must not resurrect on
     /// restart).
     pub fn remove(&self, id: u64) -> io::Result<()> {
-        let dir = self.job_dir(id);
-        if dir.exists() {
-            fs::remove_dir_all(&dir)?;
-        }
-        Ok(())
+        remove_tree(&self.job_dir(id))
     }
 
     /// Recover every acknowledged job, sorted by id. Dirs with a torn or
     /// missing spec are skipped (never acknowledged); torn results are
-    /// reported as unfinished. Dirs whose spec verifies but does not
+    /// reported as unfinished, and a finished job's leftover `ckpt/` (a
+    /// crash before [`JobStore::persist_result`] removed it) is removed.
+    /// Dirs whose spec verifies but does not
     /// decode held acknowledged jobs this build cannot run: they are
     /// returned second, for the caller to report.
     pub fn scan(&self) -> io::Result<(Vec<PersistedJob>, Vec<PathBuf>)> {
@@ -192,6 +189,9 @@ impl JobStore {
                 continue;
             };
             let result = read_sealed(&dir.join("result.bin")).and_then(|p| decode_result(&p).ok());
+            if result.is_some() {
+                remove_tree(&dir.join("ckpt"))?;
+            }
             out.push(PersistedJob {
                 id,
                 tenant,
@@ -235,19 +235,21 @@ mod tests {
         let store = JobStore::open(&root).unwrap();
         store.persist_spec(3, "alice", &spec(b"one")).unwrap();
         store.persist_spec(7, "bob", &spec(b"two")).unwrap();
-        store
-            .persist_result(3, 4, 10, 0xFEED, b"cellbytes")
-            .unwrap();
+        let digest = JobResult {
+            rows: 4,
+            cols: 10,
+            crc: 0xFEED,
+        };
+        store.persist_result(3, &digest).unwrap();
 
         // The on-disk layout is a format, not an implementation detail:
         // checksum, format byte 0, then the wire-coded fields.
         let on_disk = fs::read(store.job_dir(3).join("result.bin")).unwrap();
-        let mut want = 0x22c4_24b4u32.to_le_bytes().to_vec();
+        let mut want = 0xe39b_c898u32.to_le_bytes().to_vec();
         want.push(0);
-        for v in [4u32, 10, 0xFEED, 9] {
+        for v in [4u32, 10, 0xFEED] {
             want.extend_from_slice(&v.to_le_bytes());
         }
-        want.extend_from_slice(b"cellbytes");
         assert_eq!(on_disk, want);
 
         let (jobs, unreadable) = store.scan().unwrap();
@@ -258,7 +260,6 @@ mod tests {
         assert_eq!(jobs[0].spec, spec(b"one"));
         let r = jobs[0].result.as_ref().unwrap();
         assert_eq!((r.rows, r.cols, r.crc), (4, 10, 0xFEED));
-        assert_eq!(r.cells, b"cellbytes");
         assert!(jobs[1].result.is_none());
 
         store.remove(3).unwrap();
@@ -272,7 +273,12 @@ mod tests {
         let store = JobStore::open(&root).unwrap();
         store.persist_spec(1, "alice", &spec(b"keep")).unwrap();
         store.persist_spec(2, "bob", &spec(b"tear")).unwrap();
-        store.persist_result(1, 4, 5, 9, b"ok").unwrap();
+        let digest = JobResult {
+            rows: 4,
+            cols: 5,
+            crc: 9,
+        };
+        store.persist_result(1, &digest).unwrap();
 
         // Corrupt job 2's spec and job 1's result in place.
         let spec2 = root

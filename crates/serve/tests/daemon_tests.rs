@@ -263,6 +263,178 @@ fn queued_jobs_are_cancellable() {
     daemon.stop();
 }
 
+/// Cancelling the first of two coalesced queued submissions cancels that
+/// submission only: the second, from another tenant, still finishes with
+/// the sequential reference's bits, and the problem is computed once.
+#[test]
+fn cancelling_a_queued_leader_keeps_its_follower() {
+    let daemon = Daemon::start(local_config("127.0.0.1:0")).unwrap();
+    let mut c = Client::connect(daemon.addr()).unwrap();
+    // Two fleet-path blockers from the leader's tenant: the second waits
+    // behind the first, and the identical pair waits behind both.
+    let blockers = [
+        editdist_spec(&[b'l'; 300], &[b'm'; 290], 8),
+        editdist_spec(&[b'n'; 300], &[b'o'; 290], 8),
+    ];
+    let mut ids = Vec::new();
+    for b in blockers {
+        let Response::Accepted { job, .. } = c.submit("alice", false, b).unwrap() else {
+            panic!("blocker must be accepted");
+        };
+        ids.push(job);
+    }
+    let spec = editdist_spec(b"one problem from two tenants", b"one cancel", 4);
+    let want = reference_crc(&spec);
+    let Response::Accepted {
+        job: j1,
+        admission: a1,
+    } = c.submit("alice", false, spec.clone()).unwrap()
+    else {
+        panic!("leader must be accepted");
+    };
+    let Response::Accepted {
+        job: j2,
+        admission: a2,
+    } = c.submit("bob", false, spec).unwrap()
+    else {
+        panic!("follower must be accepted");
+    };
+    assert_eq!((a1, a2), (Admission::New, Admission::Coalesced));
+
+    let Response::Cancelled { ok, .. } = c.cancel(j1).unwrap() else {
+        panic!("cancel must be answered");
+    };
+    assert!(ok, "the leader was still queued behind two blockers");
+    let Response::Status { state, .. } = c.status(j1).unwrap() else {
+        panic!("status must be answered");
+    };
+    assert_eq!(state, JobState::Cancelled);
+
+    for j in ids {
+        wait_done(&mut c, j, Duration::from_secs(60));
+    }
+    let r2 = wait_done(&mut c, j2, Duration::from_secs(60));
+    assert_eq!(r2.crc, want, "the follower outlives its leader's cancel");
+    let Response::Status { state, .. } = c.status(j1).unwrap() else {
+        panic!("status must be answered");
+    };
+    assert_eq!(
+        state,
+        JobState::Cancelled,
+        "a cancelled job stays cancelled"
+    );
+    assert_eq!(counter(&daemon, "serve_jobs_coalesced"), 1);
+    assert_eq!(counter(&daemon, "serve_jobs_cancelled"), 1);
+    assert_eq!(
+        counter(&daemon, "serve_cells_computed"),
+        2 * spec_cells(&[0; 300], &[0; 290])
+            + spec_cells(b"one problem from two tenants", b"one cancel"),
+        "the pair's problem is computed once"
+    );
+    daemon.stop();
+}
+
+/// A result persisted under `--state-dir` outlives the daemon: a new
+/// daemon on the same directory reports the old job done with the same
+/// digest and answers an identical submission as a cache hit without a
+/// fleet round.
+#[test]
+fn persisted_result_survives_a_restart_as_a_hit() {
+    let dir = tmp_dir("hit-after-restart");
+    let config = || {
+        let mut cfg = local_config("127.0.0.1:0");
+        cfg.state_dir = Some(dir.clone());
+        cfg
+    };
+    // Above the batch threshold: a miss would cost a fleet round.
+    let spec = editdist_spec(&[b'p'; 200], &[b'q'; 190], 8);
+    let want = reference_crc(&spec);
+
+    let daemon = Daemon::start(config()).unwrap();
+    let mut c = Client::connect(daemon.addr()).unwrap();
+    let Response::Accepted { job, .. } = c.submit("alice", true, spec.clone()).unwrap() else {
+        panic!("first submission must be accepted");
+    };
+    let Response::Done { result, .. } = c.read_response().unwrap() else {
+        panic!("wait submission must end in Done");
+    };
+    assert_eq!(result.crc, want);
+    assert_eq!(counter(&daemon, "serve_fleet_rounds"), 1);
+    daemon.stop();
+
+    let daemon = Daemon::start(config()).unwrap();
+    let mut c = Client::connect(daemon.addr()).unwrap();
+    let Response::Status { state, .. } = c.status(job).unwrap() else {
+        panic!("status must be answered");
+    };
+    assert_eq!(
+        state,
+        JobState::Done(result),
+        "the old job keeps its digest"
+    );
+    let Response::Accepted { admission, .. } = c.submit("bob", false, spec).unwrap() else {
+        panic!("repeat submission must be accepted");
+    };
+    assert_eq!(admission, Admission::CacheHit);
+    let Response::Done { result, cached, .. } = c.read_response().unwrap() else {
+        panic!("a cache hit is followed by its Done");
+    };
+    assert!(cached);
+    assert_eq!(result.crc, want);
+    assert_eq!(
+        counter(&daemon, "serve_fleet_rounds"),
+        0,
+        "no recomputation"
+    );
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fleet job under `--state-dir` checkpoints its tiles while it runs;
+/// once its result is durable the checkpoint is a second copy of the
+/// matrix, and nothing of it may stay on disk — neither after the job
+/// finishes nor, for one a crash left beside its result, after recovery.
+#[test]
+fn finished_fleet_job_leaves_no_checkpoint() {
+    let dir = tmp_dir("no-ckpt");
+    let config = || {
+        let mut cfg = local_config("127.0.0.1:0");
+        cfg.state_dir = Some(dir.clone());
+        cfg
+    };
+    let daemon = Daemon::start(config()).unwrap();
+    let mut c = Client::connect(daemon.addr()).unwrap();
+    // Above the batch threshold, so it runs on the fleet.
+    let spec = editdist_spec(&[b's'; 200], &[b't'; 190], 8);
+    let Response::Accepted { job, .. } = c.submit("alice", true, spec.clone()).unwrap() else {
+        panic!("submission must be accepted");
+    };
+    let Response::Done { result, .. } = c.read_response().unwrap() else {
+        panic!("wait submission must end in Done");
+    };
+    assert_eq!(result.crc, reference_crc(&spec));
+    assert_eq!(counter(&daemon, "serve_fleet_rounds"), 1);
+    let job_dir = dir.join("jobs").join(format!("{job:016}"));
+    assert!(job_dir.join("result.bin").exists(), "the result is durable");
+    assert!(
+        !job_dir.join("ckpt").exists(),
+        "a finished job keeps its checkpoint in {}",
+        job_dir.display()
+    );
+    daemon.stop();
+
+    // A crash between the result's write and the checkpoint's removal.
+    std::fs::create_dir_all(job_dir.join("ckpt")).unwrap();
+    let daemon = Daemon::start(config()).unwrap();
+    assert!(
+        !job_dir.join("ckpt").exists(),
+        "recovery keeps the checkpoint of a finished job in {}",
+        job_dir.display()
+    );
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A client outlives a daemon restart: its next request redials with
 /// bounded exponential backoff and resends, so `status`/`submit --wait`
 /// keep working across the restart instead of erroring out.

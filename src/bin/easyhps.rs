@@ -27,9 +27,8 @@
 //! easyhps slave --connect ADDR [--rank R] [--threads N]
 //!               [--reconnect-ms N]
 //! easyhps serve --listen ADDR [--slaves N] [--threads N] [--fleet-listen ADDR]
-//!               [--state-dir DIR] [--queue N] [--cache-mb N] [--batch-cells N]
-//!               [--batch-jobs N] [--checkpoint-every N] [--job-metrics]
-//!               [--weight TENANT=N]...
+//!               [--state-dir DIR] [--queue N] [--batch-cells N] [--batch-jobs N]
+//!               [--checkpoint-every N] [--job-metrics] [--weight TENANT=N]...
 //! easyhps submit --connect ADDR [--tenant T] [--wait]
 //!               <editdist|lcs|nw|swgg|nussinov> [SEQ...] [--len N --seed S]
 //!               [--pps N] [--tps N] [--mode dynamic|bcw|cw] [--gap SPEC]
@@ -82,9 +81,10 @@
 //! processes via `--fleet-listen`) and accepts jobs from the client
 //! subcommands over the CRC-sealed client protocol. Submissions pass
 //! admission control (bounded queue, reject-with-reason), identical
-//! in-flight jobs coalesce into one computation, finished results are
-//! served from a content-addressed cache, and `--state-dir` makes
-//! accepted jobs survive a daemon kill. `submit` ships the same workload
+//! in-flight jobs coalesce into one computation, a repeat of a finished
+//! job is answered with its stored digest (shape and CRC — the daemon
+//! keeps no cells), and `--state-dir` makes accepted jobs survive a
+//! daemon kill. `submit` ships the same workload
 //! grammar as `master` and prints the job id; `--wait` (or a cache hit)
 //! also prints the `matrix-crc:` line, identical to the one a one-shot
 //! `master` run prints for the same problem. `status`, `stats` and
@@ -539,13 +539,6 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// CRC of a whole matrix's canonical cell encoding — the `matrix-crc:`
-/// line both `master` runs and the multi-process e2e tests compare.
-fn matrix_crc(matrix: &easyhps::DpMatrix<i32>) -> u32 {
-    let d = matrix.dims();
-    easyhps::net::crc32c(&matrix.encode_region(easyhps::TileRegion::new(0, d.rows, 0, d.cols)))
-}
-
 /// Build a [`JobSpec`] from the shared workload grammar: `<NAME>
 /// [SEQ...]` plus the partitioning/schedule flags. `master` and `submit`
 /// accept exactly the same job description; `who` names the command in
@@ -628,7 +621,12 @@ fn cmd_master(args: &Args) -> Result<(), String> {
             m.rejoins, m.stale_epoch_rejected
         );
     }
-    println!("matrix-crc: {:#010x}", matrix_crc(&out.matrix));
+    // The daemon's digest, so `master`, `submit` and `status` print the
+    // same line for the same problem.
+    println!(
+        "matrix-crc: {:#010x}",
+        easyhps::serve::JobResult::of(&out.matrix).crc
+    );
     if let Some(registry) = &registry {
         print!("{}", registry.snapshot().render_text());
     }
@@ -684,7 +682,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     cfg.state_dir = args.get("state-dir").map(Into::into);
     cfg.queue_cap = args.get_num("queue", cfg.queue_cap)?;
-    cfg.cache_bytes = args.get_num("cache-mb", cfg.cache_bytes >> 20)? << 20;
     cfg.batch_max_cells = args.get_num("batch-cells", cfg.batch_max_cells)?;
     cfg.batch_max_jobs = args.get_num("batch-jobs", cfg.batch_max_jobs)?;
     cfg.checkpoint_every = args.get_num("checkpoint-every", 0u64)?;
