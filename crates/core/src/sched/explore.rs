@@ -11,7 +11,9 @@
 //! strategy: almost all scheduler bugs need only a few reorderings), and
 //! the PR 4 schedule invariants are checked on every explored order —
 //! every tile accepted exactly once, dispatch conservation, no spurious
-//! exclusion or redistribution in a fault-free world.
+//! exclusion or redistribution in a fault-free world — and the residency
+//! record on every step: a tile is resident on a slave only once it was
+//! accepted, and a rejoined slave holds nothing.
 //!
 //! Runs are replayed from scratch for each choice vector: the machine is
 //! cheap, and replay keeps the search stateless and deterministic — the
@@ -257,6 +259,13 @@ fn run_one(
                 Ok(a) => a,
                 Err(e) => fail!("{e}"),
             };
+            // A new incarnation has a new node matrix: nothing of the old
+            // one may be taken as resident.
+            if let MasterEvent::Rejoined { slave, .. } = ev {
+                if let Some(v) = (0..dag.len() as u32).find(|&v| m.resident(slave, v)) {
+                    fail!("task {v} resident on slave {slave} right after its rejoin");
+                }
+            }
             for a in acts {
                 match a {
                     MasterAction::Accept { task, .. } => {
@@ -329,6 +338,17 @@ fn run_one(
             }
             Ok(a) => fail!("fault-free FT sweep produced {a:?}"),
             Err(e) => fail!("{e}"),
+        }
+
+        // Residency is learnt from accepted DONEs only: a tile resident
+        // anywhere was accepted (a data dependency is accepted before any
+        // tile that reads it is dispatched).
+        for slave in 0..m.n_slaves() {
+            let early =
+                (0..dag.len() as u32).find(|&v| m.resident(slave, v) && accepted[v as usize] == 0);
+            if let Some(v) = early {
+                fail!("task {v} resident on slave {slave} before any DONE of it was accepted");
+            }
         }
 
         if finished {

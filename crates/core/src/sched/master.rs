@@ -11,6 +11,12 @@
 //! `SchedParams::ft_poll` cadence — the FT-vs-main-loop interleaving class
 //! is gone by construction, and the explorer can place an `FtTick`
 //! anywhere it likes.
+//!
+//! The machine also keeps the residency record: which master tiles each
+//! slave's node matrix holds, learnt from accepted DONEs only and cleared
+//! when a new incarnation is admitted. It changes no decision; the
+//! runtime's shell reads it ([`MasterSched::resident`]) to leave out of an
+//! ASSIGN every strip the slave already has.
 
 use super::{pick_task, RegisterTable, SchedParams, SchedViolation};
 use crate::{DagParser, ScheduleMode, TaskDag, VertexId};
@@ -252,6 +258,11 @@ pub struct MasterSched {
     unreachable: Vec<bool>,
     /// Idle flag per slave (set by IDLE/DONE, cleared by dispatch).
     idle: Vec<bool>,
+    /// Residency record: one bitset per slave over master-DAG vertices.
+    /// Bit `v` is set once an accepted DONE proves the slave's node
+    /// matrix holds `v`'s cells, and cleared with the rest of the set
+    /// when a new incarnation, with a new matrix, is admitted.
+    resident: Vec<Vec<u64>>,
     /// When each slave was last heard from, ns since run start. Seeded
     /// with 0 (the run start) so a not-yet-heard slave gets a startup
     /// grace of one `heartbeat_timeout` instead of counting as silent.
@@ -288,6 +299,7 @@ impl MasterSched {
             alive: vec![true; n_slaves],
             unreachable: vec![false; n_slaves],
             idle: vec![false; n_slaves],
+            resident: vec![vec![0; dag.len().div_ceil(64)]; n_slaves],
             last_seen: vec![Some(0); n_slaves],
             slave_draining: vec![false; n_slaves],
             draining: false,
@@ -312,6 +324,7 @@ impl MasterSched {
             self.alive.push(true);
             self.unreachable.push(false);
             self.idle.push(false);
+            self.resident.push(vec![0; self.resident[0].len()]);
             self.last_seen.push(Some(0));
             self.slave_draining.push(false);
             self.n_slaves += 1;
@@ -342,6 +355,14 @@ impl MasterSched {
     /// released: never dispatched to again).
     pub fn unreachable(&self) -> &[bool] {
         &self.unreachable
+    }
+
+    /// Whether `slave`'s node matrix holds the cells of master-DAG vertex
+    /// `task`: the slave computed it, or received it as an input strip,
+    /// and an accepted DONE proved so. An ASSIGN need not carry a
+    /// resident strip.
+    pub fn resident(&self, slave: usize, task: u32) -> bool {
+        self.resident[slave][task as usize / 64] >> (task % 64) & 1 == 1
     }
 
     /// Fast-forward one checkpointed task. The driver walks a topological
@@ -521,6 +542,7 @@ impl MasterSched {
         self.unreachable[slave] = false;
         self.last_seen[slave] = Some(now_ns);
         self.idle[slave] = true;
+        self.resident[slave].fill(0);
         self.slave_draining[slave] = false;
         self.counters.rejoins += 1;
         if !self.alive[slave] {
@@ -707,6 +729,15 @@ impl MasterSched {
                     SchedViolation::new("registered completion was not running", ev.clone())
                 })?;
             self.counters.completed += 1;
+            // The DONE proves the ASSIGN arrived: the slave decoded every
+            // strip it carried and held every one it did not, and now
+            // holds the tile it computed.
+            let set = &mut self.resident[slave];
+            for v in std::iter::once(task)
+                .chain(dag.vertex(VertexId(task)).data_deps.iter().map(|d| d.0))
+            {
+                set[v as usize / 64] |= 1 << (v % 64);
+            }
             out.push(MasterAction::Accept { slave, task });
         } else {
             self.counters.stale += 1;
@@ -1565,5 +1596,168 @@ mod tests {
         // A non-ancestor-closed set errors instead of panicking.
         let err = m.preload_finished(&dag, VertexId(3)).unwrap_err();
         assert!(err.context.contains("ancestor-closed"), "{err}");
+    }
+
+    /// Every task of `dag` resident on `slave`, in id order.
+    fn resident_on(m: &MasterSched, dag: &TaskDag, slave: usize) -> Vec<u32> {
+        (0..dag.len() as u32)
+            .filter(|&v| m.resident(slave, v))
+            .collect()
+    }
+
+    /// An accepted DONE marks the task and every data dependency of it as
+    /// resident on the slave that sent it, and on no other.
+    #[test]
+    fn accept_marks_the_task_and_its_data_deps_resident() {
+        let dag = dag4();
+        let mut m = machine(&dag, 2, ScheduleMode::Dynamic);
+        feed(
+            &mut m,
+            &dag,
+            [
+                MasterEvent::Idle { slave: 0 },
+                MasterEvent::Idle { slave: 1 },
+            ],
+        );
+        assert!(resident_on(&m, &dag, 0).is_empty());
+        let acts = feed(&mut m, &dag, [MasterEvent::Tick { now_ns: MS }]);
+        assert_eq!(assigns(&acts), vec![(0, 0)]);
+        assert!(
+            resident_on(&m, &dag, 0).is_empty(),
+            "dispatch marks nothing"
+        );
+        feed(&mut m, &dag, [MasterEvent::Done { slave: 0, task: 0 }]);
+        assert_eq!(resident_on(&m, &dag, 0), vec![0]);
+        assert!(resident_on(&m, &dag, 1).is_empty());
+        // Tasks 1 and 2 both read task 0; the slave that did not compute
+        // it holds it once its DONE is accepted.
+        let acts = feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 2 * MS }]);
+        assert_eq!(assigns(&acts).len(), 2, "{acts:?}");
+        let (w, t) = *assigns(&acts).iter().find(|(w, _)| *w == 1).unwrap();
+        feed(&mut m, &dag, [MasterEvent::Done { slave: w, task: t }]);
+        let mut want: Vec<u32> = dag
+            .vertex(VertexId(t))
+            .data_deps
+            .iter()
+            .map(|d| d.0)
+            .collect();
+        want.push(t);
+        want.sort_unstable();
+        assert_eq!(resident_on(&m, &dag, 1), want);
+        assert_eq!(resident_on(&m, &dag, 0), vec![0], "slave 0 gained nothing");
+    }
+
+    /// Completions that are not accepted prove nothing about the slave's
+    /// node matrix: a stale DONE, a stale-epoch DONE and an abandoned
+    /// ASSIGN leave the record as it was.
+    #[test]
+    fn stale_fenced_and_failed_sends_mark_nothing() {
+        let dag = dag4();
+        let mut m = machine(&dag, 2, ScheduleMode::Dynamic);
+        feed(
+            &mut m,
+            &dag,
+            [
+                MasterEvent::Idle { slave: 0 },
+                MasterEvent::Idle { slave: 1 },
+            ],
+        );
+        let acts = feed(&mut m, &dag, [MasterEvent::Tick { now_ns: MS }]);
+        assert_eq!(assigns(&acts), vec![(0, 0)]);
+        // Task 0 overruns its timeout and moves to slave 1.
+        let late = SchedParams::default().task_timeout_ns() + 2 * MS;
+        let acts = feed(
+            &mut m,
+            &dag,
+            [
+                MasterEvent::Heard {
+                    slave: 0,
+                    at_ns: late,
+                },
+                MasterEvent::Heard {
+                    slave: 1,
+                    at_ns: late,
+                },
+                MasterEvent::FtTick { now_ns: late },
+                MasterEvent::Tick { now_ns: late },
+            ],
+        );
+        assert!(acts.contains(&MasterAction::Redispatch { task: 0 }));
+        assert_eq!(assigns(&acts), vec![(1, 0)]);
+        let acts = feed(&mut m, &dag, [MasterEvent::Done { slave: 0, task: 0 }]);
+        assert_eq!(acts, vec![MasterAction::Stale { slave: 0, task: 0 }]);
+        feed(
+            &mut m,
+            &dag,
+            [MasterEvent::StaleEpoch { slave: 1, task: 0 }],
+        );
+        let acts = feed(
+            &mut m,
+            &dag,
+            [MasterEvent::SendFailed {
+                slave: 1,
+                assign_task: Some(0),
+                reason: SendFailKind::NoAck,
+                now_ns: late,
+            }],
+        );
+        assert!(acts.contains(&MasterAction::CancelAssign { task: 0 }));
+        assert!(resident_on(&m, &dag, 0).is_empty());
+        assert!(resident_on(&m, &dag, 1).is_empty());
+    }
+
+    /// A new incarnation has a new node matrix: its rejoin clears the
+    /// slave's record and leaves the others' alone.
+    #[test]
+    fn rejoin_clears_the_slaves_residency() {
+        let dag = dag4();
+        let mut m = machine(&dag, 2, ScheduleMode::Dynamic);
+        feed(
+            &mut m,
+            &dag,
+            [
+                MasterEvent::Idle { slave: 0 },
+                MasterEvent::Idle { slave: 1 },
+                MasterEvent::Tick { now_ns: MS },
+                MasterEvent::Done { slave: 0, task: 0 },
+            ],
+        );
+        let acts = feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 2 * MS }]);
+        for (slave, task) in assigns(&acts) {
+            feed(&mut m, &dag, [MasterEvent::Done { slave, task }]);
+        }
+        let on_1 = resident_on(&m, &dag, 1);
+        assert_eq!(on_1.len(), 2, "task 0 and the one slave 1 computed");
+        assert_eq!(resident_on(&m, &dag, 0).len(), 2);
+        feed(
+            &mut m,
+            &dag,
+            [MasterEvent::Rejoined {
+                slave: 0,
+                now_ns: 3 * MS,
+            }],
+        );
+        assert!(resident_on(&m, &dag, 0).is_empty());
+        assert_eq!(resident_on(&m, &dag, 1), on_1);
+    }
+
+    /// A slot added by `grow_to` (a mid-run joiner) starts with nothing
+    /// resident.
+    #[test]
+    fn a_grown_slot_starts_empty() {
+        let dag = dag4();
+        let mut m = machine(&dag, 1, ScheduleMode::Dynamic);
+        feed(
+            &mut m,
+            &dag,
+            [
+                MasterEvent::Idle { slave: 0 },
+                MasterEvent::Tick { now_ns: MS },
+                MasterEvent::Done { slave: 0, task: 0 },
+            ],
+        );
+        m.grow_to(2);
+        assert!(resident_on(&m, &dag, 1).is_empty());
+        assert_eq!(resident_on(&m, &dag, 0), vec![0]);
     }
 }

@@ -29,6 +29,12 @@
 //! redistributed; a slave that was excluded during a transient outage is
 //! re-admitted the moment it is heard from again.
 //!
+//! An ASSIGN carries only the input strips the slave's node matrix lacks:
+//! the machine keeps a residency record per slave, learnt from accepted
+//! DONEs and cleared by a rejoin, and [`Shell::apply`] leaves out every
+//! `data_deps` strip [`MasterSched::resident`] says the slave holds. A
+//! tile crosses to each slave at most once.
+//!
 //! One deviation from the paper's thread layout: instead of one blocking
 //! worker thread per slave node sharing the MPI context, the master
 //! multiplexes all slaves on its single endpoint and keeps a worker *slot*
@@ -447,12 +453,14 @@ impl<C: Cell> Shell<'_, C> {
     ) -> Result<(), RuntimeError> {
         for a in actions {
             match a {
-                // Steps c-d: encode the tile's input strips and send.
+                // Steps c-d: encode the input strips the slave's node
+                // matrix lacks, and send.
                 MasterAction::Assign { slave: w, task } => {
                     let vertex = self.dag.vertex(VertexId(task));
                     let strips: Vec<_> = vertex
                         .data_deps
                         .iter()
+                        .filter(|d| !self.sched.resident(w, d.0))
                         .map(|d| {
                             let region = self.region_of(d.0);
                             (region, region.area() as usize * C::WIRE_SIZE)

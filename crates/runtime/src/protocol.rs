@@ -1,8 +1,8 @@
 //! The master/slave wire protocol.
 //!
 //! Six message kinds, mirroring the paper's workflow (§III): slaves
-//! announce idleness, the master assigns registered sub-tasks with their
-//! input strips, slaves reply with computed regions, and the master ends
+//! announce idleness, the master assigns registered sub-tasks with the
+//! input strips the slave lacks, slaves reply with computed regions, and the master ends
 //! the run with a shutdown signal that slaves answer with their stats.
 //! Heartbeats ride alongside so the master can tell a slow slave from a
 //! dead one.
@@ -93,7 +93,9 @@ pub struct AssignMsg<'a> {
     pub tile: GridPos,
     /// Cell region the slave must compute.
     pub region: TileRegion,
-    /// Input strips: `(region, encoded cells)` for every data dependency.
+    /// Input strips: `(region, encoded cells)` for every data dependency
+    /// the slave's node matrix lacks. The master sends none that its
+    /// residency record says the slave already holds.
     pub inputs: Vec<(TileRegion, &'a [u8])>,
 }
 

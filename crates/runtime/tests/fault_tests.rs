@@ -241,6 +241,48 @@ fn column_wavefront_survives_slave_death_too() {
 // Satellite: dispatch-failure bookkeeping (no phantom dispatches).
 // ---------------------------------------------------------------------
 
+/// The master gives up on ASSIGNs its lossy link dropped while the
+/// slaves stay heard, so each slave keeps working after a lost ASSIGN
+/// without a rejoin. A lost ASSIGN delivered none of its strips: the
+/// master must learn what a slave holds from accepted DONEs only, or a
+/// later ASSIGN to that slave leaves out strips it never received and
+/// the matrix comes back wrong.
+#[test]
+fn a_given_up_assign_leaves_nothing_resident() {
+    let problem = SmithWatermanGeneralGap::dna(
+        random_sequence(Alphabet::Dna, 48, 141),
+        random_sequence(Alphabet::Dna, 44, 142),
+    );
+    let reference = problem.solve_sequential();
+    let pattern = problem.pattern();
+    let out = EasyHps::new(problem)
+        .process_partition((8, 8))
+        .thread_partition((4, 4))
+        .slaves(2)
+        .threads_per_slave(1)
+        .inject_master_fault(FaultPlan {
+            seed: 0xa551,
+            ..FaultPlan::default().with_tag_drop(tags::ASSIGN, 0.5)
+        })
+        .retry_policy(RetryPolicy {
+            max_attempts: 2,
+            initial_backoff: Duration::from_millis(20),
+            max_backoff: Duration::from_millis(20),
+        })
+        .heartbeat(Duration::from_millis(10), Duration::from_secs(60))
+        .run()
+        .expect("dropped ASSIGNs are survivable");
+    for pos in reference.dims().iter() {
+        if pattern.contains(pos) {
+            assert_eq!(out.matrix.at(pos), reference.at(pos), "cell {pos}");
+        }
+    }
+    let m = &out.report.master;
+    assert!(m.send_failures > 0, "the master gave up on some ASSIGN");
+    assert_eq!(m.rejoins, 0, "no new incarnation cleared a record");
+    assert_eq!(m.dead_slaves, 0, "both slaves kept working");
+}
+
 #[test]
 fn failed_assign_send_is_not_counted_as_a_dispatch() {
     // Rank 1 announces idle and vanishes before the master starts: the

@@ -443,15 +443,34 @@ impl Inner {
     /// success leaves the digest in the index; a failure takes the
     /// problem out of it.
     fn finish(&self, d: &Dispatch, outcome: Result<JobResult, String>) {
+        let mut core = self.core.lock().unwrap();
         if let (Ok(result), Some(store)) = (&outcome, &self.store) {
             // Durable before visible: a result we answered with must
             // survive a crash, or a restart would recompute and could
-            // in principle disagree with what a client already saw.
-            if let Err(e) = store.persist_result(d.id, result) {
-                eprintln!("serve: persisting result of job {}: {e}", d.id);
+            // in principle disagree with what a client already saw. Every
+            // attached job gets it, each under its own id. The writes run
+            // outside the lock; a submission may attach meanwhile (the
+            // list only grows while the computation runs), so repeat
+            // until a pass finds none new, and answer under that lock.
+            let mut persisted = 0;
+            loop {
+                let Some(Entry::Pending(jobs)) = core.index.get(&d.key) else {
+                    unreachable!("a running computation is pending");
+                };
+                let fresh = jobs[persisted..].to_vec();
+                if fresh.is_empty() {
+                    break;
+                }
+                persisted = jobs.len();
+                drop(core);
+                for id in fresh {
+                    if let Err(e) = store.persist_result(id, result) {
+                        eprintln!("serve: persisting result of job {id}: {e}");
+                    }
+                }
+                core = self.core.lock().unwrap();
             }
         }
-        let mut core = self.core.lock().unwrap();
         let Some(Entry::Pending(jobs)) = core.index.remove(&d.key) else {
             unreachable!("a running computation is pending");
         };

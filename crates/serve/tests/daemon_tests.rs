@@ -390,6 +390,67 @@ fn persisted_result_survives_a_restart_as_a_hit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every job coalesced onto a computation keeps its digest on disk, not
+/// only the job it ran as: after a restart each reads its `result.bin`,
+/// and none is re-admitted as unfinished work.
+#[test]
+fn coalesced_jobs_persist_their_digest_across_a_restart() {
+    let dir = tmp_dir("coalesced-restart");
+    let config = || {
+        let mut cfg = local_config("127.0.0.1:0");
+        cfg.state_dir = Some(dir.clone());
+        cfg
+    };
+    let daemon = Daemon::start(config()).unwrap();
+    let mut c = Client::connect(daemon.addr()).unwrap();
+    // Holds the fleet so the pair below sits queued together.
+    let blocker = editdist_spec(&[b'a'; 300], &[b'b'; 290], 8);
+    let Response::Accepted { job: j0, .. } = c.submit("alice", false, blocker).unwrap() else {
+        panic!("blocker must be accepted");
+    };
+    // Above the batch threshold, so the pair runs on the fleet.
+    let spec = editdist_spec(&[b'u'; 200], &[b'v'; 190], 8);
+    let want = reference_crc(&spec);
+    let Response::Accepted { job: j1, .. } = c.submit("alice", false, spec.clone()).unwrap() else {
+        panic!("first of the pair must be accepted");
+    };
+    let Response::Accepted { job: j2, admission } = c.submit("bob", false, spec).unwrap() else {
+        panic!("second of the pair must be accepted");
+    };
+    assert_eq!(admission, Admission::Coalesced);
+    for j in [j0, j1, j2] {
+        wait_done(&mut c, j, Duration::from_secs(60));
+    }
+    daemon.stop();
+
+    for j in [j1, j2] {
+        let job_dir = dir.join("jobs").join(format!("{j:016}"));
+        assert!(
+            job_dir.join("result.bin").exists(),
+            "job {j} keeps no digest in {}",
+            job_dir.display()
+        );
+    }
+    let daemon = Daemon::start(config()).unwrap();
+    assert_eq!(
+        counter(&daemon, "serve_jobs_recovered"),
+        0,
+        "a finished job was re-admitted"
+    );
+    let mut c = Client::connect(daemon.addr()).unwrap();
+    for j in [j1, j2] {
+        let Response::Status { state, .. } = c.status(j).unwrap() else {
+            panic!("status must be answered");
+        };
+        let JobState::Done(r) = state else {
+            panic!("job {j} is {state:?} after the restart");
+        };
+        assert_eq!(r.crc, want);
+    }
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A fleet job under `--state-dir` checkpoints its tiles while it runs;
 /// once its result is durable the checkpoint is a second copy of the
 /// matrix, and nothing of it may stay on disk — neither after the job
