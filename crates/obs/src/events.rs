@@ -14,6 +14,7 @@
 //! from one shared monotonic epoch so lanes recorded on different threads
 //! line up in the viewer.
 
+use std::fmt::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -141,9 +142,10 @@ impl EventRecorder {
                 Some(t) => ("thread_name", *t),
                 None => ("process_name", 0),
             };
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\""
-            ));
+            );
             escape_into(&mut out, name);
             out.push_str("\"}}");
         }
@@ -164,10 +166,10 @@ fn push_sep(out: &mut String, first: &mut bool) {
     }
 }
 
-/// `123456789 ns` -> `"123456.789"` (µs with ns fraction, no trailing
-/// zeros beyond three decimals).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// Append `123456789 ns` as `123456.789` (µs with ns fraction, always
+/// three decimals). Writing to a `String` cannot fail.
+fn write_us(out: &mut String, ns: u64) {
+    let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
 }
 
 fn write_event(out: &mut String, e: &TraceEvent) {
@@ -179,21 +181,21 @@ fn write_event(out: &mut String, e: &TraceEvent) {
     match e.ph {
         Phase::Complete => {
             out.push_str("X\",\"ts\":");
-            out.push_str(&us(e.ts_ns));
+            write_us(out, e.ts_ns);
             out.push_str(",\"dur\":");
             // A zero-width span is invisible; clamp to 1 ns.
-            out.push_str(&us(e.dur_ns.max(1)));
+            write_us(out, e.dur_ns.max(1));
         }
         Phase::Instant => {
             out.push_str("i\",\"s\":\"t\",\"ts\":");
-            out.push_str(&us(e.ts_ns));
+            write_us(out, e.ts_ns);
         }
     }
-    out.push_str(&format!(",\"pid\":{},\"tid\":{}", e.pid, e.tid));
+    let _ = write!(out, ",\"pid\":{},\"tid\":{}", e.pid, e.tid);
     if let Some((k, v)) = e.arg {
         out.push_str(",\"args\":{\"");
         escape_into(out, k);
-        out.push_str(&format!("\":{v}}}"));
+        let _ = write!(out, "\":{v}}}");
     }
     out.push('}');
 }
@@ -317,9 +319,10 @@ pub fn chrome_json_from_trace(trace: &easyhps_core::Trace) -> String {
     );
     for (tid, lane) in lanes.iter().enumerate() {
         push_sep(&mut out, &mut first);
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\""
-        ));
+        );
         escape_into(&mut out, lane);
         out.push_str("\"}}");
     }
@@ -334,10 +337,10 @@ pub fn chrome_json_from_trace(trace: &easyhps_core::Trace) -> String {
         out.push_str("{\"name\":\"");
         escape_into(&mut out, if s.label.is_empty() { "span" } else { &s.label });
         out.push_str("\",\"cat\":\"gantt\",\"ph\":\"X\",\"ts\":");
-        out.push_str(&us(s.start_ns));
+        write_us(&mut out, s.start_ns);
         out.push_str(",\"dur\":");
-        out.push_str(&us((s.end_ns - s.start_ns).max(1)));
-        out.push_str(&format!(",\"pid\":0,\"tid\":{}}}", tid_of(&s.lane)));
+        write_us(&mut out, (s.end_ns - s.start_ns).max(1));
+        let _ = write!(out, ",\"pid\":0,\"tid\":{}}}", tid_of(&s.lane));
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
@@ -409,8 +412,69 @@ mod tests {
         assert!(s2 < s10, "slave2 thread named before slave10");
     }
 
+    /// The exact bytes of an export, over a recorder whose events carry
+    /// fixed timestamps: names (one needing escapes), a span with an
+    /// argument, a zero-width span, instants with and without one.
+    #[test]
+    fn export_bytes_are_pinned() {
+        let rec = EventRecorder::new();
+        rec.name_process(1, "slave0");
+        rec.name_thread(1, 2, "w\"0");
+        let ev = |ph, ts_ns, dur_ns, tid, arg| TraceEvent {
+            name: "sub",
+            cat: "compute",
+            ph,
+            ts_ns,
+            dur_ns,
+            pid: 1,
+            tid,
+            arg,
+        };
+        rec.absorb(vec![
+            ev(Phase::Complete, 123_456_789, 1_000, 2, Some(("sub", 7))),
+            ev(Phase::Instant, 5, 0, 0, None),
+            ev(Phase::Complete, 1, 0, 2, None),
+            ev(Phase::Instant, u64::MAX, 0, 99, Some(("peer", u64::MAX))),
+        ]);
+        assert_eq!(
+            rec.chrome_trace_json(),
+            concat!(
+                r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"#,
+                r#""args":{"name":"slave0"}},{"name":"thread_name","ph":"M","pid":1,"#,
+                r#""tid":2,"args":{"name":"w\"0"}},{"name":"sub","cat":"compute","#,
+                r#""ph":"i","s":"t","ts":0.005,"pid":1,"tid":0},{"name":"sub","#,
+                r#""cat":"compute","ph":"X","ts":0.001,"dur":0.001,"pid":1,"tid":2},"#,
+                r#"{"name":"sub","cat":"compute","ph":"X","ts":123456.789,"#,
+                r#""dur":1.000,"pid":1,"tid":2,"args":{"sub":7}},{"name":"sub","#,
+                r#""cat":"compute","ph":"i","s":"t","ts":18446744073709551.615,"#,
+                r#""pid":1,"tid":99,"args":{"peer":18446744073709551615}}],"#,
+                r#""displayTimeUnit":"ms"}"#,
+            )
+        );
+        let mut t = easyhps_core::Trace::new();
+        t.record("slave1", "a", 1_500, 2_000);
+        t.record("master", "", 0, 0);
+        assert_eq!(
+            chrome_json_from_trace(&t),
+            concat!(
+                r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":0,"tid":0,"#,
+                r#""args":{"name":"easyhps"}},{"name":"thread_name","ph":"M","pid":0,"#,
+                r#""tid":0,"args":{"name":"master"}},{"name":"thread_name","ph":"M","#,
+                r#""pid":0,"tid":1,"args":{"name":"slave1"}},{"name":"span","#,
+                r#""cat":"gantt","ph":"X","ts":0.000,"dur":0.001,"pid":0,"tid":0},"#,
+                r#"{"name":"a","cat":"gantt","ph":"X","ts":1.500,"dur":0.500,"pid":0,"#,
+                r#""tid":1}],"displayTimeUnit":"ms"}"#,
+            )
+        );
+    }
+
     #[test]
     fn microsecond_rendering() {
+        let us = |ns| {
+            let mut out = String::new();
+            write_us(&mut out, ns);
+            out
+        };
         assert_eq!(us(0), "0.000");
         assert_eq!(us(1), "0.001");
         assert_eq!(us(123_456_789), "123456.789");

@@ -105,7 +105,8 @@ impl<P: DpProblem> EasyPdp<P> {
         let registry = crate::obs::registry_of(&config.obs);
         let sm = crate::obs::SlaveMetrics::register(&registry, 0);
         let exec = std::thread::scope(|scope| {
-            let pool = crate::slave::ComputePool::spawn(
+            // The calling thread is computing thread 0.
+            let mut pool = crate::slave::ComputePool::spawn(
                 scope,
                 self.threads,
                 &self.problem,
@@ -113,16 +114,7 @@ impl<P: DpProblem> EasyPdp<P> {
                 config.obs.recorder.clone(),
                 0,
             );
-            // Single-level mode has no master to heartbeat.
-            execute_tile(
-                &model,
-                &pool,
-                GridPos::new(0, 0),
-                &config,
-                &sm,
-                &mut || {},
-                None,
-            )
+            execute_tile(&model, &mut pool, GridPos::new(0, 0), &config, &sm, None)
         })?;
 
         Ok(PdpOutput {

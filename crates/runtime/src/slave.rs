@@ -5,32 +5,35 @@
 //! idleness, receives sub-task assignments with their input strips,
 //! executes them on a pool of computing threads over the node matrix —
 //! one dense [`SharedGrid`] of the job's `dag_size`, the paper's layout —
-//! and returns the computed region. The pool is spawned **once per
-//! slave lifetime** and reused across every ASSIGN — thread creation is
-//! not on the per-tile path. Inside a tile the workers pull, as the
-//! paper's idle workers pull from the computable stack: the worker that
-//! finishes a sub-sub-task feeds the tile's [`PoolSched`] and runs the
-//! next one it is given itself, so the scheduling thread only starts a
-//! tile and wakes once when it is done. Computing-thread failures
-//! (panics) are caught and the sub-sub-task is re-queued — the paper's
-//! "restart the corresponding computing thread".
+//! and returns the computed region. The scheduling thread is computing
+//! thread 0 of its own pool: it runs the tile's sub-sub-tasks itself,
+//! beside `ct − 1` helper threads that are spawned **once per slave
+//! lifetime** and reused across every ASSIGN — thread creation is not on
+//! the per-tile path, and at one computing thread a tile is decoded,
+//! computed and returned on one thread with no hand-off at all. Inside a
+//! tile the workers pull, as the paper's idle workers pull from the
+//! computable stack: the worker that finishes a sub-sub-task feeds the
+//! tile's [`PoolSched`] and runs the next one it is given itself.
+//! Computing-thread failures (panics) are caught and the sub-sub-task is
+//! re-queued — the paper's "restart the corresponding computing thread".
 //!
 //! The loop talks to the master over a [`ReliableEndpoint`]: IDLE, DONE
 //! and STATS are acknowledged and retransmitted wherever the link could
-//! lose them, so a lossy link cannot silently lose a result. In between —
-//! and *during* long tile computations, since the scheduling thread never
-//! runs a kernel — the slave emits unreliable HEARTBEATs at
-//! `heartbeat_interval`, which is how the master tells slow from dead. A
-//! heartbeat send failing with a channel error doubles as the slave's
-//! master-death detector (its own receiver never disconnects, because
-//! every endpoint holds a sender to itself).
+//! lose them, so a lossy link cannot silently lose a result. The slave
+//! emits unreliable HEARTBEATs at `heartbeat_interval`, which is how the
+//! master tells slow from dead: the loop beats between frames, and a
+//! heart thread beats (and retransmits pending sends) while the loop runs
+//! kernels, so a long sub-sub-task never reads as silence. A heartbeat
+//! send failing with a channel error doubles as the slave's master-death
+//! detector (its own receiver never disconnects, because every endpoint
+//! holds a sender to itself).
 
 use crate::config::Deployment;
 use crate::obs::{lane_of, publish_endpoint_stats, registry_of, SlaveMetrics, TID_NET};
 use crate::protocol::{tags, AssignMsg, DoneMsg, SlaveStatsMsg};
 use crate::shared_grid::SharedGrid;
 use crate::RuntimeError;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use easyhps_core::sched::{PoolAction, PoolEvent, PoolLog, PoolSched, SchedViolation};
 use easyhps_core::{DagDataDrivenModel, GridDims, GridPos, TaskDag, TileRegion, VertexId};
 use easyhps_dp::{Cell, DpProblem};
@@ -38,8 +41,8 @@ use easyhps_net::{Endpoint, NetError, Rank, ReliableEndpoint};
 use easyhps_obs::{EventRecorder, LaneBuf};
 use parking_lot::RwLock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Outcome of executing one master-level sub-task on the thread pool.
 #[derive(Clone, Copy, Debug, Default)]
@@ -58,10 +61,12 @@ struct Job {
     region: TileRegion,
 }
 
-/// What the scheduling thread and the computing threads share.
+/// What worker 0 (the thread in [`execute_tile`]) and the helper threads
+/// share.
 struct PoolShared {
     state: Mutex<PoolState>,
-    /// Signalled when the tile in flight gets its outcome.
+    /// Signalled when the tile in flight gets its outcome, or worker 0 a
+    /// sub-sub-task in [`PoolState::own`].
     finished: Condvar,
 }
 
@@ -70,11 +75,13 @@ struct PoolShared {
 /// writes before the reads of the sub-sub-tasks they enable (DESIGN.md
 /// §7).
 struct PoolState {
-    /// Per-worker job channels; cleared when the pool is dropped, which
-    /// ends the workers.
-    workers: Vec<Sender<Job>>,
-    /// Installed and taken back by the scheduling thread, so everything a
-    /// tile allocates is allocated and freed there.
+    /// Job channels of workers `1..ct`, the helper threads (worker `w`
+    /// at `w - 1`); cleared when the pool is dropped, which ends them.
+    helpers: Vec<Sender<Job>>,
+    /// Worker 0's next sub-sub-task, when a helper's report gave it one.
+    own: Option<Job>,
+    /// Installed and taken back by worker 0, so everything a tile
+    /// allocates is allocated and freed there.
     tile: Option<TileRun>,
 }
 
@@ -90,7 +97,7 @@ struct TileRun {
     actions: Vec<PoolAction>,
     exec: TileExecution,
     /// Kernel time of each finished sub-sub-task, recorded into the
-    /// metrics by the scheduling thread.
+    /// metrics by worker 0 once the tile is done.
     latencies: Vec<u64>,
     log: Option<PoolLog>,
     /// `Ok` once the machine said Done, `Err` if it refused an event.
@@ -107,9 +114,10 @@ impl PoolShared {
 
     /// Feed `ev` to the tile's machine and perform its actions — the one
     /// place a [`PoolAction`] is interpreted. A `Run` for worker `me` is
-    /// returned for the caller to run itself; any other `Run` goes over
-    /// its worker's channel. Once the outcome is set, events are dropped.
-    fn feed(&self, st: &mut PoolState, ev: PoolEvent, me: Option<usize>) -> Option<Job> {
+    /// returned for the caller to run itself; a `Run` for worker 0 waits
+    /// in [`PoolState::own`]; any other goes over its helper's channel.
+    /// Once the outcome is set, events are dropped.
+    fn feed(&self, st: &mut PoolState, ev: PoolEvent, me: usize) -> Option<Job> {
         let t = st.tile.as_mut().filter(|t| t.outcome.is_none())?;
         t.actions.clear();
         if let Err(e) = t.sched.on_event_into(&t.sdag, ev, &mut t.actions) {
@@ -128,12 +136,16 @@ impl PoolShared {
                         sub,
                         region: t.regions[sub as usize],
                     };
-                    if Some(worker) == me {
+                    if worker == me {
                         mine = Some(job);
+                    } else if worker == 0 {
+                        debug_assert!(st.own.is_none(), "worker 0 was given two jobs");
+                        st.own = Some(job);
+                        self.finished.notify_one();
                     } else {
-                        st.workers[worker]
+                        st.helpers[worker - 1]
                             .send(job)
-                            .expect("workers outlive the pool's tiles");
+                            .expect("helpers outlive the pool's tiles");
                     }
                 }
                 PoolAction::Done => {
@@ -147,8 +159,14 @@ impl PoolShared {
 
     /// Worker `worker` finished `sub`: account for it, feed the machine,
     /// and return the worker's own next sub-sub-task.
-    fn worker_done(&self, worker: usize, sub: u32, ok: bool, elapsed_ns: u64) -> Option<Job> {
-        let mut st = self.lock();
+    fn report(
+        &self,
+        st: &mut PoolState,
+        worker: usize,
+        sub: u32,
+        ok: bool,
+        elapsed_ns: u64,
+    ) -> Option<Job> {
         let t = st.tile.as_mut()?;
         t.exec.busy_ns += elapsed_ns;
         t.latencies.push(elapsed_ns);
@@ -160,82 +178,106 @@ impl PoolShared {
             // sub-sub-task for any worker.
             t.exec.failures += 1;
         }
-        self.feed(
-            &mut st,
-            PoolEvent::WorkerDone { worker, sub, ok },
-            Some(worker),
-        )
+        self.feed(st, PoolEvent::WorkerDone { worker, sub, ok }, worker)
     }
 }
 
-/// A persistent pool of computing threads over one node matrix.
-///
-/// Threads are spawned once (inside a [`std::thread::scope`]) and then
-/// serve any number of tiles. [`execute_tile`] hands a tile its first
-/// sub-sub-tasks over per-worker channels; from then on each worker
-/// reports to the tile's machine itself and runs what it is given next,
-/// passing work for an idle sibling over that sibling's channel. Workers
-/// take the grid's read lock per sub-sub-task, so the scheduling thread
-/// can take the write lock between tiles (strip decode, result encode)
-/// without any thread teardown.
-pub(crate) struct ComputePool {
-    shared: Arc<PoolShared>,
-    /// Computing threads spawned over this pool's lifetime (= worker
-    /// count: spawning happens exactly once, at construction).
-    threads_spawned: u64,
+/// Run `job`'s kernel against `grid`, catching a panic, and record one
+/// `sub` compute span on `lane`. Returns whether the kernel completed and
+/// how long it took.
+fn run_job<P: DpProblem>(
+    problem: &P,
+    grid: &RwLock<SharedGrid<P::Cell>>,
+    lane: &mut LaneBuf,
+    job: Job,
+) -> (bool, u64) {
+    let start_ns = lane.now_ns();
+    let t0 = Instant::now();
+    let g = grid.read();
+    // SAFETY: the tile's machine dispatches each region to exactly one
+    // worker, and the DAG (validated) orders every read-region strictly
+    // before this task. The machine's mutex provides the happens-before
+    // edges: a predecessor's worker reported after its writes, and this
+    // task was handed out under the lock after that report (or, when the
+    // same thread ran both, follows it in program order).
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut view = unsafe { g.task_view(job.region) };
+        problem.compute_region(&mut view, job.region);
+    }));
+    drop(g);
+    let elapsed_ns = t0.elapsed().as_nanos() as u64;
+    lane.span_since(
+        "sub",
+        "compute",
+        start_ns,
+        Some(("sub", u64::from(job.sub))),
+    );
+    (outcome.is_ok(), elapsed_ns)
 }
 
-impl ComputePool {
-    /// Spawn `ct` computing threads into `scope`, computing `problem`
-    /// regions against `grid`. Panics inside a kernel are caught in place;
-    /// the worker reports failure and stays alive for re-queued work. With
-    /// a `recorder`, each worker records one `sub` compute span per job on
-    /// its own `(pid, 1 + worker)` event lane.
-    pub(crate) fn spawn<'scope, 'env, P: DpProblem>(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
+/// A persistent pool of `ct` computing threads over one node matrix:
+/// worker 0 is whichever thread calls [`execute_tile`], workers `1..ct`
+/// are helper threads.
+///
+/// Helpers are spawned once (inside a [`std::thread::scope`]) and then
+/// serve any number of tiles. [`execute_tile`] starts a tile and runs
+/// worker 0's sub-sub-tasks in place; from then on each worker reports to
+/// the tile's machine itself and runs what it is given next, passing work
+/// for an idle sibling over that sibling's channel (or, for worker 0,
+/// through [`PoolState::own`]). Workers take the grid's read lock per
+/// sub-sub-task, so the scheduling thread can take the write lock between
+/// tiles (strip decode, result encode) without any thread teardown.
+pub(crate) struct ComputePool<'a, P: DpProblem> {
+    shared: Arc<PoolShared>,
+    problem: &'a P,
+    grid: &'a RwLock<SharedGrid<P::Cell>>,
+    /// Worker 0's event lane.
+    lane: LaneBuf,
+    /// Computing threads, worker 0 included (fixed at construction).
+    threads: u64,
+}
+
+impl<'a, P: DpProblem> ComputePool<'a, P> {
+    /// A pool of `ct` computing threads computing `problem` regions
+    /// against `grid`: the caller's thread is worker 0, and `ct - 1`
+    /// helpers are spawned into `scope`. Panics inside a kernel are caught
+    /// in place; the worker reports failure and stays alive for re-queued
+    /// work. With a `recorder`, worker `w` records one `sub` compute span
+    /// per job on event lane `(pid, 1 + w)`.
+    pub(crate) fn spawn<'scope>(
+        scope: &'scope std::thread::Scope<'scope, 'a>,
         ct: usize,
-        problem: &'env P,
-        grid: &'env RwLock<SharedGrid<P::Cell>>,
+        problem: &'a P,
+        grid: &'a RwLock<SharedGrid<P::Cell>>,
         recorder: Option<Arc<EventRecorder>>,
         pid: u32,
     ) -> Self {
+        assert!(ct > 0, "a pool needs at least one computing thread");
+        let lane_for = |w: usize| {
+            recorder
+                .as_ref()
+                .map_or_else(LaneBuf::disabled, |r| r.lane(pid, 1 + w as u32))
+        };
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
-                workers: Vec::with_capacity(ct),
+                helpers: Vec::with_capacity(ct - 1),
+                own: None,
                 tile: None,
             }),
             finished: Condvar::new(),
         });
-        for w in 0..ct {
+        for w in 1..ct {
             let (tx, rx) = unbounded::<Job>();
-            shared.lock().workers.push(tx);
-            let recorder = recorder.clone();
+            shared.lock().helpers.push(tx);
+            let mut lane = lane_for(w);
             let shared = shared.clone();
             scope.spawn(move || {
-                let mut wl = recorder.map_or_else(LaneBuf::disabled, |r| r.lane(pid, 1 + w as u32));
                 for mut job in rx.iter() {
                     // Run the handed sub-sub-task, then every one the
                     // machine gives this worker back as it reports.
                     loop {
-                        let start_ns = wl.now_ns();
-                        let t0 = Instant::now();
-                        let g = grid.read();
-                        // SAFETY: the tile's machine dispatches each region
-                        // to exactly one worker, and the DAG (validated)
-                        // orders every read-region strictly before this
-                        // task. The machine's mutex provides the
-                        // happens-before edges: a predecessor's worker
-                        // reported after its writes, and this task was
-                        // handed out under the lock after that report.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let mut view = unsafe { g.task_view(job.region) };
-                            problem.compute_region(&mut view, job.region);
-                        }));
-                        drop(g);
-                        let elapsed_ns = t0.elapsed().as_nanos() as u64;
-                        let arg = Some(("sub", u64::from(job.sub)));
-                        wl.span_since("sub", "compute", start_ns, arg);
-                        match shared.worker_done(w, job.sub, outcome.is_ok(), elapsed_ns) {
+                        let (ok, ns) = run_job(problem, grid, &mut lane, job);
+                        match shared.report(&mut shared.lock(), w, job.sub, ok, ns) {
                             Some(next) => job = next,
                             None => break,
                         }
@@ -245,22 +287,53 @@ impl ComputePool {
         }
         Self {
             shared,
-            threads_spawned: ct as u64,
+            problem,
+            grid,
+            lane: lane_for(0),
+            threads: ct as u64,
         }
     }
 
-    /// Computing threads spawned over this pool's lifetime.
-    pub(crate) fn threads_spawned(&self) -> u64 {
-        self.threads_spawned
+    /// Computing threads of this pool, worker 0 included.
+    pub(crate) fn threads(&self) -> u64 {
+        self.threads
     }
 }
 
-impl Drop for ComputePool {
-    /// Close every worker's channel: each finishes what it holds and exits.
+impl<P: DpProblem> Drop for ComputePool<'_, P> {
+    /// Close every helper's channel: each finishes what it holds and exits.
     fn drop(&mut self) {
         let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.workers.clear();
+        st.helpers.clear();
     }
+}
+
+/// The slave's link to the master, shared by the scheduling loop and the
+/// heart thread.
+struct Link {
+    rep: ReliableEndpoint,
+    last_beat: Instant,
+}
+
+impl Link {
+    /// Send a HEARTBEAT if `interval` has passed since the last one;
+    /// true when one went out.
+    fn beat_if_due(&mut self, interval: Duration, sm: &SlaveMetrics) -> Result<bool, NetError> {
+        if self.last_beat.elapsed() < interval {
+            return Ok(false);
+        }
+        self.rep
+            .send_unreliable(Rank(0), tags::HEARTBEAT, bytes::Bytes::new())?;
+        sm.heartbeats.inc();
+        self.last_beat = Instant::now();
+        Ok(true)
+    }
+}
+
+/// Nothing that holds the link panics short of a bug; a poisoned link is
+/// still the link.
+fn lock_link(link: &Mutex<Link>) -> MutexGuard<'_, Link> {
+    link.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Run the slave loop on `ep` until the master sends END, keeping the
@@ -285,6 +358,7 @@ pub fn run_slave<P: DpProblem>(
     let largest_tile = GridDims::new(pp.rows.min(dag.rows), pp.cols.min(dag.cols));
     let per_tile = largest_tile.tiled_by(model.thread_partition_size()).area();
     let ct = (config.threads_per_slave as u64).clamp(1, per_tile.max(1)) as usize;
+    let interval = config.heartbeat_interval;
     let mut rep = ReliableEndpoint::new(ep, config.retry.clone());
 
     // Observability: this rank is Chrome pid `rank`, slave index `rank-1`.
@@ -309,26 +383,43 @@ pub fn run_slave<P: DpProblem>(
     // Step a: announce idleness (acknowledged wherever it could be
     // dropped: a dropped IDLE would otherwise starve this slave forever).
     rep.send_reliable(master, tags::IDLE, bytes::Bytes::new())?;
+    let link = Mutex::new(Link {
+        rep,
+        last_beat: Instant::now(),
+    });
 
     let res = std::thread::scope(|scope| {
         // The compute pool lives for the whole slave, not per tile.
-        let pool = ComputePool::spawn(scope, ct, problem, &grid, obs.recorder.clone(), pid);
-        let mut last_hb = Instant::now();
+        let mut pool = ComputePool::spawn(scope, ct, problem, &grid, obs.recorder.clone(), pid);
+        // The heart beats while this thread runs kernels: whenever it
+        // finds the link free, it sends what is due and retransmits what
+        // is pending. It stops when this closure returns and drops `_stop`.
+        let (_stop, stopped) = unbounded::<()>();
+        let (link, sm) = (&link, &sm);
+        scope.spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                if let Ok(mut l) = link.try_lock() {
+                    let _ = l.beat_if_due(interval, sm);
+                    l.rep.pump();
+                }
+            }
+        });
 
         loop {
-            // A heartbeat failure means the master's endpoint is gone (or
-            // this endpoint was killed): propagate, ending the slave.
-            if last_hb.elapsed() >= config.heartbeat_interval {
-                rep.send_unreliable(master, tags::HEARTBEAT, bytes::Bytes::new())?;
-                sm.heartbeats.inc();
-                lane.instant("heartbeat", "sched", None);
-                last_hb = Instant::now();
-            }
-            // A frame ends the wait; the heartbeat cadence bounds it.
-            let env = match rep.recv_timeout(config.heartbeat_interval) {
-                Ok(env) => env,
-                Err(NetError::Timeout) => continue,
-                Err(e) => return Err(e.into()),
+            let env = {
+                let mut l = lock_link(link);
+                // A heartbeat failure means the master's endpoint is gone
+                // (or this endpoint was killed): propagate, ending the
+                // slave.
+                if l.beat_if_due(interval, sm)? {
+                    lane.instant("heartbeat", "sched", None);
+                }
+                // A frame ends the wait; the heartbeat cadence bounds it.
+                match l.rep.recv_timeout(interval) {
+                    Ok(env) => env,
+                    Err(NetError::Timeout) => continue,
+                    Err(e) => return Err(e.into()),
+                }
             };
             match env.tag {
                 tags::END => {
@@ -339,15 +430,16 @@ pub fn run_slave<P: DpProblem>(
                         subtasks_done: sm.subtasks.get(),
                         busy_ns: sm.busy_ns.get(),
                         thread_failures: sm.thread_failures.get(),
-                        threads_spawned: pool.threads_spawned(),
+                        threads_spawned: pool.threads(),
                     };
-                    let _ = rep.send_reliable(master, tags::STATS, stats.encode());
+                    let mut l = lock_link(link);
+                    let _ = l.rep.send_reliable(master, tags::STATS, stats.encode());
                     // Linger until the STATS (and any late DONE) is acked,
                     // so the master's teardown collection cannot miss it;
                     // the linger ends on that ACK, at once where nothing
                     // was sent acked.
-                    rep.drain_pending(config.sched_params().slave_linger);
-                    publish_endpoint_stats(&registry, &format!("slave{w}"), &rep);
+                    l.rep.drain_pending(config.sched_params().slave_linger);
+                    publish_endpoint_stats(&registry, &format!("slave{w}"), &l.rep);
                     return Ok(stats);
                 }
                 tags::ASSIGN => {
@@ -359,30 +451,9 @@ pub fn run_slave<P: DpProblem>(
                     for &(region, bytes) in &msg.inputs {
                         grid.write().as_exclusive().decode_region(region, bytes);
                     }
-                    // Steps d-i: drive the slave DAG through the pool,
-                    // heartbeating (and retransmitting pending sends)
-                    // whenever the tile makes us wait — a long compute
-                    // must not read as death to the master.
-                    let exec = execute_tile(
-                        model,
-                        &pool,
-                        msg.tile,
-                        config,
-                        &sm,
-                        &mut || {
-                            if last_hb.elapsed() >= config.heartbeat_interval {
-                                let _ = rep.send_unreliable(
-                                    master,
-                                    tags::HEARTBEAT,
-                                    bytes::Bytes::new(),
-                                );
-                                sm.heartbeats.inc();
-                                last_hb = Instant::now();
-                            }
-                            rep.pump();
-                        },
-                        None,
-                    )?;
+                    // Steps d-i: drive the slave DAG through the pool, this
+                    // thread computing as worker 0.
+                    let exec = execute_tile(model, &mut pool, msg.tile, config, sm, None)?;
                     sm.tiles.inc();
                     sm.subtasks.add(exec.subtasks);
                     sm.busy_ns.add(exec.busy_ns);
@@ -404,7 +475,9 @@ pub fn run_slave<P: DpProblem>(
                             .as_exclusive()
                             .encode_region_into(msg.region, out)
                     });
-                    rep.send_reliable(master, tags::DONE, payload)?;
+                    lock_link(link)
+                        .rep
+                        .send_reliable(master, tags::DONE, payload)?;
                     lane.span_since(
                         "compute",
                         "sched",
@@ -425,40 +498,45 @@ pub fn run_slave<P: DpProblem>(
     // did, so a rejoined successor's counters add to it (a crash, `Dead`,
     // publishes nothing).
     if matches!(res, Err(RuntimeError::Net(NetError::Disconnected))) {
-        publish_endpoint_stats(&registry, &format!("slave{w}"), &rep);
+        publish_endpoint_stats(&registry, &format!("slave{w}"), &lock_link(&link).rep);
     }
     res
 }
 
-/// Execute one master tile on the persistent worker pool: partition it by
-/// `thread_partition_size`, feed the tile's [`PoolSched`] its `Start` and
-/// hand the first sub-sub-tasks out; the workers drive the machine from
+/// Execute one master tile on the persistent pool, this thread computing
+/// as worker 0: partition it by `thread_partition_size`, feed the tile's
+/// [`PoolSched`] its `Start`, hand the helpers their first sub-sub-tasks
+/// and run worker 0's in place; every worker drives the machine from
 /// there (see [`ComputePool`]). Every scheduling decision — which worker
 /// gets which sub-sub-task, what a failed kernel means — is the
-/// machine's. This thread wakes once, when the machine says Done, and
-/// otherwise every `heartbeat_interval` to call `on_wait` — the slave loop
-/// heartbeats there so a long sub-sub-task never reads as silence. Done
+/// machine's. Between its own jobs this thread waits, untimed, for a
+/// helper's report to give it one or for the machine to say Done. Done
 /// means every sub-sub-task has been reported, so the pool is quiescent
 /// between calls; a machine error ends the slave, and with it the pool.
 /// With `log`, every `(event, actions)` exchange is recorded, in the
 /// order the machine saw it, for differential replay against the
 /// virtual-time driver.
-pub(crate) fn execute_tile(
+pub(crate) fn execute_tile<P: DpProblem>(
     model: &DagDataDrivenModel,
-    pool: &ComputePool,
+    pool: &mut ComputePool<'_, P>,
     tile: GridPos,
     config: &Deployment,
     metrics: &SlaveMetrics,
-    on_wait: &mut dyn FnMut(),
     log: Option<&mut PoolLog>,
 ) -> Result<TileExecution, RuntimeError> {
-    let shared = &pool.shared;
+    let ComputePool {
+        shared,
+        problem,
+        grid,
+        lane,
+        ..
+    } = pool;
     let sdag = model.slave_dag(tile);
     let regions = (0..sdag.len() as u32)
         .map(|s| model.sub_region(tile, sdag.vertex(VertexId(s)).pos))
         .collect();
     let mut st = shared.lock();
-    let workers = st.workers.len();
+    let workers = st.helpers.len() + 1;
     st.tile = Some(TileRun {
         sched: PoolSched::new(&sdag, workers, config.thread_mode),
         actions: Vec::with_capacity(workers + 1),
@@ -469,19 +547,20 @@ pub(crate) fn execute_tile(
         sdag,
         regions,
     });
-    shared.feed(&mut st, PoolEvent::Start, None);
-    let pending = |st: &PoolState| st.tile.as_ref().is_some_and(|t| t.outcome.is_none());
-    while pending(&st) {
-        let (guard, wait) = shared
-            .finished
-            .wait_timeout(st, config.heartbeat_interval)
-            .expect(POISONED);
-        st = guard;
-        if wait.timed_out() && pending(&st) {
-            drop(st);
-            on_wait();
-            st = shared.lock();
-        }
+    let mut next = shared.feed(&mut st, PoolEvent::Start, 0);
+    loop {
+        let job = match next.take().or_else(|| st.own.take()) {
+            Some(job) => job,
+            None if st.tile.as_ref().is_some_and(|t| t.outcome.is_none()) => {
+                st = shared.finished.wait(st).expect(POISONED);
+                continue;
+            }
+            None => break,
+        };
+        drop(st);
+        let (ok, ns) = run_job(*problem, *grid, lane, job);
+        st = shared.lock();
+        next = shared.report(&mut st, 0, job.sub, ok, ns);
     }
     let run = st.tile.take().expect("installed above");
     drop(st);
@@ -495,7 +574,6 @@ pub(crate) fn execute_tile(
     debug_assert!(run.sched.is_done());
     Ok(run.exec)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,6 +586,7 @@ mod tests {
     /// event log while computing a tile, then replay the same events into
     /// a fresh machine — the actions must match batch for batch. Any
     /// divergence means the threaded driver smuggled policy of its own.
+    /// One worker is the calling thread alone; three add two helpers.
     #[test]
     fn threaded_pool_driver_matches_machine_replay() {
         let a = random_sequence(Alphabet::Dna, 32, 11);
@@ -518,34 +597,41 @@ mod tests {
             .process_partition_size(dims)
             .thread_partition_size(GridDims::new(8, 8))
             .build();
-        let config = Deployment::local(1, 3);
-        let registry = easyhps_obs::Registry::new();
-        let sm = SlaveMetrics::register(&registry, 0);
-        let grid = RwLock::new(SharedGrid::<<EditDistance as DpProblem>::Cell>::new(dims));
+        for workers in [1, 3] {
+            let config = Deployment::local(1, workers);
+            let registry = easyhps_obs::Registry::new();
+            let sm = SlaveMetrics::register(&registry, 0);
+            let grid = RwLock::new(SharedGrid::<<EditDistance as DpProblem>::Cell>::new(dims));
 
-        let mut log = PoolLog::new();
-        let exec = std::thread::scope(|scope| {
-            let pool = ComputePool::spawn(scope, 3, &problem, &grid, None, 0);
-            execute_tile(
-                &model,
-                &pool,
-                GridPos::new(0, 0),
-                &config,
-                &sm,
-                &mut || {},
-                Some(&mut log),
+            let mut log = PoolLog::new();
+            let exec = std::thread::scope(|scope| {
+                let mut pool = ComputePool::spawn(scope, workers, &problem, &grid, None, 0);
+                execute_tile(
+                    &model,
+                    &mut pool,
+                    GridPos::new(0, 0),
+                    &config,
+                    &sm,
+                    Some(&mut log),
+                )
+            })
+            .unwrap();
+            assert!(exec.subtasks > 1, "tile actually ran on the pool");
+            assert_eq!(grid.into_inner().to_matrix(), problem.solve_sequential());
+
+            let sdag = model.slave_dag(GridPos::new(0, 0));
+            let replayed = replay_pool(
+                &sdag,
+                workers,
+                config.thread_mode,
+                log.iter().map(|(e, _)| *e),
             )
-        })
-        .unwrap();
-        assert!(exec.subtasks > 1, "tile actually ran on the pool");
-
-        let sdag = model.slave_dag(GridPos::new(0, 0));
-        let replayed =
-            replay_pool(&sdag, 3, config.thread_mode, log.iter().map(|(e, _)| *e)).unwrap();
-        let recorded: Vec<_> = log.into_iter().map(|(_, a)| a).collect();
-        assert_eq!(
-            replayed, recorded,
-            "threaded driver and replay diverged on the same event log"
-        );
+            .unwrap();
+            let recorded: Vec<_> = log.into_iter().map(|(_, a)| a).collect();
+            assert_eq!(
+                replayed, recorded,
+                "threaded driver and replay diverged on the same event log ({workers} workers)"
+            );
+        }
     }
 }

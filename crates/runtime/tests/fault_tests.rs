@@ -1307,15 +1307,22 @@ fn malformed_and_zombie_completions_are_dropped_never_fatal() {
 }
 
 // ---------------------------------------------------------------------
-// Heartbeats come from the scheduling thread, which never runs a kernel:
-// a sub-task stalled past three heartbeat timeouts must not read as a
-// dead slave, however many computing threads the slave has.
+// Heartbeats go on while the slave computes: the scheduling thread is
+// computing thread 0, so a heart thread beats whenever it finds the link
+// free. A sub-task stalled past three heartbeat timeouts must not read as
+// a dead slave, however many computing threads the slave has, and over a
+// socket link as over in-process channels.
 // ---------------------------------------------------------------------
 
 #[test]
 fn heartbeats_continue_while_a_sub_task_runs_long() {
     let stall = 3 * Deployment::local(1, 1).heartbeat_timeout;
-    for threads in [1, 3] {
+    let cases = [
+        (1, TransportKind::InProcess),
+        (3, TransportKind::InProcess),
+        (1, TransportKind::Tcp),
+    ];
+    for (threads, kind) in cases {
         let inner = EditDistance::new(
             random_sequence(Alphabet::Dna, 30, 230),
             random_sequence(Alphabet::Dna, 30, 231),
@@ -1327,15 +1334,16 @@ fn heartbeats_continue_while_a_sub_task_runs_long() {
             .thread_partition((4, 4))
             .slaves(2)
             .threads_per_slave(threads)
+            .transport(kind)
             .run()
-            .unwrap_or_else(|e| panic!("stalled run with {threads} threads: {e}"));
+            .unwrap_or_else(|e| panic!("stalled run, {threads} threads, {kind:?}: {e}"));
         assert!(problem.stalls_fired() >= 1, "the drill stalled nothing");
-        assert_eq!(out.matrix, reference, "{threads} threads");
+        assert_eq!(out.matrix, reference, "{threads} threads, {kind:?}");
         let m = &out.report.master;
         assert_eq!(
             (m.dead_slaves, m.readmitted, m.redispatched),
             (0, 0, 0),
-            "a stalled kernel read as silence with {threads} threads: {m:?}"
+            "a stalled kernel read as silence with {threads} threads, {kind:?}: {m:?}"
         );
     }
 }

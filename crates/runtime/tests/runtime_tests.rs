@@ -2,14 +2,18 @@
 //! sequential reference for every algorithm and scheduling mode, plus the
 //! fault-tolerance drills.
 
+use easyhps_core::{DagDataDrivenModel, DagPattern, GridDims, TileRegion};
 use easyhps_dp::sequence::{random_sequence, Alphabet};
 use easyhps_dp::{
-    DpProblem, EditDistance, Lcs, MatrixChain, Nussinov, OptimalBst, Quadrant2D2D,
+    DpGrid, DpProblem, EditDistance, Lcs, MatrixChain, Nussinov, OptimalBst, Quadrant2D2D,
     SmithWatermanAffine, SmithWatermanGeneralGap,
 };
-use easyhps_net::FaultPlan;
+use easyhps_net::{FaultPlan, Network};
 use easyhps_runtime::testing::FaultyProblem;
-use easyhps_runtime::{EasyHps, RuntimeError, ScheduleMode};
+use easyhps_runtime::{run_master, run_slave, Deployment, EasyHps, RuntimeError, ScheduleMode};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// Run `problem` through the full runtime and compare present cells to the
@@ -226,29 +230,115 @@ fn report_counts_are_consistent() {
     );
 }
 
+/// Wraps a problem and records the thread every kernel call runs on.
+struct ThreadLog<P> {
+    inner: P,
+    ids: Mutex<Vec<ThreadId>>,
+}
+
+impl<P: DpProblem> DpProblem for ThreadLog<P> {
+    type Cell = P::Cell;
+
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn dims(&self) -> GridDims {
+        self.inner.dims()
+    }
+
+    fn pattern(&self) -> Arc<dyn DagPattern> {
+        self.inner.pattern()
+    }
+
+    fn compute_region<G: DpGrid<Self::Cell>>(&self, m: &mut G, region: TileRegion) {
+        self.ids.lock().unwrap().push(std::thread::current().id());
+        self.inner.compute_region(m, region);
+    }
+}
+
+/// The thread that runs the slave loop is computing thread 0: at one
+/// computing thread every kernel runs on it, and with helpers it still
+/// takes its share, on at most `threads` threads in all.
+#[test]
+fn one_thread_slave_runs_kernels_on_its_own_thread() {
+    for threads in [1, 3] {
+        let problem = ThreadLog {
+            inner: EditDistance::new(
+                random_sequence(Alphabet::Dna, 40, 40),
+                random_sequence(Alphabet::Dna, 40, 41),
+            ),
+            ids: Mutex::new(Vec::new()),
+        };
+        let reference = problem.solve_sequential();
+        problem.ids.lock().unwrap().clear();
+        let model = DagDataDrivenModel::builder(problem.pattern())
+            .process_partition_size(GridDims::square(10))
+            .thread_partition_size(GridDims::square(5))
+            .build();
+        let config = Deployment::local(1, threads);
+        let mut eps = Network::new(2);
+        let slave_ep = eps.pop().unwrap();
+        let master_ep = eps.pop().unwrap();
+        let (slave_id, out) = std::thread::scope(|s| {
+            let (p, m, c) = (&problem, &model, &config);
+            let slave = s.spawn(move || {
+                run_slave(slave_ep, p, m, c).unwrap();
+                std::thread::current().id()
+            });
+            let out = run_master(master_ep, &problem, &model, &config, None, None, None).unwrap();
+            (slave.join().unwrap(), out)
+        });
+        assert_eq!(out.matrix, reference, "{threads} threads");
+        let ids = problem.ids.into_inner().unwrap();
+        assert!(!ids.is_empty(), "no kernel ran");
+        if threads == 1 {
+            assert!(
+                ids.iter().all(|&id| id == slave_id),
+                "a kernel ran off the slave's thread"
+            );
+        } else {
+            assert!(ids.contains(&slave_id), "the slave's thread ran no kernel");
+        }
+        let distinct: HashSet<_> = ids.iter().collect();
+        assert!(
+            distinct.len() <= threads,
+            "{} kernel threads for {threads} computing threads",
+            distinct.len()
+        );
+    }
+}
+
 #[test]
 fn thread_level_fault_tolerance_recovers_from_panics() {
-    let a = random_sequence(Alphabet::Dna, 25, 20);
-    let b = random_sequence(Alphabet::Dna, 25, 21);
-    let inner = EditDistance::new(a, b);
-    let reference = inner.solve_sequential();
-    let faulty = FaultyProblem::new(inner, 5);
-    let out = EasyHps::new(faulty)
-        .process_partition((9, 9))
-        .thread_partition((3, 3))
-        .slaves(2)
-        .threads_per_slave(2)
-        .run()
-        .expect("recovers from injected panics");
-    assert_eq!(out.matrix, reference);
-    let failures: u64 = out
-        .report
-        .slaves
-        .iter()
-        .flatten()
-        .map(|s| s.thread_failures)
-        .sum();
-    assert_eq!(failures, 5, "every injected panic recovered exactly once");
+    // At one computing thread the slave loop's own thread catches every
+    // panic; at two, worker 0 and a helper share them.
+    for threads in [1, 2] {
+        let a = random_sequence(Alphabet::Dna, 25, 20);
+        let b = random_sequence(Alphabet::Dna, 25, 21);
+        let inner = EditDistance::new(a, b);
+        let reference = inner.solve_sequential();
+        let faulty = FaultyProblem::new(inner, 5);
+        let out = EasyHps::new(faulty)
+            .process_partition((9, 9))
+            .thread_partition((3, 3))
+            .slaves(2)
+            .threads_per_slave(threads)
+            .run()
+            .expect("recovers from injected panics");
+        assert_eq!(out.matrix, reference, "{threads} threads");
+        let failures: u64 = out
+            .report
+            .slaves
+            .iter()
+            .flatten()
+            .map(|s| s.thread_failures)
+            .sum();
+        assert_eq!(
+            failures, 5,
+            "every injected panic recovered exactly once ({threads} threads)"
+        );
+    }
 }
 
 #[test]
