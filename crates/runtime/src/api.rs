@@ -6,7 +6,6 @@
 //! partition sizes, and a deployment shape; the runtime does partitioning,
 //! scheduling, communication and fault tolerance.
 
-use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
 use crate::fleet::accept_slaves;
@@ -30,13 +29,10 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct RunOutput<C: easyhps_dp::Cell> {
     /// The computed global DP matrix (partial if a tile budget stopped the
-    /// run early — see [`RunOutput::checkpoint`]).
+    /// run early — see [`EasyHps::tile_budget`]).
     pub matrix: DpMatrix<C>,
     /// Execution report (timings, counters, per-slave stats).
     pub report: RunReport,
-    /// Present when the run stopped at a tile budget before finishing;
-    /// feed to [`EasyHps::resume_from`] to continue.
-    pub checkpoint: Option<Checkpoint>,
     /// The metrics registry of the run when [`EasyHps::metrics`] (or
     /// [`EasyHps::metrics_registry`]) enabled collection: snapshot it for
     /// Prometheus-style text or JSON export.
@@ -66,7 +62,6 @@ pub struct EasyHps<P: DpProblem> {
     deployment: Deployment,
     fault_plans: Vec<Option<FaultPlan>>,
     transport: TransportKind,
-    resume: Option<Checkpoint>,
     tile_budget: Option<u64>,
     metrics: Option<Arc<Registry>>,
     collect_metrics: bool,
@@ -121,7 +116,6 @@ impl<P: DpProblem> EasyHps<P> {
             deployment: Deployment::local(2, 2),
             fault_plans: Vec::new(),
             transport: TransportKind::InProcess,
-            resume: None,
             tile_budget: None,
             metrics: None,
             collect_metrics: false,
@@ -157,32 +151,27 @@ impl<P: DpProblem> EasyHps<P> {
         self
     }
 
-    /// Resume a run from a [`Checkpoint`]: finished sub-tasks are restored
-    /// instead of re-executed. Combine with [`Checkpoint::load_dir`] to
-    /// continue a run a hard master kill interrupted.
-    pub fn resume_from(mut self, checkpoint: Checkpoint) -> Self {
-        self.resume = Some(checkpoint);
-        self
-    }
-
     /// Durably checkpoint the run per `policy`: the master appends
-    /// finished tiles to CRC-guarded segment files in the policy's
+    /// finished tiles to CRC-sealed segment files in the policy's
     /// directory, so even a hard master kill loses at most the tiles
-    /// accepted since the last capture. Recover with
-    /// [`Checkpoint::load_dir`] + [`Self::resume_from`].
+    /// accepted since the last flush. A later run whose policy sets
+    /// [`CheckpointPolicy::resume`] continues from the directory: its
+    /// tiles are restored instead of re-executed.
     pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.deployment.checkpoint = Some(policy);
         self
     }
 
-    /// [`Self::checkpoint`] with the default policy (capture every 32
-    /// accepted tiles, compact beyond 8 live segments).
+    /// [`Self::checkpoint`] with the default policy (flush every 32
+    /// accepted tiles, compact beyond 8 live segments, a fresh run).
     pub fn checkpoint_dir(self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint(CheckpointPolicy::new(dir))
     }
 
-    /// Stop after `tiles` completions (counting resumed ones) and return a
-    /// checkpoint in the output — for incremental or preemptible runs.
+    /// Stop after `tiles` completions (counting resumed ones) — for
+    /// incremental or preemptible runs. With a [`Self::checkpoint`]
+    /// policy, the directory then holds every accepted tile, and a run
+    /// that resumes from it continues where this one stopped.
     pub fn tile_budget(mut self, tiles: u64) -> Self {
         self.tile_budget = Some(tiles);
         self
@@ -404,7 +393,6 @@ impl<P: DpProblem> EasyHps<P> {
                         problem.as_ref(),
                         &model,
                         &deployment,
-                        self.resume.as_ref(),
                         self.tile_budget,
                         None,
                     )
@@ -482,7 +470,6 @@ impl<P: DpProblem> EasyHps<P> {
                         problem.as_ref(),
                         &model,
                         &deployment,
-                        self.resume.as_ref(),
                         self.tile_budget,
                         Some(&control),
                     );
@@ -505,7 +492,6 @@ impl<P: DpProblem> EasyHps<P> {
         }
 
         Ok(RunOutput {
-            checkpoint: out.checkpoint,
             matrix: out.matrix,
             report: RunReport {
                 elapsed: out.elapsed,

@@ -60,10 +60,10 @@ pub struct Deployment {
     /// its `.metrics(..)` / `.trace_out(..)` knobs.
     pub obs: ObsConfig,
     /// Durable incremental checkpointing (defaults to off). When set, the
-    /// master appends finished tiles to CRC-guarded segment files in
+    /// master appends finished tiles to CRC-sealed segment files in
     /// [`CheckpointPolicy::dir`] at the policy's cadence, and a later run
-    /// can recover them with [`crate::Checkpoint::load_dir`] even after a
-    /// hard master kill.
+    /// whose policy resumes continues from them, even after a hard
+    /// master kill.
     pub checkpoint: Option<CheckpointPolicy>,
 }
 

@@ -25,7 +25,6 @@
 //! that dies mid-run can leave slaves executing stale work, so a fleet
 //! that will run more than one job must not inject faults.
 
-use crate::checkpoint::Checkpoint;
 use crate::config::{ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
 use crate::master::{run_master, FleetControl};
@@ -49,11 +48,10 @@ pub struct JobOptions {
     /// Observability wiring for this job (a daemon hands each job its
     /// own registry and republishes it with `job=`/`tenant=` labels).
     pub obs: ObsConfig,
-    /// Durable checkpoint policy for this job.
+    /// Durable checkpoint policy for this job (it says whether the job
+    /// resumes from its directory).
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Resume from a previously captured checkpoint.
-    pub resume: Option<Checkpoint>,
-    /// Stop after this many tile completions and return a checkpoint.
+    /// Stop after this many tile completions.
     pub tile_budget: Option<u64>,
 }
 
@@ -368,7 +366,6 @@ impl Fleet {
                 &p,
                 &model,
                 &deployment,
-                opts.resume.as_ref(),
                 opts.tile_budget,
                 Some(&self.control),
             )
@@ -390,7 +387,6 @@ impl Fleet {
                 slaves: out.slave_stats,
                 trace: out.trace,
             },
-            checkpoint: out.checkpoint,
             socket: self.socket_info().cloned(),
         })
     }

@@ -63,7 +63,7 @@ pub use easyhps_dp as __dp;
 pub use api::{EasyHps, RunOutput, TransportKind};
 pub use checkpoint::Checkpoint;
 pub use config::{Deployment, MasterStats, ObsConfig, RunReport};
-pub use durable::CheckpointPolicy;
+pub use durable::{read_sealed, write_sealed, CheckpointPolicy};
 pub use easy_pdp::{EasyPdp, PdpOutput};
 pub use easyhps_core::ScheduleMode;
 pub use easyhps_net::RetryPolicy;

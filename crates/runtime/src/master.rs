@@ -41,7 +41,6 @@
 //! per slave. The observable protocol and scheduling behaviour are
 //! identical; only the thread count differs.
 
-use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, MasterStats, ObsConfig};
 use crate::durable::CheckpointStore;
 use crate::obs::{lane_of, publish_endpoint_stats, registry_of, MasterMetrics, TID_FT, TID_NET};
@@ -139,10 +138,6 @@ pub struct MasterOutput<C: Cell> {
     /// (assign-sent to completion-accepted), lane per slave. Render with
     /// [`Trace::gantt`].
     pub trace: Trace,
-    /// Snapshot of the finished sub-tasks, present when the run stopped at
-    /// a tile budget before completing; resume with
-    /// [`crate::EasyHps::resume_from`].
-    pub checkpoint: Option<Checkpoint>,
 }
 
 /// Map a transport failure reason onto the machine's vocabulary.
@@ -156,10 +151,11 @@ fn fail_kind(reason: FailReason) -> SendFailKind {
 /// Run the master loop to completion. `ep` must be rank 0 of a network
 /// whose ranks `1..=config.slaves` run [`crate::run_slave`].
 ///
-/// Checkpoint/restart controls: `resume` preloads the finished sub-tasks
-/// of a prior run; `tile_budget` stops dispatching after that many
-/// completions (counting resumed ones) and returns a [`Checkpoint`] in
-/// the output.
+/// Checkpoint/restart: with `config.checkpoint` set, finished tiles are
+/// flushed to its directory, and a policy that resumes first restores
+/// the tiles the directory holds. `tile_budget` stops dispatching after
+/// that many completions (counting resumed ones); the final flush then
+/// leaves everything accepted in the directory for a later run to resume.
 ///
 /// Elastic membership: when `fleet` is given, the master polls its
 /// acceptor for membership changes every loop iteration — a rejoining
@@ -171,23 +167,21 @@ pub fn run_master<P: DpProblem>(
     problem: &P,
     model: &DagDataDrivenModel,
     config: &Deployment,
-    resume: Option<&Checkpoint>,
     tile_budget: Option<u64>,
     fleet: Option<&FleetControl>,
 ) -> Result<MasterOutput<P::Cell>, RuntimeError> {
     let _ = problem; // kernels run slave-side; the master only routes data
-    let mut shell = start_shell::<P::Cell>(ep, model, config, resume, tile_budget, fleet)?;
+    let mut shell = start_shell::<P::Cell>(ep, model, config, tile_budget, fleet)?;
     shell.run()?;
     shell.finish()
 }
 
 /// Everything before the loop: the endpoint, the validated master
-/// DAG, the durable store, the machine, and a restored checkpoint.
+/// DAG, the durable store, the machine, and the tiles it restored.
 fn start_shell<'a, C: Cell>(
     ep: Endpoint,
     model: &'a DagDataDrivenModel,
     config: &'a Deployment,
-    resume: Option<&Checkpoint>,
     tile_budget: Option<u64>,
     fleet: Option<&'a FleetControl>,
 ) -> Result<Shell<'a, C>, RuntimeError> {
@@ -216,11 +210,13 @@ fn start_shell<'a, C: Cell>(
     // network, so a refused directory (dims mismatch, prior run present
     // without --resume) fails the run early.
     let dims = model.dag_size();
-    let store = config
-        .checkpoint
-        .as_ref()
-        .map(|pol| CheckpointStore::open(pol, dims.rows, dims.cols, resume.is_some()))
-        .transpose()?;
+    let (store, resume) = match &config.checkpoint {
+        Some(pol) => {
+            let (store, resume) = CheckpointStore::open(pol, dims.rows, dims.cols)?;
+            (Some(store), resume)
+        }
+        None => (None, Vec::new()),
+    };
 
     let n = config.slaves;
     let mut shell = Shell {
@@ -236,7 +232,6 @@ fn start_shell<'a, C: Cell>(
         inflight: HashMap::new(),
         completed: Vec::new(),
         flush_idx: 0,
-        last_flush: t0,
         last_ft: Instant::now(),
         teardown: None,
         model,
@@ -253,16 +248,25 @@ fn start_shell<'a, C: Cell>(
     // finished set of a valid checkpoint is ancestor-closed, so walking a
     // topological order completes each task the moment it is computable;
     // a corrupt set surfaces as a SchedulerInvariant error, not a panic.
-    if let Some(cp) = resume {
-        cp.restore_into(&mut shell.matrix);
-        let preload: HashSet<u32> = cp.finished_tasks().map(|v| v.0).collect();
+    if let Some(pol) = config.checkpoint.as_ref().filter(|_| !resume.is_empty()) {
+        let mut preload = HashSet::with_capacity(resume.len());
+        for (id, region, cells) in &resume {
+            // Under other partition sizes the same ids name other tiles.
+            if *id as usize >= shell.dag.len() || shell.region_of(*id) != *region {
+                return Err(RuntimeError::Checkpoint(format!(
+                    "checkpoint dir {}: tile {id} at {region:?} is not a tile of this run's \
+                     partitioning",
+                    pol.dir.display()
+                )));
+            }
+            shell.matrix.decode_region(*region, cells);
+            preload.insert(*id);
+        }
         for v in shell.dag.topological_order()? {
             if preload.contains(&v.0) {
                 shell.sched.preload_finished(&shell.dag, v)?;
                 shell.completed.push(v);
-                if shell.store.as_ref().is_some_and(|st| st.is_durable(v.0)) {
-                    shell.mm.restored.inc();
-                }
+                shell.mm.restored.inc();
             }
         }
         let resumed = shell.sched.counters().resumed;
@@ -325,7 +329,6 @@ struct Shell<'a, C: Cell> {
     store: Option<CheckpointStore>,
     /// Prefix of `completed` already flushed to the store.
     flush_idx: usize,
-    last_flush: Instant,
     last_ft: Instant,
     /// `Some` once the machine said Finished/BudgetStop.
     teardown: Option<Teardown>,
@@ -397,8 +400,11 @@ impl<C: Cell> Shell<'_, C> {
                 let now_ns = self.ns(Instant::now());
                 self.feed(MasterEvent::Tick { now_ns }, &[])?;
             }
+            // Without a frame, the main loop next acts at the FT sweep;
+            // membership and drain requests ride on that wakeup, so they
+            // are seen within `ft_poll`.
             let (deadline, until_acked) = match &self.teardown {
-                None => (self.next_deadline(), false),
+                None => (self.last_ft + self.params.ft_poll, false),
                 Some(t) => {
                     let stats_in = !t.awaited.contains(&true);
                     if stats_in && !self.rep.has_pending() || Instant::now() >= t.deadline {
@@ -419,19 +425,6 @@ impl<C: Cell> Shell<'_, C> {
             self.flush_durable(false)?;
             self.mm.publish(self.sched.counters());
         }
-    }
-
-    /// When the main loop must next act without a frame: the next FT
-    /// sweep, or sooner the next interval checkpoint flush while
-    /// completions wait for one. Membership and drain requests ride on
-    /// these wakeups, so they are seen within `ft_poll`.
-    fn next_deadline(&self) -> Instant {
-        let ft = self.last_ft + self.params.ft_poll;
-        let flush = (self.completed.len() > self.flush_idx)
-            .then(|| self.config.checkpoint.as_ref()?.every)
-            .flatten()
-            .map(|every| self.last_flush + every);
-        flush.map_or(ft, |f| f.min(ft))
     }
 
     /// Feed one event to the machine and perform what it answers.
@@ -691,7 +684,7 @@ impl<C: Cell> Shell<'_, C> {
 
     /// Step i: the machine stops dispatching; completions still in flight
     /// keep being accepted into the matrix — on a budget stop they would
-    /// otherwise be recomputed after `resume_from`. END goes to every
+    /// otherwise be recomputed after a resume. END goes to every
     /// slave (dead ones may never read it); the STATS of the live ones
     /// whose END went out are awaited — an END that fails at once names a
     /// slave that can never answer.
@@ -716,7 +709,7 @@ impl<C: Cell> Shell<'_, C> {
         Ok(())
     }
 
-    /// Durable capture: append the not-yet-durable tail of `completed` to
+    /// Durable flush: append the not-yet-durable tail of `completed` to
     /// the checkpoint store once the policy's cadence is due (or `force`d
     /// at the end of the run) — never on the DONE hot path itself.
     /// `flush_idx` advances even when nothing was fresh (already-durable
@@ -725,9 +718,7 @@ impl<C: Cell> Shell<'_, C> {
         let (Some(store), Some(pol)) = (&self.store, &self.config.checkpoint) else {
             return Ok(());
         };
-        let pending = (self.completed.len() - self.flush_idx) as u64;
-        let due = (pol.every_tiles > 0 && pending >= pol.every_tiles)
-            || (pending > 0 && pol.every.is_some_and(|d| self.last_flush.elapsed() >= d));
+        let due = (self.completed.len() - self.flush_idx) as u64 >= pol.every_tiles;
         // The teardown drain has no cadence: the forced final flush follows it.
         if !(force || due && self.teardown.is_none()) {
             return Ok(());
@@ -741,13 +732,13 @@ impl<C: Cell> Shell<'_, C> {
             })
             .collect();
         self.flush_idx = self.completed.len();
-        self.last_flush = Instant::now();
         if fresh.is_empty() {
             return Ok(());
         }
+        let started = Instant::now();
         let bytes = self.store.as_mut().expect("checked above").append(&fresh)?;
         self.mm.checkpoint_bytes.add(bytes);
-        let write_us = self.last_flush.elapsed().as_micros() as u64;
+        let write_us = started.elapsed().as_micros() as u64;
         self.mm.checkpoint_write_us.observe(write_us);
         self.mm.checkpoints.inc();
         let tiles = ("tiles", fresh.len() as u64);
@@ -755,10 +746,11 @@ impl<C: Cell> Shell<'_, C> {
         Ok(())
     }
 
-    /// Final durable capture, counter publication and the output.
+    /// Final durable flush, counter publication and the output.
     fn finish(mut self) -> Result<MasterOutput<C>, RuntimeError> {
         // Everything the drain accepted is on disk before the run reports
-        // success. A crashed run never reaches this — exactly the gap the
+        // success — after a budget stop, that is what a resume continues
+        // from. A crashed run never reaches this — exactly the gap the
         // incremental in-loop flushes cover.
         self.flush_durable(true)?;
 
@@ -788,22 +780,12 @@ impl<C: Cell> Shell<'_, C> {
             bytes_recv: net.recv_bytes,
         };
 
-        let checkpoint = (!self.sched.is_done()).then(|| {
-            let done = self.completed.iter().copied();
-            let cp = Checkpoint::capture(self.model, &self.dag, &self.matrix, done);
-            self.mm.checkpoints.inc();
-            let finished = cp.finished_len() as u64;
-            self.lanes[0].instant("checkpoint", "checkpoint", Some(("finished", finished)));
-            cp
-        });
-
         Ok(MasterOutput {
             matrix: self.matrix,
             stats,
             slave_stats: self.teardown.map_or_else(Vec::new, |t| t.stats),
             elapsed: self.t0.elapsed(),
             trace: self.trace,
-            checkpoint,
         })
     }
 }
@@ -847,8 +829,7 @@ mod tests {
                     let (p, m, c) = (&problem, &model, &config);
                     s.spawn(move || crate::run_slave(ep, p, m, c));
                 }
-                let mut shell =
-                    start_shell::<i32>(master_ep, &model, &config, None, None, None).unwrap();
+                let mut shell = start_shell::<i32>(master_ep, &model, &config, None, None).unwrap();
                 shell.run().unwrap();
                 (shell.inflight.len(), shell.finish().unwrap())
             });

@@ -81,10 +81,10 @@ pub(crate) struct MasterMetrics {
     /// DONEs dropped before the machine saw them: unknown task id, a
     /// region other than the one assigned, or a payload of the wrong size.
     pub malformed: Arc<Counter>,
-    /// Checkpoints captured (tile-budget captures and durable flushes).
+    /// Flushes to the checkpoint directory.
     pub checkpoints: Arc<Counter>,
-    /// Sub-tasks restored from the *durable* store on resume (subset of
-    /// `master_tiles_resumed`, which also counts in-memory resume tiles).
+    /// Sub-tasks restored from the checkpoint directory on resume (equal
+    /// to `master_tiles_resumed`: the directory is the only source).
     pub restored: Arc<Counter>,
     /// Bytes appended to the durable checkpoint store.
     pub checkpoint_bytes: Arc<Counter>,

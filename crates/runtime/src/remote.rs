@@ -21,7 +21,6 @@
 //! more row here. Every row has `Cell = i32`, which keeps the wire
 //! format and the master's output monomorphic.
 
-use crate::checkpoint::Checkpoint;
 use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
 use crate::protocol::{tags, SlaveStatsMsg};
@@ -672,13 +671,12 @@ pub struct RemoteMasterOptions {
     pub socket: SocketConfig,
     /// Fault plan for the master's own endpoint (drills).
     pub fault: Option<easyhps_net::FaultPlan>,
-    /// Resume from a previously captured checkpoint.
-    pub resume: Option<Checkpoint>,
-    /// Stop after this many tile completions and return a checkpoint.
+    /// Stop after this many tile completions.
     pub tile_budget: Option<u64>,
     /// Observability wiring (metrics registry, event recorder).
     pub obs: ObsConfig,
-    /// Durable checkpoint policy.
+    /// Durable checkpoint policy (it says whether the run resumes from
+    /// its directory).
     pub checkpoint: Option<CheckpointPolicy>,
 }
 
@@ -689,8 +687,6 @@ pub struct RemoteOutput {
     pub matrix: DpMatrix<i32>,
     /// Execution report.
     pub report: RunReport,
-    /// Present when a tile budget stopped the run early.
-    pub checkpoint: Option<Checkpoint>,
     /// Per-link socket counters of the master endpoint; `None` for an
     /// in-process fleet, whose links are plain channels.
     pub socket: Option<SocketInfo>,
@@ -722,7 +718,6 @@ pub fn run_remote_master(
         crate::fleet::JobOptions {
             obs: opts.obs.clone(),
             checkpoint: opts.checkpoint,
-            resume: opts.resume,
             tile_budget: opts.tile_budget,
         },
     )?;

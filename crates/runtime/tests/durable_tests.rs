@@ -60,8 +60,11 @@ fn hard_master_kill_resumes_from_disk_bit_identical() {
     assert!(restored > 0, "some accepted tiles were durable");
 
     let out = builder(p)
-        .checkpoint(CheckpointPolicy::new(&dir).with_every_tiles(1))
-        .resume_from(cp)
+        .checkpoint(
+            CheckpointPolicy::new(&dir)
+                .with_every_tiles(1)
+                .with_resume(true),
+        )
         .metrics(true)
         .run()
         .expect("resumed run completes");
@@ -82,7 +85,8 @@ fn hard_master_kill_resumes_from_disk_bit_identical() {
 }
 
 /// A graceful budget stop flushes everything it accepted at teardown: the
-/// directory alone can resume the run, no in-memory checkpoint needed.
+/// directory alone resumes the run, and it then holds the whole run and
+/// nothing but segment files.
 #[test]
 fn budget_stop_leaves_a_resumable_directory() {
     let dir = tmp_dir("budget");
@@ -94,21 +98,34 @@ fn budget_stop_leaves_a_resumable_directory() {
         .tile_budget(10)
         .run()
         .expect("budget stop is a clean exit");
-    let in_memory = partial.checkpoint.expect("budget stop checkpoints");
 
     let cp = Checkpoint::load_dir(&dir).unwrap().expect("store exists");
     assert_eq!(
-        cp.finished_len(),
-        in_memory.finished_len(),
+        cp.finished_len() as u64,
+        partial.report.master.completed,
         "teardown flush covers every accepted tile"
     );
 
     let out = builder(p)
-        .checkpoint(CheckpointPolicy::new(&dir))
-        .resume_from(cp)
+        .checkpoint(CheckpointPolicy::new(&dir).with_resume(true))
         .run()
         .expect("resumed run completes");
     assert_eq!(out.matrix, reference);
+    assert_eq!(out.report.master.resumed, cp.finished_len() as u64);
+
+    let full = Checkpoint::load_dir(&dir).unwrap().expect("store exists");
+    assert_eq!(
+        full.finished_len(),
+        25,
+        "the final flush covers the whole run"
+    );
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(
+            name.starts_with("seg-") && name.ends_with(".bin"),
+            "only segment files: {name}"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -150,26 +167,39 @@ fn dirty_directory_without_resume_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Interval-based capture: with the tile trigger off, progress still
-/// reaches disk on the clock.
+/// A flush cadence of 0 tiles would write nothing before a crash: the run
+/// is refused as misconfigured before it computes anything.
 #[test]
-fn interval_trigger_flushes_without_tile_threshold() {
-    let dir = tmp_dir("interval");
-    let p = problem();
-    let reference = p.solve_sequential();
-
-    let out = builder(p)
-        .checkpoint(
-            CheckpointPolicy::new(&dir)
-                .with_every_tiles(0)
-                .with_interval(std::time::Duration::from_millis(1)),
-        )
+fn zero_flush_cadence_is_invalid_config() {
+    let dir = tmp_dir("cadence");
+    let err = builder(problem())
+        .checkpoint(CheckpointPolicy::new(&dir).with_every_tiles(0))
         .run()
-        .expect("run completes");
-    assert_eq!(out.matrix, reference);
+        .expect_err("cadence 0 is refused");
+    assert!(matches!(err, RuntimeError::InvalidConfig(_)), "{err}");
+    assert!(!dir.exists(), "a refused policy creates nothing");
+}
 
-    let cp = Checkpoint::load_dir(&dir).unwrap().expect("store exists");
-    assert_eq!(cp.finished_len(), 25, "final flush covers the whole run");
+/// A directory written under other partition sizes (same matrix) names
+/// other tiles by the same ids: resuming from it is refused, not
+/// silently mixed into this run's tiles.
+#[test]
+fn resume_under_another_partitioning_is_refused() {
+    let dir = tmp_dir("partition");
+    let p = problem();
+    builder(p.clone())
+        .checkpoint(CheckpointPolicy::new(&dir))
+        .tile_budget(5)
+        .run()
+        .expect("first run");
+
+    let err = builder(p)
+        .process_partition((10, 10))
+        .checkpoint(CheckpointPolicy::new(&dir).with_resume(true))
+        .run()
+        .expect_err("another partitioning is refused");
+    assert!(matches!(err, RuntimeError::Checkpoint(_)), "{err}");
+    assert!(err.to_string().contains("partitioning"), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

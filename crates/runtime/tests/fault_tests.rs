@@ -17,8 +17,8 @@ use easyhps_net::{FaultPlan, NetError, Network, Rank, ReliableEndpoint, RetryPol
 use easyhps_obs::{labeled, Snapshot};
 use easyhps_runtime::testing::StallProblem;
 use easyhps_runtime::{
-    run_master, run_slave, tags, AssignMsg, Deployment, DoneMsg, EasyHps, Registry, ScheduleMode,
-    SlaveStatsMsg, TransportKind,
+    run_master, run_slave, tags, AssignMsg, Checkpoint, CheckpointPolicy, Deployment, DoneMsg,
+    EasyHps, Registry, ScheduleMode, SlaveStatsMsg, TransportKind,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -318,7 +318,7 @@ fn failed_assign_send_is_not_counted_as_a_dispatch() {
         s.spawn(move || {
             let _ = run_slave(ep2, p, m, c);
         });
-        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None).unwrap()
     });
 
     assert_eq!(out.matrix, reference);
@@ -435,7 +435,7 @@ fn stats_from_excluded_slave_do_not_satisfy_a_live_slaves_slot() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None).unwrap()
     });
 
     assert_eq!(out.stats.dead_slaves, 1, "A was excluded as silent");
@@ -460,15 +460,19 @@ fn budget_stop_drains_in_flight_completions_into_the_checkpoint() {
     // Two slaves each take one of Nussinov's initially computable
     // diagonal tiles; the budget is 1. The first DONE reaches the budget;
     // the second arrives during teardown and must land in the matrix and
-    // checkpoint instead of being discarded (pre-fix: finished_len == 1
-    // and the tile is recomputed on resume).
+    // the checkpoint directory's final flush instead of being discarded
+    // (pre-fix: the directory held 1 tile and the other was recomputed on
+    // resume).
     let problem = Nussinov::new(random_sequence(Alphabet::Rna, 40, 150));
     let model = easyhps_core::DagDataDrivenModel::builder(problem.pattern())
         .process_partition_size(easyhps_core::GridDims::square(10))
         .thread_partition_size(easyhps_core::GridDims::square(4))
         .build();
     let dims = model.dag_size();
-    let config = Deployment::local(2, 1);
+    let dir = std::env::temp_dir().join(format!("easyhps-budget-drain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = Deployment::local(2, 1);
+    config.checkpoint = Some(CheckpointPolicy::new(&dir));
 
     let mut eps = Network::new(3);
     let ep_b = eps.pop().unwrap();
@@ -516,7 +520,7 @@ fn budget_stop_drains_in_flight_completions_into_the_checkpoint() {
     let out = std::thread::scope(|s| {
         s.spawn(move || serve(rep_a));
         s.spawn(move || serve(rep_b));
-        run_master(master_ep, &problem, &model, &config, None, Some(1), None).unwrap()
+        run_master(master_ep, &problem, &model, &config, Some(1), None).unwrap()
     });
 
     assert_eq!(
@@ -527,12 +531,15 @@ fn budget_stop_drains_in_flight_completions_into_the_checkpoint() {
         out.stats.completed, 2,
         "the in-flight completion was accepted during teardown"
     );
-    let cp = out.checkpoint.expect("budget stop yields a checkpoint");
+    let cp = Checkpoint::load_dir(&dir)
+        .unwrap()
+        .expect("the final flush wrote");
     assert_eq!(
         cp.finished_len(),
         2,
         "teardown-drained DONE is in the checkpoint, not recomputed later"
     );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -651,7 +658,7 @@ fn silent_but_alive_slave_is_readmitted_after_heartbeat_resumes() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None).unwrap()
     });
 
     assert!(
@@ -787,7 +794,7 @@ fn slow_starting_slave_is_neither_excluded_nor_readmitted() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None).unwrap()
     });
 
     assert_eq!(
@@ -875,7 +882,7 @@ fn teardown_waits_out_a_slow_retry_schedule_for_stats() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None).unwrap()
     });
 
     assert_eq!(out.stats.dead_slaves, 0);
@@ -952,7 +959,7 @@ fn teardown_ends_on_the_end_ack_after_the_stats() {
             rep_a.drain_pending(Duration::from_secs(1));
             acking
         });
-        let out = run_master(master_ep, &problem, &model, &config, None, None, None).unwrap();
+        let out = run_master(master_ep, &problem, &model, &config, None, None).unwrap();
         let returned = Instant::now();
         (out, returned, slave.join().unwrap())
     });
@@ -1051,7 +1058,7 @@ fn zombie_epoch_done_is_fenced_and_replays_through_the_machine() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None).unwrap()
     });
 
     // 31x31 in 8x8 tiles -> 16 sub-tasks.
@@ -1179,7 +1186,7 @@ fn rogue_out_of_range_rank_done_frames_are_ignored() {
         s.spawn(move || {
             rogue.drain_pending(Duration::from_secs(2));
         });
-        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None).unwrap()
     });
 
     assert_eq!(out.matrix, reference, "real slaves still compute exactly");
@@ -1291,7 +1298,7 @@ fn malformed_and_zombie_completions_are_dropped_never_fatal() {
                 }
             }
         });
-        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None).unwrap()
     });
 
     assert_eq!(out.matrix, reference, "only the honest DONEs were written");

@@ -34,10 +34,14 @@ fn manual_network_run_matches_sequential() {
                 let _ = run_slave(ep, p, m, c);
             });
         }
-        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None).unwrap()
     });
     assert_eq!(out.matrix, reference);
-    assert!(out.checkpoint.is_none());
+    assert_eq!(
+        out.stats.completed,
+        model.master_dag().len() as u64,
+        "no tile budget: the run completes"
+    );
 }
 
 #[test]
@@ -67,7 +71,7 @@ fn external_kill_switch_mid_run_is_survived() {
             std::thread::sleep(Duration::from_millis(20));
             kill.kill();
         });
-        run_master(master_ep, &problem, &model, &config, None, None, None).unwrap()
+        run_master(master_ep, &problem, &model, &config, None, None).unwrap()
     });
     assert_eq!(
         out.matrix, reference,

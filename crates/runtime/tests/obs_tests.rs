@@ -10,7 +10,7 @@ use common::assert_series_equal_stats;
 use easyhps_dp::sequence::{random_sequence, Alphabet};
 use easyhps_dp::{DpProblem, EditDistance, SmithWatermanGeneralGap};
 use easyhps_obs::{labeled, validate_chrome_trace};
-use easyhps_runtime::{EasyHps, Registry};
+use easyhps_runtime::{Checkpoint, CheckpointPolicy, EasyHps, Registry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -168,16 +168,21 @@ fn resume_counts_only_redispatched_tiles() {
     let reference = problem.solve_sequential();
 
     // 51x51 grid in 11x11 tiles -> 5x5 = 25 sub-tasks; stop after 10.
+    let dir = std::env::temp_dir().join(format!("easyhps-obs-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let first = EasyHps::new(problem.clone())
         .process_partition((11, 11))
         .thread_partition((4, 4))
         .slaves(2)
         .threads_per_slave(2)
+        .checkpoint_dir(&dir)
         .tile_budget(10)
         .metrics(true)
         .run()
         .unwrap();
-    let cp = first.checkpoint.expect("budget stop must checkpoint");
+    let cp = Checkpoint::load_dir(&dir)
+        .unwrap()
+        .expect("budget stop must flush");
     let resumed_from = cp.finished_len() as u64;
     assert!(resumed_from >= 10);
     let snap = first.metrics.unwrap().snapshot();
@@ -192,7 +197,7 @@ fn resume_counts_only_redispatched_tiles() {
         .thread_partition((4, 4))
         .slaves(2)
         .threads_per_slave(2)
-        .resume_from(cp)
+        .checkpoint(CheckpointPolicy::new(&dir).with_resume(true))
         .metrics(true)
         .run()
         .unwrap();
@@ -217,7 +222,10 @@ fn resume_counts_only_redispatched_tiles() {
         25 - resumed_from,
         "restored tiles must not fabricate latency samples"
     );
-    assert_eq!(snap.counter("master_checkpoints"), Some(0));
+    // The resumed run flushes the tiles it computed to the same directory,
+    // once, at its clean exit (15 < the default cadence of 32).
+    assert_eq!(snap.counter("master_checkpoints"), Some(1));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

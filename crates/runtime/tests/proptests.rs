@@ -1,13 +1,14 @@
 //! Property-based tests for the runtime: the shared grid's concurrent
 //! slice access (disjoint row-band writers hammering `TaskView::write_row`
 //! from many threads must produce exactly the matrix a sequential fill
-//! would), plus decoder robustness — every truncation of a checkpoint
-//! blob or protocol message must fail with a clean `WireError`, never a
-//! panic or a hostile-length allocation.
+//! would), plus decoder robustness — every truncation of a protocol
+//! message must fail with a clean `WireError`, never a panic or a
+//! hostile-length allocation. The same properties for checkpoint segment
+//! files are unit tests of the runtime's `durable` module.
 
 use easyhps_core::{GridDims, GridPos, TileRegion};
 use easyhps_dp::DpGrid;
-use easyhps_runtime::{AssignMsg, Checkpoint, DoneMsg, SharedGrid, SlaveStatsMsg};
+use easyhps_runtime::{AssignMsg, DoneMsg, SharedGrid, SlaveStatsMsg};
 use proptest::prelude::*;
 
 /// The value every writer stores at `(row, col)` — distinct per cell so a
@@ -74,32 +75,6 @@ proptest! {
     }
 }
 
-/// A real checkpoint blob with `tiles` finished tiles, produced the same
-/// way the master produces one.
-fn valid_checkpoint_blob(tiles: usize) -> Vec<u8> {
-    use easyhps_core::{DagDataDrivenModel, DagParser, PatternKind};
-    use easyhps_dp::{DpMatrix, DpProblem, EditDistance};
-
-    let p = EditDistance::new(b"checkpointing".to_vec(), b"checkpoints".to_vec());
-    let model = DagDataDrivenModel::from_library(
-        PatternKind::Wavefront2D,
-        p.dims(),
-        GridDims::square(4),
-        GridDims::square(2),
-    );
-    let dag = model.master_dag();
-    let mut m = DpMatrix::<i32>::new(p.dims());
-    let mut parser = DagParser::new(&dag);
-    let mut done = Vec::new();
-    for _ in 0..tiles {
-        let v = parser.pop_computable().expect("enough tiles");
-        p.compute_region(&mut m, model.tile_region(dag.vertex(v).pos));
-        parser.complete(&dag, v, None).unwrap();
-        done.push(v);
-    }
-    Checkpoint::capture(&model, &dag, &m, done).to_bytes()
-}
-
 /// An ASSIGN's fields, its input cells owned: `(task, epoch, tile,
 /// [(strip corner, cells)])`. [`assign_of`] borrows an `AssignMsg` of it.
 type AssignParts = (u32, u64, (u32, u32), Vec<((u32, u32), Vec<u8>)>);
@@ -135,23 +110,9 @@ fn assign_of(&(task, epoch, (tr, tc), ref inputs): &AssignParts) -> AssignMsg<'_
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every byte-length prefix of a valid checkpoint blob fails decode
-    /// cleanly: no panic, no hostile-length allocation, no silent
-    /// part-read (the full blob is the only prefix that parses).
-    #[test]
-    fn every_checkpoint_prefix_fails_cleanly(tiles in 0usize..6) {
-        let blob = valid_checkpoint_blob(tiles);
-        prop_assert!(Checkpoint::from_bytes(&blob).is_ok());
-        for cut in 0..blob.len() {
-            prop_assert!(
-                Checkpoint::from_bytes(&blob[..cut]).is_err(),
-                "prefix of {cut}/{} bytes must not decode",
-                blob.len()
-            );
-        }
-    }
-
-    /// Same for every wire message type the protocol exchanges.
+    /// Every byte-length prefix of a wire message fails decode cleanly:
+    /// no panic, no hostile-length allocation, no silent part-read (the
+    /// full message is the only prefix that parses).
     #[test]
     fn every_assign_prefix_fails_cleanly(parts in arb_assign()) {
         let msg = assign_of(&parts);
@@ -198,7 +159,6 @@ proptest! {
     fn random_bytes_never_panic_any_decoder(
         data in proptest::collection::vec(any::<u8>(), 0..400),
     ) {
-        let _ = Checkpoint::from_bytes(&data);
         let _ = AssignMsg::decode(&data);
         let _ = DoneMsg::decode(&data);
         let _ = SlaveStatsMsg::decode(&data);

@@ -10,7 +10,10 @@ use easyhps_dp::{
 };
 use easyhps_net::{FaultPlan, Network};
 use easyhps_runtime::testing::FaultyProblem;
-use easyhps_runtime::{run_master, run_slave, Deployment, EasyHps, RuntimeError, ScheduleMode};
+use easyhps_runtime::{
+    run_master, run_slave, Checkpoint, CheckpointPolicy, Deployment, EasyHps, RuntimeError,
+    ScheduleMode,
+};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
@@ -286,7 +289,7 @@ fn one_thread_slave_runs_kernels_on_its_own_thread() {
                 run_slave(slave_ep, p, m, c).unwrap();
                 std::thread::current().id()
             });
-            let out = run_master(master_ep, &problem, &model, &config, None, None, None).unwrap();
+            let out = run_master(master_ep, &problem, &model, &config, None, None).unwrap();
             (slave.join().unwrap(), out)
         });
         assert_eq!(out.matrix, reference, "{threads} threads");
@@ -513,23 +516,27 @@ fn checkpoint_and_resume_complete_the_run() {
     let a = random_sequence(Alphabet::Dna, 50, 70);
     let b = random_sequence(Alphabet::Dna, 50, 71);
     let reference = EditDistance::new(a.clone(), b.clone()).solve_sequential();
+    let dir = std::env::temp_dir().join(format!("easyhps-rt-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
 
-    // Phase 1: run only 10 of the 25 tiles, then stop with a checkpoint.
+    // Phase 1: run only 10 of the 25 tiles, then stop; the final flush
+    // leaves them in the checkpoint directory.
     let partial = EasyHps::new(EditDistance::new(a.clone(), b.clone()))
         .process_partition((11, 11))
         .thread_partition((4, 4))
         .slaves(2)
         .threads_per_slave(2)
+        .checkpoint_dir(&dir)
         .tile_budget(10)
         .run()
         .unwrap();
     assert!(partial.report.master.completed >= 10);
     assert!(partial.report.master.completed < 25, "stopped early");
-    let cp = partial.checkpoint.expect("early stop yields a checkpoint");
-
-    // The checkpoint round-trips through bytes (a file on a real cluster).
-    let cp = easyhps_runtime::Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
+    let cp = Checkpoint::load_dir(&dir)
+        .unwrap()
+        .expect("early stop flushed");
     let resumed_from = cp.finished_len() as u64;
+    assert_eq!(resumed_from, partial.report.master.completed);
 
     // Phase 2: resume; only the remaining tiles are dispatched.
     let full = EasyHps::new(EditDistance::new(a, b))
@@ -537,10 +544,10 @@ fn checkpoint_and_resume_complete_the_run() {
         .thread_partition((4, 4))
         .slaves(2)
         .threads_per_slave(2)
-        .resume_from(cp)
+        .checkpoint(CheckpointPolicy::new(&dir).with_resume(true))
         .run()
         .unwrap();
-    assert!(full.checkpoint.is_none(), "run completed");
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(full.matrix, reference);
     assert_eq!(full.report.master.completed, 25);
     assert_eq!(
@@ -563,7 +570,7 @@ fn budget_covering_everything_behaves_like_a_full_run() {
         .tile_budget(1_000)
         .run()
         .unwrap();
-    assert!(out.checkpoint.is_none());
+    assert_eq!(out.report.master.completed, 9, "the whole 3x3 DAG ran");
     assert_eq!(out.matrix, reference);
 }
 

@@ -49,9 +49,7 @@ use easyhps_net::stream::{Listener, Stream};
 use easyhps_net::NetAddr;
 use easyhps_obs::{labeled, MetricValue, Registry, Snapshot};
 use easyhps_runtime::remote::JobSpec;
-use easyhps_runtime::{
-    Checkpoint, CheckpointPolicy, Fleet, FleetControl, JobOptions, ObsConfig, RuntimeError,
-};
+use easyhps_runtime::{CheckpointPolicy, Fleet, FleetControl, JobOptions, ObsConfig, RuntimeError};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
@@ -750,7 +748,9 @@ fn run_batch_round(inner: &Arc<Inner>, round: Vec<Dispatch>) {
 }
 
 /// One fleet job: per-job registry, per-job durable checkpoint dir,
-/// resuming from any segments a previous incarnation flushed.
+/// resuming from any segments a previous incarnation flushed. The
+/// directory belongs to this job id alone, so the policy always resumes;
+/// a directory that fails its scan fails the job with the scan's error.
 fn run_fleet_job(
     inner: &Arc<Inner>,
     fleet: Option<&mut Fleet>,
@@ -760,18 +760,13 @@ fn run_fleet_job(
         fleet.ok_or_else(|| RuntimeError::InvalidConfig("no slave fleet available".into()))?;
     inner.registry.counter("serve_fleet_rounds").inc();
     let job_reg = Arc::new(Registry::new());
-    let (checkpoint, resume) = match &inner.store {
-        Some(store) => {
-            let dir = store.ckpt_dir(d.id);
-            let resume = Checkpoint::load_dir(&dir).ok().flatten();
-            let mut policy = CheckpointPolicy::new(&dir);
-            if inner.checkpoint_every > 0 {
-                policy = policy.with_every_tiles(inner.checkpoint_every);
-            }
-            (Some(policy), resume)
+    let checkpoint = inner.store.as_ref().map(|store| {
+        let policy = CheckpointPolicy::new(store.ckpt_dir(d.id)).with_resume(true);
+        match inner.checkpoint_every {
+            0 => policy,
+            n => policy.with_every_tiles(n),
         }
-        None => (None, None),
-    };
+    });
     let out = fleet.run_job(
         &d.spec,
         JobOptions {
@@ -780,7 +775,6 @@ fn run_fleet_job(
                 recorder: None,
             },
             checkpoint,
-            resume,
             tile_budget: None,
         },
     )?;

@@ -8,22 +8,23 @@
 //!     0000000000000007/
 //!       spec.bin      sealed {id, tenant, encoded JobSpec}
 //!       result.bin    sealed {rows, cols, crc}: the job's digest
-//!       ckpt/         per-job durable CheckpointStore segments, while
-//!                     the job runs
+//!       ckpt/         the job's checkpoint directory (its segment
+//!                     files), while the job runs
 //! ```
 //!
-//! `spec.bin` is written — atomically, via tmp + rename, fsynced — *before*
-//! the daemon acknowledges a submission, so "accepted" and "on disk" are
-//! the same event. `result.bin` is written before the job is reported
-//! done, and the job's `ckpt/` is removed once it is: the daemon never
-//! serves cells, so a finished job keeps only its digest. Both files are
-//! CRC-sealed (`[crc32c u32 LE | 0x00 | payload]`,
-//! the checksum covering the format byte and the payload), so a torn
-//! write (a crash between `write` and `rename` can leave nothing, but a
-//! corrupting disk can leave garbage) reads as *absent*, never as a
-//! wrong job: a job dir with an unreadable spec was never acknowledged
-//! and is dropped; an unreadable result means the job re-runs from its
-//! `ckpt/` segments. A spec whose seal verifies but whose payload no
+//! `spec.bin` is written *before* the daemon acknowledges a submission,
+//! so "accepted" and "on disk" are the same event. `result.bin` is
+//! written before the job is reported done, and the job's `ckpt/` is
+//! removed once it is: the daemon never serves cells, so a finished job
+//! keeps only its digest. Both files — like the checkpoint segments —
+//! are sealed records ([`write_sealed`]: `[crc32c u32 LE | 0x00 |
+//! payload]`, the checksum covering the format byte and the payload,
+//! written via tmp + fsync + rename), so a torn write (a crash between
+//! `write` and `rename` can leave nothing, but a corrupting disk can
+//! leave garbage) reads as *absent*, never as a wrong job: a job dir
+//! with an unreadable spec was never acknowledged and is dropped; an
+//! unreadable result means the job re-runs, resuming from its `ckpt/`
+//! segments. A spec whose seal verifies but whose payload no
 //! longer decodes (written by a build with another JOB codec) *was*
 //! acknowledged: [`JobStore::scan`] reports it instead of dropping it.
 //! A `result.bin` that also holds the cells, as earlier builds wrote it,
@@ -31,10 +32,11 @@
 //! once more, resuming from its `ckpt/` if one is left.
 
 use crate::protocol::JobResult;
-use easyhps_net::{crc32c, WireError, WireReader, WireWriter};
+use easyhps_net::{WireError, WireReader, WireWriter};
 use easyhps_runtime::remote::JobSpec;
+use easyhps_runtime::{read_sealed, write_sealed};
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// A job as recovered from disk.
@@ -55,36 +57,6 @@ pub struct PersistedJob {
 #[derive(Debug)]
 pub struct JobStore {
     root: PathBuf,
-}
-
-/// Offset of the payload in a sealed file: checksum, then the format
-/// byte (always 0).
-const SEALED_BODY: usize = 5;
-
-/// Seal `payload` and write it to `path` atomically: tmp file in the
-/// same directory, fsync, rename. Readers see the old content or the
-/// new, never a torn prefix.
-fn write_sealed(path: &Path, payload: &[u8]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(SEALED_BODY + payload.len());
-    buf.extend_from_slice(&[0; SEALED_BODY]);
-    buf.extend_from_slice(payload);
-    let crc = crc32c(&buf[4..]);
-    buf[..4].copy_from_slice(&crc.to_le_bytes());
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&buf)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
-
-/// Read a sealed file, returning its payload or `None` when the file is
-/// missing, truncated or corrupt — torn state must read as absent.
-fn read_sealed(path: &Path) -> Option<Vec<u8>> {
-    let buf = fs::read(path).ok()?;
-    let stored = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?);
-    (buf.get(4) == Some(&0) && crc32c(&buf[4..]) == stored).then(|| buf[SEALED_BODY..].to_vec())
 }
 
 /// `fs::remove_dir_all`, where a directory already gone is no error.

@@ -496,6 +496,53 @@ fn finished_fleet_job_leaves_no_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A recovered fleet job whose checkpoint directory fails its scan fails
+/// with the scan's own error, not a refusal that tells a daemon client
+/// to pass a CLI flag.
+#[test]
+fn invalid_job_checkpoint_fails_the_job_with_its_own_error() {
+    let dir = tmp_dir("bad-ckpt");
+    // Above the batch threshold, so it runs on the fleet: a 201x191
+    // matrix.
+    let spec = editdist_spec(&[b's'; 200], &[b't'; 190], 8);
+    let store = JobStore::open(&dir).unwrap();
+    store.persist_spec(1, "alice", &spec).unwrap();
+    // One segment whose two tiles overlap.
+    let mut w = easyhps_net::WireWriter::new();
+    w.put_u32(201).put_u32(191).put_u32(2);
+    for (id, r0) in [(0u32, 0u32), (1, 1)] {
+        w.put_u32(id)
+            .put_u32(r0)
+            .put_u32(r0 + 2)
+            .put_u32(r0)
+            .put_u32(r0 + 2)
+            .put_bytes(&[0; 16]);
+    }
+    let ckpt = store.ckpt_dir(1);
+    std::fs::create_dir_all(&ckpt).unwrap();
+    easyhps_runtime::write_sealed(&ckpt.join("seg-00000000.bin"), &w.finish()).unwrap();
+
+    let mut cfg = local_config("127.0.0.1:0");
+    cfg.state_dir = Some(dir.clone());
+    let daemon = Daemon::start(cfg).unwrap();
+    let mut c = Client::connect(daemon.addr()).unwrap();
+    let t0 = Instant::now();
+    let error = loop {
+        match c.status(1).unwrap() {
+            Response::Status {
+                state: JobState::Failed { error },
+                ..
+            } => break error,
+            _ if t0.elapsed() > Duration::from_secs(30) => panic!("job 1 never failed"),
+            _ => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    assert!(error.contains("overlapping regions"), "{error}");
+    assert!(!error.contains("--resume"), "{error}");
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A client outlives a daemon restart: its next request redials with
 /// bounded exponential backoff and resends, so `status`/`submit --wait`
 /// keep working across the restart instead of erroring out.

@@ -260,10 +260,8 @@ where
     };
     let restored = cp.as_ref().map_or(0, |c| c.finished_len()) as u64;
 
-    let mut hps2 = build(problem).metrics(true);
-    if let Some(cp) = cp {
-        hps2 = hps2.resume_from(cp);
-    }
+    let resume = policy.clone().with_resume(true);
+    let hps2 = build(problem).checkpoint(resume).metrics(true);
     let n_tiles = hps2.model().master_dag().len() as u64;
     let out = match run_watched(hps2, cfg.hang_timeout) {
         None => {

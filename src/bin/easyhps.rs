@@ -96,8 +96,9 @@
 //! open it in Perfetto, <https://ui.perfetto.dev>), plus the durable
 //! recovery flags: `--checkpoint-dir DIR` (append finished tiles to an
 //! on-disk checkpoint as the run progresses), `--checkpoint-every N`
-//! (flush cadence in accepted tiles, default 32), and `--resume` (load
-//! the directory's progress and skip the finished tiles).
+//! (flush cadence in accepted tiles, default 32, at least 1), and
+//! `--resume` (restore the directory's progress and skip the finished
+//! tiles); the last two need `--checkpoint-dir`.
 //!
 //! ## Exit codes
 //!
@@ -117,7 +118,7 @@ use easyhps::dp::{EditDistance, Lcs, NeedlemanWunsch, Nussinov, SmithWatermanGen
 use easyhps::runtime::remote::{GapSpec, JobSpec, ProblemParams, RemoteProblem};
 use easyhps::runtime::with_problem;
 use easyhps::sim::{sequential_ns, simulate_traced, CostModel, Experiment, SimWorkload};
-use easyhps::{Checkpoint, CheckpointPolicy, DpMatrix, EasyHps, GridDims, ScheduleMode};
+use easyhps::{CheckpointPolicy, DpMatrix, EasyHps, GridDims, ScheduleMode};
 use std::process::ExitCode;
 
 /// Minimal flag parser: positionals plus `--key value` / `--flag` pairs.
@@ -186,32 +187,26 @@ impl Args {
 
 /// The durable-recovery flags every runtime command and `master` share:
 /// `--checkpoint-dir DIR`, `--checkpoint-every N`, `--resume`. Returns
-/// the policy to checkpoint under and the progress to resume from.
-fn recovery_flags(args: &Args) -> Result<(Option<CheckpointPolicy>, Option<Checkpoint>), String> {
+/// the policy to checkpoint under; with `--resume` it continues the run
+/// the directory holds (an empty or missing directory resumes from
+/// nothing — the run simply starts fresh and checkpoints into it).
+fn recovery_flags(args: &Args) -> Result<Option<CheckpointPolicy>, String> {
     let Some(dir) = args.get("checkpoint-dir") else {
-        if args.has("resume") {
-            return Err("--resume needs --checkpoint-dir".into());
+        for flag in ["resume", "checkpoint-every"] {
+            if args.has(flag) {
+                return Err(format!("--{flag} needs --checkpoint-dir"));
+            }
         }
-        return Ok((None, None));
+        return Ok(None);
     };
-    let mut policy = CheckpointPolicy::new(dir);
+    let mut policy = CheckpointPolicy::new(dir).with_resume(args.has("resume"));
     if let Some(n) = args.get_opt("checkpoint-every")? {
+        if n == 0 {
+            return Err("--checkpoint-every must be at least 1 tile".into());
+        }
         policy = policy.with_every_tiles(n);
     }
-    // An empty or missing directory resumes from nothing — the run
-    // simply starts fresh and begins checkpointing into it.
-    let resume = if args.has("resume") {
-        Checkpoint::load_dir(dir).map_err(|e| e.to_string())?
-    } else {
-        None
-    };
-    if let Some(cp) = &resume {
-        println!(
-            "resuming: {} finished tile(s) restored from {dir}",
-            cp.finished_len()
-        );
-    }
-    Ok((Some(policy), resume))
+    Ok(Some(policy))
 }
 
 /// Print the run's metrics exposition when `--metrics` asked for one.
@@ -343,7 +338,7 @@ fn run_in_process(args: &Args, problem: &RemoteProblem, label: &str) -> Result<(
     let slaves = args.get_num("slaves", 2usize)?;
     let threads = args.get_num("threads", 2usize)?;
     let (pp, tp) = partitions(args, problem, slaves, threads)?;
-    let (checkpoint, resume) = recovery_flags(args)?;
+    let checkpoint = recovery_flags(args)?;
     with_problem!(problem, p => {
         let mut hps = EasyHps::new(p.clone())
             .process_partition(pp)
@@ -357,10 +352,10 @@ fn run_in_process(args: &Args, problem: &RemoteProblem, label: &str) -> Result<(
         if let Some(policy) = checkpoint {
             hps = hps.checkpoint(policy);
         }
-        if let Some(cp) = resume {
-            hps = hps.resume_from(cp);
-        }
         let out = hps.run().map_err(|e| e.to_string())?;
+        if args.has("resume") {
+            println!("resumed: {} finished tile(s) restored", out.report.master.resumed);
+        }
         println!("{}", p.report(&out.matrix, label));
         print_metrics(&out);
     });
@@ -593,7 +588,7 @@ fn cmd_master(args: &Args) -> Result<(), String> {
         metrics: registry.clone(),
         recorder: None,
     };
-    (opts.checkpoint, opts.resume) = recovery_flags(args)?;
+    opts.checkpoint = recovery_flags(args)?;
 
     let addr = easyhps::net::NetAddr::parse(listen)?;
     let listener = easyhps::net::SocketListener::bind(&addr, opts.socket.clone())
@@ -1163,6 +1158,39 @@ mod tests {
     fn missing_value_errors() {
         let e = Args::parse(["--slaves".to_string()], &[]).unwrap_err();
         assert!(e.contains("needs a value"));
+    }
+
+    #[test]
+    fn recovery_flag_errors() {
+        let flags = |s: &[&str]| {
+            let raw = s.iter().map(|x| x.to_string());
+            recovery_flags(&Args::parse(raw, &["resume"]).unwrap())
+        };
+        assert_eq!(flags(&[]).unwrap(), None);
+        let e = flags(&["--resume"]).unwrap_err();
+        assert!(e.contains("--resume needs --checkpoint-dir"), "{e}");
+        let e = flags(&["--checkpoint-every", "4"]).unwrap_err();
+        assert!(
+            e.contains("--checkpoint-every needs --checkpoint-dir"),
+            "{e}"
+        );
+        let e = flags(&["--checkpoint-dir", "d", "--checkpoint-every", "0"]).unwrap_err();
+        assert!(e.contains("at least 1"), "{e}");
+        let policy = flags(&[
+            "--checkpoint-dir",
+            "d",
+            "--checkpoint-every",
+            "4",
+            "--resume",
+        ])
+        .unwrap()
+        .unwrap();
+        assert_eq!(
+            policy,
+            CheckpointPolicy::new("d")
+                .with_every_tiles(4)
+                .with_resume(true)
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use easyhps::dp::sequence::{random_sequence, Alphabet};
 use easyhps::dp::{DpProblem, Lcs, Nussinov};
-use easyhps::runtime::{Checkpoint, EasyPdp};
+use easyhps::runtime::{Checkpoint, CheckpointPolicy, EasyPdp};
 use easyhps::EasyHps;
 
 #[test]
@@ -63,32 +63,37 @@ fn trace_gantt_is_renderable_from_report() {
 
 #[test]
 fn checkpoint_workflow_on_a_triangular_dag() {
-    // Budget stop, checkpoint bytes round trip and resume on Nussinov's
-    // triangular DAG, whose lower triangle no tile ever writes.
+    // Budget stop into a checkpoint directory and resume from it on
+    // Nussinov's triangular DAG, whose lower triangle no tile ever writes.
     let rna = random_sequence(Alphabet::Rna, 80, 85);
     let reference = Nussinov::new(rna.clone()).solve_sequential();
     let pattern = Nussinov::new(rna.clone()).pattern();
+    let dir = std::env::temp_dir().join(format!("easyhps-facade-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
 
     let partial = EasyHps::new(Nussinov::new(rna.clone()))
         .process_partition((20, 20))
         .thread_partition((5, 5))
         .slaves(2)
         .threads_per_slave(2)
+        .checkpoint_dir(&dir)
         .tile_budget(4)
         .run()
         .unwrap();
-    let cp = partial.checkpoint.expect("stopped early");
-    let cp = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
+    let held = Checkpoint::load_dir(&dir).unwrap().expect("stopped early");
+    assert_eq!(held.finished_len() as u64, partial.report.master.completed);
+    assert!(held.finished_len() < 10, "the triangle has 10 tiles");
 
     let full = EasyHps::new(Nussinov::new(rna))
         .process_partition((20, 20))
         .thread_partition((5, 5))
         .slaves(2)
         .threads_per_slave(2)
-        .resume_from(cp)
+        .checkpoint(CheckpointPolicy::new(&dir).with_resume(true))
         .run()
         .unwrap();
-    assert!(full.checkpoint.is_none());
+    assert_eq!(full.report.master.resumed, held.finished_len() as u64);
+    std::fs::remove_dir_all(&dir).ok();
     for pos in reference.dims().iter() {
         if pattern.contains(pos) {
             assert_eq!(full.matrix.at(pos), reference.at(pos), "cell {pos}");

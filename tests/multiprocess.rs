@@ -72,8 +72,7 @@ fn spawn_master(extra: &[&str]) -> MasterProc {
     .stderr(Stdio::null());
     let mut child = cmd.spawn().expect("spawn master");
     let mut reader = BufReader::new(child.stdout.take().unwrap());
-    // A resuming master prints its restore summary first; scan to the
-    // listening line.
+    // Scan to the listening line, whatever the master prints before it.
     let addr = loop {
         let mut line = String::new();
         let n = reader.read_line(&mut line).expect("read listening line");
