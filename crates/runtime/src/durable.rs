@@ -247,9 +247,6 @@ pub(crate) struct CheckpointStore {
     cols: u32,
     next_seg: u64,
     live: Vec<u64>,
-    /// Ids already durable on disk — appends filter against this so a
-    /// resumed run never re-writes tiles the directory already holds.
-    durable: HashSet<u32>,
     compact_after: usize,
 }
 
@@ -301,15 +298,9 @@ impl CheckpointStore {
             cols,
             next_seg: s.next_seg,
             live: s.live,
-            durable: s.entries.iter().map(|(id, _, _)| *id).collect(),
             compact_after: policy.compact_after.max(1),
         };
         Ok((store, s.entries))
-    }
-
-    /// Whether `id` is already durable on disk.
-    pub(crate) fn is_durable(&self, id: u32) -> bool {
-        self.durable.contains(&id)
     }
 
     /// Write `entries` as the next segment; returns its size in bytes.
@@ -324,24 +315,15 @@ impl CheckpointStore {
         Ok((SEALED_BODY + body.len()) as u64)
     }
 
-    /// Append `entries` as one new segment, then compact if the policy
-    /// says so. Entries already durable are skipped. Returns the number
-    /// of segment bytes written (0 = nothing new).
+    /// Append `entries` — tiles the directory does not hold yet — as one
+    /// new segment, then compact if the policy says so. Returns the
+    /// number of segment bytes written.
     pub(crate) fn append(
         &mut self,
         entries: &[(u32, TileRegion, Vec<u8>)],
     ) -> Result<u64, RuntimeError> {
-        let fresh: Vec<_> = entries
-            .iter()
-            .filter(|(id, _, _)| !self.durable.contains(id))
-            .cloned()
-            .collect();
-        if fresh.is_empty() {
-            return Ok(0);
-        }
-        let bytes = self.write_segment(&fresh)?;
+        let bytes = self.write_segment(entries)?;
         self.live.push(self.next_seg - 1);
-        self.durable.extend(fresh.iter().map(|(id, _, _)| *id));
         if self.live.len() > self.compact_after {
             self.compact()?;
         }
@@ -442,8 +424,6 @@ mod tests {
                 > 0
         );
         assert!(st.append(&[entry(2, 2, 4, 0, 2)]).unwrap() > 0);
-        // Already-durable ids are filtered out.
-        assert_eq!(st.append(&[entry(1, 0, 2, 2, 4)]).unwrap(), 0);
         drop(st);
 
         let cp = Checkpoint::load_dir(&dir).unwrap().unwrap();
@@ -504,10 +484,9 @@ mod tests {
         assert_eq!(cp.finished_tasks().next().unwrap().0, 0);
         assert!(last.exists(), "load_dir never modifies the directory");
 
-        let (st, resumed) = open(&pol.with_resume(true)).unwrap();
+        let (_st, resumed) = open(&pol.with_resume(true)).unwrap();
         let ids: Vec<u32> = resumed.iter().map(|e| e.0).collect();
         assert_eq!(ids, [0]);
-        assert!(st.is_durable(0) && !st.is_durable(1));
         assert!(!last.exists(), "the writer deletes the torn segment");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -576,17 +555,17 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Crash points inside a compaction: after the merged segment is
-    /// written, before and midway through deleting its inputs. The
-    /// deletions follow the inputs' index order, so "midway" means the
-    /// lower half is gone. Every state holds every durable tile, and a
-    /// run resumed from it is bit-identical.
     fn ids(cp: &Checkpoint) -> Vec<u32> {
         let mut ids: Vec<u32> = cp.finished_tasks().map(|v| v.0).collect();
         ids.sort_unstable();
         ids
     }
 
+    /// Crash points inside a compaction: after the merged segment is
+    /// written, before and midway through deleting its inputs. The
+    /// deletions follow the inputs' index order, so "midway" means the
+    /// lower half is gone. Every state holds every durable tile, and a
+    /// run resumed from it is bit-identical.
     #[test]
     fn interrupted_compaction_loses_no_durable_tile() {
         let p = problem();
@@ -686,12 +665,9 @@ mod tests {
         drop(st);
         let err = open(&pol).unwrap_err();
         assert!(matches!(err, RuntimeError::Checkpoint(_)), "{err}");
-        // Resuming, the same directory opens fine, hands back its tiles
-        // and knows its durable ids.
-        let (st, resumed) = open(&pol.with_resume(true)).unwrap();
+        // Resuming, the same directory opens fine and hands back its tiles.
+        let (_st, resumed) = open(&pol.with_resume(true)).unwrap();
         assert_eq!(resumed, [entry(0, 0, 2, 0, 2)]);
-        assert!(st.is_durable(0));
-        assert!(!st.is_durable(1));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -729,8 +705,12 @@ mod tests {
 
         // Reopen for resume: torn seg 1 is discarded AND deleted; the
         // next append must land on index 2, not overwrite history ranges.
-        let (mut st, _) = open(&pol).unwrap();
-        assert!(!st.is_durable(1));
+        let (mut st, resumed) = open(&pol).unwrap();
+        assert_eq!(
+            resumed,
+            [entry(0, 0, 2, 0, 2)],
+            "the torn tile is not restored"
+        );
         st.append(&[entry(1, 0, 2, 2, 4)]).unwrap();
         assert!(!seg_path(&dir, 1).exists(), "stale torn file cleaned up");
         assert!(seg_path(&dir, 2).exists(), "append skipped the torn index");
@@ -809,6 +789,23 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         write_sealed(&seg_path(&dir, 0), &body).unwrap();
         assert_eq!(Checkpoint::load_dir(&dir).unwrap(), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A body with bytes after its last entry is not a body this build
+    /// wrote: the decoder rejects it, and sealed it reads as absent.
+    #[test]
+    fn rejects_trailing_bytes_after_the_entries() {
+        let mut body = encode_entries(8, 8, &[entry(0, 0, 2, 0, 2)]);
+        decode_entries(&mut WireReader::new(&body)).expect("the exact body decodes");
+        body.push(0);
+        decode_entries(&mut WireReader::new(&body)).expect_err("a trailing byte");
+        let dir = tmp_dir("trailing");
+        fs::create_dir_all(&dir).unwrap();
+        write_sealed(&seg_path(&dir, 0), &body).unwrap();
+        assert_eq!(Checkpoint::load_dir(&dir).unwrap(), None);
+        let (_st, resumed) = open(&CheckpointPolicy::new(&dir).with_resume(true)).unwrap();
+        assert!(resumed.is_empty(), "the store restores nothing from it");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -269,6 +269,8 @@ fn start_shell<'a, C: Cell>(
                 shell.mm.restored.inc();
             }
         }
+        // The restored tiles are the directory's own: flushes start after them.
+        shell.flush_idx = shell.completed.len();
         let resumed = shell.sched.counters().resumed;
         shell.instant(false, "resume", "checkpoint", ("tiles", resumed));
     }
@@ -709,13 +711,11 @@ impl<C: Cell> Shell<'_, C> {
         Ok(())
     }
 
-    /// Durable flush: append the not-yet-durable tail of `completed` to
+    /// Durable flush: append the not-yet-flushed tail of `completed` to
     /// the checkpoint store once the policy's cadence is due (or `force`d
     /// at the end of the run) — never on the DONE hot path itself.
-    /// `flush_idx` advances even when nothing was fresh (already-durable
-    /// resumed tiles are skipped without re-writing).
     fn flush_durable(&mut self, force: bool) -> Result<(), RuntimeError> {
-        let (Some(store), Some(pol)) = (&self.store, &self.config.checkpoint) else {
+        let (Some(_), Some(pol)) = (&self.store, &self.config.checkpoint) else {
             return Ok(());
         };
         let due = (self.completed.len() - self.flush_idx) as u64 >= pol.every_tiles;
@@ -725,7 +725,6 @@ impl<C: Cell> Shell<'_, C> {
         }
         let fresh: Vec<_> = self.completed[self.flush_idx..]
             .iter()
-            .filter(|v| !store.is_durable(v.0))
             .map(|v| {
                 let region = self.region_of(v.0);
                 (v.0, region, self.matrix.encode_region(region))

@@ -191,13 +191,19 @@ fn resume_counts_only_redispatched_tiles() {
 
     // The resumed run gets a fresh registry: it must report only the
     // tiles it actually re-dispatched, with the restored ones counted
-    // separately under master_tiles_resumed.
+    // separately under master_tiles_resumed. Its cadence is one tile more
+    // than it has left to compute.
+    let cadence = 25 - resumed_from + 1;
     let second = EasyHps::new(problem)
         .process_partition((11, 11))
         .thread_partition((4, 4))
         .slaves(2)
         .threads_per_slave(2)
-        .checkpoint(CheckpointPolicy::new(&dir).with_resume(true))
+        .checkpoint(
+            CheckpointPolicy::new(&dir)
+                .with_resume(true)
+                .with_every_tiles(cadence),
+        )
         .metrics(true)
         .run()
         .unwrap();
@@ -223,7 +229,8 @@ fn resume_counts_only_redispatched_tiles() {
         "restored tiles must not fabricate latency samples"
     );
     // The resumed run flushes the tiles it computed to the same directory,
-    // once, at its clean exit (15 < the default cadence of 32).
+    // once, at its clean exit: the restored tiles are already there and
+    // do not count towards the cadence.
     assert_eq!(snap.counter("master_checkpoints"), Some(1));
     std::fs::remove_dir_all(&dir).ok();
 }
