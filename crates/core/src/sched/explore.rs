@@ -2,13 +2,16 @@
 //!
 //! `easyhps stress` samples interleavings with real threads and seeds;
 //! this module *enumerates* them. A run is fully cooperative: virtual
-//! slaves compute instantly, every frame sits in a pending queue, and the
-//! single source of nondeterminism is **which pending frame the master
-//! sees next**. At each step where more than one frame is deliverable,
-//! the explorer may deliver any of the first `reorder_window` of them —
-//! one choice point. A depth-first search over choice vectors replays
-//! runs with up to `depth` non-FIFO choices (the CHESS/Loom bounded
-//! strategy: almost all scheduler bugs need only a few reorderings), and
+//! slaves compute instantly, one tile at a time in the order their
+//! ASSIGNs came (a slave holds up to [`WINDOW`]; the DONE of the next
+//! one is sent once the master has the previous one), every frame sits
+//! in a pending queue, and the single source of nondeterminism is
+//! **which pending frame the master sees next**. At each step where more
+//! than one frame is deliverable, the explorer may deliver any of the
+//! first `reorder_window` of them — one choice point. A depth-first
+//! search over choice vectors replays runs with up to `depth` non-FIFO
+//! choices (the CHESS/Loom bounded strategy: almost all scheduler bugs
+//! need only a few reorderings), and
 //! the PR 4 schedule invariants are checked on every explored order —
 //! every tile accepted exactly once, dispatch conservation, no spurious
 //! exclusion or redistribution in a fault-free world — and the residency
@@ -19,9 +22,9 @@
 //! cheap, and replay keeps the search stateless and deterministic — the
 //! same config always explores the same schedules in the same order.
 
-use super::{MasterAction, MasterEvent, MasterSched, SchedParams};
+use super::{MasterAction, MasterEvent, MasterSched, SchedParams, SendFailKind, WINDOW};
 use crate::{ScheduleMode, TaskDag};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 const STEP_NS: u64 = 1_000_000;
 
@@ -80,6 +83,18 @@ pub enum MembershipOp {
         /// Fire after this many delivered frames.
         after: usize,
     },
+    /// The link to `slave` breaks for good: the DONEs it still had in
+    /// flight are lost, the transport's report of it
+    /// ([`MasterEvent::SendFailed`], unreachable, naming the last ASSIGN
+    /// the slave holds) becomes a pending frame, and every later ASSIGN
+    /// to it is rejected at once ([`MasterEvent::AssignRejected`]). Both
+    /// paths must give back the whole window the slave held.
+    Sever {
+        /// Slave index whose link breaks.
+        slave: usize,
+        /// Fire after this many delivered frames.
+        after: usize,
+    },
 }
 
 /// Aggregate result of an exploration.
@@ -125,6 +140,7 @@ fn encode(ev: &MasterEvent) -> u64 {
             4_000_000_000 + (*slave as u64) * 1_000_000 + *task as u64
         }
         MasterEvent::DrainSlave { slave } => 5_000_000_000 + *slave as u64,
+        MasterEvent::SendFailed { slave, .. } => 6_000_000_000 + *slave as u64,
         _ => 9_000_000_000,
     }
 }
@@ -135,9 +151,10 @@ fn encode(ev: &MasterEvent) -> u64 {
 /// the machine produces is an invariant violation, not noise. With a
 /// non-empty `script` the run additionally checks the membership
 /// contract: a stale-epoch frame is fenced (never accepted), a draining
-/// slave takes no new work and is eventually released, and a released
-/// slave is never assigned again — under *every* explored delivery order
-/// of the membership frames relative to the DONEs around them.
+/// slave takes no new work and is eventually released, a released slave
+/// is never assigned again, and a severed slave's tiles all come back —
+/// under *every* explored delivery order of the membership frames
+/// relative to the DONEs around them.
 fn run_one(
     dag: &TaskDag,
     cfg: &ExploreConfig,
@@ -158,14 +175,18 @@ fn run_one(
     let mut pending: Vec<MasterEvent> = (0..cfg.slaves)
         .map(|slave| MasterEvent::Idle { slave })
         .collect();
-    let mut busy: Vec<Option<u32>> = vec![None; cfg.slaves];
+    // Each virtual slave's tiles, in ASSIGN order; the DONE of the head
+    // is pending.
+    let mut queue: Vec<VecDeque<u32>> = vec![VecDeque::new(); cfg.slaves];
     let mut released: Vec<bool> = vec![false; cfg.slaves];
     let mut draining: Vec<bool> = vec![false; cfg.slaves];
+    let mut severed: Vec<bool> = vec![false; cfg.slaves];
     let mut fired: Vec<bool> = vec![false; script.len()];
     let mut accepted: Vec<u64> = vec![0; dag.len()];
     let mut delivered = 0usize;
     let mut stale_delivered = 0u64;
     let mut rejoins_delivered = 0u64;
+    let mut send_failures = 0u64;
     let mut drains_delivered: Vec<usize> = Vec::new();
     let window = cfg.reorder_window.max(1);
     let step_limit = 4 * dag.len() + 8 * cfg.slaves + 16 * script.len() + 64;
@@ -183,7 +204,8 @@ fn run_one(
         now += STEP_NS;
         run.max_pending = run.max_pending.max(pending.len());
 
-        for slave in 0..m.n_slaves() {
+        // A severed slave is heard no more.
+        for (slave, _) in severed.iter().enumerate().filter(|(_, gone)| !**gone) {
             if let Err(e) = m.on_event(dag, MasterEvent::Heard { slave, at_ns: now }) {
                 fail!("{e}");
             }
@@ -205,6 +227,24 @@ fn run_one(
                     fired[i] = true;
                     pending.push(MasterEvent::DrainSlave { slave });
                 }
+                MembershipOp::Sever { slave, after }
+                    if after <= delivered && slave < queue.len() =>
+                {
+                    fired[i] = true;
+                    // The DONEs on the broken link are lost, and so is
+                    // whatever the slave had yet to compute.
+                    pending.retain(
+                        |p| !matches!(*p, MasterEvent::Done { slave: s, .. } if s == slave),
+                    );
+                    severed[slave] = true;
+                    pending.push(MasterEvent::SendFailed {
+                        slave,
+                        assign_task: queue[slave].back().copied(),
+                        reason: SendFailKind::Unreachable,
+                        now_ns: now,
+                    });
+                    queue[slave].clear();
+                }
                 _ => {}
             }
         }
@@ -223,12 +263,21 @@ fn run_one(
             run.order.push(encode(&ev));
             delivered += 1;
             match ev {
-                MasterEvent::Done { slave, .. } => busy[slave] = None,
+                MasterEvent::Done { slave, task } => {
+                    if queue[slave].pop_front() != Some(task) {
+                        fail!("slave {slave} answered task {task} out of its FIFO order");
+                    }
+                    // With the DONE sent, the slave computes its next tile.
+                    if let Some(&next) = queue[slave].front() {
+                        pending.push(MasterEvent::Done { slave, task: next });
+                    }
+                }
                 MasterEvent::Rejoined { slave, .. } => {
                     // The link to the old incarnation died: every DONE of
                     // its still in flight arrives under the old epoch and
-                    // is classified StaleEpoch by the driver. The new
-                    // incarnation starts idle.
+                    // is classified StaleEpoch by the driver, and what it
+                    // had yet to compute is gone. The new incarnation
+                    // starts empty.
                     rejoins_delivered += 1;
                     for p in pending.iter_mut() {
                         if let MasterEvent::Done { slave: s, task } = *p {
@@ -237,15 +286,16 @@ fn run_one(
                             }
                         }
                     }
-                    if slave < busy.len() {
-                        busy[slave] = None;
+                    if slave < queue.len() {
+                        queue[slave].clear();
                         draining[slave] = false;
                         released[slave] = false;
                     } else {
                         // Mid-run join: the fleet grows by one slot.
-                        busy.push(None);
+                        queue.push(VecDeque::new());
                         draining.push(false);
                         released.push(false);
+                        severed.push(false);
                     }
                 }
                 MasterEvent::StaleEpoch { .. } => stale_delivered += 1,
@@ -253,6 +303,7 @@ fn run_one(
                     draining[slave] = true;
                     drains_delivered.push(slave);
                 }
+                MasterEvent::SendFailed { .. } => send_failures += 1,
                 _ => {}
             }
             let acts = match m.on_event(dag, ev.clone()) {
@@ -283,6 +334,10 @@ fn run_one(
                     | MasterAction::Refence { .. }
                     | MasterAction::Readmit { .. }
                         if matches!(ev, MasterEvent::Rejoined { .. }) => {}
+                    MasterAction::Redispatch { .. }
+                    | MasterAction::CancelAssign { .. }
+                    | MasterAction::Exclude { .. }
+                        if matches!(ev, MasterEvent::SendFailed { .. }) => {}
                     MasterAction::Release { slave }
                         if membership
                             && matches!(
@@ -297,8 +352,8 @@ fn run_one(
             }
         }
 
-        // The scheduling pass: dispatches become instantly-computed Done
-        // frames in the pending queue.
+        // The scheduling pass: dispatches join their slave's queue; an
+        // ASSIGN to a severed slave is rejected on the spot.
         let acts = match m.on_event(dag, MasterEvent::Tick { now_ns: now }) {
             Ok(a) => a,
             Err(e) => fail!("{e}"),
@@ -306,17 +361,39 @@ fn run_one(
         for a in acts {
             match a {
                 MasterAction::Assign { slave, task } => {
-                    if let Some(t) = busy[slave] {
-                        fail!("assigned task {task} to slave {slave} already busy with {t}");
-                    }
                     if released[slave] {
                         fail!("assigned task {task} to slave {slave} after its release");
                     }
                     if draining[slave] {
                         fail!("assigned task {task} to draining slave {slave}");
                     }
-                    busy[slave] = Some(task);
-                    pending.push(MasterEvent::Done { slave, task });
+                    if severed[slave] {
+                        send_failures += 1;
+                        let ev = MasterEvent::AssignRejected { slave, task };
+                        match m.on_event(dag, ev) {
+                            Ok(a)
+                                if a.iter().all(|x| {
+                                    matches!(
+                                        x,
+                                        MasterAction::Redispatch { .. }
+                                            | MasterAction::Exclude { .. }
+                                    )
+                                }) => {}
+                            Ok(a) => fail!("rejected ASSIGN of task {task} produced {a:?}"),
+                            Err(e) => fail!("{e}"),
+                        }
+                        continue;
+                    }
+                    queue[slave].push_back(task);
+                    if queue[slave].len() > WINDOW as usize {
+                        fail!(
+                            "assigned task {task} to slave {slave} already holding {:?}",
+                            queue[slave]
+                        );
+                    }
+                    if queue[slave].len() == 1 {
+                        pending.push(MasterEvent::Done { slave, task });
+                    }
                 }
                 MasterAction::Finished => finished = true,
                 other => fail!("unexpected action {other:?} from a fault-free tick"),
@@ -326,10 +403,17 @@ fn run_one(
         // The FT sweep must be a no-op when every slave heartbeats and
         // nothing is overdue — wherever it lands in the order. (With a
         // drain in the script it may legitimately release the drained
-        // slave.)
+        // slave, and a severed slave's silence may exclude it.)
         match m.on_event(dag, MasterEvent::FtTick { now_ns: now }) {
             Ok(a) if a.is_empty() => {}
-            Ok(a) if membership && a.iter().all(|x| matches!(x, MasterAction::Release { .. })) => {
+            Ok(a)
+                if membership
+                    && a.iter().all(|x| match *x {
+                        MasterAction::Release { .. } => true,
+                        MasterAction::Exclude { slave } => severed[slave],
+                        _ => false,
+                    }) =>
+            {
                 for x in a {
                     if let MasterAction::Release { slave } = x {
                         released[slave] = true;
@@ -380,7 +464,8 @@ fn run_one(
         // Membership invariants: the machine counted exactly the frames
         // we delivered, every delivered drain ended in a release, and
         // nothing leaked into the genuine fault paths (no timeouts or
-        // silence exist in this virtual world).
+        // silence exist in this virtual world; a severed link is the one
+        // scripted send failure, and excludes only its own slave).
         if c.stale_epoch != stale_delivered {
             fail!(
                 "stale-epoch accounting: machine counted {} but {} frames were delivered",
@@ -400,7 +485,15 @@ fn run_one(
                 fail!("drained slave {slave} was never released");
             }
         }
-        if c.stale + c.send_failures + c.exclusions + c.readmissions != 0 {
+        if c.send_failures != send_failures {
+            fail!(
+                "send-failure accounting: machine counted {} but {} were fed",
+                c.send_failures,
+                send_failures
+            );
+        }
+        let severed = severed.iter().filter(|s| **s).count() as u64;
+        if c.stale + c.readmissions != 0 || c.exclusions > severed {
             fail!("membership schedule took a genuine fault path: {c:?}");
         }
     } else if c.stale + c.send_failures + c.exclusions + c.readmissions + c.redispatched != 0 {
@@ -565,6 +658,32 @@ mod tests {
         let out = explore_membership(&dag, &cfg, &script);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.schedules > 1, "explored only FIFO");
+    }
+
+    // A link that breaks for good mid-run: whether the master learns it
+    // from the transport's report or from a rejected ASSIGN first, every
+    // tile the slave held comes back at once and the survivor finishes
+    // the run, each tile accepted exactly once.
+    #[test]
+    fn sever_orders_give_back_the_whole_window() {
+        let dag = TaskDag::from_pattern(&Wavefront2D::new(GridDims::square(4)));
+        for mode in [
+            ScheduleMode::Dynamic,
+            ScheduleMode::BlockCyclic { block: 1 },
+        ] {
+            let mut cfg = ExploreConfig::new(2, mode);
+            cfg.depth = 2;
+            for after in [2usize, 4, 7] {
+                let script = [MembershipOp::Sever { slave: 1, after }];
+                let out = explore_membership(&dag, &cfg, &script);
+                assert!(
+                    out.violations.is_empty(),
+                    "{mode:?}, sever after {after}: {:?}",
+                    out.violations
+                );
+                assert!(out.schedules > 1, "sever after {after} explored only FIFO");
+            }
+        }
     }
 
     #[test]

@@ -12,11 +12,17 @@
 //! is gone by construction, and the explorer can place an `FtTick`
 //! anywhere it likes.
 //!
+//! A slave holds up to [`WINDOW`] tiles: the one it computes and one
+//! queued behind it in its endpoint, so its next tile is already there
+//! when it sends a DONE instead of one master round trip later. A tick
+//! fills every slave's first slot before any slave's second.
+//!
 //! The machine also keeps the residency record: which master tiles each
 //! slave's node matrix holds, learnt from accepted DONEs only and cleared
-//! when a new incarnation is admitted. It changes no decision; the
-//! runtime's shell reads it ([`MasterSched::resident`]) to leave out of an
-//! ASSIGN every strip the slave already has.
+//! when a new incarnation is admitted. The runtime's shell reads it
+//! ([`MasterSched::resident`]) to leave out of an ASSIGN every strip the
+//! slave already has; the window reads it too, so that a queued tile
+//! never carries a strip its slave's in-flight ASSIGN already carries.
 
 use super::{pick_task, RegisterTable, SchedParams, SchedViolation};
 use crate::{DagParser, ScheduleMode, TaskDag, VertexId};
@@ -37,8 +43,8 @@ pub enum SendFailKind {
 /// start (the driver's epoch).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MasterEvent {
-    /// One scheduling pass: sync liveness, re-admit, dispatch to idle
-    /// slaves, check for termination.
+    /// One scheduling pass: sync liveness, re-admit, dispatch to slaves
+    /// with a free slot, check for termination.
     Tick {
         /// Now, in ns since run start.
         now_ns: u64,
@@ -71,8 +77,9 @@ pub enum MasterEvent {
     },
     /// An [`MasterAction::Assign`] could not even be handed to the
     /// transport (the slave's channel is gone). Rolls the dispatch back:
-    /// the task returns to the computable stack untouched and the slave
-    /// is permanently out.
+    /// the task returns to the computable stack untouched, every other
+    /// tile the slave holds is taken back, and the slave is permanently
+    /// out.
     AssignRejected {
         /// Slave index.
         slave: usize,
@@ -225,6 +232,11 @@ pub struct SchedCounters {
     pub stale_epoch: u64,
 }
 
+/// How many tiles a slave holds at most: dispatched, and not yet
+/// answered by a DONE. Two hide the master round trip between a slave's
+/// DONE and its next ASSIGN; the paper's master pool holds one.
+pub const WINDOW: u32 = 2;
+
 /// An in-flight dispatch: virtual-time twin of the runtime's overtime
 /// queue entry.
 #[derive(Clone, Copy, Debug)]
@@ -232,6 +244,25 @@ struct Overtime {
     task: u32,
     slave: u32,
     started_ns: u64,
+}
+
+/// Whether bitset `set` holds `v`.
+fn has(set: &[u64], v: u32) -> bool {
+    set[v as usize / 64] >> (v % 64) & 1 == 1
+}
+
+/// Whether `task` may queue on a slave behind the tiles it `held`: no
+/// input strip the slave lacks (`resident` is its record) is one an
+/// in-flight ASSIGN to it already carries. Residency is learnt from
+/// accepted DONEs only, so without this rule a strip would cross twice.
+fn clear_of_inflight(dag: &TaskDag, resident: &[u64], held: &[u32], task: VertexId) -> bool {
+    let missing = |t: VertexId| {
+        dag.vertex(t)
+            .data_deps
+            .iter()
+            .filter(|d| !has(resident, d.0))
+    };
+    missing(task).all(|d| !held.iter().any(|&h| missing(VertexId(h)).any(|x| x == d)))
 }
 
 /// The master-side scheduling state machine. See the module docs for the
@@ -256,8 +287,15 @@ pub struct MasterSched {
     /// The slave's link is gone: never re-admitted by hearing from it,
     /// only by a rejoin.
     unreachable: Vec<bool>,
-    /// Idle flag per slave (set by IDLE/DONE, cleared by dispatch).
-    idle: Vec<bool>,
+    /// The slave announced itself (IDLE, or admitted as a new
+    /// incarnation): it may be dispatched to.
+    ready: Vec<bool>,
+    /// The tiles each slave holds, in dispatch order: dispatched and not
+    /// yet answered by a DONE, accepted or stale. A tile taken back by
+    /// the overdue sweep stays until its stale DONE arrives; one given
+    /// back because the link is gone, or whose ASSIGN was lost, leaves at
+    /// once. At most [`WINDOW`] long.
+    held: Vec<Vec<u32>>,
     /// Residency record: one bitset per slave over master-DAG vertices.
     /// Bit `v` is set once an accepted DONE proves the slave's node
     /// matrix holds `v`'s cells, and cleared with the rest of the set
@@ -298,7 +336,8 @@ impl MasterSched {
             rejoin_window_ns: None,
             alive: vec![true; n_slaves],
             unreachable: vec![false; n_slaves],
-            idle: vec![false; n_slaves],
+            ready: vec![false; n_slaves],
+            held: vec![Vec::new(); n_slaves],
             resident: vec![vec![0; dag.len().div_ceil(64)]; n_slaves],
             last_seen: vec![Some(0); n_slaves],
             slave_draining: vec![false; n_slaves],
@@ -318,12 +357,13 @@ impl MasterSched {
 
     /// Grow the machine to `n` slaves — called when a mid-run joiner
     /// extends the fleet past its initial size. New slots start alive,
-    /// busy (they announce IDLE themselves) and just-heard.
+    /// not ready (they announce IDLE themselves) and just-heard.
     pub fn grow_to(&mut self, n: usize) {
         while self.n_slaves < n {
             self.alive.push(true);
             self.unreachable.push(false);
-            self.idle.push(false);
+            self.ready.push(false);
+            self.held.push(Vec::new());
             self.resident.push(vec![0; self.resident[0].len()]);
             self.last_seen.push(Some(0));
             self.slave_draining.push(false);
@@ -362,7 +402,7 @@ impl MasterSched {
     /// and an accepted DONE proved so. An ASSIGN need not carry a
     /// resident strip.
     pub fn resident(&self, slave: usize, task: u32) -> bool {
-        self.resident[slave][task as usize / 64] >> (task % 64) & 1 == 1
+        has(&self.resident[slave], task)
     }
 
     /// Fast-forward one checkpointed task. The driver walks a topological
@@ -429,7 +469,7 @@ impl MasterSched {
             }
             MasterEvent::Idle { slave } => {
                 if slave < self.n_slaves {
-                    self.idle[slave] = true;
+                    self.ready[slave] = true;
                 }
             }
             MasterEvent::Done { slave, task } => {
@@ -446,16 +486,18 @@ impl MasterSched {
                 }
                 // The task was never dispatched: back onto the computable
                 // stack untouched, and the dispatch un-counted. The slave's
-                // channel is gone for good.
+                // channel is gone for good, and with it whatever else the
+                // slave holds.
                 self.register.cancel(task);
                 self.overtime.retain(|e| e.task != task);
+                self.release_slot(slave, task);
                 self.parser
                     .fail(dag, VertexId(task))
-                    .map_err(|_| SchedViolation::new("rejected assignment was not running", ev))?;
+                    .map_err(|_| SchedViolation::new("rejected assignment was not running", &ev))?;
                 self.counters.dispatched -= 1;
                 self.counters.send_failures += 1;
-                self.idle[slave] = true;
                 self.unreachable[slave] = true;
+                self.give_back(dag, slave, &ev, &mut out)?;
                 self.exclude(slave, &mut out);
             }
             MasterEvent::SendFailed {
@@ -515,33 +557,13 @@ impl MasterSched {
         // will arrive (if at all) under a stale epoch and be fenced, so
         // the work must be redistributable *now*, not after the task
         // timeout.
-        let mut mine = Vec::new();
-        self.overtime.retain(|e| {
-            if e.slave == slave as u32 {
-                mine.push(*e);
-                false
-            } else {
-                true
-            }
-        });
-        for e in mine {
-            if self.register.accepts(e.task, e.slave) {
-                self.register.cancel(e.task);
-                self.parser.fail(dag, VertexId(e.task)).map_err(|_| {
-                    SchedViolation::new(
-                        "rejoined slave's in-flight task was not running",
-                        MasterEvent::Rejoined { slave, now_ns },
-                    )
-                })?;
-                self.counters.redispatched += 1;
-                out.push(MasterAction::Redispatch { task: e.task });
-            }
-        }
-        // The new incarnation is reachable and idle by construction; a
-        // pending drain applied to the old incarnation, not this one.
+        self.give_back(dag, slave, &MasterEvent::Rejoined { slave, now_ns }, out)?;
+        // The new incarnation is reachable and holds nothing by
+        // construction; a pending drain applied to the old incarnation,
+        // not this one.
         self.unreachable[slave] = false;
         self.last_seen[slave] = Some(now_ns);
-        self.idle[slave] = true;
+        self.ready[slave] = true;
         self.resident[slave].fill(0);
         self.slave_draining[slave] = false;
         self.counters.rejoins += 1;
@@ -552,6 +574,39 @@ impl MasterSched {
         }
         out.push(MasterAction::Refence { slave });
         Ok(())
+    }
+
+    /// Take back every tile `slave` holds: its link is gone, so none of
+    /// them will be answered. Each still registered to it goes back onto
+    /// the computable stack at once, as a [`MasterAction::Redispatch`];
+    /// one the overdue sweep already took back only leaves the slot.
+    fn give_back(
+        &mut self,
+        dag: &TaskDag,
+        slave: usize,
+        ev: &MasterEvent,
+        out: &mut Vec<MasterAction>,
+    ) -> Result<(), SchedViolation> {
+        for task in std::mem::take(&mut self.held[slave]) {
+            if self.register.accepts(task, slave as u32) {
+                self.register.cancel(task);
+                self.overtime.retain(|e| e.task != task);
+                self.parser
+                    .fail(dag, VertexId(task))
+                    .map_err(|_| SchedViolation::new("a given-back task was not running", ev))?;
+                self.counters.redispatched += 1;
+                out.push(MasterAction::Redispatch { task });
+            }
+        }
+        Ok(())
+    }
+
+    /// `task` leaves `slave`'s slots: answered, or never delivered.
+    fn release_slot(&mut self, slave: usize, task: u32) {
+        let held = &mut self.held[slave];
+        if let Some(i) = held.iter().position(|&t| t == task) {
+            held.remove(i);
+        }
     }
 
     /// If `slave` is draining and holds nothing in flight, release it:
@@ -572,8 +627,8 @@ impl MasterSched {
 
     /// One scheduling pass (the body the old threaded loop ran under its
     /// lock): re-admit wrongly excluded slaves, stop on done/budget,
-    /// dispatch to idle live slaves, give up only when every channel is
-    /// permanently gone.
+    /// dispatch to live slaves with a free slot, give up only when every
+    /// channel is permanently gone.
     fn tick(&mut self, dag: &TaskDag, now_ns: u64, out: &mut Vec<MasterAction>) {
         // Re-admission: a dead-marked slave that was heard from recently
         // (and whose channel still exists) was slow or unlucky, not dead.
@@ -600,50 +655,67 @@ impl MasterSched {
             return;
         }
 
-        // Dispatch computable sub-tasks to idle live slaves. When *every*
-        // slave is presumed dead but some channels are still open,
-        // dispatch speculatively to the silent-but-reachable ones: a slave
-        // whose heartbeats are lost will ACK the ASSIGN and be re-admitted,
-        // while a truly hung one exhausts the retry budget, turns
-        // unreachable, and the run fails fast below.
+        // Dispatch computable sub-tasks to live slaves with a free slot,
+        // every slave's first slot before any slave's second: a lone
+        // computable tile goes to an empty slave, not behind a busy one.
+        // No slave queues a second tile while a live slave that may take
+        // work has not announced itself: the tile would wait behind
+        // another while that slave could start it the moment it does.
+        // When *every* slave is presumed dead but some channels are still
+        // open, dispatch speculatively to the silent-but-reachable ones —
+        // one tile each, a probe: a slave whose heartbeats are lost will
+        // ACK the ASSIGN and be re-admitted, while a truly hung one
+        // exhausts the retry budget, turns unreachable, and the run fails
+        // fast below.
         let alive_now = self.alive.clone();
         let none_alive = alive_now.iter().all(|a| !a);
-        for w in 0..self.n_slaves {
-            if self.slave_draining[w] {
-                continue; // draining: finish in-flight work, take no more
-            }
-            let speculative = none_alive && !self.unreachable[w];
-            if !self.idle[w] || !(alive_now[w] || speculative) {
-                continue;
-            }
-            let picked = if speculative {
-                self.parser.pop_computable()
-            } else {
-                // Orphan fallback: a statically-owned task whose owner is
-                // excluded would otherwise never be dispatchable.
-                pick_task(
-                    &mut self.parser,
-                    dag,
-                    self.mode,
-                    self.tile_cols,
-                    self.n_slaves as u32,
-                    w as u32,
-                    Some(&|o| !alive_now[o as usize]),
-                )
-            };
-            if let Some(v) = picked {
-                self.register.register(v.0, w as u32);
-                self.overtime.push(Overtime {
-                    task: v.0,
-                    slave: w as u32,
-                    started_ns: now_ns,
-                });
-                self.idle[w] = false;
-                self.counters.dispatched += 1;
-                out.push(MasterAction::Assign {
-                    slave: w,
-                    task: v.0,
-                });
+        let executors = self.n_slaves as u32;
+        let all_announced =
+            (0..self.n_slaves).all(|w| self.ready[w] || !alive_now[w] || self.slave_draining[w]);
+        let slots = if all_announced { WINDOW } else { 1 };
+        for slot in 0..slots as usize {
+            for w in 0..self.n_slaves {
+                // A draining slave finishes its in-flight work, takes no more.
+                if self.slave_draining[w] || !self.ready[w] || self.held[w].len() != slot {
+                    continue;
+                }
+                let speculative = none_alive && !self.unreachable[w];
+                if !(alive_now[w] || (speculative && slot == 0)) {
+                    continue;
+                }
+                let picked = if speculative {
+                    self.parser.pop_computable()
+                } else {
+                    // Behind an in-flight tile only a tile that shares no
+                    // missing strip with it, and in static modes only one
+                    // the slave owns. Orphan fallback fills first slots: a
+                    // statically-owned task whose owner is excluded would
+                    // otherwise never be dispatchable.
+                    let (resident, held) = (&self.resident[w], &self.held[w]);
+                    let (mode, cols) = (self.mode, self.tile_cols);
+                    let orphaned = |o: u32| !alive_now[o as usize];
+                    pick_task(
+                        &mut self.parser,
+                        |v| mode.static_owner(dag.vertex(v).pos, cols, executors),
+                        w as u32,
+                        |v| clear_of_inflight(dag, resident, held, v),
+                        (slot == 0).then_some(&orphaned as &dyn Fn(u32) -> bool),
+                    )
+                };
+                if let Some(v) = picked {
+                    self.register.register(v.0, w as u32);
+                    self.overtime.push(Overtime {
+                        task: v.0,
+                        slave: w as u32,
+                        started_ns: now_ns,
+                    });
+                    self.held[w].push(v.0);
+                    self.counters.dispatched += 1;
+                    out.push(MasterAction::Assign {
+                        slave: w,
+                        task: v.0,
+                    });
+                }
             }
         }
 
@@ -719,7 +791,7 @@ impl MasterSched {
         ev: &MasterEvent,
         out: &mut Vec<MasterAction>,
     ) -> Result<(), SchedViolation> {
-        self.idle[slave] = true;
+        self.release_slot(slave, task);
         if self.register.accepts(task, slave as u32) {
             self.register.cancel(task);
             self.overtime.retain(|e| e.task != task);
@@ -749,8 +821,9 @@ impl MasterSched {
 
     /// An abandoned reliable send: roll back the in-flight assignment (if
     /// it was one) so the task is redistributable, and judge the slave by
-    /// its heartbeat — an unreachable peer is dead, a silent one presumed
-    /// dead (re-admitted later if it turns out merely slow).
+    /// its heartbeat — an unreachable peer is dead, and gives back every
+    /// tile it holds; a silent one is presumed dead (re-admitted later if
+    /// it turns out merely slow).
     fn send_failed(
         &mut self,
         dag: &TaskDag,
@@ -761,31 +834,30 @@ impl MasterSched {
         out: &mut Vec<MasterAction>,
     ) -> Result<(), SchedViolation> {
         self.counters.send_failures += 1;
+        let ev = MasterEvent::SendFailed {
+            slave,
+            assign_task,
+            reason,
+            now_ns,
+        };
         if let Some(task) = assign_task {
+            // The slave never saw the ASSIGN; it does not hold the tile,
+            // whatever its health.
+            self.release_slot(slave, task);
             if self.register.accepts(task, slave as u32) {
                 self.register.cancel(task);
                 self.overtime.retain(|e| e.task != task);
-                self.parser.fail(dag, VertexId(task)).map_err(|_| {
-                    SchedViolation::new(
-                        "undelivered task was not running",
-                        MasterEvent::SendFailed {
-                            slave,
-                            assign_task,
-                            reason,
-                            now_ns,
-                        },
-                    )
-                })?;
+                self.parser
+                    .fail(dag, VertexId(task))
+                    .map_err(|_| SchedViolation::new("undelivered task was not running", &ev))?;
                 self.counters.redispatched += 1;
-                // The slave never saw the ASSIGN; it is not busy with it,
-                // whatever its health.
-                self.idle[slave] = true;
                 out.push(MasterAction::CancelAssign { task });
             }
         }
         match reason {
             SendFailKind::Unreachable => {
                 self.unreachable[slave] = true;
+                self.give_back(dag, slave, &ev, out)?;
                 self.exclude(slave, out);
             }
             SendFailKind::NoAck => {
@@ -855,10 +927,13 @@ mod tests {
             E::SendFailed { .. } => |a| {
                 matches!(
                     a,
-                    A::CancelAssign { .. } | A::Exclude { .. } | A::Release { .. }
+                    A::CancelAssign { .. }
+                        | A::Redispatch { .. }
+                        | A::Exclude { .. }
+                        | A::Release { .. }
                 )
             },
-            E::AssignRejected { .. } => |a| matches!(a, A::Exclude { .. }),
+            E::AssignRejected { .. } => |a| matches!(a, A::Redispatch { .. } | A::Exclude { .. }),
             E::Rejoined { .. } => |a| {
                 matches!(
                     a,
@@ -870,6 +945,11 @@ mod tests {
         };
         let acts = m.on_event(dag, ev.clone()).expect("legal event sequence");
         assert!(acts.iter().all(allowed), "{ev:?} emitted {acts:?}");
+        assert!(
+            m.held.iter().all(|h| h.len() <= WINDOW as usize),
+            "{ev:?} left a slave holding more than {WINDOW}: {:?}",
+            m.held
+        );
         acts
     }
 
@@ -1759,5 +1839,346 @@ mod tests {
         m.grow_to(2);
         assert!(resident_on(&m, &dag, 1).is_empty());
         assert_eq!(resident_on(&m, &dag, 0), vec![0]);
+    }
+
+    /// A fan: one source tile, then `leaves` tiles that each read only it
+    /// (1 x (leaves + 1) grid, the source at column 0).
+    fn fan(leaves: u32) -> TaskDag {
+        use crate::patterns::CustomPattern;
+        use crate::GridPos;
+        let src = GridPos::new(0, 0);
+        let edges = (1..=leaves).map(|c| (src, GridPos::new(0, c)));
+        TaskDag::from_pattern(
+            &CustomPattern::from_edges(GridDims::new(1, leaves + 1), edges).unwrap(),
+        )
+    }
+
+    /// The id of the fan's source.
+    fn source(dag: &TaskDag) -> u32 {
+        (0..dag.len() as u32)
+            .find(|&v| dag.vertex(VertexId(v)).pos.col == 0)
+            .unwrap()
+    }
+
+    /// Machine on `dag` whose slaves all announced IDLE and whose slave
+    /// 0 computed the source: the rest of the fan is computable, and the
+    /// source is resident on slave 0 only.
+    fn source_done_on_0(dag: &TaskDag, slaves: usize, mode: ScheduleMode) -> MasterSched {
+        let mut m = machine(dag, slaves, mode);
+        let src = source(dag);
+        feed(
+            &mut m,
+            dag,
+            (0..slaves).map(|slave| MasterEvent::Idle { slave }),
+        );
+        let acts = feed(&mut m, dag, [MasterEvent::Tick { now_ns: MS }]);
+        assert_eq!(assigns(&acts), vec![(0, src)]);
+        feed(
+            &mut m,
+            dag,
+            [MasterEvent::Done {
+                slave: 0,
+                task: src,
+            }],
+        );
+        m
+    }
+
+    /// Slot order: every slave's first slot fills before any slave's
+    /// second, so tiles spread over empty slaves before they queue.
+    #[test]
+    fn a_second_tile_is_queued_only_once_every_slave_holds_one() {
+        let dag = fan(2);
+        let mut m = source_done_on_0(&dag, 3, ScheduleMode::Dynamic);
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 2 * MS }]));
+        let slaves: Vec<usize> = got.iter().map(|(w, _)| *w).collect();
+        assert_eq!(slaves, vec![0, 1], "two tiles, two empty slaves: {got:?}");
+        // With more tiles than slaves, the first slots still go first.
+        let dag = fan(5);
+        let mut m = source_done_on_0(&dag, 2, ScheduleMode::Dynamic);
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 2 * MS }]));
+        let slaves: Vec<usize> = got.iter().map(|(w, _)| *w).collect();
+        assert_eq!(&slaves[..2], &[0, 1], "{got:?}");
+        assert_eq!(m.held[0].len(), 2, "slave 0 queues a second tile");
+    }
+
+    /// A slave that has not announced itself yet holds back every second
+    /// slot: the tiles stay computable for it instead of queueing behind
+    /// the slaves that announced first.
+    #[test]
+    fn no_tile_queues_before_every_live_slave_announced() {
+        let dag = fan(4);
+        let src = source(&dag);
+        let mut m = machine(&dag, 2, ScheduleMode::Dynamic);
+        feed(&mut m, &dag, [MasterEvent::Idle { slave: 0 }]);
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: MS }]));
+        assert_eq!(got, vec![(0, src)]);
+        feed(
+            &mut m,
+            &dag,
+            [MasterEvent::Done {
+                slave: 0,
+                task: src,
+            }],
+        );
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 2 * MS }]));
+        assert_eq!(got.len(), 1, "slave 1 has not announced: {got:?}");
+        feed(&mut m, &dag, [MasterEvent::Idle { slave: 1 }]);
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 3 * MS }]));
+        assert_eq!(
+            got.first().map(|a| a.0),
+            Some(1),
+            "first slots first: {got:?}"
+        );
+        assert_eq!(m.held[0].len(), 2, "then slave 0 queues: {got:?}");
+        // A slave excluded before it announced holds nothing back.
+        let mut m = machine(&dag, 2, ScheduleMode::Dynamic);
+        let now = 400 * MS;
+        feed(
+            &mut m,
+            &dag,
+            [
+                MasterEvent::Idle { slave: 0 },
+                MasterEvent::Heard {
+                    slave: 0,
+                    at_ns: now,
+                },
+                MasterEvent::FtTick { now_ns: now },
+                MasterEvent::Tick { now_ns: now },
+                MasterEvent::Done {
+                    slave: 0,
+                    task: src,
+                },
+            ],
+        );
+        assert_eq!(m.alive(), &[true, false]);
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: now }]));
+        assert_eq!(got.len(), WINDOW as usize, "{got:?}");
+    }
+
+    /// However many tiles are computable and however many ticks run, a
+    /// slave holds at most `WINDOW`; a DONE frees exactly one slot.
+    #[test]
+    fn a_slave_never_holds_more_than_the_window() {
+        let dag = fan(6);
+        let mut m = source_done_on_0(&dag, 1, ScheduleMode::Dynamic);
+        let got = assigns(&feed(
+            &mut m,
+            &dag,
+            [
+                MasterEvent::Tick { now_ns: 2 * MS },
+                MasterEvent::Tick { now_ns: 3 * MS },
+                MasterEvent::Idle { slave: 0 },
+                MasterEvent::Tick { now_ns: 4 * MS },
+            ],
+        ));
+        assert_eq!(got.len(), WINDOW as usize, "{got:?}");
+        assert_eq!(m.held[0], got.iter().map(|(_, t)| *t).collect::<Vec<_>>());
+        let first = got[0].1;
+        feed(
+            &mut m,
+            &dag,
+            [MasterEvent::Done {
+                slave: 0,
+                task: first,
+            }],
+        );
+        let more = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 5 * MS }]));
+        assert_eq!(more.len(), 1, "one DONE, one slot: {more:?}");
+        assert_eq!(m.held[0].len(), WINDOW as usize);
+    }
+
+    /// The strip rule: a tile whose missing input an in-flight ASSIGN to
+    /// the slave already carries does not queue behind it (the strip
+    /// would cross twice); once the DONE proves the strip resident, it
+    /// does.
+    #[test]
+    fn the_strip_rule_refuses_a_tile_whose_missing_input_is_in_flight() {
+        let dag = fan(4);
+        let src = source(&dag);
+        let mut m = source_done_on_0(&dag, 2, ScheduleMode::Dynamic);
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 2 * MS }]));
+        // Slave 0 holds the source: no strip to carry, its second slot
+        // fills. Slave 1 lacks it, and its first ASSIGN carries it.
+        assert_eq!(m.held[0].len(), 2, "{got:?}");
+        assert_eq!(m.held[1].len(), 1, "{got:?}");
+        assert!(!m.resident(1, src));
+        assert!(
+            assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 3 * MS }])).is_empty(),
+            "the one computable tile would ship the source to slave 1 again"
+        );
+        let b = m.held[1][0];
+        feed(&mut m, &dag, [MasterEvent::Done { slave: 1, task: b }]);
+        assert!(m.resident(1, src));
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 4 * MS }]));
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].0, 1);
+    }
+
+    /// Static modes queue only tiles the slave owns: a second slot takes
+    /// neither a live owner's tile nor an orphan of a dead one. Orphans
+    /// fill first slots only.
+    #[test]
+    fn static_modes_queue_only_owned_tiles() {
+        for mode in [
+            ScheduleMode::ColumnWavefront,
+            ScheduleMode::BlockCyclic { block: 1 },
+        ] {
+            let dag = fan(5);
+            let owner = |t: u32| mode.static_owner(dag.vertex(VertexId(t)).pos, 6, 2);
+            let mut m = source_done_on_0(&dag, 2, mode);
+            let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 2 * MS }]));
+            assert!(!got.is_empty());
+            for (w, t) in &got {
+                assert_eq!(owner(*t), Some(*w as u32), "{mode:?}: {got:?}");
+            }
+            // Slave 1 goes silent and is excluded: its tiles are orphans.
+            let now = 400 * MS;
+            feed(
+                &mut m,
+                &dag,
+                [
+                    MasterEvent::Heard {
+                        slave: 0,
+                        at_ns: now,
+                    },
+                    MasterEvent::FtTick { now_ns: now },
+                ],
+            );
+            assert_eq!(m.alive(), &[true, false]);
+            // Slave 0 answers one tile: its freed slot is a second slot
+            // while the other stays held, so no orphan joins it.
+            let first = m.held[0][0];
+            feed(
+                &mut m,
+                &dag,
+                [MasterEvent::Done {
+                    slave: 0,
+                    task: first,
+                }],
+            );
+            let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: now }]));
+            for (w, t) in &got {
+                assert_eq!(
+                    owner(*t),
+                    Some(*w as u32),
+                    "{mode:?}: orphan queued {got:?}"
+                );
+            }
+            // Emptied, slave 0 adopts an orphan in its first slot.
+            for t in m.held[0].clone() {
+                feed(&mut m, &dag, [MasterEvent::Done { slave: 0, task: t }]);
+            }
+            let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: now }]));
+            assert!(
+                got.first()
+                    .is_some_and(|(w, t)| *w == 0 && owner(*t) == Some(1)),
+                "{mode:?}: first slot adopts an orphan: {got:?}"
+            );
+        }
+    }
+
+    /// A dead link gives back the whole window at once, whichever way
+    /// the master learns of it: the held tiles are computable again, not
+    /// waiting out the task timeout.
+    #[test]
+    fn an_unreachable_slave_gives_back_every_tile_it_holds() {
+        let dag = fan(5);
+        let setup = || {
+            let mut m = source_done_on_0(&dag, 2, ScheduleMode::Dynamic);
+            feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 2 * MS }]);
+            let held = m.held[0].clone();
+            assert_eq!(held.len(), 2);
+            (m, held[0], held[1])
+        };
+        let (mut m, a, c) = setup();
+        let acts = feed(
+            &mut m,
+            &dag,
+            [MasterEvent::AssignRejected { slave: 0, task: c }],
+        );
+        assert_eq!(
+            acts,
+            vec![
+                MasterAction::Redispatch { task: a },
+                MasterAction::Exclude { slave: 0 }
+            ]
+        );
+        let (mut m2, a2, c2) = setup();
+        let acts = feed(
+            &mut m2,
+            &dag,
+            [MasterEvent::SendFailed {
+                slave: 0,
+                assign_task: Some(c2),
+                reason: SendFailKind::Unreachable,
+                now_ns: 3 * MS,
+            }],
+        );
+        assert_eq!(
+            acts,
+            vec![
+                MasterAction::CancelAssign { task: c2 },
+                MasterAction::Redispatch { task: a2 },
+                MasterAction::Exclude { slave: 0 }
+            ]
+        );
+        for (m, tiles) in [(&mut m, [a, c]), (&mut m2, [a2, c2])] {
+            assert!(m.held[0].is_empty());
+            // Both are computable again: slave 1 finishes its tile, then
+            // takes them.
+            let b = m.held[1][0];
+            feed(m, &dag, [MasterEvent::Done { slave: 1, task: b }]);
+            let c = m.counters();
+            assert_eq!(
+                c.dispatched,
+                (c.completed - c.resumed) + c.redispatched,
+                "{c:?}"
+            );
+            let got = assigns(&feed(m, &dag, [MasterEvent::Tick { now_ns: 4 * MS }]));
+            assert!(tiles.iter().all(|t| got.contains(&(1, *t))), "{got:?}");
+        }
+    }
+
+    /// A slow slave's overdue tile is redistributed but keeps its slot
+    /// until the stale DONE arrives: the slave is still computing it.
+    #[test]
+    fn an_overdue_tile_keeps_its_slot_until_its_stale_done() {
+        let dag = fan(3);
+        let mut m = source_done_on_0(&dag, 1, ScheduleMode::Dynamic);
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 2 * MS }]));
+        assert_eq!(got.len(), 2);
+        let late = 31_000 * MS;
+        let acts = feed(
+            &mut m,
+            &dag,
+            [
+                MasterEvent::Heard {
+                    slave: 0,
+                    at_ns: late,
+                },
+                MasterEvent::FtTick { now_ns: late },
+            ],
+        );
+        assert_eq!(acts.len(), 2, "both overdue: {acts:?}");
+        let full = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: late }]));
+        assert!(full.is_empty(), "both slots still held: {full:?}");
+        let acts = feed(
+            &mut m,
+            &dag,
+            [MasterEvent::Done {
+                slave: 0,
+                task: got[0].1,
+            }],
+        );
+        assert_eq!(
+            acts,
+            vec![MasterAction::Stale {
+                slave: 0,
+                task: got[0].1
+            }]
+        );
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: late }]));
+        assert_eq!(got.len(), 1, "one stale DONE frees one slot: {got:?}");
     }
 }

@@ -38,12 +38,12 @@ mod pool;
 mod register;
 
 pub use explore::{explore, explore_membership, ExploreConfig, ExploreOutcome, MembershipOp};
-pub use master::{MasterAction, MasterEvent, MasterSched, SchedCounters, SendFailKind};
+pub use master::{MasterAction, MasterEvent, MasterSched, SchedCounters, SendFailKind, WINDOW};
 pub use params::SchedParams;
 pub use pool::{replay_pool, PoolAction, PoolEvent, PoolLog, PoolSched};
 pub use register::RegisterTable;
 
-use crate::{DagParser, ScheduleMode, TaskDag, VertexId};
+use crate::{DagParser, VertexId};
 use std::fmt;
 
 /// A scheduler state-machine invariant was violated by an event.
@@ -80,36 +80,32 @@ impl fmt::Display for SchedViolation {
 
 impl std::error::Error for SchedViolation {}
 
-/// Pick the next computable task for `executor` under `mode` — the one
-/// placement decision shared by both machines (master dispatch and slave
-/// pool), and through them by every driver.
+/// Pick the next computable task for `executor` — the one placement
+/// decision shared by both machines (master dispatch and slave pool), and
+/// through them by every driver.
 ///
-/// Dynamic mode pops the top of the computable stack. Static modes pop
-/// the first computable task owned by `executor`; when `orphaned` is
-/// given (process level, where executors can die), a task whose static
-/// owner satisfies the predicate falls back to dynamic placement — a
-/// statically-owned task of a dead executor would otherwise never be
-/// dispatchable (the livelock `easyhps stress` found in PR 4, and the
-/// runtime↔sim divergence this module's extraction flushed out of the
-/// cluster DES).
+/// `owner` is the task's static owner under the run's
+/// [`ScheduleMode`](crate::ScheduleMode)
+/// (`None` in dynamic mode: anyone may take it). The pick is the top of
+/// the computable stack among the tasks `executor` owns that `admit`
+/// lets through. When `orphaned` is given (process level, where executors
+/// can die), a task whose static owner satisfies the predicate falls back
+/// to dynamic placement — a statically-owned task of a dead executor
+/// would otherwise never be dispatchable (the livelock `easyhps stress`
+/// found in PR 4, and the runtime↔sim divergence this module's extraction
+/// flushed out of the cluster DES).
 pub(crate) fn pick_task(
     parser: &mut DagParser,
-    dag: &TaskDag,
-    mode: ScheduleMode,
-    tile_cols: u32,
-    executors: u32,
+    owner: impl Fn(VertexId) -> Option<u32>,
     executor: u32,
+    admit: impl Fn(VertexId) -> bool,
     orphaned: Option<&dyn Fn(u32) -> bool>,
 ) -> Option<VertexId> {
-    if mode == ScheduleMode::Dynamic {
-        return parser.pop_computable();
-    }
-    let owner = |v: VertexId| mode.static_owner(dag.vertex(v).pos, tile_cols, executors);
     parser
-        .pop_computable_matching(|v| owner(v) == Some(executor))
+        .pop_computable_matching(|v| admit(v) && owner(v).is_none_or(|o| o == executor))
         .or_else(|| {
             let dead = orphaned?;
-            parser.pop_computable_matching(|v| owner(v).is_some_and(dead))
+            parser.pop_computable_matching(|v| admit(v) && owner(v).is_some_and(dead))
         })
 }
 
@@ -117,13 +113,13 @@ pub(crate) fn pick_task(
 mod tests {
     use super::*;
     use crate::patterns::Wavefront2D;
-    use crate::GridDims;
+    use crate::{GridDims, ScheduleMode, TaskDag};
 
     #[test]
     fn pick_dynamic_ignores_ownership() {
         let dag = TaskDag::from_pattern(&Wavefront2D::new(GridDims::new(2, 2)));
         let mut parser = DagParser::new(&dag);
-        let v = pick_task(&mut parser, &dag, ScheduleMode::Dynamic, 2, 2, 1, None);
+        let v = pick_task(&mut parser, |_| None, 1, |_| true, None);
         assert!(v.is_some());
     }
 
@@ -134,15 +130,9 @@ mod tests {
         // picks nothing even though (0,0) is computable.
         let dag = TaskDag::from_pattern(&Wavefront2D::new(GridDims::new(2, 2)));
         let mut parser = DagParser::new(&dag);
-        let v = pick_task(
-            &mut parser,
-            &dag,
-            ScheduleMode::ColumnWavefront,
-            2,
-            2,
-            1,
-            None,
-        );
+        let owner =
+            |v: VertexId| ScheduleMode::ColumnWavefront.static_owner(dag.vertex(v).pos, 2, 2);
+        let v = pick_task(&mut parser, owner, 1, |_| true, None);
         assert_eq!(v, None, "static executor must idle, not steal");
     }
 
@@ -151,15 +141,9 @@ mod tests {
         let dag = TaskDag::from_pattern(&Wavefront2D::new(GridDims::new(2, 2)));
         let mut parser = DagParser::new(&dag);
         let dead = |o: u32| o == 0;
-        let v = pick_task(
-            &mut parser,
-            &dag,
-            ScheduleMode::ColumnWavefront,
-            2,
-            2,
-            1,
-            Some(&dead),
-        );
+        let owner =
+            |v: VertexId| ScheduleMode::ColumnWavefront.static_owner(dag.vertex(v).pos, 2, 2);
+        let v = pick_task(&mut parser, owner, 1, |_| true, Some(&dead));
         let v = v.expect("orphaned task of the dead owner is adoptable");
         assert_eq!(dag.vertex(v).pos.col, 0, "adopted the dead owner's tile");
     }

@@ -134,15 +134,11 @@ impl PoolSched {
             if !self.idle[w] {
                 continue;
             }
-            let picked = pick_task(
-                &mut self.parser,
-                dag,
-                self.mode,
-                self.tile_cols,
-                workers as u32,
-                w as u32,
-                None,
-            );
+            let owner = |v: VertexId| {
+                self.mode
+                    .static_owner(dag.vertex(v).pos, self.tile_cols, workers as u32)
+            };
+            let picked = pick_task(&mut self.parser, owner, w as u32, |_| true, None);
             if let Some(v) = picked {
                 self.idle[w] = false;
                 out.push(PoolAction::Run {

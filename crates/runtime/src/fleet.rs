@@ -51,8 +51,6 @@ pub struct JobOptions {
     /// Durable checkpoint policy for this job (it says whether the job
     /// resumes from its directory).
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Stop after this many tile completions.
-    pub tile_budget: Option<u64>,
 }
 
 enum FleetSlaves {
@@ -361,14 +359,7 @@ impl Fleet {
         deployment.checkpoint = opts.checkpoint;
         let model = spec.model();
         let out = with_problem!(&spec.problem, p => {
-            run_master(
-                ep,
-                &p,
-                &model,
-                &deployment,
-                opts.tile_budget,
-                Some(&self.control),
-            )
+            run_master(ep, &p, &model, &deployment, None, Some(&self.control))
         });
         // Clear before propagating any error: a stale payload would ship
         // yesterday's job to tomorrow's joiners.

@@ -35,6 +35,12 @@
 //! `data_deps` strip [`MasterSched::resident`] says the slave holds. A
 //! tile crosses to each slave at most once.
 //!
+//! A slave holds up to [`WINDOW`](easyhps_core::sched::WINDOW) tiles: the
+//! ASSIGN of its next tile waits, unread, in its endpoint while it
+//! computes the current one. The master-observed span of a queued tile
+//! therefore starts when the slave's previous DONE is answered, not when
+//! its ASSIGN was sent, so the spans of one slot never overlap.
+//!
 //! One deviation from the paper's thread layout: instead of one blocking
 //! worker thread per slave node sharing the MPI context, the master
 //! multiplexes all slaves on its single endpoint and keeps a worker *slot*
@@ -134,9 +140,9 @@ pub struct MasterOutput<C: Cell> {
     pub slave_stats: Vec<Option<SlaveStatsMsg>>,
     /// Wall-clock duration.
     pub elapsed: Duration,
-    /// Master-observed schedule: one span per tile execution
-    /// (assign-sent to completion-accepted), lane per slave. Render with
-    /// [`Trace::gantt`].
+    /// Master-observed schedule: one span per tile execution (assign-sent,
+    /// or the slave's previous DONE answered when later, to
+    /// completion-accepted), lane per slave. Render with [`Trace::gantt`].
     pub trace: Trace,
 }
 
@@ -227,6 +233,7 @@ fn start_shell<'a, C: Cell>(
         mm: MasterMetrics::register(&registry_of(obs)),
         lanes: [lane_of(obs, 0, 0), lane_of(obs, 0, TID_FT)],
         slot_lanes: (0..n).map(|w| slot_lane(obs, w)).collect(),
+        answered: vec![(t0, 0); n],
         cur_epoch: vec![acceptor.map_or(0, FleetAcceptor::epoch); n],
         started: vec![None; dag.len()],
         inflight: HashMap::new(),
@@ -310,9 +317,13 @@ struct Shell<'a, C: Cell> {
     mm: MasterMetrics,
     /// Scheduler instants, and the FT sweep's on their own lane (`TID_FT`).
     lanes: [LaneBuf; 2],
-    /// One event lane per slave slot: tile spans from assign-sent to
-    /// completion-accepted, as the master observed them.
+    /// One event lane per slave slot: tile spans from assign-sent (or the
+    /// previous DONE answered) to completion-accepted, as the master
+    /// observed them.
     slot_lanes: Vec<LaneBuf>,
+    /// When each slot's last DONE was answered (wall clock, recorder
+    /// timestamp): a tile queued behind it starts no earlier.
+    answered: Vec<(Instant, u64)>,
     /// Epoch each slot's ASSIGNs are stamped with; its length is the fleet
     /// size. The slave echoes the stamp blindly, so any init consistent
     /// with the fencing check is correct — the acceptor's global epoch at
@@ -488,22 +499,27 @@ impl<C: Cell> Shell<'_, C> {
                     }
                 }
                 MasterAction::Accept { slave: w, task } => {
-                    if let Some((start, start_ns)) = self.started[task as usize].take() {
-                        let (from, to) = (self.ns(start), self.ns(Instant::now()));
+                    let now = (Instant::now(), self.slot_lanes[w].now_ns());
+                    if let Some((sent, sent_ns)) = self.started[task as usize].take() {
+                        let (free, free_ns) = self.answered[w];
+                        let (from, to) = (self.ns(sent.max(free)), self.ns(now.0));
                         self.trace.record(format!("slave{w}"), "#", from, to);
                         self.mm.tile_latency.observe(to - from);
                         let arg = Some(("task", u64::from(task)));
-                        self.slot_lanes[w].span_since("tile", "master", start_ns, arg);
+                        self.slot_lanes[w].span_since("tile", "master", sent_ns.max(free_ns), arg);
                     }
+                    self.answered[w] = now;
                     self.matrix.decode_region(self.region_of(task), output);
                     self.completed.push(VertexId(task));
                 }
-                MasterAction::Stale { .. } => {}
-                // Taken back by the overdue sweep, or from a replaced
-                // incarnation at its rejoin.
+                MasterAction::Stale { slave: w, .. } => {
+                    self.answered[w] = (Instant::now(), self.slot_lanes[w].now_ns());
+                }
+                // Taken back by the overdue sweep, or given back by a slave
+                // whose link is gone or that was replaced by a rejoin.
                 MasterAction::Redispatch { task } => {
                     let (name, cat) =
-                        [("rejoin-redispatch", "fleet"), ("redispatch", "ft")][usize::from(ft)];
+                        [("give-back", "fleet"), ("redispatch", "ft")][usize::from(ft)];
                     self.instant(ft, name, cat, ("task", u64::from(task)));
                 }
                 MasterAction::CancelAssign { task } => self.started[task as usize] = None,
@@ -613,6 +629,7 @@ impl<C: Cell> Shell<'_, C> {
             // per-slot structure before the machine.
             for i in self.n_slaves()..=w {
                 self.slot_lanes.push(slot_lane(&self.config.obs, i));
+                self.answered.push((self.t0, 0));
                 self.cur_epoch.push(epoch);
             }
             self.rep.ensure_ranks(w + 2);

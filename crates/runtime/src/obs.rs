@@ -88,7 +88,8 @@ pub(crate) struct MasterMetrics {
     pub restored: Arc<Counter>,
     /// Bytes appended to the durable checkpoint store.
     pub checkpoint_bytes: Arc<Counter>,
-    /// Dispatch-to-completion latency per tile, nanoseconds.
+    /// Dispatch-to-completion latency per tile, nanoseconds; a tile queued
+    /// behind another on its slave is timed from the slave's previous DONE.
     pub tile_latency: Arc<Histogram>,
     /// Wall-clock cost of each durable checkpoint flush, microseconds.
     pub checkpoint_write_us: Arc<Histogram>,

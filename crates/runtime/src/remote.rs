@@ -671,8 +671,6 @@ pub struct RemoteMasterOptions {
     pub socket: SocketConfig,
     /// Fault plan for the master's own endpoint (drills).
     pub fault: Option<easyhps_net::FaultPlan>,
-    /// Stop after this many tile completions.
-    pub tile_budget: Option<u64>,
     /// Observability wiring (metrics registry, event recorder).
     pub obs: ObsConfig,
     /// Durable checkpoint policy (it says whether the run resumes from
@@ -718,7 +716,6 @@ pub fn run_remote_master(
         crate::fleet::JobOptions {
             obs: opts.obs.clone(),
             checkpoint: opts.checkpoint,
-            tile_budget: opts.tile_budget,
         },
     )?;
     fleet.shutdown();

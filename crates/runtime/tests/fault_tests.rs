@@ -457,12 +457,12 @@ fn stats_from_excluded_slave_do_not_satisfy_a_live_slaves_slot() {
 
 #[test]
 fn budget_stop_drains_in_flight_completions_into_the_checkpoint() {
-    // Two slaves each take one of Nussinov's initially computable
-    // diagonal tiles; the budget is 1. The first DONE reaches the budget;
-    // the second arrives during teardown and must land in the matrix and
-    // the checkpoint directory's final flush instead of being discarded
-    // (pre-fix: the directory held 1 tile and the other was recomputed on
-    // resume).
+    // Two slaves each take a window of Nussinov's four initially
+    // computable diagonal tiles; the budget is 1. The first DONE reaches
+    // the budget; the other three arrive during teardown and must land in
+    // the matrix and the checkpoint directory's final flush instead of
+    // being discarded (pre-fix: the directory held 1 tile and the others
+    // were recomputed on resume).
     let problem = Nussinov::new(random_sequence(Alphabet::Rna, 40, 150));
     let model = easyhps_core::DagDataDrivenModel::builder(problem.pattern())
         .process_partition_size(easyhps_core::GridDims::square(10))
@@ -523,21 +523,22 @@ fn budget_stop_drains_in_flight_completions_into_the_checkpoint() {
         run_master(master_ep, &problem, &model, &config, Some(1), None).unwrap()
     });
 
+    let windows = 2 * u64::from(easyhps_core::sched::WINDOW);
     assert_eq!(
-        out.stats.dispatched, 2,
-        "both diagonal tiles dispatched before the budget hit; none after"
+        out.stats.dispatched, windows,
+        "all four diagonal tiles dispatched before the budget hit; none after"
     );
     assert_eq!(
-        out.stats.completed, 2,
-        "the in-flight completion was accepted during teardown"
+        out.stats.completed, windows,
+        "the in-flight completions were accepted during teardown"
     );
     let cp = Checkpoint::load_dir(&dir)
         .unwrap()
         .expect("the final flush wrote");
     assert_eq!(
-        cp.finished_len(),
-        2,
-        "teardown-drained DONE is in the checkpoint, not recomputed later"
+        cp.finished_len() as u64,
+        windows,
+        "teardown-drained DONEs are in the checkpoint, not recomputed later"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

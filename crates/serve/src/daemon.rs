@@ -775,7 +775,6 @@ fn run_fleet_job(
                 recorder: None,
             },
             checkpoint,
-            tile_budget: None,
         },
     )?;
     inner.republish(d.id, &d.tenant, &job_reg.snapshot());

@@ -7,7 +7,9 @@
 //! assignment and completion processing (one scheduling thread), strips and
 //! results pay latency + bandwidth, and a node's tile time is the makespan
 //! of a nested thread-pool simulation over the slave DAG — the same
-//! two-level structure as the real system, priced by [`CostModel`].
+//! two-level structure as the real system, priced by [`CostModel`]. A node
+//! runs its tiles one at a time in the order their ASSIGNs arrive: one the
+//! machine queued behind another (its window) waits for the node.
 
 use crate::cost::CostModel;
 use crate::pool_sim::{simulate_pool, PoolOutcome};
@@ -123,7 +125,7 @@ impl SimResult {
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum Ev {
-    /// Assignment arrives at a node.
+    /// Assignment arrives at a node (and waits for it to be free).
     Assign { node: usize, task: u32 },
     /// Result arrives back at the master.
     Done { node: usize, task: u32 },
@@ -167,6 +169,8 @@ fn simulate_impl(
     let mut events: BinaryHeap<Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
     let mut seq = 0u64;
     let mut master_free_at = 0u64;
+    // When each node is done with the tiles it already has.
+    let mut node_free_at = vec![0u64; nodes];
     let mut res = SimResult {
         node_busy_ns: vec![0; nodes],
         ..SimResult::default()
@@ -294,9 +298,12 @@ fn simulate_impl(
             match ev {
                 Ev::Assign { node, task } => {
                     let outcome = slave_outcome(task, node);
+                    let start = t.max(node_free_at[node]);
+                    let end = start + outcome.makespan_ns;
+                    node_free_at[node] = end;
                     // A node that crashes before the result leaves it
                     // never answers; the overdue sweep takes the tile back.
-                    if !up(node, t + outcome.makespan_ns) {
+                    if !up(node, end) {
                         continue;
                     }
                     if let Some(tr) = trace.as_deref_mut() {
@@ -304,8 +311,8 @@ fn simulate_impl(
                         tr.record(
                             format!("node{node}"),
                             format!("{}", (b'A' + (pos.diagonal() % 26) as u8) as char),
-                            t,
-                            t + outcome.makespan_ns,
+                            start,
+                            end,
                         );
                     }
                     res.compute_ns += outcome.busy_ns;
@@ -314,7 +321,7 @@ fn simulate_impl(
                     let result_bytes = region.area() * workload.cell_bytes + 24;
                     res.bytes_moved += result_bytes;
                     res.msgs += 1;
-                    let done_at = t + outcome.makespan_ns + config.cost.transfer_ns(result_bytes);
+                    let done_at = end + config.cost.transfer_ns(result_bytes);
                     events.push(Reverse((done_at, seq, Ev::Done { node, task })));
                     seq += 1;
                 }
@@ -635,9 +642,17 @@ mod replay_tests {
         let w = SimWorkload::swgg(400, 50, 10);
         let dag = w.model.master_dag();
         for mode in [ScheduleMode::Dynamic, ScheduleMode::ColumnWavefront] {
-            for crash in [None, Some(5_000_000)] {
-                let mut cfg = SimConfig::uniform(3, 4);
-                cfg.process_mode = mode;
+            let mut healthy = SimConfig::uniform(3, 4);
+            healthy.process_mode = mode;
+            // Node 1 crashes halfway through its middle tile of the
+            // healthy run: a crash after its last tile, or between two,
+            // loses nothing.
+            let (_, trace) = simulate_traced(&w, &healthy);
+            let spans: Vec<_> = trace.spans.iter().filter(|s| s.lane == "node1").collect();
+            let tile = spans[spans.len() / 2];
+            let mid_tile = (tile.start_ns + tile.end_ns) / 2;
+            for crash in [None, Some(mid_tile)] {
+                let mut cfg = healthy.clone();
                 cfg.task_timeout_ns = 20_000_000;
                 if let Some(at) = crash {
                     cfg = cfg.fail_node(1, at);

@@ -15,6 +15,7 @@
 //!               [--pps N] [--tps N] [--slaves N] [--mode dynamic|bcw|cw]
 //!               [--depth N] [--max-schedules N] [--reorder-window N]
 //!               [--rejoin SLAVE@AFTER]... [--drain SLAVE@AFTER]...
+//!               [--sever SLAVE@AFTER]...
 //! easyhps stress [--seed N | --seeds N [--start N]] [--kill-master]
 //!               [--mode dynamic|bcw|cw] [--slaves N] [--transport inproc|tcp|uds]
 //!               [--workload editdist|swgg|nussinov|nw|lcs] [--clauses i,j|none]
@@ -876,7 +877,8 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
     // fires the op once AFTER delivered frames. The explorer then
     // enumerates delivery orders around the membership change, modelling
     // a rejoined slave's undelivered DONEs as stale-epoch zombies, and
-    // fails any order in which the machine accepts one.
+    // fails any order in which the machine accepts one. A severed link
+    // loses its DONEs; the run must still finish on the survivors.
     let parse_op = |spec: &str, what: &str| -> Result<(usize, usize), String> {
         let (s, a) = spec
             .split_once('@')
@@ -896,6 +898,10 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
     for spec in args.get_all("drain") {
         let (slave, after) = parse_op(spec, "drain")?;
         script.push(MembershipOp::Drain { slave, after });
+    }
+    for spec in args.get_all("sever") {
+        let (slave, after) = parse_op(spec, "sever")?;
+        script.push(MembershipOp::Sever { slave, after });
     }
 
     let t0 = std::time::Instant::now();
