@@ -42,7 +42,7 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// incompatible change to the header, a handshake or a message codec.
 /// Master, slave, daemon and client ship in one binary, so there is no
 /// cross-version compatibility.
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 /// Hello magic of the rank protocol (master ↔ slave): `"EHPS"`.
 pub const RANK_MAGIC: u32 = u32::from_le_bytes(*b"EHPS");
 /// Hello magic of the serve daemon's client protocol: `"EHPC"`.

@@ -20,10 +20,14 @@
 //! slave loop on threads over channel links — the serve daemon's default
 //! fleet when no `--fleet-listen` address is given.
 //!
-//! Fault injection composes with the one-shot path only: a fault plan
-//! replays from its first clause on every forked endpoint, and a job
-//! that dies mid-run can leave slaves executing stale work, so a fleet
-//! that will run more than one job must not inject faults.
+//! A job begins when its JOB frame is sent and ends with END, also when
+//! its master fails: [`Fleet::run_job`] then ENDs the job itself and
+//! collects one STATS per rank, so the next job starts on links that hold
+//! no frame of this one. Nothing else marks the boundary. A fleet link
+//! carries no fault plan, so it delivers every frame in order or fails
+//! for good, and a frame of job N that job N+1's master reads arrives
+//! before that slave's IDLE: a DONE then finds no registered tile and is
+//! counted stale, a STATS arrives outside the teardown and is ignored.
 
 use crate::config::{ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
@@ -68,7 +72,6 @@ enum FleetSlaves {
 pub struct Fleet {
     root: Endpoint,
     n_slaves: usize,
-    fault: Option<FaultPlan>,
     slaves: FleetSlaves,
     /// Shared with every job's master: drain requests flow in, released
     /// ranks flow out, and the elastic acceptor (if any) rides along.
@@ -103,15 +106,9 @@ pub(crate) fn accept_slaves(
 
 impl Fleet {
     /// Accept `n_slaves` socket connections on an already-bound listener
-    /// and perform the rank handshake. `fault` configures the master's
-    /// fault injection for drills — see the module docs for why a faulty
-    /// fleet must stay single-job.
-    pub fn accept(
-        listener: SocketListener,
-        n_slaves: usize,
-        fault: Option<FaultPlan>,
-    ) -> Result<Fleet, RuntimeError> {
-        Self::remote(listener, n_slaves, fault, false)
+    /// and perform the rank handshake.
+    pub fn accept(listener: SocketListener, n_slaves: usize) -> Result<Fleet, RuntimeError> {
+        Self::remote(listener, n_slaves, false)
     }
 
     /// [`Fleet::accept`] with *elastic* membership: the listener stays
@@ -124,7 +121,7 @@ impl Fleet {
         listener: SocketListener,
         n_slaves: usize,
     ) -> Result<Fleet, RuntimeError> {
-        Self::remote(listener, n_slaves, None, true)
+        Self::remote(listener, n_slaves, true)
     }
 
     /// Let an unreachable slave rejoin for up to `window` before the
@@ -137,7 +134,6 @@ impl Fleet {
     fn remote(
         listener: SocketListener,
         n_slaves: usize,
-        fault: Option<FaultPlan>,
         elastic: bool,
     ) -> Result<Fleet, RuntimeError> {
         if n_slaves == 0 {
@@ -147,7 +143,6 @@ impl Fleet {
         Ok(Fleet {
             root,
             n_slaves,
-            fault,
             slaves: FleetSlaves::Remote(info),
             control,
             retired: vec![false; n_slaves + 1],
@@ -169,14 +164,13 @@ impl Fleet {
             .map(|(i, ep)| {
                 std::thread::Builder::new()
                     .name(format!("fleet-slave-{}", i + 1))
-                    .spawn(move || slave_job_loop(ep, threads, None))
+                    .spawn(move || slave_job_loop(ep, threads))
                     .expect("spawn fleet slave")
             })
             .collect();
         Ok(Fleet {
             root,
             n_slaves,
-            fault: None,
             slaves: FleetSlaves::Local(handles),
             control: FleetControl::new(None),
             retired: vec![false; n_slaves + 1],
@@ -261,68 +255,6 @@ impl Fleet {
         }
     }
 
-    /// Job-boundary barrier: consume one READY per slave before the
-    /// next JOB ships. A slave announces READY when it enters its idle
-    /// loop (on connect and after each finished job); until then its
-    /// previous job's reliable teardown may still be lingering, and the
-    /// linger ACKs-and-discards unexpected frames — a JOB sent early
-    /// would be silently lost. Stray heartbeats and late ACKs queued
-    /// between jobs are discarded along the way.
-    fn await_ready(&mut self) -> Result<Vec<u32>, RuntimeError> {
-        // Backstop for a READY that never comes from a live link.
-        const READY_TIMEOUT: Duration = Duration::from_secs(60);
-        // Cadence of the dead-link probe below; a READY ends the wait early.
-        const PROBE_EVERY: Duration = Duration::from_millis(200);
-        let deadline = Instant::now() + READY_TIMEOUT;
-        let mut pending: BTreeSet<u32> = self.expected_ranks().into_iter().collect();
-        // READYs the last job's teardown received on our behalf.
-        let mut ready: Vec<u32> = std::mem::take(&mut *self.control.ready.lock().unwrap());
-        ready.retain(|r| pending.remove(r));
-        let mut last_probe = Instant::now();
-        while !pending.is_empty() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "timed out waiting for {} slave(s) to finish their previous job",
-                    pending.len()
-                )));
-            }
-            let until_probe = (last_probe + PROBE_EVERY).saturating_duration_since(Instant::now());
-            match self.root.recv_timeout(left.min(until_probe)) {
-                Ok(env) if env.tag == tags::READY => {
-                    let r = env.src.0;
-                    if pending.remove(&r) {
-                        ready.push(r);
-                    }
-                }
-                Ok(_) => {} // stray heartbeat / late ACK between jobs
-                Err(easyhps_net::NetError::Timeout) => {}
-                Err(e) => return Err(e.into()),
-            }
-            // A slave that died between jobs is a *membership change*,
-            // not a reason to burn the whole readiness deadline: probe
-            // the silent ranks and retire any whose link is already
-            // gone. (An elastic fleet's slave may come back: it rejoins
-            // and is shipped the job by the acceptor.)
-            if last_probe.elapsed() >= PROBE_EVERY && !pending.is_empty() {
-                last_probe = Instant::now();
-                let root = &mut self.root;
-                let retired = &mut self.retired;
-                pending.retain(|r| {
-                    if root.send(Rank(*r), tags::HEARTBEAT, Bytes::new()).is_err() {
-                        if let Some(f) = retired.get_mut(*r as usize) {
-                            *f = true;
-                        }
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-        }
-        Ok(ready)
-    }
-
     /// Ship `spec` to every slave and run the master loop over a per-job
     /// fork of the fleet's endpoint. The connections stay open when the
     /// job finishes, ready for the next call.
@@ -332,41 +264,51 @@ impl Fleet {
         opts: JobOptions,
     ) -> Result<RemoteOutput, RuntimeError> {
         self.sync_membership();
-        let ready = self.await_ready()?;
-        if ready.is_empty() {
-            return Err(RuntimeError::NoSlaves);
-        }
-        let mut ep = self.root.fork(self.fault.clone());
+        let members = self.expected_ranks();
         let payload = Bytes::from(spec.encode());
         // Mid-run joiners (and re-incarnated slaves) must learn the job
         // too: the acceptor ships this to everyone it admits from now on.
         if let Some(acc) = &self.control.acceptor {
             acc.set_join_payload(tags::JOB, &payload);
         }
-        for &r in &ready {
-            // A link that died since the readiness barrier (its READY may
-            // have been queued before the slave went) fails here: the
-            // same evidence the barrier's probe retires a rank on. The
-            // master's send-failure path excludes the slot for this job.
-            if ep.send(Rank(r), tags::JOB, payload.clone()).is_err() {
-                if let Some(f) = self.retired.get_mut(r as usize) {
-                    *f = true;
-                }
+        let mut ep = self.root.fork(None);
+        // A link that died since the last job fails here, and the rank is
+        // retired. The master's send-failure path excludes the slot for
+        // this job.
+        let mut shipped = Vec::with_capacity(members.len());
+        for r in members {
+            if ep.send(Rank(r), tags::JOB, payload.clone()).is_ok() {
+                shipped.push(r);
+            } else if let Some(f) = self.retired.get_mut(r as usize) {
+                *f = true;
             }
         }
         let mut deployment = spec.deployment(self.n_slaves, None);
         deployment.obs = opts.obs.clone();
         deployment.checkpoint = opts.checkpoint;
         let model = spec.model();
-        let out = with_problem!(&spec.problem, p => {
-            run_master(ep, &p, &model, &deployment, None, Some(&self.control))
-        });
+        let out = if shipped.is_empty() {
+            Err(RuntimeError::NoSlaves)
+        } else {
+            with_problem!(&spec.problem, p => {
+                run_master(ep, &p, &model, &deployment, None, Some(&self.control))
+            })
+        };
         // Clear before propagating any error: a stale payload would ship
         // yesterday's job to tomorrow's joiners.
         if let Some(acc) = &self.control.acceptor {
             acc.clear_join_payload();
         }
-        let out = out?;
+        let out = match out {
+            Ok(out) => out,
+            Err(e) => {
+                let grace = deployment
+                    .sched_params()
+                    .drain_deadline(deployment.retry.drain_budget());
+                self.end_failed_job(&shipped, grace);
+                return Err(e);
+            }
+        };
         if let (Some(reg), Some(info)) = (&opts.obs.metrics, self.socket_info()) {
             publish_socket_stats(reg, info);
         }
@@ -380,6 +322,45 @@ impl Fleet {
             },
             socket: self.socket_info().cloned(),
         })
+    }
+
+    /// End the job of a master that failed: send END to every rank that
+    /// may hold the job (`shipped`, and an elastic fleet's joiners) and
+    /// read the root endpoint until each has answered with STATS or
+    /// `grace` has passed. A rank whose END fails is retired; one that
+    /// does not answer is released, as a drain would.
+    fn end_failed_job(&mut self, shipped: &[u32], grace: Duration) {
+        let ranks: BTreeSet<u32> = shipped
+            .iter()
+            .copied()
+            .chain(self.expected_ranks())
+            .collect();
+        let mut owed = BTreeSet::new();
+        for r in ranks {
+            if self.root.send(Rank(r), tags::END, Bytes::new()).is_ok() {
+                owed.insert(r);
+            } else if let Some(f) = self.retired.get_mut(r as usize) {
+                *f = true;
+            }
+        }
+        let deadline = Instant::now() + grace;
+        while !owed.is_empty() {
+            match self
+                .root
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            {
+                Ok(env) if env.tag == tags::STATS => {
+                    owed.remove(&env.src.0);
+                }
+                // The failed job's DONEs and heartbeats.
+                Ok(_) => {}
+                Err(_) => break,
+            }
+        }
+        // Retired at the next job boundary, like a drained rank.
+        for r in owed {
+            self.control.release(r);
+        }
     }
 
     /// Send SHUTDOWN to every slave and tear the fleet down. Local slave
@@ -396,12 +377,12 @@ impl Fleet {
         for r in 1..=n_slaves as u32 {
             let _ = root.send(Rank(r), tags::SHUTDOWN, Bytes::new());
         }
-        // Drop the root *before* joining: a slave that was still mid-
-        // teardown when SHUTDOWN flew past it (discarded by its linger)
-        // only notices the fleet is gone when its next READY/heartbeat
-        // send fails — which requires the master side of the links to
-        // actually close. Socket writers flush queued frames (the
-        // SHUTDOWN) before closing.
+        // Drop the root *before* joining: a slave still inside a job
+        // whose END never reached it ignores SHUTDOWN, and only notices
+        // the fleet is gone when its next heartbeat send fails — which
+        // requires the master side of the links to actually close.
+        // Socket writers flush queued frames (the SHUTDOWN) before
+        // closing.
         drop(root);
         // The elastic acceptor holds a clone of the link table: it must
         // go too (stopping the accept thread) or the socket writers would
@@ -482,9 +463,8 @@ mod tests {
     }
 
     /// Regression: a slave that dies *between* jobs is a membership
-    /// change, not a 60-second readiness stall. The barrier probes the
-    /// silent rank, finds the link gone, retires it, and the next job
-    /// completes promptly on the survivor.
+    /// change, not a stall. The JOB send to the dead rank fails, the rank
+    /// is retired, and the next job completes promptly on the survivor.
     #[test]
     fn slave_death_between_jobs_is_a_membership_change() {
         let mut eps = Network::new(3);
@@ -494,13 +474,12 @@ mod tests {
             .into_iter()
             .map(|ep| {
                 kills.push(ep.kill_handle());
-                std::thread::spawn(move || slave_job_loop(ep, None, None))
+                std::thread::spawn(move || slave_job_loop(ep, None))
             })
             .collect();
         let mut fleet = Fleet {
             root,
             n_slaves: 2,
-            fault: None,
             slaves: FleetSlaves::Local(handles),
             control: FleetControl::new(None),
             retired: vec![false; 3],
@@ -526,34 +505,31 @@ mod tests {
         );
         assert!(
             t.elapsed() < Duration::from_secs(30),
-            "readiness barrier burned the deadline on a dead slave: {:?}",
+            "the job waited on a dead slave: {:?}",
             t.elapsed()
         );
         assert!(fleet.retired[2], "dead rank must be retired");
         fleet.shutdown();
     }
 
-    /// The race behind the test above, forced: rank 2's READY is already
-    /// queued when it dies, so the barrier counts it and never probes the
-    /// rank. The failed JOB send is then the evidence that retires it.
+    /// The race behind the test above, forced: rank 2 is gone before the
+    /// job ships. The failed JOB send retires it, and the teardown does
+    /// not wait for the STATS of a slave its END cannot reach.
     #[test]
-    fn job_send_failure_retires_a_rank_whose_ready_was_queued() {
+    fn job_send_failure_retires_a_rank_that_is_gone() {
         let mut eps = Network::new(3);
         let root = eps.remove(0);
-        let mut ghost = eps.pop().unwrap();
+        drop(eps.pop().unwrap());
         let live = eps.pop().unwrap();
-        ghost.send(Rank(0), tags::READY, Bytes::new()).unwrap();
-        drop(ghost);
-        let handle = std::thread::spawn(move || slave_job_loop(live, None, None));
+        let handle = std::thread::spawn(move || slave_job_loop(live, None));
         let mut fleet = Fleet {
             root,
             n_slaves: 2,
-            fault: None,
             slaves: FleetSlaves::Local(vec![handle]),
             control: FleetControl::new(None),
             retired: vec![false; 3],
         };
-        let spec = editdist_spec(b"one slave is already gone", b"but it said ready");
+        let spec = editdist_spec(b"one slave is already gone", b"before the job ships");
         let t = Instant::now();
         let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
         let reference = spec.problem.solve_sequential();
@@ -568,6 +544,131 @@ mod tests {
             t.elapsed()
         );
         fleet.shutdown();
+    }
+
+    /// A master that fails after the JOB went out (here: its checkpoint
+    /// directory holds a run of other dimensions, which the store
+    /// refuses) leaves its slaves inside the job. The fleet ends the job
+    /// with END, so the next job runs at once on the same slaves.
+    #[test]
+    fn a_failed_job_leaves_the_fleet_ready() {
+        use crate::durable::{CheckpointPolicy, CheckpointStore};
+        let dir =
+            std::env::temp_dir().join(format!("easyhps-fleet-failed-job-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let other = CheckpointPolicy::new(&dir);
+        let (mut store, _) = CheckpointStore::open(&other, 5, 5).unwrap();
+        store
+            .append(&[(0, easyhps_core::TileRegion::new(0, 1, 0, 1), vec![0; 4])])
+            .unwrap();
+
+        let mut fleet = Fleet::local(2, None).unwrap();
+        let spec = editdist_spec(b"a job whose master fails", b"before it dispatches");
+        let failed = fleet.run_job(
+            &spec,
+            JobOptions {
+                checkpoint: Some(CheckpointPolicy::new(&dir)),
+                ..JobOptions::default()
+            },
+        );
+        assert!(
+            matches!(&failed, Err(RuntimeError::Checkpoint(m)) if m.contains("5x5")),
+            "{:?}",
+            failed.map(|o| o.report.master)
+        );
+
+        let t = Instant::now();
+        let spec = editdist_spec(b"the next job runs anyway", b"on the same two slaves");
+        let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
+        assert_eq!(out.matrix, spec.problem.solve_sequential());
+        assert!(
+            t.elapsed() < Duration::from_secs(5),
+            "the job after a failed one took {:?}",
+            t.elapsed()
+        );
+        assert_eq!(fleet.retired, [false; 3], "no rank was retired");
+        let summaries = fleet.shutdown();
+        assert_eq!(summaries.iter().map(|s| s.jobs).sum::<u64>(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An idle slave answers END with empty stats, so a fleet ending a
+    /// job that its master had already ended there is answered at once.
+    #[test]
+    fn an_idle_slave_answers_end_with_empty_stats() {
+        use crate::protocol::SlaveStatsMsg;
+        let mut eps = Network::new(2);
+        let mut root = eps.remove(0);
+        let ep = eps.remove(0);
+        let slave = std::thread::spawn(move || slave_job_loop(ep, None));
+        root.send(Rank(1), tags::END, Bytes::new()).unwrap();
+        let env = root.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(env.tag, tags::STATS);
+        let stats = SlaveStatsMsg::decode(&env.payload).unwrap();
+        assert_eq!(stats, SlaveStatsMsg::default());
+        root.send(Rank(1), tags::SHUTDOWN, Bytes::new()).unwrap();
+        assert_eq!(slave.join().unwrap().unwrap().jobs, 0);
+    }
+
+    /// Per-link FIFO is the whole job boundary: a DONE and a STATS that a
+    /// slave sent before the job began reach the master before that
+    /// slave's IDLE. The DONE names a tile of this job in its exact region,
+    /// yet finds nothing registered and is counted stale, and the report
+    /// holds the STATS of the slave's own work in this job.
+    #[test]
+    fn a_previous_jobs_frames_are_not_taken_for_this_jobs() {
+        use crate::protocol::{DoneMsg, SlaveStatsMsg};
+        let spec = editdist_spec(b"frames of the last job", b"arrive first on the link");
+        let model = spec.model();
+        let region = model.tile_region(model.master_dag().vertex(easyhps_core::VertexId(0)).pos);
+        let stale_stats = SlaveStatsMsg {
+            tasks_done: 1000,
+            subtasks_done: 1000,
+            busy_ns: 1,
+            thread_failures: 7,
+            threads_spawned: 99,
+        };
+        let mut eps = Network::new(3);
+        let root = eps.remove(0);
+        let handles = eps
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut ep)| {
+                std::thread::spawn(move || {
+                    if i == 0 {
+                        let cells = vec![0u8; region.area() as usize * 4];
+                        let done = DoneMsg {
+                            task: 0,
+                            epoch: 0,
+                            region,
+                            output: &cells,
+                        };
+                        ep.send(Rank(0), tags::DONE, done.encode())?;
+                        ep.send(Rank(0), tags::STATS, stale_stats.encode())?;
+                    }
+                    slave_job_loop(ep, None)
+                })
+            })
+            .collect();
+        let mut fleet = Fleet {
+            root,
+            n_slaves: 2,
+            slaves: FleetSlaves::Local(handles),
+            control: FleetControl::new(None),
+            retired: vec![false; 3],
+        };
+        let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
+        assert_eq!(out.matrix, spec.problem.solve_sequential());
+        assert_eq!(out.report.master.stale_completions, 1);
+        let summaries = fleet.shutdown();
+        assert_eq!(summaries.len(), 2);
+        for (w, summary) in summaries.iter().enumerate() {
+            assert_eq!(out.report.slaves[w], Some(summary.stats), "slave {w}");
+        }
+        assert_eq!(
+            summaries.iter().map(|s| s.stats.tasks_done).sum::<u64>(),
+            model.master_dag().len() as u64
+        );
     }
 
     /// Elastic fleet over TCP: a second slave joins *between* jobs and
@@ -601,7 +702,7 @@ mod tests {
             let o = RemoteSlaveOptions::new(addr);
             std::thread::spawn(move || serve_slave_jobs(o))
         };
-        // Wait for admission so the next barrier counts it.
+        // Wait for admission so the next job ships to it.
         let acc = fleet.acceptor().unwrap().clone();
         let t = Instant::now();
         while acc.live_ranks().len() < 2 && t.elapsed() < Duration::from_secs(10) {
@@ -664,7 +765,7 @@ mod tests {
                 std::thread::spawn(move || serve_slave_jobs(o))
             })
             .collect();
-        let mut fleet = Fleet::accept(listener, 2, None).unwrap();
+        let mut fleet = Fleet::accept(listener, 2).unwrap();
         for text in ["the first job of the fleet", "and a different second one"] {
             let spec = editdist_spec(text.as_bytes(), b"a shared reference string");
             let out = fleet.run_job(&spec, JobOptions::default()).unwrap();

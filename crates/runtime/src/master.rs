@@ -92,9 +92,6 @@ pub struct FleetControl {
     /// bookkeeping; elastic fleets learn the same thing from the
     /// acceptor's free-list.
     pub released: Arc<Mutex<Vec<u32>>>,
-    /// Ranks whose READY the master's teardown received after their
-    /// STATS, for the fleet's next readiness barrier to count.
-    pub(crate) ready: Arc<Mutex<Vec<u32>>>,
     /// Set when a master running on this block begins its teardown: it
     /// dispatches nothing more, so a slave whose link broke has nothing
     /// left to rejoin for. Read by the in-process socket driver, which
@@ -115,18 +112,14 @@ impl FleetControl {
     pub fn request_drain(&self, rank: u32) {
         self.drain.lock().unwrap().push(rank);
     }
-}
 
-/// Perform a [`MasterAction::Release`]: hand the rank back to the
-/// acceptor's free-list (elastic fleets) and record it for the fleet's
-/// job-boundary bookkeeping.
-fn fleet_release(fleet: Option<&FleetControl>, slave: usize) {
-    if let Some(fc) = fleet {
-        let rank = slave as u32 + 1;
-        if let Some(acc) = &fc.acceptor {
+    /// Release `rank`: hand it back to the acceptor's free-list (elastic
+    /// fleets) and record it for the fleet's job-boundary bookkeeping.
+    pub(crate) fn release(&self, rank: u32) {
+        if let Some(acc) = &self.acceptor {
             acc.release_rank(rank);
         }
-        fc.released.lock().unwrap().push(rank);
+        self.released.lock().unwrap().push(rank);
     }
 }
 
@@ -538,7 +531,9 @@ impl<C: Cell> Shell<'_, C> {
                     self.instant(ft, "rejoin", "fleet", ("slave", slave as u64));
                 }
                 MasterAction::Release { slave } => {
-                    fleet_release(self.fleet, slave);
+                    if let Some(fc) = self.fleet {
+                        fc.release(slave as u32 + 1);
+                    }
                     self.instant(ft, "release", "fleet", ("slave", slave as u64));
                 }
                 MasterAction::Finished | MasterAction::BudgetStop => self.begin_teardown()?,
@@ -595,18 +590,6 @@ impl<C: Cell> Shell<'_, C> {
             }
             // Liveness is noted by the endpoint.
             tags::HEARTBEAT => {}
-            // A READY after the slave's STATS belongs to the fleet's next
-            // barrier. Any other comes from a fleet slave idling outside
-            // this job (a mid-run joiner or rejoiner announcing itself
-            // before the JOB the acceptor shipped it), which re-announces
-            // it periodically.
-            tags::READY => {
-                if let (Some(fc), Some(t)) = (self.fleet, &self.teardown) {
-                    if t.stats[w].is_some() {
-                        fc.ready.lock().unwrap().push(w as u32 + 1);
-                    }
-                }
-            }
             other => debug_assert!(false, "master received unexpected {other}"),
         }
         Ok(())

@@ -34,15 +34,17 @@ pub mod tags {
     pub const ASSIGN: Tag = Tag(2);
     /// Slave -> master: computed sub-task region.
     pub const DONE: Tag = Tag(3);
-    /// Master -> slave: shut down.
+    /// Master -> slave: end the job. A fleet slave that has no job
+    /// running answers it too, with empty stats.
     pub const END: Tag = Tag(4);
     /// Slave -> master: final execution stats (reply to END).
     pub const STATS: Tag = Tag(5);
     /// Slave -> master: "I am alive" (sent unreliably at
     /// `heartbeat_interval`, including from inside a long tile
-    /// computation; a lost one is superseded by the next). Master ->
-    /// slave: a probe of an excluded slave's link — the send failing is
-    /// the point; the slave ignores it.
+    /// computation, and by an idle fleet slave between jobs; a lost one
+    /// is superseded by the next). Master -> slave: a probe of an
+    /// excluded slave's link — the send failing is the point; the slave
+    /// ignores it.
     pub const HEARTBEAT: Tag = Tag(6);
     /// Master -> slave: serialized job description (problem, partitions,
     /// deployment knobs) sent once right after the socket handshake so a
@@ -53,13 +55,6 @@ pub mod tags {
     /// loop. Distinct from END, which finishes one job — SHUTDOWN ends
     /// the slave process's whole service loop.
     pub const SHUTDOWN: Tag = Tag(8);
-    /// Slave -> master: "ready for the next job" — sent when a fleet
-    /// slave enters its idle loop (on connect and after each finished
-    /// job). The master consumes one READY per slave before shipping a
-    /// JOB: a slave still tearing down its previous job discards
-    /// unexpected frames (its reliable layer's shutdown linger), so a
-    /// JOB sent early would be lost.
-    pub const READY: Tag = Tag(9);
 }
 
 fn put_region(w: &mut WireWriter, r: TileRegion) {

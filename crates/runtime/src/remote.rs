@@ -10,7 +10,10 @@
 //! [`run_slave`] loop; the master runs the ordinary
 //! [`run_master`](crate::run_master). Everything above the transport —
 //! reliable control messages, heartbeats, fault tolerance, durable
-//! checkpoints — is byte-identical to the in-process path.
+//! checkpoints — is byte-identical to the in-process path. A slave
+//! serves any number of jobs on one connection ([`serve_slave_jobs`]):
+//! a JOB frame starts each and END ends it; between jobs the slave only
+//! heartbeats, which is how it notices a master that is gone.
 //!
 //! [`RemoteProblem`] is the one table of shippable recurrences: the only
 //! map between a workload name and a variant ([`RemoteProblem::NAMES`]),
@@ -669,8 +672,6 @@ pub struct RemoteMasterOptions {
     /// Socket config (a reconnect window opts into elastic membership:
     /// slaves may rejoin for that long).
     pub socket: SocketConfig,
-    /// Fault plan for the master's own endpoint (drills).
-    pub fault: Option<easyhps_net::FaultPlan>,
     /// Observability wiring (metrics registry, event recorder).
     pub obs: ObsConfig,
     /// Durable checkpoint policy (it says whether the run resumes from
@@ -703,13 +704,12 @@ pub fn run_remote_master(
     opts: RemoteMasterOptions,
 ) -> Result<RemoteOutput, RuntimeError> {
     // A reconnect window on the socket config opts into elastic
-    // membership (rejoin, mid-run join, drain). Fault injection on the
-    // master stays on the fixed-membership path: its plan is one job's.
-    let mut fleet = if opts.socket.reconnect_window.is_some() && opts.fault.is_none() {
+    // membership (rejoin, mid-run join, drain).
+    let mut fleet = if opts.socket.reconnect_window.is_some() {
         crate::fleet::Fleet::accept_elastic(listener, slaves)?
             .with_rejoin_window(opts.socket.reconnect_window)
     } else {
-        crate::fleet::Fleet::accept(listener, slaves, opts.fault)?
+        crate::fleet::Fleet::accept(listener, slaves)?
     };
     let out = fleet.run_job(
         spec,
@@ -734,8 +734,6 @@ pub struct RemoteSlaveOptions {
     /// Socket config (a reconnect window makes a broken link a rejoin:
     /// the slave redials for that long).
     pub socket: SocketConfig,
-    /// Fault plan for this slave's endpoint (drills).
-    pub fault: Option<easyhps_net::FaultPlan>,
 }
 
 impl RemoteSlaveOptions {
@@ -746,7 +744,6 @@ impl RemoteSlaveOptions {
             want_rank: None,
             threads: None,
             socket: SocketConfig::default(),
-            fault: None,
         }
     }
 }
@@ -760,9 +757,9 @@ pub struct SlaveServeSummary {
     pub stats: SlaveStatsMsg,
 }
 
-/// How often an idle fleet slave re-announces READY between jobs. The
-/// announcement doubles as the master-death detector: once the
-/// connection is closed, the send fails and the loop exits cleanly.
+/// How often an idle fleet slave sends a HEARTBEAT between jobs. The
+/// send is its master-death detector: a channel link's receiver never
+/// disconnects, so once the master is gone only a failing send tells.
 const IDLE_PROBE: Duration = Duration::from_millis(500);
 
 /// Serve jobs on an already-connected endpoint until the master sends
@@ -773,29 +770,18 @@ const IDLE_PROBE: Duration = Duration::from_millis(500);
 pub(crate) fn slave_job_loop(
     mut root: easyhps_net::Endpoint,
     threads: Option<usize>,
-    fault: Option<easyhps_net::FaultPlan>,
 ) -> Result<SlaveServeSummary, RuntimeError> {
     let master = Rank(0);
     let mut summary = SlaveServeSummary::default();
-    // Announce readiness on entry, after every finished job and every
-    // IDLE_PROBE while idle; stray frames (the barrier's own probes) must
-    // not postpone it. The master's job-boundary barrier waits for it:
-    // shipping a JOB to a slave still lingering in its previous job's
-    // reliable teardown would lose the frame (the linger ACKs-and-
-    // discards). A master that missed one (slave dark across a job
-    // boundary, elastic rejoin) picks the slave up at its next barrier;
-    // a master mid-job discards stray READYs.
-    let mut announce_at = Instant::now();
     loop {
-        if Instant::now() >= announce_at {
-            if root.send(master, tags::READY, Bytes::new()).is_err() {
-                return Ok(summary); // master gone between jobs
-            }
-            announce_at = Instant::now() + IDLE_PROBE;
-        }
-        let env = match root.recv_timeout(announce_at.saturating_duration_since(Instant::now())) {
+        let env = match root.recv_timeout(IDLE_PROBE) {
             Ok(env) => env,
-            Err(easyhps_net::NetError::Timeout) => continue,
+            Err(easyhps_net::NetError::Timeout) => {
+                if root.send(master, tags::HEARTBEAT, Bytes::new()).is_err() {
+                    return Ok(summary); // master gone between jobs
+                }
+                continue;
+            }
             Err(_) => return Ok(summary),
         };
         match env.tag {
@@ -804,11 +790,9 @@ pub(crate) fn slave_job_loop(
                 let n_slaves = root.n_ranks() - 1;
                 let deployment = spec.deployment(n_slaves, threads);
                 let model = spec.model();
-                let ep = root.fork(fault.clone());
                 let stats = with_problem!(&spec.problem, p => {
-                    run_slave(ep, &p, &model, &deployment)
+                    run_slave(root.fork(None), &p, &model, &deployment)
                 })?;
-                announce_at = Instant::now();
                 summary.jobs += 1;
                 summary.stats.tasks_done += stats.tasks_done;
                 summary.stats.subtasks_done += stats.subtasks_done;
@@ -816,9 +800,18 @@ pub(crate) fn slave_job_loop(
                 summary.stats.thread_failures += stats.thread_failures;
                 summary.stats.threads_spawned += stats.threads_spawned;
             }
+            // An END with no job running (a failed job's master had
+            // already ended it here, or this rank sat the job out) is
+            // answered too, so that every END draws one STATS.
+            tags::END => {
+                let stats = SlaveStatsMsg::default().encode();
+                if root.send(master, tags::STATS, stats).is_err() {
+                    return Ok(summary);
+                }
+            }
             tags::SHUTDOWN => return Ok(summary),
-            // Stray frames from a previous job's teardown (late ACKs,
-            // heartbeat echoes) are harmless between jobs.
+            // Stray frames between jobs (a probe of an excluded slave)
+            // are harmless.
             _ => {}
         }
     }
@@ -834,9 +827,9 @@ pub fn serve_slave_jobs(opts: RemoteSlaveOptions) -> Result<SlaveServeSummary, R
         &opts.addr,
         opts.want_rank,
         opts.socket,
-        opts.fault,
+        None,
         || true,
-        |ep, fault| slave_job_loop(ep, threads, fault),
+        |ep, _| slave_job_loop(ep, threads),
     )
 }
 

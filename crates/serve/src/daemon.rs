@@ -75,8 +75,6 @@ pub enum FleetSpec {
         listen: NetAddr,
         /// How many slaves to wait for.
         slaves: usize,
-        /// Socket config for the fleet listener.
-        socket: SocketConfig,
     },
 }
 
@@ -673,9 +671,11 @@ enum FleetSrc {
 
 /// Scheduler: owns the fleet, drains the queue round by round.
 fn scheduler(inner: Arc<Inner>, src: FleetSrc) {
-    // Rebuild parameters for a local fleet that a failed job may have
-    // left with wedged slaves; a remote fleet cannot be rebuilt from
-    // here (its slaves are other processes) and keeps limping.
+    // A failed job ends with END and leaves its slaves ready for the
+    // next, but a slave thread that died with it is retired for good:
+    // rebuilding a local fleet after a failure restores its size. A
+    // remote fleet cannot be rebuilt from here (its slaves are other
+    // processes); it runs on with the ranks that answered the END.
     let mut rebuild = None;
     let mut fleet = match src {
         FleetSrc::Local { slaves, threads } => {
@@ -943,12 +943,8 @@ impl Daemon {
 
         let (src, fleet_addr) = match cfg.fleet {
             FleetSpec::Local { slaves, threads } => (FleetSrc::Local { slaves, threads }, None),
-            FleetSpec::Remote {
-                listen,
-                slaves,
-                socket,
-            } => {
-                let l = SocketListener::bind(&listen, socket)?;
+            FleetSpec::Remote { listen, slaves } => {
+                let l = SocketListener::bind(&listen, SocketConfig::default())?;
                 let fleet_addr = l.local_addr();
                 (
                     FleetSrc::Remote {

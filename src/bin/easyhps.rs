@@ -672,7 +672,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         Some(addr) => easyhps::serve::FleetSpec::Remote {
             listen: easyhps::net::NetAddr::parse(addr)?,
             slaves,
-            socket: Default::default(),
         },
         None => FleetSpec::Local { slaves, threads },
     };

@@ -6,6 +6,7 @@ use easyhps::dp::sequence::{random_sequence, Alphabet};
 use easyhps::dp::{DpProblem, Lcs, Nussinov};
 use easyhps::runtime::{Checkpoint, CheckpointPolicy, EasyPdp};
 use easyhps::EasyHps;
+use std::collections::BTreeSet;
 
 #[test]
 fn easypdp_through_the_facade() {
@@ -57,8 +58,29 @@ fn trace_gantt_is_renderable_from_report() {
         .run()
         .unwrap();
     let g = out.report.trace.gantt(50);
-    assert!(g.contains("slave0"));
-    assert!(g.lines().count() >= 3);
+    // Which slaves compute is timing: one may finish the whole job before
+    // the other announces itself. Every slave that computed has a lane
+    // with a 50-cell bar that shows its tiles, no other slave has one,
+    // and the time axis follows the lanes.
+    let rows: Vec<(&str, &str)> = g
+        .lines()
+        .filter_map(|l| l.split_once(" |"))
+        .map(|(name, bar)| (name.trim(), bar))
+        .collect();
+    for (name, bar) in &rows {
+        assert!(
+            bar.len() == 51 && bar.ends_with('|') && bar.contains('#'),
+            "{name}: {g}"
+        );
+    }
+    let lanes: BTreeSet<&str> = rows.iter().map(|(name, _)| *name).collect();
+    let computed: BTreeSet<String> = (out.report.slaves.iter().enumerate())
+        .filter(|(_, s)| s.is_some_and(|s| s.tasks_done > 0))
+        .map(|(w, _)| format!("slave{w}"))
+        .collect();
+    assert!(!computed.is_empty(), "no slave computed: {g}");
+    assert_eq!(lanes, computed.iter().map(String::as_str).collect(), "{g}");
+    assert_eq!(g.lines().count(), rows.len() + 1, "{g}");
 }
 
 #[test]
