@@ -5,23 +5,25 @@
 //! provides a [`DpProblem`] (or picks one from `easyhps-dp`), the two
 //! partition sizes, and a deployment shape; the runtime does partitioning,
 //! scheduling, communication and fault tolerance.
+//!
+//! `run()` assembles no cluster of its own: it builds a one-job
+//! [`Fleet`] of slave threads over the chosen [`TransportKind`], runs the
+//! job on it with the master on the calling thread, and shuts it down —
+//! the same assembly `easyhps master` and the serve daemon use.
 
 use crate::config::{Deployment, ObsConfig, RunReport};
 use crate::durable::CheckpointPolicy;
-use crate::fleet::accept_slaves;
-use crate::master::run_master;
-use crate::obs::registry_of;
-use crate::remote::{serve_rejoining, RemoteProblem};
+use crate::fleet::Fleet;
+use crate::remote::RemoteProblem;
 use crate::slave::run_slave;
 use crate::RuntimeError;
+use bytes::Bytes;
 use easyhps_core::ScheduleMode;
 use easyhps_core::{DagDataDrivenModel, GridDims};
 use easyhps_dp::{DpMatrix, DpProblem};
-use easyhps_net::socket::{SocketConfig, SocketListener};
-use easyhps_net::{FaultPlan, NetAddr, NetError, Network, RetryPolicy};
-use easyhps_obs::{labeled, EventRecorder, Registry};
+use easyhps_net::{Endpoint, FaultPlan, RetryPolicy};
+use easyhps_obs::{EventRecorder, Registry};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -342,18 +344,25 @@ impl<P: DpProblem> EasyHps<P> {
             .build()
     }
 
-    /// Execute: spawn the virtual cluster (one thread per slave rank plus
-    /// the master on the calling thread), run to completion, and return
-    /// the computed matrix with a report.
+    /// Execute: build a one-job [`Fleet`] of slave threads over the
+    /// chosen transport, run the job with the master on the calling
+    /// thread, shut the fleet down, and return the computed matrix with a
+    /// report.
     pub fn run(self) -> Result<RunOutput<P::Cell>, RuntimeError> {
         if self.deployment.slaves == 0 {
             return Err(RuntimeError::NoSlaves);
         }
         self.validate_partitions()?;
-        let model = self.model();
         let n_ranks = 1 + self.deployment.slaves;
-        let mut plans = self.fault_plans.clone();
+        let model = self.model();
+        let mut plans = self.fault_plans;
+        if let Some(i) = plans.iter().skip(n_ranks).position(Option::is_some) {
+            let (slave, n) = (n_ranks - 1 + i, n_ranks - 1);
+            let why = format!("inject_fault: slave index {slave} is out of range for {n} slave(s)");
+            return Err(RuntimeError::InvalidConfig(why));
+        }
         plans.resize(n_ranks, None);
+        let master_plan = plans.remove(0);
 
         // Observability: one registry / recorder shared by every rank of
         // the virtual cluster, carried to them through the deployment.
@@ -366,126 +375,33 @@ impl<P: DpProblem> EasyHps<P> {
             .trace_out
             .as_ref()
             .map(|_| Arc::new(EventRecorder::new()));
-        let problem = self.problem.clone();
         let mut deployment = self.deployment.clone();
         deployment.obs = ObsConfig {
             metrics: registry.clone(),
             recorder: recorder.clone(),
         };
 
-        let out = match self.transport {
-            TransportKind::InProcess => {
-                let mut endpoints = Network::with_faults(n_ranks, &plans);
-                let master_ep = endpoints.remove(0);
-                std::thread::scope(|s| {
-                    for ep in endpoints {
-                        let problem = problem.clone();
-                        let model = model.clone();
-                        let deployment = deployment.clone();
-                        // A slave that dies under fault injection returns
-                        // Err; the master's fault tolerance handles it.
-                        s.spawn(move || {
-                            let _ = run_slave(ep, problem.as_ref(), &model, &deployment);
-                        });
-                    }
-                    run_master(
-                        master_ep,
-                        problem.as_ref(),
-                        &model,
-                        &deployment,
-                        self.tile_budget,
-                        None,
-                    )
-                })?
-            }
-            kind => {
-                // Socket-backed virtual cluster: every rank still runs as
-                // a thread here, but all master<->slave traffic crosses a
-                // real kernel socket. Ranks are requested explicitly so
-                // per-rank fault plans land on the intended endpoint.
-                let bind_addr = match kind {
-                    TransportKind::Uds => NetAddr::Uds(temp_socket_path()),
-                    _ => NetAddr::parse("127.0.0.1:0").expect("loopback address parses"),
-                };
-                let scfg = SocketConfig {
-                    reconnect_window: self.reconnect,
-                };
-                let listener = SocketListener::bind(&bind_addr, scfg.clone()).map_err(|e| {
-                    RuntimeError::InvalidConfig(format!("binding {bind_addr}: {e}"))
-                })?;
-                let addr = listener.local_addr();
-                // Set once the master is done dispatching: a slave whose
-                // link broke then has no job left to rejoin.
-                let job_over: Arc<AtomicBool> = Arc::default();
-                std::thread::scope(|s| {
-                    for i in 0..self.deployment.slaves {
-                        let plan = plans[i + 1].clone();
-                        let addr = addr.clone();
-                        let scfg = scfg.clone();
-                        let problem = problem.clone();
-                        let model = model.clone();
-                        let deployment = deployment.clone();
-                        let job_over = &job_over;
-                        // A slave that dies under fault injection, or finds
-                        // the master torn down early (e.g. under a
-                        // kill-master drill), returns Err; the master's
-                        // fault tolerance handles it.
-                        s.spawn(move || {
-                            let rank = Some(i as u32 + 1);
-                            let wanted = || !job_over.load(Ordering::SeqCst);
-                            let lost = |r: &Result<_, _>| {
-                                matches!(r, Err(RuntimeError::Net(NetError::Disconnected)))
-                            };
-                            // Whether a broken link cut one of this slave's runs.
-                            let mut cut = false;
-                            let res =
-                                serve_rejoining(&addr, rank, scfg, plan, wanted, |ep, plan| {
-                                    let ep = ep.fork(plan);
-                                    let run = run_slave(ep, problem.as_ref(), &model, &deployment);
-                                    cut |= lost(&run);
-                                    run
-                                });
-                            // A run cut while the job still needed this slave
-                            // owes the master a rejoin; one that came back to
-                            // a finished job owes none.
-                            if cut && (wanted() || !lost(&res)) {
-                                let l = labeled("slave_rejoins_owed", &[("slave", &i.to_string())]);
-                                registry_of(&deployment.obs).counter(&l).inc();
-                            }
-                        });
-                    }
-                    // Elastic membership when a reconnect window is set:
-                    // the listener stays open in a background acceptor
-                    // that admits a redialling slave as a rejoin.
-                    let (master_ep, sinfo, mut control) = accept_slaves(
-                        listener,
-                        self.deployment.slaves,
-                        plans[0].clone(),
-                        self.reconnect.is_some(),
-                    )?;
-                    control.rejoin_window = self.reconnect;
-                    control.tearing_down = job_over.clone();
-                    let out = run_master(
-                        master_ep,
-                        problem.as_ref(),
-                        &model,
-                        &deployment,
-                        self.tile_budget,
-                        Some(&control),
-                    );
-                    // Also when the master failed before its teardown.
-                    job_over.store(true, Ordering::SeqCst);
-                    let out = out?;
-                    if let Some(reg) = &registry {
-                        crate::remote::publish_socket_stats(reg, &sinfo);
-                    }
-                    Ok::<_, RuntimeError>(out)
-                })?
-            }
+        // Every slave thread holds the problem itself: the JOB frame only
+        // starts its job.
+        let job = {
+            let (problem, model, deployment) =
+                (self.problem.clone(), model.clone(), deployment.clone());
+            move |ep: Endpoint, _: &[u8]| run_slave(ep, problem.as_ref(), &model, &deployment)
         };
+        let mut fleet = Fleet::spawn(self.transport, plans, self.reconnect, registry.clone(), job)?;
+        let out = fleet.run(
+            Bytes::new(),
+            self.problem.as_ref(),
+            &model,
+            deployment,
+            self.tile_budget,
+            master_plan,
+        );
+        fleet.shutdown();
+        let out = out?;
 
-        // Every slave thread has joined (the scope ended), so every event
-        // lane has flushed into the recorder: the export is complete.
+        // The shutdown joined every slave thread, so every event lane has
+        // flushed into the recorder: the export is complete.
         if let (Some(rec), Some(path)) = (&recorder, &self.trace_out) {
             std::fs::write(path, rec.chrome_trace_json())
                 .map_err(|e| RuntimeError::TraceIo(format!("{}: {e}", path.display())))?;
@@ -502,16 +418,4 @@ impl<P: DpProblem> EasyHps<P> {
             metrics: registry,
         })
     }
-}
-
-/// A unique Unix-domain socket path for one in-process virtual cluster.
-/// Uniqueness needs both the pid (parallel test binaries) and a counter
-/// (parallel runs inside one binary).
-fn temp_socket_path() -> std::path::PathBuf {
-    static NEXT_SOCK: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "easyhps-{}-{}.sock",
-        std::process::id(),
-        NEXT_SOCK.fetch_add(1, Ordering::Relaxed)
-    ))
 }

@@ -92,10 +92,10 @@ pub struct FleetControl {
     /// bookkeeping; elastic fleets learn the same thing from the
     /// acceptor's free-list.
     pub released: Arc<Mutex<Vec<u32>>>,
-    /// Set when a master running on this block begins its teardown: it
-    /// dispatches nothing more, so a slave whose link broke has nothing
-    /// left to rejoin for. Read by the in-process socket driver, which
-    /// runs one job per block.
+    /// Set when a master running on this block begins its teardown, and
+    /// when the fleet shuts down; cleared when a job starts. While set,
+    /// no job needs a slave whose link broke, so the fleet's own socket
+    /// slave threads do not redial.
     pub(crate) tearing_down: Arc<AtomicBool>,
 }
 

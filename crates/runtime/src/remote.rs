@@ -5,14 +5,15 @@
 //! same problem; a remote slave has nothing, so the master ships a
 //! [`JobSpec`] — the problem's defining data plus the partition sizes
 //! and deployment knobs both sides must agree on — as the first message
-//! after the socket handshake (tag [`tags::JOB`]). The slave
-//! reconstructs the problem and model locally and then runs the ordinary
-//! [`run_slave`] loop; the master runs the ordinary
-//! [`run_master`](crate::run_master). Everything above the transport —
-//! reliable control messages, heartbeats, fault tolerance, durable
-//! checkpoints — is byte-identical to the in-process path. A slave
-//! serves any number of jobs on one connection ([`serve_slave_jobs`]):
-//! a JOB frame starts each and END ends it; between jobs the slave only
+//! after the socket handshake (tag [`tags::JOB`](crate::tags::JOB)). The
+//! slave reconstructs the problem and model locally and then runs the
+//! ordinary [`run_slave`](crate::run_slave) loop; the master runs the
+//! ordinary [`run_master`](crate::run_master). Everything above the
+//! transport — reliable control messages, heartbeats, fault tolerance,
+//! durable checkpoints — is byte-identical to the in-process path. Both
+//! sides are a [`Fleet`]: a slave serves any number of jobs on one
+//! connection ([`serve_slave_jobs`](crate::fleet::serve_slave_jobs)), a
+//! JOB frame starts each and END ends it; between jobs the slave only
 //! heartbeats, which is how it notices a master that is gone.
 //!
 //! [`RemoteProblem`] is the one table of shippable recurrences: the only
@@ -25,27 +26,15 @@
 //! format and the master's output monomorphic.
 
 use crate::config::{Deployment, ObsConfig, RunReport};
-use crate::durable::CheckpointPolicy;
-use crate::protocol::{tags, SlaveStatsMsg};
-use crate::slave::run_slave;
+use crate::fleet::{Fleet, JobOptions};
+use crate::protocol::SlaveStatsMsg;
 use crate::RuntimeError;
-use bytes::Bytes;
 use easyhps_core::{DagDataDrivenModel, GridDims, ScheduleMode};
 use easyhps_dp::sequence::{random_sequence, Alphabet};
 use easyhps_dp::{DpMatrix, DpProblem, GapPenalty, Substitution};
-use easyhps_net::socket::{
-    connect, redial, SocketConfig, SocketInfo, SocketListener, DIAL_BACKOFF,
-};
-use easyhps_net::stream::retry_with_backoff;
-use easyhps_net::{
-    Endpoint, FaultPlan, NetAddr, NetError, Rank, RetryPolicy, WireError, WireReader, WireWriter,
-};
-use easyhps_obs::{labeled, Registry};
-use std::time::{Duration, Instant};
-
-fn io_err(what: &str, e: std::io::Error) -> RuntimeError {
-    RuntimeError::InvalidConfig(format!("{what}: {e}"))
-}
+use easyhps_net::socket::{SocketConfig, SocketInfo, SocketListener};
+use easyhps_net::{NetAddr, RetryPolicy, WireError, WireReader, WireWriter};
+use std::time::Duration;
 
 /// Substitution scheme a job can carry: the simple match/mismatch form.
 /// (Table substitutions would ship fine but nothing in the CLI produces
@@ -666,19 +655,6 @@ impl JobSpec {
     }
 }
 
-/// Options for the master side of a multi-process run.
-#[derive(Debug, Default)]
-pub struct RemoteMasterOptions {
-    /// Socket config (a reconnect window opts into elastic membership:
-    /// slaves may rejoin for that long).
-    pub socket: SocketConfig,
-    /// Observability wiring (metrics registry, event recorder).
-    pub obs: ObsConfig,
-    /// Durable checkpoint policy (it says whether the run resumes from
-    /// its directory).
-    pub checkpoint: Option<CheckpointPolicy>,
-}
-
 /// Outcome of a multi-process master run.
 #[derive(Debug)]
 pub struct RemoteOutput {
@@ -694,32 +670,21 @@ pub struct RemoteOutput {
 /// Run the master side of a multi-process job on an already-bound
 /// listener: accept `slaves` connections, ship one [`JobSpec`], run the
 /// ordinary master loop over the socket endpoint, and shut the fleet
-/// down. One-shot sugar over [`Fleet`](crate::fleet::Fleet), which the
-/// serve daemon uses directly to run many jobs over the same
-/// connections.
+/// down. A `reconnect` window opts into elastic membership: a slave
+/// whose link broke may rejoin for that long. One-shot sugar over
+/// [`Fleet`], which the serve daemon uses directly to run many jobs over
+/// the same connections.
 pub fn run_remote_master(
     listener: SocketListener,
     spec: &JobSpec,
     slaves: usize,
-    opts: RemoteMasterOptions,
+    reconnect: Option<Duration>,
+    opts: JobOptions,
 ) -> Result<RemoteOutput, RuntimeError> {
-    // A reconnect window on the socket config opts into elastic
-    // membership (rejoin, mid-run join, drain).
-    let mut fleet = if opts.socket.reconnect_window.is_some() {
-        crate::fleet::Fleet::accept_elastic(listener, slaves)?
-            .with_rejoin_window(opts.socket.reconnect_window)
-    } else {
-        crate::fleet::Fleet::accept(listener, slaves)?
-    };
-    let out = fleet.run_job(
-        spec,
-        crate::fleet::JobOptions {
-            obs: opts.obs.clone(),
-            checkpoint: opts.checkpoint,
-        },
-    )?;
+    let mut fleet = Fleet::remote(listener, slaves, reconnect.is_some(), reconnect)?;
+    let out = fleet.run_job(spec, opts);
     fleet.shutdown();
-    Ok(out)
+    out
 }
 
 /// Options for the slave side of a multi-process run.
@@ -755,155 +720,6 @@ pub struct SlaveServeSummary {
     pub jobs: u64,
     /// Execution stats summed across every job.
     pub stats: SlaveStatsMsg,
-}
-
-/// How often an idle fleet slave sends a HEARTBEAT between jobs. The
-/// send is its master-death detector: a channel link's receiver never
-/// disconnects, so once the master is gone only a failing send tells.
-const IDLE_PROBE: Duration = Duration::from_millis(500);
-
-/// Serve jobs on an already-connected endpoint until the master sends
-/// SHUTDOWN or disappears. Each [`tags::JOB`] message carries one
-/// [`JobSpec`]; the slave reconstructs the problem and runs the ordinary
-/// slave loop on a per-job [`Endpoint::fork`](easyhps_net::Endpoint::fork)
-/// of the shared connection, so the socket survives from job to job.
-pub(crate) fn slave_job_loop(
-    mut root: easyhps_net::Endpoint,
-    threads: Option<usize>,
-) -> Result<SlaveServeSummary, RuntimeError> {
-    let master = Rank(0);
-    let mut summary = SlaveServeSummary::default();
-    loop {
-        let env = match root.recv_timeout(IDLE_PROBE) {
-            Ok(env) => env,
-            Err(easyhps_net::NetError::Timeout) => {
-                if root.send(master, tags::HEARTBEAT, Bytes::new()).is_err() {
-                    return Ok(summary); // master gone between jobs
-                }
-                continue;
-            }
-            Err(_) => return Ok(summary),
-        };
-        match env.tag {
-            tags::JOB => {
-                let spec = JobSpec::decode(&env.payload)?;
-                let n_slaves = root.n_ranks() - 1;
-                let deployment = spec.deployment(n_slaves, threads);
-                let model = spec.model();
-                let stats = with_problem!(&spec.problem, p => {
-                    run_slave(root.fork(None), &p, &model, &deployment)
-                })?;
-                summary.jobs += 1;
-                summary.stats.tasks_done += stats.tasks_done;
-                summary.stats.subtasks_done += stats.subtasks_done;
-                summary.stats.busy_ns += stats.busy_ns;
-                summary.stats.thread_failures += stats.thread_failures;
-                summary.stats.threads_spawned += stats.threads_spawned;
-            }
-            // An END with no job running (a failed job's master had
-            // already ended it here, or this rank sat the job out) is
-            // answered too, so that every END draws one STATS.
-            tags::END => {
-                let stats = SlaveStatsMsg::default().encode();
-                if root.send(master, tags::STATS, stats).is_err() {
-                    return Ok(summary);
-                }
-            }
-            tags::SHUTDOWN => return Ok(summary),
-            // Stray frames between jobs (a probe of an excluded slave)
-            // are harmless.
-            _ => {}
-        }
-    }
-}
-
-/// Run the slave side of a multi-process deployment: connect, then serve
-/// every job the master ships until it sends SHUTDOWN or disappears. A
-/// one-shot `easyhps master` sends exactly one job followed by SHUTDOWN;
-/// a serve daemon keeps the connection and streams jobs through it.
-pub fn serve_slave_jobs(opts: RemoteSlaveOptions) -> Result<SlaveServeSummary, RuntimeError> {
-    let threads = opts.threads;
-    serve_rejoining(
-        &opts.addr,
-        opts.want_rank,
-        opts.socket,
-        None,
-        || true,
-        |ep, _| slave_job_loop(ep, threads),
-    )
-}
-
-/// Connect to the master and `serve` on the link, handing it the slave's
-/// fault plan — and rejoin when the link breaks. A run that ends with
-/// [`NetError::Disconnected`] (never `Dead`, which is a crash) redials the
-/// same rank under the same session for up to the config's reconnect
-/// window, while `wanted` says the master may still need it, and serves
-/// again; the master admits that as a rejoin. A plan's sever fires once
-/// per slave: the slave stays dark for its `down_for` and rejoins with
-/// the sever cleared. A slave that does not come back returns its run's
-/// error — or, when the master refused a redial while `wanted` still
-/// held, that redial's.
-pub(crate) fn serve_rejoining<T>(
-    addr: &NetAddr,
-    want_rank: Option<u32>,
-    cfg: SocketConfig,
-    mut plan: Option<FaultPlan>,
-    wanted: impl Fn() -> bool,
-    mut serve: impl FnMut(Endpoint, Option<FaultPlan>) -> Result<T, RuntimeError>,
-) -> Result<T, RuntimeError> {
-    let window = cfg.reconnect_window;
-    let (mut ep, mut info) =
-        connect(addr, want_rank, cfg, None).map_err(|e| io_err("connecting to master", e))?;
-    loop {
-        let res = serve(ep, plan.clone());
-        let Some(window) = window else { return res };
-        if !matches!(res, Err(RuntimeError::Net(NetError::Disconnected))) {
-            return res;
-        }
-        if let Some(sever) = plan.as_mut().and_then(|p| p.link_sever.take()) {
-            std::thread::sleep(sever.down_for);
-        }
-        if !wanted() {
-            return res;
-        }
-        let deadline = Instant::now() + window;
-        let mut refused = false;
-        let redialled = retry_with_backoff(
-            DIAL_BACKOFF.0,
-            DIAL_BACKOFF.1,
-            || redial(addr, &info),
-            |_, _| {
-                refused |= wanted();
-                wanted() && Instant::now() < deadline
-            },
-        );
-        (ep, info) = match redialled {
-            Ok(link) => link,
-            Err(_) if !refused => return res,
-            Err(e) => return Err(io_err("rejoining the master", e)),
-        };
-    }
-}
-
-/// Export per-link socket counters (bytes queued, initial-connect
-/// retries, frames rejected, traffic) into a metrics registry, one series
-/// set per link.
-pub fn publish_socket_stats(reg: &Registry, info: &SocketInfo) {
-    for (rank, stats) in &info.links {
-        let s = stats.snapshot();
-        let peer = rank.0.to_string();
-        let l = |name: &str| labeled(name, &[("link", &peer)]);
-        reg.gauge(&l("socket_bytes_queued"))
-            .set(s.bytes_queued as i64);
-        reg.counter(&l("socket_frames_sent")).add(s.frames_sent);
-        reg.counter(&l("socket_bytes_sent")).add(s.bytes_sent);
-        reg.counter(&l("socket_frames_recv")).add(s.frames_recv);
-        reg.counter(&l("socket_bytes_recv")).add(s.bytes_recv);
-        reg.counter(&l("socket_frames_rejected"))
-            .add(s.frames_rejected);
-        reg.counter(&l("socket_reconnects")).add(s.reconnects);
-        reg.counter(&l("socket_disconnects")).add(s.disconnects);
-    }
 }
 
 #[cfg(test)]
@@ -1169,10 +985,10 @@ mod tests {
             .map(|r| {
                 let mut o = RemoteSlaveOptions::new(addr.clone());
                 o.want_rank = Some(r);
-                std::thread::spawn(move || serve_slave_jobs(o))
+                std::thread::spawn(move || crate::fleet::serve_slave_jobs(o))
             })
             .collect();
-        let out = run_remote_master(listener, &spec, 2, RemoteMasterOptions::default()).unwrap();
+        let out = run_remote_master(listener, &spec, 2, None, JobOptions::default()).unwrap();
         for s in slaves {
             s.join().unwrap().unwrap();
         }

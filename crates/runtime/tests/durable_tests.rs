@@ -5,9 +5,10 @@
 use easyhps_dp::sequence::{random_sequence, Alphabet};
 use easyhps_dp::{DpProblem, EditDistance};
 use easyhps_net::FaultPlan;
-use easyhps_runtime::{Checkpoint, CheckpointPolicy, EasyHps, RuntimeError};
+use easyhps_runtime::{Checkpoint, CheckpointPolicy, EasyHps, RuntimeError, TransportKind};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static NONCE: AtomicU64 = AtomicU64::new(0);
@@ -131,40 +132,59 @@ fn budget_stop_leaves_a_resumable_directory() {
 }
 
 /// Pointing a *fresh* run at a directory holding prior progress is a
-/// configuration error, not silent interleaving of two runs.
+/// configuration error, not silent interleaving of two runs. The master
+/// fails after its slaves have started the job, on every transport, and
+/// the run still returns at once.
 #[test]
 fn dirty_directory_without_resume_is_refused() {
-    let dir = tmp_dir("dirty");
-    let p = problem();
+    for kind in [
+        TransportKind::InProcess,
+        TransportKind::Tcp,
+        TransportKind::Uds,
+    ] {
+        let dir = tmp_dir("dirty");
+        let p = problem();
 
-    builder(p.clone())
-        .checkpoint(CheckpointPolicy::new(&dir))
-        .tile_budget(5)
-        .run()
-        .expect("first run");
+        builder(p.clone())
+            .transport(kind)
+            .checkpoint(CheckpointPolicy::new(&dir))
+            .tile_budget(5)
+            .run()
+            .expect("first run");
 
-    let err = builder(p)
-        .checkpoint(CheckpointPolicy::new(&dir))
-        .run()
-        .expect_err("unresumed dirty directory is refused");
-    assert!(matches!(err, RuntimeError::Checkpoint(_)), "{err}");
-    // The refusal must name the offending directory and suggest both
-    // ways out: resume the prior run, or pick a fresh directory.
-    let msg = err.to_string();
-    assert!(
-        msg.contains(dir.to_str().unwrap()),
-        "refusal must name the directory: {msg}"
-    );
-    assert!(
-        msg.contains("--resume"),
-        "refusal must suggest --resume: {msg}"
-    );
-    assert!(
-        msg.contains("--checkpoint-dir"),
-        "refusal must suggest a fresh --checkpoint-dir: {msg}"
-    );
+        let t = Instant::now();
+        let err = builder(p)
+            .transport(kind)
+            .checkpoint(CheckpointPolicy::new(&dir))
+            .run()
+            .expect_err("unresumed dirty directory is refused");
+        assert!(
+            t.elapsed() < Duration::from_secs(2),
+            "{kind:?}: the failed run took {:?}",
+            t.elapsed()
+        );
+        assert!(
+            matches!(err, RuntimeError::Checkpoint(_)),
+            "{kind:?}: {err}"
+        );
+        // The refusal must name the offending directory and suggest both
+        // ways out: resume the prior run, or pick a fresh directory.
+        let msg = err.to_string();
+        assert!(
+            msg.contains(dir.to_str().unwrap()),
+            "refusal must name the directory: {msg}"
+        );
+        assert!(
+            msg.contains("--resume"),
+            "refusal must suggest --resume: {msg}"
+        );
+        assert!(
+            msg.contains("--checkpoint-dir"),
+            "refusal must suggest a fresh --checkpoint-dir: {msg}"
+        );
 
-    std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// A flush cadence of 0 tiles would write nothing before a crash: the run

@@ -388,6 +388,22 @@ fn all_slaves_dead_is_reported() {
     assert_eq!(err, RuntimeError::AllSlavesDead);
 }
 
+/// A fault plan for a slave the run does not have is a configuration
+/// error: dropped, it would leave the run fault-free without a word.
+#[test]
+fn fault_plan_for_a_missing_slave_is_invalid_config() {
+    let p = EditDistance::new(b"kitten".to_vec(), b"sitting".to_vec());
+    let err = EasyHps::new(p)
+        .slaves(2)
+        .inject_fault(2, FaultPlan::die_after(1))
+        .run()
+        .unwrap_err();
+    assert!(
+        matches!(&err, RuntimeError::InvalidConfig(m) if m.contains("slave index 2")),
+        "got {err:?}"
+    );
+}
+
 #[test]
 fn larger_multilevel_nussinov_with_failures() {
     // Triangular workload + injected thread panics + a dying slave: the

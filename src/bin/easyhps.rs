@@ -570,29 +570,30 @@ fn build_job_spec(args: &Args, who: &str, slaves: usize) -> Result<JobSpec, Stri
 /// Master half of a multi-process run: bind, announce the address, ship
 /// the job to every slave, run, print the result CRC.
 fn cmd_master(args: &Args) -> Result<(), String> {
-    use easyhps::runtime::remote::{run_remote_master, RemoteMasterOptions};
-    use easyhps::runtime::ObsConfig;
+    use easyhps::runtime::remote::run_remote_master;
+    use easyhps::runtime::{JobOptions, ObsConfig};
     use std::io::Write;
 
     let listen = args.get("listen").ok_or("master: --listen ADDR required")?;
     let slaves = args.get_num("slaves", 2usize)?;
     let spec = build_job_spec(args, "master", slaves)?;
 
-    let mut opts = RemoteMasterOptions::default();
-    opts.socket.reconnect_window = args
+    let reconnect = args
         .get_opt("reconnect-ms")?
         .map(std::time::Duration::from_millis);
     let registry = args
         .has("metrics")
         .then(|| std::sync::Arc::new(easyhps::runtime::Registry::new()));
-    opts.obs = ObsConfig {
-        metrics: registry.clone(),
-        recorder: None,
+    let opts = JobOptions {
+        obs: ObsConfig {
+            metrics: registry.clone(),
+            recorder: None,
+        },
+        checkpoint: recovery_flags(args)?,
     };
-    opts.checkpoint = recovery_flags(args)?;
 
     let addr = easyhps::net::NetAddr::parse(listen)?;
-    let listener = easyhps::net::SocketListener::bind(&addr, opts.socket.clone())
+    let listener = easyhps::net::SocketListener::bind(&addr, easyhps::net::SocketConfig::default())
         .map_err(|e| format!("binding {addr}: {e}"))?;
     // The bound address (the kernel fills in port 0) goes out first and
     // flushed, so a parent orchestrating the processes can read it and
@@ -600,7 +601,8 @@ fn cmd_master(args: &Args) -> Result<(), String> {
     println!("listening: {}", listener.local_addr());
     std::io::stdout().flush().ok();
 
-    let out = run_remote_master(listener, &spec, slaves, opts).map_err(|e| e.to_string())?;
+    let out =
+        run_remote_master(listener, &spec, slaves, reconnect, opts).map_err(|e| e.to_string())?;
     let m = &out.report.master;
     println!(
         "completed: {} tile(s) in {:.3}s ({} redispatched, {} resumed)",
@@ -632,7 +634,8 @@ fn cmd_master(args: &Args) -> Result<(), String> {
 /// Slave half of a multi-process run: connect and serve until the master
 /// ends the run.
 fn cmd_slave(args: &Args) -> Result<(), String> {
-    use easyhps::runtime::remote::{serve_slave_jobs, RemoteSlaveOptions};
+    use easyhps::runtime::fleet::serve_slave_jobs;
+    use easyhps::runtime::remote::RemoteSlaveOptions;
 
     let addr = args
         .get("connect")
