@@ -187,6 +187,7 @@ fn run_one(
     let mut stale_delivered = 0u64;
     let mut rejoins_delivered = 0u64;
     let mut send_failures = 0u64;
+    let mut stale_refusals = 0u64;
     let mut drains_delivered: Vec<usize> = Vec::new();
     let window = cfg.reorder_window.max(1);
     let step_limit = 4 * dag.len() + 8 * cfg.slaves + 16 * script.len() + 64;
@@ -368,9 +369,13 @@ fn run_one(
                         fail!("assigned task {task} to draining slave {slave}");
                     }
                     if severed[slave] {
-                        send_failures += 1;
-                        let ev = MasterEvent::AssignRejected { slave, task };
-                        match m.on_event(dag, ev) {
+                        // A refusal after its window's first counts stale.
+                        let stale = m.counters().stale;
+                        let res = m.on_event(dag, MasterEvent::AssignRejected { slave, task });
+                        let stale = m.counters().stale - stale;
+                        (stale_refusals, send_failures) =
+                            (stale_refusals + stale, send_failures + 1 - stale);
+                        match res {
                             Ok(a)
                                 if a.iter().all(|x| {
                                     matches!(
@@ -493,7 +498,7 @@ fn run_one(
             );
         }
         let severed = severed.iter().filter(|s| **s).count() as u64;
-        if c.stale + c.readmissions != 0 || c.exclusions > severed {
+        if c.stale - stale_refusals + c.readmissions != 0 || c.exclusions > severed {
             fail!("membership schedule took a genuine fault path: {c:?}");
         }
     } else if c.stale + c.send_failures + c.exclusions + c.readmissions + c.redispatched != 0 {

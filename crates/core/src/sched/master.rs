@@ -79,7 +79,8 @@ pub enum MasterEvent {
     /// transport (the slave's channel is gone). Rolls the dispatch back:
     /// the task returns to the computable stack untouched, every other
     /// tile the slave holds is taken back, and the slave is permanently
-    /// out.
+    /// out. A rejection of a tile the slave no longer holds (an earlier
+    /// rejection gave it back) is counted stale and changes nothing.
     AssignRejected {
         /// Slave index.
         slave: usize,
@@ -483,6 +484,11 @@ impl MasterSched {
                         "rejected assign names unknown slave",
                         ev,
                     ));
+                }
+                // Given back when an earlier ASSIGN of its window was refused.
+                if !self.held[slave].contains(&task) {
+                    self.counters.stale += 1;
+                    return Ok(out);
                 }
                 // The task was never dispatched: back onto the computable
                 // stack untouched, and the dispatch un-counted. The slave's
@@ -2138,6 +2144,61 @@ mod tests {
             let got = assigns(&feed(m, &dag, [MasterEvent::Tick { now_ns: 4 * MS }]));
             assert!(tiles.iter().all(|t| got.contains(&(1, *t))), "{got:?}");
         }
+    }
+
+    /// Both ASSIGNs of one Tick to a slave whose link is gone are
+    /// refused: the first refusal gives the second tile back, so the
+    /// second refusal is stale, not a violation, and the dispatch
+    /// accounting still balances once the tiles land elsewhere.
+    #[test]
+    fn a_refused_window_rejects_its_second_tile_as_stale() {
+        let dag = fan(5);
+        let mut m = source_done_on_0(&dag, 2, ScheduleMode::Dynamic);
+        let got = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: 2 * MS }]));
+        let mine: Vec<u32> = got.iter().filter(|g| g.0 == 0).map(|g| g.1).collect();
+        assert_eq!(mine.len(), 2, "{got:?}");
+        let acts = feed(
+            &mut m,
+            &dag,
+            [MasterEvent::AssignRejected {
+                slave: 0,
+                task: mine[0],
+            }],
+        );
+        assert_eq!(
+            acts,
+            vec![
+                MasterAction::Redispatch { task: mine[1] },
+                MasterAction::Exclude { slave: 0 }
+            ]
+        );
+        let acts = m
+            .on_event(
+                &dag,
+                MasterEvent::AssignRejected {
+                    slave: 0,
+                    task: mine[1],
+                },
+            )
+            .expect("a stale refusal is no violation");
+        assert!(acts.is_empty(), "{acts:?}");
+        assert_eq!((m.counters().stale, m.counters().send_failures), (1, 1));
+        // Slave 1 computes everything that is left.
+        let (mut held, mut now) = (got, 3 * MS);
+        while !m.is_done() {
+            for (slave, task) in held.into_iter().filter(|g| g.0 == 1) {
+                feed(&mut m, &dag, [MasterEvent::Done { slave, task }]);
+            }
+            held = assigns(&feed(&mut m, &dag, [MasterEvent::Tick { now_ns: now }]));
+            assert!(held.iter().all(|g| g.0 == 1), "{held:?}");
+            now += MS;
+        }
+        let c = m.counters();
+        assert_eq!(
+            c.dispatched,
+            (c.completed - c.resumed) + c.redispatched,
+            "{c:?}"
+        );
     }
 
     /// A slow slave's overdue tile is redistributed but keeps its slot

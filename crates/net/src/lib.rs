@@ -1,8 +1,8 @@
 //! # easyhps-net — virtual-MPI transport (channels or sockets)
 //!
 //! The EasyHPS paper deploys its master/slave runtime over MPICH on a
-//! cluster. This crate provides the equivalent substrate: a
-//! fully-connected set of *ranks* exchanging tagged, ordered messages —
+//! cluster. This crate provides the equivalent substrate: a star of
+//! *ranks* around rank 0, exchanging tagged, ordered messages —
 //! over in-process channels by default, or over real TCP / Unix-domain
 //! sockets ([`socket`]) when master and slaves run as separate OS
 //! processes — plus deterministic fault injection (message drops, rank

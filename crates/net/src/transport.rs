@@ -1,13 +1,13 @@
 //! Message transport: the virtual-MPI layer.
 //!
-//! [`Network::new`] creates `n` fully-connected endpoints. Each endpoint
-//! belongs to one OS thread (the "process" of that rank) and provides
-//! ordered, reliable point-to-point messaging — the same semantics the
-//! paper gets from MPICH. The default backend wires every rank pair over
-//! crossbeam channels in one process; the socket backend
-//! ([`crate::socket`]) replaces individual links with TCP or Unix-domain
-//! connections while the endpoint API, fault injection and statistics
-//! stay identical.
+//! [`Network::new`] creates `n` endpoints wired as a star around rank 0,
+//! the master. Each endpoint belongs to one OS thread (the "process" of
+//! that rank) and provides ordered, reliable point-to-point messaging —
+//! the same semantics the paper gets from MPICH. The default backend
+//! wires each link over a crossbeam channel in one process; the socket
+//! backend ([`crate::socket`]) carries the same star over TCP or
+//! Unix-domain connections while the endpoint API, fault injection and
+//! statistics stay identical.
 //!
 //! Every send is one sealed frame ([`crate::frame`]): [`Endpoint::send`]
 //! seals (in the payload's own buffer, see [`crate::frame`]), fault
@@ -191,7 +191,9 @@ impl fmt::Debug for Endpoint {
     }
 }
 
-/// Factory for fully-connected in-process endpoint sets.
+/// Factory for in-process endpoint sets, wired as the socket backend's
+/// star: rank 0 reaches every rank, itself included; every other rank
+/// reaches rank 0 only, so it reads `Disconnected` once rank 0 is gone.
 pub struct Network;
 
 impl Network {
@@ -201,8 +203,8 @@ impl Network {
         Self::with_faults(n, &[])
     }
 
-    /// `n` endpoints; `plans[i]` (if provided) configures fault injection
-    /// for rank `i`.
+    /// `n` star-wired endpoints; `plans[i]` (if provided) configures fault
+    /// injection for rank `i`.
     pub fn with_faults(n: usize, plans: &[Option<FaultPlan>]) -> Vec<Endpoint> {
         assert!(n > 0, "network needs at least one rank");
         let mut senders = Vec::with_capacity(n);
@@ -216,9 +218,13 @@ impl Network {
             .into_iter()
             .enumerate()
             .map(|(i, receiver)| {
+                let links = (0..n).map(|dst| match (i, dst) {
+                    (0, _) | (_, 0) => TxLink::Channel(senders[dst].clone()),
+                    _ => TxLink::Unrouted,
+                });
                 Endpoint::from_parts(
                     Rank(i as u32),
-                    senders.iter().cloned().map(TxLink::Channel).collect(),
+                    links.collect(),
                     receiver,
                     plans.get(i).cloned().flatten(),
                     None,
@@ -629,11 +635,37 @@ mod tests {
         let mut e1 = eps.pop().unwrap();
         let e0 = eps.pop().unwrap();
         drop(e0);
-        // e1 still holds a sender to itself, so its channel is not closed;
-        // but sending to rank 0 whose receiver is gone errors.
+        // Rank 0 held the only sender into rank 1: both directions fail.
         assert_eq!(
             e1.send(Rank(0), Tag(0), Bytes::new()).unwrap_err(),
             NetError::Disconnected
         );
+        assert_eq!(e1.recv().unwrap_err(), NetError::Disconnected);
+    }
+
+    /// A star: slaves reach rank 0 only, not each other or themselves,
+    /// and a slave's receiver outlives rank 0 only while a fork of rank
+    /// 0 does.
+    #[test]
+    fn slaves_are_linked_to_rank_0_only() {
+        let mut eps = Network::new(3);
+        let mut e2 = eps.pop().unwrap();
+        let mut e1 = eps.pop().unwrap();
+        let e0 = eps.pop().unwrap();
+        for dst in [Rank(1), Rank(2)] {
+            assert_eq!(
+                e1.send(dst, Tag(0), Bytes::new()).unwrap_err(),
+                NetError::Disconnected
+            );
+        }
+        let fork = e0.fork(None);
+        drop(e0);
+        assert_eq!(
+            e2.recv_timeout(Duration::from_millis(20)).unwrap_err(),
+            NetError::Timeout
+        );
+        drop(fork);
+        assert_eq!(e2.recv().unwrap_err(), NetError::Disconnected);
+        assert_eq!(e1.recv().unwrap_err(), NetError::Disconnected);
     }
 }

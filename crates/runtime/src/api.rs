@@ -389,9 +389,8 @@ impl<P: DpProblem> EasyHps<P> {
             move |ep: Endpoint, _: &[u8]| run_slave(ep, problem.as_ref(), &model, &deployment)
         };
         let mut fleet = Fleet::spawn(self.transport, plans, self.reconnect, registry.clone(), job)?;
-        let out = fleet.run(
+        let out = fleet.run::<P::Cell>(
             Bytes::new(),
-            self.problem.as_ref(),
             &model,
             deployment,
             self.tile_budget,

@@ -10,39 +10,35 @@
 //!
 //! A slave waits for a [`tags::JOB`] frame, runs the job its *job source*
 //! makes of it on a fork of its link, and repeats until
-//! [`tags::SHUTDOWN`] or until the master disappears. A slave process
-//! decodes the frame's [`JobSpec`] ([`serve_slave_jobs`]); a slave thread
-//! of `EasyHps::run` holds the problem and ignores the payload. Fault
-//! plans ride on the job forks only, so JOB and SHUTDOWN are never lost.
+//! [`tags::SHUTDOWN`] or until its link closes. A slave process decodes
+//! the frame's [`JobSpec`] ([`serve_slave_jobs`]); a slave thread of
+//! `EasyHps::run` holds the problem and ignores the payload. Fault plans
+//! ride on the job forks only, so JOB and SHUTDOWN are never lost.
 //!
-//! A job begins when its JOB frame is sent and ends with END, also when
-//! its master fails: [`Fleet::run_job`] then ENDs the job itself and
-//! collects one STATS per rank, so the next job starts on links that hold
-//! no frame of this one. Nothing else marks the boundary. A fleet that
-//! runs many jobs carries no fault plan, so a link delivers every frame in
-//! order or fails for good, and a frame of job N that job N+1's master
-//! reads arrives before that slave's IDLE: a DONE then finds no registered
-//! tile and is counted stale, a STATS arrives outside the teardown and is
-//! ignored. A one-job fleet whose master fails shuts down at once.
+//! A job begins when its JOB frame is sent, once its master admitted it,
+//! and ends with the master's END round, also when it fails. Nothing
+//! else marks the boundary. A fleet that runs many jobs carries no fault
+//! plan, so a link delivers every frame in order or fails for good, and
+//! a frame of job N that job N+1's master reads arrives before that
+//! slave's IDLE: a DONE then finds no registered tile and is counted
+//! stale, a STATS arrives outside the teardown and is ignored.
 
 use crate::api::TransportKind;
 use crate::config::{Deployment, RunReport};
 use crate::durable::CheckpointPolicy;
-use crate::master::{run_master, FleetControl, MasterOutput};
+use crate::master::{run_job, FleetControl, MasterOutput};
 use crate::protocol::{tags, SlaveStatsMsg};
 use crate::remote::{JobSpec, RemoteOutput, RemoteSlaveOptions, SlaveServeSummary};
 use crate::slave::run_slave;
 use crate::{with_problem, ObsConfig, RuntimeError};
 use bytes::Bytes;
 use easyhps_core::DagDataDrivenModel;
-use easyhps_dp::DpProblem;
+use easyhps_dp::Cell;
 use easyhps_net::socket::{
     connect, redial, SocketConfig, SocketInfo, SocketListener, DIAL_BACKOFF,
 };
 use easyhps_net::stream::retry_with_backoff;
-use easyhps_net::{
-    Endpoint, FaultPlan, FleetAcceptor, KillHandle, NetAddr, NetError, Network, Rank,
-};
+use easyhps_net::{Endpoint, FaultPlan, FleetAcceptor, NetAddr, NetError, Network, Rank};
 use easyhps_obs::{labeled, Registry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,10 +72,6 @@ pub struct Fleet {
     /// Slave threads of this process; empty when the slaves are other
     /// processes.
     threads: Vec<SlaveThread>,
-    /// The channel slaves' root endpoints. Their receivers never
-    /// disconnect, so a slave whose job ate the SHUTDOWN would wait out
-    /// an idle probe: the shutdown kills them instead.
-    kills: Vec<KillHandle>,
     /// Shared with every job's master: drain requests flow in, released
     /// ranks flow out, and the elastic acceptor (if any) rides along.
     control: FleetControl,
@@ -103,7 +95,6 @@ impl Fleet {
             n_slaves,
             socket,
             threads,
-            kills: Vec::new(),
             control,
             retired,
         }
@@ -206,9 +197,7 @@ impl Fleet {
             }
         };
         let addr = listener.as_ref().map(SocketListener::local_addr);
-        let links = eps.split_off(eps.len().min(1));
-        let kills = links.iter().map(Endpoint::kill_handle).collect();
-        let mut links = links.into_iter();
+        let mut links = eps.split_off(eps.len().min(1)).into_iter();
         let tearing_down: Arc<AtomicBool> = Arc::default();
         let threads = plans
             .into_iter()
@@ -257,7 +246,7 @@ impl Fleet {
             None => Self::assemble(eps.remove(0), n_slaves, None, FleetControl::new(None)),
             Some(listener) => Self::remote(listener, n_slaves, reconnect.is_some(), reconnect)?,
         };
-        (fleet.threads, fleet.kills) = (threads, kills);
+        fleet.threads = threads;
         fleet.control.tearing_down = tearing_down;
         Ok(fleet)
     }
@@ -339,7 +328,7 @@ impl Fleet {
 
     /// Ship `spec` to every slave and run the master loop over a per-job
     /// fork of the fleet's endpoint. The connections stay open when the
-    /// job finishes, ready for the next call.
+    /// job finishes, or fails, ready for the next call.
     pub fn run_job(
         &mut self,
         spec: &JobSpec,
@@ -348,15 +337,8 @@ impl Fleet {
         let mut deployment = spec.deployment(self.n_slaves, None);
         deployment.obs = opts.obs;
         deployment.checkpoint = opts.checkpoint;
-        let grace = deployment
-            .sched_params()
-            .drain_deadline(deployment.retry.drain_budget());
         let payload = Bytes::from(spec.encode());
-        let model = spec.model();
-        let out = with_problem!(&spec.problem, p => {
-            self.run(payload, &p, &model, deployment, None, None)
-        });
-        let out = out.inspect_err(|_| self.end_failed_job(grace))?;
+        let out = self.run(payload, &spec.model(), deployment, None, None)?;
         Ok(RemoteOutput {
             matrix: out.matrix,
             report: RunReport {
@@ -369,44 +351,43 @@ impl Fleet {
         })
     }
 
-    /// Run one job: ship `payload` in a JOB frame to every member, then
-    /// run the master loop over a fork of the root endpoint that carries
-    /// `master_plan`. The connections stay open when the job finishes.
-    /// A job that fails is left to the caller to end.
-    pub(crate) fn run<P: DpProblem>(
+    /// Run one job: the master loop over a fork of the root endpoint that
+    /// carries `master_plan`, which ships `payload` in a JOB frame to every
+    /// member once it has admitted the job. The connections stay open
+    /// when the job finishes or fails.
+    pub(crate) fn run<C: Cell>(
         &mut self,
         payload: Bytes,
-        problem: &P,
         model: &DagDataDrivenModel,
         mut deployment: Deployment,
         tile_budget: Option<u64>,
         master_plan: Option<FaultPlan>,
-    ) -> Result<MasterOutput<P::Cell>, RuntimeError> {
+    ) -> Result<MasterOutput<C>, RuntimeError> {
         self.sync_membership();
-        // Mid-run joiners (and re-incarnated slaves) must learn the job
-        // too: the acceptor ships this to everyone it admits from now on.
-        if let Some(acc) = &self.control.acceptor {
-            acc.set_join_payload(tags::JOB, &payload);
-        }
-        self.control.tearing_down.store(false, Ordering::SeqCst);
-        // A link that died since the last job fails here, and the rank is
-        // retired. The master's send-failure path excludes the slot for
-        // this job.
-        let mut shipped = false;
-        for r in self.expected_ranks() {
-            if self.root.send(Rank(r), tags::JOB, payload.clone()).is_ok() {
-                shipped = true;
-            } else if let Some(f) = self.retired.get_mut(r as usize) {
-                *f = true;
-            }
-        }
         deployment.slaves = self.n_slaves;
-        let out = if shipped {
-            let (ep, fc) = (self.root.fork(master_plan), Some(&self.control));
-            run_master(ep, problem, model, &deployment, tile_budget, fc)
-        } else {
-            Err(RuntimeError::NoSlaves)
+        let (ranks, ep) = (self.expected_ranks(), self.root.fork(master_plan));
+        let ship = || {
+            // Mid-run joiners (and re-incarnated slaves) must learn the job
+            // too: the acceptor ships this to everyone it admits from now on.
+            if let Some(acc) = &self.control.acceptor {
+                acc.set_join_payload(tags::JOB, &payload);
+            }
+            self.control.tearing_down.store(false, Ordering::SeqCst);
+            // A link that died since the last job fails here, and the rank
+            // is retired. The master's send-failure path excludes the slot
+            // for this job.
+            let mut shipped = false;
+            for r in ranks {
+                if self.root.send(Rank(r), tags::JOB, payload.clone()).is_ok() {
+                    shipped = true;
+                } else if let Some(f) = self.retired.get_mut(r as usize) {
+                    *f = true;
+                }
+            }
+            shipped.then_some(()).ok_or(RuntimeError::NoSlaves)
         };
+        let fc = Some(&self.control);
+        let out = run_job(ep, model, &deployment, tile_budget, fc, ship);
         // Clear before propagating any error: a stale payload would ship
         // yesterday's job to tomorrow's joiners.
         if let Some(acc) = &self.control.acceptor {
@@ -418,38 +399,6 @@ impl Fleet {
         out
     }
 
-    /// End the job of a master that failed: send END to every rank that
-    /// may hold the job and read the root endpoint until each has
-    /// answered with STATS or `grace` has passed. A rank whose END fails
-    /// is retired; one that does not answer is released, as a drain
-    /// would.
-    fn end_failed_job(&mut self, grace: Duration) {
-        let mut owed = Vec::new();
-        for r in self.expected_ranks() {
-            if self.root.send(Rank(r), tags::END, Bytes::new()).is_ok() {
-                owed.push(r);
-            } else if let Some(f) = self.retired.get_mut(r as usize) {
-                *f = true;
-            }
-        }
-        let deadline = Instant::now() + grace;
-        while !owed.is_empty() {
-            match self
-                .root
-                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
-            {
-                Ok(env) if env.tag == tags::STATS => owed.retain(|r| *r != env.src.0),
-                // The failed job's DONEs and heartbeats.
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-        // Retired at the next job boundary, like a drained rank.
-        for r in owed {
-            self.control.release(r);
-        }
-    }
-
     /// Send SHUTDOWN to every slave and tear the fleet down. Slave
     /// threads of this process are joined and their per-slave service
     /// summaries returned; remote slaves exit their own processes' loops.
@@ -457,7 +406,6 @@ impl Fleet {
         let Fleet {
             mut root,
             threads,
-            kills,
             n_slaves,
             control,
             ..
@@ -467,10 +415,8 @@ impl Fleet {
         for r in 1..=n_slaves as u32 {
             let _ = root.send(Rank(r), tags::SHUTDOWN, Bytes::new());
         }
-        // Drop the root *before* joining: a slave still inside a job
-        // whose END never reached it ignores SHUTDOWN, and only notices
-        // the fleet is gone when its next heartbeat send fails — which
-        // requires the master side of the links to actually close.
+        // Drop the root *before* joining: a slave whose job read the
+        // SHUTDOWN off the shared link sees its link close instead.
         // Socket writers flush queued frames (the SHUTDOWN) before
         // closing.
         drop(root);
@@ -478,7 +424,6 @@ impl Fleet {
         // go too (stopping the accept thread) or the socket writers would
         // never exit.
         drop(control);
-        kills.iter().for_each(KillHandle::kill);
         threads
             .into_iter()
             .filter_map(|h| h.join().ok().and_then(|r| r.ok()))
@@ -519,13 +464,8 @@ fn temp_socket_path() -> std::path::PathBuf {
     ))
 }
 
-/// How often an idle fleet slave sends a HEARTBEAT between jobs. The
-/// send is its master-death detector: a channel link's receiver never
-/// disconnects, so once the master is gone only a failing send tells.
-const IDLE_PROBE: Duration = Duration::from_millis(500);
-
 /// Serve jobs on an already-connected endpoint until the master sends
-/// SHUTDOWN or disappears. Each [`tags::JOB`] frame starts one job:
+/// SHUTDOWN or the link closes. Each [`tags::JOB`] frame starts one job:
 /// `job` runs it, given the root endpoint and the frame's payload, on a
 /// per-job [`Endpoint::fork`] of the root that it makes, so the link
 /// survives from job to job.
@@ -533,19 +473,9 @@ fn slave_job_loop(
     mut root: Endpoint,
     mut job: impl FnMut(&Endpoint, &[u8]) -> Result<SlaveStatsMsg, RuntimeError>,
 ) -> Result<SlaveServeSummary, RuntimeError> {
-    let master = Rank(0);
     let mut summary = SlaveServeSummary::default();
-    loop {
-        let env = match root.recv_timeout(IDLE_PROBE) {
-            Ok(env) => env,
-            Err(NetError::Timeout) => {
-                if root.send(master, tags::HEARTBEAT, Bytes::new()).is_err() {
-                    return Ok(summary); // master gone between jobs
-                }
-                continue;
-            }
-            Err(_) => return Ok(summary),
-        };
+    // A closed link (or a killed endpoint) ends the loop between jobs.
+    while let Ok(env) = root.recv() {
         match env.tag {
             tags::JOB => {
                 let stats = job(&root, &env.payload)?;
@@ -556,21 +486,13 @@ fn slave_job_loop(
                 summary.stats.thread_failures += stats.thread_failures;
                 summary.stats.threads_spawned += stats.threads_spawned;
             }
-            // An END with no job running (a failed job's master had
-            // already ended it here, or this rank sat the job out) is
-            // answered too, so that every END draws one STATS.
-            tags::END => {
-                let stats = SlaveStatsMsg::default().encode();
-                if root.send(master, tags::STATS, stats).is_err() {
-                    return Ok(summary);
-                }
-            }
-            tags::SHUTDOWN => return Ok(summary),
-            // Stray frames between jobs (a probe of an excluded slave)
-            // are harmless.
+            tags::SHUTDOWN => break,
+            // Stray frames between jobs (a probe of an excluded slave, a
+            // retransmitted END) are harmless.
             _ => {}
         }
     }
+    Ok(summary)
 }
 
 /// The job source of a slave that holds no problem of its own: decode
@@ -808,10 +730,9 @@ mod tests {
         fleet.shutdown();
     }
 
-    /// A master that fails after the JOB went out (here: its checkpoint
-    /// directory holds a run of other dimensions, which the store
-    /// refuses) leaves its slaves inside the job. The fleet ends the job
-    /// with END, so the next job runs at once on the same slaves.
+    /// A job its master refuses (here: its checkpoint directory holds a
+    /// run of other dimensions) ships no JOB, so its slaves never hear of
+    /// it and the next job runs at once on the same slaves.
     #[test]
     fn a_failed_job_leaves_the_fleet_ready() {
         use crate::durable::{CheckpointPolicy, CheckpointStore};
@@ -850,14 +771,63 @@ mod tests {
         );
         assert_eq!(fleet.retired, [false; 3], "no rank was retired");
         let summaries = fleet.shutdown();
-        assert_eq!(summaries.iter().map(|s| s.jobs).sum::<u64>(), 4);
+        assert_eq!(
+            summaries.iter().map(|s| s.jobs).sum::<u64>(),
+            2,
+            "the refused job reached no slave"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A job whose durable flush fails after its JOBs went out (a
+    /// directory sits where the first segment's temp file goes) returns
+    /// the store's error after its master's own END round, so the next
+    /// job on the same slaves runs at once.
+    #[test]
+    fn a_failed_flush_ends_its_job_with_its_masters_end() {
+        use crate::durable::CheckpointPolicy;
+        let dir =
+            std::env::temp_dir().join(format!("easyhps-fleet-failed-flush-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("seg-00000000.tmp")).unwrap();
+
+        let mut fleet = Fleet::local(2, None).unwrap();
+        let spec = editdist_spec(b"a job whose first flush", b"cannot be written down");
+        let failed = fleet.run_job(
+            &spec,
+            JobOptions {
+                checkpoint: Some(CheckpointPolicy::new(&dir).with_every_tiles(1)),
+                ..JobOptions::default()
+            },
+        );
+        assert!(
+            matches!(&failed, Err(RuntimeError::Checkpoint(m)) if m.contains("seg-00000000")),
+            "{:?}",
+            failed.map(|o| o.report.master)
+        );
+
+        let t = Instant::now();
+        let spec = editdist_spec(b"the next job runs anyway", b"on the same two slaves");
+        let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
+        assert_eq!(out.matrix, spec.problem.solve_sequential());
+        assert!(
+            t.elapsed() < Duration::from_secs(5),
+            "the job after a failed flush took {:?}",
+            t.elapsed()
+        );
+        let summaries = fleet.shutdown();
+        assert_eq!(
+            summaries.iter().map(|s| s.jobs).sum::<u64>(),
+            4,
+            "each slave served both jobs"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A job that reads the SHUTDOWN off the shared link (a lingering
     /// reliable layer reads every frame) and then ends cleanly leaves its
-    /// slave idle on a channel that never disconnects. The shutdown does
-    /// not wait for that slave's idle probe to find the master gone.
+    /// slave idle. The shutdown closes that slave's link, so it exits at
+    /// once.
     #[test]
     fn a_slave_whose_job_ate_the_shutdown_exits_at_once() {
         let (started, job_started) = std::sync::mpsc::channel();
@@ -882,30 +852,53 @@ mod tests {
         let t = Instant::now();
         let summaries = fleet.shutdown();
         assert!(
-            t.elapsed() < IDLE_PROBE / 2,
-            "shutdown waited {:?} for the slave's idle probe",
+            t.elapsed() < Duration::from_millis(100),
+            "shutdown waited {:?} for the slave",
             t.elapsed()
         );
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].jobs, 1);
     }
 
-    /// An idle slave answers END with empty stats, so a fleet ending a
-    /// job that its master had already ended there is answered at once.
+    /// A slave whose END never came reads the SHUTDOWN inside its job: the
+    /// job ends there, without a panic, and the slave's loop with it.
     #[test]
-    fn an_idle_slave_answers_end_with_empty_stats() {
-        use crate::protocol::SlaveStatsMsg;
-        let mut eps = Network::new(2);
-        let mut root = eps.remove(0);
-        let ep = eps.remove(0);
-        let slave = std::thread::spawn(move || spec_loop(ep));
-        root.send(Rank(1), tags::END, Bytes::new()).unwrap();
-        let env = root.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(env.tag, tags::STATS);
-        let stats = SlaveStatsMsg::decode(&env.payload).unwrap();
-        assert_eq!(stats, SlaveStatsMsg::default());
-        root.send(Rank(1), tags::SHUTDOWN, Bytes::new()).unwrap();
-        assert_eq!(slave.join().unwrap().unwrap().jobs, 0);
+    fn shutdown_inside_a_job_ends_the_slave() {
+        let mut fleet = Fleet::local(1, None).unwrap();
+        let spec = editdist_spec(b"a job that never", b"gets its END");
+        let payload = Bytes::from(spec.encode());
+        fleet.root.send(Rank(1), tags::JOB, payload).unwrap();
+        // The slave is inside the job once its IDLE arrives.
+        while fleet.root.recv_timeout(Duration::from_secs(5)).unwrap().tag != tags::IDLE {}
+        let t = Instant::now();
+        let summaries = fleet.shutdown();
+        assert!(
+            t.elapsed() < Duration::from_millis(100),
+            "shutdown waited {:?} for the slave",
+            t.elapsed()
+        );
+        assert_eq!(summaries.len(), 1, "the slave thread failed or panicked");
+        assert_eq!(summaries[0].jobs, 1);
+    }
+
+    /// A channel fleet dropped without `shutdown` closes its slaves'
+    /// links: their threads exit at once, with no probe to wait out.
+    #[test]
+    fn a_dropped_channel_fleet_ends_its_slave_threads() {
+        let mut fleet = Fleet::local(2, None).unwrap();
+        let spec = editdist_spec(b"one job, then the fleet", b"is simply dropped");
+        fleet.run_job(&spec, JobOptions::default()).unwrap();
+        let threads = std::mem::take(&mut fleet.threads);
+        let t = Instant::now();
+        drop(fleet);
+        for h in threads {
+            assert_eq!(h.join().unwrap().unwrap().jobs, 1);
+        }
+        assert!(
+            t.elapsed() < Duration::from_millis(100),
+            "the slave threads took {:?} to exit",
+            t.elapsed()
+        );
     }
 
     /// Per-link FIFO is the whole job boundary: a DONE and a STATS that a

@@ -47,6 +47,7 @@
 //! per slave. The observable protocol and scheduling behaviour are
 //! identical; only the thread count differs.
 
+use crate::checkpoint::Entries;
 use crate::config::{Deployment, MasterStats, ObsConfig};
 use crate::durable::CheckpointStore;
 use crate::obs::{lane_of, publish_endpoint_stats, registry_of, MasterMetrics, TID_FT, TID_NET};
@@ -170,23 +171,62 @@ pub fn run_master<P: DpProblem>(
     fleet: Option<&FleetControl>,
 ) -> Result<MasterOutput<P::Cell>, RuntimeError> {
     let _ = problem; // kernels run slave-side; the master only routes data
-    let mut shell = start_shell::<P::Cell>(ep, model, config, tile_budget, fleet)?;
-    shell.run()?;
+    run_job(ep, model, config, tile_budget, fleet, || Ok(()))
+}
+
+/// [`run_master`], with `ship` to start the job on the slaves once the
+/// checks that can refuse it passed, and before the matrix allocation
+/// and the restore. From `ship` on, every way out, an error included,
+/// passes through the teardown's END round.
+pub(crate) fn run_job<C: Cell>(
+    ep: Endpoint,
+    model: &DagDataDrivenModel,
+    config: &Deployment,
+    tile_budget: Option<u64>,
+    fleet: Option<&FleetControl>,
+    ship: impl FnOnce() -> Result<(), RuntimeError>,
+) -> Result<MasterOutput<C>, RuntimeError> {
+    if config.slaves == 0 {
+        return Err(RuntimeError::NoSlaves);
+    }
+    // Step a: master DAG Data Driven Model initialization (+ validation:
+    // the race-freedom argument of the shared grid depends on it).
+    let dag: TaskDag = model.master_dag();
+    dag.validate()?;
+    let (store, resume) = match &config.checkpoint {
+        Some(pol) => {
+            let dims = model.dag_size();
+            let (store, resume) = CheckpointStore::open(pol, dims.rows, dims.cols)?;
+            // Under other partition sizes the same ids name other tiles.
+            let region = |id: u32| model.tile_region(dag.vertex(VertexId(id)).pos);
+            let foreign = |(id, r, _): &&_| *id as usize >= dag.len() || region(*id) != *r;
+            if let Some((id, r, _)) = resume.iter().find(foreign) {
+                return Err(RuntimeError::Checkpoint(format!(
+                    "checkpoint dir {}: tile {id} at {r:?} is not a tile of this run's \
+                     partitioning",
+                    pol.dir.display()
+                )));
+            }
+            (Some(store), resume)
+        }
+        None => (None, Vec::new()),
+    };
+    ship()?;
+    let mut shell = start_shell(ep, dag, store, model, config, tile_budget, fleet);
+    shell.run(resume)?;
     shell.finish()
 }
 
-/// Everything before the loop: the endpoint, the validated master
-/// DAG, the durable store, the machine, and the tiles it restored.
+/// Everything before the loop: the endpoint, the machine and the matrix.
 fn start_shell<'a, C: Cell>(
     ep: Endpoint,
+    dag: TaskDag,
+    store: Option<CheckpointStore>,
     model: &'a DagDataDrivenModel,
     config: &'a Deployment,
     tile_budget: Option<u64>,
     fleet: Option<&'a FleetControl>,
-) -> Result<Shell<'a, C>, RuntimeError> {
-    if config.slaves == 0 {
-        return Err(RuntimeError::NoSlaves);
-    }
+) -> Shell<'a, C> {
     let t0 = Instant::now();
     let params = config.sched_params();
     let obs = &config.obs;
@@ -198,30 +238,12 @@ fn start_shell<'a, C: Cell>(
         rec.name_thread(0, TID_FT, "fault-tolerance");
         rec.name_thread(0, TID_NET, "net");
     }
-
-    // Step a: master DAG Data Driven Model initialization (+ validation:
-    // the race-freedom argument of the shared grid depends on it).
-    let dag: TaskDag = model.master_dag();
-    dag.validate()?;
     let acceptor = fleet.and_then(|f| f.acceptor.as_deref());
-
-    // Durable checkpoint store: opened before anything touches the
-    // network, so a refused directory (dims mismatch, prior run present
-    // without --resume) fails the run early.
-    let dims = model.dag_size();
-    let (store, resume) = match &config.checkpoint {
-        Some(pol) => {
-            let (store, resume) = CheckpointStore::open(pol, dims.rows, dims.cols)?;
-            (Some(store), resume)
-        }
-        None => (None, Vec::new()),
-    };
-
     let n = config.slaves;
-    let mut shell = Shell {
+    Shell {
         sched: MasterSched::new(&dag, n, config.process_mode, &params, tile_budget)
             .with_rejoin_window(fleet.and_then(|f| f.rejoin_window)),
-        matrix: DpMatrix::new(dims),
+        matrix: DpMatrix::new(model.dag_size()),
         trace: Trace::new(),
         mm: MasterMetrics::register(&registry_of(obs)),
         lanes: [lane_of(obs, 0, 0), lane_of(obs, 0, TID_FT)],
@@ -242,39 +264,7 @@ fn start_shell<'a, C: Cell>(
         dag,
         rep,
         store,
-    };
-
-    // Resume: restore finished regions and fast-forward the machine. The
-    // finished set of a valid checkpoint is ancestor-closed, so walking a
-    // topological order completes each task the moment it is computable;
-    // a corrupt set surfaces as a SchedulerInvariant error, not a panic.
-    if let Some(pol) = config.checkpoint.as_ref().filter(|_| !resume.is_empty()) {
-        let mut preload = HashSet::with_capacity(resume.len());
-        for (id, region, cells) in &resume {
-            // Under other partition sizes the same ids name other tiles.
-            if *id as usize >= shell.dag.len() || shell.region_of(*id) != *region {
-                return Err(RuntimeError::Checkpoint(format!(
-                    "checkpoint dir {}: tile {id} at {region:?} is not a tile of this run's \
-                     partitioning",
-                    pol.dir.display()
-                )));
-            }
-            shell.matrix.decode_region(*region, cells);
-            preload.insert(*id);
-        }
-        for v in shell.dag.topological_order()? {
-            if preload.contains(&v.0) {
-                shell.sched.preload_finished(&shell.dag, v)?;
-                shell.completed.push(v);
-                shell.mm.restored.inc();
-            }
-        }
-        // The restored tiles are the directory's own: flushes start after them.
-        shell.flush_idx = shell.completed.len();
-        let resumed = shell.sched.counters().resumed;
-        shell.instant(false, "resume", "checkpoint", ("tiles", resumed));
     }
-    Ok(shell)
 }
 
 /// The teardown drain (step i): which final STATS it still waits for. It
@@ -290,6 +280,8 @@ struct Teardown {
     /// STATS (or final DONE) can spend a full retransmit cycle in flight,
     /// so the deadline scales with the configured `RetryPolicy`.
     deadline: Instant,
+    /// Why the job failed: returned after the drain, which feeds no event.
+    error: Option<RuntimeError>,
 }
 
 /// Everything the master owns besides the machine's decisions: the
@@ -336,7 +328,7 @@ struct Shell<'a, C: Cell> {
     /// Prefix of `completed` already flushed to the store.
     flush_idx: usize,
     last_ft: Instant,
-    /// `Some` once the machine said Finished/BudgetStop.
+    /// `Some` once the job is ending: finished, budget-stopped or failed.
     teardown: Option<Teardown>,
 }
 
@@ -373,64 +365,104 @@ impl<C: Cell> Shell<'_, C> {
         self.lanes[usize::from(ft)].instant(name, cat, Some(arg));
     }
 
-    /// The one loop. A pass handles membership → drain requests → `Heard`
-    /// → `FtTick` → `Tick` → receive → send failures → durable flush; once
-    /// the machine has said Finished/BudgetStop the same loop is the
-    /// teardown drain — frames only, until the awaited STATS and the END
-    /// ACKs are in. The receive is the pass's one wait: it returns on a
-    /// frame or at a deadline the shell holds, never on a poll slice.
-    fn run(&mut self) -> Result<(), RuntimeError> {
-        loop {
-            if self.teardown.is_none() {
-                // Membership first: a rejoin must re-fence the transport
-                // before this iteration stamps any new ASSIGN, and a joiner
-                // must exist before its first frame is dispatched on.
-                self.poll_fleet()?;
-                // Sync heartbeat observations into the machine's liveness
-                // record.
-                for w in 0..self.n_slaves() {
-                    if let Some(t) = self.rep.last_heard(Rank(w as u32 + 1)) {
-                        let at_ns = self.ns(t);
-                        self.feed(MasterEvent::Heard { slave: w, at_ns }, &[])?;
-                    }
-                }
-                // The fault-tolerance sweep, at its own cadence.
-                if self.last_ft.elapsed() >= self.params.ft_poll {
-                    self.last_ft = Instant::now();
-                    let now_ns = self.ns(self.last_ft);
-                    self.feed(MasterEvent::FtTick { now_ns }, &[])?;
-                    self.probe_excluded()?;
-                }
-                // One scheduling pass: re-admission, termination checks
-                // and dispatch all come back as actions.
-                let now_ns = self.ns(Instant::now());
-                self.feed(MasterEvent::Tick { now_ns }, &[])?;
+    /// Restore the resumed tiles, then [`Shell::pass`] until the teardown
+    /// drain is over; an error at any step goes to [`Shell::fail`].
+    fn run(&mut self, resume: Entries) -> Result<(), RuntimeError> {
+        let mut pass = self.restore(resume).map(|()| true);
+        while !matches!(pass, Ok(false)) {
+            if let Err(e) = pass {
+                self.fail(e);
             }
-            // Without a frame, the main loop next acts at the FT sweep;
-            // membership and drain requests ride on that wakeup, so they
-            // are seen within `ft_poll`.
-            let (deadline, until_acked) = match &self.teardown {
-                None => (self.last_ft + self.params.ft_poll, false),
-                Some(t) => {
-                    let stats_in = !t.awaited.contains(&true);
-                    if stats_in && !self.rep.has_pending() || Instant::now() >= t.deadline {
-                        return Ok(());
-                    }
-                    (t.deadline, stats_in)
-                }
-            };
-            // Steps e-f, h: collect completions and idle signals. The
-            // reliable endpoint retransmits pending sends while waiting.
-            match self.rep.recv_until(deadline, until_acked) {
-                Ok(Some(env)) => self.on_frame(env)?,
-                Ok(None) => {}
-                Err(_) if self.teardown.is_some() => return Ok(()),
-                Err(e) => return Err(e.into()),
-            }
-            self.on_send_failures()?;
-            self.flush_durable(false)?;
-            self.mm.publish(self.sched.counters());
+            pass = self.pass();
         }
+        let error = self.teardown.as_mut().and_then(|t| t.error.take());
+        error.map_or(Ok(()), Err)
+    }
+
+    /// Resume: restore finished regions and fast-forward the machine. The
+    /// finished set of a valid checkpoint is ancestor-closed, so walking a
+    /// topological order completes each task the moment it is computable;
+    /// a corrupt set surfaces as a SchedulerInvariant error, not a panic.
+    fn restore(&mut self, resume: Entries) -> Result<(), RuntimeError> {
+        if resume.is_empty() {
+            return Ok(());
+        }
+        let mut preload = HashSet::with_capacity(resume.len());
+        for (id, region, cells) in &resume {
+            self.matrix.decode_region(*region, cells);
+            preload.insert(*id);
+        }
+        for v in self.dag.topological_order()? {
+            if preload.contains(&v.0) {
+                self.sched.preload_finished(&self.dag, v)?;
+                self.completed.push(v);
+                self.mm.restored.inc();
+            }
+        }
+        // The restored tiles are the directory's own: flushes start after them.
+        self.flush_idx = self.completed.len();
+        let resumed = self.sched.counters().resumed;
+        self.instant(false, "resume", "checkpoint", ("tiles", resumed));
+        Ok(())
+    }
+
+    /// One pass of the loop: membership → drain requests → `Heard` →
+    /// `FtTick` → `Tick` → receive → send failures → durable flush; once
+    /// the job is ending the same pass is the teardown drain — frames
+    /// only, until the awaited STATS and the END ACKs are in. The receive
+    /// is the pass's one wait: it returns on a frame or at a deadline the
+    /// shell holds, never on a poll slice. False once the drain is over.
+    fn pass(&mut self) -> Result<bool, RuntimeError> {
+        if self.teardown.is_none() {
+            // Membership first: a rejoin must re-fence the transport
+            // before this iteration stamps any new ASSIGN, and a joiner
+            // must exist before its first frame is dispatched on.
+            self.poll_fleet()?;
+            // Sync heartbeat observations into the machine's liveness
+            // record.
+            for w in 0..self.n_slaves() {
+                if let Some(t) = self.rep.last_heard(Rank(w as u32 + 1)) {
+                    let at_ns = self.ns(t);
+                    self.feed(MasterEvent::Heard { slave: w, at_ns }, &[])?;
+                }
+            }
+            // The fault-tolerance sweep, at its own cadence.
+            if self.last_ft.elapsed() >= self.params.ft_poll {
+                self.last_ft = Instant::now();
+                let now_ns = self.ns(self.last_ft);
+                self.feed(MasterEvent::FtTick { now_ns }, &[])?;
+                self.probe_excluded()?;
+            }
+            // One scheduling pass: re-admission, termination checks
+            // and dispatch all come back as actions.
+            let now_ns = self.ns(Instant::now());
+            self.feed(MasterEvent::Tick { now_ns }, &[])?;
+        }
+        // Without a frame, the main loop next acts at the FT sweep;
+        // membership and drain requests ride on that wakeup, so they
+        // are seen within `ft_poll`.
+        let (deadline, until_acked) = match &self.teardown {
+            None => (self.last_ft + self.params.ft_poll, false),
+            Some(t) => {
+                let stats_in = !t.awaited.contains(&true);
+                if stats_in && !self.rep.has_pending() || Instant::now() >= t.deadline {
+                    return Ok(false);
+                }
+                (t.deadline, stats_in)
+            }
+        };
+        // Steps e-f, h: collect completions and idle signals. The
+        // reliable endpoint retransmits pending sends while waiting.
+        match self.rep.recv_until(deadline, until_acked) {
+            Ok(Some(env)) => self.on_frame(env)?,
+            Ok(None) => {}
+            Err(_) if self.teardown.is_some() => return Ok(false),
+            Err(e) => return Err(e.into()),
+        }
+        self.on_send_failures()?;
+        self.flush_durable(false)?;
+        self.mm.publish(self.sched.counters());
+        Ok(true)
     }
 
     /// Feed one event to the machine and perform what it answers.
@@ -536,7 +568,12 @@ impl<C: Cell> Shell<'_, C> {
                     }
                     self.instant(ft, "release", "fleet", ("slave", slave as u64));
                 }
-                MasterAction::Finished | MasterAction::BudgetStop => self.begin_teardown()?,
+                // The machine stops dispatching; completions in flight are
+                // still accepted, or a budget stop would recompute them.
+                MasterAction::Finished | MasterAction::BudgetStop => {
+                    self.feed(MasterEvent::Drain, &[])?;
+                    self.end_job();
+                }
                 MasterAction::AllSlavesDead => return Err(RuntimeError::AllSlavesDead),
             }
         }
@@ -554,10 +591,17 @@ impl<C: Cell> Shell<'_, C> {
         if w >= self.n_slaves() {
             return Ok(());
         }
+        // A failed job's machine is fed nothing more: only STATS count.
+        let failed = self.teardown.as_ref().is_some_and(|t| t.error.is_some());
         match env.tag {
+            _ if failed && env.tag != tags::STATS => {}
             tags::IDLE => self.feed(MasterEvent::Idle { slave: w }, &[])?,
             tags::DONE => {
-                let msg = DoneMsg::decode(&env.payload)?;
+                // Outside input: counted and dropped, as the shape fence.
+                let Ok(msg) = DoneMsg::decode(&env.payload) else {
+                    self.mm.malformed.inc();
+                    return Ok(());
+                };
                 let task = msg.task;
                 // The epoch fence: a completion stamped by a since-replaced
                 // incarnation is counted and dropped before the register
@@ -580,11 +624,14 @@ impl<C: Cell> Shell<'_, C> {
                 }
                 self.feed(MasterEvent::Done { slave: w, task }, msg.output)?;
             }
-            // Final stats answer END; one arriving earlier is a late
-            // reply to a previous job's END on a reused link.
+            // Final stats answer END (an undecodable one is counted); one
+            // arriving earlier is a late reply to a previous job's END.
             tags::STATS => {
                 if let Some(t) = self.teardown.as_mut().filter(|t| t.stats[w].is_none()) {
-                    t.stats[w] = Some(SlaveStatsMsg::decode(&env.payload)?);
+                    match SlaveStatsMsg::decode(&env.payload) {
+                        Ok(stats) => t.stats[w] = Some(stats),
+                        Err(_) => self.mm.malformed.inc(),
+                    }
                     t.awaited[w] = false;
                 }
             }
@@ -684,14 +731,12 @@ impl<C: Cell> Shell<'_, C> {
         Ok(())
     }
 
-    /// Step i: the machine stops dispatching; completions still in flight
-    /// keep being accepted into the matrix — on a budget stop they would
-    /// otherwise be recomputed after a resume. END goes to every
-    /// slave (dead ones may never read it); the STATS of the live ones
-    /// whose END went out are awaited — an END that fails at once names a
-    /// slave that can never answer.
-    fn begin_teardown(&mut self) -> Result<(), RuntimeError> {
-        self.feed(MasterEvent::Drain, &[])?;
+    /// Step i, the job's one END round, for a finished job and a failed
+    /// one alike. END goes to every slave (dead ones may never read it); the
+    /// STATS of the live ones whose END went out are awaited — an END
+    /// that fails at once names a slave that can never answer, so a dead
+    /// master endpoint awaits nothing.
+    fn end_job(&mut self) {
         if let Some(fc) = self.fleet {
             fc.tearing_down.store(true, Ordering::SeqCst);
         }
@@ -707,8 +752,18 @@ impl<C: Cell> Shell<'_, C> {
             stats: vec![None; self.n_slaves()],
             awaited,
             deadline: Instant::now() + grace,
+            error: None,
         });
-        Ok(())
+    }
+
+    /// End the job on `e`, starting the END round unless it has begun.
+    fn fail(&mut self, e: RuntimeError) {
+        if self.teardown.is_none() {
+            self.end_job();
+        }
+        if let Some(t) = &mut self.teardown {
+            t.error.get_or_insert(e);
+        }
     }
 
     /// Durable flush: append the not-yet-flushed tail of `completed` to
@@ -828,8 +883,10 @@ mod tests {
                     let (p, m, c) = (&problem, &model, &config);
                     s.spawn(move || crate::run_slave(ep, p, m, c));
                 }
-                let mut shell = start_shell::<i32>(master_ep, &model, &config, None, None).unwrap();
-                shell.run().unwrap();
+                let dag = model.master_dag();
+                let mut shell =
+                    start_shell::<i32>(master_ep, dag, None, &model, &config, None, None);
+                shell.run(Vec::new()).unwrap();
                 (shell.inflight.len(), shell.finish().unwrap())
             });
             assert_eq!(out.matrix, reference);

@@ -34,17 +34,15 @@ pub mod tags {
     pub const ASSIGN: Tag = Tag(2);
     /// Slave -> master: computed sub-task region.
     pub const DONE: Tag = Tag(3);
-    /// Master -> slave: end the job. A fleet slave that has no job
-    /// running answers it too, with empty stats.
+    /// Master -> slave: end the job. Only the master's teardown sends it.
     pub const END: Tag = Tag(4);
     /// Slave -> master: final execution stats (reply to END).
     pub const STATS: Tag = Tag(5);
     /// Slave -> master: "I am alive" (sent unreliably at
-    /// `heartbeat_interval`, including from inside a long tile
-    /// computation, and by an idle fleet slave between jobs; a lost one
-    /// is superseded by the next). Master -> slave: a probe of an
-    /// excluded slave's link — the send failing is the point; the slave
-    /// ignores it.
+    /// `heartbeat_interval` while a job runs, including from inside a
+    /// long tile computation; a lost one is superseded by the next).
+    /// Master -> slave: a probe of an excluded slave's link — the send
+    /// failing is the point; the slave ignores it.
     pub const HEARTBEAT: Tag = Tag(6);
     /// Master -> slave: serialized job description (problem, partitions,
     /// deployment knobs) sent once right after the socket handshake so a
@@ -53,7 +51,8 @@ pub mod tags {
     pub const JOB: Tag = Tag(7);
     /// Master -> slave: the fleet is done with this slave; exit the job
     /// loop. Distinct from END, which finishes one job — SHUTDOWN ends
-    /// the slave process's whole service loop.
+    /// the slave's whole service loop, and a job it arrives in; a slave
+    /// process that may rejoin would redial a link that merely closed.
     pub const SHUTDOWN: Tag = Tag(8);
 }
 

@@ -13,8 +13,8 @@
 //! durable checkpoints — is byte-identical to the in-process path. Both
 //! sides are a [`Fleet`]: a slave serves any number of jobs on one
 //! connection ([`serve_slave_jobs`](crate::fleet::serve_slave_jobs)), a
-//! JOB frame starts each and END ends it; between jobs the slave only
-//! heartbeats, which is how it notices a master that is gone.
+//! JOB frame starts each and END ends it; between jobs the slave waits
+//! for the next JOB, SHUTDOWN or the link closing.
 //!
 //! [`RemoteProblem`] is the one table of shippable recurrences: the only
 //! map between a workload name and a variant ([`RemoteProblem::NAMES`]),

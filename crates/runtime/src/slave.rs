@@ -23,10 +23,9 @@
 //! emits unreliable HEARTBEATs at `heartbeat_interval`, which is how the
 //! master tells slow from dead: the loop beats between frames, and a
 //! heart thread beats (and retransmits pending sends) while the loop runs
-//! kernels, so a long sub-sub-task never reads as silence. A heartbeat
-//! send failing with a channel error doubles as the slave's master-death
-//! detector (its own receiver never disconnects, because every endpoint
-//! holds a sender to itself).
+//! kernels, so a long sub-sub-task never reads as silence. A slave
+//! learns that its master is gone from its link: a receive or a
+//! heartbeat send fails once the master's side is closed.
 
 use crate::config::Deployment;
 use crate::obs::{lane_of, publish_endpoint_stats, registry_of, SlaveMetrics, TID_NET};
@@ -421,17 +420,18 @@ pub fn run_slave<P: DpProblem>(
                     Err(e) => return Err(e.into()),
                 }
             };
+            // SlaveStatsMsg is a view over the registry: every field was
+            // maintained there as the tiles ran.
+            let stats = || SlaveStatsMsg {
+                tasks_done: sm.tiles.get(),
+                subtasks_done: sm.subtasks.get(),
+                busy_ns: sm.busy_ns.get(),
+                thread_failures: sm.thread_failures.get(),
+                threads_spawned: pool.threads(),
+            };
             match env.tag {
                 tags::END => {
-                    // SlaveStatsMsg is a view over the registry: every
-                    // field was maintained there as the tiles ran.
-                    let stats = SlaveStatsMsg {
-                        tasks_done: sm.tiles.get(),
-                        subtasks_done: sm.subtasks.get(),
-                        busy_ns: sm.busy_ns.get(),
-                        thread_failures: sm.thread_failures.get(),
-                        threads_spawned: pool.threads(),
-                    };
+                    let stats = stats();
                     let mut l = lock_link(link);
                     let _ = l.rep.send_reliable(master, tags::STATS, stats.encode());
                     // Linger until the STATS (and any late DONE) is acked,
@@ -488,9 +488,9 @@ pub fn run_slave<P: DpProblem>(
                 }
                 // The master probing the link of a slave it excluded.
                 tags::HEARTBEAT => {}
-                other => {
-                    debug_assert!(false, "slave received unexpected {other}");
-                }
+                // The fleet is going away and this job's END never came.
+                tags::SHUTDOWN => return Ok(stats()),
+                other => debug_assert!(false, "slave received unexpected {other}"),
             }
         }
     });

@@ -1246,12 +1246,16 @@ fn malformed_and_zombie_completions_are_dropped_never_fatal() {
                             region: msg.region,
                             output: &answers.encode_region(msg.region),
                         };
-                        // For the first assignment, in turn: a region
-                        // shifted clean off the matrix, a payload one cell
-                        // short, an unknown task id, a frame from outside
-                        // the slave range, a stale epoch — then the truth.
+                        // For the first assignment, in turn: a DONE cut
+                        // off mid-header, a region shifted clean off the
+                        // matrix, a payload one cell short, an unknown task
+                        // id, a frame from outside the slave range, a stale
+                        // epoch — then the truth.
                         let mut frames = Vec::new();
                         if !std::mem::replace(&mut lied, true) {
+                            rep_a
+                                .send_reliable(Rank(0), tags::DONE, honest.encode().slice(..6))
+                                .unwrap();
                             let r = msg.region;
                             let shifted = easyhps_core::TileRegion::new(
                                 r.row_start + dims.rows,
@@ -1310,7 +1314,7 @@ fn malformed_and_zombie_completions_are_dropped_never_fatal() {
     assert_eq!(out.stats.stale_completions, 0, "dropped before the machine");
     assert_eq!(out.stats.stale_epoch_rejected, 1);
     let snap = registry.snapshot();
-    assert_eq!(snap.counter("master_malformed_completions"), Some(3));
+    assert_eq!(snap.counter("master_malformed_completions"), Some(4));
     assert_series_equal_stats(&snap, &out.stats);
 }
 
