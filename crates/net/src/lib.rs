@@ -18,7 +18,9 @@
 //! - [`socket`]: a rank link over a stream (a slave reads and writes it
 //!   on its own thread; a master writes on the sender's thread, with a
 //!   reader thread and a writer thread for what a bounded write leaves
-//!   queued), fleet membership and rejoins;
+//!   queued), and the acceptor that admits slaves into a fleet;
+//! - [`membership`]: which slave holds which rank — one table, one rank
+//!   rule, no I/O — for the acceptor and the runtime's fleet alike;
 //! - [`Endpoint`]: seals every send into a frame, applies the
 //!   [`FaultPlan`], verifies every receive — identical over channels and
 //!   sockets;
@@ -47,6 +49,7 @@
 mod crc;
 mod fault;
 pub mod frame;
+pub mod membership;
 mod message;
 mod reliable;
 pub mod socket;
@@ -56,13 +59,13 @@ mod wire;
 
 pub use crc::crc32c;
 pub use fault::{FaultPlan, LinkSever};
+pub use membership::{Membership, MembershipEvent, Seat};
 pub use message::{Envelope, Rank, Tag};
 pub use reliable::{
     FailReason, PeerReliStats, ReliStats, ReliableEndpoint, RetryPolicy, SendFailure,
 };
 pub use socket::{
-    FleetAcceptor, LinkSnapshot, LinkStats, MembershipEvent, SocketConfig, SocketInfo,
-    SocketListener,
+    FleetAcceptor, LinkSnapshot, LinkStats, SocketConfig, SocketInfo, SocketListener,
 };
 pub use stream::NetAddr;
 pub use transport::{Endpoint, KillHandle, NetError, NetStats, Network};

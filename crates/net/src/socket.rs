@@ -46,6 +46,7 @@
 
 use crate::fault::FaultPlan;
 use crate::frame::{self, Kind, RANK_MAGIC};
+use crate::membership::{Membership, MembershipEvent};
 use crate::message::{Rank, Tag};
 use crate::stream::{entropy, retry_with_backoff, Listener, NetAddr, Stream};
 use crate::transport::{Endpoint, Inbound, NetError, TxLink};
@@ -177,10 +178,10 @@ pub struct SocketInfo {
     pub n_ranks: usize,
     /// `(peer rank, counters)` for every socket link this endpoint owns.
     pub links: Vec<(Rank, Arc<LinkStats>)>,
-    /// The fleet epoch the handshake reported. Fenced fleets
-    /// ([`SocketListener::accept_fleet`]) start at 1; plain
-    /// [`SocketListener::accept_ranks`] / [`connect`] clusters report 0,
-    /// matching the in-process transport's epochless runs.
+    /// The fleet epoch the handshake reported, from the master's
+    /// [`Membership`]: an elastic table starts at 1; a fixed one
+    /// ([`SocketListener::accept_ranks`]) stays at 0, matching the
+    /// in-process transport's epochless runs.
     pub epoch: u64,
     /// The slave process's session id, which [`redial`] presents again;
     /// 0 on the master.
@@ -572,14 +573,6 @@ pub struct SocketListener {
     inner: Listener,
 }
 
-/// The master side after its initial fleet is in.
-struct Admitted {
-    ep: Endpoint,
-    info: SocketInfo,
-    slots: Vec<Option<RankSlot>>,
-    env_tx: Sender<Inbound>,
-}
-
 impl SocketListener {
     /// Bind to `addr`. For `tcp:host:0` the OS picks a port; read the
     /// result back with [`SocketListener::local_addr`]. The config is
@@ -596,184 +589,131 @@ impl SocketListener {
         self.inner.local_addr()
     }
 
-    /// Accept `n_slaves` connections, assign ranks `1..=n_slaves`
-    /// (honouring a slave's `want_rank` when it is free) and hand every
-    /// admitted slave `epoch` in its welcome.
-    fn admit_initial(
-        &self,
-        n_slaves: usize,
-        plan: Option<FaultPlan>,
-        epoch: u64,
-    ) -> io::Result<Admitted> {
-        assert!(n_slaves > 0, "a socket cluster needs at least one slave");
-        let n_ranks = n_slaves + 1;
-        let deadline = Instant::now() + ACCEPT_TIMEOUT;
-        let (env_tx, env_rx) = unbounded();
-        let mut links: Vec<TxLink> = (0..n_ranks).map(|_| TxLink::Unrouted).collect();
-        links[0] = TxLink::Channel(env_tx.clone()); // loopback
-        let mut slots: Vec<Option<RankSlot>> = (0..n_ranks).map(|_| None).collect();
-        let mut admitted = 0;
-        while admitted < n_slaves {
-            // Poll so a missing slave cannot park the master past its
-            // accept timeout.
-            let Some(mut stream) = self.inner.accept_by(deadline)? else {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "timed out waiting for slaves to connect",
-                ));
-            };
-            let Ok((want, session)) = read_hello(&mut stream) else {
-                continue; // garbage peer: drop the connection
-            };
-            let want = want as usize;
-            let rank = if (1..n_ranks).contains(&want) && slots[want].is_none() {
-                want
-            } else {
-                1 + slots[1..]
-                    .iter()
-                    .position(|s| s.is_none())
-                    .expect("fewer admitted than slots")
-            };
-            write_welcome(&mut stream, rank as u32, n_ranks as u32, epoch)?;
-            let stats = Arc::new(LinkStats::default());
-            let tx = spawn_link(stream, Rank(rank as u32), env_tx.clone(), stats.clone())?;
-            slots[rank] = Some(RankSlot {
-                conn: tx.conn.clone(),
-                session,
-                stats,
-            });
-            links[rank] = TxLink::Socket(tx);
-            admitted += 1;
-        }
-        let info = SocketInfo {
-            rank: Rank(0),
-            n_ranks,
-            links: slots
-                .iter()
-                .enumerate()
-                .filter_map(|(r, s)| Some((Rank(r as u32), s.as_ref()?.stats.clone())))
-                .collect(),
-            epoch,
-            session: 0,
-        };
-        Ok(Admitted {
-            ep: Endpoint::from_parts(Rank(0), links, env_rx, plan, None),
-            info,
-            slots,
-            env_tx,
-        })
-    }
-
-    /// Accept `n_slaves` connections, assign ranks `1..=n_slaves`
-    /// (honouring a slave's `want_rank` when it is free) and return the
-    /// master endpoint plus per-link counters.
+    /// Accept `n_slaves` connections into ranks `1..=n_slaves` by the
+    /// rank rule ([`crate::membership`]) and return the master endpoint
+    /// plus per-link counters.
     pub fn accept_ranks(
         self,
         n_slaves: usize,
         plan: Option<FaultPlan>,
     ) -> io::Result<(Endpoint, SocketInfo)> {
-        let a = self.admit_initial(n_slaves, plan, 0)?;
-        Ok((a.ep, a.info))
+        let (ep, members, _) = self.accept_fleet(n_slaves, plan, false)?;
+        let info = members.lock().unwrap().socket_info();
+        Ok((ep, info))
     }
 
-    /// Like [`SocketListener::accept_ranks`], but for a long-lived,
-    /// *elastic* fleet: after the initial `n_slaves` are admitted the
-    /// listener stays alive on a background acceptor thread that
-    ///
-    /// - **rejoins** a known rank — the same slave process redialling
-    ///   after its link broke, or a replacement process — by bumping the
-    ///   fleet epoch, giving the rank a fresh link and reporting
-    ///   [`MembershipEvent::Rejoined`] so the scheduler can roll back the
-    ///   old incarnation's in-flight work,
-    /// - **admits** brand-new slaves mid-run ([`MembershipEvent::Joined`]),
-    ///   assigning ranks from the released free-list or growing the
-    ///   cluster,
-    ///
-    /// and ships both the configured join payload (the job spec). The links
-    /// are terminal like every socket link: a send to a dark slave fails,
-    /// and the rank is unreachable until it rejoins.
+    /// Accept `n_slaves` connections into a fresh [`Membership`] table;
+    /// return the master endpoint and the table. With `elastic`, the
+    /// listener stays alive on a [`FleetAcceptor`] that admits every later
+    /// hello by the same rule, as a [`MembershipEvent`] under a bumped
+    /// epoch, and ships it the join payload (the job spec). A send to a
+    /// dark slave fails until it rejoins.
     pub fn accept_fleet(
         self,
         n_slaves: usize,
         plan: Option<FaultPlan>,
-    ) -> io::Result<(Endpoint, SocketInfo, FleetAcceptor)> {
-        let Admitted {
-            ep,
-            info,
-            slots,
-            env_tx,
-        } = self.admit_initial(n_slaves, plan, INITIAL_EPOCH)?;
+        elastic: bool,
+    ) -> io::Result<(Endpoint, Arc<Mutex<Membership>>, Option<FleetAcceptor>)> {
+        assert!(n_slaves > 0, "a socket cluster needs at least one slave");
+        let (env_tx, env_rx) = unbounded();
+        let mut links: Vec<TxLink> = (0..=n_slaves).map(|_| TxLink::Unrouted).collect();
+        links[0] = TxLink::Channel(env_tx.clone()); // loopback
+        let ep = Endpoint::from_parts(Rank(0), links, env_rx, plan, None);
         let shared = Arc::new(AcceptorShared {
-            events: Mutex::new(VecDeque::new()),
-            epoch: AtomicU64::new(INITIAL_EPOCH),
-            stop: AtomicBool::new(false),
-            join_frame: Mutex::new(None),
-            slots: Mutex::new(slots),
-            released: Mutex::new(Vec::new()),
+            members: Arc::new(Mutex::new(Membership::new(n_slaves, elastic))),
             links: ep.shared_links(),
             env_tx,
+            events: Mutex::new(VecDeque::new()),
+            join_frame: Mutex::new(None),
+            stop: AtomicBool::new(false),
         });
-        let thread_shared = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name("fleet-acceptor".into())
-            .spawn(move || acceptor_loop(self, thread_shared))
-            .expect("spawn fleet acceptor");
-        let acceptor = FleetAcceptor {
-            shared,
-            handle: Some(handle),
-        };
-        Ok((ep, info, acceptor))
+        let deadline = Instant::now() + ACCEPT_TIMEOUT;
+        while !shared.members.lock().unwrap().free().is_empty() {
+            // Poll so a missing slave cannot park the master past its
+            // accept timeout.
+            let Some(stream) = self.inner.accept_by(deadline)? else {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "timed out waiting for slaves to connect",
+                ));
+            };
+            shared.admit(stream, true);
+        }
+        let members = shared.members.clone();
+        let acceptor = elastic.then(|| {
+            let thread_shared = shared.clone();
+            let handle = std::thread::Builder::new()
+                .name("fleet-acceptor".into())
+                .spawn(move || acceptor_loop(self, thread_shared))
+                .expect("spawn fleet acceptor");
+            FleetAcceptor {
+                shared,
+                handle: Some(handle),
+            }
+        });
+        Ok((ep, members, acceptor))
     }
 }
 
-/// The epoch every initial member of a fenced fleet is admitted under.
-const INITIAL_EPOCH: u64 = 1;
-
-/// A membership change observed by the fleet acceptor, to be drained
-/// with [`FleetAcceptor::poll_events`] and fed to the master scheduler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MembershipEvent {
-    /// A known rank dialed in again — its own process after a broken
-    /// link, or a replacement: the fleet epoch was bumped and anything
-    /// the old incarnation still held must be rolled back and its late
-    /// DONEs fenced.
-    Rejoined {
-        /// The rank being taken over.
-        rank: u32,
-        /// The new fleet epoch the incarnation was admitted under.
-        epoch: u64,
-    },
-    /// A brand-new slave was admitted mid-run (fresh rank from the
-    /// free-list, or the cluster grew).
-    Joined {
-        /// The new slave's rank.
-        rank: u32,
-        /// The fleet epoch it was admitted under.
-        epoch: u64,
-    },
-}
-
-/// Per-rank admission record of the acceptor.
-struct RankSlot {
-    conn: Arc<Conn>,
-    session: u64,
-    stats: Arc<LinkStats>,
-}
-
+/// What admitting a slave touches: the membership table, the master
+/// endpoint's routes and inbox, and the acceptor's events and join
+/// frame.
 struct AcceptorShared {
-    events: Mutex<VecDeque<MembershipEvent>>,
-    epoch: AtomicU64,
-    stop: AtomicBool,
-    /// Sealed frame shipped to every newly admitted or re-incarnated
-    /// slave, so a joiner learns the job it walked into.
-    join_frame: Mutex<Option<Bytes>>,
-    slots: Mutex<Vec<Option<RankSlot>>>,
-    /// Sessions of released or replaced slave processes: their hellos
-    /// are refused, so such a process can take back neither its old rank
-    /// nor a free one.
-    released: Mutex<Vec<u64>>,
+    members: Arc<Mutex<Membership>>,
     links: Arc<RwLock<Vec<TxLink>>>,
     env_tx: Sender<Inbound>,
+    events: Mutex<VecDeque<MembershipEvent>>,
+    /// Sealed frame shipped to every slave admitted while it is set, so
+    /// a joiner learns the job it walked into.
+    join_frame: Mutex<Option<Bytes>>,
+    stop: AtomicBool,
+}
+
+impl AcceptorShared {
+    /// Admit one connection, in the initial accept and in the acceptor
+    /// alike: its hello, the table's decision, the welcome, the link. A
+    /// garbled or refused hello is hung up on. A rank whose welcome or
+    /// link fails is lost, as after a failed send.
+    fn admit(&self, mut stream: Stream, initial: bool) {
+        let Ok((want, session)) = read_hello(&mut stream) else {
+            return; // garbage peer: drop the connection
+        };
+        let mut members = self.members.lock().unwrap();
+        // Held until the new link is installed: a master that applies the
+        // event below and dispatches at once waits here for the new link
+        // instead of failing on the old one.
+        let mut links = self.links.write().unwrap();
+        let Some(seat) = members.admit(want, session, initial) else {
+            return; // hang up: this process was released or replaced
+        };
+        let (rank, n_ranks) = (seat.rank as usize, members.n_ranks());
+        links.resize_with(n_ranks, || TxLink::Unrouted);
+        // Queued before the welcome goes out, so the master shell applies
+        // it before it can hear the new incarnation.
+        if let Some(ev) = seat.event {
+            self.events.lock().unwrap().push_back(ev);
+        }
+        let linked = write_welcome(&mut stream, seat.rank, n_ranks as u32, seat.epoch)
+            .and_then(|()| spawn_link(stream, Rank(seat.rank), self.env_tx.clone(), seat.stats));
+        let new = match &linked {
+            Ok(tx) => TxLink::Socket(tx.clone()),
+            Err(_) => {
+                members.lose(seat.rank);
+                TxLink::Unrouted
+            }
+        };
+        let old = std::mem::replace(&mut links[rank], new);
+        drop((links, members));
+        // The old incarnation's link closes for good; dropping its route
+        // joins the link's threads.
+        if let TxLink::Socket(old) = &old {
+            old.sever();
+        }
+        let frame = self.join_frame.lock().unwrap().clone();
+        if let (Ok(tx), Some(frame)) = (linked, frame) {
+            let _ = tx.send(frame);
+        }
+    }
 }
 
 /// Handle to the background acceptor keeping an elastic fleet's listener
@@ -790,16 +730,6 @@ impl FleetAcceptor {
         self.shared.events.lock().unwrap().drain(..).collect()
     }
 
-    /// The current fleet epoch.
-    pub fn epoch(&self) -> u64 {
-        self.shared.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Current cluster size (master + highest admitted rank).
-    pub fn n_ranks(&self) -> usize {
-        self.shared.slots.lock().unwrap().len()
-    }
-
     /// Set the message shipped to every slave admitted from now on (the
     /// JOB spec, so a mid-run joiner knows what to compute).
     pub fn set_join_payload(&self, tag: Tag, payload: &[u8]) {
@@ -811,54 +741,24 @@ impl FleetAcceptor {
         *self.shared.join_frame.lock().unwrap() = None;
     }
 
-    /// Per-link counters for `rank` (including links installed for
-    /// mid-run joiners, which are not in the original `SocketInfo`).
-    pub fn link_stats(&self, rank: u32) -> Option<Arc<LinkStats>> {
-        let slots = self.shared.slots.lock().unwrap();
-        slots
-            .get(rank as usize)
-            .and_then(|s| s.as_ref())
-            .map(|s| s.stats.clone())
-    }
-
-    /// Ranks that are admitted *and* currently linked. A rank missing
-    /// from this list is either released or dark — dark ranks may still
-    /// rejoin within the run.
-    pub fn live_ranks(&self) -> Vec<u32> {
-        let slots = self.shared.slots.lock().unwrap();
-        slots
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter_map(|(r, s)| (!s.as_ref()?.conn.is_closed()).then_some(r as u32))
-            .collect()
-    }
-
-    /// Release `rank`: close its link and return the rank to the
-    /// free-list, so a future joiner can take it. The caller is expected
+    /// Release `rank`: free its row, refuse its session and close its
+    /// link, so a future joiner can take the rank. The caller is expected
     /// to have drained the slave first (graceful drain) — anything still
     /// in flight is lost and will be redispatched by fault tolerance.
     pub fn release_rank(&self, rank: u32) {
-        let slot = {
-            let mut slots = self.shared.slots.lock().unwrap();
-            slots.get_mut(rank as usize).and_then(|s| s.take())
-        };
-        if let Some(slot) = slot {
-            self.shared.released.lock().unwrap().push(slot.session);
-            slot.conn.close();
+        let mut members = self.shared.members.lock().unwrap();
+        members.release(rank);
+        if let Some(TxLink::Socket(tx)) = self.shared.links.read().unwrap().get(rank as usize) {
+            tx.sever();
         }
-    }
-
-    /// Stop the acceptor thread (idempotent). New connections are no
-    /// longer admitted; existing links stay up.
-    pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
     }
 }
 
 impl Drop for FleetAcceptor {
+    /// Stops the acceptor thread: new connections are no longer
+    /// admitted; existing links stay up.
     fn drop(&mut self) {
-        self.stop();
+        self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -871,90 +771,11 @@ fn acceptor_loop(listener: SocketListener, shared: Arc<AcceptorShared>) {
     while !shared.stop.load(Ordering::SeqCst) {
         // Bounds how late `FleetAcceptor::stop` is seen; a dialer ends it early.
         let deadline = Instant::now() + Duration::from_millis(100);
-        let mut stream = match listener.inner.accept_by(deadline) {
-            Ok(Some(s)) => s,
-            Ok(None) => continue,
+        match listener.inner.accept_by(deadline) {
+            Ok(Some(stream)) => shared.admit(stream, false),
+            Ok(None) => {}
             Err(_) => break,
-        };
-        let Ok((want, session)) = read_hello(&mut stream) else {
-            continue; // garbage peer: drop the connection
-        };
-        let _ = admit(stream, want, session, &shared);
-    }
-}
-
-/// Admit one handshaken connection: a hello for a known, unreleased rank
-/// is a rejoin — same session or new — and anything else a join. Both
-/// bump the epoch, give the rank a fresh link and ship the join payload.
-fn admit(
-    mut stream: Stream,
-    want: u32,
-    session: u64,
-    shared: &Arc<AcceptorShared>,
-) -> io::Result<()> {
-    if shared.released.lock().unwrap().contains(&session) {
-        return Ok(()); // hang up: this process was released or replaced
-    }
-    let mut slots = shared.slots.lock().unwrap();
-    // Held until the new link is installed: a master that applies the
-    // event below and dispatches at once waits here for the new link
-    // instead of failing on the old one.
-    let mut links = shared.links.write().unwrap();
-    let known = (1..slots.len()).contains(&(want as usize)) && slots[want as usize].is_some();
-    let rank = if known {
-        want as usize
-    } else {
-        // Brand-new admission: reuse a released rank or grow the cluster.
-        match slots[1..].iter().position(|s| s.is_none()) {
-            Some(i) => i + 1,
-            None => {
-                slots.push(None);
-                links.push(TxLink::Unrouted);
-                slots.len() - 1
-            }
         }
-    };
-    let epoch = shared.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-    let (r, n_ranks) = (rank as u32, slots.len() as u32);
-    // Queued before the welcome goes out, so the master shell applies it
-    // before it can hear the new incarnation.
-    shared.events.lock().unwrap().push_back(if known {
-        MembershipEvent::Rejoined { rank: r, epoch }
-    } else {
-        MembershipEvent::Joined { rank: r, epoch }
-    });
-    write_welcome(&mut stream, r, n_ranks, epoch)?;
-    // A rejoiner keeps its rank's counters.
-    let stats = slots[rank]
-        .as_ref()
-        .map_or_else(Default::default, |s| s.stats.clone());
-    let tx = spawn_link(stream, Rank(r), shared.env_tx.clone(), stats.clone())?;
-    let old = slots[rank].replace(RankSlot {
-        conn: tx.conn.clone(),
-        session,
-        stats,
-    });
-    let replaced = std::mem::replace(&mut links[rank], TxLink::Socket(tx.clone()));
-    drop((links, slots));
-    if let Some(old) = old {
-        if old.session != session {
-            // A replaced process is a zombie: refuse its redials.
-            shared.released.lock().unwrap().push(old.session);
-        }
-        old.conn.close();
-    }
-    // Dropping the old route joins its (closed) link's threads.
-    drop(replaced);
-    ship_join_payload(shared, tx);
-    Ok(())
-}
-
-/// Queue the configured join frame (the JOB spec) on a freshly admitted
-/// slave's link.
-fn ship_join_payload(shared: &Arc<AcceptorShared>, tx: SocketTx) {
-    let frame = shared.join_frame.lock().unwrap().clone();
-    if let Some(frame) = frame {
-        let _ = tx.send(frame);
     }
 }
 
@@ -1201,13 +1022,15 @@ mod tests {
         );
     }
 
+    type Members = Arc<Mutex<Membership>>;
+
     /// Fleet helper: elastic master with `n` initial slaves.
     fn fleet_pair(
         n_slaves: usize,
         slave_plans: Vec<Option<FaultPlan>>,
     ) -> (
         Endpoint,
-        SocketInfo,
+        Members,
         FleetAcceptor,
         NetAddr,
         Vec<(Endpoint, SocketInfo)>,
@@ -1228,9 +1051,9 @@ mod tests {
                 })
             })
             .collect();
-        let (master, minfo, acceptor) = listener.accept_fleet(n_slaves, None).unwrap();
+        let (master, members, acceptor) = listener.accept_fleet(n_slaves, None, true).unwrap();
         let slaves = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (master, minfo, acceptor, addr, slaves)
+        (master, members, acceptor.unwrap(), addr, slaves)
     }
 
     /// Who acknowledges is the sender's call, and only a fault plan can
@@ -1257,7 +1080,7 @@ mod tests {
         let (slave, _sinfo) = slaves.pop().unwrap();
         assert_eq!(seqs(master, slave), (None, None), "fixed links");
 
-        let (master, _minfo, _acceptor, _addr, mut slaves) = fleet_pair(1, vec![None]);
+        let (master, _members, _acceptor, _addr, mut slaves) = fleet_pair(1, vec![None]);
         let (slave, _sinfo) = slaves.pop().unwrap();
         assert_eq!(seqs(master, slave), (None, None), "elastic links");
     }
@@ -1277,7 +1100,7 @@ mod tests {
     #[test]
     fn a_severed_link_fails_then_its_session_rejoins() {
         let plan = FaultPlan::default().with_link_sever(2, Duration::from_millis(30));
-        let (mut master, _minfo, acceptor, addr, mut slaves) = fleet_pair(1, vec![Some(plan)]);
+        let (mut master, members, acceptor, addr, mut slaves) = fleet_pair(1, vec![Some(plan)]);
         let (mut slave, sinfo) = slaves.pop().unwrap();
         slave.send(Rank(0), Tag(1), b("warm")).unwrap();
         assert_eq!(&master.recv().unwrap().payload[..], b"warm");
@@ -1306,13 +1129,13 @@ mod tests {
             "a released session is refused"
         );
         assert!(acceptor.poll_events().is_empty(), "nothing admitted");
-        assert_eq!(acceptor.epoch(), 2);
+        assert_eq!(members.lock().unwrap().epoch(), 2);
     }
 
     #[test]
     fn new_incarnation_is_fenced_with_a_new_epoch() {
-        let (mut master, minfo, acceptor, addr, mut slaves) = fleet_pair(1, vec![None]);
-        assert_eq!(minfo.epoch, 1);
+        let (mut master, members, acceptor, addr, mut slaves) = fleet_pair(1, vec![None]);
+        assert_eq!(members.lock().unwrap().epoch(), 1);
         let (mut slave, sinfo) = slaves.pop().unwrap();
         assert_eq!(sinfo.epoch, 1);
         slave.send(Rank(0), Tag(1), b("inc1")).unwrap();
@@ -1321,7 +1144,7 @@ mod tests {
         let (mut slave2, sinfo2) = connect(&addr, Some(1), SocketConfig::default(), None).unwrap();
         assert_eq!(sinfo2.rank, Rank(1));
         assert_eq!(sinfo2.epoch, 2, "restart bumps the fleet epoch");
-        assert_eq!(acceptor.epoch(), 2);
+        assert_eq!(members.lock().unwrap().epoch(), 2);
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let evs = acceptor.poll_events();
@@ -1340,7 +1163,7 @@ mod tests {
 
     #[test]
     fn mid_run_join_grows_cluster_and_ships_payload() {
-        let (mut master, _minfo, acceptor, addr, _slaves) = fleet_pair(1, vec![None]);
+        let (mut master, members, acceptor, addr, _slaves) = fleet_pair(1, vec![None]);
         acceptor.set_join_payload(Tag(7), b"jobspec");
         let (mut joiner, jinfo) = connect(&addr, None, SocketConfig::default(), None).unwrap();
         assert_eq!(jinfo.rank, Rank(2), "fresh rank past the initial fleet");
@@ -1365,12 +1188,16 @@ mod tests {
         assert_eq!(&joiner.recv().unwrap().payload[..], b"task");
         joiner.send(Rank(0), Tag(10), b("done")).unwrap();
         assert_eq!(&master.recv().unwrap().payload[..], b"done");
-        assert!(acceptor.link_stats(2).is_some());
+        let info = members.lock().unwrap().socket_info();
+        assert!(
+            info.link(Rank(2)).is_some(),
+            "the joiner's counters are in the table"
+        );
     }
 
     #[test]
     fn released_rank_is_reused_by_next_joiner() {
-        let (_master, _minfo, acceptor, addr, _slaves) = fleet_pair(2, vec![None, None]);
+        let (_master, members, acceptor, addr, _slaves) = fleet_pair(2, vec![None, None]);
         acceptor.release_rank(1);
         let (joiner, jinfo) = connect(&addr, None, SocketConfig::default(), None).unwrap();
         assert_eq!(jinfo.rank, Rank(1), "freed rank comes off the free-list");
@@ -1387,7 +1214,21 @@ mod tests {
             assert!(Instant::now() < deadline, "Joined event never surfaced");
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(acceptor.live_ranks().contains(&1));
+        assert!(members.lock().unwrap().is_held(1));
+        drop(joiner);
+    }
+
+    /// One rank rule for every admission: a joiner that names a free
+    /// rank takes it, not the lowest free one.
+    #[test]
+    fn a_joiner_takes_the_free_rank_it_names() {
+        let (_master, members, acceptor, addr, _slaves) = fleet_pair(2, vec![None, None]);
+        acceptor.release_rank(1);
+        acceptor.release_rank(2);
+        let (joiner, jinfo) = connect(&addr, Some(2), SocketConfig::default(), None).unwrap();
+        assert_eq!(jinfo.rank, Rank(2), "the named free rank");
+        await_event(&acceptor, MembershipEvent::Joined { rank: 2, epoch: 2 });
+        assert_eq!(members.lock().unwrap().free(), [1]);
         drop(joiner);
     }
 }

@@ -15,6 +15,11 @@
 //! `EasyHps::run` holds the problem and ignores the payload. Fault plans
 //! ride on the job forks only, so JOB and SHUTDOWN are never lost.
 //!
+//! Which slave holds which rank is the fleet's one [`Membership`] table,
+//! whatever the transport (an elastic fleet shares it with its socket
+//! acceptor): a JOB ships to every held rank, a free rank is drained at
+//! job start, and a failed JOB send loses its rank ([`Membership::lose`]).
+//!
 //! A job begins when its JOB frame is sent, once its master admitted it,
 //! and ends with the master's END round, also when it fails. Nothing
 //! else marks the boundary. A fleet that runs many jobs carries no fault
@@ -38,10 +43,10 @@ use easyhps_net::socket::{
     connect, redial, SocketConfig, SocketInfo, SocketListener, DIAL_BACKOFF,
 };
 use easyhps_net::stream::retry_with_backoff;
-use easyhps_net::{Endpoint, FaultPlan, FleetAcceptor, NetAddr, NetError, Network, Rank};
+use easyhps_net::{Endpoint, FaultPlan, Membership, NetAddr, NetError, Network, Rank};
 use easyhps_obs::{labeled, Registry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,58 +65,39 @@ pub struct JobOptions {
 type SlaveThread = JoinHandle<Result<SlaveServeSummary, RuntimeError>>;
 
 /// A set of connected, rank-assigned slaves that stays usable across
-/// jobs. Create with [`Fleet::accept`] (sockets, fixed membership),
-/// [`Fleet::accept_elastic`] (sockets, rejoin + mid-run join + drain) or
-/// [`Fleet::local`] (threads), run any number of jobs, then
-/// [`Fleet::shutdown`].
+/// jobs. Create with [`Fleet::accept_elastic`] (sockets, rejoin + mid-run
+/// join + drain) or [`Fleet::local`] (threads), run any number of jobs,
+/// then [`Fleet::shutdown`]. Which slave holds which rank is the
+/// fleet's [`Membership`] table, in [`Fleet::control`].
 pub struct Fleet {
     root: Endpoint,
-    n_slaves: usize,
-    /// Per-link counters of a socket-backed fleet.
-    socket: Option<SocketInfo>,
+    /// Whether the slaves are linked by sockets: the table's rows then
+    /// carry per-link counters.
+    sockets: bool,
     /// Slave threads of this process; empty when the slaves are other
     /// processes.
     threads: Vec<SlaveThread>,
-    /// Shared with every job's master: drain requests flow in, released
-    /// ranks flow out, and the elastic acceptor (if any) rides along.
+    /// Shared with every job's master: the membership table, drain
+    /// requests, and the elastic acceptor (if any).
     control: FleetControl,
-    /// Ranks no longer part of a *fixed-membership* fleet (drained and
-    /// released, or found dead between jobs); indexed by rank, 0 unused.
-    /// Elastic fleets derive membership from the acceptor instead — a
-    /// released rank there may be re-issued to the next joiner.
-    retired: Vec<bool>,
 }
 
 impl Fleet {
-    fn assemble(
-        root: Endpoint,
-        n_slaves: usize,
-        socket: Option<SocketInfo>,
-        control: FleetControl,
-    ) -> Fleet {
-        let (threads, retired) = (Vec::new(), vec![false; n_slaves + 1]);
+    fn assemble(root: Endpoint, sockets: bool, control: FleetControl) -> Fleet {
         Fleet {
             root,
-            n_slaves,
-            socket,
-            threads,
+            sockets,
+            threads: Vec::new(),
             control,
-            retired,
         }
     }
 
     /// Accept `n_slaves` socket connections on an already-bound listener
-    /// and perform the rank handshake.
-    pub fn accept(listener: SocketListener, n_slaves: usize) -> Result<Fleet, RuntimeError> {
-        Self::remote(listener, n_slaves, false, None)
-    }
-
-    /// [`Fleet::accept`] with *elastic* membership: the listener stays
-    /// open in a background acceptor that admits a redialling or
-    /// replacement slave as a rejoin — a fresh link, fenced under a bumped
-    /// fleet epoch — and brand-new slaves mid-run, shipping both the
-    /// current job. Slaves redial a broken link when they run with
-    /// [`SocketConfig::reconnect_window`].
+    /// into an *elastic* fleet: the listener stays open in a background
+    /// acceptor that admits a redialling or replacement slave as a rejoin
+    /// — a fresh link, fenced under a bumped fleet epoch — and brand-new
+    /// slaves mid-run, shipping both the current job. Slaves redial a
+    /// broken link when they run with [`SocketConfig::reconnect_window`].
     pub fn accept_elastic(
         listener: SocketListener,
         n_slaves: usize,
@@ -133,17 +119,12 @@ impl Fleet {
         if n_slaves == 0 {
             return Err(RuntimeError::NoSlaves);
         }
-        let accept_err = |e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}"));
-        let (root, info, acceptor) = if elastic {
-            let (ep, info, acc) = listener.accept_fleet(n_slaves, None).map_err(accept_err)?;
-            (ep, info, Some(Arc::new(acc)))
-        } else {
-            let (ep, info) = listener.accept_ranks(n_slaves, None).map_err(accept_err)?;
-            (ep, info, None)
-        };
-        let mut control = FleetControl::new(acceptor);
+        let (root, members, acceptor) = listener
+            .accept_fleet(n_slaves, None, elastic)
+            .map_err(|e| RuntimeError::InvalidConfig(format!("accepting slaves: {e}")))?;
+        let mut control = FleetControl::new(members, acceptor.map(Arc::new));
         control.rejoin_window = rejoin_window;
-        Ok(Self::assemble(root, n_slaves, Some(info), control))
+        Ok(Self::assemble(root, true, control))
     }
 
     /// An in-process fleet: `n_slaves` threads running the multi-job
@@ -243,7 +224,10 @@ impl Fleet {
             })
             .collect();
         let mut fleet = match listener {
-            None => Self::assemble(eps.remove(0), n_slaves, None, FleetControl::new(None)),
+            None => {
+                let members = Arc::new(Mutex::new(Membership::local(n_slaves)));
+                Self::assemble(eps.remove(0), false, FleetControl::new(members, None))
+            }
             Some(listener) => Self::remote(listener, n_slaves, reconnect.is_some(), reconnect)?,
         };
         fleet.threads = threads;
@@ -251,10 +235,14 @@ impl Fleet {
         Ok(fleet)
     }
 
-    /// Number of slave slots in the fleet (the high-water rank; retired
-    /// or currently-dark slots included).
+    /// Number of slave slots in the fleet (the high-water rank; free or
+    /// currently-dark slots included).
     pub fn n_slaves(&self) -> usize {
-        self.n_slaves
+        self.members().n_ranks() - 1
+    }
+
+    fn members(&self) -> MutexGuard<'_, Membership> {
+        self.control.members.lock().unwrap()
     }
 
     /// The control surface shared with every job's master. Clone it to
@@ -264,12 +252,6 @@ impl Fleet {
         &self.control
     }
 
-    /// The elastic acceptor, when this fleet was created with
-    /// [`Fleet::accept_elastic`].
-    pub fn acceptor(&self) -> Option<&Arc<FleetAcceptor>> {
-        self.control.acceptor.as_ref()
-    }
-
     /// Ask the running (or next) job's master to gracefully drain
     /// `rank`: stop assigning it work, let its in-flight sub-tasks land,
     /// then release the rank back to the fleet.
@@ -277,53 +259,11 @@ impl Fleet {
         self.control.request_drain(rank);
     }
 
-    /// Fold membership changes into the fleet's own bookkeeping at a job
-    /// boundary: retire ranks the previous job's master released, grow
-    /// the slot count to cover mid-run joiners, and re-request drains
-    /// for ranks that must stay out of the next job's schedule (each
-    /// job's scheduler starts fresh, so a released slot must be drained
-    /// again — the request releases an idle slot instantly).
-    fn sync_membership(&mut self) {
-        for rank in std::mem::take(&mut *self.control.released.lock().unwrap()) {
-            if let Some(f) = self.retired.get_mut(rank as usize) {
-                *f = true;
-            }
-        }
-        if let Some(acc) = &self.control.acceptor {
-            self.n_slaves = self.n_slaves.max(acc.n_ranks().saturating_sub(1));
-            for r in 1..=self.n_slaves as u32 {
-                // Slot empty in the acceptor: released and not re-issued.
-                if acc.link_stats(r).is_none() {
-                    self.control.request_drain(r);
-                }
-            }
-        } else {
-            for r in 1..=self.n_slaves {
-                if self.retired[r] {
-                    self.control.request_drain(r as u32);
-                }
-            }
-        }
-        if self.retired.len() < self.n_slaves + 1 {
-            self.retired.resize(self.n_slaves + 1, false);
-        }
-    }
-
-    /// The ranks the next job should treat as members: currently-linked
-    /// ranks for an elastic fleet (a dark rank may rejoin mid-job and is
-    /// shipped the job then), non-retired ranks otherwise.
-    fn expected_ranks(&self) -> Vec<u32> {
-        match &self.control.acceptor {
-            Some(acc) => acc.live_ranks(),
-            None => (1..=self.n_slaves as u32)
-                .filter(|r| !self.retired[*r as usize])
-                .collect(),
-        }
-    }
-
-    /// Per-link socket counters; `None` for an in-process fleet.
-    pub fn socket_info(&self) -> Option<&SocketInfo> {
-        self.socket.as_ref()
+    /// The master's per-link socket counters, read off the membership
+    /// table: every link it holds now, a mid-run joiner's included.
+    /// `None` for an in-process fleet.
+    pub fn socket_info(&self) -> Option<SocketInfo> {
+        self.sockets.then(|| self.members().socket_info())
     }
 
     /// Ship `spec` to every slave and run the master loop over a per-job
@@ -334,7 +274,7 @@ impl Fleet {
         spec: &JobSpec,
         opts: JobOptions,
     ) -> Result<RemoteOutput, RuntimeError> {
-        let mut deployment = spec.deployment(self.n_slaves, None);
+        let mut deployment = spec.deployment(self.n_slaves(), None);
         deployment.obs = opts.obs;
         deployment.checkpoint = opts.checkpoint;
         let payload = Bytes::from(spec.encode());
@@ -347,14 +287,16 @@ impl Fleet {
                 slaves: out.slave_stats,
                 trace: out.trace,
             },
-            socket: self.socket.clone(),
+            socket: self.socket_info(),
         })
     }
 
     /// Run one job: the master loop over a fork of the root endpoint that
     /// carries `master_plan`, which ships `payload` in a JOB frame to every
-    /// member once it has admitted the job. The connections stay open
-    /// when the job finishes or fails.
+    /// held rank once it has admitted the job. Each job's scheduler starts
+    /// fresh, so every free rank is drained again (the request releases
+    /// an idle slot at once). The connections stay open when the job
+    /// finishes or fails.
     pub(crate) fn run<C: Cell>(
         &mut self,
         payload: Bytes,
@@ -363,9 +305,15 @@ impl Fleet {
         tile_budget: Option<u64>,
         master_plan: Option<FaultPlan>,
     ) -> Result<MasterOutput<C>, RuntimeError> {
-        self.sync_membership();
-        deployment.slaves = self.n_slaves;
-        let (ranks, ep) = (self.expected_ranks(), self.root.fork(master_plan));
+        let (ranks, free) = {
+            let m = self.members();
+            (m.held(), m.free())
+        };
+        for r in free {
+            self.control.request_drain(r);
+        }
+        deployment.slaves = self.n_slaves();
+        let ep = self.root.fork(master_plan);
         let ship = || {
             // Mid-run joiners (and re-incarnated slaves) must learn the job
             // too: the acceptor ships this to everyone it admits from now on.
@@ -373,15 +321,15 @@ impl Fleet {
                 acc.set_join_payload(tags::JOB, &payload);
             }
             self.control.tearing_down.store(false, Ordering::SeqCst);
-            // A link that died since the last job fails here, and the rank
-            // is retired. The master's send-failure path excludes the slot
-            // for this job.
+            // A link that died since the last job fails here, and the
+            // table loses the rank. The master's send-failure path
+            // excludes the slot for this job.
             let mut shipped = false;
             for r in ranks {
                 if self.root.send(Rank(r), tags::JOB, payload.clone()).is_ok() {
                     shipped = true;
-                } else if let Some(f) = self.retired.get_mut(r as usize) {
-                    *f = true;
+                } else {
+                    self.control.members.lock().unwrap().lose(r);
                 }
             }
             shipped.then_some(()).ok_or(RuntimeError::NoSlaves)
@@ -393,8 +341,9 @@ impl Fleet {
         if let Some(acc) = &self.control.acceptor {
             acc.clear_join_payload();
         }
-        if let (Ok(_), Some(reg), Some(info)) = (&out, &deployment.obs.metrics, &self.socket) {
-            publish_socket_stats(reg, info);
+        if let (Ok(_), Some(reg), Some(info)) = (&out, &deployment.obs.metrics, self.socket_info())
+        {
+            publish_socket_stats(reg, &info);
         }
         out
     }
@@ -403,10 +352,10 @@ impl Fleet {
     /// threads of this process are joined and their per-slave service
     /// summaries returned; remote slaves exit their own processes' loops.
     pub fn shutdown(self) -> Vec<SlaveServeSummary> {
+        let n_slaves = self.n_slaves();
         let Fleet {
             mut root,
             threads,
-            n_slaves,
             control,
             ..
         } = self;
@@ -590,7 +539,8 @@ mod tests {
 
     /// A two-slave fleet over `root` whose slaves are `threads`.
     fn fleet_of(root: Endpoint, threads: Vec<SlaveThread>) -> Fleet {
-        let mut fleet = Fleet::assemble(root, 2, None, FleetControl::new(None));
+        let members = Arc::new(Mutex::new(Membership::local(2)));
+        let mut fleet = Fleet::assemble(root, false, FleetControl::new(members, None));
         fleet.threads = threads;
         fleet
     }
@@ -659,8 +609,8 @@ mod tests {
     }
 
     /// Regression: a slave that dies *between* jobs is a membership
-    /// change, not a stall. The JOB send to the dead rank fails, the rank
-    /// is retired, and the next job completes promptly on the survivor.
+    /// change, not a stall. The JOB send to the dead rank fails, the table
+    /// frees its row, and the next job completes promptly on the survivor.
     #[test]
     fn slave_death_between_jobs_is_a_membership_change() {
         let mut eps = Network::new(3);
@@ -698,12 +648,12 @@ mod tests {
             "the job waited on a dead slave: {:?}",
             t.elapsed()
         );
-        assert!(fleet.retired[2], "dead rank must be retired");
+        assert_eq!(fleet.members().free(), [2], "the dead rank's row is free");
         fleet.shutdown();
     }
 
     /// The race behind the test above, forced: rank 2 is gone before the
-    /// job ships. The failed JOB send retires it, and the teardown does
+    /// job ships. The failed JOB send frees its row, and the teardown does
     /// not wait for the STATS of a slave its END cannot reach.
     #[test]
     fn job_send_failure_retires_a_rank_that_is_gone() {
@@ -718,9 +668,10 @@ mod tests {
         let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
         let reference = spec.problem.solve_sequential();
         assert_eq!(out.matrix, reference);
-        assert!(
-            fleet.retired[2],
-            "the rank whose JOB send failed is retired"
+        assert_eq!(
+            fleet.members().free(),
+            [2],
+            "the rank whose JOB send failed is freed"
         );
         assert!(
             t.elapsed() < Duration::from_secs(2),
@@ -769,7 +720,7 @@ mod tests {
             "the job after a failed one took {:?}",
             t.elapsed()
         );
-        assert_eq!(fleet.retired, [false; 3], "no rank was retired");
+        assert!(fleet.members().free().is_empty(), "no rank was freed");
         let summaries = fleet.shutdown();
         assert_eq!(
             summaries.iter().map(|s| s.jobs).sum::<u64>(),
@@ -921,10 +872,12 @@ mod tests {
         };
         let mut eps = Network::new(3);
         let root = eps.remove(0);
+        let (sent, stale_sent) = std::sync::mpsc::channel();
         let handles = eps
             .into_iter()
             .enumerate()
             .map(|(i, mut ep)| {
+                let sent = sent.clone();
                 std::thread::spawn(move || {
                     if i == 0 {
                         let cells = vec![0u8; region.area() as usize * 4];
@@ -936,12 +889,16 @@ mod tests {
                         };
                         ep.send(Rank(0), tags::DONE, done.encode())?;
                         ep.send(Rank(0), tags::STATS, stale_stats.encode())?;
+                        sent.send(()).unwrap();
                     }
                     spec_loop(ep)
                 })
             })
             .collect();
         let mut fleet = fleet_of(root, handles);
+        // The frames were sent before the job began, however late the
+        // thread that sends them starts.
+        stale_sent.recv().unwrap();
         let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
         assert_eq!(out.matrix, spec.problem.solve_sequential());
         assert_eq!(out.report.master.stale_completions, 1);
@@ -957,8 +914,9 @@ mod tests {
     }
 
     /// Elastic fleet over TCP: a second slave joins *between* jobs and
-    /// serves the next one; draining it afterwards releases its rank and
-    /// the remaining jobs still complete.
+    /// serves the next one, whose metrics carry the joiner's link; draining
+    /// it afterwards releases its rank and the remaining jobs still
+    /// complete.
     #[test]
     fn elastic_fleet_admits_joiner_and_drains_it() {
         use crate::remote::RemoteSlaveOptions;
@@ -988,15 +946,22 @@ mod tests {
             std::thread::spawn(move || serve_slave_jobs(o))
         };
         // Wait for admission so the next job ships to it.
-        let acc = fleet.acceptor().unwrap().clone();
         let t = Instant::now();
-        while acc.live_ranks().len() < 2 && t.elapsed() < Duration::from_secs(10) {
+        while fleet.members().held().len() < 2 && t.elapsed() < Duration::from_secs(10) {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(acc.live_ranks().len(), 2, "joiner not admitted");
+        assert_eq!(fleet.members().held(), [1, 2], "joiner not admitted");
 
         let spec = editdist_spec(b"now two slaves share it", b"the job after the join");
-        let out = fleet.run_job(&spec, JobOptions::default()).unwrap();
+        let metrics = Arc::new(Registry::new());
+        let opts = JobOptions {
+            obs: ObsConfig {
+                metrics: Some(metrics.clone()),
+                recorder: None,
+            },
+            ..JobOptions::default()
+        };
+        let out = fleet.run_job(&spec, opts).unwrap();
         assert_eq!(fleet.n_slaves(), 2);
         let reference = spec.problem.solve_sequential();
         let d = reference.dims();
@@ -1004,6 +969,12 @@ mod tests {
             out.matrix.get(d.rows - 1, d.cols - 1),
             reference.get(d.rows - 1, d.cols - 1)
         );
+        let sent = labeled("socket_frames_sent", &[("link", "2")]);
+        assert!(
+            metrics.snapshot().counter(&sent).is_some_and(|n| n > 0),
+            "the joiner's link is published"
+        );
+        assert!(out.socket.unwrap().link(Rank(2)).is_some());
 
         // Drain rank 2: the request is consumed by the next job's
         // master, which releases the idle rank at once and computes the
@@ -1017,11 +988,7 @@ mod tests {
             out.matrix.get(d.rows - 1, d.cols - 1),
             reference.get(d.rows - 1, d.cols - 1)
         );
-        assert!(
-            !acc.live_ranks().contains(&2),
-            "drained rank must be released: {:?}",
-            acc.live_ranks()
-        );
+        assert_eq!(fleet.members().free(), [2], "drained rank must be released");
 
         fleet.shutdown();
         first.join().unwrap().unwrap();
@@ -1050,7 +1017,7 @@ mod tests {
                 std::thread::spawn(move || serve_slave_jobs(o))
             })
             .collect();
-        let mut fleet = Fleet::accept(listener, 2).unwrap();
+        let mut fleet = Fleet::remote(listener, 2, false, None).unwrap();
         for text in ["the first job of the fleet", "and a different second one"] {
             let spec = editdist_spec(text.as_bytes(), b"a shared reference string");
             let out = fleet.run_job(&spec, JobOptions::default()).unwrap();

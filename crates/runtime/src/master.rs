@@ -58,7 +58,8 @@ use easyhps_core::sched::{MasterAction, MasterEvent, MasterSched, SchedParams, S
 use easyhps_core::{DagDataDrivenModel, TaskDag, TileRegion, Trace, VertexId};
 use easyhps_dp::{Cell, DpMatrix, DpProblem};
 use easyhps_net::{
-    Endpoint, Envelope, FailReason, FleetAcceptor, MembershipEvent, Rank, ReliableEndpoint,
+    Endpoint, Envelope, FailReason, FleetAcceptor, Membership, MembershipEvent, Rank,
+    ReliableEndpoint,
 };
 use easyhps_obs::LaneBuf;
 use std::collections::{HashMap, HashSet};
@@ -66,33 +67,30 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Control surface between an elastic fleet and its running master.
+/// Control surface between a fleet and its running master.
 ///
-/// The acceptor (when the fleet is socket-backed) admits rejoining and
-/// brand-new slaves in the background; the master drains its membership
-/// events every loop iteration and re-fences the transport. The drain
-/// list carries operator requests ("release rank N once its in-flight
-/// work lands") from the daemon's RPC surface into the same loop. A local
-/// fleet has no acceptor but can still drain.
-#[derive(Clone, Default)]
+/// The master frees a drained rank's row in the fleet's [`Membership`].
+/// An elastic fleet's acceptor admits slaves into the same table in the
+/// background; the master drains its membership events every loop
+/// iteration and re-fences the transport. The drain list carries
+/// operator requests ("release rank N once its in-flight work lands")
+/// from the daemon's RPC surface into the same loop.
+#[derive(Clone)]
 pub struct FleetControl {
+    /// Which slave holds which rank, shared with the acceptor of an
+    /// elastic fleet.
+    pub members: Arc<Mutex<Membership>>,
     /// Elastic acceptor admitting rejoins and mid-run joiners. `None`
-    /// for fixed-membership (local or `accept_ranks`) fleets, where only
-    /// drain requests apply.
+    /// for a fixed fleet (in-process or `accept_ranks`).
     pub acceptor: Option<Arc<FleetAcceptor>>,
     /// How long after it was last heard an unreachable slave may still
     /// redial and rejoin: until then it does not count as dead. `None`:
     /// an unreachable slave is gone for good.
     pub(crate) rejoin_window: Option<Duration>,
     /// Ranks the operator asked to drain. The running master consumes
-    /// them, stops assigning to each, and releases the rank back to the
-    /// fleet free-list once its last in-flight sub-task lands.
+    /// them, stops assigning to each, and releases the rank once its last
+    /// in-flight sub-task lands.
     pub drain: Arc<Mutex<Vec<u32>>>,
-    /// Ranks the master released (drain completed). The fleet reads this
-    /// at the next job boundary to retire the rank from fixed-membership
-    /// bookkeeping; elastic fleets learn the same thing from the
-    /// acceptor's free-list.
-    pub released: Arc<Mutex<Vec<u32>>>,
     /// Set when a master running on this block begins its teardown, and
     /// when the fleet shuts down; cleared when a job starts. While set,
     /// no job needs a slave whose link broke, so the fleet's own socket
@@ -101,11 +99,15 @@ pub struct FleetControl {
 }
 
 impl FleetControl {
-    /// Control block over `acceptor` (pass `None` for a fixed fleet).
-    pub fn new(acceptor: Option<Arc<FleetAcceptor>>) -> Self {
+    /// Control block over `members` and, for an elastic fleet, the
+    /// acceptor that shares them.
+    pub fn new(members: Arc<Mutex<Membership>>, acceptor: Option<Arc<FleetAcceptor>>) -> Self {
         Self {
+            members,
             acceptor,
-            ..Self::default()
+            rejoin_window: None,
+            drain: Arc::default(),
+            tearing_down: Arc::default(),
         }
     }
 
@@ -114,13 +116,13 @@ impl FleetControl {
         self.drain.lock().unwrap().push(rank);
     }
 
-    /// Release `rank`: hand it back to the acceptor's free-list (elastic
-    /// fleets) and record it for the fleet's job-boundary bookkeeping.
+    /// Release `rank`: free its row. An elastic fleet's acceptor also
+    /// refuses its session and closes its link.
     pub(crate) fn release(&self, rank: u32) {
-        if let Some(acc) = &self.acceptor {
-            acc.release_rank(rank);
+        match &self.acceptor {
+            Some(acc) => acc.release_rank(rank),
+            None => self.members.lock().unwrap().release(rank),
         }
-        self.released.lock().unwrap().push(rank);
     }
 }
 
@@ -238,7 +240,7 @@ fn start_shell<'a, C: Cell>(
         rec.name_thread(0, TID_FT, "fault-tolerance");
         rec.name_thread(0, TID_NET, "net");
     }
-    let acceptor = fleet.and_then(|f| f.acceptor.as_deref());
+    let epoch = fleet.map_or(0, |f| f.members.lock().unwrap().epoch());
     let n = config.slaves;
     Shell {
         sched: MasterSched::new(&dag, n, config.process_mode, &params, tile_budget)
@@ -249,7 +251,7 @@ fn start_shell<'a, C: Cell>(
         lanes: [lane_of(obs, 0, 0), lane_of(obs, 0, TID_FT)],
         slot_lanes: (0..n).map(|w| slot_lane(obs, w)).collect(),
         answered: vec![(t0, 0); n],
-        cur_epoch: vec![acceptor.map_or(0, FleetAcceptor::epoch); n],
+        cur_epoch: vec![epoch; n],
         started: vec![None; dag.len()],
         inflight: HashMap::new(),
         completed: Vec::new(),
@@ -311,7 +313,7 @@ struct Shell<'a, C: Cell> {
     answered: Vec<(Instant, u64)>,
     /// Epoch each slot's ASSIGNs are stamped with; its length is the fleet
     /// size. The slave echoes the stamp blindly, so any init consistent
-    /// with the fencing check is correct — the acceptor's global epoch at
+    /// with the fencing check is correct — the membership table's epoch at
     /// start covers the initial members; what matters is the bump on a
     /// rejoin. Fixed fleets stay at epoch 0 and the fence never fires.
     cur_epoch: Vec<u64>,

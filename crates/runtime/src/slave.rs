@@ -24,8 +24,9 @@
 //! master tells slow from dead: the loop beats between frames, and a
 //! heart thread beats (and retransmits pending sends) while the loop runs
 //! kernels, so a long sub-sub-task never reads as silence. A slave
-//! learns that its master is gone from its link: a receive or a
-//! heartbeat send fails once the master's side is closed.
+//! learns that its master is gone from its link: a receive fails once
+//! the master's side is closed and what it sent before is read. A failed
+//! send ends nothing, so the END a finished master left is still heard.
 
 use crate::config::Deployment;
 use crate::obs::{lane_of, publish_endpoint_stats, registry_of, SlaveMetrics, TID_NET};
@@ -407,10 +408,11 @@ pub fn run_slave<P: DpProblem>(
         loop {
             let env = {
                 let mut l = lock_link(link);
-                // A heartbeat failure means the master's endpoint is gone
-                // (or this endpoint was killed): propagate, ending the
-                // slave.
-                if l.beat_if_due(interval, sm)? {
+                // A failed send ends nothing, a heartbeat here or a DONE
+                // below: the master may have closed its end after sending
+                // the END (and SHUTDOWN) still waiting here. The receive
+                // decides, and a link that is gone fails it.
+                if let Ok(true) = l.beat_if_due(interval, sm) {
                     lane.instant("heartbeat", "sched", None);
                 }
                 // A frame ends the wait; the heartbeat cadence bounds it.
@@ -475,9 +477,9 @@ pub fn run_slave<P: DpProblem>(
                             .as_exclusive()
                             .encode_region_into(msg.region, out)
                     });
-                    lock_link(link)
+                    let _ = lock_link(link)
                         .rep
-                        .send_reliable(master, tags::DONE, payload)?;
+                        .send_reliable(master, tags::DONE, payload);
                     lane.span_since(
                         "compute",
                         "sched",
@@ -633,5 +635,80 @@ mod tests {
                 "threaded driver and replay diverged on the same event log ({workers} workers)"
             );
         }
+    }
+
+    /// The slave of a master that answered its IDLE with one ASSIGN (and,
+    /// with `end`, an END) and closed its link, over a Unix-domain pair.
+    /// The tile takes the slave long enough that the close lands while it
+    /// computes, so its DONE and its due heartbeat go into the closed link.
+    #[cfg(unix)]
+    fn slave_after_master_closes(end: bool) -> Result<SlaveStatsMsg, RuntimeError> {
+        use easyhps_net::socket::{connect, SocketConfig, SocketListener};
+        use easyhps_net::NetAddr;
+        let path = std::env::temp_dir().join(format!(
+            "easyhps-slave-close-{}-{end}.sock",
+            std::process::id()
+        ));
+        let listener =
+            SocketListener::bind(&NetAddr::Uds(path.clone()), SocketConfig::default()).unwrap();
+        let addr = listener.local_addr();
+        let dial = std::thread::spawn(move || {
+            connect(&addr, Some(1), SocketConfig::default(), None).unwrap()
+        });
+        let (mut master, _) = listener.accept_ranks(1, None).unwrap();
+        let (ep, _) = dial.join().unwrap();
+        let _ = std::fs::remove_file(&path);
+
+        let problem = EditDistance::new(
+            random_sequence(Alphabet::Dna, 1500, 1),
+            random_sequence(Alphabet::Dna, 1500, 2),
+        );
+        let dims = problem.dims();
+        let model = DagDataDrivenModel::builder(problem.pattern())
+            .process_partition_size(dims)
+            .thread_partition_size(GridDims::new(250, 250))
+            .build();
+        let mut config = Deployment::local(1, 1);
+        config.heartbeat_interval = Duration::from_millis(1);
+        let slave = std::thread::spawn(move || run_slave(ep, &problem, &model, &config));
+
+        assert_eq!(master.recv().unwrap().tag, tags::IDLE);
+        let assign = AssignMsg {
+            task: 0,
+            epoch: 0,
+            tile: GridPos::new(0, 0),
+            region: TileRegion::new(0, dims.rows, 0, dims.cols),
+            inputs: Vec::new(),
+        };
+        master.send(Rank(1), tags::ASSIGN, assign.encode()).unwrap();
+        if end {
+            master
+                .send(Rank(1), tags::END, bytes::Bytes::new())
+                .unwrap();
+        }
+        drop(master);
+        slave.join().unwrap()
+    }
+
+    /// A master that finished, sent END and closed its link leaves the END
+    /// readable: the DONE and the heartbeat that fail into the closed link
+    /// do not end the slave, the END does.
+    #[cfg(unix)]
+    #[test]
+    fn an_end_sent_before_the_master_closed_still_ends_the_job() {
+        let res = slave_after_master_closes(true);
+        assert!(res.is_ok(), "{res:?}");
+    }
+
+    /// A master that vanished mid-job (no END) still ends its slave with
+    /// `Disconnected`, which the rejoin path redials on.
+    #[cfg(unix)]
+    #[test]
+    fn a_master_gone_mid_job_ends_the_slave_disconnected() {
+        let res = slave_after_master_closes(false);
+        assert!(
+            matches!(res, Err(RuntimeError::Net(NetError::Disconnected))),
+            "{res:?}"
+        );
     }
 }

@@ -672,7 +672,7 @@ enum FleetSrc {
 /// Scheduler: owns the fleet, drains the queue round by round.
 fn scheduler(inner: Arc<Inner>, src: FleetSrc) {
     // A failed job ends with END and leaves its slaves ready for the
-    // next, but a slave thread that died with it is retired for good:
+    // next, but a slave thread that died with it has lost its rank:
     // rebuilding a local fleet after a failure restores its size. A
     // remote fleet cannot be rebuilt from here (its slaves are other
     // processes); it runs on with the ranks that answered the END.

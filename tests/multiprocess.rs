@@ -356,8 +356,8 @@ fn kill9_master_then_resume_is_bit_identical() {
     std::thread::sleep(Duration::from_millis(150));
     let _ = master.child.kill();
     let _ = master.child.wait();
-    // Orphaned slaves notice the dead master (failed heartbeat sends)
-    // and exit on their own; don't require success, just exit.
+    // Orphaned slaves notice the dead master (their link's receive
+    // fails) and exit on their own; don't require success, just exit.
     reap(s1, Duration::from_secs(30));
     reap(s2, Duration::from_secs(30));
 
